@@ -1,5 +1,6 @@
-"""End-to-end command line tests via subprocess."""
+"""End-to-end command line tests via subprocess, plus in-process golden stdout."""
 
+import ast
 import json
 import subprocess
 import sys
@@ -7,7 +8,21 @@ from pathlib import Path
 
 import pytest
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+from orthoprob.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIO_DIR = ROOT / "scenarios"
+PERFBENCH = ROOT / "perfbench"
+
+
+def cli_invocations():
+    """The benchmark's ``CLI_INVOCATIONS``, read without importing perfbench."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and \
+                [t.id for t in node.targets] == ["CLI_INVOCATIONS"]:
+            return ast.literal_eval(node.value)
+    raise LookupError("perfbench/workloads.py defines no CLI_INVOCATIONS")
 
 
 def run_cli(*args):
@@ -169,3 +184,12 @@ class TestExitCodes:
     def test_usage_error(self):
         assert run_cli("no-such-command").returncode == 1
         assert run_cli("predict").returncode == 1
+
+
+@pytest.mark.filterwarnings("ignore::orthoprob.NonUniqueConditioningWarning")
+@pytest.mark.parametrize("name, argv", cli_invocations())
+def test_stdout_matches_golden(name, argv, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    assert main(list(argv)) == 0
+    golden = (PERFBENCH / "golden" / "cli" / f"{name}.out").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden

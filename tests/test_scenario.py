@@ -134,6 +134,74 @@ class TestParsing:
             parse_scenario(doc)
 
 
+
+UNKNOWN_KIND = ("query.kind: unknown query kind 'dance' (expected one of prob, "
+                "condition, condition_seq, predictability, compatible, "
+                "interference, two_slit, sample, axioms)")
+NAMES_1 = "expected an array of at least 1 name(s)"
+
+
+@pytest.mark.parametrize("query, message", [
+    (5, "query: expected an object"),
+    ([], "query: expected an object"),
+    ({}, "query.kind: expected a nonempty string"),
+    ({"kind": 3}, "query.kind: expected a nonempty string"),
+    ({"kind": "dance"}, UNKNOWN_KIND),
+    ({"kind": "prob"}, "query: missing required key 'state'"),
+    ({"kind": "prob", "state": "mixed", "zap": 1},
+     "query: missing required key 'event'"),
+    ({"kind": "prob", "state": "mixed", "event": "up", "zap": 1, "abc": 2},
+     "query: unknown keys ['abc', 'zap']"),
+    ({"kind": "axioms", "budget": 5, "state": "mixed"},
+     "query: unknown keys ['state']"),
+    ({"kind": "prob", "state": 3, "event": "up"},
+     "query.state: expected a nonempty string"),
+    ({"kind": "prob", "state": "nope", "event": ""},
+     "query.event: expected a nonempty string"),
+    ({"kind": "predictability", "target": "up", "given": "diag"},
+     f"query.given: {NAMES_1}"),
+    ({"kind": "predictability", "target": "up", "given": []},
+     f"query.given: {NAMES_1}"),
+    ({"kind": "condition_seq", "state": "mixed", "events": []},
+     f"query.events: {NAMES_1}"),
+    ({"kind": "condition", "state": "mixed", "event": "up", "then": "diag"},
+     "query.then: expected an array of at least 0 name(s)"),
+    ({"kind": "sample", "initial": "mixed", "tests": ["up", 1], "final": "diag"},
+     "query.tests[1]: expected a nonempty string"),
+    ({"kind": "prob", "state": "nope", "event": "nope"},
+     "query.state: unknown state 'nope'"),
+    ({"kind": "prob", "state": "mixed", "event": "nope"},
+     "query.event: unknown event 'nope'"),
+    ({"kind": "condition", "state": "mixed", "event": "up",
+      "then": ["diag", "nope"]},
+     "query.then[1]: unknown event 'nope'"),
+    ({"kind": "condition_seq", "state": "mixed", "events": ["up", "nope"]},
+     "query.events[1]: unknown event 'nope'"),
+    ({"kind": "predictability", "target": "nope", "given": ["up"]},
+     "query.target: unknown event 'nope'"),
+    ({"kind": "compatible", "first": "up", "second": "nope"},
+     "query.second: unknown event 'nope'"),
+    ({"kind": "interference", "atom": "up", "path1": "up", "path2": "nope",
+      "target": "up"},
+     "query.path2: unknown event 'nope'"),
+    ({"kind": "two_slit", "source": "plus", "path1": "plus", "path2": "mixed",
+      "detector": "plus"},
+     "query.path2: state 'mixed' must be a 'vector' state"),
+    ({"kind": "two_slit", "source": "plus", "path1": "plus", "path2": "plus",
+      "detector": "nope"},
+     "query.detector: unknown state 'nope'"),
+    ({"kind": "sample", "initial": "mixed", "tests": ["up"], "final": "nope"},
+     "query.final: unknown event 'nope'"),
+    ({"kind": "axioms", "budget": 0}, "query.budget: expected a positive integer"),
+    ({"kind": "axioms", "budget": True}, "query.budget: expected a positive integer"),
+    ({"kind": "axioms", "budget": 2.0}, "query.budget: expected a positive integer"),
+])
+def test_malformed_query_message(query, message):
+    with pytest.raises(ValidationError) as info:
+        parse_scenario(quantum_doc(query))
+    assert str(info.value) == message
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("name", ["sec7", "die", "twoslit", "order", "qubit"])
     def test_shipped_files(self, name):
@@ -152,6 +220,29 @@ class TestRoundTrip:
         sc = parse_scenario(doc)
         again = parse_scenario(serialize_scenario(sc))
         assert np.array_equal(sc.events["e"].matrix, again.events["e"].matrix)
+
+    @pytest.mark.parametrize("query", [
+        {"kind": "compatible", "first": "up", "second": "diag"},
+        {"kind": "interference", "atom": "up", "path1": "up", "path2": "diag",
+         "target": "diag"},
+        {"kind": "sample", "initial": "plus", "tests": ["diag", "up"],
+         "final": "up"},
+        {"kind": "axioms", "budget": 7},
+    ])
+    def test_unshipped_query_kinds(self, query):
+        sc = parse_scenario(quantum_doc(query))
+        assert scenario_to_jsonable(sc)["query"] == query
+        assert parse_scenario(serialize_scenario(sc)) == sc
+
+    @pytest.mark.parametrize("query, serialized", [
+        ({"kind": "axioms"}, {"kind": "axioms", "budget": 1000}),
+        ({"kind": "condition", "state": "mixed", "event": "up", "then": []},
+         {"kind": "condition", "state": "mixed", "event": "up"}),
+    ])
+    def test_query_defaults_serialized(self, query, serialized):
+        sc = parse_scenario(quantum_doc(query))
+        assert scenario_to_jsonable(sc)["query"] == serialized
+        assert parse_scenario(serialize_scenario(sc, pretty=True)) == sc
 
     def test_jsonable_is_json_safe(self):
         sc = parse_scenario(MINIMAL_BOOLEAN)
