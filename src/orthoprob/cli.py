@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import OrthoprobError, ParseError, ValidationError
 from .presets import half_transition_pair, order_dependence_example
-from .scenario import AxiomsQuery, Scenario, parse_scenario, run_query
+from .scenario import Query, Scenario, parse_scenario, run_query
 from .states import (DensityState, condition, condition_seq,
                      conditioning_contract_violations, predictability, prob,
                      qubit_nonuniqueness_demo)
@@ -83,11 +83,11 @@ def _run_axioms(args) -> dict:
     scenario = _load_scenario(args.scenario)
     if args.budget is not None:
         budget = args.budget
-    elif isinstance(scenario.query, AxiomsQuery):
-        budget = scenario.query.budget
+    elif scenario.query is not None and scenario.query.kind == "axioms":
+        budget = scenario.query.fields["budget"]
     else:
         budget = 1000
-    scenario.query = AxiomsQuery(budget=budget)
+    scenario.query = Query("axioms", {"budget": budget})
     return run_query(scenario, tol=args.tol, seed=args.seed, trials=args.trials)
 
 

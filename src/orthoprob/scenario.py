@@ -5,6 +5,10 @@ events, named states, and a single query record.  Complex numbers are
 two-element [re, im] arrays; matrices are row-major nested arrays of such
 pairs.  Parsing separates syntax errors (ParseError) from semantic ones
 (ValidationError, with the offending location in the message).
+
+``QUERY_TABLE`` is the single place where a query kind is declared: its
+fields in wire order, each with its reference type, and its runner.
+Parsing, serialization and reference checks are generic loops over it.
 """
 
 from __future__ import annotations
@@ -12,12 +16,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Union
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .errors import (AlgebraMismatch, DimensionMismatch, OrthoprobError,
-                     ParseError, ValidationError)
+from .errors import AlgebraMismatch, DimensionMismatch, ParseError, ValidationError
 from .events import (BooleanAlgebra, BooleanEvent, Event, EventAlgebra,
                      QuantumAlgebra, QuantumEvent, verify_orthospace_axioms)
 from .interference import interference_decomposition, two_slit
@@ -81,9 +84,27 @@ def _require_keys(doc: dict, where: str, required: tuple[str, ...],
         raise ValidationError(f"{where}: unknown keys {sorted(extra)}")
 
 
+def _form(spec, where: str, forms: tuple[str, ...]) -> str:
+    """The one key of ``spec`` among ``forms``; ``spec`` may have no other key."""
+    if not isinstance(spec, dict):
+        raise ValidationError(f"{where}: expected an object")
+    present = [k for k in forms if k in spec]
+    if len(present) != 1:
+        raise ValidationError(
+            f"{where}: exactly one of {', '.join(map(repr, forms))} is required")
+    _require_keys(spec, where, tuple(present))
+    return present[0]
+
+
 def _string(value, where: str) -> str:
     if not isinstance(value, str) or not value:
         raise ValidationError(f"{where}: expected a nonempty string")
+    return value
+
+
+def _positive_int(value, where: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValidationError(f"{where}: expected a positive integer")
     return value
 
 
@@ -96,173 +117,60 @@ def _string_list(value, where: str, minimum: int = 1) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 # Query records.
 
-@dataclass(frozen=True)
-class ProbQuery:
-    kind = "prob"
-    state: str
-    event: str
+# Reference types of query fields.  STATE, VECTOR (a state given as a unit
+# vector) and EVENT name one entry; EVENTS names at least one event; THEN is
+# an optional list of events, omitted when empty; BUDGET is an optional
+# positive integer.
+STATE, VECTOR, EVENT, EVENTS, THEN, BUDGET = (
+    "state", "vector", "event", "events", "then", "budget")
+_OPTIONAL = (THEN, BUDGET)
 
 
 @dataclass(frozen=True)
-class ConditionQuery:
-    kind = "condition"
-    state: str
-    event: str
-    then: tuple[str, ...] = ()
+class Query:
+    """One query record: its kind and its fields in ``QUERY_TABLE`` order.
 
+    Name fields hold strings, list fields tuples of strings and ``budget``
+    an int.
+    """
 
-@dataclass(frozen=True)
-class ConditionSeqQuery:
-    kind = "condition_seq"
-    state: str
-    events: tuple[str, ...] = ()
-    then: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class PredictabilityQuery:
-    kind = "predictability"
-    target: str = ""
-    given: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class CompatibleQuery:
-    kind = "compatible"
-    first: str = ""
-    second: str = ""
-
-
-@dataclass(frozen=True)
-class InterferenceQuery:
-    kind = "interference"
-    atom: str = ""
-    path1: str = ""
-    path2: str = ""
-    target: str = ""
-
-
-@dataclass(frozen=True)
-class TwoSlitQuery:
-    kind = "two_slit"
-    source: str = ""
-    path1: str = ""
-    path2: str = ""
-    detector: str = ""
-
-
-@dataclass(frozen=True)
-class SampleQuery:
-    kind = "sample"
-    initial: str = ""
-    tests: tuple[str, ...] = ()
-    final: str = ""
-
-
-@dataclass(frozen=True)
-class AxiomsQuery:
-    kind = "axioms"
-    budget: int = 1000
-
-
-Query = Union[ProbQuery, ConditionQuery, ConditionSeqQuery, PredictabilityQuery,
-              CompatibleQuery, InterferenceQuery, TwoSlitQuery, SampleQuery,
-              AxiomsQuery]
-
-QUERY_KINDS = ("prob", "condition", "condition_seq", "predictability",
-               "compatible", "interference", "two_slit", "sample", "axioms")
+    kind: str
+    fields: dict[str, Any]
 
 
 def _parse_query(doc, where: str = "query") -> Query:
     if not isinstance(doc, dict):
         raise ValidationError(f"{where}: expected an object")
     kind = _string(doc.get("kind", ""), f"{where}.kind")
-    if kind == "prob":
-        _require_keys(doc, where, ("kind", "state", "event"))
-        return ProbQuery(state=_string(doc["state"], f"{where}.state"),
-                         event=_string(doc["event"], f"{where}.event"))
-    if kind == "condition":
-        _require_keys(doc, where, ("kind", "state", "event"), ("then",))
-        return ConditionQuery(
-            state=_string(doc["state"], f"{where}.state"),
-            event=_string(doc["event"], f"{where}.event"),
-            then=_string_list(doc.get("then", []), f"{where}.then", minimum=0))
-    if kind == "condition_seq":
-        _require_keys(doc, where, ("kind", "state", "events"), ("then",))
-        return ConditionSeqQuery(
-            state=_string(doc["state"], f"{where}.state"),
-            events=_string_list(doc["events"], f"{where}.events"),
-            then=_string_list(doc.get("then", []), f"{where}.then", minimum=0))
-    if kind == "predictability":
-        _require_keys(doc, where, ("kind", "target", "given"))
-        return PredictabilityQuery(
-            target=_string(doc["target"], f"{where}.target"),
-            given=_string_list(doc["given"], f"{where}.given"))
-    if kind == "compatible":
-        _require_keys(doc, where, ("kind", "first", "second"))
-        return CompatibleQuery(first=_string(doc["first"], f"{where}.first"),
-                               second=_string(doc["second"], f"{where}.second"))
-    if kind == "interference":
-        _require_keys(doc, where, ("kind", "atom", "path1", "path2", "target"))
-        return InterferenceQuery(
-            atom=_string(doc["atom"], f"{where}.atom"),
-            path1=_string(doc["path1"], f"{where}.path1"),
-            path2=_string(doc["path2"], f"{where}.path2"),
-            target=_string(doc["target"], f"{where}.target"))
-    if kind == "two_slit":
-        _require_keys(doc, where, ("kind", "source", "path1", "path2", "detector"))
-        return TwoSlitQuery(
-            source=_string(doc["source"], f"{where}.source"),
-            path1=_string(doc["path1"], f"{where}.path1"),
-            path2=_string(doc["path2"], f"{where}.path2"),
-            detector=_string(doc["detector"], f"{where}.detector"))
-    if kind == "sample":
-        _require_keys(doc, where, ("kind", "initial", "tests", "final"))
-        return SampleQuery(
-            initial=_string(doc["initial"], f"{where}.initial"),
-            tests=_string_list(doc["tests"], f"{where}.tests"),
-            final=_string(doc["final"], f"{where}.final"))
-    if kind == "axioms":
-        _require_keys(doc, where, ("kind",), ("budget",))
-        budget = doc.get("budget", 1000)
-        if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
-            raise ValidationError(f"{where}.budget: expected a positive integer")
-        return AxiomsQuery(budget=budget)
-    raise ValidationError(
-        f"{where}.kind: unknown query kind {kind!r} (expected one of {', '.join(QUERY_KINDS)})")
+    if kind not in QUERY_TABLE:
+        raise ValidationError(
+            f"{where}.kind: unknown query kind {kind!r} (expected one of {', '.join(QUERY_TABLE)})")
+    spec = QUERY_TABLE[kind].fields.items()
+    _require_keys(doc, where, ("kind",) + tuple(n for n, ref in spec if ref not in _OPTIONAL),
+                  tuple(n for n, ref in spec if ref in _OPTIONAL))
+    fields = {}
+    for name, ref in spec:
+        at = f"{where}.{name}"
+        if ref == BUDGET:
+            fields[name] = _positive_int(doc.get(name, 1000), at)
+        elif ref == THEN:
+            fields[name] = _string_list(doc.get(name, []), at, minimum=0)
+        elif ref == EVENTS:
+            fields[name] = _string_list(doc[name], at)
+        else:
+            fields[name] = _string(doc[name], at)
+    return Query(kind, fields)
 
 
-def _query_to_jsonable(query: Query) -> dict:
-    if isinstance(query, ProbQuery):
-        return {"kind": "prob", "state": query.state, "event": query.event}
-    if isinstance(query, ConditionQuery):
-        out = {"kind": "condition", "state": query.state, "event": query.event}
-        if query.then:
-            out["then"] = list(query.then)
-        return out
-    if isinstance(query, ConditionSeqQuery):
-        out = {"kind": "condition_seq", "state": query.state,
-               "events": list(query.events)}
-        if query.then:
-            out["then"] = list(query.then)
-        return out
-    if isinstance(query, PredictabilityQuery):
-        return {"kind": "predictability", "target": query.target,
-                "given": list(query.given)}
-    if isinstance(query, CompatibleQuery):
-        return {"kind": "compatible", "first": query.first, "second": query.second}
-    if isinstance(query, InterferenceQuery):
-        return {"kind": "interference", "atom": query.atom, "path1": query.path1,
-                "path2": query.path2, "target": query.target}
-    if isinstance(query, TwoSlitQuery):
-        return {"kind": "two_slit", "source": query.source, "path1": query.path1,
-                "path2": query.path2, "detector": query.detector}
-    if isinstance(query, SampleQuery):
-        return {"kind": "sample", "initial": query.initial,
-                "tests": list(query.tests), "final": query.final}
-    if isinstance(query, AxiomsQuery):
-        return {"kind": "axioms", "budget": query.budget}
-    raise TypeError(f"not a query: {query!r}")
+def _query_to_jsonable(query: Query, then: bool = True) -> dict:
+    """The query's wire record; ``then=False`` leaves out THEN fields."""
+    out = {"kind": query.kind}
+    for name, ref in QUERY_TABLE[query.kind].fields.items():
+        value = query.fields[name]
+        if ref == THEN and not (then and value):
+            continue
+        out[name] = list(value) if isinstance(value, tuple) else value
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +203,7 @@ def _parse_algebra(doc, where: str = "algebra") -> EventAlgebra:
     kind = _string(doc.get("kind", ""), f"{where}.kind")
     if kind == "boolean":
         _require_keys(doc, where, ("kind", "size"), ("labels",))
-        size = doc["size"]
-        if not isinstance(size, int) or isinstance(size, bool) or size < 1:
-            raise ValidationError(f"{where}.size: expected a positive integer")
+        size = _positive_int(doc["size"], f"{where}.size")
         labels = None
         if "labels" in doc:
             labels = _string_list(doc["labels"], f"{where}.labels")
@@ -307,23 +213,13 @@ def _parse_algebra(doc, where: str = "algebra") -> EventAlgebra:
             raise ValidationError(f"{where}: {exc}") from None
     if kind == "quantum":
         _require_keys(doc, where, ("kind", "dim"))
-        dim = doc["dim"]
-        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-            raise ValidationError(f"{where}.dim: expected a positive integer")
-        return QuantumAlgebra(dim)
+        return QuantumAlgebra(_positive_int(doc["dim"], f"{where}.dim"))
     raise ValidationError(f"{where}.kind: expected 'boolean' or 'quantum', got {kind!r}")
 
 
 def _parse_event(algebra: EventAlgebra, name: str, spec) -> Event:
     where = f"events.{name}"
-    if not isinstance(spec, dict):
-        raise ValidationError(f"{where}: expected an object")
-    forms = [k for k in ("members", "matrix", "span") if k in spec]
-    if len(forms) != 1:
-        raise ValidationError(
-            f"{where}: exactly one of 'members', 'matrix', 'span' is required")
-    form = forms[0]
-    _require_keys(spec, where, (form,))
+    form = _form(spec, where, ("members", "matrix", "span"))
     try:
         if form == "members":
             if algebra.kind != "boolean":
@@ -343,22 +239,13 @@ def _parse_event(algebra: EventAlgebra, name: str, spec) -> Event:
         decoded = [_decode_vector(v, f"{where}.span[{i}]")
                    for i, v in enumerate(vectors)]
         return algebra.event(projector_from_span(decoded))
-    except (AlgebraMismatch, DimensionMismatch) as exc:
-        raise ValidationError(f"{where}: {exc}") from None
-    except ValidationError as exc:
+    except (AlgebraMismatch, DimensionMismatch, ValidationError) as exc:
         raise ValidationError(f"{where}: {exc}") from None
 
 
 def _parse_state(algebra: EventAlgebra, name: str, spec) -> State | StateVector:
     where = f"states.{name}"
-    if not isinstance(spec, dict):
-        raise ValidationError(f"{where}: expected an object")
-    forms = [k for k in ("weights", "density", "vector") if k in spec]
-    if len(forms) != 1:
-        raise ValidationError(
-            f"{where}: exactly one of 'weights', 'density', 'vector' is required")
-    form = forms[0]
-    _require_keys(spec, where, (form,))
+    form = _form(spec, where, ("weights", "density", "vector"))
     try:
         if form == "weights":
             if algebra.kind != "boolean":
@@ -385,9 +272,7 @@ def _parse_state(algebra: EventAlgebra, name: str, spec) -> State | StateVector:
             raise ValidationError(
                 f"vector norm {norm!r} is farther than 1e-6 from 1; not normalizing")
         return StateVector(arr / norm)
-    except (AlgebraMismatch, DimensionMismatch) as exc:
-        raise ValidationError(f"{where}: {exc}") from None
-    except ValidationError as exc:
+    except (AlgebraMismatch, DimensionMismatch, ValidationError) as exc:
         raise ValidationError(f"{where}: {exc}") from None
 
 
@@ -395,54 +280,19 @@ def _check_references(scenario: Scenario) -> None:
     query = scenario.query
     if query is None:
         return
-    events, states = scenario.events, scenario.states
-
-    def event_ref(name: str, where: str) -> None:
-        if name not in events:
-            raise ValidationError(f"{where}: unknown event {name!r}")
-
-    def state_ref(name: str, where: str, vector: bool = False) -> None:
-        if name not in states:
-            raise ValidationError(f"{where}: unknown state {name!r}")
-        if vector and not isinstance(states[name], StateVector):
-            raise ValidationError(f"{where}: state {name!r} must be a 'vector' state")
-
-    if isinstance(query, ProbQuery):
-        state_ref(query.state, "query.state")
-        event_ref(query.event, "query.event")
-    elif isinstance(query, ConditionQuery):
-        state_ref(query.state, "query.state")
-        event_ref(query.event, "query.event")
-        for i, n in enumerate(query.then):
-            event_ref(n, f"query.then[{i}]")
-    elif isinstance(query, ConditionSeqQuery):
-        state_ref(query.state, "query.state")
-        for i, n in enumerate(query.events):
-            event_ref(n, f"query.events[{i}]")
-        for i, n in enumerate(query.then):
-            event_ref(n, f"query.then[{i}]")
-    elif isinstance(query, PredictabilityQuery):
-        event_ref(query.target, "query.target")
-        for i, n in enumerate(query.given):
-            event_ref(n, f"query.given[{i}]")
-    elif isinstance(query, CompatibleQuery):
-        event_ref(query.first, "query.first")
-        event_ref(query.second, "query.second")
-    elif isinstance(query, InterferenceQuery):
-        event_ref(query.atom, "query.atom")
-        event_ref(query.path1, "query.path1")
-        event_ref(query.path2, "query.path2")
-        event_ref(query.target, "query.target")
-    elif isinstance(query, TwoSlitQuery):
-        state_ref(query.source, "query.source", vector=True)
-        state_ref(query.path1, "query.path1", vector=True)
-        state_ref(query.path2, "query.path2", vector=True)
-        state_ref(query.detector, "query.detector", vector=True)
-    elif isinstance(query, SampleQuery):
-        state_ref(query.initial, "query.initial")
-        for i, n in enumerate(query.tests):
-            event_ref(n, f"query.tests[{i}]")
-        event_ref(query.final, "query.final")
+    for name, ref in QUERY_TABLE[query.kind].fields.items():
+        value, where = query.fields[name], f"query.{name}"
+        if ref == BUDGET:
+            continue
+        pool, what = ((scenario.states, "state") if ref in (STATE, VECTOR)
+                      else (scenario.events, "event"))
+        located = [(where, value)] if isinstance(value, str) else \
+            [(f"{where}[{i}]", n) for i, n in enumerate(value)]
+        for at, n in located:
+            if n not in pool:
+                raise ValidationError(f"{at}: unknown {what} {n!r}")
+            if ref == VECTOR and not isinstance(pool[n], StateVector):
+                raise ValidationError(f"{at}: state {n!r} must be a 'vector' state")
 
 
 def scenario_from_jsonable(doc: Any) -> Scenario:
@@ -532,6 +382,114 @@ def _as_state(scenario: Scenario, name: str) -> State:
     return state
 
 
+def _conditioned(scenario: Scenario, q: dict, echo: dict, state: State, tol: float) -> dict:
+    out = {**echo, "conditioned": _state_to_jsonable(state), "tol": tol}
+    if q["then"]:
+        out["then"] = {n: prob(state, scenario.events[n]) for n in q["then"]}
+    return out
+
+
+# One runner per query kind; ``echo`` is the query's record without THEN
+# fields.  Runners look library functions up by name at call time, so a name
+# rebound in this module (for tracing, say) is the one that runs.
+
+def _run_prob(scenario, q, echo, tol, seed, trials) -> dict:
+    value = prob(_as_state(scenario, q["state"]), scenario.events[q["event"]])
+    return {**echo, "value": value, "tol": tol}
+
+
+def _run_condition(scenario, q, echo, tol, seed, trials) -> dict:
+    state = condition(_as_state(scenario, q["state"]), scenario.events[q["event"]], tol=tol)
+    return _conditioned(scenario, q, echo, state, tol)
+
+
+def _run_condition_seq(scenario, q, echo, tol, seed, trials) -> dict:
+    state = condition_seq(_as_state(scenario, q["state"]),
+                          [scenario.events[n] for n in q["events"]], tol=tol)
+    return _conditioned(scenario, q, echo, state, tol)
+
+
+def _run_predictability(scenario, q, echo, tol, seed, trials) -> dict:
+    target = scenario.events[q["target"]]
+    given = [scenario.events[n] for n in q["given"]]
+    if len(given) == 1:
+        result = predictability(target, given[0], tol=tol)
+    else:
+        result = predictability_seq(target, given, tol=tol)
+    return {**echo, "sequence": len(given) > 1, "predictable": result.predictable,
+            "s": result.s, "residual": result.residual, "tol": tol}
+
+
+def _run_compatible(scenario, q, echo, tol, seed, trials) -> dict:
+    first, second = scenario.events[q["first"]], scenario.events[q["second"]]
+    out = {**echo, "compatible": compatible(first, second, tol=tol), "tol": tol}
+    if isinstance(first, QuantumEvent):
+        comm, ident_first, ident_second = compatibility_residuals(first, second)
+        out["residuals"] = {"commutator": comm, "identity_first": ident_first,
+                            "identity_second": ident_second}
+    return out
+
+
+def _run_interference(scenario, q, echo, tol, seed, trials) -> dict:
+    report = interference_decomposition(
+        *(scenario.events[q[n]] for n in ("atom", "path1", "path2", "target")), tol=tol)
+    return {**echo, "p_total": report.p_total, "term1": report.term1,
+            "term2": report.term2, "cross": report.cross,
+            "p_path1": report.p_path1, "p_path2": report.p_path2,
+            "p_either_path": report.p_either_path,
+            "degenerate_paths": list(report.degenerate_paths), "tol": tol}
+
+
+def _run_two_slit(scenario, q, echo, tol, seed, trials) -> dict:
+    value = two_slit(*(scenario.states[q[n]] for n in ("source", "path1", "path2", "detector")),
+                     tol=tol)
+    return {**echo, "value": value, "tol": tol}
+
+
+def _run_sample(scenario, q, echo, tol, seed, trials) -> dict:
+    config = SamplerConfig(seed=seed, trials=trials, tol=tol)
+    result = sample_chain(_as_state(scenario, q["initial"]),
+                          [scenario.events[n] for n in q["tests"]],
+                          scenario.events[q["final"]], config)
+    return {**echo, "seed": seed, "trials": trials, "tol": tol,
+            "outcome_counts": result.outcome_counts,
+            "all_yes_count": result.all_yes_count,
+            "final_event_yes_count": result.final_event_yes_count,
+            "empirical_p": _nan_to_none(result.empirical_p),
+            "std_error": _nan_to_none(result.std_error),
+            "predicted_p": result.predicted_p}
+
+
+def _run_axioms(scenario, q, echo, tol, seed, trials) -> dict:
+    report = verify_orthospace_axioms(scenario.algebra, budget=q["budget"],
+                                      seed=seed, tol=tol)
+    return {"kind": "axioms", "algebra": report.algebra, "budget": q["budget"],
+            "seed": seed, "tol": tol, "checks": dict(report.checks),
+            "failures": dict(report.failures), "passed": report.passed,
+            "messages": list(report.messages)}
+
+
+class QueryKind(NamedTuple):
+    fields: dict[str, str]   # field name -> reference type, in wire order
+    run: Callable[..., dict]
+
+
+QUERY_TABLE = {
+    "prob": QueryKind({"state": STATE, "event": EVENT}, _run_prob),
+    "condition": QueryKind({"state": STATE, "event": EVENT, "then": THEN}, _run_condition),
+    "condition_seq": QueryKind({"state": STATE, "events": EVENTS, "then": THEN},
+                               _run_condition_seq),
+    "predictability": QueryKind({"target": EVENT, "given": EVENTS}, _run_predictability),
+    "compatible": QueryKind({"first": EVENT, "second": EVENT}, _run_compatible),
+    "interference": QueryKind({"atom": EVENT, "path1": EVENT, "path2": EVENT,
+                               "target": EVENT}, _run_interference),
+    "two_slit": QueryKind({"source": VECTOR, "path1": VECTOR, "path2": VECTOR,
+                           "detector": VECTOR}, _run_two_slit),
+    "sample": QueryKind({"initial": STATE, "tests": EVENTS, "final": EVENT}, _run_sample),
+    "axioms": QueryKind({"budget": BUDGET}, _run_axioms),
+}
+
+
 def run_query(scenario: Scenario, tol: float = 1e-9, seed: int = 42,
               trials: int = 100_000) -> dict:
     """Execute the scenario's query and return a JSON-ready result record.
@@ -543,86 +501,6 @@ def run_query(scenario: Scenario, tol: float = 1e-9, seed: int = 42,
     query = scenario.query
     if query is None:
         raise ValidationError("scenario has no query to run")
-    if isinstance(query, ProbQuery):
-        value = prob(_as_state(scenario, query.state), scenario.events[query.event])
-        return {"kind": "prob", "state": query.state, "event": query.event,
-                "value": value, "tol": tol}
-    if isinstance(query, ConditionQuery):
-        state = condition(_as_state(scenario, query.state),
-                          scenario.events[query.event], tol=tol)
-        out = {"kind": "condition", "state": query.state, "event": query.event,
-               "conditioned": _state_to_jsonable(state), "tol": tol}
-        if query.then:
-            out["then"] = {n: prob(state, scenario.events[n]) for n in query.then}
-        return out
-    if isinstance(query, ConditionSeqQuery):
-        state = condition_seq(_as_state(scenario, query.state),
-                              [scenario.events[n] for n in query.events], tol=tol)
-        out = {"kind": "condition_seq", "state": query.state,
-               "events": list(query.events),
-               "conditioned": _state_to_jsonable(state), "tol": tol}
-        if query.then:
-            out["then"] = {n: prob(state, scenario.events[n]) for n in query.then}
-        return out
-    if isinstance(query, PredictabilityQuery):
-        target = scenario.events[query.target]
-        given = [scenario.events[n] for n in query.given]
-        if len(given) == 1:
-            result = predictability(target, given[0], tol=tol)
-        else:
-            result = predictability_seq(target, given, tol=tol)
-        return {"kind": "predictability", "target": query.target,
-                "given": list(query.given), "sequence": len(given) > 1,
-                "predictable": result.predictable, "s": result.s,
-                "residual": result.residual, "tol": tol}
-    if isinstance(query, CompatibleQuery):
-        first = scenario.events[query.first]
-        second = scenario.events[query.second]
-        out = {"kind": "compatible", "first": query.first, "second": query.second,
-               "compatible": compatible(first, second, tol=tol), "tol": tol}
-        if isinstance(first, QuantumEvent):
-            comm, ident_first, ident_second = compatibility_residuals(first, second)
-            out["residuals"] = {"commutator": comm, "identity_first": ident_first,
-                                "identity_second": ident_second}
-        return out
-    if isinstance(query, InterferenceQuery):
-        report = interference_decomposition(
-            scenario.events[query.atom], scenario.events[query.path1],
-            scenario.events[query.path2], scenario.events[query.target], tol=tol)
-        return {"kind": "interference", "atom": query.atom, "path1": query.path1,
-                "path2": query.path2, "target": query.target,
-                "p_total": report.p_total, "term1": report.term1,
-                "term2": report.term2, "cross": report.cross,
-                "p_path1": report.p_path1, "p_path2": report.p_path2,
-                "p_either_path": report.p_either_path,
-                "degenerate_paths": list(report.degenerate_paths), "tol": tol}
-    if isinstance(query, TwoSlitQuery):
-        value = two_slit(scenario.states[query.source],
-                         scenario.states[query.path1],
-                         scenario.states[query.path2],
-                         scenario.states[query.detector], tol=tol)
-        return {"kind": "two_slit", "source": query.source, "path1": query.path1,
-                "path2": query.path2, "detector": query.detector,
-                "value": value, "tol": tol}
-    if isinstance(query, SampleQuery):
-        config = SamplerConfig(seed=seed, trials=trials, tol=tol)
-        result = sample_chain(_as_state(scenario, query.initial),
-                              [scenario.events[n] for n in query.tests],
-                              scenario.events[query.final], config)
-        return {"kind": "sample", "initial": query.initial,
-                "tests": list(query.tests), "final": query.final,
-                "seed": seed, "trials": trials, "tol": tol,
-                "outcome_counts": result.outcome_counts,
-                "all_yes_count": result.all_yes_count,
-                "final_event_yes_count": result.final_event_yes_count,
-                "empirical_p": _nan_to_none(result.empirical_p),
-                "std_error": _nan_to_none(result.std_error),
-                "predicted_p": result.predicted_p}
-    if isinstance(query, AxiomsQuery):
-        report = verify_orthospace_axioms(scenario.algebra, budget=query.budget,
-                                          seed=seed, tol=tol)
-        return {"kind": "axioms", "algebra": report.algebra,
-                "budget": query.budget, "seed": seed, "tol": tol,
-                "checks": dict(report.checks), "failures": dict(report.failures),
-                "passed": report.passed, "messages": list(report.messages)}
-    raise OrthoprobError(f"unhandled query {query!r}")
+    return QUERY_TABLE[query.kind].run(scenario, query.fields,
+                                       _query_to_jsonable(query, then=False),
+                                       tol, seed, trials)
