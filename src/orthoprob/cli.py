@@ -41,6 +41,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
 def _round_floats(value):
     if isinstance(value, float):
         return float(f"{value:.6g}")
@@ -136,7 +146,7 @@ def _run_demo_qubit(args) -> dict:
 
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-9,
+    common.add_argument("--tol", type=_tolerance, default=1e-9,
                         help="numerical tolerance (default 1e-9)")
     common.add_argument("--seed", type=int, default=42,
                         help="random seed for sampling and axiom checks (default 42)")

@@ -501,6 +501,8 @@ def run_query(scenario: Scenario, tol: float = 1e-9, seed: int = 42,
     query = scenario.query
     if query is None:
         raise ValidationError("scenario has no query to run")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
     return QUERY_TABLE[query.kind].run(scenario, query.fields,
                                        _query_to_jsonable(query, then=False),
                                        tol, seed, trials)

@@ -181,6 +181,15 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "probability" in proc.stderr
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("command", [
+        ["predict", "--scenario", str(SCENARIO_DIR / "sec7.json")], ["demo-sec7"]])
+    def test_tol_must_be_finite_and_nonnegative(self, command, tol, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([*command, "--tol", tol])
+        assert info.value.code == 1
+        assert "argument --tol" in capsys.readouterr().err
+
     def test_usage_error(self):
         assert run_cli("no-such-command").returncode == 1
         assert run_cli("predict").returncode == 1

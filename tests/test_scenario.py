@@ -99,6 +99,11 @@ class TestParsing:
         with pytest.raises(ValidationError, match="no query"):
             run_query(sc)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_tol_must_be_finite_and_nonnegative(self, tol):
+        with pytest.raises(ValidationError, match="tol must be finite and >= 0"):
+            run_query(parse_scenario(MINIMAL_BOOLEAN), tol=tol)
+
     def test_vector_autonormalizes_within_1e6(self):
         slightly_off = 0.7071067811865476 * (1.0 + 4e-7)
         doc = json.dumps({
