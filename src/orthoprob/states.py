@@ -20,8 +20,8 @@ import numpy as np
 from .errors import (AlgebraMismatch, DimensionMismatch, EmptyInput,
                      ImpossibleSequence, NonUniqueConditioningWarning, NotAtom,
                      ValidationError, ZeroEvent, ZeroProbabilityCondition)
-from .events import (BooleanEvent, Event, QuantumAlgebra, QuantumEvent, below,
-                     complement, events_equal, is_atom)
+from .events import (BooleanEvent, Event, QuantumAlgebra, QuantumEvent,
+                     _require_same_kind, below, complement, events_equal, is_atom)
 from .linalg import (HermitianOperator, StateVector, _symmetrized,
                      frobenius_norm, min_eigenvalue)
 
@@ -231,18 +231,11 @@ def predictability(target: Event, given: Event,
     are predictable exactly when ``given`` is contained in ``target`` or in
     its complement.
     """
-    if isinstance(target, BooleanEvent) and isinstance(given, BooleanEvent):
-        if target.space != given.space:
-            raise AlgebraMismatch("events live on different sample spaces")
+    if _require_same_kind(target, given) == "boolean":
         if not given.members:
             raise ZeroEvent("conditioning event is empty")
         return _boolean_predictability(len(given.members),
                                        len(given.members & target.members), tol)
-    if not (isinstance(target, QuantumEvent) and isinstance(given, QuantumEvent)):
-        raise AlgebraMismatch(
-            f"cannot mix {type(target).__name__} with {type(given).__name__}")
-    if target.dim != given.dim:
-        raise AlgebraMismatch("events have different dimensions")
     if given.proj.rank == 0:
         raise ZeroEvent("conditioning event is the zero projection")
     f = given.matrix
@@ -334,15 +327,8 @@ def compatible(e: Event, f: Event, tol: float = 1e-9) -> bool:
     against the probabilistic identities and a disagreement (which no
     valid input produces) raises ArithmeticError.
     """
-    if isinstance(e, BooleanEvent) and isinstance(f, BooleanEvent):
-        if e.space != f.space:
-            raise AlgebraMismatch("events live on different sample spaces")
+    if _require_same_kind(e, f) == "boolean":
         return True
-    if not (isinstance(e, QuantumEvent) and isinstance(f, QuantumEvent)):
-        raise AlgebraMismatch(
-            f"cannot mix {type(e).__name__} with {type(f).__name__}")
-    if e.dim != f.dim:
-        raise AlgebraMismatch("events have different dimensions")
     comm, ident_e, ident_f = compatibility_residuals(e, f)
     scale = max(1.0, frobenius_norm(e.matrix), frobenius_norm(f.matrix))
     by_commutator = comm <= tol * scale
