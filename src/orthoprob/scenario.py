@@ -276,16 +276,12 @@ def _parse_state(algebra: EventAlgebra, name: str, spec) -> State | StateVector:
         raise ValidationError(f"{where}: {exc}") from None
 
 
-def _check_references(scenario: Scenario) -> None:
-    query = scenario.query
-    if query is None:
-        return
+def _check_references(query: Query, events: dict, states: dict) -> None:
     for name, ref in QUERY_TABLE[query.kind].fields.items():
         value, where = query.fields[name], f"query.{name}"
         if ref == BUDGET:
             continue
-        pool, what = ((scenario.states, "state") if ref in (STATE, VECTOR)
-                      else (scenario.events, "event"))
+        pool, what = (states, "state") if ref in (STATE, VECTOR) else (events, "event")
         located = [(where, value)] if isinstance(value, str) else \
             [(f"{where}[{i}]", n) for i, n in enumerate(value)]
         for at, n in located:
@@ -314,10 +310,11 @@ def scenario_from_jsonable(doc: Any) -> Scenario:
         raise ValidationError("states: expected an object")
     for name, spec in raw_states.items():
         states[_string(name, "states key")] = _parse_state(algebra, name, spec)
-    query = _parse_query(doc["query"]) if "query" in doc else None
-    scenario = Scenario(algebra=algebra, events=events, states=states, query=query)
-    _check_references(scenario)
-    return scenario
+    query = None
+    if "query" in doc:
+        query = _parse_query(doc["query"])
+        _check_references(query, events, states)
+    return Scenario(algebra=algebra, events=events, states=states, query=query)
 
 
 def parse_scenario(text: str) -> Scenario:
