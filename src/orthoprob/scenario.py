@@ -24,7 +24,7 @@ from .errors import AlgebraMismatch, DimensionMismatch, ParseError, ValidationEr
 from .events import (BooleanAlgebra, BooleanEvent, Event, EventAlgebra,
                      QuantumAlgebra, QuantumEvent, verify_orthospace_axioms)
 from .interference import interference_decomposition, two_slit
-from .linalg import StateVector, projector_from_span
+from .linalg import TOL_NORM, StateVector, projector_from_span
 from .sampler import SamplerConfig, sample_chain
 from .states import (ClassicalState, DensityState, State, compatibility_residuals,
                      compatible, condition, condition_seq, predictability,
@@ -271,7 +271,8 @@ def _parse_state(algebra: EventAlgebra, name: str, spec) -> State | StateVector:
         if abs(norm - 1.0) > 1e-6:
             raise ValidationError(
                 f"vector norm {norm!r} is farther than 1e-6 from 1; not normalizing")
-        return StateVector(arr / norm)
+        # Dividing an already unit vector would move its bits on every parse.
+        return StateVector(arr / norm if abs(norm - 1.0) > TOL_NORM else arr)
     except (AlgebraMismatch, DimensionMismatch, ValidationError) as exc:
         raise ValidationError(f"{where}: {exc}") from None
 

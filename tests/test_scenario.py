@@ -249,6 +249,18 @@ class TestRoundTrip:
         assert scenario_to_jsonable(sc)["query"] == serialized
         assert parse_scenario(serialize_scenario(sc, pretty=True)) == sc
 
+    def test_random_unit_vectors_are_a_fixed_point(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            z = rng.normal(size=4) + 1j * rng.normal(size=4)
+            z /= np.linalg.norm(z)
+            doc = json.dumps({
+                "algebra": {"kind": "quantum", "dim": 4},
+                "states": {"v": {"vector": [[x.real, x.imag] for x in z]}},
+            })
+            first = parse_scenario(doc)
+            assert parse_scenario(serialize_scenario(first)) == first
+
     def test_jsonable_is_json_safe(self):
         sc = parse_scenario(MINIMAL_BOOLEAN)
         json.dumps(scenario_to_jsonable(sc), allow_nan=False)
