@@ -1,5 +1,9 @@
 """Event algebra tests: lattice operations, registries, axiom harness."""
 
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +11,12 @@ from orthoprob.errors import (AlgebraMismatch, NotOrthogonal, ValidationError)
 from orthoprob.events import (BooleanAlgebra, QuantumAlgebra, SampleSpace,
                               below, complement, events_equal, is_atom,
                               oplus, orthogonal, verify_orthospace_axioms)
+
+# Check counts of the benchmark's harness workload, keyed
+# "<kind><size>/seed<seed>/budget<budget>"; read here, never written.
+HARNESS_COUNTS = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "golden"
+     / "harness_counts.json").read_text(encoding="utf-8"))
 
 
 @pytest.fixture
@@ -168,3 +178,14 @@ class TestAxiomHarness:
         report = verify_orthospace_axioms(BooleanAlgebra(3), budget=25, seed=1)
         text = report.summary()
         assert "OS1" in text and "OS6" in text
+
+
+@pytest.mark.parametrize("key", sorted(HARNESS_COUNTS))
+def test_harness_matches_recorded_counts(key):
+    kind, size, seed, budget = re.fullmatch(
+        r"(boolean|quantum)(\d+)/seed(\d+)/budget(\d+)", key).groups()
+    algebra = (QuantumAlgebra if kind == "quantum" else BooleanAlgebra)(int(size))
+    report = verify_orthospace_axioms(algebra, budget=int(budget), seed=int(seed))
+    assert report.checks == HARNESS_COUNTS[key]
+    assert report.passed
+    assert report.messages == []
