@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from orthoprob.errors import (AlgebraMismatch, NotOrthogonal, ValidationError)
-from orthoprob.events import (BooleanAlgebra, QuantumAlgebra, SampleSpace,
-                              below, complement, events_equal, is_atom,
-                              oplus, orthogonal, verify_orthospace_axioms)
+from orthoprob.events import (BooleanAlgebra, QuantumAlgebra, QuantumEvent,
+                              SampleSpace, below, complement, events_equal,
+                              is_atom, oplus, orthogonal,
+                              verify_orthospace_axioms)
+from orthoprob.linalg import Projection, random_projection, random_unitary
 
 # Check counts of the benchmark's harness workload, keyed
 # "<kind><size>/seed<seed>/budget<budget>"; read here, never written.
@@ -127,6 +129,15 @@ class TestQuantumAlgebra:
         g = qdim3.event_from_span([np.array([np.cos(0.3), np.sin(0.3), 0.0])])
         assert events_equal(complement(complement(g)), g, tol=1e-12)
 
+    def test_complement_revalidates_loose_projection(self):
+        # A projection accepted under a loose Hermitian tolerance does not
+        # make its complement pass the default one.
+        m = np.diag([1.0, 0.0]).astype(np.complex128)
+        m[0, 1] = 3e-10
+        loose = QuantumEvent(Projection(m, hermitian_tol=1e-6))
+        with pytest.raises(ValidationError, match="matrix is not Hermitian"):
+            complement(loose)
+
     def test_mixed_kinds_rejected(self, die, qdim3):
         with pytest.raises(AlgebraMismatch):
             orthogonal(die.event([0]), qdim3.zero())
@@ -138,6 +149,71 @@ class TestQuantumAlgebra:
         assert "not unique" in q2.flag
         assert BooleanAlgebra(2).unique_conditioning
 
+
+
+def _hermitian(m):
+    return (m + m.conj().T) / 2.0
+
+
+class TestBooleanDiagonalEmbedding:
+    """A Boolean event and its diagonal 0/1 projection behave alike."""
+
+    @pytest.mark.parametrize("size", range(1, 9))
+    def test_operations_agree(self, size):
+        rng = np.random.default_rng(size)
+        boolean, quantum = BooleanAlgebra(size), QuantumAlgebra(size)
+
+        def diagonal(ev):
+            return quantum.event(np.diag([float(i in ev.members) for i in range(size)]))
+
+        def same(q, b):
+            return np.array_equal(q.matrix, diagonal(b).matrix)
+
+        events = [boolean.event(np.flatnonzero(rng.random(size) < 0.5))
+                  for _ in range(6)]
+        events += [complement(ev) for ev in events] + [boolean.zero(), boolean.one()]
+        for a in events:
+            qa = diagonal(a)
+            assert is_atom(qa) == is_atom(a)
+            assert same(complement(qa), complement(a))
+            for b in events:
+                qb = diagonal(b)
+                assert orthogonal(qa, qb) == orthogonal(a, b)
+                assert below(qa, qb) == below(a, b)
+                assert events_equal(qa, qb) == events_equal(a, b)
+                if orthogonal(a, b):
+                    assert same(oplus(qa, qb), oplus(a, b))
+
+
+class TestUnitaryCovariance:
+    """Verdicts on projections are unchanged by E -> U E U^H."""
+
+    @pytest.mark.parametrize("dim", [2, 4, 6])
+    def test_verdicts_invariant(self, dim):
+        rng = np.random.default_rng(dim)
+        alg = QuantumAlgebra(dim)
+        frame = random_unitary(dim, rng)
+        # Spans of column subsets of one frame: the verdicts follow the subsets.
+        subsets = [frozenset(np.flatnonzero(rng.random(dim) < 0.5)) for _ in range(8)]
+        subsets += [frozenset(), frozenset(range(dim))]
+        events = []
+        for cols in subsets:
+            c = frame[:, sorted(cols)]
+            events.append(alg.event(_hermitian(c @ c.conj().T)))
+        generic = [alg.event(random_projection(dim, rank, rng))
+                   for rank in range(1, dim)]
+        events += generic
+        subsets += [None] * len(generic)
+        u = random_unitary(dim, rng)
+        rotated = [alg.event(_hermitian(u @ ev.matrix @ u.conj().T)) for ev in events]
+        for e, ue, s in zip(events, rotated, subsets):
+            for f, uf, t in zip(events, rotated, subsets):
+                for relation in (orthogonal, below, events_equal):
+                    assert relation(e, f) == relation(ue, uf), relation.__name__
+                if s is not None and t is not None:
+                    assert orthogonal(e, f) == (not s & t)
+                    assert below(e, f) == (s <= t)
+                    assert events_equal(e, f) == (s == t)
 
 class TestSampleSpace:
     def test_size_positive(self):

@@ -246,6 +246,42 @@ class TestSpectralHelpers:
         assert frobenius_norm(np.array([[3.0, 0.0], [0.0, 4.0]])) == pytest.approx(5.0)
 
 
+# Inputs every public validator rejects, with the exact message.
+MALFORMED = [
+    (np.array([[1.0, np.nan], [np.nan, 0.0]]), "matrix entries must be finite"),
+    (np.array([[np.inf, 0.0], [0.0, 1.0]]), "matrix entries must be finite"),
+    (np.zeros((2, 3)), "matrix must be square, got shape (2, 3)"),
+    (np.zeros(4), "matrix must be square, got shape (4,)"),
+    (np.zeros((0, 0)), "matrix must be at least 1x1"),
+]
+NON_HERMITIAN = [
+    (np.array([[1.0, 1.0], [0.0, 0.0]]),
+     "matrix is not Hermitian: max |A - A^H| = 1.000e+00 exceeds 1.0e-10"),
+    (np.diag([1.0 + 1e-9j, 0.0]),
+     "matrix is not Hermitian: max |A - A^H| = 2.000e-09 exceeds 1.0e-10"),
+]
+
+
+class TestPublicValidators:
+    """User-supplied matrices are always checked in full."""
+
+    @pytest.mark.parametrize("entries, message", MALFORMED + NON_HERMITIAN)
+    @pytest.mark.parametrize("build", [HermitianOperator, Projection])
+    def test_constructors_reject(self, build, entries, message):
+        with pytest.raises(ValidationError) as exc:
+            build(entries)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("entries, message", MALFORMED)
+    def test_frobenius_norm_rejects(self, entries, message):
+        with pytest.raises(ValidationError) as exc:
+            frobenius_norm(entries)
+        assert str(exc.value) == message
+
+    def test_frobenius_norm_accepts_non_hermitian(self):
+        assert frobenius_norm(np.array([[0.0, 3.0], [4.0, 0.0]])) == 5.0
+
+
 class TestRandomGenerators:
     def test_random_unitary(self):
         rng = np.random.default_rng(0)
