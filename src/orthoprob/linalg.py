@@ -52,6 +52,12 @@ def _symmetrized(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
+def _fro(m: np.ndarray) -> float:
+    """Frobenius norm of an array the library computed itself: the value of
+    :func:`frobenius_norm` without its shape and finiteness scan."""
+    return float(np.linalg.norm(m))
+
+
 class HermitianOperator:
     """A finite square complex matrix equal to its conjugate transpose.
 
@@ -104,19 +110,22 @@ class Projection:
 
     The idempotency residual ||P@P - P||_F must stay below
     ``tol * max(1, ||P||_F)`` and the trace must sit within the same bound
-    of an integer; that integer is stored as the rank.
+    of an integer; that integer is stored as the rank, and ||P||_F is kept
+    for the event layer's tolerance scales.
     """
 
-    __slots__ = ("_op", "_rank")
+    __slots__ = ("_op", "_rank", "_norm")
 
     def __init__(self, entries, tol: float = TOL_IDEMPOTENT,
                  hermitian_tol: float = TOL_HERMITIAN):
         op = entries if isinstance(entries, HermitianOperator) else \
             HermitianOperator(entries, tol=hermitian_tol)
         m = op.matrix
-        scale = max(1.0, float(np.linalg.norm(m)))
-        residual = float(np.linalg.norm(m @ m - m))
-        if residual > tol * scale:
+        norm = _fro(m)
+        scale = max(1.0, norm)
+        residual = _fro(m @ m - m)
+        # Written so that a NaN residual (an overflowing product) fails too.
+        if not residual <= tol * scale:
             raise ValidationError(
                 f"matrix is not idempotent: ||P@P - P||_F = {residual:.3e} "
                 f"exceeds {tol:.1e} * {scale:.3g}")
@@ -127,6 +136,7 @@ class Projection:
                 f"projection trace {tr!r} is not an admissible integer rank")
         self._op = op
         self._rank = rank
+        self._norm = norm
 
     @property
     def op(self) -> HermitianOperator:
@@ -182,7 +192,7 @@ class StateVector:
     def projector(self) -> Projection:
         """Rank-one projection onto the spanned line."""
         v = self._vector
-        return Projection(_symmetrized(np.outer(v, v.conj())))
+        return _symmetrized_projection(np.outer(v, v.conj()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StateVector):
@@ -193,6 +203,20 @@ class StateVector:
 
     def __repr__(self) -> str:
         return f"StateVector(dim={self.dim})"
+
+
+def _symmetrized_projection(m: np.ndarray) -> Projection:
+    """Projection onto the exactly Hermitian average (M + M^H)/2 of an
+    internal product M with finite entries.
+
+    Skips only the Hermitian scan, which that average passes bit for bit;
+    the idempotency and trace-rank checks of :class:`Projection` still run.
+    """
+    h = np.ascontiguousarray(_symmetrized(m))
+    h.flags.writeable = False
+    op = HermitianOperator.__new__(HermitianOperator)
+    op._matrix = h
+    return Projection(op)
 
 
 def _matrix_of(value) -> np.ndarray:
@@ -301,7 +325,7 @@ def projector_from_span(vectors: Sequence, tol: float | None = None) -> Projecti
     p = np.zeros((dim, dim), dtype=np.complex128)
     for q in basis:
         p += np.outer(q, q.conj())
-    return Projection(_symmetrized(p))
+    return _symmetrized_projection(p)
 
 
 def min_eigenvalue(a) -> float:
@@ -337,7 +361,7 @@ def random_projection(dim: int, rank: int, rng: np.random.Generator) -> Projecti
         raise ValidationError(f"rank {rank} out of range for dimension {dim}")
     u = random_unitary(dim, rng)
     cols = u[:, :rank]
-    return Projection(_symmetrized(cols @ cols.conj().T))
+    return _symmetrized_projection(cols @ cols.conj().T)
 
 
 def random_orthogonal_projections(dim: int, ranks: Sequence[int],
@@ -353,7 +377,7 @@ def random_orthogonal_projections(dim: int, ranks: Sequence[int],
     out, start = [], 0
     for r in ranks:
         cols = u[:, start:start + r]
-        out.append(Projection(_symmetrized(cols @ cols.conj().T)))
+        out.append(_symmetrized_projection(cols @ cols.conj().T))
         start += r
     return out
 

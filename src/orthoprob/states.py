@@ -242,7 +242,7 @@ def predictability(target: Event, given: Event,
     fef = _symmetrized(f @ target.matrix @ f)
     s = float(fef.trace().real) / float(f.trace().real)
     residual = frobenius_norm(fef - s * f)
-    scale = max(1.0, frobenius_norm(f))
+    scale = max(1.0, given.proj._norm)
     predictable = residual <= tol * scale
     if predictable and not -tol <= s <= 1.0 + tol:
         predictable = False
@@ -330,7 +330,7 @@ def compatible(e: Event, f: Event, tol: float = 1e-9) -> bool:
     if _require_same_kind(e, f) == "boolean":
         return True
     comm, ident_e, ident_f = compatibility_residuals(e, f)
-    scale = max(1.0, frobenius_norm(e.matrix), frobenius_norm(f.matrix))
+    scale = max(1.0, e.proj._norm, f.proj._norm)
     by_commutator = comm <= tol * scale
     by_identities = ident_e <= tol * scale and ident_f <= tol * scale
     if by_commutator != by_identities:

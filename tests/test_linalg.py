@@ -10,7 +10,7 @@ import pytest
 
 from orthoprob.errors import DimensionMismatch, EmptyInput, ValidationError
 from orthoprob.linalg import (HermitianOperator, Projection, StateVector,
-                              frobenius_norm, is_positive_semidefinite,
+                              _fro, frobenius_norm, is_positive_semidefinite,
                               jordan_product, matmul, min_eigenvalue,
                               projector_from_span, quadratic_triple,
                               random_density_matrix, random_hermitian,
@@ -280,6 +280,30 @@ class TestPublicValidators:
 
     def test_frobenius_norm_accepts_non_hermitian(self):
         assert frobenius_norm(np.array([[0.0, 3.0], [4.0, 0.0]])) == 5.0
+
+    def test_projection_rejects_overflowing_square(self):
+        # P@P overflows to inf - inf = NaN; a NaN residual must not pass.
+        m = np.array([[1e200, 1e200], [1e200, -1e200]])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValidationError, match="not idempotent"):
+            Projection(m)
+
+
+class TestKernelNorm:
+    """The norm the event kernel takes of its own products, and the stored
+    ||P||_F, are bit for bit what frobenius_norm returns."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 4, 16, 64])
+    def test_bitwise_equal_to_frobenius_norm(self, dim):
+        rng = np.random.default_rng(dim)
+        p = random_projection(dim, (dim + 1) // 2, rng)
+        q = random_projection(dim, dim // 2, rng)
+        assert p._norm == frobenius_norm(p)
+        assert Projection(p.matrix.copy())._norm == frobenius_norm(p)
+        pq = p.matrix @ q.matrix
+        for m in (pq, pq - p.matrix, p.matrix - q.matrix, pq.T, pq[::2, ::2],
+                  pq.T[::-1, :]):
+            assert _fro(m) == frobenius_norm(m)
 
 
 class TestRandomGenerators:
