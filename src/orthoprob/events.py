@@ -8,6 +8,7 @@ checks the six orthospace axioms on generated event families.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
@@ -206,6 +207,11 @@ def _require_same_kind(e: Event, f: Event) -> str:
         f"cannot mix {type(e).__name__} with {type(f).__name__}")
 
 
+def _require_tolerance(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
+
+
 def _scale(e: QuantumEvent, f: QuantumEvent) -> float:
     return max(1.0, e.proj._norm, f.proj._norm)
 
@@ -347,8 +353,11 @@ def verify_orthospace_axioms(algebra: EventAlgebra, budget: int = 1000,
     and evaluates every axiom on the combinations that arise, so each
     axiom accumulates at least ``budget`` checked instances.
     """
+    if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)):
+        raise ValidationError(f"budget must be an integer, got {budget!r}")
     if budget < 1:
         raise ValidationError("budget must be >= 1")
+    _require_tolerance(tol)
     rng = np.random.default_rng(seed)
     report = AxiomReport(algebra=repr(algebra), rounds=budget, seed=seed,
                          checks={ax: 0 for ax in _AXIOMS},

@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import AlgebraMismatch, DimensionMismatch, ParseError, ValidationError
 from .events import (BooleanAlgebra, BooleanEvent, Event, EventAlgebra,
-                     QuantumAlgebra, QuantumEvent, verify_orthospace_axioms)
+                     QuantumAlgebra, QuantumEvent, _require_tolerance,
+                     verify_orthospace_axioms)
 from .interference import interference_decomposition, two_slit
 from .linalg import TOL_NORM, StateVector, projector_from_span
 from .sampler import SamplerConfig, sample_chain
@@ -499,8 +500,7 @@ def run_query(scenario: Scenario, tol: float = 1e-9, seed: int = 42,
     query = scenario.query
     if query is None:
         raise ValidationError("scenario has no query to run")
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
+    _require_tolerance(tol)
     return QUERY_TABLE[query.kind].run(scenario, query.fields,
                                        _query_to_jsonable(query, then=False),
                                        tol, seed, trials)

@@ -240,8 +240,24 @@ class TestAxiomHarness:
         assert set(report.checks) == {"OS1", "OS2", "OS3", "OS4", "OS5", "OS6"}
 
     def test_budget_validated(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="budget must be >= 1"):
             verify_orthospace_axioms(BooleanAlgebra(3), budget=0)
+
+    @pytest.mark.parametrize("budget", [2.5, "3", True, None])
+    def test_budget_must_be_an_integer(self, budget):
+        with pytest.raises(ValidationError, match="budget must be an integer"):
+            verify_orthospace_axioms(QuantumAlgebra(2), budget=budget)
+
+    def test_numpy_integer_budget_accepted(self):
+        report = verify_orthospace_axioms(BooleanAlgebra(3), budget=np.int64(2))
+        assert report.passed and report.checks["OS3"] == 2
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_tol_must_be_finite_and_nonnegative(self, tol):
+        # A negative or NaN tolerance used to fail every check of a valid
+        # algebra instead of being refused.
+        with pytest.raises(ValidationError, match="tol must be finite and >= 0"):
+            verify_orthospace_axioms(QuantumAlgebra(2), budget=3, tol=tol)
 
     def test_adversarial_rejection(self):
         # A non-idempotent matrix can never enter the lattice, so the
