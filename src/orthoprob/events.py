@@ -15,7 +15,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .errors import (AlgebraMismatch, NotOrthogonal, ValidationError)
-from .linalg import (Projection, _fro, _symmetrized_projection, projector_from_span,
+from .linalg import (Projection, _symmetrized_projection, projector_from_span,
                      random_unitary)
 
 # Relative tolerance (scaled by max(1, operand norms)) for orthogonality
@@ -221,7 +221,7 @@ def orthogonal(e: Event, f: Event, tol: float = DEFAULT_EVENT_TOL) -> bool:
     kind = _require_same_kind(e, f)
     if kind == "boolean":
         return not (e.members & f.members)
-    residual = _fro(e.matrix @ f.matrix)
+    residual = float(np.linalg.norm(e.matrix @ f.matrix))
     return residual <= tol * _scale(e, f)
 
 
@@ -248,7 +248,7 @@ def below(e: Event, f: Event, tol: float = DEFAULT_EVENT_TOL) -> bool:
     kind = _require_same_kind(e, f)
     if kind == "boolean":
         return e.members <= f.members
-    residual = _fro(e.matrix @ f.matrix - e.matrix)
+    residual = float(np.linalg.norm(e.matrix @ f.matrix - e.matrix))
     return residual <= tol * _scale(e, f)
 
 
@@ -264,7 +264,7 @@ def events_equal(e: Event, f: Event, tol: float = DEFAULT_EVENT_TOL) -> bool:
     kind = _require_same_kind(e, f)
     if kind == "boolean":
         return e.members == f.members
-    return _fro(e.matrix - f.matrix) <= tol * _scale(e, f)
+    return float(np.linalg.norm(e.matrix - f.matrix)) <= tol * _scale(e, f)
 
 
 def _difference(f: Event, e: Event) -> Event:

@@ -6,6 +6,12 @@ event and state layers build on.  Everything is immutable after
 construction and every function is pure.  Matrices are dense complex128;
 the shipped scenarios are dimension <= 4 and the design ceiling is 64, so
 no sparse or structured paths exist.
+
+Construction contract: the public constructors validate everything they
+are given.  The private ``_symmetrized_projection`` is used only for
+``_symmetrized`` output of internal products and skips only the Hermitian
+scan; every projection, however built, passes the idempotency and
+trace-rank checks.
 """
 
 from __future__ import annotations
@@ -50,12 +56,6 @@ def _symmetrized(m: np.ndarray) -> np.ndarray:
     constructor tolerance never has to absorb BLAS roundoff skew.
     """
     return (m + m.conj().T) / 2.0
-
-
-def _fro(m: np.ndarray) -> float:
-    """Frobenius norm of an array the library computed itself: the value of
-    :func:`frobenius_norm` without its shape and finiteness scan."""
-    return float(np.linalg.norm(m))
 
 
 class HermitianOperator:
@@ -121,9 +121,9 @@ class Projection:
         op = entries if isinstance(entries, HermitianOperator) else \
             HermitianOperator(entries, tol=hermitian_tol)
         m = op.matrix
-        norm = _fro(m)
+        norm = float(np.linalg.norm(m))
         scale = max(1.0, norm)
-        residual = _fro(m @ m - m)
+        residual = float(np.linalg.norm(m @ m - m))
         # Written so that a NaN residual (an overflowing product) fails too.
         if not residual <= tol * scale:
             raise ValidationError(
