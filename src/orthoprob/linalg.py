@@ -16,6 +16,7 @@ trace-rank checks.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -124,8 +125,9 @@ class Projection:
         norm = float(np.linalg.norm(m))
         scale = max(1.0, norm)
         residual = float(np.linalg.norm(m @ m - m))
-        # Written so that a NaN residual (an overflowing product) fails too.
-        if not residual <= tol * scale:
+        # Overflow (entries of 1e154 and up) must fail too: it makes the
+        # residual NaN or the norm, and with it the bound, infinite.
+        if not (residual <= tol * scale and norm < math.inf):
             raise ValidationError(
                 f"matrix is not idempotent: ||P@P - P||_F = {residual:.3e} "
                 f"exceeds {tol:.1e} * {scale:.3g}")

@@ -281,12 +281,14 @@ class TestPublicValidators:
     def test_frobenius_norm_accepts_non_hermitian(self):
         assert frobenius_norm(np.array([[0.0, 3.0], [4.0, 0.0]])) == 5.0
 
-    def test_projection_rejects_overflowing_square(self):
-        # P@P overflows to inf - inf = NaN; a NaN residual must not pass.
-        m = np.array([[1e200, 1e200], [1e200, -1e200]])
+    @pytest.mark.parametrize("entries", [
+        [[1e200, 1e200], [1e200, -1e200]],  # P@P holds inf - inf = NaN
+        [[0.0, 1e200], [1e200, 0.0]],       # ||P||_F, hence the bound, is inf
+    ])
+    def test_projection_rejects_overflow(self, entries):
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ValidationError, match="not idempotent"):
-            Projection(m)
+            Projection(np.array(entries))
 
 
 class TestKernelNorm:
