@@ -112,7 +112,7 @@ class Projection:
     The idempotency residual ||P@P - P||_F must stay below
     ``tol * max(1, ||P||_F)`` and the trace must sit within the same bound
     of an integer; that integer is stored as the rank, and ||P||_F is kept
-    for the event layer's tolerance scales.
+    for the tolerance scales of the event and state layers.
     """
 
     __slots__ = ("_op", "_rank", "_norm")
