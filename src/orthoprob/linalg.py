@@ -51,12 +51,13 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 def _symmetrized(m: np.ndarray) -> np.ndarray:
-    """Exactly Hermitian average (M + M^H)/2.
+    """Exactly Hermitian average (M + M^H)/2, of one matrix or of each
+    matrix in a stack.
 
     Used to assemble results that are Hermitian in exact arithmetic so the
     constructor tolerance never has to absorb BLAS roundoff skew.
     """
-    return (m + m.conj().T) / 2.0
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
 class HermitianOperator:
@@ -74,10 +75,6 @@ class HermitianOperator:
         if skew > tol:
             raise ValidationError(
                 f"matrix is not Hermitian: max |A - A^H| = {skew:.3e} exceeds {tol:.1e}")
-        diag_imag = np.abs(arr.diagonal().imag).max()
-        if diag_imag > tol:
-            raise ValidationError(
-                f"diagonal entries must be real, max |Im| = {diag_imag:.3e}")
         self._matrix = _frozen(arr)
 
     @property
@@ -313,8 +310,14 @@ def projector_from_span(vectors: Sequence, tol: float | None = None) -> Projecti
     if len(dims) != 1:
         raise DimensionMismatch(f"span vectors have different lengths: {sorted(dims)}")
     dim = dims.pop()
+    norms = [float(np.linalg.norm(c)) for c in cols]
+    for nrm in norms:
+        # A norm that overflows would make the default drop threshold
+        # infinite and silently drop every vector.
+        if not math.isfinite(nrm):
+            raise ValidationError(f"span vector norm {nrm!r} is not finite")
     if tol is None:
-        tol = 1e-10 * max(float(np.linalg.norm(c)) for c in cols)
+        tol = 1e-10 * max(norms)
     basis: list[np.ndarray] = []
     for v in cols:
         w = v.astype(np.complex128, copy=True)

@@ -7,6 +7,15 @@ final outcome for the target event is drawn.  States along the walk
 depend only on the outcome prefix, so they are computed once per realized
 prefix and trials are driven purely by uniform draws.
 
+The realized prefix states of one level are held as one stack, (m, d, d)
+density matrices or (m, size) weight rows, and the whole level is
+conditioned at once with the arithmetic of ``states.condition``, so every
+state and probability carries the same bits as the one-node-at-a-time
+route.  The state contract runs once per level and reports the first
+offending node: every realized branch has positive probability, then
+each state passes the ClassicalState or DensityState checks (all but the
+Hermitian scan, which the symmetrized compression passes bit for bit).
+
 Randomness comes from one counter-based Philox stream keyed by the seed,
 consumed in a fixed level-major order; a given (seed, trial, step) always
 sees the same uniform, so reruns are bit-identical.  Single-threaded.
@@ -22,8 +31,10 @@ import numpy as np
 
 from .errors import (EmptyChain, ImpossibleSequence, NotPredictable,
                      ValidationError, ZeroEvent, ZeroProbabilityCondition)
-from .events import Event, complement
-from .states import State, condition, predictability_seq, prob
+from .events import BooleanEvent, Event, _require_tolerance, complement
+from .linalg import _symmetrized
+from .states import (State, _check_density_stack, _check_weight_rows, _pair_kind,
+                     _warn_if_nonunique, condition, predictability_seq, prob)
 
 # Branch probabilities inside (0, 1e-14) are counted to the complementary
 # branch so no trial ever conditions on a numerically vanishing event.
@@ -39,12 +50,13 @@ class SamplerConfig:
     tol: float = 1e-9
 
     def __post_init__(self):
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if isinstance(self.trials, bool) or not isinstance(self.trials, int) \
+                or self.trials < 1:
             raise ValidationError(f"trials must be a positive integer, got {self.trials!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) \
+                or not 0 <= self.seed < 2 ** 64:
             raise ValidationError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        if not self.tol >= 0.0:
-            raise ValidationError(f"tol must be nonnegative, got {self.tol!r}")
+        _require_tolerance(self.tol)
 
 
 @dataclass(frozen=True)
@@ -77,13 +89,56 @@ class ChainResult:
                 raise ValidationError("empirical_p inconsistent with counts")
 
 
-def _effective_yes_probability(state: State, event: Event) -> float:
-    p = prob(state, event)
-    if p < DEGENERATE_BRANCH:
-        return 0.0
-    if p > 1.0 - DEGENERATE_BRANCH:
-        return 1.0
-    return p
+def _probabilities(stack: np.ndarray, event: Event) -> np.ndarray:
+    """``prob(state, event)`` for every state of a level stack, clamped as
+    ``prob`` clamps."""
+    if isinstance(event, BooleanEvent):
+        # take() keeps each row contiguous, so it sums in the same order
+        # as prob's 1-d sum; stack[:, members] is column-major and would not.
+        members = np.array(sorted(event.members), dtype=np.intp)
+        p = stack.take(members, axis=1).sum(axis=1)
+    else:
+        p = np.trace(stack @ event.matrix, axis1=1, axis2=2).real
+    p = np.where((-1e-12 <= p) & (p < 0.0), 0.0, p)
+    return np.where((1.0 < p) & (p <= 1.0 + 1e-12), 1.0, p)
+
+
+def _effective_yes(p: np.ndarray) -> np.ndarray:
+    return np.where(p < DEGENERATE_BRANCH, 0.0,
+                    np.where(p > 1.0 - DEGENERATE_BRANCH, 1.0, p))
+
+
+def _condition_level(stack: np.ndarray, realized: np.ndarray, event: Event,
+                     p_yes: np.ndarray) -> np.ndarray:
+    """States of the realized children of a level, in ``realized`` order.
+
+    Child ``c`` is parent ``c // 2`` conditioned on ``event`` when ``c`` is
+    odd and on its complement when even, computed as ``states.condition``
+    computes it and failing as it fails, for the first offending child.
+    """
+    comp = complement(event)
+    parents, bits = realized // 2, realized % 2
+    # Row-major (parent, bit) pairs are indexed by the child code itself.
+    p = np.stack([_probabilities(stack, comp), p_yes], axis=1).ravel()[realized]
+    zero = p <= 0.0
+    if zero.any():
+        p0 = float(p[zero.argmax()])
+        raise ZeroProbabilityCondition(
+            f"conditioning event has probability {p0!r} <= 0.0", probability=p0)
+    if isinstance(event, BooleanEvent):
+        masks = np.zeros((2, stack.shape[1]))
+        masks[0, sorted(comp.members)] = 1.0
+        masks[1, sorted(event.members)] = 1.0
+        children = stack[parents] * masks[bits] / p[:, None]
+        _check_weight_rows(children)
+        return children
+    branch = np.stack([comp.matrix, event.matrix])[bits]
+    children = branch @ stack[parents] @ branch
+    del branch  # a level's temporaries, not its states, set the peak memory
+    children = _symmetrized(children)
+    children /= np.trace(children, axis1=1, axis2=2).real[:, None, None]
+    _check_density_stack(children)
+    return children
 
 
 def sample_chain(initial: State, tests: Sequence[Event], final: Event,
@@ -97,12 +152,15 @@ def sample_chain(initial: State, tests: Sequence[Event], final: Event,
     """
     if len(tests) == 0:
         raise EmptyChain("sample_chain needs at least one test event")
-    prob(initial, final)  # validates that the final event fits the state
+    quantum = _pair_kind(initial, final) == "quantum"
+    for event in tests:
+        _pair_kind(initial, event)
+    _warn_if_nonunique(tests[0])
     n = len(tests)
     trials = config.trials
     rng = np.random.Generator(np.random.Philox(key=np.uint64(config.seed)))
 
-    node_states: list[State] = [initial]
+    stack = initial.matrix[None] if quantum else initial.weights[None]
     node_ids = np.zeros(trials, dtype=np.int64)
     wide = n > 62  # bit-packed path codes overflow int64 beyond this
     codes = None if wide else np.zeros(trials, dtype=np.int64)
@@ -110,31 +168,25 @@ def sample_chain(initial: State, tests: Sequence[Event], final: Event,
     all_yes = np.ones(trials, dtype=bool)
 
     for k, event in enumerate(tests):
-        p_yes = np.array([_effective_yes_probability(s, event) for s in node_states])
-        outcome = rng.random(trials) < p_yes[node_ids]
+        p_yes = _probabilities(stack, event)
+        outcome = rng.random(trials) < _effective_yes(p_yes)[node_ids]
         if wide:
             bit_rows[:, k] = outcome
         else:
             codes = codes * 2 + outcome
         all_yes &= outcome
         combo = node_ids * 2 + outcome
-        realized = np.unique(combo)
-        remap = np.full(2 * len(node_states), -1, dtype=np.int64)
-        next_states: list[State] = []
-        comp = complement(event)
-        for c in realized:
-            parent, bit = divmod(int(c), 2)
-            branch_event = event if bit else comp
-            next_states.append(condition(node_states[parent], branch_event, tol=0.0))
-            remap[c] = len(next_states) - 1
+        realized = np.flatnonzero(np.bincount(combo, minlength=2 * len(stack)))
+        remap = np.full(2 * len(stack), -1, dtype=np.int64)
+        remap[realized] = np.arange(len(realized))
         node_ids = remap[combo]
-        node_states = next_states
+        stack = _condition_level(stack, realized, event, p_yes)
 
     final_draw = rng.random(trials)
     all_yes_count = int(all_yes.sum())
     if all_yes_count > 0:
-        surviving = node_states[int(node_ids[int(np.argmax(all_yes))])]
-        p_final = _effective_yes_probability(surviving, final)
+        surviving = int(node_ids[int(np.argmax(all_yes))])
+        p_final = _effective_yes(_probabilities(stack[surviving:surviving + 1], final))[0]
         final_yes_count = int((all_yes & (final_draw < p_final)).sum())
     else:
         final_yes_count = 0

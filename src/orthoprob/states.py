@@ -22,13 +22,53 @@ from .errors import (AlgebraMismatch, DimensionMismatch, EmptyInput,
                      ValidationError, ZeroEvent, ZeroProbabilityCondition)
 from .events import (BooleanEvent, Event, QuantumAlgebra, QuantumEvent,
                      _require_same_kind, below, complement, events_equal, is_atom)
-from .linalg import (HermitianOperator, StateVector, _symmetrized,
-                     frobenius_norm, min_eigenvalue)
+from .linalg import HermitianOperator, StateVector, _symmetrized, frobenius_norm
 
 # Relative tolerance for certifying the predictability residual.
 DEFAULT_DETECTION_TOL = 1e-8
 # Probability threshold below which conditioning is refused.
 DEFAULT_CONDITION_TOL = 1e-9
+
+
+def _check_weight_rows(rows: np.ndarray) -> None:
+    """The ClassicalState weight checks on each row of an (m, size) stack.
+
+    Each check covers the whole stack before the next one runs, and an
+    error reports the first offending row.
+    """
+    if not np.isfinite(rows).all():
+        raise ValidationError("weights must be finite")
+    bad = rows.min(axis=1, initial=0.0) < 0.0
+    if bad.any():
+        raise ValidationError(
+            f"weights must be nonnegative, min = {rows[bad.argmax()].min()!r}")
+    totals = rows.sum(axis=1)
+    bad = np.abs(totals - 1.0) > 1e-12
+    if bad.any():
+        raise ValidationError(
+            f"weights sum to {float(totals[bad.argmax()])!r}, not 1 within 1e-12")
+
+
+def _check_density_stack(stack: np.ndarray) -> None:
+    """The DensityState checks on each matrix of an (m, d, d) stack of
+    Hermitian matrices: finite entries, unit trace, no eigenvalue below
+    -1e-10.
+
+    Each check covers the whole stack before the next one runs, and an
+    error reports the first offending matrix.
+    """
+    if not np.isfinite(stack).all():
+        raise ValidationError("matrix entries must be finite")
+    traces = np.trace(stack, axis1=1, axis2=2).real
+    bad = np.abs(traces - 1.0) > 1e-10
+    if bad.any():
+        raise ValidationError(
+            f"density matrix trace {float(traces[bad.argmax()])!r} is not 1 within 1e-10")
+    low = np.linalg.eigvalsh(stack)[:, 0]
+    bad = low < -1e-10
+    if bad.any():
+        raise ValidationError(
+            f"density matrix has eigenvalue {low[bad.argmax()]:.3e} below -1e-10")
 
 
 class ClassicalState:
@@ -41,13 +81,7 @@ class ClassicalState:
         if arr.ndim != 1 or arr.shape[0] != space.size:
             raise ValidationError(
                 f"expected {space.size} weights, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValidationError("weights must be finite")
-        if arr.min(initial=0.0) < 0.0:
-            raise ValidationError(f"weights must be nonnegative, min = {arr.min()!r}")
-        total = float(arr.sum())
-        if abs(total - 1.0) > 1e-12:
-            raise ValidationError(f"weights sum to {total!r}, not 1 within 1e-12")
+        _check_weight_rows(arr[None])
         arr = arr.copy()
         arr.flags.writeable = False
         self.space = space
@@ -76,13 +110,7 @@ class DensityState:
 
     def __init__(self, rho):
         op = rho if isinstance(rho, HermitianOperator) else HermitianOperator(rho)
-        tr = op.trace()
-        if abs(tr - 1.0) > 1e-10:
-            raise ValidationError(f"density matrix trace {tr!r} is not 1 within 1e-10")
-        low = min_eigenvalue(op)
-        if low < -1e-10:
-            raise ValidationError(
-                f"density matrix has eigenvalue {low:.3e} below -1e-10")
+        _check_density_stack(op.matrix[None])
         self.rho = op
 
     @property

@@ -225,6 +225,22 @@ class TestSpanProjector:
         with pytest.raises(EmptyInput):
             projector_from_span([])
 
+    @pytest.mark.parametrize("vectors", [
+        [[1e200, 1e200]],
+        [[1.0, 0.0], [0.0, 1e300j]],
+    ])
+    def test_overflowing_norm_rejected(self, vectors):
+        # An inf norm made the default drop threshold inf, so every vector
+        # was dropped and the zero projection came back.
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValidationError, match="span vector norm inf is not finite"):
+            projector_from_span([np.array(v) for v in vectors])
+
+    def test_large_in_range_vector(self):
+        p = projector_from_span([np.array([1e150, 1e150])])
+        assert p.rank == 1
+        assert np.allclose(p.matrix, np.full((2, 2), 0.5), atol=1e-15)
+
     def test_full_span_is_identity(self):
         rng = np.random.default_rng(23)
         u = random_unitary(5, rng)

@@ -1,16 +1,25 @@
 """Measurement-chain sampler: determinism, statistics, state independence."""
 
+import dataclasses
+import math
+import warnings
+
 import numpy as np
 import pytest
 
-from orthoprob.errors import (EmptyChain, NotPredictable,
+from orthoprob.errors import (AlgebraMismatch, EmptyChain,
+                              ImpossibleSequence, NonUniqueConditioningWarning,
+                              NotPredictable, ValidationError, ZeroEvent,
                               ZeroProbabilityCondition)
-from orthoprob.events import BooleanAlgebra, QuantumAlgebra
+from orthoprob.events import BooleanAlgebra, QuantumAlgebra, complement
+from orthoprob.linalg import random_projection
 from orthoprob.presets import half_transition_pair, order_dependence_example
-from orthoprob.sampler import (SamplerConfig, sample_chain,
+from orthoprob.sampler import (DEGENERATE_BRANCH, ChainResult, SamplerConfig,
+                               _condition_level, _probabilities, sample_chain,
                                state_independence_check)
 from orthoprob.states import (ClassicalState, DensityState, atom_state,
-                              condition_seq, prob, random_density_state)
+                              condition, condition_seq, predictability_seq,
+                              prob, random_density_state)
 
 
 @pytest.fixture
@@ -124,12 +133,22 @@ class TestStatistics:
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(Exception):
-            SamplerConfig(trials=0)
-        with pytest.raises(Exception):
-            SamplerConfig(seed=-1)
-        with pytest.raises(Exception):
-            SamplerConfig(tol=-1e-9)
+        cases = [
+            ({"trials": 0}, "trials must be a positive integer, got 0"),
+            ({"trials": True}, "trials must be a positive integer, got True"),
+            ({"trials": 10.0}, "trials must be a positive integer, got 10.0"),
+            ({"seed": -1}, "seed must be an unsigned 64-bit integer, got -1"),
+            ({"seed": 2 ** 64},
+             "seed must be an unsigned 64-bit integer, got 18446744073709551616"),
+            ({"seed": True}, "seed must be an unsigned 64-bit integer, got True"),
+            ({"tol": -1e-9}, "tol must be finite and >= 0, got -1e-09"),
+            ({"tol": math.inf}, "tol must be finite and >= 0, got inf"),
+            ({"tol": math.nan}, "tol must be finite and >= 0, got nan"),
+        ]
+        for kwargs, message in cases:
+            with pytest.raises(ValidationError) as exc:
+                SamplerConfig(**kwargs)
+            assert str(exc.value) == message
 
 
 class TestStateIndependence:
@@ -169,3 +188,238 @@ class TestStateIndependence:
             state_independence_check(f, [e], [mixed, outside],
                                      SamplerConfig(trials=1_000))
         assert info.value.index == 0
+
+
+def _per_node_chain(initial, tests, final, config):
+    """Reference sampler: one state object per realized prefix, built by
+    ``prob`` and ``condition(..., tol=0.0)``, with the draws of
+    ``sample_chain``."""
+    def effective(state, event):
+        p = prob(state, event)
+        return 0.0 if p < DEGENERATE_BRANCH else 1.0 if p > 1.0 - DEGENERATE_BRANCH else p
+
+    prob(initial, final)
+    n, trials = len(tests), config.trials
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(config.seed)))
+    node_states = [initial]
+    node_ids = np.zeros(trials, dtype=np.int64)
+    bits = np.empty((trials, n), dtype=bool)
+    all_yes = np.ones(trials, dtype=bool)
+    for k, event in enumerate(tests):
+        p_yes = np.array([effective(s, event) for s in node_states])
+        outcome = rng.random(trials) < p_yes[node_ids]
+        bits[:, k] = outcome
+        all_yes &= outcome
+        combo = node_ids * 2 + outcome
+        realized = np.unique(combo)
+        remap = np.full(2 * len(node_states), -1, dtype=np.int64)
+        comp = complement(event)
+        next_states = []
+        for c in realized:
+            parent, bit = divmod(int(c), 2)
+            next_states.append(condition(node_states[parent], event if bit else comp, tol=0.0))
+            remap[c] = len(next_states) - 1
+        node_ids = remap[combo]
+        node_states = next_states
+    final_draw = rng.random(trials)
+    all_yes_count = int(all_yes.sum())
+    final_yes_count = 0
+    if all_yes_count:
+        p_final = effective(node_states[int(node_ids[int(np.argmax(all_yes))])], final)
+        final_yes_count = int((all_yes & (final_draw < p_final)).sum())
+    rows, freq = np.unique(bits, axis=0, return_counts=True)
+    counts = {"".join("1" if b else "0" for b in row): int(c) for row, c in zip(rows, freq)}
+    empirical = final_yes_count / all_yes_count if all_yes_count else math.nan
+    std_error = (math.sqrt(empirical * (1.0 - empirical) / all_yes_count)
+                 if all_yes_count else math.nan)
+    try:
+        detection = predictability_seq(final, tests)
+        predicted = detection.s if detection.predictable else None
+    except (ImpossibleSequence, ZeroEvent):
+        predicted = None
+    return ChainResult(outcome_counts=counts, all_yes_count=all_yes_count,
+                       final_event_yes_count=final_yes_count, empirical_p=empirical,
+                       std_error=std_error, predicted_p=predicted, trials=trials,
+                       seed=config.seed)
+
+
+def _assert_same_result(got, want):
+    for field in dataclasses.fields(ChainResult):
+        assert repr(getattr(got, field.name)) == repr(getattr(want, field.name)), field.name
+
+
+def _random_quantum_chain(dim, n_tests, rng):
+    alg = QuantumAlgebra(dim)
+    pool = [alg.event(random_projection(dim, int(rng.integers(1, dim + 1)), rng))
+            for _ in range(3)]
+    tests = [pool[int(rng.integers(0, 3))] for _ in range(n_tests)]
+    final = alg.event(random_projection(dim, int(rng.integers(0, dim + 1)), rng))
+    return random_density_state(dim, rng), tests, final
+
+
+def _random_boolean_chain(size, n_tests, rng):
+    alg = BooleanAlgebra(size)
+    weights = rng.dirichlet(np.ones(size))
+    weights[rng.random(size) < 0.2] = 0.0  # some outcomes are impossible
+    if weights.sum() == 0.0:
+        weights[0] = 1.0
+    state = ClassicalState(alg.space, weights / weights.sum())
+
+    def subset():
+        return alg.event(np.flatnonzero(rng.random(size) < 0.5))
+
+    return state, [subset() for _ in range(n_tests)], subset()
+
+
+def _random_level(algebra, rng, m=12):
+    """m states, half of them conditioned (so of lower rank or support),
+    and one event with a certain, an impossible or a random rank."""
+    if isinstance(algebra, QuantumAlgebra):
+        dim = algebra.dim
+
+        def event(rank):
+            return algebra.event(random_projection(dim, rank, rng))
+
+        def state():
+            return random_density_state(dim, rng)
+
+        ranks = range(dim + 1)
+    else:
+        size = algebra.space.size
+
+        def event(rank):
+            return algebra.event(rng.permutation(size)[:rank])
+
+        def state():
+            return ClassicalState(algebra.space, rng.dirichlet(np.ones(size)))
+
+        ranks = range(size + 1)
+    states = []
+    while len(states) < m:
+        s, by = state(), event(int(rng.choice(ranks)))
+        if len(states) % 2 and prob(s, by) > 0.0:
+            s = condition(s, by, tol=0.0)
+        states.append(s)
+    return states, event(int(rng.choice(ranks)))
+
+
+@pytest.mark.filterwarnings("ignore::orthoprob.NonUniqueConditioningWarning")
+@pytest.mark.parametrize("algebra", [QuantumAlgebra(d) for d in (1, 2, 3, 4, 6, 16)]
+                         + [BooleanAlgebra(n) for n in (1, 6, 24)], ids=repr)
+def test_level_arithmetic_matches_per_node(algebra):
+    # The sampler's results hinge on these bits only where a draw falls
+    # between two roundings, so the level arithmetic is pinned directly.
+    rng = np.random.default_rng(algebra.dim if isinstance(algebra, QuantumAlgebra)
+                                else 100 + algebra.space.size)
+    for _ in range(20):
+        states, event = _random_level(algebra, rng)
+        stack = np.stack([s.matrix if isinstance(s, DensityState) else s.weights
+                          for s in states])
+        p_yes = _probabilities(stack, event)
+        assert np.array_equal(p_yes, [prob(s, event) for s in states])
+        comp = complement(event)
+        branches = [comp, event]
+        realized = np.array([c for c in range(2 * len(states))
+                             if prob(states[c // 2], branches[c % 2]) > 0.0])
+        children = _condition_level(stack, realized, event, p_yes)
+        for c, child in zip(realized, children):
+            want = condition(states[c // 2], branches[c % 2], tol=0.0)
+            assert np.array_equal(child, want.matrix if isinstance(want, DensityState)
+                                  else want.weights)
+
+
+def test_level_zero_probability_branch_matches_condition():
+    alg = QuantumAlgebra(3)
+    e = alg.event(np.diag([1.0, 0.0, 0.0]))
+    inside = DensityState(np.diag([0.5, 0.5, 0.0]))
+    outside = DensityState(np.diag([0.0, 0.5, 0.5]))
+    stack = np.stack([inside.matrix, outside.matrix])
+    with pytest.raises(ZeroProbabilityCondition) as want:
+        condition(outside, e, tol=0.0)
+    # Children 0, 1 and 3: both branches of the first state, "yes" of the second.
+    with pytest.raises(ZeroProbabilityCondition) as got:
+        _condition_level(stack, np.array([0, 1, 3]), e, _probabilities(stack, e))
+    assert str(got.value) == str(want.value)
+    assert got.value.probability == want.value.probability == 0.0
+
+
+@pytest.mark.filterwarnings("ignore::orthoprob.NonUniqueConditioningWarning")
+class TestAgainstPerNodeReference:
+    """Every ChainResult field equals the per-node route's, compared by repr."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 6, 16])
+    def test_quantum(self, dim):
+        rng = np.random.default_rng(1000 + dim)
+        for n_tests in range(1, 13):
+            chain = _random_quantum_chain(dim, n_tests, rng)
+            config = SamplerConfig(seed=n_tests, trials=300)
+            _assert_same_result(sample_chain(*chain, config), _per_node_chain(*chain, config))
+
+    @pytest.mark.parametrize("size", [1, 6, 24])
+    def test_boolean(self, size):
+        rng = np.random.default_rng(2000 + size)
+        for n_tests in range(1, 13):
+            chain = _random_boolean_chain(size, n_tests, rng)
+            config = SamplerConfig(seed=n_tests, trials=300)
+            _assert_same_result(sample_chain(*chain, config), _per_node_chain(*chain, config))
+
+    @pytest.mark.parametrize("algebra", [QuantumAlgebra(3), BooleanAlgebra(6)])
+    def test_certain_and_impossible_branches(self, algebra):
+        one, zero = algebra.one(), algebra.zero()
+        if isinstance(algebra, QuantumAlgebra):
+            initial = random_density_state(3, np.random.default_rng(5))
+            middle = algebra.event(np.diag([1.0, 1.0, 0.0]))
+        else:
+            initial = ClassicalState(algebra.space, np.full(6, 1.0 / 6.0))
+            middle = algebra.event([0, 2, 4])
+        config = SamplerConfig(seed=3, trials=500)
+        for tests in ([one, middle, one], [middle, zero, middle]):
+            got = sample_chain(initial, tests, middle, config)
+            _assert_same_result(got, _per_node_chain(initial, tests, middle, config))
+        assert got.all_yes_count == 0 and math.isnan(got.empirical_p)
+
+    def test_wide_chain(self):
+        rng = np.random.default_rng(63)
+        chain = _random_quantum_chain(2, 63, rng)
+        config = SamplerConfig(seed=8, trials=300)
+        got = sample_chain(*chain, config)
+        assert all(len(key) == 63 for key in got.outcome_counts)
+        _assert_same_result(got, _per_node_chain(*chain, config))
+
+
+class TestChainContract:
+    @pytest.mark.parametrize("initial, bad, message", [
+        (DensityState(np.eye(4) / 4.0), QuantumAlgebra(3).one(),
+         "state dimension 4 != event dimension 3"),
+        (DensityState(np.eye(4) / 4.0), BooleanAlgebra(4).one(),
+         "cannot pair DensityState with BooleanEvent"),
+        (ClassicalState(BooleanAlgebra(4).space, np.full(4, 0.25)),
+         BooleanAlgebra(5).one(), "state and event live on different sample spaces"),
+    ])
+    def test_mismatched_test_rejected_before_any_draw(self, initial, bad, message,
+                                                      monkeypatch):
+        good = (QuantumAlgebra(4) if isinstance(initial, DensityState)
+                else BooleanAlgebra(initial.space.size)).one()
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("the sampler drew before checking its events")
+
+        monkeypatch.setattr(np.random, "Philox", no_draws)
+        with pytest.raises(AlgebraMismatch, match=message):
+            sample_chain(initial, [good, good, bad], good, SamplerConfig(trials=10))
+
+    def test_dim2_chain_warns_once(self):
+        alg = QuantumAlgebra(2)
+        e = alg.event_from_span([np.array([1.0, 0.0])])
+        f = alg.event_from_span([np.array([1.0, 1.0])])
+        mixed = DensityState(np.eye(2) / 2.0)
+        with pytest.warns(NonUniqueConditioningWarning) as record:
+            sample_chain(mixed, [e, f, e, f], f, SamplerConfig(trials=1_000))
+        assert len([w for w in record
+                    if issubclass(w.category, NonUniqueConditioningWarning)]) == 1
+
+    def test_dim3_chain_does_not_warn(self):
+        _, mixed, f1, f2, e = order_dependence_example()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", NonUniqueConditioningWarning)
+            sample_chain(mixed, [f1, f2], e, SamplerConfig(trials=1_000))

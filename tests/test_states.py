@@ -18,6 +18,7 @@ from orthoprob.events import (BooleanAlgebra, QuantumAlgebra, below,
 from orthoprob.linalg import StateVector, jordan_product, quadratic_triple
 from orthoprob.presets import half_transition_pair, order_dependence_example
 from orthoprob.states import (ClassicalState, DensityState, TableState,
+                              _check_density_stack, _check_weight_rows,
                               atom_state, atom_symmetry_check,
                               compatibility_residuals, compatible, condition,
                               condition_seq, conditioning_contract_violations,
@@ -62,6 +63,43 @@ class TestStateConstruction:
     def test_pure_state_accepted(self):
         rho = DensityState(np.outer([1.0, 0.0], [1.0, 0.0]))
         assert rho.dim == 2
+
+    @pytest.mark.parametrize("weights, message", [
+        ([0.15] * 6, "weights sum to 0.9, not 1 within 1e-12"),
+        ([0.5, 0.6, -0.1, 0.0, 0.0, 0.0],
+         "weights must be nonnegative, min = np.float64(-0.1)"),
+        ([np.nan, 1.0, 0.0, 0.0, 0.0, 0.0], "weights must be finite"),
+    ])
+    def test_classical_messages(self, die, weights, message):
+        with pytest.raises(ValidationError) as exc:
+            ClassicalState(die.space, weights)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("rho, message", [
+        (np.eye(4) / 3.0, "density matrix trace 1.3333333333333333 is not 1 within 1e-10"),
+        (np.diag([1.5, -0.5]), "density matrix has eigenvalue -5.000e-01 below -1e-10"),
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), "matrix entries must be finite"),
+    ])
+    def test_density_messages(self, rho, message):
+        with pytest.raises(ValidationError) as exc:
+            DensityState(rho)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("check, stack, message", [
+        (_check_weight_rows, [[0.5, 0.5], [0.2, 0.2], [0.1, 0.1]],
+         "weights sum to 0.4, not 1 within 1e-12"),
+        (_check_weight_rows, [[0.5, 0.5], [1.5, -0.5], [2.0, -1.0]],
+         "weights must be nonnegative, min = np.float64(-0.5)"),
+        (_check_density_stack, [np.eye(2) / 2.0, np.eye(2) / 3.0, np.eye(2) / 4.0],
+         "density matrix trace 0.6666666666666666 is not 1 within 1e-10"),
+        (_check_density_stack, [np.eye(2) / 2.0, np.diag([1.2, -0.2]), np.diag([1.5, -0.5])],
+         "density matrix has eigenvalue -2.000e-01 below -1e-10"),
+    ])
+    def test_stack_checks_report_first_offender(self, check, stack, message):
+        with pytest.raises(ValidationError) as exc:
+            check(np.array(stack, dtype=np.complex128 if check is _check_density_stack
+                           else np.float64))
+        assert str(exc.value) == message
 
 
 class TestProb:
