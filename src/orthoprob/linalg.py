@@ -37,9 +37,13 @@ def _square_complex(value, what: str = "matrix") -> np.ndarray:
         raise ValidationError(f"{what} must be square, got shape {arr.shape}")
     if arr.shape[0] == 0:
         raise ValidationError(f"{what} must be at least 1x1")
+    _require_finite(arr, what)
+    return arr
+
+
+def _require_finite(arr: np.ndarray, what: str = "matrix") -> None:
     if not np.isfinite(arr).all():
         raise ValidationError(f"{what} entries must be finite")
-    return arr
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

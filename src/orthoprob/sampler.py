@@ -8,13 +8,15 @@ depend only on the outcome prefix, so they are computed once per realized
 prefix and trials are driven purely by uniform draws.
 
 The realized prefix states of one level are held as one stack, (m, d, d)
-density matrices or (m, size) weight rows, and the whole level is
-conditioned at once with the arithmetic of ``states.condition``, so every
-state and probability carries the same bits as the one-node-at-a-time
-route.  The state contract runs once per level and reports the first
-offending node: every realized branch has positive probability, then
-each state passes the ClassicalState or DensityState checks (all but the
-Hermitian scan, which the symmetrized compression passes bit for bit).
+density matrices or (m, size) weight rows.  A level is conditioned a
+block of children at a time, LEVEL_BLOCK_BYTES of states, by the stacked
+routines that ``states.prob`` and ``states.condition`` run on one state,
+so every state and probability carries the bits of the one-node-at-a-time
+route.  The state contract runs once per block and reports the block's
+first offending child: every realized branch has positive probability,
+then each state passes the ClassicalState or DensityState checks (all but
+the Hermitian scan, which the symmetrized compression passes by
+construction).
 
 Randomness comes from one counter-based Philox stream keyed by the seed,
 consumed in a fixed level-major order; a given (seed, trial, step) always
@@ -31,14 +33,17 @@ import numpy as np
 
 from .errors import (EmptyChain, ImpossibleSequence, NotPredictable,
                      ValidationError, ZeroEvent, ZeroProbabilityCondition)
-from .events import BooleanEvent, Event, _require_tolerance, complement
-from .linalg import _symmetrized
-from .states import (State, _check_density_stack, _check_weight_rows, _pair_kind,
-                     _warn_if_nonunique, condition, predictability_seq, prob)
+from .events import Event, _require_tolerance, complement
+from .states import (State, _branch_of, _check_states, _conditioned, _pair_kind,
+                     _probabilities, _stack_of, _warn_if_nonunique, condition,
+                     predictability_seq, prob)
 
 # Branch probabilities inside (0, 1e-14) are counted to the complementary
 # branch so no trial ever conditions on a numerically vanishing event.
 DEGENERATE_BRANCH = 1e-14
+# Bytes of states a level conditions and checks at once: the level's
+# temporaries stay near this size, however many states the level holds.
+LEVEL_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -89,23 +94,20 @@ class ChainResult:
                 raise ValidationError("empirical_p inconsistent with counts")
 
 
-def _probabilities(stack: np.ndarray, event: Event) -> np.ndarray:
-    """``prob(state, event)`` for every state of a level stack, clamped as
-    ``prob`` clamps."""
-    if isinstance(event, BooleanEvent):
-        # take() keeps each row contiguous, so it sums in the same order
-        # as prob's 1-d sum; stack[:, members] is column-major and would not.
-        members = np.array(sorted(event.members), dtype=np.intp)
-        p = stack.take(members, axis=1).sum(axis=1)
-    else:
-        p = np.trace(stack @ event.matrix, axis1=1, axis2=2).real
-    p = np.where((-1e-12 <= p) & (p < 0.0), 0.0, p)
-    return np.where((1.0 < p) & (p <= 1.0 + 1e-12), 1.0, p)
-
-
 def _effective_yes(p: np.ndarray) -> np.ndarray:
     return np.where(p < DEGENERATE_BRANCH, 0.0,
                     np.where(p > 1.0 - DEGENERATE_BRANCH, 1.0, p))
+
+
+def _block_size(stack: np.ndarray) -> int:
+    return max(1, LEVEL_BLOCK_BYTES // stack[0].nbytes)
+
+
+def _level_probabilities(stack: np.ndarray, event: Event) -> np.ndarray:
+    """``prob(state, event)`` for every state of a level stack."""
+    size = _block_size(stack)
+    return np.concatenate([_probabilities(stack[lo:lo + size], event)
+                           for lo in range(0, len(stack), size)])
 
 
 def _condition_level(stack: np.ndarray, realized: np.ndarray, event: Event,
@@ -113,31 +115,24 @@ def _condition_level(stack: np.ndarray, realized: np.ndarray, event: Event,
     """States of the realized children of a level, in ``realized`` order.
 
     Child ``c`` is parent ``c // 2`` conditioned on ``event`` when ``c`` is
-    odd and on its complement when even, computed as ``states.condition``
-    computes it and failing as it fails, for the first offending child.
+    odd and on its complement when even, with the arithmetic of
+    ``states.condition``.  Each block of children is checked as
+    ``condition`` checks a state before the next block is built, and an
+    error reports the block's first offending child.
     """
     comp = complement(event)
-    parents, bits = realized // 2, realized % 2
-    # Row-major (parent, bit) pairs are indexed by the child code itself.
-    p = np.stack([_probabilities(stack, comp), p_yes], axis=1).ravel()[realized]
-    zero = p <= 0.0
-    if zero.any():
-        p0 = float(p[zero.argmax()])
-        raise ZeroProbabilityCondition(
-            f"conditioning event has probability {p0!r} <= 0.0", probability=p0)
-    if isinstance(event, BooleanEvent):
-        masks = np.zeros((2, stack.shape[1]))
-        masks[0, sorted(comp.members)] = 1.0
-        masks[1, sorted(event.members)] = 1.0
-        children = stack[parents] * masks[bits] / p[:, None]
-        _check_weight_rows(children)
-        return children
-    branch = np.stack([comp.matrix, event.matrix])[bits]
-    children = branch @ stack[parents] @ branch
-    del branch  # a level's temporaries, not its states, set the peak memory
-    children = _symmetrized(children)
-    children /= np.trace(children, axis1=1, axis2=2).real[:, None, None]
-    _check_density_stack(children)
+    branches = np.stack([_branch_of(comp), _branch_of(event)])
+    children = np.empty((len(realized),) + stack.shape[1:], dtype=stack.dtype)
+    size = _block_size(stack)
+    for lo in range(0, len(realized), size):
+        codes = realized[lo:lo + size]
+        parents, bits = codes // 2, codes % 2
+        p = p_yes[parents]
+        no = bits == 0
+        p[no] = _probabilities(stack[parents[no]], comp)
+        block = _conditioned(stack[parents], branches[bits], p, 0.0)
+        _check_states(block)
+        children[lo:lo + len(codes)] = block
     return children
 
 
@@ -152,7 +147,7 @@ def sample_chain(initial: State, tests: Sequence[Event], final: Event,
     """
     if len(tests) == 0:
         raise EmptyChain("sample_chain needs at least one test event")
-    quantum = _pair_kind(initial, final) == "quantum"
+    _pair_kind(initial, final)
     for event in tests:
         _pair_kind(initial, event)
     _warn_if_nonunique(tests[0])
@@ -160,7 +155,7 @@ def sample_chain(initial: State, tests: Sequence[Event], final: Event,
     trials = config.trials
     rng = np.random.Generator(np.random.Philox(key=np.uint64(config.seed)))
 
-    stack = initial.matrix[None] if quantum else initial.weights[None]
+    stack = _stack_of(initial)
     node_ids = np.zeros(trials, dtype=np.int64)
     wide = n > 62  # bit-packed path codes overflow int64 beyond this
     codes = None if wide else np.zeros(trials, dtype=np.int64)
@@ -168,7 +163,7 @@ def sample_chain(initial: State, tests: Sequence[Event], final: Event,
     all_yes = np.ones(trials, dtype=bool)
 
     for k, event in enumerate(tests):
-        p_yes = _probabilities(stack, event)
+        p_yes = _level_probabilities(stack, event)
         outcome = rng.random(trials) < _effective_yes(p_yes)[node_ids]
         if wide:
             bit_rows[:, k] = outcome

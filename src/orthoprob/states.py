@@ -22,7 +22,8 @@ from .errors import (AlgebraMismatch, DimensionMismatch, EmptyInput,
                      ValidationError, ZeroEvent, ZeroProbabilityCondition)
 from .events import (BooleanEvent, Event, QuantumAlgebra, QuantumEvent,
                      _require_same_kind, below, complement, events_equal, is_atom)
-from .linalg import HermitianOperator, StateVector, _symmetrized, frobenius_norm
+from .linalg import (HermitianOperator, StateVector, _require_finite, _symmetrized,
+                     frobenius_norm)
 
 # Relative tolerance for certifying the predictability residual.
 DEFAULT_DETECTION_TOL = 1e-8
@@ -38,37 +39,44 @@ def _check_weight_rows(rows: np.ndarray) -> None:
     """
     if not np.isfinite(rows).all():
         raise ValidationError("weights must be finite")
-    bad = rows.min(axis=1, initial=0.0) < 0.0
-    if bad.any():
-        raise ValidationError(
-            f"weights must be nonnegative, min = {rows[bad.argmax()].min()!r}")
+    if rows.min(initial=0.0) < 0.0:
+        first = rows[(rows < 0.0).any(axis=1).argmax()]
+        raise ValidationError(f"weights must be nonnegative, min = {first.min()!r}")
     totals = rows.sum(axis=1)
-    bad = np.abs(totals - 1.0) > 1e-12
-    if bad.any():
-        raise ValidationError(
-            f"weights sum to {float(totals[bad.argmax()])!r}, not 1 within 1e-12")
+    off = np.abs(totals - 1.0)
+    if off.max() > 1e-12:
+        first = totals[(off > 1e-12).argmax()]
+        raise ValidationError(f"weights sum to {float(first)!r}, not 1 within 1e-12")
 
 
 def _check_density_stack(stack: np.ndarray) -> None:
-    """The DensityState checks on each matrix of an (m, d, d) stack of
-    Hermitian matrices: finite entries, unit trace, no eigenvalue below
-    -1e-10.
+    """The DensityState checks beyond HermitianOperator's on each matrix of
+    an (m, d, d) stack of finite Hermitian matrices: unit trace, no
+    eigenvalue below -1e-10.
 
     Each check covers the whole stack before the next one runs, and an
     error reports the first offending matrix.
     """
-    if not np.isfinite(stack).all():
-        raise ValidationError("matrix entries must be finite")
-    traces = np.trace(stack, axis1=1, axis2=2).real
-    bad = np.abs(traces - 1.0) > 1e-10
-    if bad.any():
-        raise ValidationError(
-            f"density matrix trace {float(traces[bad.argmax()])!r} is not 1 within 1e-10")
+    traces = stack.trace(axis1=1, axis2=2).real
+    off = np.abs(traces - 1.0)
+    if off.max() > 1e-10:
+        first = traces[(off > 1e-10).argmax()]
+        raise ValidationError(f"density matrix trace {float(first)!r} is not 1 within 1e-10")
     low = np.linalg.eigvalsh(stack)[:, 0]
-    bad = low < -1e-10
-    if bad.any():
-        raise ValidationError(
-            f"density matrix has eigenvalue {low[bad.argmax()]:.3e} below -1e-10")
+    if low.min() < -1e-10:
+        first = low[(low < -1e-10).argmax()]
+        raise ValidationError(f"density matrix has eigenvalue {first:.3e} below -1e-10")
+
+
+def _check_states(stack: np.ndarray) -> None:
+    """The ClassicalState checks on each row of an (m, size) stack, or the
+    DensityState checks on each matrix of an (m, d, d) stack of exactly
+    Hermitian matrices; an error reports the first offending state."""
+    if stack.ndim == 2:
+        _check_weight_rows(stack)
+    else:
+        _require_finite(stack)
+        _check_density_stack(stack)
 
 
 class ClassicalState:
@@ -169,22 +177,69 @@ def _pair_kind(state: State, event: Event) -> str:
         f"cannot pair {type(state).__name__} with {type(event).__name__}")
 
 
-def _clamp_probability(p: float, tol: float = 1e-12) -> float:
-    if -tol <= p < 0.0:
-        return 0.0
-    if 1.0 < p <= 1.0 + tol:
-        return 1.0
+def _clamp_probability(p: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """``p`` with values in [-tol, 0) set to 0 and values in (1, 1 + tol]
+    set to 1."""
+    if p.min(initial=0.0) < 0.0 or p.max(initial=1.0) > 1.0:
+        p = np.where((-tol <= p) & (p < 0.0), 0.0, p)
+        p = np.where((1.0 < p) & (p <= 1.0 + tol), 1.0, p)
     return p
+
+
+def _stack_of(state: State) -> np.ndarray:
+    """A state as a one-state stack: (1, size) weights or (1, d, d) matrix."""
+    return state.weights[None] if isinstance(state, ClassicalState) else state.matrix[None]
+
+
+def _branch_of(event: Event) -> np.ndarray:
+    """What conditioning on an event multiplies a state by: the indicator
+    weights of a Boolean event, the projection matrix of a quantum one."""
+    if isinstance(event, QuantumEvent):
+        return event.matrix
+    mask = np.zeros(event.space.size)
+    mask[sorted(event.members)] = 1.0
+    return mask
+
+
+def _probabilities(stack: np.ndarray, event: Event) -> np.ndarray:
+    """``prob`` of an event in each state of a stack of weight rows or
+    density matrices."""
+    if isinstance(event, BooleanEvent):
+        # take() keeps each row contiguous, so it sums in the order of a
+        # 1-d sum; stack[:, members] is column-major and would not.
+        members = np.array(sorted(event.members), dtype=np.intp)
+        p = stack.take(members, axis=1).sum(axis=1)
+    else:
+        p = (stack @ event.matrix).trace(axis1=1, axis2=2).real
+    return _clamp_probability(p)
+
+
+def _conditioned(stack: np.ndarray, branch: np.ndarray, p: np.ndarray,
+                 tol: float) -> np.ndarray:
+    """Each state of a stack conditioned on an event of probability ``p``
+    in it, the arithmetic of ``condition``.
+
+    ``branch`` holds the events as ``_branch_of`` gives them, one per
+    state or one for all.  Weight rows are restricted and renormalized;
+    density matrices are compressed, made exactly Hermitian and divided
+    by their trace.  Raises ZeroProbabilityCondition for the first state
+    whose probability is <= tol.
+    """
+    if p.min() <= tol:
+        p0 = float(p[(p <= tol).argmax()])
+        raise ZeroProbabilityCondition(
+            f"conditioning event has probability {p0!r} <= {tol!r}", probability=p0)
+    if stack.ndim == 2:
+        return stack * branch / p[:, None]
+    compressed = _symmetrized(branch @ stack @ branch)
+    compressed /= compressed.trace(axis1=1, axis2=2).real[:, None, None]
+    return compressed
 
 
 def prob(state: State, event: Event) -> float:
     """Probability of an event in a state."""
-    kind = _pair_kind(state, event)
-    if kind == "boolean":
-        members = sorted(event.members)
-        return _clamp_probability(float(state.weights[members].sum()) if members else 0.0)
-    value = float(np.trace(state.matrix @ event.matrix).real)
-    return _clamp_probability(value)
+    _pair_kind(state, event)
+    return float(_probabilities(_stack_of(state), event)[0])
 
 
 def _warn_if_nonunique(event: Event) -> None:
@@ -205,19 +260,12 @@ def condition(state: State, event: Event,
     ZeroProbabilityCondition when the event's probability is <= tol.
     """
     kind = _pair_kind(state, event)
-    p = prob(state, event)
-    if p <= tol:
-        raise ZeroProbabilityCondition(
-            f"conditioning event has probability {p!r} <= {tol!r}",
-            probability=p)
+    stack = _stack_of(state)
+    conditioned = _conditioned(stack, _branch_of(event), _probabilities(stack, event), tol)[0]
     _warn_if_nonunique(event)
     if kind == "boolean":
-        mask = np.zeros(state.space.size)
-        mask[sorted(event.members)] = 1.0
-        return ClassicalState(state.space, state.weights * mask / p)
-    e = event.matrix
-    compressed = _symmetrized(e @ state.matrix @ e)
-    return DensityState(compressed / compressed.trace().real)
+        return ClassicalState(state.space, conditioned)
+    return DensityState(conditioned)
 
 
 def condition_seq(state: State, events: Sequence[Event],
@@ -384,7 +432,7 @@ def rank_one_transition(xi: StateVector, eta: StateVector) -> float:
     if xi.dim != eta.dim:
         raise DimensionMismatch(
             f"vectors have different dimensions: {xi.dim} vs {eta.dim}")
-    return _clamp_probability(float(abs(np.vdot(eta.vector, xi.vector)) ** 2))
+    return float(_clamp_probability(abs(np.vdot(eta.vector, xi.vector)) ** 2))
 
 
 def atom_symmetry_check(e: Event, f: Event, tol: float = 1e-9) -> bool:

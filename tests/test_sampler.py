@@ -14,12 +14,13 @@ from orthoprob.errors import (AlgebraMismatch, EmptyChain,
 from orthoprob.events import BooleanAlgebra, QuantumAlgebra, complement
 from orthoprob.linalg import random_projection
 from orthoprob.presets import half_transition_pair, order_dependence_example
+from orthoprob import sampler
 from orthoprob.sampler import (DEGENERATE_BRANCH, ChainResult, SamplerConfig,
-                               _condition_level, _probabilities, sample_chain,
+                               _condition_level, sample_chain,
                                state_independence_check)
-from orthoprob.states import (ClassicalState, DensityState, atom_state,
-                              condition, condition_seq, predictability_seq,
-                              prob, random_density_state)
+from orthoprob.states import (ClassicalState, DensityState, _probabilities,
+                              atom_state, condition, condition_seq,
+                              predictability_seq, prob, random_density_state)
 
 
 @pytest.fixture
@@ -343,6 +344,25 @@ def test_level_zero_probability_branch_matches_condition():
     assert got.value.probability == want.value.probability == 0.0
 
 
+def test_level_in_blocks_matches_condition(monkeypatch):
+    alg = QuantumAlgebra(3)
+    e = alg.event(np.diag([1.0, 0.0, 0.0]))
+    inside = DensityState(np.diag([0.5, 0.5, 0.0]))
+    outside = DensityState(np.diag([0.0, 0.5, 0.5]))
+    states = [inside, outside, inside, outside]
+    stack = np.stack([s.matrix for s in states])
+    monkeypatch.setattr(sampler, "LEVEL_BLOCK_BYTES", 2 * inside.matrix.nbytes)
+    realized = np.array([0, 1, 2, 4, 5, 6])
+    children = _condition_level(stack, realized, e, _probabilities(stack, e))
+    for c, child in zip(realized, children):
+        want = condition(states[c // 2], e if c % 2 else complement(e), tol=0.0)
+        assert np.array_equal(child, want.matrix)
+    # Child 7, "yes" of the last state, is impossible; it sits in the last block.
+    with pytest.raises(ZeroProbabilityCondition,
+                       match=r"^conditioning event has probability 0\.0 <= 0\.0$"):
+        _condition_level(stack, np.append(realized, 7), e, _probabilities(stack, e))
+
+
 @pytest.mark.filterwarnings("ignore::orthoprob.NonUniqueConditioningWarning")
 class TestAgainstPerNodeReference:
     """Every ChainResult field equals the per-node route's, compared by repr."""
@@ -377,6 +397,29 @@ class TestAgainstPerNodeReference:
             got = sample_chain(initial, tests, middle, config)
             _assert_same_result(got, _per_node_chain(initial, tests, middle, config))
         assert got.all_yes_count == 0 and math.isnan(got.empirical_p)
+
+    @pytest.mark.parametrize("states_per_block", [1, 3])
+    def test_levels_split_into_blocks(self, states_per_block, monkeypatch):
+        rng = np.random.default_rng(77)
+        chains = [_random_quantum_chain(3, 6, rng), _random_boolean_chain(6, 6, rng)]
+        sizes = []
+
+        def conditioned(stack, *args):
+            sizes.append(len(stack))
+            return original(stack, *args)
+
+        original = sampler._conditioned
+        monkeypatch.setattr(sampler, "_conditioned", conditioned)
+        for chain in chains:
+            config = SamplerConfig(seed=4, trials=400)
+            want = _per_node_chain(*chain, config)
+            with monkeypatch.context() as patch:
+                patch.setattr(sampler, "LEVEL_BLOCK_BYTES",
+                              states_per_block * chain[0].matrix.nbytes
+                              if isinstance(chain[0], DensityState)
+                              else states_per_block * chain[0].weights.nbytes)
+                _assert_same_result(sample_chain(*chain, config), want)
+        assert max(sizes) == states_per_block
 
     def test_wide_chain(self):
         rng = np.random.default_rng(63)

@@ -2,6 +2,7 @@
 compatibility, atoms, tabular states, and the qubit demonstration."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -15,10 +16,11 @@ from orthoprob.errors import (AlgebraMismatch, EmptyInput, ImpossibleSequence,
                               ZeroProbabilityCondition)
 from orthoprob.events import (BooleanAlgebra, QuantumAlgebra, below,
                               complement, oplus)
-from orthoprob.linalg import StateVector, jordan_product, quadratic_triple
+from orthoprob.linalg import (StateVector, _symmetrized, jordan_product, quadratic_triple,
+                              random_projection)
 from orthoprob.presets import half_transition_pair, order_dependence_example
 from orthoprob.states import (ClassicalState, DensityState, TableState,
-                              _check_density_stack, _check_weight_rows,
+                              _check_density_stack, _check_states, _check_weight_rows,
                               atom_state, atom_symmetry_check,
                               compatibility_residuals, compatible, condition,
                               condition_seq, conditioning_contract_violations,
@@ -101,6 +103,17 @@ class TestStateConstruction:
                            else np.float64))
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("stack, message", [
+        (np.array([np.eye(2) / 2.0, [[np.nan, 0.0], [0.0, 1.0]]], dtype=np.complex128),
+         "matrix entries must be finite"),
+        (np.array([[0.5, 0.5], [np.inf, 0.0]]), "weights must be finite"),
+        (np.array([np.eye(2) / 2.0, np.diag([1.5, -0.5])], dtype=np.complex128),
+         "density matrix has eigenvalue -5.000e-01 below -1e-10"),
+    ])
+    def test_state_stack_check(self, stack, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            _check_states(stack)
+
 
 class TestProb:
     def test_die_faces(self, die, fair):
@@ -117,6 +130,42 @@ class TestProb:
     def test_kind_mismatch(self, die, fair):
         with pytest.raises(AlgebraMismatch):
             prob(fair, QuantumAlgebra(6).zero())
+
+
+@pytest.mark.filterwarnings("ignore::orthoprob.NonUniqueConditioningWarning")
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 6, 16])
+def test_one_state_stack_keeps_the_matrix_arithmetic(dim):
+    # prob and condition run the stacked routines on a one-state stack;
+    # their bits must stay those of the plain matrix formulas.
+    rng = np.random.default_rng(dim)
+    alg = QuantumAlgebra(dim)
+    for _ in range(30):
+        rho = random_density_state(dim, rng)
+        e = alg.event(random_projection(dim, int(rng.integers(1, dim + 1)), rng))
+        p = float(np.trace(rho.matrix @ e.matrix).real)
+        assert prob(rho, e) == (0.0 if -1e-12 <= p < 0.0 else 1.0 if 1.0 < p <= 1.0 + 1e-12
+                                else p)
+        compressed = _symmetrized(e.matrix @ rho.matrix @ e.matrix)
+        assert np.array_equal(condition(rho, e, tol=0.0).matrix,
+                              compressed / compressed.trace().real)
+
+
+@pytest.mark.parametrize("size", [1, 6, 24, 200])
+def test_one_row_stack_keeps_the_weight_arithmetic(size):
+    rng = np.random.default_rng(size)
+    alg = BooleanAlgebra(size)
+    for _ in range(30):
+        w = rng.dirichlet(np.ones(size))
+        state = ClassicalState(alg.space, w)
+        members = sorted(np.flatnonzero(rng.random(size) < 0.5).tolist())
+        p = float(w[members].sum()) if members else 0.0
+        p = 1.0 if 1.0 < p <= 1.0 + 1e-12 else p
+        assert prob(state, alg.event(members)) == p
+        if p > 0.0:
+            mask = np.zeros(size)
+            mask[members] = 1.0
+            assert np.array_equal(condition(state, alg.event(members), tol=0.0).weights,
+                                  w * mask / p)
 
 
 class TestConditioning:
