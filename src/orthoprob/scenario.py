@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -43,8 +44,16 @@ def _decode_complex(value, where: str) -> complex:
     if (not isinstance(value, list) or len(value) != 2
             or not all(_is_number(x) for x in value)):
         raise ValidationError(f"{where}: expected a two-element [re, im] array")
-    return complex(value[0], value[1])
+    try:
+        return complex(value[0], value[1])
+    except OverflowError:
+        raise ValidationError(f"{where}: [re, im] entries must fit in a float") from None
 
+
+# The per-entry loops below are the reference decoders.  _decode_array
+# falls back to them for any input it does not convert itself, so they
+# alone word the errors, and they accept what the fast path leaves out,
+# such as subclasses of list, int and float.
 
 def _decode_vector(value, where: str) -> np.ndarray:
     if not isinstance(value, list) or not value:
@@ -63,16 +72,40 @@ def _decode_matrix(value, where: str) -> np.ndarray:
     return np.array(rows, dtype=np.complex128)
 
 
-def _encode_complex(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def _plain(value, depth: int) -> bool:
+    """True when ``value`` is lists nested ``depth`` deep around int and float
+    entries, all of exactly those types (numpy would read True as 1)."""
+    level = [value]
+    for _ in range(depth):
+        if set(map(type, level)) != {list}:
+            return False
+        level = list(chain.from_iterable(level))
+    return set(map(type, level)) <= {int, float}
 
 
-def _encode_vector(arr: np.ndarray) -> list:
-    return [_encode_complex(complex(x)) for x in arr]
+def _decode_array(value, where: str, ndim: int) -> np.ndarray:
+    """A vector (``ndim`` 1) or matrix (``ndim`` 2) of [re, im] pairs, as
+    complex128.
+
+    A regular array of plain numbers is converted whole; anything else goes
+    through the per-entry reference decoders, which give the same values.
+    """
+    if _plain(value, ndim + 1):
+        try:
+            pairs = np.array(value)  # ndim + 1 axes, as _plain held
+        except ValueError:  # ragged
+            pass
+        else:
+            # Object dtype: an integer beyond uint64, perhaps beyond float.
+            if pairs.shape[-1] == 2 and pairs.dtype.kind in "iuf":
+                return pairs.astype(np.float64, copy=False).view(np.complex128)[..., 0]
+    return (_decode_vector if ndim == 1 else _decode_matrix)(value, where)
 
 
-def _encode_matrix(arr: np.ndarray) -> list:
-    return [_encode_vector(row) for row in arr]
+def _encode_array(arr: np.ndarray) -> list:
+    """A complex vector or matrix as nested lists of [re, im] float pairs."""
+    return np.ascontiguousarray(arr, np.complex128).view(np.float64) \
+        .reshape(*arr.shape, 2).tolist()
 
 
 def _require_keys(doc: dict, where: str, required: tuple[str, ...],
@@ -233,11 +266,11 @@ def _parse_event(algebra: EventAlgebra, name: str, spec) -> Event:
         if algebra.kind != "quantum":
             raise ValidationError(f"{form!r} events need a quantum algebra")
         if form == "matrix":
-            return algebra.event(_decode_matrix(spec["matrix"], f"{where}.matrix"))
+            return algebra.event(_decode_array(spec["matrix"], f"{where}.matrix", 2))
         vectors = spec["span"]
         if not isinstance(vectors, list) or not vectors:
             raise ValidationError("'span' must be a nonempty array of vectors")
-        decoded = [_decode_vector(v, f"{where}.span[{i}]")
+        decoded = [_decode_array(v, f"{where}.span[{i}]", 1)
                    for i, v in enumerate(vectors)]
         return algebra.event(projector_from_span(decoded))
     except (AlgebraMismatch, DimensionMismatch, ValidationError) as exc:
@@ -254,17 +287,21 @@ def _parse_state(algebra: EventAlgebra, name: str, spec) -> State | StateVector:
             weights = spec["weights"]
             if not isinstance(weights, list) or not all(_is_number(x) for x in weights):
                 raise ValidationError("'weights' must be an array of numbers")
-            return ClassicalState(algebra.space, np.array(weights, dtype=np.float64))
+            try:
+                weights = np.array(weights, dtype=np.float64)
+            except OverflowError:
+                raise ValidationError("'weights' entries must fit in a float") from None
+            return ClassicalState(algebra.space, weights)
         if algebra.kind != "quantum":
             raise ValidationError(f"{form!r} states need a quantum algebra")
         if form == "density":
-            arr = _decode_matrix(spec["density"], f"{where}.density")
+            arr = _decode_array(spec["density"], f"{where}.density", 2)
             if arr.shape[0] != algebra.dim:
                 raise ValidationError(
                     f"density matrix is {arr.shape[0]}x{arr.shape[1]}, "
                     f"algebra dimension is {algebra.dim}")
             return DensityState(arr)
-        arr = _decode_vector(spec["vector"], f"{where}.vector")
+        arr = _decode_array(spec["vector"], f"{where}.vector", 1)
         if arr.shape[0] != algebra.dim:
             raise ValidationError(
                 f"vector has {arr.shape[0]} entries, algebra dimension is {algebra.dim}")
@@ -331,15 +368,15 @@ def parse_scenario(text: str) -> Scenario:
 def _event_to_jsonable(event: Event) -> dict:
     if isinstance(event, BooleanEvent):
         return {"members": sorted(int(i) for i in event.members)}
-    return {"matrix": _encode_matrix(event.matrix)}
+    return {"matrix": _encode_array(event.matrix)}
 
 
 def _state_to_jsonable(state: State | StateVector) -> dict:
     if isinstance(state, ClassicalState):
         return {"weights": [float(w) for w in state.weights]}
     if isinstance(state, DensityState):
-        return {"density": _encode_matrix(state.matrix)}
-    return {"vector": _encode_vector(state.vector)}
+        return {"density": _encode_array(state.matrix)}
+    return {"vector": _encode_array(state.vector)}
 
 
 def scenario_to_jsonable(scenario: Scenario) -> dict:

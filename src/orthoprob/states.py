@@ -41,7 +41,7 @@ def _check_weight_rows(rows: np.ndarray) -> None:
         raise ValidationError("weights must be finite")
     if rows.min(initial=0.0) < 0.0:
         first = rows[(rows < 0.0).any(axis=1).argmax()]
-        raise ValidationError(f"weights must be nonnegative, min = {first.min()!r}")
+        raise ValidationError(f"weights must be nonnegative, min = {float(first.min())!r}")
     totals = rows.sum(axis=1)
     off = np.abs(totals - 1.0)
     if off.max() > 1e-12:

@@ -1,12 +1,17 @@
 """End-to-end command line tests via subprocess, plus in-process golden stdout."""
 
 import ast
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthoprob.cli import main
 
@@ -190,6 +195,17 @@ class TestExitCodes:
         assert info.value.code == 1
         assert "argument --tol" in capsys.readouterr().err
 
+    def test_oversized_integer_entry(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "algebra": {"kind": "quantum", "dim": 1},
+            "events": {"e": {"matrix": [[[10 ** 400, 0]]]}},
+            "query": {"kind": "compatible", "first": "e", "second": "e"},
+        }))
+        assert main(["compat", "--scenario", str(path)]) == 1
+        assert capsys.readouterr().err == \
+            "error: events.e: events.e.matrix[0][0]: [re, im] entries must fit in a float\n"
+
     def test_usage_error(self):
         assert run_cli("no-such-command").returncode == 1
         assert run_cli("predict").returncode == 1
@@ -202,3 +218,58 @@ def test_stdout_matches_golden(name, argv, monkeypatch, capsys):
     assert main(list(argv)) == 0
     golden = (PERFBENCH / "golden" / "cli" / f"{name}.out").read_text(encoding="utf-8")
     assert capsys.readouterr().out == golden
+
+
+# Each shipped scenario with the subcommand that runs its query.
+SHIPPED = {"die": "condition", "order": "condition", "qubit": "condition",
+           "sec7": "predict", "twoslit": "twoslit"}
+NESTED = object()  # mutation marker: wrap the field in one more list
+MUTATIONS = [10 ** 400, -10 ** 400, 2 ** 63, 2 ** 64, True, False, "1.5", "",
+             None, [], {}, -1, 0.5, float("nan"), NESTED]
+
+
+def json_paths(node, prefix=()):
+    """Every field of a JSON document, as a path of keys and indices."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from json_paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A shipped scenario with one field replaced, and its subcommand."""
+    name = draw(st.sampled_from(sorted(SHIPPED)))
+    doc = json.loads((SCENARIO_DIR / f"{name}.json").read_text(encoding="utf-8"))
+    path = draw(st.sampled_from(list(json_paths(doc))))
+    value = draw(st.sampled_from(MUTATIONS))
+    if not path:
+        return SHIPPED[name], [doc] if value is NESTED else value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = [parent[path[-1]]] if value is NESTED else value
+    return SHIPPED[name], doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "scenario.json"
+
+
+@pytest.mark.filterwarnings("ignore::orthoprob.NonUniqueConditioningWarning")
+@given(mutated_scenarios())
+@settings(max_examples=300, deadline=None)
+def test_single_field_mutations_exit_cleanly(fuzz_file, case):
+    command, doc = case
+    fuzz_file.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--scenario", str(fuzz_file)])
+    if code == 0:
+        json.loads(out.getvalue())
+    else:
+        assert code in (1, 2)
+        assert err.getvalue().startswith("error: ") and out.getvalue() == ""

@@ -5,9 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from orthoprob import scenario
 from orthoprob.errors import ParseError, ValidationError
-from orthoprob.linalg import StateVector
+from orthoprob.linalg import StateVector, projector_from_span
 from orthoprob.scenario import (parse_scenario, run_query,
                                 scenario_to_jsonable, serialize_scenario)
 
@@ -207,6 +210,81 @@ def test_malformed_query_message(query, message):
     assert str(info.value) == message
 
 
+
+def one_entry_doc(form, value, dim=1):
+    """A quantum document whose only entry, event 'e' or state 's', is given
+    in ``form``."""
+    section, name = ("events", "e") if form in ("matrix", "span") else ("states", "s")
+    return json.dumps({"algebra": {"kind": "quantum", "dim": dim},
+                       section: {name: {form: value}}})
+
+
+@pytest.mark.parametrize("form, value, dim, message", [
+    ("matrix", [[[True, 0]]], 1,
+     "events.e: events.e.matrix[0][0]: expected a two-element [re, im] array"),
+    ("matrix", [[[0.5, False]]], 1,
+     "events.e: events.e.matrix[0][0]: expected a two-element [re, im] array"),
+    ("vector", [[1.0, 0.0], [False, 0.0]], 2,
+     "states.s: states.s.vector[1]: expected a two-element [re, im] array"),
+    ("span", [[["1.5", 0]]], 1,
+     "events.e: events.e.span[0][0]: expected a two-element [re, im] array"),
+    ("density", [[[None, 0]]], 1,
+     "states.s: states.s.density[0][0]: expected a two-element [re, im] array"),
+    ("matrix", [[[1, 0, 0]]], 1,
+     "events.e: events.e.matrix[0][0]: expected a two-element [re, im] array"),
+    ("vector", [[[1], 0]], 1,
+     "states.s: states.s.vector[0]: expected a two-element [re, im] array"),
+    ("matrix", [[[1, 0], [0, 0]], [[0, 0]]], 2,
+     "events.e: events.e.matrix: rows have different lengths"),
+    ("density", [[[1, 0]], []], 1,
+     "states.s: states.s.density[1]: expected a nonempty array of [re, im] pairs"),
+    ("matrix", [{"re": 1}], 1,
+     "events.e: events.e.matrix[0]: expected a nonempty array of [re, im] pairs"),
+    ("matrix", [], 1, "events.e: events.e.matrix: expected a nonempty array of rows"),
+    ("vector", [], 1,
+     "states.s: states.s.vector: expected a nonempty array of [re, im] pairs"),
+    ("span", [[]], 1,
+     "events.e: events.e.span[0]: expected a nonempty array of [re, im] pairs"),
+    ("density", [[[2 ** 63, 0]]], 1,
+     "states.s: density matrix trace 9.223372036854776e+18 is not 1 within 1e-10"),
+    ("density", [[[2 ** 64, 0]]], 1,
+     "states.s: density matrix trace 1.8446744073709552e+19 is not 1 within 1e-10"),
+    ("matrix", [[[float("nan"), 0]]], 1, "events.e: matrix entries must be finite"),
+    ("vector", [[float("nan"), 0]], 1, "states.s: state vector entries must be finite"),
+])
+def test_malformed_array_message(form, value, dim, message):
+    with pytest.raises(ValidationError) as info:
+        parse_scenario(one_entry_doc(form, value, dim))
+    assert str(info.value) == message
+
+
+HUGE = 10 ** 400  # an integer literal no float can hold
+
+
+@pytest.mark.parametrize("form, value, message", [
+    ("matrix", [[[HUGE, 0]]],
+     "events.e: events.e.matrix[0][0]: [re, im] entries must fit in a float"),
+    ("span", [[[0, -HUGE]]],
+     "events.e: events.e.span[0][0]: [re, im] entries must fit in a float"),
+    ("vector", [[HUGE, 0.5]],
+     "states.s: states.s.vector[0]: [re, im] entries must fit in a float"),
+    ("density", [[[0, HUGE]]],
+     "states.s: states.s.density[0][0]: [re, im] entries must fit in a float"),
+])
+def test_oversized_integer_entry_is_a_validation_error(form, value, message):
+    with pytest.raises(ValidationError) as info:
+        parse_scenario(one_entry_doc(form, value))
+    assert str(info.value) == message
+
+
+def test_oversized_integer_weight_is_a_validation_error():
+    doc = json.dumps({"algebra": {"kind": "boolean", "size": 2},
+                      "states": {"s": {"weights": [HUGE, 0]}}})
+    with pytest.raises(ValidationError) as info:
+        parse_scenario(doc)
+    assert str(info.value) == "states.s: 'weights' entries must fit in a float"
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("name", ["sec7", "die", "twoslit", "order", "qubit"])
     def test_shipped_files(self, name):
@@ -264,6 +342,91 @@ class TestRoundTrip:
     def test_jsonable_is_json_safe(self):
         sc = parse_scenario(MINIMAL_BOOLEAN)
         json.dumps(scenario_to_jsonable(sc), allow_nan=False)
+
+
+
+# Entries the wire codec must carry bit for bit: signed zeros, subnormals,
+# the ends of the float range, non-finite values, and integers, including
+# ones numpy reads as uint64 or cannot hold at all.
+WIRE_ENTRIES = st.one_of(
+    st.floats(),
+    st.integers(-2 ** 70, 2 ** 70),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.1125369292536007e-308,
+                     1e308, -1e308, 1.7976931348623157e308, 2 ** 53 + 1,
+                     2 ** 63 - 1, -2 ** 63, 2 ** 63, 2 ** 64 - 1, 2 ** 64, 10 ** 300]),
+)
+
+
+@st.composite
+def wire_arrays(draw):
+    """An ``ndim`` and a wire array of that rank, 1-64 pairs per side, whose
+    entries come from a small drawn pool of WIRE_ENTRIES."""
+    ndim = draw(st.sampled_from([1, 2]))
+    shape = tuple(draw(st.integers(1, 64)) for _ in range(ndim)) + (2,)
+    pool = draw(st.lists(WIRE_ENTRIES, min_size=1, max_size=12))
+    picks = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))) \
+        .integers(0, len(pool), size=shape)
+    return ndim, np.vectorize(pool.__getitem__, otypes=[object])(picks).tolist()
+
+
+def reference_encode(arr):
+    """The per-entry encoder the codec replaced."""
+    if arr.ndim == 2:
+        return [reference_encode(row) for row in arr]
+    return [[float(z.real), float(z.imag)] for z in map(complex, arr)]
+
+
+def float_bits(nested):
+    flat = np.array(nested, dtype=object).ravel().tolist()
+    assert {type(x) for x in flat} == {float}
+    return np.array(flat, dtype=np.float64).tobytes()
+
+
+class TestWireCodec:
+    @given(wire_arrays())
+    @settings(max_examples=60, deadline=None)
+    def test_codec_matches_per_entry_reference(self, case):
+        ndim, wire = case
+        reference = (scenario._decode_vector if ndim == 1 else scenario._decode_matrix)
+        expected = reference(wire, "x")
+        decoded = scenario._decode_array(wire, "x", ndim)
+        assert decoded.dtype == np.complex128 and decoded.shape == expected.shape
+        assert decoded.tobytes() == expected.tobytes()
+        assert float_bits(scenario._encode_array(decoded)) == \
+            float_bits(reference_encode(expected))
+
+    def test_plain_input_skips_the_per_entry_decoder(self, monkeypatch):
+        def fail(value, where):
+            raise AssertionError(f"per-entry decoder reached at {where}")
+
+        monkeypatch.setattr(scenario, "_decode_complex", fail)
+        wire = [[[1, -0.0], [2 ** 63, 5e-324]], [[-1e308, 0], [0.5, 2 ** 40]]]
+        assert scenario._decode_array(wire, "x", 2).shape == (2, 2)
+        assert scenario._decode_array(wire[0], "x", 1).shape == (2,)
+
+    @given(st.integers(1, 64), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_round_trip_reproduces_every_array(self, dim, seed):
+        rng = np.random.default_rng(seed)
+        vectors = rng.normal(size=(2, dim)) + 1j * rng.normal(size=(2, dim))
+        unit = vectors[0] / np.linalg.norm(vectors[0])
+        rho = np.outer(vectors[1], vectors[1].conj())
+        encode = scenario._encode_array
+        doc = json.dumps({
+            "algebra": {"kind": "quantum", "dim": dim},
+            "events": {"p": {"matrix": encode(projector_from_span([unit]).matrix)},
+                       "q": {"span": [encode(v) for v in vectors]}},
+            "states": {"rho": {"density": encode(rho / np.trace(rho).real)},
+                       "psi": {"vector": encode(unit)}},
+        })
+        first = parse_scenario(doc)
+        text = serialize_scenario(first)
+        second = parse_scenario(text)
+        for name in ("p", "q"):
+            assert second.events[name].matrix.tobytes() == first.events[name].matrix.tobytes()
+        assert second.states["rho"].matrix.tobytes() == first.states["rho"].matrix.tobytes()
+        assert second.states["psi"].vector.tobytes() == first.states["psi"].vector.tobytes()
+        assert serialize_scenario(second) == text
 
 
 class TestRunQuery:

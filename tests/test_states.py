@@ -69,7 +69,7 @@ class TestStateConstruction:
     @pytest.mark.parametrize("weights, message", [
         ([0.15] * 6, "weights sum to 0.9, not 1 within 1e-12"),
         ([0.5, 0.6, -0.1, 0.0, 0.0, 0.0],
-         "weights must be nonnegative, min = np.float64(-0.1)"),
+         "weights must be nonnegative, min = -0.1"),
         ([np.nan, 1.0, 0.0, 0.0, 0.0, 0.0], "weights must be finite"),
     ])
     def test_classical_messages(self, die, weights, message):
@@ -91,7 +91,7 @@ class TestStateConstruction:
         (_check_weight_rows, [[0.5, 0.5], [0.2, 0.2], [0.1, 0.1]],
          "weights sum to 0.4, not 1 within 1e-12"),
         (_check_weight_rows, [[0.5, 0.5], [1.5, -0.5], [2.0, -1.0]],
-         "weights must be nonnegative, min = np.float64(-0.5)"),
+         "weights must be nonnegative, min = -0.5"),
         (_check_density_stack, [np.eye(2) / 2.0, np.eye(2) / 3.0, np.eye(2) / 4.0],
          "density matrix trace 0.6666666666666666 is not 1 within 1e-10"),
         (_check_density_stack, [np.eye(2) / 2.0, np.diag([1.2, -0.2]), np.diag([1.5, -0.5])],
