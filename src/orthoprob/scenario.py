@@ -96,7 +96,8 @@ def _decode_array(value, where: str, ndim: int) -> np.ndarray:
         except ValueError:  # ragged
             pass
         else:
-            # Object dtype: an integer beyond uint64, perhaps beyond float.
+            # Kind "O" holds an integer beyond uint64; the per-entry
+            # decoder converts it, or reports one too large for a float.
             if pairs.shape[-1] == 2 and pairs.dtype.kind in "iuf":
                 return pairs.astype(np.float64, copy=False).view(np.complex128)[..., 0]
     return (_decode_vector if ndim == 1 else _decode_matrix)(value, where)

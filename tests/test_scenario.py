@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from orthoprob import scenario
 from orthoprob.errors import ParseError, ValidationError
 from orthoprob.linalg import StateVector, projector_from_span
-from orthoprob.scenario import (parse_scenario, run_query,
+from orthoprob.scenario import (parse_scenario, run_query, scenario_from_jsonable,
                                 scenario_to_jsonable, serialize_scenario)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -210,7 +210,6 @@ def test_malformed_query_message(query, message):
     assert str(info.value) == message
 
 
-
 def one_entry_doc(form, value, dim=1):
     """A quantum document whose only entry, event 'e' or state 's', is given
     in ``form``."""
@@ -256,6 +255,30 @@ def test_malformed_array_message(form, value, dim, message):
     with pytest.raises(ValidationError) as info:
         parse_scenario(one_entry_doc(form, value, dim))
     assert str(info.value) == message
+
+
+def one_matrix_jsonable(value):
+    return {"algebra": {"kind": "quantum", "dim": 1}, "events": {"e": {"matrix": value}}}
+
+
+@pytest.mark.parametrize("value, message", [
+    ([[(1, 0)]], "events.e: events.e.matrix[0][0]: expected a two-element [re, im] array"),
+    ([[np.array([1.0, 0.0])]],
+     "events.e: events.e.matrix[0][0]: expected a two-element [re, im] array"),
+    ([np.array([[1.0, 0.0]])],
+     "events.e: events.e.matrix[0]: expected a nonempty array of [re, im] pairs"),
+    ([[[np.int64(1), 0]]],
+     "events.e: events.e.matrix[0][0]: expected a two-element [re, im] array"),
+])
+def test_in_memory_arrays_must_be_lists_of_numbers(value, message):
+    with pytest.raises(ValidationError) as info:
+        scenario_from_jsonable(one_matrix_jsonable(value))
+    assert str(info.value) == message
+
+
+def test_in_memory_float_subclass_entries_accepted():
+    sc = scenario_from_jsonable(one_matrix_jsonable([[[np.float64(1.0), -0.0]]]))
+    assert sc.events["e"].matrix.tobytes() == np.array([[complex(1.0, -0.0)]]).tobytes()
 
 
 HUGE = 10 ** 400  # an integer literal no float can hold
@@ -342,7 +365,6 @@ class TestRoundTrip:
     def test_jsonable_is_json_safe(self):
         sc = parse_scenario(MINIMAL_BOOLEAN)
         json.dumps(scenario_to_jsonable(sc), allow_nan=False)
-
 
 
 # Entries the wire codec must carry bit for bit: signed zeros, subnormals,
