@@ -58,17 +58,19 @@ class BooleanEvent:
 
 @dataclass(frozen=True, eq=False)
 class QuantumEvent:
-    """An event in a complex projection lattice."""
+    """An event in a complex projection lattice.
+
+    ``matrix`` and ``dim`` are the projection's, copied once at
+    construction.
+    """
 
     proj: Projection
+    matrix: np.ndarray = field(init=False, repr=False)
+    dim: int = field(init=False, repr=False)
 
-    @property
-    def dim(self) -> int:
-        return self.proj.dim
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.proj.matrix
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", self.proj._matrix)
+        object.__setattr__(self, "dim", self.proj._matrix.shape[0])
 
     def __eq__(self, other):
         if not isinstance(other, QuantumEvent):

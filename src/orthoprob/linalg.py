@@ -68,7 +68,10 @@ class HermitianOperator:
     """A finite square complex matrix equal to its conjugate transpose.
 
     Self-adjointness is checked entrywise at construction (absolute
-    tolerance ``tol``); the stored array is read-only.
+    tolerance ``tol``); the stored array is read-only.  Projections and
+    density states are Hermitian operators too: they keep their one array
+    in the same slot, and an operator equals only an operator of its own
+    class.
     """
 
     __slots__ = ("_matrix",)
@@ -96,7 +99,7 @@ class HermitianOperator:
         return float(np.linalg.norm(self._matrix))
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, HermitianOperator):
+        if type(other) is not type(self):
             return NotImplemented
         return self._matrix.shape == other._matrix.shape and bool(
             np.array_equal(self._matrix, other._matrix))
@@ -104,25 +107,32 @@ class HermitianOperator:
     __hash__ = None
 
     def __repr__(self) -> str:
-        return f"HermitianOperator(dim={self.dim})"
+        return f"{type(self).__name__}(dim={self.dim})"
 
 
-class Projection:
+class Projection(HermitianOperator):
     """An orthogonal projection: Hermitian and idempotent.
 
     The idempotency residual ||P@P - P||_F must stay below
     ``tol * max(1, ||P||_F)`` and the trace must sit within the same bound
     of an integer; that integer is stored as the rank, and ||P||_F is kept
-    for the tolerance scales of the event and state layers.
+    for the tolerance scales of the event and state layers.  A
+    :class:`HermitianOperator` argument is adopted without a second
+    Hermitian scan.
     """
 
-    __slots__ = ("_op", "_rank", "_norm")
+    __slots__ = ("_rank", "_norm")
 
     def __init__(self, entries, tol: float = TOL_IDEMPOTENT,
                  hermitian_tol: float = TOL_HERMITIAN):
-        op = entries if isinstance(entries, HermitianOperator) else \
-            HermitianOperator(entries, tol=hermitian_tol)
-        m = op.matrix
+        if isinstance(entries, HermitianOperator):
+            self._matrix = entries._matrix
+        else:
+            super().__init__(entries, tol=hermitian_tol)
+        self._check_idempotent(tol)
+
+    def _check_idempotent(self, tol: float) -> None:
+        m = self._matrix
         norm = float(np.linalg.norm(m))
         scale = max(1.0, norm)
         residual = float(np.linalg.norm(m @ m - m))
@@ -137,32 +147,12 @@ class Projection:
         if abs(tr - rank) > tol * scale or rank < 0 or rank > m.shape[0]:
             raise ValidationError(
                 f"projection trace {tr!r} is not an admissible integer rank")
-        self._op = op
         self._rank = rank
         self._norm = norm
 
     @property
-    def op(self) -> HermitianOperator:
-        return self._op
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self._op.matrix
-
-    @property
-    def dim(self) -> int:
-        return self._op.dim
-
-    @property
     def rank(self) -> int:
         return self._rank
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Projection):
-            return NotImplemented
-        return self._op == other._op
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         return f"Projection(dim={self.dim}, rank={self.rank})"
@@ -217,24 +207,23 @@ def _symmetrized_projection(m: np.ndarray) -> Projection:
     """
     h = np.ascontiguousarray(_symmetrized(m))
     h.flags.writeable = False
-    op = HermitianOperator.__new__(HermitianOperator)
-    op._matrix = h
-    return Projection(op)
+    p = Projection.__new__(Projection)
+    p._matrix = h
+    p._check_idempotent(TOL_IDEMPOTENT)
+    return p
 
 
 def _matrix_of(value) -> np.ndarray:
-    if isinstance(value, Projection):
-        return value.matrix
     if isinstance(value, HermitianOperator):
-        return value.matrix
+        return value._matrix
     return _square_complex(value)
 
 
 def _hermitian_matrix_of(value) -> np.ndarray:
     """Matrix of a Hermitian argument; raw arrays are validated on the way in."""
-    if isinstance(value, (Projection, HermitianOperator)):
-        return _matrix_of(value)
-    return HermitianOperator(value).matrix
+    if isinstance(value, HermitianOperator):
+        return value._matrix
+    return HermitianOperator(value)._matrix
 
 
 def _check_same_dim(*mats: np.ndarray) -> None:
@@ -246,13 +235,6 @@ def _check_same_dim(*mats: np.ndarray) -> None:
 def frobenius_norm(a) -> float:
     """Frobenius norm sqrt(trace(A^H A))."""
     return float(np.linalg.norm(_matrix_of(a)))
-
-
-def matmul(a, b) -> np.ndarray:
-    """Plain matrix product A @ B (generally not Hermitian)."""
-    ma, mb = _matrix_of(a), _matrix_of(b)
-    _check_same_dim(ma, mb)
-    return ma @ mb
 
 
 def jordan_product(x, y) -> HermitianOperator:
@@ -337,17 +319,8 @@ def projector_from_span(vectors: Sequence, tol: float | None = None) -> Projecti
     return _symmetrized_projection(p)
 
 
-def min_eigenvalue(a) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    return float(np.linalg.eigvalsh(_hermitian_matrix_of(a))[0])
-
-
-def is_positive_semidefinite(a, tol: float = 1e-10) -> bool:
-    return min_eigenvalue(a) >= -tol
-
-
 # ---------------------------------------------------------------------------
-# Random constructions used by tests and the axiom harness.
+# Random unitaries for the axiom harness.
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix."""
@@ -355,44 +328,3 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = r.diagonal()
     return q * (d / np.abs(d))
-
-
-def random_hermitian(dim: int, rng: np.random.Generator) -> HermitianOperator:
-    """Random Hermitian matrix with every entry bounded by 1 in modulus."""
-    a = rng.uniform(-0.5, 0.5, size=(dim, dim)) + \
-        1j * rng.uniform(-0.5, 0.5, size=(dim, dim))
-    return HermitianOperator(_symmetrized(a))
-
-
-def random_projection(dim: int, rank: int, rng: np.random.Generator) -> Projection:
-    """Random rank-``rank`` projection from a Haar frame."""
-    if not 0 <= rank <= dim:
-        raise ValidationError(f"rank {rank} out of range for dimension {dim}")
-    u = random_unitary(dim, rng)
-    cols = u[:, :rank]
-    return _symmetrized_projection(cols @ cols.conj().T)
-
-
-def random_orthogonal_projections(dim: int, ranks: Sequence[int],
-                                  rng: np.random.Generator) -> list[Projection]:
-    """Mutually orthogonal projections carved from one random frame.
-
-    ``sum(ranks)`` must not exceed ``dim``; a zero rank yields the zero
-    projection, which is orthogonal to everything.
-    """
-    if sum(ranks) > dim:
-        raise ValidationError(f"ranks {list(ranks)} exceed dimension {dim}")
-    u = random_unitary(dim, rng)
-    out, start = [], 0
-    for r in ranks:
-        cols = u[:, start:start + r]
-        out.append(_symmetrized_projection(cols @ cols.conj().T))
-        start += r
-    return out
-
-
-def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Random full-rank density matrix A A^H / trace."""
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    m = _symmetrized(a @ a.conj().T)
-    return m / m.trace().real

@@ -32,6 +32,10 @@ from .states import (ClassicalState, DensityState, State, compatibility_residual
                      compatible, condition, condition_seq, predictability,
                      predictability_seq, prob)
 
+# Largest Boolean ``size`` or quantum ``dim`` a scenario may declare: the
+# dense kernel's design ceiling.  The library constructors take any size.
+MAX_ALGEBRA_SIZE = 64
+
 
 # ---------------------------------------------------------------------------
 # Wire format helpers.
@@ -143,6 +147,13 @@ def _positive_int(value, where: str) -> int:
     return value
 
 
+def _algebra_size(value, where: str) -> int:
+    size = _positive_int(value, where)
+    if size > MAX_ALGEBRA_SIZE:
+        raise ValidationError(f"{where}: expected at most {MAX_ALGEBRA_SIZE}")
+    return size
+
+
 def _string_list(value, where: str, minimum: int = 1) -> tuple[str, ...]:
     if not isinstance(value, list) or len(value) < minimum:
         raise ValidationError(f"{where}: expected an array of at least {minimum} name(s)")
@@ -238,7 +249,7 @@ def _parse_algebra(doc, where: str = "algebra") -> EventAlgebra:
     kind = _string(doc.get("kind", ""), f"{where}.kind")
     if kind == "boolean":
         _require_keys(doc, where, ("kind", "size"), ("labels",))
-        size = _positive_int(doc["size"], f"{where}.size")
+        size = _algebra_size(doc["size"], f"{where}.size")
         labels = None
         if "labels" in doc:
             labels = _string_list(doc["labels"], f"{where}.labels")
@@ -248,7 +259,7 @@ def _parse_algebra(doc, where: str = "algebra") -> EventAlgebra:
             raise ValidationError(f"{where}: {exc}") from None
     if kind == "quantum":
         _require_keys(doc, where, ("kind", "dim"))
-        return QuantumAlgebra(_positive_int(doc["dim"], f"{where}.dim"))
+        return QuantumAlgebra(_algebra_size(doc["dim"], f"{where}.dim"))
     raise ValidationError(f"{where}.kind: expected 'boolean' or 'quantum', got {kind!r}")
 
 
@@ -415,7 +426,7 @@ def _nan_to_none(x: float | None):
 def _as_state(scenario: Scenario, name: str) -> State:
     state = scenario.states[name]
     if isinstance(state, StateVector):
-        return DensityState(state.projector().op)
+        return DensityState(state.projector())
     return state
 
 

@@ -19,16 +19,16 @@ from orthoprob.events import (BooleanAlgebra, QuantumAlgebra, below,
                               complement)
 from orthoprob.interference import interference_decomposition, two_slit
 from orthoprob.linalg import (HermitianOperator, StateVector, frobenius_norm,
-                              jordan_product, quadratic_triple,
-                              random_orthogonal_projections, random_projection,
-                              random_unitary)
+                              jordan_product, quadratic_triple, random_unitary)
 from orthoprob.presets import half_transition_pair
 from orthoprob.sampler import SamplerConfig, sample_chain
 from orthoprob.states import (ClassicalState, DensityState, compatible,
                               compatibility_residuals, condition,
                               conditioning_contract_violations, predictability,
-                              prob, qubit_nonuniqueness_demo,
-                              random_density_state)
+                              prob, qubit_nonuniqueness_demo)
+
+from helpers import (random_density_state, random_orthogonal_projections,
+                     random_projection)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 

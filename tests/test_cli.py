@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import copy
+import importlib
 import io
 import json
 import subprocess
@@ -14,20 +15,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthoprob.cli import main
+from orthoprob.scenario import MAX_ALGEBRA_SIZE
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = ROOT / "scenarios"
 PERFBENCH = ROOT / "perfbench"
 
 
-def cli_invocations():
-    """The benchmark's ``CLI_INVOCATIONS``, read without importing perfbench."""
-    tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+def perfbench_constant(module: str, name: str):
+    """A literal constant of a benchmark module, read without importing
+    perfbench."""
+    tree = ast.parse((PERFBENCH / f"{module}.py").read_text(encoding="utf-8"))
     for node in tree.body:
-        if isinstance(node, ast.Assign) and \
-                [t.id for t in node.targets] == ["CLI_INVOCATIONS"]:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == [name]:
             return ast.literal_eval(node.value)
-    raise LookupError("perfbench/workloads.py defines no CLI_INVOCATIONS")
+    raise LookupError(f"perfbench/{module}.py defines no {name}")
+
+
+def cli_invocations():
+    """The benchmark's ``CLI_INVOCATIONS``."""
+    return perfbench_constant("workloads", "CLI_INVOCATIONS")
 
 
 def run_cli(*args):
@@ -206,6 +213,16 @@ class TestExitCodes:
         assert capsys.readouterr().err == \
             "error: events.e: events.e.matrix[0][0]: [re, im] entries must fit in a float\n"
 
+    @pytest.mark.parametrize("algebra", [{"kind": "quantum", "dim": 10 ** 30},
+                                         {"kind": "boolean", "size": 10 ** 400}])
+    def test_algebra_above_the_ceiling(self, tmp_path, capsys, algebra):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"algebra": algebra}))
+        assert main(["axioms", "--scenario", str(path)]) == 1
+        key = "dim" if "dim" in algebra else "size"
+        assert capsys.readouterr().err == \
+            f"error: algebra.{key}: expected at most {MAX_ALGEBRA_SIZE}\n"
+
     def test_usage_error(self):
         assert run_cli("no-such-command").returncode == 1
         assert run_cli("predict").returncode == 1
@@ -220,12 +237,25 @@ def test_stdout_matches_golden(name, argv, monkeypatch, capsys):
     assert capsys.readouterr().out == golden
 
 
+@pytest.mark.parametrize("layer, names", perfbench_constant("spans", "LAYERS").items())
+def test_traced_entry_points_exist(layer, names):
+    """``--trace 1`` wraps each listed function in its module and each
+    listed class's own ``__init__``; every one must be there to wrap."""
+    module = importlib.import_module(f"orthoprob.{layer}")
+    for name in names:
+        entry = getattr(module, name)
+        if isinstance(entry, type):
+            assert "__init__" in vars(entry), f"{layer}.{name} has no __init__ of its own"
+        else:
+            assert callable(entry), f"{layer}.{name} is not callable"
+
+
 # Each shipped scenario with the subcommand that runs its query.
 SHIPPED = {"die": "condition", "order": "condition", "qubit": "condition",
            "sec7": "predict", "twoslit": "twoslit"}
 NESTED = object()  # mutation marker: wrap the field in one more list
-MUTATIONS = [10 ** 400, -10 ** 400, 2 ** 63, 2 ** 64, True, False, "1.5", "",
-             None, [], {}, -1, 0.5, float("nan"), NESTED]
+MUTATIONS = [10 ** 400, -10 ** 400, 2 ** 63, 2 ** 64, MAX_ALGEBRA_SIZE + 1, True,
+             False, "1.5", "", None, [], {}, -1, 0.5, float("nan"), NESTED]
 
 
 def json_paths(node, prefix=()):
@@ -265,11 +295,13 @@ def fuzz_file(tmp_path_factory):
 def test_single_field_mutations_exit_cleanly(fuzz_file, case):
     command, doc = case
     fuzz_file.write_text(json.dumps(doc), encoding="utf-8")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command, "--scenario", str(fuzz_file)])
-    if code == 0:
-        json.loads(out.getvalue())
-    else:
-        assert code in (1, 2)
-        assert err.getvalue().startswith("error: ") and out.getvalue() == ""
+    # The axiom check builds the whole algebra, so it also meets any size.
+    for argv in ([command], ["axioms", "--budget", "1"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--scenario", str(fuzz_file)])
+        if code == 0:
+            json.loads(out.getvalue())
+        else:
+            assert code in (1, 2)
+            assert err.getvalue().startswith("error: ") and out.getvalue() == ""

@@ -12,7 +12,9 @@ from orthoprob.events import (BooleanAlgebra, QuantumAlgebra, QuantumEvent,
                               SampleSpace, below, complement, events_equal,
                               is_atom, oplus, orthogonal,
                               verify_orthospace_axioms)
-from orthoprob.linalg import Projection, random_projection, random_unitary
+from orthoprob.linalg import Projection, random_unitary
+
+from helpers import random_projection
 
 # Check counts of the benchmark's harness workload, keyed
 # "<kind><size>/seed<seed>/budget<budget>"; read here, never written.

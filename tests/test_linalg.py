@@ -10,13 +10,13 @@ import pytest
 
 from orthoprob.errors import DimensionMismatch, EmptyInput, ValidationError
 from orthoprob.linalg import (HermitianOperator, Projection, StateVector,
-                              frobenius_norm, is_positive_semidefinite,
-                              jordan_product, matmul, min_eigenvalue,
+                              frobenius_norm, jordan_product,
                               projector_from_span, quadratic_triple,
-                              random_density_matrix, random_hermitian,
-                              random_orthogonal_projections,
-                              random_projection, random_unitary,
-                              triple_product)
+                              random_unitary, triple_product)
+
+from helpers import (is_positive_semidefinite, matmul, min_eigenvalue,
+                     random_density_matrix, random_hermitian,
+                     random_orthogonal_projections, random_projection)
 
 E4 = np.diag([1.0, 1.0, 0.0, 0.0]).astype(np.complex128)
 F4 = 0.5 * np.array([[1, 0, 1, 0],

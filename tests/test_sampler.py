@@ -12,7 +12,6 @@ from orthoprob.errors import (AlgebraMismatch, EmptyChain,
                               NotPredictable, ValidationError, ZeroEvent,
                               ZeroProbabilityCondition)
 from orthoprob.events import BooleanAlgebra, QuantumAlgebra, complement
-from orthoprob.linalg import random_projection
 from orthoprob.presets import half_transition_pair, order_dependence_example
 from orthoprob import sampler
 from orthoprob.sampler import (DEGENERATE_BRANCH, ChainResult, SamplerConfig,
@@ -20,7 +19,9 @@ from orthoprob.sampler import (DEGENERATE_BRANCH, ChainResult, SamplerConfig,
                                state_independence_check)
 from orthoprob.states import (ClassicalState, DensityState, _probabilities,
                               atom_state, condition, condition_seq,
-                              predictability_seq, prob, random_density_state)
+                              predictability_seq, prob)
+
+from helpers import random_density_state, random_projection
 
 
 @pytest.fixture

@@ -308,6 +308,27 @@ def test_oversized_integer_weight_is_a_validation_error():
     assert str(info.value) == "states.s: 'weights' entries must fit in a float"
 
 
+@pytest.mark.parametrize("algebra, message", [
+    ({"kind": "boolean", "size": scenario.MAX_ALGEBRA_SIZE + 1},
+     "algebra.size: expected at most 64"),
+    ({"kind": "boolean", "size": HUGE}, "algebra.size: expected at most 64"),
+    ({"kind": "quantum", "dim": scenario.MAX_ALGEBRA_SIZE + 1},
+     "algebra.dim: expected at most 64"),
+    ({"kind": "quantum", "dim": 10 ** 30}, "algebra.dim: expected at most 64"),
+])
+def test_algebra_size_is_bounded(algebra, message):
+    with pytest.raises(ValidationError) as info:
+        parse_scenario(json.dumps({"algebra": algebra}))
+    assert str(info.value) == message
+
+
+def test_algebra_size_ceiling_is_admitted():
+    for kind, key in (("boolean", "size"), ("quantum", "dim")):
+        sc = parse_scenario(json.dumps(
+            {"algebra": {"kind": kind, key: scenario.MAX_ALGEBRA_SIZE}}))
+        assert getattr(sc.algebra, key) == 64
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("name", ["sec7", "die", "twoslit", "order", "qubit"])
     def test_shipped_files(self, name):

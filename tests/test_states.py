@@ -16,8 +16,8 @@ from orthoprob.errors import (AlgebraMismatch, EmptyInput, ImpossibleSequence,
                               ZeroProbabilityCondition)
 from orthoprob.events import (BooleanAlgebra, QuantumAlgebra, below,
                               complement, oplus)
-from orthoprob.linalg import (StateVector, _symmetrized, jordan_product, quadratic_triple,
-                              random_projection)
+from orthoprob.linalg import (HermitianOperator, Projection, StateVector, _symmetrized,
+                              jordan_product, quadratic_triple, random_unitary)
 from orthoprob.presets import half_transition_pair, order_dependence_example
 from orthoprob.states import (ClassicalState, DensityState, TableState,
                               _check_density_stack, _check_states, _check_weight_rows,
@@ -26,8 +26,9 @@ from orthoprob.states import (ClassicalState, DensityState, TableState,
                               condition_seq, conditioning_contract_violations,
                               is_dispersion_free, predictability,
                               predictability_seq, prob,
-                              qubit_nonuniqueness_demo, random_density_state,
-                              rank_one_transition)
+                              qubit_nonuniqueness_demo, rank_one_transition)
+
+from helpers import random_density_state, random_projection
 
 
 @pytest.fixture
@@ -65,6 +66,28 @@ class TestStateConstruction:
     def test_pure_state_accepted(self):
         rho = DensityState(np.outer([1.0, 0.0], [1.0, 0.0]))
         assert rho.dim == 2
+
+    def test_operator_classes_are_not_equal_across_kinds(self):
+        # diag(1, 0) is a Hermitian operator, a projection and a density
+        # state at once; each object equals only one of its own class.
+        m = np.diag([1.0, 0.0]).astype(np.complex128)
+        ops = [HermitianOperator(m), Projection(m), DensityState(m)]
+        for op in ops:
+            assert isinstance(op, HermitianOperator)
+            assert np.array_equal(op.matrix, m) and op.dim == 2
+        for i, a in enumerate(ops):
+            for j, b in enumerate(ops):
+                assert (a == b) is (i == j)
+                assert (a != b) is (i != j)
+        assert ops[1] == Projection(m.copy())
+        assert ops[2] == DensityState(m.copy())
+
+    def test_density_state_adopts_an_operator_array(self):
+        proj = Projection(np.diag([0.0, 1.0]))
+        for source in (proj, HermitianOperator(proj.matrix)):
+            assert DensityState(source).matrix is source.matrix
+        assert Projection(proj).matrix is proj.matrix
+        assert repr(DensityState(proj)) == "DensityState(dim=2)"
 
     @pytest.mark.parametrize("weights, message", [
         ([0.15] * 6, "weights sum to 0.9, not 1 within 1e-12"),
@@ -309,6 +332,31 @@ class TestPredictability:
         with pytest.raises(EmptyInput):
             predictability_seq(die.one(), [])
 
+    def test_sequence_kind_messages(self, die):
+        q3, q4 = QuantumAlgebra(3), QuantumAlgebra(4)
+        other = BooleanAlgebra(4)
+        cases = [
+            (die.one(), [q3.one()], "cannot mix BooleanEvent with QuantumEvent"),
+            (q3.one(), [die.one()], "cannot mix QuantumEvent with BooleanEvent"),
+            (die.one(), [die.one(), other.one()], "events live on different sample spaces"),
+            (q3.one(), [q3.one(), q4.one()], "events have different dimensions: 3 vs 4"),
+            (q3.one(), [q3.one(), die.one()], "cannot mix QuantumEvent with BooleanEvent"),
+        ]
+        for target, given, message in cases:
+            with pytest.raises(AlgebraMismatch, match=f"^{re.escape(message)}$"):
+                predictability_seq(target, given)
+
+    def test_sequence_checks_each_event_in_order(self, die):
+        q3 = QuantumAlgebra(3)
+        with pytest.raises(ZeroEvent, match="^a conditioning event is empty$"):
+            predictability_seq(die.one(), [die.zero(), q3.one()])
+        with pytest.raises(AlgebraMismatch):
+            predictability_seq(die.one(), [q3.one(), die.zero()])
+        with pytest.raises(ZeroEvent, match="zero projection"):
+            predictability_seq(q3.one(), [q3.zero(), die.one()])
+        with pytest.raises(AlgebraMismatch):
+            predictability_seq(q3.one(), [q3.one(), die.one(), q3.zero()])
+
 
 class TestDiagonalDichotomy:
     """Commuting (simultaneously diagonal) pairs admit only s = 0 or 1."""
@@ -371,10 +419,33 @@ class TestCompatibility:
         _, e, f = half_transition_pair()
         assert not compatible(e, f)
 
+    def test_verdict_is_the_commutator_test_alone(self):
+        # Two atoms of C^3 from one Haar frame, the second turned by a tiny
+        # angle: the commutator and identity residuals differ in their last
+        # digits, and a tolerance between them must not raise.
+        alg = QuantumAlgebra(3)
+        split = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            u = random_unitary(3, rng)
+            theta = 10.0 ** rng.uniform(-16, -6)
+            turn = np.eye(3, dtype=np.complex128)
+            turn[:2, :2] = [[np.cos(theta), -np.sin(theta)],
+                            [np.sin(theta), np.cos(theta)]]
+            v = u @ turn
+            e = alg.event_from_span([u[:, 0]])
+            f = alg.event_from_span([v[:, 1]])
+            comm, ident_e, ident_f = compatibility_residuals(e, f)
+            scale = max(1.0, float(np.linalg.norm(e.matrix)), float(np.linalg.norm(f.matrix)))
+            for ident in (ident_e, ident_f):
+                tol = (comm + ident) / 2.0 / scale
+                assert compatible(e, f, tol=tol) is (comm <= tol * scale)
+                split += (comm <= tol * scale) != (ident <= tol * scale)
+        assert split > 0
+
     def test_residuals_vanish_together(self):
         rng = np.random.default_rng(21)
         alg = QuantumAlgebra(4)
-        from orthoprob.linalg import random_projection
         for _ in range(50):
             e = alg.event(random_projection(4, int(rng.integers(0, 5)), rng).matrix)
             f = alg.event(random_projection(4, int(rng.integers(0, 5)), rng).matrix)
@@ -386,7 +457,6 @@ class TestCompatibility:
     def test_decomposition_under_idempotent(self):
         # F = {E,F,E} + 2 E' o (E o F) + E' o F for projections E, F.
         rng = np.random.default_rng(8)
-        from orthoprob.linalg import random_projection
         for _ in range(50):
             e = random_projection(4, int(rng.integers(1, 4)), rng)
             f = random_projection(4, int(rng.integers(1, 4)), rng)
