@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import OrthoprobError, ParseError, ValidationError
 from .presets import half_transition_pair, order_dependence_example
-from .scenario import Query, Scenario, parse_scenario, run_query
+from .scenario import MAX_AXIOM_BUDGET, Query, Scenario, parse_scenario, run_query
 from .states import (DensityState, condition, condition_seq,
                      conditioning_contract_violations, predictability, prob,
                      qubit_nonuniqueness_demo)
@@ -90,6 +90,8 @@ def _run_scenario_command(args) -> dict:
 
 
 def _run_axioms(args) -> dict:
+    if args.budget is not None and args.budget > MAX_AXIOM_BUDGET:
+        raise ValidationError(f"--budget: expected at most {MAX_AXIOM_BUDGET}")
     scenario = _load_scenario(args.scenario)
     if args.budget is not None:
         budget = args.budget
@@ -180,8 +182,9 @@ def _build_parser() -> _Parser:
                             help="randomized orthospace axiom check on the "
                                  "scenario's algebra")
     axioms.add_argument("--budget", type=int, default=None,
-                        help="random instances per axiom (default from the "
-                             "scenario query, else 1000)")
+                        help="random instances per axiom, at most "
+                             f"{MAX_AXIOM_BUDGET} (default from the scenario "
+                             "query, else 1000)")
     axioms.set_defaults(handler=_run_axioms)
 
     demo_sec7 = sub.add_parser("demo-sec7", parents=[common],

@@ -11,7 +11,8 @@ Construction contract: the public constructors validate everything they
 are given.  The private ``_symmetrized_projection`` is used only for
 ``_symmetrized`` output of internal products and skips only the Hermitian
 scan; every projection, however built, passes the idempotency and
-trace-rank checks.
+trace-rank checks of ``_projection_checks``, which checks a whole stack of
+matrices at once and which a single projection runs as a stack of one.
 """
 
 from __future__ import annotations
@@ -61,7 +62,73 @@ def _symmetrized(m: np.ndarray) -> np.ndarray:
     Used to assemble results that are Hermitian in exact arithmetic so the
     constructor tolerance never has to absorb BLAS roundoff skew.
     """
-    return (m + m.conj().swapaxes(-1, -2)) / 2.0
+    out = m + m.conj().swapaxes(-1, -2)
+    out /= 2.0
+    return out
+
+
+def _not_hermitian(skew: float, tol: float) -> str:
+    return f"matrix is not Hermitian: max |A - A^H| = {skew:.3e} exceeds {tol:.1e}"
+
+
+def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix in a stack of shape (..., d, d).
+
+    The squares of the real and of the imaginary parts are each summed by
+    one dot product, as ``np.linalg.norm`` does for a single matrix, so a
+    norm has the same bits whatever stack its matrix sits in.
+    """
+    flat = stack.reshape(stack.shape[:-2] + (1, stack.shape[-2] * stack.shape[-1]))
+    re, im = flat.real, flat.imag
+    squares = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
+    return np.sqrt(squares[..., 0, 0])
+
+
+def _projection_checks(stack: np.ndarray, tol: float = TOL_IDEMPOTENT,
+                       hermitian_tol: float | None = None):
+    """Check each matrix of a (k, d, d) stack as a projection; never raises.
+
+    The idempotency residual ||P@P - P||_F must stay below
+    ``tol * max(1, ||P||_F)`` and the trace within the same bound of an
+    integer rank in [0, d].  With a ``hermitian_tol`` the entrywise
+    Hermitian scan of :class:`HermitianOperator` runs first.
+
+    Returns ``(errors, norms, ranks)``: ``errors[i]`` is None when matrix i
+    passes, else the message its constructor raises; ``norms`` holds the
+    Frobenius norms and ``ranks`` the integer traces of the passing ones.
+    """
+    norms = _frobenius_norms(stack)
+    # In place, here and below: stacks reach hundreds of matrices, and peak
+    # memory counts every temporary.
+    square = stack @ stack
+    square -= stack
+    residuals = _frobenius_norms(square)
+    del square
+    bounds = tol * np.maximum(norms, 1.0)
+    # Overflow (entries of 1e154 and up) must fail too: it makes the
+    # residual NaN or the norm, and with it the bound, infinite.
+    idempotent = (residuals <= bounds) & (norms < math.inf)
+    traces = stack.trace(axis1=-2, axis2=-1).real
+    # Ranks are taken of idempotent matrices only, whose traces are finite.
+    ranks = np.rint(np.where(idempotent, traces, 0.0))
+    failed = (~idempotent | (np.abs(traces - ranks) > bounds)
+              | (ranks < 0) | (ranks > stack.shape[-1]))
+    if hermitian_tol is not None:
+        skews = stack.conj().swapaxes(-1, -2)
+        skews -= stack
+        skews = np.abs(skews).max(axis=(-2, -1))
+        failed |= skews > hermitian_tol
+    errors = [None] * len(norms)
+    for i in failed.nonzero()[0]:
+        if hermitian_tol is not None and skews[i] > hermitian_tol:
+            errors[i] = _not_hermitian(skews[i], hermitian_tol)
+        elif not idempotent[i]:
+            errors[i] = (f"matrix is not idempotent: ||P@P - P||_F = {residuals[i]:.3e} "
+                         f"exceeds {tol:.1e} * {max(1.0, float(norms[i])):.3g}")
+        else:
+            errors[i] = (f"projection trace {float(traces[i])!r} is not an "
+                         f"admissible integer rank")
+    return errors, norms, ranks.astype(np.intp)
 
 
 class HermitianOperator:
@@ -80,8 +147,7 @@ class HermitianOperator:
         arr = _square_complex(entries)
         skew = np.abs(arr - arr.conj().T).max()
         if skew > tol:
-            raise ValidationError(
-                f"matrix is not Hermitian: max |A - A^H| = {skew:.3e} exceeds {tol:.1e}")
+            raise ValidationError(_not_hermitian(skew, tol))
         self._matrix = _frozen(arr)
 
     @property
@@ -132,23 +198,11 @@ class Projection(HermitianOperator):
         self._check_idempotent(tol)
 
     def _check_idempotent(self, tol: float) -> None:
-        m = self._matrix
-        norm = float(np.linalg.norm(m))
-        scale = max(1.0, norm)
-        residual = float(np.linalg.norm(m @ m - m))
-        # Overflow (entries of 1e154 and up) must fail too: it makes the
-        # residual NaN or the norm, and with it the bound, infinite.
-        if not (residual <= tol * scale and norm < math.inf):
-            raise ValidationError(
-                f"matrix is not idempotent: ||P@P - P||_F = {residual:.3e} "
-                f"exceeds {tol:.1e} * {scale:.3g}")
-        tr = float(m.trace().real)
-        rank = int(round(tr))
-        if abs(tr - rank) > tol * scale or rank < 0 or rank > m.shape[0]:
-            raise ValidationError(
-                f"projection trace {tr!r} is not an admissible integer rank")
-        self._rank = rank
-        self._norm = norm
+        errors, norms, ranks = _projection_checks(self._matrix[None], tol)
+        if errors[0]:
+            raise ValidationError(errors[0])
+        self._rank = int(ranks[0])
+        self._norm = float(norms[0])
 
     @property
     def rank(self) -> int:

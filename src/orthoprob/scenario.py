@@ -35,6 +35,10 @@ from .states import (ClassicalState, DensityState, State, compatibility_residual
 # Largest Boolean ``size`` or quantum ``dim`` a scenario may declare: the
 # dense kernel's design ceiling.  The library constructors take any size.
 MAX_ALGEBRA_SIZE = 64
+# Largest axiom ``budget`` a scenario or ``orthoprob axioms --budget`` may
+# ask for: ten times the default, which at dim 64 is already minutes of
+# rounds.  verify_orthospace_axioms itself takes any budget.
+MAX_AXIOM_BUDGET = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -141,17 +145,12 @@ def _string(value, where: str) -> str:
     return value
 
 
-def _positive_int(value, where: str) -> int:
+def _bounded_int(value, where: str, ceiling: int) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise ValidationError(f"{where}: expected a positive integer")
+    if value > ceiling:
+        raise ValidationError(f"{where}: expected at most {ceiling}")
     return value
-
-
-def _algebra_size(value, where: str) -> int:
-    size = _positive_int(value, where)
-    if size > MAX_ALGEBRA_SIZE:
-        raise ValidationError(f"{where}: expected at most {MAX_ALGEBRA_SIZE}")
-    return size
 
 
 def _string_list(value, where: str, minimum: int = 1) -> tuple[str, ...]:
@@ -198,7 +197,7 @@ def _parse_query(doc, where: str = "query") -> Query:
     for name, ref in spec:
         at = f"{where}.{name}"
         if ref == BUDGET:
-            fields[name] = _positive_int(doc.get(name, 1000), at)
+            fields[name] = _bounded_int(doc.get(name, 1000), at, MAX_AXIOM_BUDGET)
         elif ref == THEN:
             fields[name] = _string_list(doc.get(name, []), at, minimum=0)
         elif ref == EVENTS:
@@ -249,7 +248,7 @@ def _parse_algebra(doc, where: str = "algebra") -> EventAlgebra:
     kind = _string(doc.get("kind", ""), f"{where}.kind")
     if kind == "boolean":
         _require_keys(doc, where, ("kind", "size"), ("labels",))
-        size = _algebra_size(doc["size"], f"{where}.size")
+        size = _bounded_int(doc["size"], f"{where}.size", MAX_ALGEBRA_SIZE)
         labels = None
         if "labels" in doc:
             labels = _string_list(doc["labels"], f"{where}.labels")
@@ -259,7 +258,7 @@ def _parse_algebra(doc, where: str = "algebra") -> EventAlgebra:
             raise ValidationError(f"{where}: {exc}") from None
     if kind == "quantum":
         _require_keys(doc, where, ("kind", "dim"))
-        return QuantumAlgebra(_algebra_size(doc["dim"], f"{where}.dim"))
+        return QuantumAlgebra(_bounded_int(doc["dim"], f"{where}.dim", MAX_ALGEBRA_SIZE))
     raise ValidationError(f"{where}.kind: expected 'boolean' or 'quantum', got {kind!r}")
 
 
@@ -372,7 +371,9 @@ def parse_scenario(text: str) -> Scenario:
     """Parse scenario JSON text; ParseError for syntax, ValidationError for meaning."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, and the plain ValueError of an integer literal
+        # longer than Python's int conversion limit (4300 digits).
         raise ParseError(f"invalid JSON: {exc}") from None
     return scenario_from_jsonable(doc)
 

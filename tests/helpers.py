@@ -1,4 +1,5 @@
-"""Random operators and spectral checks that only the tests use.
+"""Random operators, spectral checks and reference oracles that only the
+tests use.
 
 Built on the kernel's private constructors, so a random projection is
 made exactly as the library makes its internal sums: the symmetrized
@@ -9,7 +10,9 @@ from typing import Sequence
 
 import numpy as np
 
-from orthoprob.errors import ValidationError
+from orthoprob.errors import NotOrthogonal, ValidationError
+from orthoprob.events import (AxiomReport, BooleanAlgebra, BooleanEvent, QuantumEvent,
+                              complement, events_equal, oplus, orthogonal)
 from orthoprob.linalg import (HermitianOperator, Projection, _check_same_dim,
                               _hermitian_matrix_of, _matrix_of, _symmetrized,
                               _symmetrized_projection, random_unitary)
@@ -75,3 +78,130 @@ def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_density_state(dim: int, rng: np.random.Generator) -> DensityState:
     return DensityState(random_density_matrix(dim, rng))
+
+
+# ---------------------------------------------------------------------------
+# The axiom harness evaluated pair by pair, as the reference for the
+# stacked verify_orthospace_axioms.
+
+def harness_round(algebra, rng: np.random.Generator):
+    """d, e, f, g of one harness round, drawn as the harness draws them."""
+    if isinstance(algebra, BooleanAlgebra):
+        n = algebra.size
+        assignment = rng.integers(0, 4, size=n)
+        d, e, f = (algebra.event(np.flatnonzero(assignment == i)) for i in range(3))
+        return d, e, f, algebra.event(np.flatnonzero(rng.random(n) < 0.5))
+    n = algebra.dim
+    while True:
+        ranks = rng.integers(0, n + 1, size=3)
+        if ranks.sum() <= n:
+            break
+    u = random_unitary(n, rng)
+    blocks, start = [], 0
+    for r in ranks:
+        cols = u[:, start:start + r]
+        blocks.append(algebra.event(_symmetrized_projection(cols @ cols.conj().T)))
+        start += r
+    v = random_unitary(n, rng)
+    k = int(rng.integers(1, n)) if n > 1 else 1
+    cols = v[:, :k]
+    return (*blocks, algebra.event(_symmetrized_projection(cols @ cols.conj().T)))
+
+
+def _remainder(y, x):
+    """The event r with x + r = y, built as the harness builds it."""
+    if isinstance(x, BooleanEvent):
+        return BooleanEvent(x.space, y.members - x.members)
+    return QuantumEvent(_symmetrized_projection(y.matrix - x.matrix))
+
+
+def per_pair_axioms(algebra, budget: int, seed: int = 0, tol: float = 1e-9) -> AxiomReport:
+    """verify_orthospace_axioms with every relation decided by one call of
+    the public orthogonal, oplus, complement or events_equal."""
+    rng = np.random.default_rng(seed)
+    axioms = ("OS1", "OS2", "OS3", "OS4", "OS5", "OS6")
+    report = AxiomReport(algebra=repr(algebra), rounds=budget, seed=seed,
+                         checks={ax: 0 for ax in axioms},
+                         failures={ax: 0 for ax in axioms})
+
+    def record(ax: str, ok: bool, describe: str) -> None:
+        report.checks[ax] += 1
+        if not ok:
+            report.failures[ax] += 1
+            if len(report.messages) < 20:
+                report.messages.append(f"{ax}: {describe}")
+
+    zero, one = algebra.zero(), algebra.one()
+    for round_no in range(budget):
+        d, e, f, g = harness_round(algebra, rng)
+        pool = [d, e, f, g, complement(g), zero, one]
+        complements = [complement(x) for x in pool]
+
+        for i in range(len(pool)):
+            for j in range(i + 1, len(pool)):
+                ok = orthogonal(pool[i], pool[j], tol) == orthogonal(pool[j], pool[i], tol)
+                record("OS1", ok, f"round {round_no}: asymmetric orthogonality")
+
+        for i in range(len(pool)):
+            for j in range(i + 1, len(pool)):
+                a, b = pool[i], pool[j]
+                if not orthogonal(a, b, tol):
+                    continue
+                try:
+                    ok = events_equal(oplus(a, b, tol), oplus(b, a, tol), tol)
+                except NotOrthogonal:
+                    record("OS2", False, f"round {round_no}: sum not defined in both orders")
+                    continue
+                except ValidationError as exc:
+                    record("OS2", False, f"round {round_no}: sum failed validation: {exc}")
+                    continue
+                record("OS2", ok, f"round {round_no}: sum not commutative")
+
+        try:
+            ef = oplus(e, f, tol)
+            de = oplus(d, e, tol)
+            ok = (orthogonal(d, ef, tol) and orthogonal(f, de, tol)
+                  and events_equal(oplus(d, ef, tol), oplus(de, f, tol), tol))
+        except (NotOrthogonal, ValidationError):
+            ok = False
+        record("OS3", ok, f"round {round_no}: triple associativity/closure failed")
+
+        for x in (d, e, f, g):
+            ok = orthogonal(zero, x, tol) and events_equal(oplus(x, zero, tol), x, tol)
+            record("OS4", ok, f"round {round_no}: zero not neutral")
+
+        for x, xc in zip(pool, complements):
+            ok = orthogonal(x, xc, tol) and events_equal(oplus(x, xc, tol), one, tol)
+            record("OS5", ok, f"round {round_no}: complement fails sum-to-unit")
+            for h in pool:
+                if orthogonal(x, h, tol):
+                    try:
+                        total = oplus(x, h, tol)
+                    except ValidationError:
+                        continue
+                    if events_equal(total, one, tol):
+                        record("OS5", events_equal(h, xc, tol),
+                               f"round {round_no}: second complement candidate found")
+
+        for x in pool:
+            for y, yc in zip(pool, complements):
+                if orthogonal(x, yc, tol):
+                    try:
+                        rem = _remainder(y, x)
+                        ok = (orthogonal(x, rem, tol)
+                              and events_equal(oplus(x, rem, tol), y, tol))
+                    except (NotOrthogonal, ValidationError):
+                        ok = False
+                    record("OS6", ok, f"round {round_no}: no orthogonal remainder below")
+        for x in pool:
+            for h in pool:
+                if not orthogonal(x, h, tol):
+                    continue
+                try:
+                    y = oplus(x, h, tol)
+                except ValidationError:
+                    continue
+                record("OS6", orthogonal(x, complement(y), tol),
+                       f"round {round_no}: sum does not dominate summand")
+
+    return report

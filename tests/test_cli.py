@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthoprob.cli import main
-from orthoprob.scenario import MAX_ALGEBRA_SIZE
+from orthoprob.scenario import MAX_ALGEBRA_SIZE, MAX_AXIOM_BUDGET
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = ROOT / "scenarios"
@@ -223,6 +223,30 @@ class TestExitCodes:
         assert capsys.readouterr().err == \
             f"error: algebra.{key}: expected at most {MAX_ALGEBRA_SIZE}\n"
 
+    def test_integer_literal_beyond_the_conversion_limit(self, tmp_path, capsys):
+        path = tmp_path / "long.json"
+        path.write_text('{"algebra": {"kind": "boolean", "size": ' + "9" * 5000 + "}}")
+        assert main(["axioms", "--scenario", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: invalid JSON: Exceeds the limit")
+
+    def test_budget_above_the_ceiling(self, capsys):
+        argv = ["axioms", "--scenario", str(SCENARIO_DIR / "die.json"),
+                "--budget", str(MAX_AXIOM_BUDGET + 1)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == \
+            f"error: --budget: expected at most {MAX_AXIOM_BUDGET}\n"
+
+    def test_asymmetric_orthogonality_is_reported(self, tmp_path, capsys):
+        # At tol 1e-16 one pool pair of these rounds is orthogonal in one
+        # order only; the sum is then an OS2 failure, not an abort.
+        path = tmp_path / "q6.json"
+        path.write_text(json.dumps({"algebra": {"kind": "quantum", "dim": 6}}))
+        assert main(["axioms", "--scenario", str(path), "--tol", "1e-16",
+                     "--budget", "5", "--seed", "2"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["passed"] is False
+        assert out["failures"]["OS1"] == out["failures"]["OS2"] == 1
+
     def test_usage_error(self):
         assert run_cli("no-such-command").returncode == 1
         assert run_cli("predict").returncode == 1
@@ -254,8 +278,11 @@ def test_traced_entry_points_exist(layer, names):
 SHIPPED = {"die": "condition", "order": "condition", "qubit": "condition",
            "sec7": "predict", "twoslit": "twoslit"}
 NESTED = object()  # mutation marker: wrap the field in one more list
+# Mutation marker for an integer literal of 5000 digits, beyond Python's int
+# conversion limit; json.dumps cannot write it, so it is spliced into the text.
+LONG_INT = "\u0000long integer literal"
 MUTATIONS = [10 ** 400, -10 ** 400, 2 ** 63, 2 ** 64, MAX_ALGEBRA_SIZE + 1, True,
-             False, "1.5", "", None, [], {}, -1, 0.5, float("nan"), NESTED]
+             False, "1.5", "", None, [], {}, -1, 0.5, float("nan"), NESTED, LONG_INT]
 
 
 def json_paths(node, prefix=()):
@@ -294,7 +321,8 @@ def fuzz_file(tmp_path_factory):
 @settings(max_examples=300, deadline=None)
 def test_single_field_mutations_exit_cleanly(fuzz_file, case):
     command, doc = case
-    fuzz_file.write_text(json.dumps(doc), encoding="utf-8")
+    fuzz_file.write_text(json.dumps(doc).replace(json.dumps(LONG_INT), "9" * 5000),
+                         encoding="utf-8")
     # The axiom check builds the whole algebra, so it also meets any size.
     for argv in ([command], ["axioms", "--budget", "1"]):
         out, err = io.StringIO(), io.StringIO()

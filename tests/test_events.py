@@ -7,14 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import orthoprob.events
 from orthoprob.errors import (AlgebraMismatch, NotOrthogonal, ValidationError)
-from orthoprob.events import (BooleanAlgebra, QuantumAlgebra, QuantumEvent,
-                              SampleSpace, below, complement, events_equal,
-                              is_atom, oplus, orthogonal,
-                              verify_orthospace_axioms)
+from orthoprob.events import (_STACKS, DEFAULT_EVENT_TOL, BooleanAlgebra,
+                              QuantumAlgebra, QuantumEvent, SampleSpace, _one_pair,
+                              below, complement, events_equal, is_atom, oplus,
+                              orthogonal, verify_orthospace_axioms)
 from orthoprob.linalg import Projection, random_unitary
+from orthoprob.states import DensityState, condition, prob
 
-from helpers import random_projection
+from helpers import harness_round, per_pair_axioms, random_projection
 
 # Check counts of the benchmark's harness workload, keyed
 # "<kind><size>/seed<seed>/budget<budget>"; read here, never written.
@@ -283,3 +285,127 @@ def test_harness_matches_recorded_counts(key):
     assert report.checks == HARNESS_COUNTS[key]
     assert report.passed
     assert report.messages == []
+
+
+class TestStackedHarness:
+    """The stacked harness against the harness evaluated pair by pair with
+    the public operations (tests/helpers.py)."""
+
+    ALGEBRAS = [("boolean", n) for n in range(1, 10)] + \
+        [("quantum", n) for n in (*range(1, 9), 16)]
+
+    @staticmethod
+    def assert_same_reports(algebra, seeds, tol):
+        for seed in seeds:
+            stacked = verify_orthospace_axioms(algebra, 1, seed=seed, tol=tol)
+            reference = per_pair_axioms(algebra, 1, seed=seed, tol=tol)
+            assert stacked.checks == reference.checks
+            assert stacked.failures == reference.failures
+            assert stacked.messages == reference.messages
+
+    @pytest.mark.parametrize("tol", [DEFAULT_EVENT_TOL, 0.0, 1e-16, 1e-14, 1e-6])
+    @pytest.mark.parametrize("kind, size", ALGEBRAS)
+    def test_matches_the_per_pair_reference(self, kind, size, tol):
+        # At tol 0 exact orthogonality fails on roundoff, so OS3, OS5 and
+        # OS6 fail and the message order is compared too.
+        algebra = (QuantumAlgebra if kind == "quantum" else BooleanAlgebra)(size)
+        self.assert_same_reports(algebra, range(8), tol)
+
+    @pytest.mark.parametrize("tol", [0.5, 1.0])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 6])
+    def test_matches_the_reference_where_sums_fail_their_checks(self, dim, tol):
+        # Tolerances this loose call generic pairs orthogonal; their sums
+        # then fail the projection checks, which exercises the branches for
+        # built events that fail ("sum failed validation", skipped sums).
+        self.assert_same_reports(QuantumAlgebra(dim), range(4), tol)
+
+    @pytest.mark.parametrize("kind, size", [("boolean", 7), ("quantum", 2),
+                                            ("quantum", 5), ("quantum", 16)])
+    def test_one_pair_residuals_equal_the_table(self, kind, size):
+        algebra = (QuantumAlgebra if kind == "quantum" else BooleanAlgebra)(size)
+        stacks = _STACKS[kind]
+        for seed in range(3):
+            d, e, f, g = harness_round(algebra, np.random.default_rng(seed))
+            pool = [d, e, f, g, complement(g), algebra.zero(), algebra.one()]
+            events = pool + [complement(x) for x in pool]
+            a, b = stacks.stack(pool)[0], stacks.stack(events)[0]
+            for relation in ("orthogonality", "order", "equality"):
+                table = getattr(stacks, relation)(a[:, None], b[None])
+                for i, x in enumerate(pool):
+                    for j, y in enumerate(events):
+                        assert _one_pair(relation, x, y)[1][0] == table[i, j]
+
+    def test_makes_no_per_pair_public_call(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-pair call from the harness")
+
+        for name in ("orthogonal", "oplus", "complement", "below", "events_equal"):
+            monkeypatch.setattr(orthoprob.events, name, forbidden)
+        for algebra in (BooleanAlgebra(4), QuantumAlgebra(3)):
+            assert verify_orthospace_axioms(algebra, budget=3).passed
+
+    def test_one_sided_orthogonality_fails_os2(self):
+        # At tol 1e-16 a pool pair of round 1 is orthogonal in one order
+        # only.  oplus(b, a) raised NotOrthogonal out of the harness; now the
+        # sum is an OS2 failure.
+        report = verify_orthospace_axioms(QuantumAlgebra(6), budget=5, seed=2, tol=1e-16)
+        assert report.failures["OS1"] == report.failures["OS2"] == 1
+        assert "OS2: round 1: sum not defined in both orders" in report.messages
+
+
+def _frame_event(algebra, cols):
+    return algebra.event(_hermitian(cols @ cols.conj().T))
+
+
+def _state_family(event):
+    """The d^2 states on e_i, (e_i + e_j)/sqrt2 and (e_i + i e_j)/sqrt2,
+    each mixed half and half with E / rank E so that E has positive
+    probability.  Their projectors span the Hermitian matrices."""
+    eye = np.eye(event.dim)
+    vectors = [eye[i] for i in range(event.dim)]
+    for i in range(event.dim):
+        for j in range(i + 1, event.dim):
+            vectors += [(eye[i] + eye[j]) / np.sqrt(2), (eye[i] + 1j * eye[j]) / np.sqrt(2)]
+    mix = event.matrix / event.proj.rank
+    return [DensityState((np.outer(v, v.conj()) + mix) / 2) for v in vectors]
+
+
+class TestStateFamilyOracle:
+    """orthogonal and below against the paper's conditional probabilities:
+    E _|_ F exactly when P(F | E) = 0 in every state of an informationally
+    complete family, and E <= F exactly when P(F | E) = 1 in every one.
+    Zero and one are read at the default event tolerance: exact pairs give
+    roundoff near 1e-16, and pairs rotated by theta >= 1e-3 give at least
+    sin(theta)^2 / (2 rank E) ~ 1e-7."""
+
+    @pytest.mark.parametrize("dim", [3, 4, 6])
+    def test_verdicts_follow_the_family(self, dim):
+        algebra = QuantumAlgebra(dim)
+        rng = np.random.default_rng(dim)
+        for trial in range(4):
+            u = random_unitary(dim, rng)
+            a = int(rng.integers(1, dim - 1))
+            b = int(rng.integers(1, dim - a))
+            # E spans the first a columns, F the next b; column a + b lies
+            # outside both.
+            inside, beside, outside = u[:, :a], u[:, a:a + b], u[:, a + b]
+            for theta in (1e-3, 0.3):
+                tilted = beside.copy()
+                tilted[:, 0] = np.cos(theta) * beside[:, 0] + np.sin(theta) * inside[:, 0]
+                leaning = inside.copy()
+                leaning[:, 0] = np.cos(theta) * inside[:, 0] + np.sin(theta) * outside
+                e = _frame_event(algebra, inside)
+                cases = [  # (E, F, E _|_ F, E <= F)
+                    (e, _frame_event(algebra, beside), True, False),
+                    (e, _frame_event(algebra, tilted), False, False),
+                    (e, _frame_event(algebra, u[:, :a + b]), False, True),
+                    (_frame_event(algebra, leaning), _frame_event(algebra, u[:, :a + b]),
+                     False, False),
+                ]
+                for given, target, exclusive, contained in cases:
+                    p = np.array([prob(condition(rho, given), target)
+                                  for rho in _state_family(given)])
+                    assert orthogonal(given, target) == exclusive
+                    assert below(given, target) == contained
+                    assert (p.max() <= DEFAULT_EVENT_TOL) == exclusive
+                    assert (np.abs(p - 1).max() <= DEFAULT_EVENT_TOL) == contained

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from orthoprob.errors import DimensionMismatch, EmptyInput, ValidationError
-from orthoprob.linalg import (HermitianOperator, Projection, StateVector,
-                              frobenius_norm, jordan_product,
+from orthoprob.linalg import (TOL_HERMITIAN, TOL_IDEMPOTENT, HermitianOperator,
+                              Projection, StateVector, _frobenius_norms,
+                              _projection_checks, frobenius_norm, jordan_product,
                               projector_from_span, quadratic_triple,
                               random_unitary, triple_product)
 
@@ -308,9 +309,9 @@ class TestPublicValidators:
 
 
 class TestKernelNorm:
-    """The event kernel takes np.linalg.norm of its own products and reads
-    the ||P||_F stored by Projection; both are bit for bit what
-    frobenius_norm returns."""
+    """The event kernel takes the norms of its own products stacked, with
+    _frobenius_norms, and reads the ||P||_F stored by Projection; both are
+    bit for bit what frobenius_norm returns."""
 
     @pytest.mark.parametrize("dim", [1, 2, 4, 16, 64])
     def test_bitwise_equal_to_frobenius_norm(self, dim):
@@ -323,6 +324,48 @@ class TestKernelNorm:
         for m in (pq, pq - p.matrix, p.matrix - q.matrix, pq.T, pq[::2, ::2],
                   pq.T[::-1, :]):
             assert float(np.linalg.norm(m)) == frobenius_norm(m)
+
+    @pytest.mark.parametrize("dim", [1, 2, 4, 16, 64])
+    def test_stacked_norms_keep_the_bits(self, dim):
+        rng = np.random.default_rng(dim)
+        a = np.stack([random_projection(dim, r % (dim + 1), rng).matrix for r in range(3)])
+        b = np.stack([random_projection(dim, r % (dim + 1), rng).matrix for r in range(5)])
+        table = _frobenius_norms(a[:, None] @ b[None])
+        for i in range(len(a)):
+            assert _frobenius_norms(a[i:i + 1])[0] == frobenius_norm(a[i])
+            for j in range(len(b)):
+                assert table[i, j] == frobenius_norm(a[i] @ b[j])
+
+
+class TestStackedProjectionChecks:
+    """_projection_checks on a stack says of each matrix what the
+    Projection constructor says of it alone."""
+
+    @pytest.mark.parametrize("tol", [TOL_IDEMPOTENT, 1.0])
+    def test_matches_the_constructor(self, tol):
+        rng = np.random.default_rng(5)
+        skewed = np.diag([1.0, 0.0]).astype(np.complex128)
+        skewed[0, 1] = 3e-10
+        mats = [random_projection(2, 1, rng).matrix, np.zeros((2, 2)), np.eye(2),
+                np.diag([1.0, 0.5]),            # not idempotent
+                np.diag([-0.6, 0.0]),           # idempotent within tol 1, rank -1
+                np.array([[0.0, 1e200], [1e200, 0.0]]),  # overflows
+                skewed]
+        with np.errstate(over="ignore", invalid="ignore"):
+            errors, norms, ranks = _projection_checks(
+                np.stack(mats).astype(np.complex128), tol, hermitian_tol=TOL_HERMITIAN)
+        for m, error, norm, rank in zip(mats, errors, norms, ranks):
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    p = Projection(m, tol=tol)
+            except ValidationError as exc:
+                assert error == str(exc)
+            else:
+                assert error is None
+                assert (norm, rank) == (p._norm, p.rank)
+        messages = " | ".join(e for e in errors if e)
+        assert "not Hermitian" in messages and "not idempotent" in messages
+        assert ("admissible integer rank" in messages) == (tol == 1.0)
 
 
 class TestRandomGenerators:

@@ -54,6 +54,13 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_scenario("{not json")
 
+    def test_integer_literal_beyond_the_conversion_limit(self):
+        # json.loads raises a plain ValueError, not a JSONDecodeError, for
+        # an integer of more than 4300 digits.
+        text = '{"algebra": {"kind": "boolean", "size": ' + "9" * 5000 + "}}"
+        with pytest.raises(ParseError, match="^invalid JSON: Exceeds the limit"):
+            parse_scenario(text)
+
     def test_unknown_top_key(self):
         with pytest.raises(ValidationError, match="unknown keys"):
             parse_scenario('{"algebra": {"kind": "boolean", "size": 2}, "zap": 1}')
@@ -203,6 +210,9 @@ NAMES_1 = "expected an array of at least 1 name(s)"
     ({"kind": "axioms", "budget": 0}, "query.budget: expected a positive integer"),
     ({"kind": "axioms", "budget": True}, "query.budget: expected a positive integer"),
     ({"kind": "axioms", "budget": 2.0}, "query.budget: expected a positive integer"),
+    ({"kind": "axioms", "budget": scenario.MAX_AXIOM_BUDGET + 1},
+     "query.budget: expected at most 10000"),
+    ({"kind": "axioms", "budget": 10 ** 12}, "query.budget: expected at most 10000"),
 ])
 def test_malformed_query_message(query, message):
     with pytest.raises(ValidationError) as info:
@@ -327,6 +337,12 @@ def test_algebra_size_ceiling_is_admitted():
         sc = parse_scenario(json.dumps(
             {"algebra": {"kind": kind, key: scenario.MAX_ALGEBRA_SIZE}}))
         assert getattr(sc.algebra, key) == 64
+
+
+def test_axiom_budget_ceiling_is_admitted():
+    sc = parse_scenario(quantum_doc({"kind": "axioms",
+                                     "budget": scenario.MAX_AXIOM_BUDGET}))
+    assert sc.query.fields["budget"] == 10_000
 
 
 class TestRoundTrip:
