@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import OrthoprobError, ParseError, ValidationError
 from .presets import half_transition_pair, order_dependence_example
-from .scenario import MAX_AXIOM_BUDGET, Query, Scenario, parse_scenario, run_query
+from .scenario import (MAX_AXIOM_BUDGET, MAX_TRIALS, Query, Scenario, parse_scenario,
+                       run_query)
 from .states import (DensityState, condition, condition_seq,
                      conditioning_contract_violations, predictability, prob,
                      qubit_nonuniqueness_demo)
@@ -77,6 +78,8 @@ def _load_scenario(path: str) -> Scenario:
 
 
 def _run_scenario_command(args) -> dict:
+    if args.trials > MAX_TRIALS:
+        raise ValidationError(f"--trials: expected at most {MAX_TRIALS}")
     scenario = _load_scenario(args.scenario)
     allowed = _SCENARIO_KINDS[args.command]
     if scenario.query is None:
@@ -153,7 +156,8 @@ def _build_parser() -> _Parser:
     common.add_argument("--seed", type=int, default=42,
                         help="random seed for sampling and axiom checks (default 42)")
     common.add_argument("--trials", type=int, default=100_000,
-                        help="number of sampled trials (default 100000)")
+                        help=f"number of sampled trials, at most {MAX_TRIALS} "
+                             "(default 100000)")
     common.add_argument("--pretty", action="store_true",
                         help="indent output and round floats to 6 significant digits")
 

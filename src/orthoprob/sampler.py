@@ -7,6 +7,14 @@ final outcome for the target event is drawn.  States along the walk
 depend only on the outcome prefix, so they are computed once per realized
 prefix and trials are driven purely by uniform draws.
 
+A trial's only state is the id of its prefix node among the level's
+realized nodes; child ``c`` of a level is ``2 * parent + bit``.  Everything
+else is kept per realized node: its outcome prefix, its trial count and
+its state.  Realized nodes stay in increasing prefix order, so the last
+level's nodes are the keys of ``outcome_counts`` in increasing order, and
+the all-yes path, when realized, is the last node.  Chains of any length
+take this one route.
+
 The realized prefix states of one level are held as one stack, (m, d, d)
 density matrices or (m, size) weight rows.  A level is conditioned a
 block of children at a time, LEVEL_BLOCK_BYTES of states, by the stacked
@@ -69,7 +77,8 @@ class ChainResult:
     """Counts and summary statistics for one sampled chain.
 
     ``outcome_counts`` maps each observed yes/no bitstring (one character
-    per test, '1' = yes, first test leftmost) to its frequency.
+    per test, '1' = yes, first test leftmost) to its frequency, in
+    increasing key order.
     ``empirical_p`` is the final-event yes fraction among all-yes trials
     (NaN when no trial survived the chain).
     """
@@ -157,43 +166,37 @@ def sample_chain(initial: State, tests: Sequence[Event], final: Event,
 
     stack = _stack_of(initial)
     node_ids = np.zeros(trials, dtype=np.int64)
-    wide = n > 62  # bit-packed path codes overflow int64 beyond this
-    codes = None if wide else np.zeros(trials, dtype=np.int64)
-    bit_rows = np.empty((trials, n), dtype=bool) if wide else None
-    all_yes = np.ones(trials, dtype=bool)
+    paths = np.zeros((1, n), dtype=bool)
 
     for k, event in enumerate(tests):
         p_yes = _level_probabilities(stack, event)
-        outcome = rng.random(trials) < _effective_yes(p_yes)[node_ids]
-        if wide:
-            bit_rows[:, k] = outcome
-        else:
-            codes = codes * 2 + outcome
-        all_yes &= outcome
-        combo = node_ids * 2 + outcome
-        realized = np.flatnonzero(np.bincount(combo, minlength=2 * len(stack)))
-        remap = np.full(2 * len(stack), -1, dtype=np.int64)
-        remap[realized] = np.arange(len(realized))
-        node_ids = remap[combo]
+        yes = _effective_yes(p_yes)
+        outcome = rng.random(trials) < (yes if len(yes) == 1 else yes.take(node_ids))
+        node_ids *= 2
+        node_ids += outcome
+        counts = np.bincount(node_ids, minlength=2 * len(stack))
+        realized = np.flatnonzero(counts)
+        if len(realized) < len(counts):
+            remap = np.zeros(len(counts), dtype=np.int64)
+            remap[realized] = np.arange(len(realized))
+            node_ids = remap.take(node_ids)
+        paths = paths[realized // 2]
+        paths[:, k] = realized % 2
         stack = _condition_level(stack, realized, event, p_yes)
 
     final_draw = rng.random(trials)
-    all_yes_count = int(all_yes.sum())
-    if all_yes_count > 0:
-        surviving = int(node_ids[int(np.argmax(all_yes))])
-        p_final = _effective_yes(_probabilities(stack[surviving:surviving + 1], final))[0]
-        final_yes_count = int((all_yes & (final_draw < p_final)).sum())
+    last = len(realized) - 1
+    if paths[last].all():
+        all_yes_count = int(counts[realized[last]])
+        p_final = _effective_yes(_probabilities(stack[last:], final))[0]
+        final_yes_count = int(np.count_nonzero(final_draw[node_ids == last] < p_final))
     else:
-        final_yes_count = 0
+        all_yes_count = final_yes_count = 0
 
-    if wide:
-        rows, freq = np.unique(bit_rows, axis=0, return_counts=True)
-        counts = {"".join("1" if b else "0" for b in row): int(c)
-                  for row, c in zip(rows, freq)}
-    else:
-        values, freq = np.unique(codes, return_counts=True)
-        counts = {format(int(v), f"0{n}b"): int(c)
-                  for v, c in zip(values, freq)}
+    rows = paths.view(np.uint8)
+    rows += ord("0")
+    keys = (key.decode() for key in rows.view(f"S{n}").ravel())
+    outcome_counts = dict(zip(keys, counts[realized].tolist()))
 
     if all_yes_count > 0:
         empirical = final_yes_count / all_yes_count
@@ -208,7 +211,7 @@ def sample_chain(initial: State, tests: Sequence[Event], final: Event,
     except (ImpossibleSequence, ZeroEvent):
         predicted = None
 
-    return ChainResult(outcome_counts=counts, all_yes_count=all_yes_count,
+    return ChainResult(outcome_counts=outcome_counts, all_yes_count=all_yes_count,
                        final_event_yes_count=final_yes_count,
                        empirical_p=empirical, std_error=std_error,
                        predicted_p=predicted, trials=trials, seed=config.seed)

@@ -39,6 +39,9 @@ MAX_ALGEBRA_SIZE = 64
 # ask for: ten times the default, which at dim 64 is already minutes of
 # rounds.  verify_orthospace_axioms itself takes any budget.
 MAX_AXIOM_BUDGET = 10_000
+# Largest ``orthoprob --trials``: the sampler's per-trial arrays then take
+# about 250 MB.  sample_chain itself takes any trial count.
+MAX_TRIALS = 10_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +374,10 @@ def parse_scenario(text: str) -> Scenario:
     """Parse scenario JSON text; ParseError for syntax, ValidationError for meaning."""
     try:
         doc = json.loads(text)
-    except ValueError as exc:
-        # JSONDecodeError, and the plain ValueError of an integer literal
-        # longer than Python's int conversion limit (4300 digits).
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, the plain ValueError of an integer literal
+        # longer than Python's int conversion limit (4300 digits), and the
+        # RecursionError of arrays or objects nested past the stack.
         raise ParseError(f"invalid JSON: {exc}") from None
     return scenario_from_jsonable(doc)
 

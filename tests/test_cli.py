@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orthoprob import cli
 from orthoprob.cli import main
-from orthoprob.scenario import MAX_ALGEBRA_SIZE, MAX_AXIOM_BUDGET
+from orthoprob.scenario import MAX_ALGEBRA_SIZE, MAX_AXIOM_BUDGET, MAX_TRIALS
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = ROOT / "scenarios"
@@ -35,6 +36,14 @@ def perfbench_constant(module: str, name: str):
 def cli_invocations():
     """The benchmark's ``CLI_INVOCATIONS``."""
     return perfbench_constant("workloads", "CLI_INVOCATIONS")
+
+
+COIN_SAMPLE = {
+    "algebra": {"kind": "boolean", "size": 2},
+    "events": {"heads": {"members": [0]}},
+    "states": {"fair": {"weights": [0.5, 0.5]}},
+    "query": {"kind": "sample", "initial": "fair", "tests": ["heads"], "final": "heads"},
+}
 
 
 def run_cli(*args):
@@ -110,15 +119,8 @@ class TestScenarioCommands:
         assert out["value"] == pytest.approx(1.0, abs=1e-12)
 
     def test_sample(self, tmp_path):
-        doc = {
-            "algebra": {"kind": "boolean", "size": 2},
-            "events": {"heads": {"members": [0]}},
-            "states": {"fair": {"weights": [0.5, 0.5]}},
-            "query": {"kind": "sample", "initial": "fair",
-                      "tests": ["heads"], "final": "heads"},
-        }
         path = tmp_path / "coin.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(COIN_SAMPLE))
         out = run_json("sample", "--scenario", str(path), "--trials", "2000",
                        "--seed", "9")
         assert out["empirical_p"] == 1.0
@@ -235,6 +237,36 @@ class TestExitCodes:
         assert main(argv) == 1
         assert capsys.readouterr().err == \
             f"error: --budget: expected at most {MAX_AXIOM_BUDGET}\n"
+
+    def test_trials_above_the_ceiling(self, tmp_path, capsys):
+        path = tmp_path / "coin.json"
+        path.write_text(json.dumps(COIN_SAMPLE))
+        argv = ["sample", "--scenario", str(path), "--trials", "100000000000"]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: --trials: expected at most {MAX_TRIALS}\n")
+
+    def test_trials_ceiling_is_admitted(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "coin.json"
+        path.write_text(json.dumps(COIN_SAMPLE))
+        seen = []
+
+        def run_query(scenario, **kwargs):
+            seen.append(kwargs["trials"])
+            return {}
+
+        monkeypatch.setattr(cli, "run_query", run_query)
+        assert main(["sample", "--scenario", str(path), "--trials", str(MAX_TRIALS)]) == 0
+        assert seen == [10_000_000]
+
+    def test_nesting_beyond_the_recursion_limit(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"events": {"a": {"members": ' + "[" * 100_000 + "]" * 100_000
+                        + "}}}")
+        assert main(["axioms", "--scenario", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: invalid JSON: maximum recursion depth exceeded")
+        assert err.count("\n") == 1
 
     def test_asymmetric_orthogonality_is_reported(self, tmp_path, capsys):
         # At tol 1e-16 one pool pair of these rounds is orthogonal in one

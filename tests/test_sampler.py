@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -133,6 +134,20 @@ class TestStatistics:
             sample_chain(mixed, [], f, SamplerConfig(trials=10))
 
 
+def test_one_test_chain_memory_per_trial(half_pair_chain):
+    # Per trial the sampler keeps one int64 node id, plus a draw and an
+    # outcome while a level is drawn: about 22 bytes.
+    mixed, e, f = half_pair_chain
+    sample_chain(mixed, [e], f, SamplerConfig(trials=1_000))
+    tracemalloc.start()
+    try:
+        sample_chain(mixed, [e], f, SamplerConfig(trials=200_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 200_000 < 32
+
+
 class TestConfig:
     def test_validation(self):
         cases = [
@@ -246,6 +261,8 @@ def _per_node_chain(initial, tests, final, config):
 
 
 def _assert_same_result(got, want):
+    # The JSON output lists outcomes in this order.
+    assert list(got.outcome_counts) == sorted(got.outcome_counts)
     for field in dataclasses.fields(ChainResult):
         assert repr(getattr(got, field.name)) == repr(getattr(want, field.name)), field.name
 
@@ -394,10 +411,19 @@ class TestAgainstPerNodeReference:
             initial = ClassicalState(algebra.space, np.full(6, 1.0 / 6.0))
             middle = algebra.event([0, 2, 4])
         config = SamplerConfig(seed=3, trials=500)
-        for tests in ([one, middle, one], [middle, zero, middle]):
+        # Certain tests make levels of one and of two nodes realize one
+        # child each; an impossible test leaves no all-yes trial.
+        for tests in ([one, middle, one], [middle, one, middle],
+                      [middle, zero, middle], [zero, middle, middle]):
             got = sample_chain(initial, tests, middle, config)
             _assert_same_result(got, _per_node_chain(initial, tests, middle, config))
-        assert got.all_yes_count == 0 and math.isnan(got.empirical_p)
+            for k, event in enumerate(tests):
+                if event is one or event is zero:
+                    assert {key[k] for key in got.outcome_counts} == \
+                        {"1" if event is one else "0"}
+            if any(event is zero for event in tests):
+                assert got.all_yes_count == got.final_event_yes_count == 0
+                assert math.isnan(got.empirical_p) and math.isnan(got.std_error)
 
     @pytest.mark.parametrize("states_per_block", [1, 3])
     def test_levels_split_into_blocks(self, states_per_block, monkeypatch):
@@ -422,13 +448,35 @@ class TestAgainstPerNodeReference:
                 _assert_same_result(sample_chain(*chain, config), want)
         assert max(sizes) == states_per_block
 
-    def test_wide_chain(self):
-        rng = np.random.default_rng(63)
-        chain = _random_quantum_chain(2, 63, rng)
-        config = SamplerConfig(seed=8, trials=300)
-        got = sample_chain(*chain, config)
-        assert all(len(key) == 63 for key in got.outcome_counts)
-        _assert_same_result(got, _per_node_chain(*chain, config))
+    @pytest.mark.parametrize("n_tests", [62, 63, 64])
+    def test_wide_chain(self, n_tests):
+        rng = np.random.default_rng(n_tests)
+        for chain in (_random_quantum_chain(2, n_tests, rng),
+                      _random_boolean_chain(6, n_tests, rng)):
+            config = SamplerConfig(seed=8, trials=300)
+            got = sample_chain(*chain, config)
+            assert all(len(key) == n_tests for key in got.outcome_counts)
+            _assert_same_result(got, _per_node_chain(*chain, config))
+
+    @pytest.mark.parametrize("trials", [1, 2])
+    def test_one_and_two_trials(self, trials):
+        rng = np.random.default_rng(10 + trials)
+        for n_tests in range(1, 9):
+            for chain in (_random_quantum_chain(3, n_tests, rng),
+                          _random_boolean_chain(6, n_tests, rng)):
+                config = SamplerConfig(seed=n_tests, trials=trials)
+                _assert_same_result(sample_chain(*chain, config),
+                                    _per_node_chain(*chain, config))
+
+    def test_every_child_realized(self, half_pair_chain):
+        # Each test halves every prefix state, so with many trials per leaf
+        # every level realizes all of its children.
+        mixed, e, f = half_pair_chain
+        tests = [e, f, e, f, e]
+        config = SamplerConfig(seed=12, trials=5_000)
+        got = sample_chain(mixed, tests, f, config)
+        assert len(got.outcome_counts) == 2 ** len(tests)
+        _assert_same_result(got, _per_node_chain(mixed, tests, f, config))
 
 
 class TestChainContract:

@@ -61,6 +61,12 @@ class TestParsing:
         with pytest.raises(ParseError, match="^invalid JSON: Exceeds the limit"):
             parse_scenario(text)
 
+    def test_nesting_beyond_the_recursion_limit(self):
+        text = '{"events": {"a": {"members": ' + "[" * 100_000 + "]" * 100_000 + "}}}"
+        with pytest.raises(ParseError,
+                           match="^invalid JSON: maximum recursion depth exceeded"):
+            parse_scenario(text)
+
     def test_unknown_top_key(self):
         with pytest.raises(ValidationError, match="unknown keys"):
             parse_scenario('{"algebra": {"kind": "boolean", "size": 2}, "zap": 1}')
