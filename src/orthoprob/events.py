@@ -18,9 +18,9 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .errors import (AlgebraMismatch, NotOrthogonal, ValidationError)
-from .linalg import (TOL_HERMITIAN, Projection, _frobenius_norms, _projection_checks,
-                     _symmetrized, _symmetrized_projection, projector_from_span,
-                     random_unitary)
+from .linalg import (TOL_HERMITIAN, TOL_IDEMPOTENT, Projection, _frobenius_norms,
+                     _projection_checks, _symmetrized, _symmetrized_projection,
+                     projector_from_span, random_unitary)
 
 # Relative tolerance (scaled by max(1, operand norms)) for orthogonality
 # and ordering residuals on projections.
@@ -60,28 +60,21 @@ class BooleanEvent:
                     f"member {i!r} outside sample space of size {self.space.size}")
 
 
-@dataclass(frozen=True, eq=False)
-class QuantumEvent:
-    """An event in a complex projection lattice.
+class QuantumEvent(Projection):
+    """An event in a complex projection lattice: a :class:`Projection`.
 
-    ``matrix`` and ``dim`` are the projection's, copied once at
-    construction.
+    A :class:`Projection` argument is adopted with its rank and norm and is
+    not checked again; anything else is checked as ``Projection`` checks
+    it.  An event never equals a plain ``Projection``.
     """
 
-    proj: Projection
-    matrix: np.ndarray = field(init=False, repr=False)
-    dim: int = field(init=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", self.proj._matrix)
-        object.__setattr__(self, "dim", self.proj._matrix.shape[0])
-
-    def __eq__(self, other):
-        if not isinstance(other, QuantumEvent):
-            return NotImplemented
-        return self.proj == other.proj
-
-    __hash__ = None
+    def __init__(self, entries, tol: float = TOL_IDEMPOTENT):
+        if isinstance(entries, Projection):
+            self._matrix, self._rank, self._norm = entries._matrix, entries._rank, entries._norm
+        else:
+            super().__init__(entries, tol)
 
 
 Event = Union[BooleanEvent, QuantumEvent]
@@ -169,22 +162,21 @@ class QuantumAlgebra:
         self.flag = None if dim != 2 else \
             "type I2: not a UCP space (conditional probabilities are not unique)"
 
-    def event(self, entries, tol: float = None) -> QuantumEvent:
-        proj = entries if isinstance(entries, Projection) else (
-            Projection(entries) if tol is None else Projection(entries, tol=tol))
-        if proj.dim != self.dim:
+    def event(self, entries, tol: float = TOL_IDEMPOTENT) -> QuantumEvent:
+        event = QuantumEvent(entries, tol)
+        if event.dim != self.dim:
             raise AlgebraMismatch(
-                f"projection dimension {proj.dim} != algebra dimension {self.dim}")
-        return QuantumEvent(proj)
+                f"projection dimension {event.dim} != algebra dimension {self.dim}")
+        return event
 
     def event_from_span(self, vectors: Sequence) -> QuantumEvent:
         return self.event(projector_from_span(vectors))
 
     def zero(self) -> QuantumEvent:
-        return QuantumEvent(Projection(np.zeros((self.dim, self.dim), dtype=np.complex128)))
+        return QuantumEvent(np.zeros((self.dim, self.dim), dtype=np.complex128))
 
     def one(self) -> QuantumEvent:
-        return QuantumEvent(Projection(np.eye(self.dim, dtype=np.complex128)))
+        return QuantumEvent(np.eye(self.dim, dtype=np.complex128))
 
     def register(self, name: str, event: QuantumEvent) -> QuantumEvent:
         if event.dim != self.dim:
@@ -297,7 +289,7 @@ class _QuantumStacks:
     @staticmethod
     def stack(events: Sequence[QuantumEvent]):
         return (np.array([ev.matrix for ev in events]),
-                np.array([ev.proj._norm for ev in events]))
+                np.array([ev._norm for ev in events]))
 
     @staticmethod
     def orthogonality(a, b):
@@ -391,8 +383,7 @@ def complement(e: Event) -> Event:
     """The unique event orthogonal to e that sums with it to the unit."""
     if isinstance(e, BooleanEvent):
         return BooleanEvent(e.space, frozenset(range(e.space.size)) - e.members)
-    eye = np.eye(e.dim, dtype=np.complex128)
-    return QuantumEvent(Projection(eye - e.matrix))
+    return QuantumEvent(np.eye(e.dim, dtype=np.complex128) - e.matrix)
 
 
 def below(e: Event, f: Event, tol: float = DEFAULT_EVENT_TOL) -> bool:
@@ -404,7 +395,7 @@ def is_atom(e: Event) -> bool:
     """Minimal nonzero event: a singleton or a rank-one projection."""
     if isinstance(e, BooleanEvent):
         return len(e.members) == 1
-    return e.proj.rank == 1
+    return e.rank == 1
 
 
 def events_equal(e: Event, f: Event, tol: float = DEFAULT_EVENT_TOL) -> bool:

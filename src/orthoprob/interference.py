@@ -19,7 +19,7 @@ from .errors import (DegenerateDenominator, DimensionMismatch, NotAtom,
                      ZeroProbabilityCondition)
 from .events import QuantumEvent, is_atom, oplus, orthogonal
 from .linalg import StateVector
-from .states import atom_state, condition, prob
+from .states import _clamp_probability, atom_state, condition, prob
 
 # Paths whose probability under the atom falls below tol contribute a
 # zero-weight term; they are listed in the report instead of dividing by 0.
@@ -46,7 +46,7 @@ class InterferenceReport:
     degenerate_paths: tuple[int, ...] = ()
 
     def __post_init__(self):
-        residual = abs(self.p_total - (self.term1 + self.term2 + self.cross))
+        residual = self.identity_residual
         if residual > 1e-10:
             raise ValidationError(
                 f"decomposition identity violated: residual {residual:.3e}")
@@ -71,7 +71,7 @@ def interference_decomposition(source_atom: QuantumEvent, path1: QuantumEvent,
     """
     if not is_atom(source_atom):
         raise NotAtom("interference decomposition needs an atomic source event")
-    if path1.proj.rank == 0 or path2.proj.rank == 0:
+    if path1.rank == 0 or path2.rank == 0:
         raise ZeroEvent("path events must be nonzero")
     if not orthogonal(path1, path2):
         raise NotOrthogonal("path events must be orthogonal")
@@ -129,9 +129,4 @@ def two_slit(source: StateVector, path1: StateVector, path2: StateVector,
             f"source has no amplitude on either path: denominator {denom!r}")
     amp = amp1_in * np.vdot(path1.vector, detector.vector) + \
         amp2_in * np.vdot(path2.vector, detector.vector)
-    value = float(abs(amp) ** 2) / denom
-    if -1e-12 <= value < 0.0:
-        value = 0.0
-    elif 1.0 < value <= 1.0 + 1e-12:
-        value = 1.0
-    return value
+    return float(_clamp_probability(abs(amp) ** 2 / denom))

@@ -13,6 +13,9 @@ are given.  The private ``_symmetrized_projection`` is used only for
 scan; every projection, however built, passes the idempotency and
 trace-rank checks of ``_projection_checks``, which checks a whole stack of
 matrices at once and which a single projection runs as a stack of one.
+A quantum event is a ``Projection`` subclass; it adopts a ``Projection``
+argument with its rank and norm, so a projection is checked once however
+many events are made of it, while ``Projection(p)`` checks ``p`` again.
 """
 
 from __future__ import annotations
@@ -209,7 +212,7 @@ class Projection(HermitianOperator):
         return self._rank
 
     def __repr__(self) -> str:
-        return f"Projection(dim={self.dim}, rank={self.rank})"
+        return f"{type(self).__name__}(dim={self.dim}, rank={self.rank})"
 
 
 class StateVector:

@@ -299,13 +299,13 @@ def predictability(target: Event, given: Event,
             raise ZeroEvent("conditioning event is empty")
         return _boolean_predictability(len(given.members),
                                        len(given.members & target.members), tol)
-    if given.proj.rank == 0:
+    if given.rank == 0:
         raise ZeroEvent("conditioning event is the zero projection")
     f = given.matrix
     fef = _symmetrized(f @ target.matrix @ f)
     s = float(fef.trace().real) / float(f.trace().real)
     residual = float(np.linalg.norm(fef - s * f))
-    scale = max(1.0, given.proj._norm)
+    scale = max(1.0, given._norm)
     predictable = residual <= tol * scale
     if predictable and not -tol <= s <= 1.0 + tol:
         predictable = False
@@ -339,7 +339,7 @@ def predictability_seq(target: Event, given: Sequence[Event],
     m = np.eye(target.dim, dtype=np.complex128)
     for ev in given:
         _require_same_kind(target, ev)
-        if ev.proj.rank == 0:
+        if ev.rank == 0:
             raise ZeroEvent("a conditioning event is the zero projection")
         m = m @ ev.matrix
     b = _symmetrized(m @ m.conj().T)
@@ -387,7 +387,7 @@ def compatible(e: Event, f: Event, tol: float = 1e-9) -> bool:
         return True
     em, fm = e.matrix, f.matrix
     comm = float(np.linalg.norm(em @ fm - fm @ em))
-    return comm <= tol * max(1.0, e.proj._norm, f.proj._norm)
+    return comm <= tol * max(1.0, e._norm, f._norm)
 
 
 def atom_state(event: Event) -> State:
@@ -398,7 +398,7 @@ def atom_state(event: Event) -> State:
         weights = np.zeros(event.space.size)
         weights[next(iter(event.members))] = 1.0
         return ClassicalState(event.space, weights)
-    return DensityState(event.proj)
+    return DensityState(event)
 
 
 def rank_one_transition(xi: StateVector, eta: StateVector) -> float:
@@ -478,7 +478,7 @@ class TableState:
         dim = dims.pop()
         eye = np.eye(dim, dtype=np.complex128)
         for name, ev in events.items():
-            if ev.proj.rank == dim and float(np.linalg.norm(ev.matrix - eye)) <= 1e-12:
+            if ev.rank == dim and float(np.linalg.norm(ev.matrix - eye)) <= 1e-12:
                 if abs(values[name] - 1.0) > 1e-12:
                     raise ValidationError(
                         f"unit event {name!r} has value {values[name]!r}, expected 1")

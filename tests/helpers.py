@@ -80,6 +80,26 @@ def random_density_state(dim: int, rng: np.random.Generator) -> DensityState:
     return DensityState(random_density_matrix(dim, rng))
 
 
+def frame_event(algebra, cols: np.ndarray):
+    """The event projecting on the span of orthonormal columns."""
+    return algebra.event(_symmetrized(cols @ cols.conj().T))
+
+
+def state_family(mix: np.ndarray) -> list[DensityState]:
+    """The d^2 states on e_i, (e_i + e_j)/sqrt2 and (e_i + i e_j)/sqrt2,
+    each mixed half and half with the density matrix ``mix``.  They span
+    the Hermitian matrices, mixed or not, so tr(rho X) = 0 on every member
+    only for X = 0.  Mixing with E / rank E gives the event E positive
+    probability in every member."""
+    dim = mix.shape[0]
+    eye = np.eye(dim)
+    vectors = [eye[i] for i in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            vectors += [(eye[i] + eye[j]) / np.sqrt(2), (eye[i] + 1j * eye[j]) / np.sqrt(2)]
+    return [DensityState((np.outer(v, v.conj()) + mix) / 2) for v in vectors]
+
+
 # ---------------------------------------------------------------------------
 # The axiom harness evaluated pair by pair, as the reference for the
 # stacked verify_orthospace_axioms.

@@ -8,15 +8,17 @@ import numpy as np
 import pytest
 
 import orthoprob.events
+import orthoprob.linalg
 from orthoprob.errors import (AlgebraMismatch, NotOrthogonal, ValidationError)
 from orthoprob.events import (_STACKS, DEFAULT_EVENT_TOL, BooleanAlgebra,
                               QuantumAlgebra, QuantumEvent, SampleSpace, _one_pair,
                               below, complement, events_equal, is_atom, oplus,
                               orthogonal, verify_orthospace_axioms)
-from orthoprob.linalg import Projection, random_unitary
+from orthoprob.linalg import Projection, jordan_product, random_unitary
 from orthoprob.states import DensityState, condition, prob
 
-from helpers import harness_round, per_pair_axioms, random_projection
+from helpers import (frame_event, harness_round, per_pair_axioms, random_projection,
+                     state_family)
 
 # Check counts of the benchmark's harness workload, keyed
 # "<kind><size>/seed<seed>/budget<budget>"; read here, never written.
@@ -95,7 +97,7 @@ class TestQuantumAlgebra:
     def test_event_from_matrix(self, qdim3):
         ev = qdim3.event(np.diag([1.0, 1.0, 0.0]))
         assert ev.dim == 3
-        assert ev.proj.rank == 2
+        assert ev.rank == 2
 
     def test_rejects_non_projection(self, qdim3):
         with pytest.raises(ValidationError):
@@ -117,7 +119,7 @@ class TestQuantumAlgebra:
         assert orthogonal(e1, e2)
         assert not orthogonal(e1, diag)
         plane = oplus(e1, e2)
-        assert plane.proj.rank == 2
+        assert plane.rank == 2
         assert below(diag, plane)
         assert not below(plane, diag)
         assert events_equal(complement(plane),
@@ -153,6 +155,63 @@ class TestQuantumAlgebra:
         assert "not unique" in q2.flag
         assert BooleanAlgebra(2).unique_conditioning
 
+
+class TestEventIsAProjection:
+    """A quantum event is its projection: one object, one checked array."""
+
+    def test_an_event_is_a_projection(self, qdim3):
+        ev = qdim3.event(np.diag([1.0, 1.0, 0.0]))
+        assert isinstance(ev, Projection)
+        assert QuantumEvent.__slots__ == ()
+        assert not hasattr(ev, "__dict__")
+        assert (ev.dim, ev.rank) == (3, 2)
+        assert repr(ev) == "QuantumEvent(dim=3, rank=2)"
+
+    def test_operator_routines_accept_events(self, qdim3):
+        atom = qdim3.event_from_span([np.array([1.0, 1.0, 0.0])])
+        plane = qdim3.event(np.diag([1.0, 1.0, 0.0]))
+        rho = DensityState(atom)
+        assert rho.matrix is atom.matrix
+        assert prob(rho, atom) == pytest.approx(1.0, abs=1e-15)
+        assert jordan_product(atom, plane) == jordan_product(atom.matrix, plane.matrix)
+
+    def test_never_equals_a_plain_projection(self, qdim3):
+        ev = qdim3.event(np.diag([1.0, 0.0, 0.0]))
+        proj = Projection(ev.matrix)
+        assert ev != proj and proj != ev
+        assert ev == QuantumEvent(proj)
+        assert ev == qdim3.event(proj)
+
+    def test_each_event_is_checked_once(self, qdim3, monkeypatch):
+        calls = []
+        checks = orthoprob.linalg._projection_checks
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return checks(*args, **kwargs)
+
+        monkeypatch.setattr(orthoprob.linalg, "_projection_checks", counted)
+
+        def count(build):
+            calls.clear()
+            build()
+            return len(calls)
+
+        e1 = qdim3.event_from_span([np.array([1.0, 0.0, 0.0])])
+        e2 = qdim3.event(np.diag([0.0, 1.0, 0.0]))
+        proj = Projection(np.diag([0.0, 0.0, 1.0]))
+        assert count(lambda: qdim3.event(np.diag([1.0, 1.0, 0.0]))) == 1
+        assert count(lambda: qdim3.event_from_span([np.array([1.0, 1.0, 0.0])])) == 1
+        assert count(lambda: oplus(e1, e2)) == 1
+        assert count(lambda: complement(e1)) == 1
+        assert count(qdim3.zero) == count(qdim3.one) == 1
+        # A projection is adopted with its rank and norm, not checked again.
+        assert count(lambda: qdim3.event(proj)) == 0
+        assert count(lambda: QuantumEvent(proj)) == 0
+        assert count(lambda: Projection(proj)) == 1
+        adopted = QuantumEvent(proj)
+        assert adopted.matrix is proj.matrix
+        assert (adopted.rank, adopted._norm) == (proj.rank, proj._norm)
 
 
 def _hermitian(m):
@@ -353,23 +412,6 @@ class TestStackedHarness:
         assert "OS2: round 1: sum not defined in both orders" in report.messages
 
 
-def _frame_event(algebra, cols):
-    return algebra.event(_hermitian(cols @ cols.conj().T))
-
-
-def _state_family(event):
-    """The d^2 states on e_i, (e_i + e_j)/sqrt2 and (e_i + i e_j)/sqrt2,
-    each mixed half and half with E / rank E so that E has positive
-    probability.  Their projectors span the Hermitian matrices."""
-    eye = np.eye(event.dim)
-    vectors = [eye[i] for i in range(event.dim)]
-    for i in range(event.dim):
-        for j in range(i + 1, event.dim):
-            vectors += [(eye[i] + eye[j]) / np.sqrt(2), (eye[i] + 1j * eye[j]) / np.sqrt(2)]
-    mix = event.matrix / event.proj.rank
-    return [DensityState((np.outer(v, v.conj()) + mix) / 2) for v in vectors]
-
-
 class TestStateFamilyOracle:
     """orthogonal and below against the paper's conditional probabilities:
     E _|_ F exactly when P(F | E) = 0 in every state of an informationally
@@ -394,17 +436,17 @@ class TestStateFamilyOracle:
                 tilted[:, 0] = np.cos(theta) * beside[:, 0] + np.sin(theta) * inside[:, 0]
                 leaning = inside.copy()
                 leaning[:, 0] = np.cos(theta) * inside[:, 0] + np.sin(theta) * outside
-                e = _frame_event(algebra, inside)
+                e = frame_event(algebra, inside)
                 cases = [  # (E, F, E _|_ F, E <= F)
-                    (e, _frame_event(algebra, beside), True, False),
-                    (e, _frame_event(algebra, tilted), False, False),
-                    (e, _frame_event(algebra, u[:, :a + b]), False, True),
-                    (_frame_event(algebra, leaning), _frame_event(algebra, u[:, :a + b]),
+                    (e, frame_event(algebra, beside), True, False),
+                    (e, frame_event(algebra, tilted), False, False),
+                    (e, frame_event(algebra, u[:, :a + b]), False, True),
+                    (frame_event(algebra, leaning), frame_event(algebra, u[:, :a + b]),
                      False, False),
                 ]
                 for given, target, exclusive, contained in cases:
                     p = np.array([prob(condition(rho, given), target)
-                                  for rho in _state_family(given)])
+                                  for rho in state_family(given.matrix / given.rank)])
                     assert orthogonal(given, target) == exclusive
                     assert below(given, target) == contained
                     assert (p.max() <= DEFAULT_EVENT_TOL) == exclusive

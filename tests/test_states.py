@@ -28,7 +28,7 @@ from orthoprob.states import (ClassicalState, DensityState, TableState,
                               predictability_seq, prob,
                               qubit_nonuniqueness_demo, rank_one_transition)
 
-from helpers import random_density_state, random_projection
+from helpers import frame_event, random_density_state, random_projection, state_family
 
 
 @pytest.fixture
@@ -652,3 +652,133 @@ class TestBooleanOracle:
             assert result.predictable and result.s == 0.0
         else:
             assert not result.predictable
+
+
+# ---------------------------------------------------------------------------
+# Oracles from the paper's definition: a conditional probability is
+# state-independent when it takes the same value in every state.  The d^2
+# states of helpers.state_family are informationally complete, so the
+# spread of P(E | F) over them is zero exactly when F E F = s F.  On the
+# pairs below the spread is at most 6.7e-16 where the pair is predictable
+# and at least 7.8e-4 where it is not.
+FAMILY_SPREAD = 1e-9
+
+
+def _predictability_pairs(dim, rng):
+    """(target E, given F) pairs on C^dim: generic, atom given, F <= E,
+    F _|_ E, F E F = cos^2(t) F, and F E F = sum_i cos^2(t_i) f_i f_i^H,
+    which is a multiple of F only when F is an atom."""
+    alg = QuantumAlgebra(dim)
+    pairs = []
+    for _ in range(4):
+        u = random_unitary(dim, rng)
+        b = int(rng.integers(1, dim // 2 + 1))
+        f = frame_event(alg, u[:, :b])
+        angles = rng.uniform(0.2, 1.3, size=b)
+        tilted = np.cos(angles) * u[:, :b] + np.sin(angles) * u[:, b:2 * b]
+        level = np.cos(angles[0]) * u[:, :b] + np.sin(angles[0]) * u[:, b:2 * b]
+        generic = alg.event(random_projection(dim, int(rng.integers(1, dim)), rng))
+        pairs += [
+            (generic, alg.event(random_projection(dim, int(rng.integers(2, dim)), rng))),
+            (generic, frame_event(alg, u[:, b:b + 1])),
+            (frame_event(alg, u[:, :b + 1]), f),
+            (frame_event(alg, u[:, b:]), f),
+            (frame_event(alg, level), f),
+            (frame_event(alg, tilted), f),
+        ]
+    return pairs
+
+
+def _family_values(target, given, mix, conditioned):
+    return np.array([prob(conditioned(rho, given), target) for rho in state_family(mix)])
+
+
+class TestPredictabilityFamilyOracle:
+    """predictability and predictability_seq against the spread of the
+    conditional probability over an informationally complete family."""
+
+    @pytest.mark.parametrize("dim", [3, 4, 6])
+    def test_verdict_is_a_constant_conditional(self, dim):
+        rng = np.random.default_rng(dim)
+        verdicts = set()
+        for target, given in _predictability_pairs(dim, rng):
+            result = predictability(target, given)
+            p = _family_values(target, given, given.matrix / given.rank, condition)
+            assert (np.ptp(p) <= FAMILY_SPREAD) == result.predictable, np.ptp(p)
+            if result.predictable:
+                assert np.abs(p - result.s).max() <= FAMILY_SPREAD
+            verdicts.add(result.predictable)
+        assert verdicts == {True, False}
+
+    def test_sec7_pair(self):
+        _, e, f = half_transition_pair()
+        for target, given in ((f, e), (e, f)):
+            p = _family_values(target, given, given.matrix / given.rank, condition)
+            assert predictability(target, given).predictable
+            assert np.abs(p - 0.5).max() <= FAMILY_SPREAD
+
+    @pytest.mark.parametrize("dim", [3, 4, 6])
+    def test_sequence_verdict_is_a_constant_conditional(self, dim):
+        # The family is mixed with M M^H / tr(M M^H), M = F1 ... Fn, the
+        # operator whose expectation is the probability of the sequence.
+        rng = np.random.default_rng(100 + dim)
+        alg = QuantumAlgebra(dim)
+        verdicts = set()
+        for target, given in _predictability_pairs(dim, rng):
+            first = alg.event(random_projection(dim, int(rng.integers(2, dim)), rng))
+            for seq in ([first, given], [given, first, given], [first, target]):
+                m = seq[0].matrix
+                for ev in seq[1:]:
+                    m = m @ ev.matrix
+                b = _symmetrized(m @ m.conj().T)
+                result = predictability_seq(target, seq)
+                p = _family_values(target, seq, b / b.trace().real, condition_seq)
+                assert (np.ptp(p) <= FAMILY_SPREAD) == result.predictable, np.ptp(p)
+                if result.predictable:
+                    assert np.abs(p - result.s).max() <= FAMILY_SPREAD
+                verdicts.add(result.predictable)
+        assert verdicts == {True, False}
+
+
+class TestBooleanDiagonalStates:
+    """A classical state and an event agree with their diagonal images: the
+    density matrix diag(w) and the 0/1 diagonal projection."""
+
+    @pytest.mark.parametrize("size", range(1, 9))
+    def test_state_layer_agrees(self, size):
+        rng = np.random.default_rng(size)
+        boolean, quantum = BooleanAlgebra(size), QuantumAlgebra(size)
+
+        def diagonal(ev):
+            return quantum.event(np.diag([float(i in ev.members) for i in range(size)]))
+
+        events = [boolean.event(np.flatnonzero(rng.random(size) < 0.5)) for _ in range(5)]
+        events += [complement(ev) for ev in events] + [boolean.zero(), boolean.one()]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonUniqueConditioningWarning)
+            for _ in range(3):
+                weights = rng.dirichlet(np.ones(size))
+                classical = ClassicalState(boolean.space, weights)
+                density = DensityState(np.diag(weights).astype(np.complex128))
+                for b in events:
+                    qb = diagonal(b)
+                    np.testing.assert_allclose(prob(density, qb), prob(classical, b),
+                                               rtol=1e-14, atol=0)
+                    if not b.members:
+                        for state, given in ((classical, b), (density, qb)):
+                            with pytest.raises(ZeroProbabilityCondition):
+                                condition(state, given)
+                            with pytest.raises(ZeroEvent):
+                                predictability(given, given)
+                        continue
+                    conditioned = condition(density, qb).matrix
+                    np.testing.assert_allclose(np.diag(conditioned).real,
+                                               condition(classical, b).weights,
+                                               rtol=1e-14, atol=0)
+                    assert not (conditioned - np.diag(np.diag(conditioned))).any()
+                    for a in events:
+                        qa = diagonal(a)
+                        verdict, image = predictability(a, b), predictability(qa, qb)
+                        assert image.predictable == verdict.predictable
+                        assert image.s == verdict.s
+                        assert compatible(qa, qb) == compatible(a, b)
