@@ -191,18 +191,28 @@ class QuantumAlgebra:
 EventAlgebra = Union[BooleanAlgebra, QuantumAlgebra]
 
 
-def _require_same_kind(e: Event, f: Event) -> str:
-    if isinstance(e, BooleanEvent) and isinstance(f, BooleanEvent):
-        if e.space != f.space:
-            raise AlgebraMismatch("events live on different sample spaces")
+_EVENT_KINDS = {"boolean": BooleanEvent, "quantum": QuantumEvent}
+
+
+def _shared_kind(x, e: Event, kinds: dict = _EVENT_KINDS) -> str:
+    """The kind, "boolean" or "quantum", that ``x`` shares with the event
+    ``e``.  ``kinds`` maps each kind to the class of ``x``'s role: an event
+    (the default) or a state (``states._STATE_KINDS``).  Raises
+    AlgebraMismatch unless both are of one kind on one space or dimension."""
+    two_events = kinds is _EVENT_KINDS
+    if isinstance(x, kinds["boolean"]) and isinstance(e, BooleanEvent):
+        if x.space != e.space:
+            raise AlgebraMismatch("events live on different sample spaces" if two_events
+                                  else "state and event live on different sample spaces")
         return "boolean"
-    if isinstance(e, QuantumEvent) and isinstance(f, QuantumEvent):
-        if e.dim != f.dim:
+    if isinstance(x, kinds["quantum"]) and isinstance(e, QuantumEvent):
+        if x.dim != e.dim:
             raise AlgebraMismatch(
-                f"events have different dimensions: {e.dim} vs {f.dim}")
+                f"events have different dimensions: {x.dim} vs {e.dim}" if two_events
+                else f"state dimension {x.dim} != event dimension {e.dim}")
         return "quantum"
     raise AlgebraMismatch(
-        f"cannot mix {type(e).__name__} with {type(f).__name__}")
+        f"cannot {'mix' if two_events else 'pair'} {type(x).__name__} with {type(e).__name__}")
 
 
 def _require_tolerance(tol: float) -> None:
@@ -355,7 +365,7 @@ def _one_pair(relation: str, e: Event, f: Event):
     """The stacks of e's kind, the residual of ``relation``
     ("orthogonality", "order" or "equality") from e to f on one-pair
     stacks, and the two norms."""
-    stacks = _STACKS[_require_same_kind(e, f)]
+    stacks = _STACKS[_shared_kind(e, f)]
     pair, norms = stacks.stack((e, f))
     return stacks, getattr(stacks, relation)(pair[:1], pair[1:]), norms[:1], norms[1:]
 
@@ -621,7 +631,7 @@ def verify_orthospace_axioms(algebra: EventAlgebra, budget: int = 1000,
     if budget < 1:
         raise ValidationError("budget must be >= 1")
     _require_tolerance(tol)
-    stacks = _BooleanStacks if isinstance(algebra, BooleanAlgebra) else _QuantumStacks
+    stacks = _STACKS[algebra.kind]
     rng = np.random.default_rng(seed)
     report = AxiomReport(algebra=repr(algebra), rounds=budget, seed=seed,
                          checks={ax: 0 for ax in _AXIOMS},

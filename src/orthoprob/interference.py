@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateDenominator, DimensionMismatch, NotAtom,
-                     NotOrthogonal, ValidationError, ZeroEvent,
+from .errors import (AlgebraMismatch, DegenerateDenominator, DimensionMismatch,
+                     NotAtom, NotOrthogonal, ValidationError, ZeroEvent,
                      ZeroProbabilityCondition)
-from .events import QuantumEvent, is_atom, oplus, orthogonal
+from .events import QuantumEvent, _shared_kind, is_atom, oplus, orthogonal
 from .linalg import StateVector
 from .states import _clamp_probability, atom_state, condition, prob
 
@@ -67,10 +67,13 @@ def interference_decomposition(source_atom: QuantumEvent, path1: QuantumEvent,
     term_k = P(target | source, path_k) * P(path_k | source) / P(path1 + path2 | source)
     cross  = 2 Re tr(rho path1 target path2) / P(path1 + path2 | source)
 
-    The source must be an atom and the paths orthogonal nonzero events.
+    The source must be an atom and the paths orthogonal nonzero quantum
+    events; Boolean paths raise AlgebraMismatch.
     """
     if not is_atom(source_atom):
         raise NotAtom("interference decomposition needs an atomic source event")
+    if _shared_kind(path1, path2) != "quantum":
+        raise AlgebraMismatch("interference decomposition needs quantum events")
     if path1.rank == 0 or path2.rank == 0:
         raise ZeroEvent("path events must be nonzero")
     if not orthogonal(path1, path2):

@@ -303,7 +303,7 @@ def jordan_product(x, y) -> HermitianOperator:
     """
     a, b = _hermitian_matrix_of(x), _hermitian_matrix_of(y)
     _check_same_dim(a, b)
-    return HermitianOperator(_symmetrized((a @ b + b @ a) / 2.0))
+    return HermitianOperator(_jp(a, b))
 
 
 def _jp(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -41,8 +41,8 @@ import numpy as np
 
 from .errors import (EmptyChain, ImpossibleSequence, NotPredictable,
                      ValidationError, ZeroEvent, ZeroProbabilityCondition)
-from .events import Event, _require_tolerance, complement
-from .states import (State, _branch_of, _check_states, _conditioned, _pair_kind,
+from .events import Event, _require_tolerance, _shared_kind, complement
+from .states import (_STATE_KINDS, State, _branch_of, _check_states, _conditioned,
                      _probabilities, _stack_of, _warn_if_nonunique, condition,
                      predictability_seq, prob)
 
@@ -156,9 +156,9 @@ def sample_chain(initial: State, tests: Sequence[Event], final: Event,
     """
     if len(tests) == 0:
         raise EmptyChain("sample_chain needs at least one test event")
-    _pair_kind(initial, final)
+    _shared_kind(initial, final, _STATE_KINDS)
     for event in tests:
-        _pair_kind(initial, event)
+        _shared_kind(initial, event, _STATE_KINDS)
     _warn_if_nonunique(tests[0])
     n = len(tests)
     trials = config.trials

@@ -17,11 +17,11 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import (AlgebraMismatch, DimensionMismatch, EmptyInput,
+from .errors import (DimensionMismatch, EmptyInput,
                      ImpossibleSequence, NonUniqueConditioningWarning, NotAtom,
                      ValidationError, ZeroEvent, ZeroProbabilityCondition)
-from .events import (BooleanEvent, Event, QuantumAlgebra, QuantumEvent,
-                     _require_same_kind, below, complement, events_equal, is_atom)
+from .events import (BooleanEvent, Event, QuantumAlgebra, QuantumEvent, _shared_kind,
+                     below, complement, events_equal, is_atom)
 from .linalg import HermitianOperator, StateVector, _require_finite, _symmetrized
 
 # Relative tolerance for certifying the predictability residual.
@@ -128,6 +128,8 @@ class DensityState(HermitianOperator):
 
 
 State = Union[ClassicalState, DensityState]
+# The state role for events._shared_kind: the state class of each kind.
+_STATE_KINDS = {"boolean": ClassicalState, "quantum": DensityState}
 
 
 @dataclass(frozen=True)
@@ -148,20 +150,6 @@ class PredictabilityResult:
         if self.predictable and not 0.0 <= self.s <= 1.0:
             raise ValidationError(
                 f"certified conditional probability {self.s!r} outside [0, 1]")
-
-
-def _pair_kind(state: State, event: Event) -> str:
-    if isinstance(state, ClassicalState) and isinstance(event, BooleanEvent):
-        if state.space != event.space:
-            raise AlgebraMismatch("state and event live on different sample spaces")
-        return "boolean"
-    if isinstance(state, DensityState) and isinstance(event, QuantumEvent):
-        if state.dim != event.dim:
-            raise AlgebraMismatch(
-                f"state dimension {state.dim} != event dimension {event.dim}")
-        return "quantum"
-    raise AlgebraMismatch(
-        f"cannot pair {type(state).__name__} with {type(event).__name__}")
 
 
 def _clamp_probability(p: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -225,7 +213,7 @@ def _conditioned(stack: np.ndarray, branch: np.ndarray, p: np.ndarray,
 
 def prob(state: State, event: Event) -> float:
     """Probability of an event in a state."""
-    _pair_kind(state, event)
+    _shared_kind(state, event, _STATE_KINDS)
     return float(_probabilities(_stack_of(state), event)[0])
 
 
@@ -246,7 +234,7 @@ def condition(state: State, event: Event,
     compressed, rho -> E rho E / tr(rho E).  Raises
     ZeroProbabilityCondition when the event's probability is <= tol.
     """
-    kind = _pair_kind(state, event)
+    kind = _shared_kind(state, event, _STATE_KINDS)
     stack = _stack_of(state)
     conditioned = _conditioned(stack, _branch_of(event), _probabilities(stack, event), tol)[0]
     _warn_if_nonunique(event)
@@ -285,6 +273,19 @@ def _boolean_predictability(n_given: int, n_joint: int, tol: float) -> Predictab
     return PredictabilityResult(residual <= tol * scale, s, residual)
 
 
+def _certified(a: np.ndarray, b: np.ndarray, tr_b: float, scale: float,
+               tol: float) -> PredictabilityResult:
+    """The verdict on A = sB with s = tr A / tr B: certified when
+    ||A - sB||_F <= tol * scale and s lies in [-tol, 1 + tol], and then s
+    is clamped to [0, 1]."""
+    s = float(a.trace().real) / tr_b
+    residual = float(np.linalg.norm(a - s * b))
+    predictable = residual <= tol * scale and -tol <= s <= 1.0 + tol
+    if predictable:
+        s = min(1.0, max(0.0, s))
+    return PredictabilityResult(predictable, s, residual)
+
+
 def predictability(target: Event, given: Event,
                    tol: float = DEFAULT_DETECTION_TOL) -> PredictabilityResult:
     """Test whether the probability of ``target`` after observing ``given``
@@ -294,7 +295,7 @@ def predictability(target: Event, given: Event,
     are predictable exactly when ``given`` is contained in ``target`` or in
     its complement.
     """
-    if _require_same_kind(target, given) == "boolean":
+    if _shared_kind(target, given) == "boolean":
         if not given.members:
             raise ZeroEvent("conditioning event is empty")
         return _boolean_predictability(len(given.members),
@@ -302,16 +303,8 @@ def predictability(target: Event, given: Event,
     if given.rank == 0:
         raise ZeroEvent("conditioning event is the zero projection")
     f = given.matrix
-    fef = _symmetrized(f @ target.matrix @ f)
-    s = float(fef.trace().real) / float(f.trace().real)
-    residual = float(np.linalg.norm(fef - s * f))
-    scale = max(1.0, given._norm)
-    predictable = residual <= tol * scale
-    if predictable and not -tol <= s <= 1.0 + tol:
-        predictable = False
-    if predictable:
-        s = min(1.0, max(0.0, s))
-    return PredictabilityResult(predictable, s, residual)
+    return _certified(_symmetrized(f @ target.matrix @ f), f, float(f.trace().real),
+                      max(1.0, given._norm), tol)
 
 
 def predictability_seq(target: Event, given: Sequence[Event],
@@ -326,10 +319,10 @@ def predictability_seq(target: Event, given: Sequence[Event],
     """
     if len(given) == 0:
         raise EmptyInput("predictability_seq needs at least one event")
-    if _require_same_kind(target, given[0]) == "boolean":
+    if _shared_kind(target, given[0]) == "boolean":
         base = frozenset(range(target.space.size))
         for ev in given:
-            _require_same_kind(target, ev)
+            _shared_kind(target, ev)
             if not ev.members:
                 raise ZeroEvent("a conditioning event is empty")
             base &= ev.members
@@ -338,7 +331,7 @@ def predictability_seq(target: Event, given: Sequence[Event],
         return _boolean_predictability(len(base), len(base & target.members), tol)
     m = np.eye(target.dim, dtype=np.complex128)
     for ev in given:
-        _require_same_kind(target, ev)
+        _shared_kind(target, ev)
         if ev.rank == 0:
             raise ZeroEvent("a conditioning event is the zero projection")
         m = m @ ev.matrix
@@ -347,16 +340,8 @@ def predictability_seq(target: Event, given: Sequence[Event],
     if tr_b <= tol:
         raise ImpossibleSequence(
             f"no state can realize the sequence: tr(M M^H) = {tr_b!r}")
-    a = _symmetrized(m @ target.matrix @ m.conj().T)
-    s = float(a.trace().real) / tr_b
-    residual = float(np.linalg.norm(a - s * b))
-    scale = max(1.0, float(np.linalg.norm(b)))
-    predictable = residual <= tol * scale
-    if predictable and not -tol <= s <= 1.0 + tol:
-        predictable = False
-    if predictable:
-        s = min(1.0, max(0.0, s))
-    return PredictabilityResult(predictable, s, residual)
+    return _certified(_symmetrized(m @ target.matrix @ m.conj().T), b, tr_b,
+                      max(1.0, float(np.linalg.norm(b))), tol)
 
 
 def compatibility_residuals(e: QuantumEvent, f: QuantumEvent) -> tuple[float, float, float]:
@@ -383,7 +368,7 @@ def compatible(e: Event, f: Event, tol: float = 1e-9) -> bool:
     residuals of :func:`compatibility_residuals` equal the commutator norm
     in exact arithmetic only, so they are reported, never consulted.
     """
-    if _require_same_kind(e, f) == "boolean":
+    if _shared_kind(e, f) == "boolean":
         return True
     em, fm = e.matrix, f.matrix
     comm = float(np.linalg.norm(em @ fm - fm @ em))

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from orthoprob import cli
 from orthoprob.cli import main
-from orthoprob.scenario import MAX_ALGEBRA_SIZE, MAX_AXIOM_BUDGET, MAX_TRIALS
+from orthoprob.scenario import MAX_ALGEBRA_SIZE, MAX_AXIOM_BUDGET, MAX_TRIALS, QUERY_TABLE
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = ROOT / "scenarios"
@@ -282,6 +282,57 @@ class TestExitCodes:
     def test_usage_error(self):
         assert run_cli("no-such-command").returncode == 1
         assert run_cli("predict").returncode == 1
+
+
+# One small scenario of each algebra kind, with the same names, and a query
+# of every kind on them.  ``t`` is an atom and ``a``, ``b`` are orthogonal.
+SMALL_ALGEBRAS = {
+    "boolean": {
+        "algebra": {"kind": "boolean", "size": 3},
+        "events": {"a": {"members": [0]}, "b": {"members": [1]}, "t": {"members": [2]},
+                   "ab": {"members": [0, 1]}},
+        "states": {"s": {"weights": [0.5, 0.3, 0.2]}},
+    },
+    "quantum": {
+        "algebra": {"kind": "quantum", "dim": 3},
+        "events": {"a": {"span": [[[1, 0], [0, 0], [0, 0]]]},
+                   "b": {"span": [[[0, 0], [1, 0], [0, 0]]]},
+                   "t": {"span": [[[0.6, 0], [0.8, 0], [0, 0]]]},
+                   "ab": {"span": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]]}},
+        "states": {"s": {"vector": [[0.6, 0], [0, 0.8], [0, 0]]}},
+    },
+}
+EVERY_QUERY = {
+    "prob": {"state": "s", "event": "a"},
+    "condition": {"state": "s", "event": "ab"},
+    "condition_seq": {"state": "s", "events": ["ab", "t"]},
+    "predictability": {"target": "t", "given": ["ab"]},
+    "compatible": {"first": "t", "second": "a"},
+    "interference": {"atom": "t", "path1": "a", "path2": "b", "target": "t"},
+    "two_slit": {"source": "s", "path1": "s", "path2": "s", "detector": "s"},
+    "sample": {"initial": "s", "tests": ["ab"], "final": "a"},
+    "axioms": {"budget": 5},
+}
+
+
+@pytest.mark.parametrize("algebra", sorted(SMALL_ALGEBRAS))
+@pytest.mark.parametrize("kind", sorted(QUERY_TABLE))
+def test_every_query_kind_exits_cleanly(algebra, kind, tmp_path, capsys):
+    """Every query kind on either algebra kind gives a result, an input
+    error or a failed operation; never a traceback."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**SMALL_ALGEBRAS[algebra],
+                                "query": {"kind": kind, **EVERY_QUERY[kind]}}))
+    command = next((c for c, kinds in cli._SCENARIO_KINDS.items() if kind in kinds), kind)
+    code = main([command, "--scenario", str(path), "--trials", "100"])
+    out, err = capsys.readouterr()
+    if code == 0:
+        json.loads(out)
+    else:
+        assert code in (1, 2)
+        assert err.startswith("error: ") and out == ""
+    if (algebra, kind) == ("boolean", "interference"):
+        assert (code, err) == (2, "error: interference decomposition needs quantum events\n")
 
 
 @pytest.mark.filterwarnings("ignore::orthoprob.NonUniqueConditioningWarning")

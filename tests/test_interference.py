@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from orthoprob.errors import (DegenerateDenominator, DimensionMismatch,
+from orthoprob.errors import (AlgebraMismatch, DegenerateDenominator, DimensionMismatch,
                               NotAtom, NotOrthogonal,
                               ZeroProbabilityCondition)
-from orthoprob.events import QuantumAlgebra
+from orthoprob.events import BooleanAlgebra, QuantumAlgebra
 from orthoprob.interference import interference_decomposition, two_slit
 from orthoprob.linalg import StateVector
 
@@ -64,6 +64,15 @@ class TestDecomposition:
         fat = alg.event(np.diag([1.0, 1.0, 0.0]))
         with pytest.raises(NotAtom):
             interference_decomposition(fat, e1, e2, alg.one())
+
+    def test_boolean_events_are_refused_after_the_atom_check(self):
+        die = BooleanAlgebra(6)
+        a, b, c = die.event([0]), die.event([1]), die.event([2])
+        with pytest.raises(NotAtom):
+            interference_decomposition(die.event([0, 1]), b, c, a)
+        with pytest.raises(AlgebraMismatch,
+                           match="^interference decomposition needs quantum events$"):
+            interference_decomposition(a, b, c, a)
 
     def test_paths_must_be_orthogonal(self, slits):
         alg, d, e1, _ = slits
