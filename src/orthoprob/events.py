@@ -4,9 +4,11 @@ Both algebras expose the same orthospace operations (orthogonality,
 orthogonal sum, complement, order, atoms) so the state layer can stay
 agnostic about which kind of event it handles.  Orthogonality, order and
 equality are decided on stacks of events, one route per algebra kind: the
-public one-pair functions run it on stacks of one, and a randomized harness
-that checks the six orthospace axioms runs it on each round's events at
-once.
+public one-pair functions run it on stacks of one.  A randomized harness
+checks the six orthospace axioms a block of rounds at a time, with blocks
+bounded by bytes; it draws the rounds in turn, so they keep their random
+stream, and keeps the first 20 failure messages in (round, axiom,
+position) order.
 """
 
 from __future__ import annotations
@@ -80,32 +82,6 @@ class QuantumEvent(Projection):
 Event = Union[BooleanEvent, QuantumEvent]
 
 
-class _Registry:
-    """Name -> event mapping, write-once per name."""
-
-    def __init__(self):
-        self._by_name: dict[str, Event] = {}
-
-    def register(self, name: str, event: Event) -> None:
-        if not isinstance(name, str) or not name:
-            raise ValidationError("event names must be nonempty strings")
-        if name in self._by_name:
-            raise ValidationError(f"event name {name!r} is already registered")
-        self._by_name[name] = event
-
-    def lookup(self, name: str) -> Event:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise ValidationError(f"unknown event name {name!r}") from None
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._by_name)
-
-    def items(self):
-        return self._by_name.items()
-
-
 class BooleanAlgebra:
     """Powerset algebra of a finite sample space."""
 
@@ -120,7 +96,6 @@ class BooleanAlgebra:
         else:
             self.space = SampleSpace(int(space),
                                      tuple(labels) if labels is not None else None)
-        self.registry = _Registry()
 
     @property
     def size(self) -> int:
@@ -134,12 +109,6 @@ class BooleanAlgebra:
 
     def one(self) -> BooleanEvent:
         return BooleanEvent(self.space, frozenset(range(self.space.size)))
-
-    def register(self, name: str, event: BooleanEvent) -> BooleanEvent:
-        if event.space != self.space:
-            raise AlgebraMismatch("event belongs to a different sample space")
-        self.registry.register(name, event)
-        return event
 
     def __repr__(self):
         return f"BooleanAlgebra(size={self.size})"
@@ -155,7 +124,6 @@ class QuantumAlgebra:
         if dim < 1:
             raise ValidationError("quantum algebra dimension must be >= 1")
         self.dim = dim
-        self.registry = _Registry()
         # Dimension two is the lone projection lattice where conditional
         # probabilities fail to be unique; flag it so callers can warn.
         self.unique_conditioning = dim != 2
@@ -177,12 +145,6 @@ class QuantumAlgebra:
 
     def one(self) -> QuantumEvent:
         return QuantumEvent(np.eye(self.dim, dtype=np.complex128))
-
-    def register(self, name: str, event: QuantumEvent) -> QuantumEvent:
-        if event.dim != self.dim:
-            raise AlgebraMismatch("event dimension differs from algebra dimension")
-        self.registry.register(name, event)
-        return event
 
     def __repr__(self):
         return f"QuantumAlgebra(dim={self.dim})"
@@ -227,7 +189,8 @@ def _require_tolerance(tol: float) -> None:
 # relation residuals broadcast, so stacks a[:, None] and b[None] give a
 # (len a, len b) table and equal-length stacks one residual per pair.  The
 # builders (complement_of, sum_of, difference_of) check nothing; checks()
-# returns each entry's norm and None or the message its constructor raises.
+# returns each entry's norm and, by position, the message its constructor
+# raises for each entry that fails.
 
 
 class _BooleanStacks:
@@ -274,16 +237,15 @@ class _BooleanStacks:
         return y & ~x
 
     @staticmethod
-    def checks(rows, hermitian):
-        return np.zeros(len(rows)), [None] * len(rows)
+    def checks(rows):
+        return np.zeros(len(rows)), {}
 
     @staticmethod
     def draw(algebra: BooleanAlgebra, rng: np.random.Generator):
         """d, e, f, g of one harness round; d, e, f are disjoint."""
-        n = algebra.size
-        assignment = rng.integers(0, 4, size=n)
-        return np.stack((assignment == 0, assignment == 1, assignment == 2,
-                         rng.random(n) < 0.5))
+        assignment = rng.integers(0, 4, size=algebra.size)
+        return np.concatenate((assignment == np.arange(3)[:, None],
+                               [rng.random(algebra.size) < 0.5]))
 
 
 class _QuantumStacks:
@@ -330,13 +292,12 @@ class _QuantumStacks:
         return _symmetrized(y - x)
 
     @staticmethod
-    def checks(mats, hermitian):
-        """Norms and check errors of each matrix; ``hermitian`` adds the
-        scan that :func:`complement` runs and ``_symmetrized`` output
-        passes exactly."""
-        errors, norms, _ = _projection_checks(
-            mats, hermitian_tol=TOL_HERMITIAN if hermitian else None)
-        return norms, errors
+    def checks(mats):
+        """Norms of the matrices and the message of each failing one by
+        position, after the Hermitian scan that :func:`complement` runs
+        (``_symmetrized`` output passes it exactly)."""
+        errors, norms, _ = _projection_checks(mats, hermitian_tol=TOL_HERMITIAN)
+        return norms, {i: error for i, error in enumerate(errors) if error}
 
     @staticmethod
     def draw(algebra: QuantumAlgebra, rng: np.random.Generator):
@@ -453,166 +414,197 @@ class AxiomReport:
 
 
 # Positions of a harness round's pool: d, e, f (mutually orthogonal), g,
-# g', 0, 1.  Its stack of events holds the complement of member x at POOL + x.
-_D, _E, _F, _G, _ZERO, _ONE = 0, 1, 2, 3, 5, 6
-_POOL = 7
+# g', 0, 1; the complement of member x sits at POOL + x.  An (x, y) table
+# pairs member x with member y, a pool-sum table (x, y) in column y < POOL
+# and (x, x') in column POOL.
+_D, _E, _F, _G, _ZERO, _ONE, _POOL = 0, 1, 2, 3, 5, 6, 7
+_X, _Y = np.indices((_POOL, _POOL))
+_X8, _PARTNERS = np.hstack((_X, _X[:, :1])), np.hstack((_Y, _X[:, :1] + _POOL))
+_PAIRS = np.triu_indices(_POOL, 1)
+# Members are exactly Hermitian, so adding or subtracting an exact zero and
+# symmetrizing round nothing: x + 0, 0 + y, y - y, y - 0 and 1 - y are x,
+# y, 0, y and y' bit for bit, and are taken from the pool, not built.
+_WITH_ZERO = (_X8 == _ZERO) | (_PARTNERS == _ZERO)
+_TRIVIAL = (_X == _Y) | (_X == _ZERO) | (_Y == _ONE)
+# The checks of one round in the order the axioms visit them, as (axiom,
+# wording of a failure); an OS2 failure is worded by its cause.
+_ROUND_CHECKS = (
+    [("OS1", "asymmetric orthogonality")] * len(_PAIRS[0]) + [("OS2", None)] * len(_PAIRS[0])
+    + [("OS3", "triple associativity/closure failed")] + [("OS4", "zero not neutral")] * (_G + 1)
+    + [("OS5", "complement fails sum-to-unit"),
+       *[("OS5", "second complement candidate found")] * _POOL] * _POOL
+    + [("OS6", "no orthogonal remainder below")] * _POOL ** 2
+    + [("OS6", "sum does not dominate summand")] * _POOL ** 2)
+_AXIOM_STARTS = [[ax for ax, _ in _ROUND_CHECKS].index(ax) for ax in _AXIOMS]
+# Bytes bounding a block's pool x (pool + complements) relation table (a
+# block has at least one round) and the operands of one relation call.
+_HARNESS_BLOCK_BYTES = 1 << 18
 
 
-def _round_verdicts(stacks, four, units, tol: float):
-    """Yield (axiom, verdict, failure text) for one harness round on the
-    drawn events d, e, f, g and the stack of 0 and 1.
+def _block_verdicts(stacks, four, tol: float):
+    """The checks of R harness rounds drawn as ``four`` (R, 4, ...), d e f g
+    each: ``(checked, failed, describe)``, two (R, len(_ROUND_CHECKS))
+    masks in (round, axiom, position) order, and ``describe(round, check)``
+    wording a failure.
 
-    The checks and their order are those of the axioms evaluated pair by
-    pair with the public operations.  The round builds its events in four
-    checked stacks, and decides each relation it needs among them in one
-    stacked call as soon as both sides exist:
-    1. the pool and its complements: the orthogonality table pool x (pool
-       + complements) and the equality table pool x complements;
-    2. the sums of the orthogonal ordered pairs and the OS6 remainders;
-    3. the remainders' sums and the OS3 triple sums;
-    4. the complements of the sums.
-    Where the pairwise evaluation lets ``oplus`` or ``complement`` raise,
-    the same error is raised when that check is reached.
+    Verdicts, failures and the first error raised (in round order, then
+    check order) are those of the axioms evaluated pair by pair with the
+    public operations.  The block's events sit in one stack with their
+    norms and check outcomes; every round fills the same fixed-shape tables
+    of positions in it (pool and complements, member sums, their
+    complements, remainders, re-sums, triple sums) and of verdicts.  An
+    event is built and checked, and a relation decided, only where the
+    pairwise evaluation does so: each step compresses the entries under its
+    masks into stacked calls and scatters the outcomes back.
     """
-    def verdicts(relation, a, a_norms, b, b_norms):
-        """``relation`` from a[i] to b[i] as a list; a stack of one pairs
-        with every entry of the other."""
-        return stacks.holds(getattr(stacks, relation)(a, b), a_norms, b_norms, tol).tolist()
+    def decide(relation, *requests):
+        """Per (mask, a, b), ``relation`` from the events at positions a to
+        those at b where the mask is set, False elsewhere; the operands of
+        one stacked call stay within _HARNESS_BLOCK_BYTES."""
+        flats = [mask.reshape(-1).nonzero()[0] for mask, _, _ in requests]
+        a, b = (np.concatenate([request[side].take(flat)
+                                for request, flat in zip(requests, flats)]) for side in (1, 2))
+        step = max(1, _HARNESS_BLOCK_BYTES // (2 * events[0].nbytes))
+        held = np.concatenate([stacks.holds(
+            getattr(stacks, relation)(events.take(a[i:i + step], axis=0),
+                                      events.take(b[i:i + step], axis=0)),
+            norms.take(a[i:i + step]), norms.take(b[i:i + step]), tol)
+            for i in range(0, max(len(a), 1), step)])
+        tables, ends = [], np.cumsum([len(flat) for flat in flats])
+        for (mask, _, _), flat, end in zip(requests, flats, ends):
+            tables.append(np.zeros(mask.shape, dtype=bool))
+            tables[-1].put(flat, held[end - len(flat):end])
+        return tables
 
-    def take(entries, entry_norms, index):
-        return entries.take(index, axis=0), entry_norms.take(index)
+    def build(*requests):
+        """Per (mask, make, *operand positions), append ``make`` of the
+        operands where the mask is set to the stack, check it, and return
+        the table of its positions, 0 where the mask is clear."""
+        nonlocal filled
+        start, tables = filled, []
+        for mask, make, *operands in requests:
+            flat = mask.reshape(-1).nonzero()[0]
+            tables.append(np.zeros(mask.shape, dtype=np.intp))
+            tables[-1].put(flat, np.arange(filled, filled + len(flat)))
+            events[filled:filled + len(flat)] = make(
+                *(events.take(op.take(flat), axis=0) for op in operands))
+            filled += len(flat)
+        norms[start:filled], new_errors = stacks.checks(events[start:filled])
+        for k, error in new_errors.items():
+            bad[start + k], errors[start + k] = True, error
+        return tables
 
-    # 1. d e f g g' 0 1 and their complements, checked in the order the
-    # pairwise evaluation builds them: d e f g g' d' e' f' g' g'' 0' 1'.
-    # In ``both``, complement x' sits at POOL + x.
-    drawn = np.concatenate((four, stacks.complement_of(four[_G:])))
-    first = np.concatenate((drawn, stacks.complement_of(np.concatenate((drawn, units[0])))))
-    first_norms, first_errors = stacks.checks(first, True)
-    for error in first_errors:
-        if error:
-            raise ValidationError(error)
-    both = np.concatenate((drawn, units[0], first[len(drawn):]))
-    both_norms = np.concatenate((first_norms[:len(drawn)], units[1], first_norms[len(drawn):]))
-    pool, pool_norms = both[:_POOL], both_norms[:_POOL]
-    orth = verdicts("orthogonality", pool[:, None], pool_norms[:, None],
-                    both[None], both_norms[None])
-    same = verdicts("equality", pool[:, None], pool_norms[:, None],
-                    both[None, _POOL:], both_norms[None, _POOL:])
+    # The pool d e f g g' 0 1 and its complements, checked in that order.
+    rounds, zero = len(four), np.zeros_like(four[:, :1])
+    drawn = np.concatenate((four, stacks.complement_of(four[:, _G:]), zero,
+                            stacks.complement_of(zero)), axis=1)
+    table = np.concatenate((drawn, stacks.complement_of(drawn)), axis=1)
+    pool_norms, errors = stacks.checks(table.reshape((-1,) + table.shape[2:]))
+    at = np.arange(len(pool_norms)).reshape(table.shape[:2])
+    table_norms = pool_norms.reshape(at.shape)
+    orth = stacks.holds(stacks.orthogonality(table[:, :_POOL, None], table[:, None]),
+                        table_norms[:, :_POOL, None], table_norms[:, None], tol)
+    paired, split = orth[:, _X8, _PARTNERS], orth[:, :, _POOL:]
+    # The stack holds the pool, then room for all that is built below.
+    filled = len(pool_norms)
+    size = filled + 2 * ((paired & ~_WITH_ZERO).sum() + (split & ~_TRIVIAL).sum() + rounds)
+    events = np.empty((size,) + table.shape[2:], dtype=table.dtype)
+    norms, bad = np.empty(size), np.zeros(size, dtype=bool)
+    events[:filled], norms[:filled] = table.reshape(events[:filled].shape), pool_norms
+    bad.put(list(errors), True)
+    del drawn, table
+    # Positions of x, y and x' in (x, y) tables, of x and its partner in
+    # pool-sum tables, and of the members.
+    base = 2 * _POOL * np.arange(rounds)[:, None, None]
+    x7, y7, c7, x8, partners = base + _X, base + _Y, base + _POOL + _X, base + _X8, \
+        base + _PARTNERS
+    P = at[:, :_POOL]
 
-    # 2. x + y for every orthogonal ordered pool pair and for each member
-    # with its complement; y - x for every x orthogonal to the complement
-    # of y.
-    pairs = [(x, y) for x in range(_POOL) for y in (*range(_POOL), _POOL + x)
-             if orth[x][y]]
-    splits = [(x, y) for x in range(_POOL) for y in range(_POOL) if orth[x][_POOL + y]]
-    at = [[None] * (2 * _POOL) for _ in range(_POOL)]
-    for k, (x, y) in enumerate(pairs):
-        at[x][y] = k
-    n, m = len(pairs), len(splits)
-    px = [x for x, _ in pairs]
-    sx, sy = [x for x, _ in splits], [y for _, y in splits]
-    sx_, sx_norms = take(both, both_norms, sx)
-    built = np.concatenate((
-        stacks.sum_of(both.take(px, axis=0), both.take([y for _, y in pairs], axis=0)),
-        stacks.difference_of(both.take(sy, axis=0), sx_)))
-    norms, errors = stacks.checks(built, False)
-    sums, sum_norms, sum_errors = built[:n], norms[:n], errors[:n]
-    rests, rest_norms, rest_errors = built[n:], norms[n:], errors[n:]
-    is_one = verdicts("equality", sums, sum_norms, pool[_ONE:], pool_norms[_ONE:])
-    swaps = [(at[x][y], at[y][x]) for x, y in pairs if x < y < _POOL and orth[y][x]]
-    commutes = dict(zip(swaps, verdicts(
-        "equality", *take(sums, sum_norms, [xy for xy, _ in swaps]),
-        *take(sums, sum_norms, [yx for _, yx in swaps]))))
-    xs = [x for x in (_D, _E, _F, _G) if orth[x][_ZERO]]
-    with_zero = [at[x][_ZERO] for x in xs]
-    neutral = dict(zip(with_zero, verdicts("equality", *take(sums, sum_norms, with_zero),
-                                           *take(pool, pool_norms, xs))))
-    rest_orth = verdicts("orthogonality", sx_, sx_norms, rests, rest_norms)
-
-    # 3. x + (y - x) for each split and, when both inner sums exist,
-    # d + (e + f) and (d + e) + f, after d _|_ e + f, f _|_ d + e and
+    # x + y for every member y and for x', where x _|_ y; y - x where x _|_ y'.
+    sums, rests = build((paired & ~_WITH_ZERO, stacks.sum_of, x8, partners),
+                        (split & ~_TRIVIAL, stacks.difference_of, y7, x7))
+    sums = np.where(_WITH_ZERO, np.where(_X8 == _ZERO, partners, x8), sums)
+    rests = np.where(_X == _Y, base + _ZERO,
+                     np.where(_X == _ZERO, y7, np.where(_Y == _ONE, c7, rests)))
+    sum_bad, rest_bad = paired & bad.take(sums), split & bad.take(rests)
+    summed = paired & ~sum_bad
+    member_sums, de, ef = sums[:, :, :_POOL], sums[:, _D, _E], sums[:, _E, _F]
+    is_one, commutes, neutral = decide(
+        "equality", (summed, sums, np.broadcast_to(base + _ONE, paired.shape)),
+        (summed[:, :, :_POOL] & summed[:, :, :_POOL].swapaxes(1, 2) & (_X < _Y),
+         member_sums, member_sums.swapaxes(1, 2)),
+        (summed[:, :_G + 1, _ZERO], sums[:, :_G + 1, _ZERO], P[:, :_G + 1]))
+    # d + (e + f) and (d + e) + f close up when d _|_ e + f, f _|_ d + e and
     # d + e _|_ f.
-    ef, de = at[_E][_F], at[_D][_E]
-    parts = [stacks.sum_of(sx_, rests)]
-    closed = False
-    if ef is not None and de is not None and not sum_errors[ef] and not sum_errors[de]:
-        lhs = np.stack((pool[_D], pool[_F], sums[de]))
-        lhs_norms = np.array((pool_norms[_D], pool_norms[_F], sum_norms[de]))
-        rhs = np.stack((sums[ef], sums[de], pool[_F]))
-        rhs_norms = np.array((sum_norms[ef], sum_norms[de], pool_norms[_F]))
-        closed = all(verdicts("orthogonality", lhs, lhs_norms, rhs, rhs_norms))
-        parts.append(stacks.sum_of(lhs[0::2], rhs[0::2]))
-    resums = np.concatenate(parts)
-    resum_norms, resum_errors = stacks.checks(resums, False)
-    restored = verdicts("equality", resums[:m], resum_norms[:m], *take(both, both_norms, sy))
-    associates = (closed and resum_errors[m:] == [None, None]
-                  and verdicts("equality", resums[m:m + 1], resum_norms[m:m + 1],
-                               resums[m + 1:], resum_norms[m + 1:])[0])
-    # Memory peaks with the largest algebras; free what step 4 no longer needs.
-    del parts, resums, sx_
+    inner = summed[:, _D, _E] & summed[:, _E, _F]
+    d_ef, f_de, de_f, apart = decide(
+        "orthogonality", (inner, P[:, _D], ef), (inner, P[:, _F], de), (inner, de, P[:, _F]),
+        (split & ~rest_bad, x7, rests))
+    closed = d_ef & f_de & de_f
 
-    # 4. The complement of every sum.
-    sum_comps = stacks.complement_of(sums)
-    sum_comp_norms, sum_comp_errors = stacks.checks(sum_comps, True)
-    dominated = verdicts("orthogonality", *take(both, both_norms, px),
-                         sum_comps, sum_comp_norms)
+    # The complement of each sum of two members (x' for x + 0, y' for
+    # 0 + y), the triple sums, and x + (y - x) where x _|_ y - x.
+    dominant = summed[:, :, :_POOL]
+    tops, left, right, resums = build(
+        (dominant & ~_WITH_ZERO[:, :_POOL], stacks.complement_of, member_sums),
+        (closed, stacks.sum_of, P[:, _D], ef), (closed, stacks.sum_of, de, P[:, _F]),
+        (apart & ~_TRIVIAL, stacks.sum_of, x7, rests))
+    tops = np.where(_WITH_ZERO[:, :_POOL], member_sums + _POOL, tops)
+    resums = np.where(_X == _Y, x7, np.where(_X == _ZERO, y7,
+                                             np.where(_Y == _ONE, sums[:, :, _POOL:], resums)))
+    candidate, unit_sum = is_one[:, :, :_POOL], is_one[:, :, _POOL:]
+    dominated, = decide("orthogonality", (dominant, x7, tops))
+    second, associates, restored = decide(
+        "equality", (candidate, y7, c7),
+        (closed & ~bad.take(left) & ~bad.take(right), left, right),
+        (apart & ~bad.take(resums), resums, y7))
 
-    def summed(x, y):
-        """Position of x + y among the sums; raises as ``oplus(x, y)`` does."""
-        if not orth[x][y]:
+    # The pairwise evaluation raises, in this order within a round, on the
+    # pool checks, oplus(x, 0) (OS4), oplus(x, x') (OS5) and the complement
+    # of a sum of two members (OS6).
+    raises = np.concatenate((bad[:len(pool_norms)].reshape(at.shape),
+                             orth[:, _ZERO, :_G + 1] & ~summed[:, :_G + 1, _ZERO],
+                             sum_bad[:, :, _POOL], (dominant & bad.take(tops)).reshape(rounds, -1)),
+                            axis=1)
+    if raises.any():
+        where = np.concatenate((at, sums[:, :_G + 1, _ZERO], sums[:, :, _POOL],
+                                tops.reshape(rounds, -1)), axis=1).reshape(-1)[raises.argmax()]
+        if not bad[where]:
             raise NotOrthogonal("orthogonal sum requested for non-orthogonal events")
-        if sum_errors[at[x][y]]:
-            raise ValidationError(sum_errors[at[x][y]])
-        return at[x][y]
+        raise ValidationError(errors[where])
 
-    # OS1: orthogonality is symmetric.
-    for x in range(_POOL):
-        for y in range(x + 1, _POOL):
-            yield "OS1", orth[x][y] == orth[y][x], "asymmetric orthogonality"
+    x, y = _PAIRS
 
-    # OS2: the sum of an orthogonal pair exists and is commutative.
-    for x in range(_POOL):
-        for y in range(x + 1, _POOL):
-            if not orth[x][y]:
-                continue
-            if sum_errors[at[x][y]]:
-                yield "OS2", False, f"sum failed validation: {sum_errors[at[x][y]]}"
-            elif not orth[y][x]:
-                yield "OS2", False, "sum not defined in both orders"
-            elif sum_errors[at[y][x]]:
-                yield "OS2", False, f"sum failed validation: {sum_errors[at[y][x]]}"
-            else:
-                yield "OS2", commutes[at[x][y], at[y][x]], "sum not commutative"
+    def describe(r, k):
+        axiom, what = _ROUND_CHECKS[k]
+        if what is None:
+            i = k - _AXIOM_STARTS[1]
+            xy, yx = sums[r, x[i], y[i]], sums[r, y[i], x[i]]
+            what = (f"sum failed validation: {errors[xy]}" if bad[xy]
+                    else "sum not defined in both orders" if not orth[r, y[i], x[i]]
+                    else f"sum failed validation: {errors[yx]}" if bad[yx]
+                    else "sum not commutative")
+        return axiom, what
 
-    # OS3: pairwise orthogonal triples close up and associate.
-    yield "OS3", associates, "triple associativity/closure failed"
-
-    # OS4: zero is orthogonal to everything and neutral for the sum.
-    for x in (_D, _E, _F, _G):
-        ok = orth[_ZERO][x] and neutral[summed(x, _ZERO)]
-        yield "OS4", ok, "zero not neutral"
-
-    # OS5: the complement is an orthocomplement and is unique.
-    for x in range(_POOL):
-        ok = orth[x][_POOL + x] and is_one[summed(x, _POOL + x)]
-        yield "OS5", ok, "complement fails sum-to-unit"
-        for h in range(_POOL):
-            if orth[x][h] and not sum_errors[at[x][h]] and is_one[at[x][h]]:
-                yield "OS5", same[h][x], "second complement candidate found"
-
-    # OS6: x is orthogonal to the complement of y exactly when y splits as
-    # x plus a remainder orthogonal to x ...
-    for j in range(m):
-        ok = (not rest_errors[j] and rest_orth[j] and not resum_errors[j]
-              and restored[j])
-        yield "OS6", ok, "no orthogonal remainder below"
-    # ... and a sum dominates its summands.
-    for k, (x, y) in enumerate(pairs):
-        if y >= _POOL or sum_errors[k]:
-            continue
-        if sum_comp_errors[k]:
-            raise ValidationError(sum_comp_errors[k])
-        yield "OS6", dominated[k], "sum does not dominate summand"
+    pair_orth, every = orth[:, x, y], np.ones((rounds, len(_ROUND_CHECKS)), dtype=bool)
+    # OS1: orthogonality is symmetric.  OS2: the sum of an orthogonal pair
+    # exists and is commutative.  OS3: pairwise orthogonal triples close up
+    # and associate.  OS4: zero is orthogonal to everything and neutral for
+    # the sum.  OS5: the complement sums to the unit, and no other member
+    # does.  OS6: x _|_ y' exactly when y splits as x plus a remainder
+    # orthogonal to x, and a sum dominates its summands.
+    checked = np.concatenate((
+        every[:, :_AXIOM_STARTS[1]], pair_orth, every[:, _AXIOM_STARTS[2]:_AXIOM_STARTS[4]],
+        np.concatenate((every[:, :_POOL, None], candidate), axis=2).reshape(rounds, -1),
+        split.reshape(rounds, -1), dominant.reshape(rounds, -1)), axis=1)
+    failed = np.concatenate((
+        pair_orth != orth[:, y, x],
+        pair_orth & ~(summed[:, x, y] & summed[:, y, x] & commutes[:, x, y]),
+        ~associates[:, None], ~(orth[:, _ZERO, :_G + 1] & neutral),
+        np.concatenate((~unit_sum, candidate & ~second), axis=2).reshape(rounds, -1),
+        (split & ~restored).reshape(rounds, -1), (dominant & ~dominated).reshape(rounds, -1)),
+        axis=1)
+    return checked, failed, describe
 
 
 def verify_orthospace_axioms(algebra: EventAlgebra, budget: int = 1000,
@@ -625,6 +617,12 @@ def verify_orthospace_axioms(algebra: EventAlgebra, budget: int = 1000,
     axiom accumulates at least ``budget`` checked instances.  A pair whose
     orthogonality holds in one order only fails OS2 ("sum not defined in
     both orders").
+
+    Rounds are evaluated a block at a time, as many as keep one block's
+    relation table within ``_HARNESS_BLOCK_BYTES``.  Each round is drawn in
+    turn from the one seeded generator, so the draws do not depend on the
+    block size, and the report keeps the first 20 failure messages in
+    (round, axiom, position) order.
     """
     if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)):
         raise ValidationError(f"budget must be an integer, got {budget!r}")
@@ -636,12 +634,18 @@ def verify_orthospace_axioms(algebra: EventAlgebra, budget: int = 1000,
     report = AxiomReport(algebra=repr(algebra), rounds=budget, seed=seed,
                          checks={ax: 0 for ax in _AXIOMS},
                          failures={ax: 0 for ax in _AXIOMS})
-    units = stacks.stack((algebra.zero(), algebra.one()))
-    for round_no in range(budget):
-        for ax, ok, what in _round_verdicts(stacks, stacks.draw(algebra, rng), units, tol):
-            report.checks[ax] += 1
-            if not ok:
-                report.failures[ax] += 1
-                if len(report.messages) < _MAX_MESSAGES:
-                    report.messages.append(f"{ax}: round {round_no}: {what}")
+    drawn = [stacks.draw(algebra, rng)]
+    block = max(1, _HARNESS_BLOCK_BYTES // (_POOL * 2 * _POOL * drawn[0][0].nbytes))
+    for start in range(0, budget, block):
+        drawn += [stacks.draw(algebra, rng) for _ in range(min(block, budget - start) - len(drawn))]
+        checked, failed, describe = _block_verdicts(stacks, np.stack(drawn), tol)
+        drawn = []
+        for ax, n, bad in zip(_AXIOMS, np.add.reduceat(checked.sum(axis=0), _AXIOM_STARTS),
+                              np.add.reduceat(failed.sum(axis=0), _AXIOM_STARTS)):
+            report.checks[ax] += int(n)
+            report.failures[ax] += int(bad)
+        for flat in np.flatnonzero(failed)[:_MAX_MESSAGES - len(report.messages)]:
+            r, k = divmod(int(flat), failed.shape[1])
+            ax, what = describe(r, k)
+            report.messages.append(f"{ax}: round {start + r}: {what}")
     return report

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import (AlgebraMismatch, DegenerateDenominator, DimensionMismatch,
                      NotAtom, NotOrthogonal, ValidationError, ZeroEvent,
                      ZeroProbabilityCondition)
-from .events import QuantumEvent, _shared_kind, is_atom, oplus, orthogonal
+from .events import BooleanEvent, QuantumEvent, _shared_kind, is_atom, oplus, orthogonal
 from .linalg import StateVector
 from .states import _clamp_probability, atom_state, condition, prob
 
@@ -68,12 +68,15 @@ def interference_decomposition(source_atom: QuantumEvent, path1: QuantumEvent,
     cross  = 2 Re tr(rho path1 target path2) / P(path1 + path2 | source)
 
     The source must be an atom and the paths orthogonal nonzero quantum
-    events; Boolean paths raise AlgebraMismatch.
+    events; a Boolean operand, or one of another dimension, raises
+    AlgebraMismatch before any other work.
     """
     if not is_atom(source_atom):
         raise NotAtom("interference decomposition needs an atomic source event")
-    if _shared_kind(path1, path2) != "quantum":
+    if any(isinstance(x, BooleanEvent) for x in (source_atom, path1, path2, target)):
         raise AlgebraMismatch("interference decomposition needs quantum events")
+    for x in (path1, path2, target):
+        _shared_kind(source_atom, x)
     if path1.rank == 0 or path2.rank == 0:
         raise ZeroEvent("path events must be nonzero")
     if not orthogonal(path1, path2):

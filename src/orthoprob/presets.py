@@ -22,8 +22,6 @@ def half_transition_pair() -> tuple[QuantumAlgebra, QuantumEvent, QuantumEvent]:
                                   [0, 1, 0, 1],
                                   [1, 0, 1, 0],
                                   [0, 1, 0, 1]], dtype=np.complex128))
-    alg.register("E", e)
-    alg.register("F", f)
     return alg, e, f
 
 
@@ -39,8 +37,5 @@ def order_dependence_example() -> tuple[QuantumAlgebra, DensityState,
     f1 = alg.event_from_span([np.array([1.0, 0.0, 0.0])])
     f2 = alg.event_from_span([np.array([1.0, 1.0, 0.0])])
     e = alg.event_from_span([np.array([0.0, 1.0, 0.0])])
-    alg.register("F1", f1)
-    alg.register("F2", f2)
-    alg.register("E", e)
     mixed = DensityState(np.eye(3, dtype=np.complex128) / 3.0)
     return alg, mixed, f1, f2, e

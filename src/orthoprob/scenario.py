@@ -354,9 +354,7 @@ def scenario_from_jsonable(doc: Any) -> Scenario:
     if not isinstance(raw_events, dict):
         raise ValidationError("events: expected an object")
     for name, spec in raw_events.items():
-        event = _parse_event(algebra, _string(name, "events key"), spec)
-        algebra.register(name, event)
-        events[name] = event
+        events[name] = _parse_event(algebra, _string(name, "events key"), spec)
     states: dict[str, State | StateVector] = {}
     raw_states = doc.get("states", {})
     if not isinstance(raw_states, dict):

@@ -138,90 +138,115 @@ def _remainder(y, x):
 def per_pair_axioms(algebra, budget: int, seed: int = 0, tol: float = 1e-9) -> AxiomReport:
     """verify_orthospace_axioms with every relation decided by one call of
     the public orthogonal, oplus, complement or events_equal."""
-    rng = np.random.default_rng(seed)
+    return axiom_report(algebra, per_pair_rounds(algebra, budget, seed, tol), seed)
+
+
+def axiom_report(algebra, rounds: list, seed: int = 0) -> AxiomReport:
+    """The report of the rounds of ``per_pair_rounds``; raises the error
+    that ended them, if one did."""
     axioms = ("OS1", "OS2", "OS3", "OS4", "OS5", "OS6")
-    report = AxiomReport(algebra=repr(algebra), rounds=budget, seed=seed,
+    report = AxiomReport(algebra=repr(algebra), rounds=len(rounds), seed=seed,
                          checks={ax: 0 for ax in axioms},
                          failures={ax: 0 for ax in axioms})
+    for checks in rounds:
+        if isinstance(checks, Exception):
+            raise checks
+        for ax, ok, describe in checks:
+            report.checks[ax] += 1
+            if not ok:
+                report.failures[ax] += 1
+                if len(report.messages) < 20:
+                    report.messages.append(f"{ax}: {describe}")
+    return report
 
-    def record(ax: str, ok: bool, describe: str) -> None:
-        report.checks[ax] += 1
-        if not ok:
-            report.failures[ax] += 1
-            if len(report.messages) < 20:
-                report.messages.append(f"{ax}: {describe}")
 
+def per_pair_rounds(algebra, budget: int, seed: int = 0, tol: float = 1e-9) -> list:
+    """Each round's checks, as (axiom, verdict, failure text), evaluated
+    pair by pair.  A round whose evaluation raises is the error instead,
+    and no rounds follow it."""
+    rng = np.random.default_rng(seed)
     zero, one = algebra.zero(), algebra.one()
+    rounds = []
     for round_no in range(budget):
-        d, e, f, g = harness_round(algebra, rng)
-        pool = [d, e, f, g, complement(g), zero, one]
-        complements = [complement(x) for x in pool]
-
-        for i in range(len(pool)):
-            for j in range(i + 1, len(pool)):
-                ok = orthogonal(pool[i], pool[j], tol) == orthogonal(pool[j], pool[i], tol)
-                record("OS1", ok, f"round {round_no}: asymmetric orthogonality")
-
-        for i in range(len(pool)):
-            for j in range(i + 1, len(pool)):
-                a, b = pool[i], pool[j]
-                if not orthogonal(a, b, tol):
-                    continue
-                try:
-                    ok = events_equal(oplus(a, b, tol), oplus(b, a, tol), tol)
-                except NotOrthogonal:
-                    record("OS2", False, f"round {round_no}: sum not defined in both orders")
-                    continue
-                except ValidationError as exc:
-                    record("OS2", False, f"round {round_no}: sum failed validation: {exc}")
-                    continue
-                record("OS2", ok, f"round {round_no}: sum not commutative")
-
+        checks = []
         try:
-            ef = oplus(e, f, tol)
-            de = oplus(d, e, tol)
-            ok = (orthogonal(d, ef, tol) and orthogonal(f, de, tol)
-                  and events_equal(oplus(d, ef, tol), oplus(de, f, tol), tol))
-        except (NotOrthogonal, ValidationError):
-            ok = False
-        record("OS3", ok, f"round {round_no}: triple associativity/closure failed")
+            _per_pair_round(algebra, rng, round_no, zero, one, tol,
+                            lambda ax, ok, describe: checks.append((ax, ok, describe)))
+        except (NotOrthogonal, ValidationError) as exc:
+            rounds.append(exc)
+            break
+        rounds.append(checks)
+    return rounds
 
-        for x in (d, e, f, g):
-            ok = orthogonal(zero, x, tol) and events_equal(oplus(x, zero, tol), x, tol)
-            record("OS4", ok, f"round {round_no}: zero not neutral")
 
-        for x, xc in zip(pool, complements):
-            ok = orthogonal(x, xc, tol) and events_equal(oplus(x, xc, tol), one, tol)
-            record("OS5", ok, f"round {round_no}: complement fails sum-to-unit")
-            for h in pool:
-                if orthogonal(x, h, tol):
-                    try:
-                        total = oplus(x, h, tol)
-                    except ValidationError:
-                        continue
-                    if events_equal(total, one, tol):
-                        record("OS5", events_equal(h, xc, tol),
-                               f"round {round_no}: second complement candidate found")
+def _per_pair_round(algebra, rng, round_no, zero, one, tol, record) -> None:
+    d, e, f, g = harness_round(algebra, rng)
+    pool = [d, e, f, g, complement(g), zero, one]
+    complements = [complement(x) for x in pool]
 
-        for x in pool:
-            for y, yc in zip(pool, complements):
-                if orthogonal(x, yc, tol):
-                    try:
-                        rem = _remainder(y, x)
-                        ok = (orthogonal(x, rem, tol)
-                              and events_equal(oplus(x, rem, tol), y, tol))
-                    except (NotOrthogonal, ValidationError):
-                        ok = False
-                    record("OS6", ok, f"round {round_no}: no orthogonal remainder below")
-        for x in pool:
-            for h in pool:
-                if not orthogonal(x, h, tol):
-                    continue
+    for i in range(len(pool)):
+        for j in range(i + 1, len(pool)):
+            ok = orthogonal(pool[i], pool[j], tol) == orthogonal(pool[j], pool[i], tol)
+            record("OS1", ok, f"round {round_no}: asymmetric orthogonality")
+
+    for i in range(len(pool)):
+        for j in range(i + 1, len(pool)):
+            a, b = pool[i], pool[j]
+            if not orthogonal(a, b, tol):
+                continue
+            try:
+                ok = events_equal(oplus(a, b, tol), oplus(b, a, tol), tol)
+            except NotOrthogonal:
+                record("OS2", False, f"round {round_no}: sum not defined in both orders")
+                continue
+            except ValidationError as exc:
+                record("OS2", False, f"round {round_no}: sum failed validation: {exc}")
+                continue
+            record("OS2", ok, f"round {round_no}: sum not commutative")
+
+    try:
+        ef = oplus(e, f, tol)
+        de = oplus(d, e, tol)
+        ok = (orthogonal(d, ef, tol) and orthogonal(f, de, tol)
+              and events_equal(oplus(d, ef, tol), oplus(de, f, tol), tol))
+    except (NotOrthogonal, ValidationError):
+        ok = False
+    record("OS3", ok, f"round {round_no}: triple associativity/closure failed")
+
+    for x in (d, e, f, g):
+        ok = orthogonal(zero, x, tol) and events_equal(oplus(x, zero, tol), x, tol)
+        record("OS4", ok, f"round {round_no}: zero not neutral")
+
+    for x, xc in zip(pool, complements):
+        ok = orthogonal(x, xc, tol) and events_equal(oplus(x, xc, tol), one, tol)
+        record("OS5", ok, f"round {round_no}: complement fails sum-to-unit")
+        for h in pool:
+            if orthogonal(x, h, tol):
                 try:
-                    y = oplus(x, h, tol)
+                    total = oplus(x, h, tol)
                 except ValidationError:
                     continue
-                record("OS6", orthogonal(x, complement(y), tol),
-                       f"round {round_no}: sum does not dominate summand")
+                if events_equal(total, one, tol):
+                    record("OS5", events_equal(h, xc, tol),
+                           f"round {round_no}: second complement candidate found")
 
-    return report
+    for x in pool:
+        for y, yc in zip(pool, complements):
+            if orthogonal(x, yc, tol):
+                try:
+                    rem = _remainder(y, x)
+                    ok = (orthogonal(x, rem, tol)
+                          and events_equal(oplus(x, rem, tol), y, tol))
+                except (NotOrthogonal, ValidationError):
+                    ok = False
+                record("OS6", ok, f"round {round_no}: no orthogonal remainder below")
+    for x in pool:
+        for h in pool:
+            if not orthogonal(x, h, tol):
+                continue
+            try:
+                y = oplus(x, h, tol)
+            except ValidationError:
+                continue
+            record("OS6", orthogonal(x, complement(y), tol),
+                   f"round {round_no}: sum does not dominate summand")

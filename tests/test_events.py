@@ -1,4 +1,4 @@
-"""Event algebra tests: lattice operations, registries, axiom harness."""
+"""Event algebra tests: lattice operations and the axiom harness."""
 
 import json
 import re
@@ -17,9 +17,12 @@ from orthoprob.events import (_STACKS, DEFAULT_EVENT_TOL, BooleanAlgebra,
 from orthoprob.linalg import Projection, jordan_product, random_unitary
 from orthoprob.states import DensityState, condition, prob
 
-from helpers import (frame_event, harness_round, per_pair_axioms, random_projection,
-                     state_family)
+import helpers
+from helpers import (axiom_report, frame_event, harness_round, per_pair_axioms,
+                     per_pair_rounds, random_projection, state_family)
 
+# The harness's own bound on the bytes of one block of rounds.
+BLOCK_BYTES = orthoprob.events._HARNESS_BLOCK_BYTES
 # Check counts of the benchmark's harness workload, keyed
 # "<kind><size>/seed<seed>/budget<budget>"; read here, never written.
 HARNESS_COUNTS = json.loads(
@@ -78,19 +81,6 @@ class TestBooleanAlgebra:
         assert is_atom(die.event([3]))
         assert not is_atom(die.event([3, 4]))
         assert not is_atom(die.zero())
-
-    def test_registry(self, die):
-        ev = die.register("low", die.event([0, 1]))
-        assert die.registry.lookup("low") == ev
-        with pytest.raises(ValidationError):
-            die.register("low", die.event([2]))
-        with pytest.raises(ValidationError):
-            die.registry.lookup("missing")
-
-    def test_register_rejects_foreign_space(self, die):
-        other = BooleanAlgebra(4)
-        with pytest.raises(AlgebraMismatch):
-            die.register("bad", other.event([0]))
 
 
 class TestQuantumAlgebra:
@@ -378,6 +368,47 @@ class TestStackedHarness:
         # built events that fail ("sum failed validation", skipped sums).
         self.assert_same_reports(QuantumAlgebra(dim), range(4), tol)
 
+    @staticmethod
+    def assert_same_outcome(algebra, reference, budget, seed, tol, monkeypatch):
+        """The harness, at its own block bound and at one round per block,
+        gives the reference's report or raises its error."""
+        for block_bytes in (BLOCK_BYTES, 1):
+            monkeypatch.setattr(orthoprob.events, "_HARNESS_BLOCK_BYTES", block_bytes)
+            try:
+                expected = axiom_report(algebra, reference[:budget], seed)
+            except (NotOrthogonal, ValidationError) as exc:
+                with pytest.raises(type(exc)) as raised:
+                    verify_orthospace_axioms(algebra, budget, seed=seed, tol=tol)
+                assert str(raised.value) == str(exc)
+                continue
+            report = verify_orthospace_axioms(algebra, budget, seed=seed, tol=tol)
+            assert (report.checks, report.failures, report.messages) == \
+                (expected.checks, expected.failures, expected.messages)
+
+    @pytest.mark.parametrize("kind, size", [("boolean", 3), ("boolean", 6), ("quantum", 2),
+                                            ("quantum", 4), ("quantum", 16)])
+    def test_matches_the_reference_across_blocks(self, kind, size, monkeypatch):
+        # Runs of several blocks, and of one round per block: check counts,
+        # round numbers, the order of messages across rounds and the
+        # 20-message cap.  At tol 0 the quantum rounds fail from round 0,
+        # so 23 rounds reach the cap many blocks before their end.
+        algebra = (QuantumAlgebra if kind == "quantum" else BooleanAlgebra)(size)
+        for seed in range(3):
+            for tol in (0.0, 1e-16):
+                longest = 23 if (seed, tol) == (0, 0.0) else 5
+                reference = per_pair_rounds(algebra, longest, seed, tol)
+                for budget in sorted({5, longest}):
+                    self.assert_same_outcome(algebra, reference, budget, seed, tol,
+                                             monkeypatch)
+
+    @pytest.mark.parametrize("tol", [0.5, 1.0])
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_matches_the_reference_across_blocks_at_loose_tolerances(self, dim, tol,
+                                                                     monkeypatch):
+        algebra = QuantumAlgebra(dim)
+        reference = per_pair_rounds(algebra, 5, dim, tol)
+        self.assert_same_outcome(algebra, reference, 5, dim, tol, monkeypatch)
+
     @pytest.mark.parametrize("kind, size", [("boolean", 7), ("quantum", 2),
                                             ("quantum", 5), ("quantum", 16)])
     def test_one_pair_residuals_equal_the_table(self, kind, size):
@@ -402,6 +433,48 @@ class TestStackedHarness:
             monkeypatch.setattr(orthoprob.events, name, forbidden)
         for algebra in (BooleanAlgebra(4), QuantumAlgebra(3)):
             assert verify_orthospace_axioms(algebra, budget=3).passed
+
+    @pytest.mark.parametrize("ranks", [(1,), (2,), (1, 2)])
+    def test_matches_the_reference_when_built_events_fail_their_checks(self, ranks,
+                                                                       monkeypatch):
+        # Built events of the given ranks fail their checks, so sums fail
+        # OS2 with their message and a failing oplus(x, x') or complement
+        # raises.  Pool events are exempt, as a check fails on the matrix
+        # alone: the harness takes x + 0 from the pool where the pairwise
+        # evaluation builds and checks it again.
+        pool, drawing = [], []
+        draw, checks = helpers.harness_round, orthoprob.linalg._projection_checks
+
+        def recorded(algebra, rng):
+            drawing.append(True)
+            events = draw(algebra, rng)
+            drawing.clear()
+            eye = np.eye(algebra.dim)
+            pool.extend(m for ev in events for m in (ev.matrix, eye - ev.matrix,
+                                                      eye - (eye - ev.matrix)))
+            return events
+
+        def failing(stack, tol=orthoprob.linalg.TOL_IDEMPOTENT, hermitian_tol=None):
+            errors, norms, made = checks(stack, tol, hermitian_tol)
+            for i, m in enumerate(stack):
+                if (errors[i] is None and not drawing and round(m.trace().real) in ranks
+                        and not any(np.abs(m - p).max() < 1e-13 for p in pool)):
+                    errors[i] = f"built rank {made[i]} refused"
+            return errors, norms, made
+
+        monkeypatch.setattr(helpers, "harness_round", recorded)
+        monkeypatch.setattr(orthoprob.linalg, "_projection_checks", failing)
+        monkeypatch.setattr(orthoprob.events, "_projection_checks", failing)
+        algebra = QuantumAlgebra(4)
+        for seed in range(3):
+            pool[:] = [np.zeros((4, 4)), np.eye(4)]
+            reference = per_pair_rounds(algebra, 4, seed)
+            pool[:] = [np.zeros((4, 4)), np.eye(4)]
+            rng = np.random.default_rng(seed)
+            for _ in range(4):
+                recorded(algebra, rng)
+            self.assert_same_outcome(algebra, reference, 4, seed, DEFAULT_EVENT_TOL,
+                                     monkeypatch)
 
     def test_one_sided_orthogonality_fails_os2(self):
         # At tol 1e-16 a pool pair of round 1 is orthogonal in one order

@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 
+import orthoprob.interference
 from orthoprob.errors import (AlgebraMismatch, DegenerateDenominator, DimensionMismatch,
                               NotAtom, NotOrthogonal,
                               ZeroProbabilityCondition)
-from orthoprob.events import BooleanAlgebra, QuantumAlgebra
+from orthoprob.events import BooleanAlgebra, QuantumAlgebra, oplus
 from orthoprob.interference import interference_decomposition, two_slit
-from orthoprob.linalg import StateVector
+from orthoprob.linalg import StateVector, random_unitary
+from orthoprob.states import DensityState, condition, prob
+
+from helpers import frame_event
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -74,6 +78,30 @@ class TestDecomposition:
                            match="^interference decomposition needs quantum events$"):
             interference_decomposition(a, b, c, a)
 
+    @pytest.mark.parametrize("position", range(4))
+    def test_each_operand_is_kind_checked_before_any_work(self, slits, position, monkeypatch):
+        # A Boolean operand, or one of another dimension, anywhere among the
+        # atom, the two paths and the target is refused before the
+        # orthogonality, oplus and conditioning work starts.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started before the kind check")
+
+        for name in ("orthogonal", "oplus", "atom_state", "prob", "condition"):
+            monkeypatch.setattr(orthoprob.interference, name, forbidden)
+        alg, d, e1, e2 = slits
+        operands = [d, e1, e2, alg.one()]
+        boolean = list(operands)
+        boolean[position] = BooleanAlgebra(3).event([0])
+        with pytest.raises(AlgebraMismatch,
+                           match="^interference decomposition needs quantum events$"):
+            interference_decomposition(*boolean)
+        wider = list(operands)
+        wider[position] = QuantumAlgebra(4).event_from_span([np.array([1.0, 0, 0, 0])])
+        dims = (4, 3) if position == 0 else (3, 4)
+        with pytest.raises(AlgebraMismatch,
+                           match=f"^events have different dimensions: {dims[0]} vs {dims[1]}$"):
+            interference_decomposition(*wider)
+
     def test_paths_must_be_orthogonal(self, slits):
         alg, d, e1, _ = slits
         tilted = alg.event_from_span([np.array([1.0, 1.0, 0.0])])
@@ -94,6 +122,66 @@ class TestDecomposition:
         assert report.degenerate_paths == (2,)
         assert report.term2 == 0.0
         assert report.p_total == pytest.approx(1.0, abs=1e-12)
+
+
+class TestSorkinOracle:
+    """The layer against Sorkin's hierarchy (gr-qc/9401003): with
+    p(S) = P(sum S) * P(T | sum S) for a set S of orthogonal paths, quantum
+    probability is a quadratic measure, so the third-order interference
+    I3 = p(ABC) - p(AB) - p(AC) - p(BC) + p(A) + p(B) + p(C) vanishes while
+    the second-order I2 = p(AB) - p(A) - p(B) need not.  p is computed with
+    oplus, prob and condition alone, independently of the decomposition."""
+
+    @staticmethod
+    def p(rho, paths, target):
+        total = paths[0]
+        for path in paths[1:]:
+            total = oplus(total, path)
+        weight = prob(rho, total)
+        return weight * prob(condition(rho, total), target)
+
+    @staticmethod
+    def setup(dim, rng):
+        """A pure source, three orthogonal paths from one Haar frame, the
+        frame itself and the source atom."""
+        alg = QuantumAlgebra(dim)
+        u = random_unitary(dim, rng)
+        cuts = np.sort(rng.choice(np.arange(1, dim), size=2, replace=False)) \
+            if dim > 3 else np.array([1, 2])
+        end = int(rng.integers(cuts[1] + 1, dim + 1))
+        paths = [frame_event(alg, u[:, lo:hi])
+                 for lo, hi in ((0, cuts[0]), (cuts[0], cuts[1]), (cuts[1], end))]
+        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        v /= np.linalg.norm(v)
+        return alg, paths, u, DensityState(np.outer(v, v.conj())), alg.event_from_span([v])
+
+    def test_third_order_interference_vanishes(self):
+        rng = np.random.default_rng(94010003)
+        for trial in range(200):
+            dim = (3, 4, 6)[trial % 3]
+            alg, (a, b, c), _, rho, atom = self.setup(dim, rng)
+            w = random_unitary(dim, rng)
+            target = frame_event(alg, w[:, :int(rng.integers(1, dim))])
+            p = {name: self.p(rho, paths, target) for name, paths in (
+                ("a", [a]), ("b", [b]), ("c", [c]), ("ab", [a, b]), ("ac", [a, c]),
+                ("bc", [b, c]), ("abc", [a, b, c]))}
+            i3 = (p["abc"] - p["ab"] - p["ac"] - p["bc"] + p["a"] + p["b"] + p["c"])
+            assert abs(i3) <= 1e-12
+            report = interference_decomposition(atom, a, b, target)
+            i2 = p["ab"] - p["a"] - p["b"]
+            assert report.cross * report.p_either_path == pytest.approx(i2, abs=1e-12)
+
+    @pytest.mark.parametrize("dim", [3, 4, 6])
+    def test_second_order_interference_vanishes_for_a_commuting_target(self, dim):
+        rng = np.random.default_rng(dim)
+        for _ in range(20):
+            alg, (a, b, _), u, rho, _ = self.setup(dim, rng)
+            # Any span of frame columns commutes with every path.
+            columns = rng.permutation(dim)[:int(rng.integers(1, dim))]
+            target = frame_event(alg, u[:, columns])
+            i2 = self.p(rho, [a, b], target) - self.p(rho, [a], target) \
+                - self.p(rho, [b], target)
+            assert abs(i2) <= 1e-12
 
 
 class TestTwoSlit:

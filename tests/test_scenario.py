@@ -47,7 +47,6 @@ class TestParsing:
         sc = parse_scenario(MINIMAL_BOOLEAN)
         assert sc.algebra.size == 3
         assert sc.events["a"].members == frozenset({0, 1})
-        assert sc.algebra.registry.lookup("a") == sc.events["a"]
         assert sc.query.kind == "prob"
 
     def test_syntax_error(self):
