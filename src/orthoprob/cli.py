@@ -25,13 +25,16 @@ from .states import (DensityState, condition, condition_seq,
                      conditioning_contract_violations, predictability, prob,
                      qubit_nonuniqueness_demo)
 
-_SCENARIO_KINDS = {
-    "predict": ("predictability",),
-    "condition": ("condition", "condition_seq", "prob"),
-    "compat": ("compatible",),
-    "interfere": ("interference",),
-    "twoslit": ("two_slit",),
-    "sample": ("sample",),
+# The subcommands that run a scenario's own query: help text and the query
+# kinds each accepts.
+_SCENARIO_COMMANDS = {
+    "predict": ("run a predictability query", ("predictability",)),
+    "condition": ("run a prob / condition / condition_seq query",
+                  ("condition", "condition_seq", "prob")),
+    "compat": ("run a compatibility query", ("compatible",)),
+    "interfere": ("run an interference decomposition query", ("interference",)),
+    "twoslit": ("run a two-slit probability query", ("two_slit",)),
+    "sample": ("sample a measurement chain", ("sample",)),
 }
 
 
@@ -81,7 +84,7 @@ def _run_scenario_command(args) -> dict:
     if args.trials > MAX_TRIALS:
         raise ValidationError(f"--trials: expected at most {MAX_TRIALS}")
     scenario = _load_scenario(args.scenario)
-    allowed = _SCENARIO_KINDS[args.command]
+    _, allowed = _SCENARIO_COMMANDS[args.command]
     if scenario.query is None:
         raise ValidationError(
             f"scenario has no query; '{args.command}' needs one of: {', '.join(allowed)}")
@@ -170,17 +173,9 @@ def _build_parser() -> _Parser:
                                  "scenario queries, demos, and checks.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def scenario_command(name, help_text):
+    for name, (help_text, _) in _SCENARIO_COMMANDS.items():
         p = sub.add_parser(name, parents=[common, scenario_arg], help=help_text)
         p.set_defaults(handler=_run_scenario_command)
-        return p
-
-    scenario_command("predict", "run a predictability query")
-    scenario_command("condition", "run a prob / condition / condition_seq query")
-    scenario_command("compat", "run a compatibility query")
-    scenario_command("interfere", "run an interference decomposition query")
-    scenario_command("twoslit", "run a two-slit probability query")
-    scenario_command("sample", "sample a measurement chain")
 
     axioms = sub.add_parser("axioms", parents=[common, scenario_arg],
                             help="randomized orthospace axiom check on the "
@@ -215,10 +210,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         result = args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValidationError as exc:
+    except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OrthoprobError as exc:

@@ -20,9 +20,8 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .errors import (AlgebraMismatch, NotOrthogonal, ValidationError)
-from .linalg import (TOL_HERMITIAN, TOL_IDEMPOTENT, Projection, _frobenius_norms,
-                     _projection_checks, _symmetrized, _symmetrized_projection,
-                     projector_from_span, random_unitary)
+from .linalg import (Projection, _frobenius_norms, _projection_checks, _symmetrized,
+                     _symmetrized_projection, projector_from_span, random_unitary)
 
 # Relative tolerance (scaled by max(1, operand norms)) for orthogonality
 # and ordering residuals on projections.
@@ -72,11 +71,11 @@ class QuantumEvent(Projection):
 
     __slots__ = ()
 
-    def __init__(self, entries, tol: float = TOL_IDEMPOTENT):
+    def __init__(self, entries):
         if isinstance(entries, Projection):
             self._matrix, self._rank, self._norm = entries._matrix, entries._rank, entries._norm
         else:
-            super().__init__(entries, tol)
+            super().__init__(entries)
 
 
 Event = Union[BooleanEvent, QuantumEvent]
@@ -86,8 +85,6 @@ class BooleanAlgebra:
     """Powerset algebra of a finite sample space."""
 
     kind = "boolean"
-    # Boolean algebras always carry unique conditional probabilities.
-    unique_conditioning = True
     flag = None
 
     def __init__(self, space: SampleSpace | int, labels: Sequence[str] | None = None):
@@ -126,12 +123,11 @@ class QuantumAlgebra:
         self.dim = dim
         # Dimension two is the lone projection lattice where conditional
         # probabilities fail to be unique; flag it so callers can warn.
-        self.unique_conditioning = dim != 2
         self.flag = None if dim != 2 else \
             "type I2: not a UCP space (conditional probabilities are not unique)"
 
-    def event(self, entries, tol: float = TOL_IDEMPOTENT) -> QuantumEvent:
-        event = QuantumEvent(entries, tol)
+    def event(self, entries) -> QuantumEvent:
+        event = QuantumEvent(entries)
         if event.dim != self.dim:
             raise AlgebraMismatch(
                 f"projection dimension {event.dim} != algebra dimension {self.dim}")
@@ -254,8 +250,9 @@ class _QuantumStacks:
     A residual is the Frobenius norm of AB (orthogonality), AB - A (order)
     or A - B (equality), and a relation holds when the residual is at most
     ``tol * max(1, ||A||_F, ||B||_F)``.  The checks are those of
-    :class:`Projection`, Hermitian scan included; a matrix that
-    ``_symmetrized`` made passes that scan exactly.
+    :class:`Projection` but the Hermitian scan: drawn events, their sums
+    and remainders are ``_symmetrized`` and complements I - P of those, so
+    every matrix checked is exactly Hermitian.
     """
 
     @staticmethod
@@ -294,9 +291,8 @@ class _QuantumStacks:
     @staticmethod
     def checks(mats):
         """Norms of the matrices and the message of each failing one by
-        position, after the Hermitian scan that :func:`complement` runs
-        (``_symmetrized`` output passes it exactly)."""
-        errors, norms, _ = _projection_checks(mats, hermitian_tol=TOL_HERMITIAN)
+        position."""
+        errors, norms, _ = _projection_checks(mats)
         return norms, {i: error for i, error in enumerate(errors) if error}
 
     @staticmethod
@@ -332,6 +328,7 @@ def _one_pair(relation: str, e: Event, f: Event):
 
 
 def _pair_verdict(relation: str, e: Event, f: Event, tol: float) -> bool:
+    _require_tolerance(tol)
     stacks, residuals, a_norms, b_norms = _one_pair(relation, e, f)
     return bool(stacks.holds(residuals, a_norms, b_norms, tol)[0])
 

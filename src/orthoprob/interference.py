@@ -17,7 +17,8 @@ import numpy as np
 from .errors import (AlgebraMismatch, DegenerateDenominator, DimensionMismatch,
                      NotAtom, NotOrthogonal, ValidationError, ZeroEvent,
                      ZeroProbabilityCondition)
-from .events import BooleanEvent, QuantumEvent, _shared_kind, is_atom, oplus, orthogonal
+from .events import (BooleanEvent, QuantumEvent, _require_tolerance, _shared_kind, is_atom,
+                     oplus, orthogonal)
 from .linalg import StateVector
 from .states import _clamp_probability, atom_state, condition, prob
 
@@ -69,8 +70,9 @@ def interference_decomposition(source_atom: QuantumEvent, path1: QuantumEvent,
 
     The source must be an atom and the paths orthogonal nonzero quantum
     events; a Boolean operand, or one of another dimension, raises
-    AlgebraMismatch before any other work.
+    AlgebraMismatch before any other work but the check of ``tol``.
     """
+    _require_tolerance(tol)
     if not is_atom(source_atom):
         raise NotAtom("interference decomposition needs an atomic source event")
     if any(isinstance(x, BooleanEvent) for x in (source_atom, path1, path2, target)):
@@ -109,24 +111,25 @@ def interference_decomposition(source_atom: QuantumEvent, path1: QuantumEvent,
 
 
 def two_slit(source: StateVector, path1: StateVector, path2: StateVector,
-             detector: StateVector, tol: float = 1e-9,
-             orthogonality_tol: float = 1e-8) -> float:
+             detector: StateVector, tol: float = 1e-9) -> float:
     """Detection probability behind two slits, in closed rank-one form.
 
     |<source|path1><path1|detector> + <source|path2><path2|detector>|^2
     divided by |<source|path1>|^2 + |<source|path2>|^2.
 
-    The path vectors must be orthogonal as given (no re-orthogonalization
-    is applied); a vanishing denominator raises DegenerateDenominator.
+    The path vectors must be orthogonal as given, |<path1|path2>| <= 1e-8
+    (no re-orthogonalization is applied); a denominator <= tol raises
+    DegenerateDenominator.
     """
+    _require_tolerance(tol)
     dims = {source.dim, path1.dim, path2.dim, detector.dim}
     if len(dims) != 1:
         raise DimensionMismatch(f"vectors have different dimensions: {sorted(dims)}")
     overlap = abs(np.vdot(path1.vector, path2.vector))
-    if overlap > orthogonality_tol:
+    if overlap > 1e-8:
         raise NotOrthogonal(
             f"path vectors overlap: |<path1|path2>| = {overlap:.3e} exceeds "
-            f"{orthogonality_tol:.1e}; supply orthogonal paths")
+            "1.0e-08; supply orthogonal paths")
     amp1_in = np.vdot(source.vector, path1.vector)
     amp2_in = np.vdot(source.vector, path2.vector)
     denom = float(abs(amp1_in) ** 2 + abs(amp2_in) ** 2)

@@ -8,14 +8,16 @@ the shipped scenarios are dimension <= 4 and the design ceiling is 64, so
 no sparse or structured paths exist.
 
 Construction contract: the public constructors validate everything they
-are given.  The private ``_symmetrized_projection`` is used only for
-``_symmetrized`` output of internal products and skips only the Hermitian
-scan; every projection, however built, passes the idempotency and
-trace-rank checks of ``_projection_checks``, which checks a whole stack of
-matrices at once and which a single projection runs as a stack of one.
-A quantum event is a ``Projection`` subclass; it adopts a ``Projection``
-argument with its rank and norm, so a projection is checked once however
-many events are made of it, while ``Projection(p)`` checks ``p`` again.
+are given.  The one Hermitian scan is ``HermitianOperator``'s, on the
+array a constructor is given; internal products are ``_symmetrized``,
+hence Hermitian bit for bit, and the private ``_symmetrized_projection``
+skips the scan for them.  Every projection, however built, passes the
+idempotency and trace-rank checks of ``_projection_checks``, which checks
+a whole stack of exactly Hermitian matrices at once and which a single
+projection runs as a stack of one.  A quantum event is a ``Projection``
+subclass; it adopts a ``Projection`` argument with its rank and norm, so
+a projection is checked once however many events are made of it, while
+``Projection(p)`` checks ``p`` again.
 """
 
 from __future__ import annotations
@@ -70,10 +72,6 @@ def _symmetrized(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _not_hermitian(skew: float, tol: float) -> str:
-    return f"matrix is not Hermitian: max |A - A^H| = {skew:.3e} exceeds {tol:.1e}"
-
-
 def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
     """Frobenius norm of each matrix in a stack of shape (..., d, d).
 
@@ -87,14 +85,13 @@ def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
     return np.sqrt(squares[..., 0, 0])
 
 
-def _projection_checks(stack: np.ndarray, tol: float = TOL_IDEMPOTENT,
-                       hermitian_tol: float | None = None):
-    """Check each matrix of a (k, d, d) stack as a projection; never raises.
+def _projection_checks(stack: np.ndarray):
+    """Check each matrix of a (k, d, d) stack of exactly Hermitian matrices
+    as a projection; never raises.
 
     The idempotency residual ||P@P - P||_F must stay below
-    ``tol * max(1, ||P||_F)`` and the trace within the same bound of an
-    integer rank in [0, d].  With a ``hermitian_tol`` the entrywise
-    Hermitian scan of :class:`HermitianOperator` runs first.
+    ``TOL_IDEMPOTENT * max(1, ||P||_F)`` and the trace within the same
+    bound of an integer rank in [0, d].
 
     Returns ``(errors, norms, ranks)``: ``errors[i]`` is None when matrix i
     passes, else the message its constructor raises; ``norms`` holds the
@@ -107,7 +104,7 @@ def _projection_checks(stack: np.ndarray, tol: float = TOL_IDEMPOTENT,
     square -= stack
     residuals = _frobenius_norms(square)
     del square
-    bounds = tol * np.maximum(norms, 1.0)
+    bounds = TOL_IDEMPOTENT * np.maximum(norms, 1.0)
     # Overflow (entries of 1e154 and up) must fail too: it makes the
     # residual NaN or the norm, and with it the bound, infinite.
     idempotent = (residuals <= bounds) & (norms < math.inf)
@@ -116,18 +113,11 @@ def _projection_checks(stack: np.ndarray, tol: float = TOL_IDEMPOTENT,
     ranks = np.rint(np.where(idempotent, traces, 0.0))
     failed = (~idempotent | (np.abs(traces - ranks) > bounds)
               | (ranks < 0) | (ranks > stack.shape[-1]))
-    if hermitian_tol is not None:
-        skews = stack.conj().swapaxes(-1, -2)
-        skews -= stack
-        skews = np.abs(skews).max(axis=(-2, -1))
-        failed |= skews > hermitian_tol
     errors = [None] * len(norms)
     for i in failed.nonzero()[0]:
-        if hermitian_tol is not None and skews[i] > hermitian_tol:
-            errors[i] = _not_hermitian(skews[i], hermitian_tol)
-        elif not idempotent[i]:
+        if not idempotent[i]:
             errors[i] = (f"matrix is not idempotent: ||P@P - P||_F = {residuals[i]:.3e} "
-                         f"exceeds {tol:.1e} * {max(1.0, float(norms[i])):.3g}")
+                         f"exceeds {TOL_IDEMPOTENT:.1e} * {max(1.0, float(norms[i])):.3g}")
         else:
             errors[i] = (f"projection trace {float(traces[i])!r} is not an "
                          f"admissible integer rank")
@@ -138,19 +128,20 @@ class HermitianOperator:
     """A finite square complex matrix equal to its conjugate transpose.
 
     Self-adjointness is checked entrywise at construction (absolute
-    tolerance ``tol``); the stored array is read-only.  Projections and
-    density states are Hermitian operators too: they keep their one array
-    in the same slot, and an operator equals only an operator of its own
-    class.
+    tolerance ``TOL_HERMITIAN``); the stored array is read-only.
+    Projections and density states are Hermitian operators too: they keep
+    their one array in the same slot, and an operator equals only an
+    operator of its own class.
     """
 
     __slots__ = ("_matrix",)
 
-    def __init__(self, entries, tol: float = TOL_HERMITIAN):
+    def __init__(self, entries):
         arr = _square_complex(entries)
         skew = np.abs(arr - arr.conj().T).max()
-        if skew > tol:
-            raise ValidationError(_not_hermitian(skew, tol))
+        if skew > TOL_HERMITIAN:
+            raise ValidationError(f"matrix is not Hermitian: max |A - A^H| = {skew:.3e} "
+                                  f"exceeds {TOL_HERMITIAN:.1e}")
         self._matrix = _frozen(arr)
 
     @property
@@ -160,12 +151,6 @@ class HermitianOperator:
     @property
     def dim(self) -> int:
         return self._matrix.shape[0]
-
-    def trace(self) -> float:
-        return float(self._matrix.trace().real)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self._matrix))
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -183,25 +168,24 @@ class Projection(HermitianOperator):
     """An orthogonal projection: Hermitian and idempotent.
 
     The idempotency residual ||P@P - P||_F must stay below
-    ``tol * max(1, ||P||_F)`` and the trace must sit within the same bound
-    of an integer; that integer is stored as the rank, and ||P||_F is kept
-    for the tolerance scales of the event and state layers.  A
-    :class:`HermitianOperator` argument is adopted without a second
+    ``TOL_IDEMPOTENT * max(1, ||P||_F)`` and the trace must sit within the
+    same bound of an integer; that integer is stored as the rank, and
+    ||P||_F is kept for the tolerance scales of the event and state layers.
+    A :class:`HermitianOperator` argument is adopted without a second
     Hermitian scan.
     """
 
     __slots__ = ("_rank", "_norm")
 
-    def __init__(self, entries, tol: float = TOL_IDEMPOTENT,
-                 hermitian_tol: float = TOL_HERMITIAN):
+    def __init__(self, entries):
         if isinstance(entries, HermitianOperator):
             self._matrix = entries._matrix
         else:
-            super().__init__(entries, tol=hermitian_tol)
-        self._check_idempotent(tol)
+            super().__init__(entries)
+        self._check_idempotent()
 
-    def _check_idempotent(self, tol: float) -> None:
-        errors, norms, ranks = _projection_checks(self._matrix[None], tol)
+    def _check_idempotent(self) -> None:
+        errors, norms, ranks = _projection_checks(self._matrix[None])
         if errors[0]:
             raise ValidationError(errors[0])
         self._rank = int(ranks[0])
@@ -216,19 +200,19 @@ class Projection(HermitianOperator):
 
 
 class StateVector:
-    """A unit vector in C^n (norm within ``tol`` of 1, entries finite)."""
+    """A unit vector in C^n (norm within ``TOL_NORM`` of 1, entries finite)."""
 
     __slots__ = ("_vector",)
 
-    def __init__(self, entries, tol: float = TOL_NORM):
+    def __init__(self, entries):
         arr = np.asarray(entries, dtype=np.complex128)
         if arr.ndim != 1 or arr.shape[0] == 0:
             raise ValidationError(f"state vector must be 1-d and nonempty, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValidationError("state vector entries must be finite")
         nrm = float(np.linalg.norm(arr))
-        if abs(nrm - 1.0) > tol:
-            raise ValidationError(f"state vector norm {nrm!r} is not 1 within {tol:.1e}")
+        if abs(nrm - 1.0) > TOL_NORM:
+            raise ValidationError(f"state vector norm {nrm!r} is not 1 within {TOL_NORM:.1e}")
         self._vector = _frozen(arr)
 
     @property
@@ -266,14 +250,8 @@ def _symmetrized_projection(m: np.ndarray) -> Projection:
     h.flags.writeable = False
     p = Projection.__new__(Projection)
     p._matrix = h
-    p._check_idempotent(TOL_IDEMPOTENT)
+    p._check_idempotent()
     return p
-
-
-def _matrix_of(value) -> np.ndarray:
-    if isinstance(value, HermitianOperator):
-        return value._matrix
-    return _square_complex(value)
 
 
 def _hermitian_matrix_of(value) -> np.ndarray:
@@ -287,11 +265,6 @@ def _check_same_dim(*mats: np.ndarray) -> None:
     dims = {m.shape[0] for m in mats}
     if len(dims) != 1:
         raise DimensionMismatch(f"operands have different dimensions: {sorted(dims)}")
-
-
-def frobenius_norm(a) -> float:
-    """Frobenius norm sqrt(trace(A^H A))."""
-    return float(np.linalg.norm(_matrix_of(a)))
 
 
 def jordan_product(x, y) -> HermitianOperator:
@@ -329,13 +302,13 @@ def quadratic_triple(x, y) -> HermitianOperator:
     return HermitianOperator(_symmetrized(a @ b @ a))
 
 
-def projector_from_span(vectors: Sequence, tol: float | None = None) -> Projection:
+def projector_from_span(vectors: Sequence) -> Projection:
     """Orthogonal projection onto span{v_1, ..., v_k}.
 
     Uses modified Gram-Schmidt with one re-orthogonalization pass.
     Vectors whose residual norm falls below the drop threshold
-    (``tol``, default ``1e-10 * max input norm``) are treated as linearly
-    dependent and skipped, so the rank of the result is the numerical
+    ``1e-10 * max input norm`` are treated as linearly dependent and
+    skipped, so the rank of the result is the numerical
     rank of the input family.
     """
     if len(vectors) == 0:
@@ -355,12 +328,11 @@ def projector_from_span(vectors: Sequence, tol: float | None = None) -> Projecti
     dim = dims.pop()
     norms = [float(np.linalg.norm(c)) for c in cols]
     for nrm in norms:
-        # A norm that overflows would make the default drop threshold
-        # infinite and silently drop every vector.
+        # A norm that overflows would make the drop threshold infinite and
+        # silently drop every vector.
         if not math.isfinite(nrm):
             raise ValidationError(f"span vector norm {nrm!r} is not finite")
-    if tol is None:
-        tol = 1e-10 * max(norms)
+    drop = 1e-10 * max(norms)
     basis: list[np.ndarray] = []
     for v in cols:
         w = v.astype(np.complex128, copy=True)
@@ -368,7 +340,7 @@ def projector_from_span(vectors: Sequence, tol: float | None = None) -> Projecti
             for q in basis:
                 w = w - np.vdot(q, w) * q
         nrm = float(np.linalg.norm(w))
-        if nrm > tol:
+        if nrm > drop:
             basis.append(w / nrm)
     p = np.zeros((dim, dim), dtype=np.complex128)
     for q in basis:

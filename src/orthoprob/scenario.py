@@ -410,11 +410,8 @@ def scenario_to_jsonable(scenario: Scenario) -> dict:
     return doc
 
 
-def serialize_scenario(scenario: Scenario, pretty: bool = False) -> str:
-    doc = scenario_to_jsonable(scenario)
-    if pretty:
-        return json.dumps(doc, indent=2)
-    return json.dumps(doc)
+def serialize_scenario(scenario: Scenario) -> str:
+    return json.dumps(scenario_to_jsonable(scenario))
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ import numpy as np
 from .errors import (DimensionMismatch, EmptyInput,
                      ImpossibleSequence, NonUniqueConditioningWarning, NotAtom,
                      ValidationError, ZeroEvent, ZeroProbabilityCondition)
-from .events import (BooleanEvent, Event, QuantumAlgebra, QuantumEvent, _shared_kind,
-                     below, complement, events_equal, is_atom)
+from .events import (BooleanEvent, Event, QuantumAlgebra, QuantumEvent, _require_tolerance,
+                     _shared_kind, below, complement, events_equal, is_atom)
 from .linalg import HermitianOperator, StateVector, _require_finite, _symmetrized
 
 # Relative tolerance for certifying the predictability residual.
@@ -234,6 +234,7 @@ def condition(state: State, event: Event,
     compressed, rho -> E rho E / tr(rho E).  Raises
     ZeroProbabilityCondition when the event's probability is <= tol.
     """
+    _require_tolerance(tol)
     kind = _shared_kind(state, event, _STATE_KINDS)
     stack = _stack_of(state)
     conditioned = _conditioned(stack, _branch_of(event), _probabilities(stack, event), tol)[0]
@@ -295,6 +296,7 @@ def predictability(target: Event, given: Event,
     are predictable exactly when ``given`` is contained in ``target`` or in
     its complement.
     """
+    _require_tolerance(tol)
     if _shared_kind(target, given) == "boolean":
         if not given.members:
             raise ZeroEvent("conditioning event is empty")
@@ -319,6 +321,7 @@ def predictability_seq(target: Event, given: Sequence[Event],
     """
     if len(given) == 0:
         raise EmptyInput("predictability_seq needs at least one event")
+    _require_tolerance(tol)
     if _shared_kind(target, given[0]) == "boolean":
         base = frozenset(range(target.space.size))
         for ev in given:
@@ -368,6 +371,7 @@ def compatible(e: Event, f: Event, tol: float = 1e-9) -> bool:
     residuals of :func:`compatibility_residuals` equal the commutator norm
     in exact arithmetic only, so they are reported, never consulted.
     """
+    _require_tolerance(tol)
     if _shared_kind(e, f) == "boolean":
         return True
     em, fm = e.matrix, f.matrix
@@ -394,21 +398,21 @@ def rank_one_transition(xi: StateVector, eta: StateVector) -> float:
     return float(_clamp_probability(abs(np.vdot(eta.vector, xi.vector)) ** 2))
 
 
-def atom_symmetry_check(e: Event, f: Event, tol: float = 1e-9) -> bool:
-    """For two atoms, whether P(e|f) equals P(f|e) within tol."""
+def atom_symmetry_check(e: Event, f: Event) -> bool:
+    """For two atoms, whether P(e|f) equals P(f|e) within 1e-9."""
     if not (is_atom(e) and is_atom(f)):
         raise NotAtom("atom_symmetry_check needs two atomic events")
     forward = predictability(e, f).s
     backward = predictability(f, e).s
-    return abs(forward - backward) <= tol
+    return abs(forward - backward) <= 1e-9
 
 
-def is_dispersion_free(state: State, events: Sequence[Event],
-                       tol: float = 1e-9) -> bool:
-    """Whether the state assigns only 0/1 probabilities to the given events."""
+def is_dispersion_free(state: State, events: Sequence[Event]) -> bool:
+    """Whether the state assigns only 0/1 probabilities, within 1e-9, to the
+    given events."""
     for ev in events:
         p = prob(state, ev)
-        if min(p, 1.0 - p) > tol:
+        if min(p, 1.0 - p) > 1e-9:
             return False
     return True
 
@@ -479,13 +483,13 @@ class TableState:
 
 
 def conditioning_contract_violations(table: TableState, base: DensityState,
-                                     condition_name: str,
-                                     tol: float = 1e-10) -> list[str]:
+                                     condition_name: str) -> list[str]:
     """Check a table against the conditional-probability contract.
 
     For every listed event X below the conditioning event E, the table
-    must assign value(X) = prob(base, X) / prob(base, E).  Returns a list
-    of human-readable violations (empty when the contract holds).
+    must assign value(X) = prob(base, X) / prob(base, E) within 1e-10.
+    Returns a list of human-readable violations (empty when the contract
+    holds).
     """
     cond = table.events[condition_name]
     p_cond = prob(base, cond)
@@ -497,7 +501,7 @@ def conditioning_contract_violations(table: TableState, base: DensityState,
             continue
         expected = prob(base, ev) / p_cond
         got = table.values[name]
-        if abs(got - expected) > tol:
+        if abs(got - expected) > 1e-10:
             out.append(f"{name!r}: table value {got!r} != {expected!r}")
     return out
 

@@ -14,14 +14,16 @@ from orthoprob.errors import NotOrthogonal, ValidationError
 from orthoprob.events import (AxiomReport, BooleanAlgebra, BooleanEvent, QuantumEvent,
                               complement, events_equal, oplus, orthogonal)
 from orthoprob.linalg import (HermitianOperator, Projection, _check_same_dim,
-                              _hermitian_matrix_of, _matrix_of, _symmetrized,
+                              _hermitian_matrix_of, _symmetrized,
                               _symmetrized_projection, random_unitary)
 from orthoprob.states import DensityState
 
 
 def matmul(a, b) -> np.ndarray:
-    """Plain matrix product A @ B (generally not Hermitian)."""
-    ma, mb = _matrix_of(a), _matrix_of(b)
+    """Plain matrix product A @ B (generally not Hermitian) of two operators
+    or arrays."""
+    ma, mb = (x.matrix if isinstance(x, HermitianOperator) else np.asarray(x, np.complex128)
+              for x in (a, b))
     _check_same_dim(ma, mb)
     return ma @ mb
 

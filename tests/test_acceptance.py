@@ -18,7 +18,7 @@ import pytest
 from orthoprob.events import (BooleanAlgebra, QuantumAlgebra, below,
                               complement)
 from orthoprob.interference import interference_decomposition, two_slit
-from orthoprob.linalg import (HermitianOperator, StateVector, frobenius_norm,
+from orthoprob.linalg import (HermitianOperator, StateVector,
                               jordan_product, quadratic_triple, random_unitary)
 from orthoprob.presets import half_transition_pair
 from orthoprob.sampler import SamplerConfig, sample_chain
@@ -57,8 +57,8 @@ def bounded_hermitian(dim, rng):
 
 
 def rel_residual(lhs, rhs):
-    return frobenius_norm(lhs - rhs) / max(1.0, frobenius_norm(lhs),
-                                           frobenius_norm(rhs))
+    return np.linalg.norm(lhs - rhs) / max(1.0, np.linalg.norm(lhs),
+                                           np.linalg.norm(rhs))
 
 
 def test_criterion_01_demo_sec7_conditional(capsys):
@@ -109,7 +109,7 @@ def test_criterion_03_compression_decomposition(capsys):
         rhs = (quadratic_triple(e.matrix, f.matrix).matrix
                + 2.0 * jordan_product(ec, ef).matrix
                + jordan_product(ec, f.matrix).matrix)
-        worst = max(worst, frobenius_norm(f.matrix - rhs))
+        worst = max(worst, np.linalg.norm(f.matrix - rhs))
     ok = worst <= 1e-10
     verdict(capsys, 3, ok,
             f"200 random projection pairs, worst decomposition residual "
@@ -138,7 +138,7 @@ def test_criterion_04_compatibility_routes_agree(capsys):
                 dim, 1 + int(rng.integers(dim - 1)), rng).matrix)
             compatible(e, f, tol=tol)
         comm, ident_e, ident_f = compatibility_residuals(e, f)
-        scale = max(1.0, frobenius_norm(e.matrix), frobenius_norm(f.matrix))
+        scale = max(1.0, np.linalg.norm(e.matrix), np.linalg.norm(f.matrix))
         assert (comm <= tol * scale) == (ident_e <= tol * scale
                                          and ident_f <= tol * scale)
     ok = commuting_ok == 250

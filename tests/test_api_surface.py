@@ -1,0 +1,153 @@
+"""The public API's parameter names, and its contract for caller tolerances.
+
+``SURFACE`` lists the parameters of every function, constructor and public
+method that ``orthoprob.__all__`` exports, as ``inspect.signature`` reads
+them (``self`` left out).  A settable value added or removed shows up here
+as a one-line diff.  Exceptions are listed only where they define their
+own ``__init__``.
+"""
+
+import inspect
+import math
+
+import numpy as np
+import pytest
+
+import orthoprob
+from orthoprob import (QuantumAlgebra, StateVector, below, compatible, condition,
+                       condition_seq, events_equal, half_transition_pair,
+                       interference_decomposition, oplus, orthogonal, predictability,
+                       predictability_seq, two_slit)
+from orthoprob.errors import ValidationError
+
+SURFACE = {
+    "AxiomReport": ("algebra", "rounds", "seed", "checks", "failures", "messages"),
+    "AxiomReport.summary": (),
+    "BooleanAlgebra": ("space", "labels"),
+    "BooleanAlgebra.event": ("members",),
+    "BooleanAlgebra.one": (),
+    "BooleanAlgebra.zero": (),
+    "BooleanEvent": ("space", "members"),
+    "ChainResult": ("outcome_counts", "all_yes_count", "final_event_yes_count",
+                    "empirical_p", "std_error", "predicted_p", "trials", "seed"),
+    "ClassicalState": ("space", "weights"),
+    "DensityState": ("rho",),
+    "HermitianOperator": ("entries",),
+    "InterferenceReport": ("p_total", "term1", "term2", "cross", "p_path1", "p_path2",
+                           "p_either_path", "degenerate_paths"),
+    "PredictabilityResult": ("predictable", "s", "residual"),
+    "Projection": ("entries",),
+    "QuantumAlgebra": ("dim",),
+    "QuantumAlgebra.event": ("entries",),
+    "QuantumAlgebra.event_from_span": ("vectors",),
+    "QuantumAlgebra.one": (),
+    "QuantumAlgebra.zero": (),
+    "QuantumEvent": ("entries",),
+    "QubitNonUniquenessReport": ("compression", "alternative", "base", "condition_name",
+                                 "differ_on", "special_case", "note"),
+    "SampleSpace": ("size", "labels"),
+    "SamplerConfig": ("seed", "trials", "tol"),
+    "Scenario": ("algebra", "events", "states", "query"),
+    "StateIndependenceReport": ("predicted_p", "results", "deviations", "passed"),
+    "StateVector": ("entries",),
+    "StateVector.projector": (),
+    "TableState": ("events", "values", "complements"),
+    "TableState.value": ("name",),
+    "ZeroProbabilityCondition": ("message", "index", "probability"),
+    "atom_state": ("event",),
+    "atom_symmetry_check": ("e", "f"),
+    "below": ("e", "f", "tol"),
+    "compatibility_residuals": ("e", "f"),
+    "compatible": ("e", "f", "tol"),
+    "complement": ("e",),
+    "condition": ("state", "event", "tol"),
+    "condition_seq": ("state", "events", "tol"),
+    "conditioning_contract_violations": ("table", "base", "condition_name"),
+    "events_equal": ("e", "f", "tol"),
+    "half_transition_pair": (),
+    "interference_decomposition": ("source_atom", "path1", "path2", "target", "tol"),
+    "is_atom": ("e",),
+    "is_dispersion_free": ("state", "events"),
+    "jordan_product": ("x", "y"),
+    "oplus": ("e", "f", "tol"),
+    "order_dependence_example": (),
+    "orthogonal": ("e", "f", "tol"),
+    "parse_scenario": ("text",),
+    "predictability": ("target", "given", "tol"),
+    "predictability_seq": ("target", "given", "tol"),
+    "prob": ("state", "event"),
+    "projector_from_span": ("vectors",),
+    "quadratic_triple": ("x", "y"),
+    "qubit_nonuniqueness_demo": ("angle",),
+    "rank_one_transition": ("xi", "eta"),
+    "run_query": ("scenario", "tol", "seed", "trials"),
+    "sample_chain": ("initial", "tests", "final", "config"),
+    "scenario_from_jsonable": ("doc",),
+    "scenario_to_jsonable": ("scenario",),
+    "serialize_scenario": ("scenario",),
+    "state_independence_check": ("target", "tests", "initial_states", "config"),
+    "triple_product": ("x", "y", "z"),
+    "two_slit": ("source", "path1", "path2", "detector", "tol"),
+    "verify_orthospace_axioms": ("algebra", "budget", "seed", "tol"),
+}
+
+
+def _parameters(fn) -> tuple:
+    return tuple(name for name in inspect.signature(fn).parameters if name != "self")
+
+
+def test_parameter_names_are_pinned():
+    surface = {}
+    for name in orthoprob.__all__:
+        obj = getattr(orthoprob, name)
+        if inspect.isfunction(obj):
+            surface[name] = _parameters(obj)
+        elif inspect.isclass(obj):
+            if not issubclass(obj, BaseException) or "__init__" in vars(obj):
+                surface[name] = _parameters(obj)
+            for attr, value in vars(obj).items():
+                if not attr.startswith("_") and inspect.isfunction(value):
+                    surface[f"{name}.{attr}"] = _parameters(value)
+    assert surface == SURFACE
+
+
+def _calls():
+    """One valid call per entry point that takes a caller ``tol``, as a
+    function of it.  ``verify_orthospace_axioms``, ``run_query`` and
+    ``SamplerConfig`` are tested for this with their own modules."""
+    _, e, f = half_transition_pair()
+    mixed = orthoprob.DensityState(np.eye(4, dtype=np.complex128) / 4.0)
+    qutrit = QuantumAlgebra(3)
+    atom = qutrit.event_from_span([np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)])
+    up, down = qutrit.event(np.diag([1.0, 0.0, 0.0])), qutrit.event(np.diag([0.0, 1.0, 0.0]))
+    vectors = [StateVector(np.array(v) / np.linalg.norm(v))
+               for v in ([1.0, 1.0], [1.0, 0.0], [0.0, 1.0], [1.0, -1.0])]
+    return {
+        "orthogonal": lambda tol: orthogonal(up, down, tol),
+        "below": lambda tol: below(up, up, tol),
+        "events_equal": lambda tol: events_equal(up, up, tol),
+        "oplus": lambda tol: oplus(up, down, tol),
+        "condition": lambda tol: condition(mixed, e, tol),
+        "condition_seq": lambda tol: condition_seq(mixed, [e, f], tol),
+        "predictability": lambda tol: predictability(f, e, tol),
+        "predictability_seq": lambda tol: predictability_seq(f, [e], tol),
+        "compatible": lambda tol: compatible(e, f, tol),
+        "interference_decomposition":
+            lambda tol: interference_decomposition(atom, up, down, atom, tol),
+        "two_slit": lambda tol: two_slit(*vectors, tol=tol),
+    }
+
+
+CALLS = sorted(_calls())
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("entry", CALLS)
+def test_invalid_tolerance_is_refused(entry, tol):
+    # Each call succeeds at tol 1e-9; a negative, NaN or infinite tol used
+    # to give a confident verdict, such as "not predictable" for the sec7
+    # pair at tol -1.
+    call = _calls()[entry]
+    call(1e-9)
+    with pytest.raises(ValidationError, match="tol must be finite and >= 0"):
+        call(tol)

@@ -323,7 +323,8 @@ def test_every_query_kind_exits_cleanly(algebra, kind, tmp_path, capsys):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({**SMALL_ALGEBRAS[algebra],
                                 "query": {"kind": kind, **EVERY_QUERY[kind]}}))
-    command = next((c for c, kinds in cli._SCENARIO_KINDS.items() if kind in kinds), kind)
+    command = next((c for c, (_, kinds) in cli._SCENARIO_COMMANDS.items() if kind in kinds),
+                   kind)
     code = main([command, "--scenario", str(path), "--trials", "100"])
     out, err = capsys.readouterr()
     if code == 0:

@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from orthoprob.errors import DimensionMismatch, EmptyInput, ValidationError
-from orthoprob.linalg import (TOL_HERMITIAN, TOL_IDEMPOTENT, HermitianOperator,
-                              Projection, StateVector, _frobenius_norms,
-                              _projection_checks, frobenius_norm, jordan_product,
+from orthoprob.linalg import (HermitianOperator, Projection, StateVector,
+                              _frobenius_norms, _projection_checks, jordan_product,
                               projector_from_span, quadratic_triple,
                               random_unitary, triple_product)
 
@@ -42,7 +41,7 @@ class TestConstructors:
     def test_hermitian_accepts_and_freezes(self):
         op = HermitianOperator(F4)
         assert op.dim == 4
-        assert op.trace() == pytest.approx(2.0)
+        assert op.matrix.trace().real == pytest.approx(2.0)
         with pytest.raises(ValueError):
             op.matrix[0, 0] = 9.0
 
@@ -60,8 +59,7 @@ class TestConstructors:
 
     def test_hermitian_rejects_complex_diagonal(self):
         with pytest.raises(ValidationError):
-            HermitianOperator(np.array([[1.0 + 1e-9j, 0.0], [0.0, 1.0]]),
-                              tol=1e-10)
+            HermitianOperator(np.array([[1.0 + 1e-9j, 0.0], [0.0, 1.0]]))
 
     def test_projection_ranks(self):
         assert Projection(E4).rank == 2
@@ -74,11 +72,13 @@ class TestConstructors:
             Projection(np.diag([1.0, 0.5]))
 
     def test_projection_rejects_drifted_trace(self):
-        # 100 eigenvalues each 2e-4 above 1: the idempotency residual stays
-        # inside tol*scale but the accumulated trace offset does not.
-        m = np.diag(np.full(100, 1.0 + 2e-4))
-        with pytest.raises(ValidationError, match="rank"):
-            Projection(m, tol=1e-3)
+        # 100 eigenvalues each 2e-10 above 1: the idempotency residual stays
+        # inside TOL_IDEMPOTENT * scale but the accumulated trace offset does
+        # not.
+        m = np.diag(np.full(100, 1.0 + 2e-10))
+        with pytest.raises(ValidationError) as exc:
+            Projection(m)
+        assert str(exc.value) == "projection trace 100.00000002 is not an admissible integer rank"
 
     def test_state_vector_norm(self):
         StateVector(np.array([1.0, 0.0]))
@@ -259,9 +259,6 @@ class TestSpectralHelpers:
         assert not is_positive_semidefinite(np.diag([-1e-6, 1.0]))
         assert is_positive_semidefinite(np.diag([-1e-12, 1.0]))
 
-    def test_frobenius_norm(self):
-        assert frobenius_norm(np.array([[3.0, 0.0], [0.0, 4.0]])) == pytest.approx(5.0)
-
 
 # Inputs every public validator rejects, with the exact message.
 MALFORMED = [
@@ -290,13 +287,11 @@ class TestPublicValidators:
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("entries, message", MALFORMED)
-    def test_frobenius_norm_rejects(self, entries, message):
-        with pytest.raises(ValidationError) as exc:
-            frobenius_norm(entries)
-        assert str(exc.value) == message
-
-    def test_frobenius_norm_accepts_non_hermitian(self):
-        assert frobenius_norm(np.array([[0.0, 3.0], [4.0, 0.0]])) == 5.0
+    def test_jordan_operations_reject(self, entries, message):
+        for operation in (jordan_product, quadratic_triple):
+            with pytest.raises(ValidationError) as exc:
+                operation(entries, np.eye(2))
+            assert str(exc.value) == message
 
     @pytest.mark.parametrize("entries", [
         [[1e200, 1e200], [1e200, -1e200]],  # P@P holds inf - inf = NaN
@@ -311,19 +306,16 @@ class TestPublicValidators:
 class TestKernelNorm:
     """The event kernel takes the norms of its own products stacked, with
     _frobenius_norms, and reads the ||P||_F stored by Projection; both are
-    bit for bit what frobenius_norm returns."""
+    bit for bit what np.linalg.norm returns."""
 
     @pytest.mark.parametrize("dim", [1, 2, 4, 16, 64])
     def test_bitwise_equal_to_frobenius_norm(self, dim):
-        rng = np.random.default_rng(dim)
-        p = random_projection(dim, (dim + 1) // 2, rng)
-        q = random_projection(dim, dim // 2, rng)
-        assert p._norm == frobenius_norm(p)
-        assert Projection(p.matrix.copy())._norm == frobenius_norm(p)
-        pq = p.matrix @ q.matrix
-        for m in (pq, pq - p.matrix, p.matrix - q.matrix, pq.T, pq[::2, ::2],
-                  pq.T[::-1, :]):
-            assert float(np.linalg.norm(m)) == frobenius_norm(m)
+        p = random_projection(dim, (dim + 1) // 2, np.random.default_rng(dim))
+        assert p._norm == np.linalg.norm(p.matrix)
+        assert Projection(p.matrix.copy())._norm == np.linalg.norm(p.matrix)
+
+    def test_kernel_norm_accepts_non_hermitian(self):
+        assert _frobenius_norms(np.array([[[0.0, 3.0], [4.0, 0.0]]]))[0] == 5.0
 
     @pytest.mark.parametrize("dim", [1, 2, 4, 16, 64])
     def test_stacked_norms_keep_the_bits(self, dim):
@@ -332,40 +324,34 @@ class TestKernelNorm:
         b = np.stack([random_projection(dim, r % (dim + 1), rng).matrix for r in range(5)])
         table = _frobenius_norms(a[:, None] @ b[None])
         for i in range(len(a)):
-            assert _frobenius_norms(a[i:i + 1])[0] == frobenius_norm(a[i])
+            assert _frobenius_norms(a[i:i + 1])[0] == np.linalg.norm(a[i])
             for j in range(len(b)):
-                assert table[i, j] == frobenius_norm(a[i] @ b[j])
+                assert table[i, j] == np.linalg.norm(a[i] @ b[j])
 
 
 class TestStackedProjectionChecks:
     """_projection_checks on a stack says of each matrix what the
     Projection constructor says of it alone."""
 
-    @pytest.mark.parametrize("tol", [TOL_IDEMPOTENT, 1.0])
-    def test_matches_the_constructor(self, tol):
+    def test_matches_the_constructor(self):
         rng = np.random.default_rng(5)
-        skewed = np.diag([1.0, 0.0]).astype(np.complex128)
-        skewed[0, 1] = 3e-10
         mats = [random_projection(2, 1, rng).matrix, np.zeros((2, 2)), np.eye(2),
                 np.diag([1.0, 0.5]),            # not idempotent
-                np.diag([-0.6, 0.0]),           # idempotent within tol 1, rank -1
-                np.array([[0.0, 1e200], [1e200, 0.0]]),  # overflows
-                skewed]
+                np.diag([1.0 + 9e-10] * 2),     # idempotent within tol, trace off rank 2
+                np.array([[0.0, 1e200], [1e200, 0.0]])]  # overflows
         with np.errstate(over="ignore", invalid="ignore"):
-            errors, norms, ranks = _projection_checks(
-                np.stack(mats).astype(np.complex128), tol, hermitian_tol=TOL_HERMITIAN)
+            errors, norms, ranks = _projection_checks(np.stack(mats).astype(np.complex128))
         for m, error, norm, rank in zip(mats, errors, norms, ranks):
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    p = Projection(m, tol=tol)
+                    p = Projection(m)
             except ValidationError as exc:
                 assert error == str(exc)
             else:
                 assert error is None
                 assert (norm, rank) == (p._norm, p.rank)
         messages = " | ".join(e for e in errors if e)
-        assert "not Hermitian" in messages and "not idempotent" in messages
-        assert ("admissible integer rank" in messages) == (tol == 1.0)
+        assert "not idempotent" in messages and "admissible integer rank" in messages
 
 
 class TestRandomGenerators:
@@ -384,7 +370,7 @@ class TestRandomGenerators:
         rng = np.random.default_rng(2)
         p = random_projection(5, rank, rng)
         assert p.rank == rank
-        assert frobenius_norm(p.matrix @ p.matrix - p.matrix) < 1e-12
+        assert np.linalg.norm(p.matrix @ p.matrix - p.matrix) < 1e-12
 
     def test_random_orthogonal_projections(self):
         rng = np.random.default_rng(4)
@@ -392,7 +378,7 @@ class TestRandomGenerators:
         assert [p.rank for p in ps] == [2, 3, 1]
         for i, a in enumerate(ps):
             for b in ps[i + 1:]:
-                assert frobenius_norm(a.matrix @ b.matrix) < 1e-12
+                assert np.linalg.norm(a.matrix @ b.matrix) < 1e-12
 
     def test_random_density_matrix(self):
         rng = np.random.default_rng(6)

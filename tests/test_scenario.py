@@ -390,7 +390,7 @@ class TestRoundTrip:
     def test_query_defaults_serialized(self, query, serialized):
         sc = parse_scenario(quantum_doc(query))
         assert scenario_to_jsonable(sc)["query"] == serialized
-        assert parse_scenario(serialize_scenario(sc, pretty=True)) == sc
+        assert parse_scenario(serialize_scenario(sc)) == sc
 
     def test_random_unit_vectors_are_a_fixed_point(self):
         rng = np.random.default_rng(7)
