@@ -20,8 +20,9 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .errors import (AlgebraMismatch, NotOrthogonal, ValidationError)
-from .linalg import (Projection, _frobenius_norms, _projection_checks, _symmetrized,
-                     _symmetrized_projection, projector_from_span, random_unitary)
+from .linalg import (Projection, _adopted, _frobenius_norms, _projection_checks,
+                     _symmetrized, _symmetrized_projection, projector_from_span,
+                     random_unitary)
 
 # Relative tolerance (scaled by max(1, operand norms)) for orthogonality
 # and ordering residuals on projections.
@@ -351,7 +352,7 @@ def complement(e: Event) -> Event:
     """The unique event orthogonal to e that sums with it to the unit."""
     if isinstance(e, BooleanEvent):
         return BooleanEvent(e.space, frozenset(range(e.space.size)) - e.members)
-    return QuantumEvent(np.eye(e.dim, dtype=np.complex128) - e.matrix)
+    return _adopted(QuantumEvent, np.eye(e.dim, dtype=np.complex128) - e.matrix)
 
 
 def below(e: Event, f: Event, tol: float = DEFAULT_EVENT_TOL) -> bool:

@@ -10,14 +10,14 @@ no sparse or structured paths exist.
 Construction contract: the public constructors validate everything they
 are given.  The one Hermitian scan is ``HermitianOperator``'s, on the
 array a constructor is given; internal products are ``_symmetrized``,
-hence Hermitian bit for bit, and the private ``_symmetrized_projection``
-skips the scan for them.  Every projection, however built, passes the
-idempotency and trace-rank checks of ``_projection_checks``, which checks
-a whole stack of exactly Hermitian matrices at once and which a single
-projection runs as a stack of one.  A quantum event is a ``Projection``
-subclass; it adopts a ``Projection`` argument with its rank and norm, so
-a projection is checked once however many events are made of it, while
-``Projection(p)`` checks ``p`` again.
+hence Hermitian bit for bit, and the private ``_adopted`` skips the scan
+for them and for complements I - P.  Every projection, however built,
+passes the idempotency and trace-rank checks of ``_projection_checks``,
+which checks a whole stack of exactly Hermitian matrices at once and
+which a single projection runs as a stack of one.  A quantum event is a
+``Projection`` subclass; it adopts a ``Projection`` argument with its
+rank and norm, so a projection is checked once however many events are
+made of it, while ``Projection(p)`` checks ``p`` again.
 """
 
 from __future__ import annotations
@@ -239,19 +239,32 @@ class StateVector:
         return f"StateVector(dim={self.dim})"
 
 
+def _adopted(cls, m: np.ndarray):
+    """A ``cls`` operator, without the Hermitian scan, holding ``m``: a
+    fresh internal array at most as skewed as matrices already checked.
+
+    ``_symmetrized`` output is Hermitian bit for bit, and I - P has the
+    skew of P exactly, so the scan could never fail on either.  A
+    projection still runs its idempotency and trace-rank checks; any other
+    operator still needs finite entries, which a product of finite
+    matrices may lack.
+    """
+    h = np.ascontiguousarray(m)
+    h.flags.writeable = False
+    op = cls.__new__(cls)
+    op._matrix = h
+    if issubclass(cls, Projection):
+        op._check_idempotent()
+    else:
+        _require_finite(h)
+    return op
+
+
 def _symmetrized_projection(m: np.ndarray) -> Projection:
     """Projection onto the exactly Hermitian average (M + M^H)/2 of an
-    internal product M with finite entries.
-
-    Skips only the Hermitian scan, which that average passes bit for bit;
-    the idempotency and trace-rank checks of :class:`Projection` still run.
-    """
-    h = np.ascontiguousarray(_symmetrized(m))
-    h.flags.writeable = False
-    p = Projection.__new__(Projection)
-    p._matrix = h
-    p._check_idempotent()
-    return p
+    internal product M with finite entries, checked as ``_adopted``
+    checks it."""
+    return _adopted(Projection, _symmetrized(m))
 
 
 def _hermitian_matrix_of(value) -> np.ndarray:
@@ -276,7 +289,7 @@ def jordan_product(x, y) -> HermitianOperator:
     """
     a, b = _hermitian_matrix_of(x), _hermitian_matrix_of(y)
     _check_same_dim(a, b)
-    return HermitianOperator(_jp(a, b))
+    return _adopted(HermitianOperator, _jp(a, b))
 
 
 def _jp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -292,14 +305,14 @@ def triple_product(x, y, z) -> HermitianOperator:
     a, b, c = (_hermitian_matrix_of(v) for v in (x, y, z))
     _check_same_dim(a, b, c)
     m = _jp(a, _jp(b, c)) - _jp(b, _jp(c, a)) + _jp(c, _jp(a, b))
-    return HermitianOperator(m)
+    return _adopted(HermitianOperator, m)
 
 
 def quadratic_triple(x, y) -> HermitianOperator:
     """The compression XYX, i.e. {X,Y,X} evaluated directly."""
     a, b = _hermitian_matrix_of(x), _hermitian_matrix_of(y)
     _check_same_dim(a, b)
-    return HermitianOperator(_symmetrized(a @ b @ a))
+    return _adopted(HermitianOperator, _symmetrized(a @ b @ a))
 
 
 def projector_from_span(vectors: Sequence) -> Projection:

@@ -20,7 +20,9 @@ density matrices or (m, size) weight rows.  A level is conditioned a
 block of children at a time, LEVEL_BLOCK_BYTES of states, by the stacked
 routines that ``states.prob`` and ``states.condition`` run on one state,
 so every state and probability carries the bits of the one-node-at-a-time
-route.  The state contract runs once per block and reports the block's
+route.  The complement of each distinct test event, and the pair of
+branches a level conditions on, are built once per chain, not once per
+level.  The state contract runs once per block and reports the block's
 first offending child: every realized branch has positive probability,
 then each state passes the ClassicalState or DensityState checks (all but
 the Hermitian scan, which the symmetrized compression passes by
@@ -119,18 +121,24 @@ def _level_probabilities(stack: np.ndarray, event: Event) -> np.ndarray:
                            for lo in range(0, len(stack), size)])
 
 
-def _condition_level(stack: np.ndarray, realized: np.ndarray, event: Event,
-                     p_yes: np.ndarray) -> np.ndarray:
+def _branches(event: Event) -> tuple[Event, np.ndarray]:
+    """The complement of a test event and the stack of the two branches a
+    level conditions on, the complement's first."""
+    comp = complement(event)
+    return comp, np.stack([_branch_of(comp), _branch_of(event)])
+
+
+def _condition_level(stack: np.ndarray, realized: np.ndarray, p_yes: np.ndarray,
+                     comp: Event, branches: np.ndarray) -> np.ndarray:
     """States of the realized children of a level, in ``realized`` order.
 
-    Child ``c`` is parent ``c // 2`` conditioned on ``event`` when ``c`` is
-    odd and on its complement when even, with the arithmetic of
-    ``states.condition``.  Each block of children is checked as
-    ``condition`` checks a state before the next block is built, and an
-    error reports the block's first offending child.
+    Child ``c`` is parent ``c // 2`` conditioned on the level's event when
+    ``c`` is odd and on its complement ``comp`` when even, with the
+    arithmetic of ``states.condition``; ``branches`` is ``_branches`` of
+    the event.  Each block of children is checked as ``condition`` checks
+    a state before the next block is built, and an error reports the
+    block's first offending child.
     """
-    comp = complement(event)
-    branches = np.stack([_branch_of(comp), _branch_of(event)])
     children = np.empty((len(realized),) + stack.shape[1:], dtype=stack.dtype)
     size = _block_size(stack)
     for lo in range(0, len(realized), size):
@@ -167,8 +175,11 @@ def sample_chain(initial: State, tests: Sequence[Event], final: Event,
     stack = _stack_of(initial)
     node_ids = np.zeros(trials, dtype=np.int64)
     paths = np.zeros((1, n), dtype=bool)
+    branches = {}
 
     for k, event in enumerate(tests):
+        if id(event) not in branches:
+            branches[id(event)] = _branches(event)
         p_yes = _level_probabilities(stack, event)
         yes = _effective_yes(p_yes)
         outcome = rng.random(trials) < (yes if len(yes) == 1 else yes.take(node_ids))
@@ -182,20 +193,22 @@ def sample_chain(initial: State, tests: Sequence[Event], final: Event,
             node_ids = remap.take(node_ids)
         paths = paths[realized // 2]
         paths[:, k] = realized % 2
-        stack = _condition_level(stack, realized, event, p_yes)
+        stack = _condition_level(stack, realized, p_yes, *branches[id(event)])
 
     final_draw = rng.random(trials)
     last = len(realized) - 1
     if paths[last].all():
         all_yes_count = int(counts[realized[last]])
         p_final = _effective_yes(_probabilities(stack[last:], final))[0]
-        final_yes_count = int(np.count_nonzero(final_draw[node_ids == last] < p_final))
+        hit = final_draw < p_final
+        hit &= node_ids == last
+        final_yes_count = int(np.count_nonzero(hit))
     else:
         all_yes_count = final_yes_count = 0
 
     rows = paths.view(np.uint8)
     rows += ord("0")
-    keys = (key.decode() for key in rows.view(f"S{n}").ravel())
+    keys = rows.view(f"S{n}").ravel().astype(f"U{n}").tolist()
     outcome_counts = dict(zip(keys, counts[realized].tolist()))
 
     if all_yes_count > 0:

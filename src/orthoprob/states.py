@@ -17,7 +17,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import (DimensionMismatch, EmptyInput,
+from .errors import (AlgebraMismatch, DimensionMismatch, EmptyInput,
                      ImpossibleSequence, NonUniqueConditioningWarning, NotAtom,
                      ValidationError, ZeroEvent, ZeroProbabilityCondition)
 from .events import (BooleanEvent, Event, QuantumAlgebra, QuantumEvent, _require_tolerance,
@@ -28,6 +28,9 @@ from .linalg import HermitianOperator, StateVector, _require_finite, _symmetrize
 DEFAULT_DETECTION_TOL = 1e-8
 # Probability threshold below which conditioning is refused.
 DEFAULT_CONDITION_TOL = 1e-9
+# Diagonal shift under which a density stack must factor by Cholesky to pass
+# the eigenvalue bound -1e-10 without an eigvalsh (see _check_density_stack).
+_CHOLESKY_SHIFT = 1e-10 - 1e-12
 
 
 def _check_weight_rows(rows: np.ndarray) -> None:
@@ -55,16 +58,32 @@ def _check_density_stack(stack: np.ndarray) -> None:
 
     Each check covers the whole stack before the next one runs, and an
     error reports the first offending matrix.
+
+    The eigenvalue bound is certified by one Cholesky factorization of the
+    stack shifted by s = _CHOLESKY_SHIFT, with ``eigvalsh`` run only when
+    some matrix fails to factor, to decide and word the failure.  A factor
+    that completes is exact for rho + sI + dA with |dA| <= g |R^H||R|,
+    g = gamma_{d+1} (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 10), and ||R^H||R|||_2 <= tr(R^H R), about
+    tr(rho) + d s; the trace check has just bounded tr(rho) by 1 + 1e-10.
+    So lambda_min(rho) >= -s - g (1 + d s), above -1e-10 + 9.9e-13 for
+    d <= 64, while the smallest eigenvalue ``eigvalsh`` reports is off by
+    about d u ||rho||_2, near 1e-14: every stack that factors passes the
+    ``eigvalsh`` check too.  Both routines read the lower triangle only.
     """
     traces = stack.trace(axis1=1, axis2=2).real
     off = np.abs(traces - 1.0)
     if off.max() > 1e-10:
         first = traces[(off > 1e-10).argmax()]
         raise ValidationError(f"density matrix trace {float(first)!r} is not 1 within 1e-10")
-    low = np.linalg.eigvalsh(stack)[:, 0]
-    if low.min() < -1e-10:
-        first = low[(low < -1e-10).argmax()]
-        raise ValidationError(f"density matrix has eigenvalue {first:.3e} below -1e-10")
+    try:
+        np.linalg.cholesky(stack + _CHOLESKY_SHIFT * np.eye(stack.shape[-1]))
+    except np.linalg.LinAlgError:
+        low = np.linalg.eigvalsh(stack)[:, 0]
+        if low.min() < -1e-10:
+            first = low[(low < -1e-10).argmax()]
+            raise ValidationError(
+                f"density matrix has eigenvalue {first:.3e} below -1e-10") from None
 
 
 def _check_states(stack: np.ndarray) -> None:
@@ -351,8 +370,11 @@ def compatibility_residuals(e: QuantumEvent, f: QuantumEvent) -> tuple[float, fl
     """Residuals of the commutator test and of both probabilistic identities.
 
     Returns (||EF - FE||, ||E - FEF - F'EF'||, ||F - EFE - E'FE'||); all
-    three vanish together in exact arithmetic.
+    three vanish together in exact arithmetic.  Raises AlgebraMismatch
+    unless both are quantum events of one dimension.
     """
+    if _shared_kind(e, f) == "boolean":
+        raise AlgebraMismatch("compatibility residuals need quantum events")
     em, fm = e.matrix, f.matrix
     eye = np.eye(e.dim)
     ec, fc = eye - em, eye - fm

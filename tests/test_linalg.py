@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from orthoprob.errors import DimensionMismatch, EmptyInput, ValidationError
+from orthoprob.events import QuantumEvent, complement
 from orthoprob.linalg import (HermitianOperator, Projection, StateVector,
-                              _frobenius_norms, _projection_checks, jordan_product,
-                              projector_from_span, quadratic_triple,
+                              _frobenius_norms, _jp, _projection_checks, _symmetrized,
+                              jordan_product, projector_from_span, quadratic_triple,
                               random_unitary, triple_product)
 
 from helpers import (is_positive_semidefinite, matmul, min_eigenvalue,
@@ -301,6 +302,51 @@ class TestPublicValidators:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ValidationError, match="not idempotent"):
             Projection(np.array(entries))
+
+
+def _no_scan(operator, entries):
+    raise AssertionError("the Hermitian scan ran")
+
+
+class TestAdoptedResults:
+    """Complements and Jordan products skip the Hermitian scan, which
+    could never fail on them, and keep the bits, ranks and norms that the
+    public constructors gave them."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 16])
+    def test_bitwise_equal_to_the_constructors(self, dim, monkeypatch):
+        rng = np.random.default_rng(dim)
+        cases = []
+        for _ in range(10):
+            # A user's projection, Hermitian only within TOL_HERMITIAN, makes
+            # a complement with the same skew.
+            p = random_projection(dim, int(rng.integers(0, dim + 1)), rng).matrix
+            loose = QuantumEvent(p + 1e-12 * (rng.normal(size=p.shape)
+                                               + 1j * rng.normal(size=p.shape)))
+            x, y, z = (random_hermitian(dim, rng) for _ in range(3))
+            want = [QuantumEvent(np.eye(dim) - loose.matrix),
+                    HermitianOperator(_jp(x.matrix, y.matrix)),
+                    HermitianOperator(_jp(x.matrix, _jp(y.matrix, z.matrix))
+                                      - _jp(y.matrix, _jp(z.matrix, x.matrix))
+                                      + _jp(z.matrix, _jp(x.matrix, y.matrix))),
+                    HermitianOperator(_symmetrized(x.matrix @ y.matrix @ x.matrix))]
+            cases.append(((loose, x, y, z), want))
+        monkeypatch.setattr(HermitianOperator, "__init__", _no_scan)
+        for (loose, x, y, z), want in cases:
+            got = [complement(loose), jordan_product(x, y), triple_product(x, y, z),
+                   quadratic_triple(x, y)]
+            for g, w in zip(got, want):
+                assert type(g) is type(w)
+                assert g.matrix.tobytes() == w.matrix.tobytes()
+                assert not g.matrix.flags.writeable
+            assert (got[0].rank, got[0]._norm) == (want[0].rank, want[0]._norm)
+
+    def test_overflow_is_still_refused(self):
+        big = HermitianOperator(np.diag([1e200, 1.0]))
+        for operation in (jordan_product, quadratic_triple):
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(ValidationError, match="^matrix entries must be finite$"):
+                operation(big, big)
 
 
 class TestKernelNorm:

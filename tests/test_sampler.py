@@ -16,7 +16,7 @@ from orthoprob.events import BooleanAlgebra, QuantumAlgebra, complement
 from orthoprob.presets import half_transition_pair, order_dependence_example
 from orthoprob import sampler
 from orthoprob.sampler import (DEGENERATE_BRANCH, ChainResult, SamplerConfig,
-                               _condition_level, sample_chain,
+                               _branches, _condition_level, sample_chain,
                                state_independence_check)
 from orthoprob.states import (ClassicalState, DensityState, _probabilities,
                               atom_state, condition, condition_seq,
@@ -340,7 +340,7 @@ def test_level_arithmetic_matches_per_node(algebra):
         branches = [comp, event]
         realized = np.array([c for c in range(2 * len(states))
                              if prob(states[c // 2], branches[c % 2]) > 0.0])
-        children = _condition_level(stack, realized, event, p_yes)
+        children = _condition_level(stack, realized, p_yes, *_branches(event))
         for c, child in zip(realized, children):
             want = condition(states[c // 2], branches[c % 2], tol=0.0)
             assert np.array_equal(child, want.matrix if isinstance(want, DensityState)
@@ -357,7 +357,8 @@ def test_level_zero_probability_branch_matches_condition():
         condition(outside, e, tol=0.0)
     # Children 0, 1 and 3: both branches of the first state, "yes" of the second.
     with pytest.raises(ZeroProbabilityCondition) as got:
-        _condition_level(stack, np.array([0, 1, 3]), e, _probabilities(stack, e))
+        _condition_level(stack, np.array([0, 1, 3]), _probabilities(stack, e),
+                         *_branches(e))
     assert str(got.value) == str(want.value)
     assert got.value.probability == want.value.probability == 0.0
 
@@ -371,14 +372,15 @@ def test_level_in_blocks_matches_condition(monkeypatch):
     stack = np.stack([s.matrix for s in states])
     monkeypatch.setattr(sampler, "LEVEL_BLOCK_BYTES", 2 * inside.matrix.nbytes)
     realized = np.array([0, 1, 2, 4, 5, 6])
-    children = _condition_level(stack, realized, e, _probabilities(stack, e))
+    children = _condition_level(stack, realized, _probabilities(stack, e), *_branches(e))
     for c, child in zip(realized, children):
         want = condition(states[c // 2], e if c % 2 else complement(e), tol=0.0)
         assert np.array_equal(child, want.matrix)
     # Child 7, "yes" of the last state, is impossible; it sits in the last block.
     with pytest.raises(ZeroProbabilityCondition,
                        match=r"^conditioning event has probability 0\.0 <= 0\.0$"):
-        _condition_level(stack, np.append(realized, 7), e, _probabilities(stack, e))
+        _condition_level(stack, np.append(realized, 7), _probabilities(stack, e),
+                         *_branches(e))
 
 
 @pytest.mark.filterwarnings("ignore::orthoprob.NonUniqueConditioningWarning")
@@ -477,6 +479,33 @@ class TestAgainstPerNodeReference:
         got = sample_chain(mixed, tests, f, config)
         assert len(got.outcome_counts) == 2 ** len(tests)
         _assert_same_result(got, _per_node_chain(mixed, tests, f, config))
+
+
+def test_deep_chain_builds_two_complements_and_never_reaches_eigvalsh(monkeypatch):
+    # The shape of the chain_deep benchmark: 12 alternating tests on C^4
+    # realizing all 8190 prefix nodes.  Every built state is certified by
+    # the Cholesky pre-check, and each distinct test event is complemented
+    # once per chain, not once per level.
+    _, e, f = half_transition_pair()
+    initial = random_density_state(4, np.random.default_rng(5))
+    tests = [e if k % 2 == 0 else f for k in range(12)]
+    config = SamplerConfig(seed=3, trials=120_000)
+    want = sample_chain(initial, tests, e, config)
+    complements = []
+
+    def counted(event):
+        complements.append(event)
+        return complement(event)
+
+    def no_eigvalsh(*args, **kwargs):
+        raise AssertionError("eigvalsh was reached")
+
+    monkeypatch.setattr(sampler, "complement", counted)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    got = sample_chain(initial, tests, e, config)
+    assert len(got.outcome_counts) == 2 ** 12
+    assert repr(got) == repr(want)
+    assert complements == [e, f]
 
 
 class TestChainContract:

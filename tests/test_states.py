@@ -139,6 +139,80 @@ class TestStateConstruction:
             _check_states(stack)
 
 
+def _eigvalsh_verdict(stack):
+    """The message of the DensityState checks on a stack decided by
+    eigvalsh alone, with no Cholesky pre-check, or None when it passes."""
+    traces = stack.trace(axis1=1, axis2=2).real
+    off = np.abs(traces - 1.0)
+    if off.max() > 1e-10:
+        first = traces[(off > 1e-10).argmax()]
+        return f"density matrix trace {float(first)!r} is not 1 within 1e-10"
+    low = np.linalg.eigvalsh(stack)[:, 0]
+    if low.min() < -1e-10:
+        return f"density matrix has eigenvalue {low[(low < -1e-10).argmax()]:.3e} below -1e-10"
+    return None
+
+
+def _density_verdict(stack):
+    try:
+        _check_density_stack(stack)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def _no_eigvalsh(*args, **kwargs):
+    raise AssertionError("eigvalsh was reached")
+
+
+def _state_with_lowest(dim, low, rng):
+    """An exactly Hermitian unit-trace matrix whose smallest eigenvalue is
+    ``low``, up to roundoff, in a Haar frame."""
+    rest = rng.uniform(0.5, 1.5, size=dim - 1)
+    rest *= (1.0 - low) / rest.sum()
+    u = random_unitary(dim, rng)
+    return _symmetrized((u * np.concatenate([[low], rest])) @ u.conj().T)
+
+
+class TestCholeskyCertifier:
+    """The Cholesky pre-check decides no stack differently from eigvalsh."""
+
+    # lambda_min = -1e-10 + k 1e-13.  For k <= 5 the shifted factor fails
+    # and eigvalsh decides: it rejects k < 0 and accepts k > 0.  At k = 10
+    # roundoff decides whether the factor completes; from k = 11 on it
+    # does, and at k = 15 and 50 the test requires it.
+    BOUNDARY = list(range(-5, 6)) + [10, 11, 15, 50]
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16, 32, 64])
+    def test_boundary_verdicts_match_eigvalsh(self, dim, monkeypatch):
+        rng = np.random.default_rng(dim)
+        states = {k: [_state_with_lowest(dim, -1e-10 + k * 1e-13, rng) for _ in range(3)]
+                  for k in self.BOUNDARY}
+        everything = np.stack([rho for k in self.BOUNDARY for rho in states[k]])
+        for rho in everything:
+            assert _density_verdict(rho[None]) == _eigvalsh_verdict(rho[None])
+        for k in self.BOUNDARY:
+            stack = np.stack(states[k])
+            assert _density_verdict(stack) == _eigvalsh_verdict(stack)
+            if k != 0:  # at k = 0 roundoff decides
+                assert (_density_verdict(stack) is None) is (k > 0), k
+        # The first offender of a mixed stack is reported, wherever it sits.
+        for order in (everything, everything[::-1]):
+            assert _density_verdict(order) == _eigvalsh_verdict(order)
+        monkeypatch.setattr(np.linalg, "eigvalsh", _no_eigvalsh)
+        for k in (15, 50):
+            _check_density_stack(np.stack(states[k]))
+
+    def test_a_pure_state_and_its_conditioning_skip_eigvalsh(self, monkeypatch):
+        _, e, f = half_transition_pair()
+        v = np.array([0.6, 0.0, 0.8j, 0.0])
+        monkeypatch.setattr(np.linalg, "eigvalsh", _no_eigvalsh)
+        pure = DensityState(np.outer(v, v.conj()))
+        conditioned = condition(pure, f)
+        assert prob(conditioned, f) == pytest.approx(1.0)
+        assert prob(condition(conditioned, e), e) == pytest.approx(1.0)
+
+
 class TestProb:
     def test_die_faces(self, die, fair):
         assert prob(fair, die.event([0, 1])) == pytest.approx(1.0 / 3.0)
@@ -494,6 +568,20 @@ class TestCompatibility:
             tail = jordan_product(e_prime, f.matrix).matrix
             recomposed = efe + 2.0 * mixed + tail
             assert np.allclose(recomposed, f.matrix, atol=1e-12)
+
+    @pytest.mark.parametrize("pair, message", [
+        (lambda die: (die.event([0]), QuantumAlgebra(2).one()),
+         "cannot mix BooleanEvent with QuantumEvent"),
+        (lambda die: (QuantumAlgebra(6).one(), die.event([0])),
+         "cannot mix QuantumEvent with BooleanEvent"),
+        (lambda die: (QuantumAlgebra(2).one(), QuantumAlgebra(3).one()),
+         "events have different dimensions: 2 vs 3"),
+        (lambda die: (die.event([0]), die.event([0, 1])),
+         "compatibility residuals need quantum events"),
+    ], ids=["boolean-quantum", "quantum-boolean", "dims-2-3", "boolean-pair"])
+    def test_residuals_refuse_other_operands(self, die, pair, message):
+        with pytest.raises(AlgebraMismatch, match=f"^{re.escape(message)}$"):
+            compatibility_residuals(*pair(die))
 
 
 class TestAtoms:
