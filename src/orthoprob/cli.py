@@ -67,9 +67,10 @@ def _round_floats(value):
 
 def _emit(result: dict, pretty: bool) -> None:
     if pretty:
-        print(json.dumps(_round_floats(result), indent=2, allow_nan=False))
+        print(json.dumps(_round_floats(result), indent=2, allow_nan=False,
+                         check_circular=False))
     else:
-        print(json.dumps(result, allow_nan=False))
+        print(json.dumps(result, allow_nan=False, check_circular=False))
 
 
 def _load_scenario(path: str) -> Scenario:

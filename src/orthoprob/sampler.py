@@ -8,12 +8,14 @@ depend only on the outcome prefix, so they are computed once per realized
 prefix and trials are driven purely by uniform draws.
 
 A trial's only state is the id of its prefix node among the level's
-realized nodes; child ``c`` of a level is ``2 * parent + bit``.  Everything
-else is kept per realized node: its outcome prefix, its trial count and
-its state.  Realized nodes stay in increasing prefix order, so the last
-level's nodes are the keys of ``outcome_counts`` in increasing order, and
-the all-yes path, when realized, is the last node.  Chains of any length
-take this one route.
+realized nodes, an int32 (int64 from 2**30 trials); child ``c`` of a level
+is ``2 * parent + bit``.  Everything else is kept per realized node: its
+outcome prefix, its trial count and its state.  Each level draws, counts
+and renumbers the trials a chunk of LEVEL_BLOCK_BYTES // 8 at a time, in
+trial order, so past the node ids the working set is fixed.  Realized
+nodes stay in increasing prefix order, so the last level's nodes are the
+keys of ``outcome_counts`` in increasing order, and the all-yes path, when
+realized, is the last node.  Chains of any length take this one route.
 
 The realized prefix states of one level are held as one stack, (m, d, d)
 density matrices or (m, size) weight rows.  A level is conditioned a
@@ -30,7 +32,11 @@ construction).
 
 Randomness comes from one counter-based Philox stream keyed by the seed,
 consumed in a fixed level-major order; a given (seed, trial, step) always
-sees the same uniform, so reruns are bit-identical.  Single-threaded.
+sees the same uniform, so reruns are bit-identical.  The generator keeps
+its buffer position between calls, so drawing a level in chunks gives
+every trial the uniform one draw of the whole level would.  The final
+event's draw is skipped when no trial took the all-yes path, since nothing
+reads the stream after it.  Single-threaded.
 """
 
 from __future__ import annotations
@@ -51,8 +57,8 @@ from .states import (_STATE_KINDS, State, _branch_of, _check_states, _conditione
 # Branch probabilities inside (0, 1e-14) are counted to the complementary
 # branch so no trial ever conditions on a numerically vanishing event.
 DEGENERATE_BRANCH = 1e-14
-# Bytes of states a level conditions and checks at once: the level's
-# temporaries stay near this size, however many states the level holds.
+# Bytes of states or draws a level handles at once: the level's
+# temporaries stay near this size, however many states or trials it holds.
 LEVEL_BLOCK_BYTES = 1 << 18
 
 
@@ -173,7 +179,12 @@ def sample_chain(initial: State, tests: Sequence[Event], final: Event,
     rng = np.random.Generator(np.random.Philox(key=np.uint64(config.seed)))
 
     stack = _stack_of(initial)
-    node_ids = np.zeros(trials, dtype=np.int64)
+    node_ids = np.zeros(trials, dtype=np.int32 if trials < 2 ** 30 else np.int64)
+    step = LEVEL_BLOCK_BYTES // 8
+    chunks = [node_ids[lo:lo + step] for lo in range(0, trials, step)]
+    draws = np.empty(len(chunks[0]))
+    gathered = np.empty(len(draws))
+    outcome = np.empty(len(draws), dtype=bool)
     paths = np.zeros((1, n), dtype=bool)
     branches = {}
 
@@ -182,29 +193,36 @@ def sample_chain(initial: State, tests: Sequence[Event], final: Event,
             branches[id(event)] = _branches(event)
         p_yes = _level_probabilities(stack, event)
         yes = _effective_yes(p_yes)
-        outcome = rng.random(trials) < (yes if len(yes) == 1 else yes.take(node_ids))
-        node_ids *= 2
-        node_ids += outcome
-        counts = np.bincount(node_ids, minlength=2 * len(stack))
+        counts = np.zeros(2 * len(stack), dtype=np.int64)
+        for ids in chunks:
+            m = len(ids)
+            rng.random(out=draws[:m])
+            np.less(draws[:m], yes if len(yes) == 1 else yes.take(ids, out=gathered[:m]),
+                    out=outcome[:m])
+            ids *= 2
+            ids += outcome[:m]
+            counts += np.bincount(ids, minlength=len(counts))
         realized = np.flatnonzero(counts)
         if len(realized) < len(counts):
-            remap = np.zeros(len(counts), dtype=np.int64)
+            remap = np.zeros(len(counts), dtype=node_ids.dtype)
             remap[realized] = np.arange(len(realized))
-            node_ids = remap.take(node_ids)
+            for ids in chunks:
+                remap.take(ids, out=ids)
         paths = paths[realized // 2]
         paths[:, k] = realized % 2
         stack = _condition_level(stack, realized, p_yes, *branches[id(event)])
 
-    final_draw = rng.random(trials)
     last = len(realized) - 1
+    all_yes_count = final_yes_count = 0
     if paths[last].all():
         all_yes_count = int(counts[realized[last]])
         p_final = _effective_yes(_probabilities(stack[last:], final))[0]
-        hit = final_draw < p_final
-        hit &= node_ids == last
-        final_yes_count = int(np.count_nonzero(hit))
-    else:
-        all_yes_count = final_yes_count = 0
+        for ids in chunks:
+            m = len(ids)
+            rng.random(out=draws[:m])
+            hit = np.less(draws[:m], p_final, out=outcome[:m])
+            hit &= ids == last
+            final_yes_count += int(np.count_nonzero(hit))
 
     rows = paths.view(np.uint8)
     rows += ord("0")

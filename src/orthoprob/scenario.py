@@ -39,8 +39,8 @@ MAX_ALGEBRA_SIZE = 64
 # ask for: ten times the default, which at dim 64 is already minutes of
 # rounds.  verify_orthospace_axioms itself takes any budget.
 MAX_AXIOM_BUDGET = 10_000
-# Largest ``orthoprob --trials``: the sampler's per-trial arrays then take
-# about 250 MB.  sample_chain itself takes any trial count.
+# Largest ``orthoprob --trials``: the sampler's per-trial node ids then take
+# 40 MB.  sample_chain itself takes any trial count.
 MAX_TRIALS = 10_000_000
 
 
@@ -265,6 +265,14 @@ def _parse_algebra(doc, where: str = "algebra") -> EventAlgebra:
     raise ValidationError(f"{where}.kind: expected 'boolean' or 'quantum', got {kind!r}")
 
 
+def _located(where: str, exc: Exception) -> ValidationError:
+    """``exc`` as a ValidationError that names ``where`` once: the array
+    decoders already start their messages with ``where`` and a key."""
+    message = str(exc)
+    return ValidationError(message if message.startswith(where + ".")
+                           else f"{where}: {message}")
+
+
 def _parse_event(algebra: EventAlgebra, name: str, spec) -> Event:
     where = f"events.{name}"
     form = _form(spec, where, ("members", "matrix", "span"))
@@ -288,7 +296,7 @@ def _parse_event(algebra: EventAlgebra, name: str, spec) -> Event:
                    for i, v in enumerate(vectors)]
         return algebra.event(projector_from_span(decoded))
     except (AlgebraMismatch, DimensionMismatch, ValidationError) as exc:
-        raise ValidationError(f"{where}: {exc}") from None
+        raise _located(where, exc) from None
 
 
 def _parse_state(algebra: EventAlgebra, name: str, spec) -> State | StateVector:
@@ -326,7 +334,7 @@ def _parse_state(algebra: EventAlgebra, name: str, spec) -> State | StateVector:
         # Dividing an already unit vector would move its bits on every parse.
         return StateVector(arr / norm if abs(norm - 1.0) > TOL_NORM else arr)
     except (AlgebraMismatch, DimensionMismatch, ValidationError) as exc:
-        raise ValidationError(f"{where}: {exc}") from None
+        raise _located(where, exc) from None
 
 
 def _check_references(query: Query, events: dict, states: dict) -> None:
@@ -411,7 +419,7 @@ def scenario_to_jsonable(scenario: Scenario) -> dict:
 
 
 def serialize_scenario(scenario: Scenario) -> str:
-    return json.dumps(scenario_to_jsonable(scenario))
+    return json.dumps(scenario_to_jsonable(scenario), check_circular=False)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 
 from orthoprob import cli
 from orthoprob.cli import main
-from orthoprob.scenario import MAX_ALGEBRA_SIZE, MAX_AXIOM_BUDGET, MAX_TRIALS, QUERY_TABLE
+from orthoprob.scenario import (MAX_ALGEBRA_SIZE, MAX_AXIOM_BUDGET, MAX_TRIALS, QUERY_TABLE,
+                                parse_scenario, run_query, scenario_to_jsonable,
+                                serialize_scenario)
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = ROOT / "scenarios"
@@ -213,7 +215,7 @@ class TestExitCodes:
         }))
         assert main(["compat", "--scenario", str(path)]) == 1
         assert capsys.readouterr().err == \
-            "error: events.e: events.e.matrix[0][0]: [re, im] entries must fit in a float\n"
+            "error: events.e.matrix[0][0]: [re, im] entries must fit in a float\n"
 
     @pytest.mark.parametrize("algebra", [{"kind": "quantum", "dim": 10 ** 30},
                                          {"kind": "boolean", "size": 10 ** 400}])
@@ -343,6 +345,22 @@ def test_stdout_matches_golden(name, argv, monkeypatch, capsys):
     assert main(list(argv)) == 0
     golden = (PERFBENCH / "golden" / "cli" / f"{name}.out").read_text(encoding="utf-8")
     assert capsys.readouterr().out == golden
+
+
+@pytest.mark.filterwarnings("ignore::orthoprob.NonUniqueConditioningWarning")
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_encoders_write_the_default_encoders_bytes(path, capsys):
+    """The scenario and result encoders skip the cycle check; on every
+    shipped scenario and its query result they write what the default
+    encoder writes."""
+    sc = parse_scenario(path.read_text(encoding="utf-8"))
+    assert serialize_scenario(sc) == json.dumps(scenario_to_jsonable(sc))
+    result = run_query(sc)
+    cli._emit(result, pretty=False)
+    assert capsys.readouterr().out == json.dumps(result, allow_nan=False) + "\n"
+    cli._emit(result, pretty=True)
+    assert capsys.readouterr().out == \
+        json.dumps(cli._round_floats(result), indent=2, allow_nan=False) + "\n"
 
 
 @pytest.mark.parametrize("layer, names", perfbench_constant("spans", "LAYERS").items())

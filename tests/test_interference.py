@@ -1,5 +1,7 @@
 """Interference decomposition and the closed two-slit formula."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from orthoprob.errors import (AlgebraMismatch, DegenerateDenominator, DimensionM
                               NotAtom, NotOrthogonal,
                               ZeroProbabilityCondition)
 from orthoprob.events import BooleanAlgebra, QuantumAlgebra, oplus
-from orthoprob.interference import interference_decomposition, two_slit
+from orthoprob.interference import InterferenceReport, interference_decomposition, two_slit
 from orthoprob.linalg import StateVector, random_unitary
 from orthoprob.states import DensityState, condition, prob
 
@@ -182,6 +184,41 @@ class TestSorkinOracle:
             i2 = self.p(rho, [a, b], target) - self.p(rho, [a], target) \
                 - self.p(rho, [b], target)
             assert abs(i2) <= 1e-12
+
+
+class TestUnitaryCovariance:
+    """The oracle of unitary covariance: every report field is a trace of
+    products of the four operands, so conjugating all of them by one Haar
+    unitary U must leave the report unchanged up to roundoff."""
+
+    @staticmethod
+    def frames(dim, rng, degenerate):
+        """Orthonormal columns of the atom, both paths and the target.  A
+        degenerate atom lies inside path 1, so path 2 has no weight."""
+        u = random_unitary(dim, rng)
+        k1 = int(rng.integers(1, dim))
+        k2 = int(rng.integers(k1 + 1, dim + 1))
+        path1, path2 = u[:, :k1], u[:, k1:k2]
+        basis = path1 if degenerate else np.eye(dim)
+        v = basis @ (rng.normal(size=basis.shape[1]) + 1j * rng.normal(size=basis.shape[1]))
+        target = random_unitary(dim, rng)[:, :int(rng.integers(1, dim + 1))]
+        return [(v / np.linalg.norm(v))[:, None], path1, path2, target]
+
+    @pytest.mark.parametrize("dim", [3, 4, 6])
+    def test_report_is_invariant(self, dim):
+        rng = np.random.default_rng(900 + dim)
+        alg = QuantumAlgebra(dim)
+        for trial in range(30):
+            frames = self.frames(dim, rng, degenerate=trial % 5 == 0)
+            w = random_unitary(dim, rng)
+            want = interference_decomposition(*(frame_event(alg, f) for f in frames))
+            got = interference_decomposition(*(frame_event(alg, w @ f) for f in frames))
+            assert got.degenerate_paths == want.degenerate_paths == \
+                ((2,) if trial % 5 == 0 else ())
+            for field in dataclasses.fields(InterferenceReport):
+                if field.name != "degenerate_paths":
+                    assert abs(getattr(got, field.name) - getattr(want, field.name)) \
+                        <= 1e-12, field.name
 
 
 class TestTwoSlit:

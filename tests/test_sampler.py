@@ -134,18 +134,27 @@ class TestStatistics:
             sample_chain(mixed, [], f, SamplerConfig(trials=10))
 
 
-def test_one_test_chain_memory_per_trial(half_pair_chain):
-    # Per trial the sampler keeps one int64 node id, plus a draw and an
-    # outcome while a level is drawn: about 22 bytes.
-    mixed, e, f = half_pair_chain
-    sample_chain(mixed, [e], f, SamplerConfig(trials=1_000))
+def _peak_bytes_per_trial(initial, tests, final, trials):
+    sample_chain(initial, tests, final, SamplerConfig(trials=1_000))
     tracemalloc.start()
     try:
-        sample_chain(mixed, [e], f, SamplerConfig(trials=200_000))
+        sample_chain(initial, tests, final, SamplerConfig(trials=trials))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / 200_000 < 32
+    return peak / trials
+
+
+def test_one_test_chain_memory_per_trial(half_pair_chain):
+    # Per trial the sampler keeps one int32 node id; draws and outcomes
+    # live in chunk-sized buffers, so the rest is a fixed working set.
+    mixed, e, f = half_pair_chain
+    assert _peak_bytes_per_trial(mixed, [e], f, 2_000_000) < 6
+
+
+def test_six_test_chain_memory_per_trial(half_pair_chain):
+    mixed, e, f = half_pair_chain
+    assert _peak_bytes_per_trial(mixed, [e, f] * 3, e, 2_000_000) < 6
 
 
 class TestConfig:
@@ -383,6 +392,22 @@ def test_level_in_blocks_matches_condition(monkeypatch):
                          *_branches(e))
 
 
+def _state_and_middle_event(algebra):
+    """A full-support state and an event of probability strictly inside (0, 1)."""
+    if isinstance(algebra, QuantumAlgebra):
+        return (random_density_state(3, np.random.default_rng(5)),
+                algebra.event(np.diag([1.0, 1.0, 0.0])))
+    return (ClassicalState(algebra.space, np.full(6, 1.0 / 6.0)),
+            algebra.event([0, 2, 4]))
+
+
+def _certain_and_impossible_chains(one, zero, middle):
+    # Certain tests make levels of one and of two nodes realize one child
+    # each; an impossible test leaves no all-yes trial.
+    return ([one, middle, one], [middle, one, middle],
+            [middle, zero, middle], [zero, middle, middle])
+
+
 @pytest.mark.filterwarnings("ignore::orthoprob.NonUniqueConditioningWarning")
 class TestAgainstPerNodeReference:
     """Every ChainResult field equals the per-node route's, compared by repr."""
@@ -406,17 +431,9 @@ class TestAgainstPerNodeReference:
     @pytest.mark.parametrize("algebra", [QuantumAlgebra(3), BooleanAlgebra(6)])
     def test_certain_and_impossible_branches(self, algebra):
         one, zero = algebra.one(), algebra.zero()
-        if isinstance(algebra, QuantumAlgebra):
-            initial = random_density_state(3, np.random.default_rng(5))
-            middle = algebra.event(np.diag([1.0, 1.0, 0.0]))
-        else:
-            initial = ClassicalState(algebra.space, np.full(6, 1.0 / 6.0))
-            middle = algebra.event([0, 2, 4])
+        initial, middle = _state_and_middle_event(algebra)
         config = SamplerConfig(seed=3, trials=500)
-        # Certain tests make levels of one and of two nodes realize one
-        # child each; an impossible test leaves no all-yes trial.
-        for tests in ([one, middle, one], [middle, one, middle],
-                      [middle, zero, middle], [zero, middle, middle]):
+        for tests in _certain_and_impossible_chains(one, zero, middle):
             got = sample_chain(initial, tests, middle, config)
             _assert_same_result(got, _per_node_chain(initial, tests, middle, config))
             for k, event in enumerate(tests):
@@ -479,6 +496,31 @@ class TestAgainstPerNodeReference:
         got = sample_chain(mixed, tests, f, config)
         assert len(got.outcome_counts) == 2 ** len(tests)
         _assert_same_result(got, _per_node_chain(mixed, tests, f, config))
+
+
+@pytest.mark.filterwarnings("ignore::orthoprob.NonUniqueConditioningWarning")
+@pytest.mark.parametrize("chunk", [16, sampler.LEVEL_BLOCK_BYTES // 8])
+@pytest.mark.parametrize("multiple, offset", [(1, -1), (1, 0), (1, 1), (3, 1)],
+                         ids=["w-1", "w", "w+1", "3w+1"])
+def test_trial_chunk_boundaries_match_per_node(chunk, multiple, offset, monkeypatch):
+    # Trials are drawn, counted and remapped LEVEL_BLOCK_BYTES // 8 at a
+    # time; trial counts on either side of a chunk edge must not move a bit.
+    monkeypatch.setattr(sampler, "LEVEL_BLOCK_BYTES", 8 * chunk)
+    trials = multiple * chunk + offset
+    rng = np.random.default_rng(trials)
+    chains = [_random_quantum_chain(3, 5, rng), _random_boolean_chain(6, 5, rng)]
+    for algebra in (QuantumAlgebra(3), BooleanAlgebra(6)):
+        initial, middle = _state_and_middle_event(algebra)
+        chains += [(initial, tests, middle) for tests in _certain_and_impossible_chains(
+            algebra.one(), algebra.zero(), middle)]
+    without_all_yes = 0
+    for seed, chain in enumerate(chains):
+        config = SamplerConfig(seed=seed, trials=trials)
+        got = sample_chain(*chain, config)
+        _assert_same_result(got, _per_node_chain(*chain, config))
+        without_all_yes += got.all_yes_count == 0
+    # The impossible tests of both algebras leave no all-yes trial.
+    assert without_all_yes >= 4
 
 
 def test_deep_chain_builds_two_complements_and_never_reaches_eigvalsh(monkeypatch):

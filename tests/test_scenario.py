@@ -234,37 +234,54 @@ def one_entry_doc(form, value, dim=1):
 
 
 @pytest.mark.parametrize("form, value, dim, message", [
-    ("matrix", [[[True, 0]]], 1,
-     "events.e: events.e.matrix[0][0]: expected a two-element [re, im] array"),
-    ("matrix", [[[0.5, False]]], 1,
-     "events.e: events.e.matrix[0][0]: expected a two-element [re, im] array"),
-    ("vector", [[1.0, 0.0], [False, 0.0]], 2,
-     "states.s: states.s.vector[1]: expected a two-element [re, im] array"),
-    ("span", [[["1.5", 0]]], 1,
-     "events.e: events.e.span[0][0]: expected a two-element [re, im] array"),
-    ("density", [[[None, 0]]], 1,
-     "states.s: states.s.density[0][0]: expected a two-element [re, im] array"),
-    ("matrix", [[[1, 0, 0]]], 1,
-     "events.e: events.e.matrix[0][0]: expected a two-element [re, im] array"),
-    ("vector", [[[1], 0]], 1,
-     "states.s: states.s.vector[0]: expected a two-element [re, im] array"),
-    ("matrix", [[[1, 0], [0, 0]], [[0, 0]]], 2,
-     "events.e: events.e.matrix: rows have different lengths"),
-    ("density", [[[1, 0]], []], 1,
-     "states.s: states.s.density[1]: expected a nonempty array of [re, im] pairs"),
-    ("matrix", [{"re": 1}], 1,
-     "events.e: events.e.matrix[0]: expected a nonempty array of [re, im] pairs"),
-    ("matrix", [], 1, "events.e: events.e.matrix: expected a nonempty array of rows"),
-    ("vector", [], 1,
-     "states.s: states.s.vector: expected a nonempty array of [re, im] pairs"),
-    ("span", [[]], 1,
-     "events.e: events.e.span[0]: expected a nonempty array of [re, im] pairs"),
-    ("density", [[[2 ** 63, 0]]], 1,
-     "states.s: density matrix trace 9.223372036854776e+18 is not 1 within 1e-10"),
-    ("density", [[[2 ** 64, 0]]], 1,
-     "states.s: density matrix trace 1.8446744073709552e+19 is not 1 within 1e-10"),
-    ("matrix", [[[float("nan"), 0]]], 1, "events.e: matrix entries must be finite"),
-    ("vector", [[float("nan"), 0]], 1, "states.s: state vector entries must be finite"),
+    pytest.param("matrix", [[[True, 0]]], 1,
+                 "events.e.matrix[0][0]: expected a two-element [re, im] array",
+                 id="matrix-bool-re"),
+    pytest.param("matrix", [[[0.5, False]]], 1,
+                 "events.e.matrix[0][0]: expected a two-element [re, im] array",
+                 id="matrix-bool-im"),
+    pytest.param("vector", [[1.0, 0.0], [False, 0.0]], 2,
+                 "states.s.vector[1]: expected a two-element [re, im] array",
+                 id="vector-bool-re"),
+    pytest.param("span", [[["1.5", 0]]], 1,
+                 "events.e.span[0][0]: expected a two-element [re, im] array",
+                 id="span-string-re"),
+    pytest.param("density", [[[None, 0]]], 1,
+                 "states.s.density[0][0]: expected a two-element [re, im] array",
+                 id="density-null-re"),
+    pytest.param("matrix", [[[1, 0, 0]]], 1,
+                 "events.e.matrix[0][0]: expected a two-element [re, im] array",
+                 id="matrix-three-element-entry"),
+    pytest.param("vector", [[[1], 0]], 1,
+                 "states.s.vector[0]: expected a two-element [re, im] array",
+                 id="vector-nested-re"),
+    pytest.param("matrix", [[[1, 0], [0, 0]], [[0, 0]]], 2,
+                 "events.e.matrix: rows have different lengths",
+                 id="matrix-ragged-rows"),
+    pytest.param("density", [[[1, 0]], []], 1,
+                 "states.s.density[1]: expected a nonempty array of [re, im] pairs",
+                 id="density-empty-row"),
+    pytest.param("matrix", [{"re": 1}], 1,
+                 "events.e.matrix[0]: expected a nonempty array of [re, im] pairs",
+                 id="matrix-object-row"),
+    pytest.param("matrix", [], 1, "events.e.matrix: expected a nonempty array of rows",
+                 id="matrix-empty"),
+    pytest.param("vector", [], 1,
+                 "states.s.vector: expected a nonempty array of [re, im] pairs",
+                 id="vector-empty"),
+    pytest.param("span", [[]], 1,
+                 "events.e.span[0]: expected a nonempty array of [re, im] pairs",
+                 id="span-empty-vector"),
+    pytest.param("density", [[[2 ** 63, 0]]], 1,
+                 "states.s: density matrix trace 9.223372036854776e+18 is not 1 within 1e-10",
+                 id="density-int64-overflow-trace"),
+    pytest.param("density", [[[2 ** 64, 0]]], 1,
+                 "states.s: density matrix trace 1.8446744073709552e+19 is not 1 within 1e-10",
+                 id="density-uint64-overflow-trace"),
+    pytest.param("matrix", [[[float("nan"), 0]]], 1, "events.e: matrix entries must be finite",
+                 id="matrix-nan"),
+    pytest.param("vector", [[float("nan"), 0]], 1,
+                 "states.s: state vector entries must be finite", id="vector-nan"),
 ])
 def test_malformed_array_message(form, value, dim, message):
     with pytest.raises(ValidationError) as info:
@@ -277,13 +294,17 @@ def one_matrix_jsonable(value):
 
 
 @pytest.mark.parametrize("value, message", [
-    ([[(1, 0)]], "events.e: events.e.matrix[0][0]: expected a two-element [re, im] array"),
-    ([[np.array([1.0, 0.0])]],
-     "events.e: events.e.matrix[0][0]: expected a two-element [re, im] array"),
-    ([np.array([[1.0, 0.0]])],
-     "events.e: events.e.matrix[0]: expected a nonempty array of [re, im] pairs"),
-    ([[[np.int64(1), 0]]],
-     "events.e: events.e.matrix[0][0]: expected a two-element [re, im] array"),
+    pytest.param([[(1, 0)]], "events.e.matrix[0][0]: expected a two-element [re, im] array",
+                 id="tuple-entry"),
+    pytest.param([[np.array([1.0, 0.0])]],
+                 "events.e.matrix[0][0]: expected a two-element [re, im] array",
+                 id="ndarray-entry"),
+    pytest.param([np.array([[1.0, 0.0]])],
+                 "events.e.matrix[0]: expected a nonempty array of [re, im] pairs",
+                 id="ndarray-row"),
+    pytest.param([[[np.int64(1), 0]]],
+                 "events.e.matrix[0][0]: expected a two-element [re, im] array",
+                 id="numpy-integer-re"),
 ])
 def test_in_memory_arrays_must_be_lists_of_numbers(value, message):
     with pytest.raises(ValidationError) as info:
@@ -300,14 +321,14 @@ HUGE = 10 ** 400  # an integer literal no float can hold
 
 
 @pytest.mark.parametrize("form, value, message", [
-    ("matrix", [[[HUGE, 0]]],
-     "events.e: events.e.matrix[0][0]: [re, im] entries must fit in a float"),
-    ("span", [[[0, -HUGE]]],
-     "events.e: events.e.span[0][0]: [re, im] entries must fit in a float"),
-    ("vector", [[HUGE, 0.5]],
-     "states.s: states.s.vector[0]: [re, im] entries must fit in a float"),
-    ("density", [[[0, HUGE]]],
-     "states.s: states.s.density[0][0]: [re, im] entries must fit in a float"),
+    pytest.param("matrix", [[[HUGE, 0]]],
+                 "events.e.matrix[0][0]: [re, im] entries must fit in a float", id="matrix"),
+    pytest.param("span", [[[0, -HUGE]]],
+                 "events.e.span[0][0]: [re, im] entries must fit in a float", id="span"),
+    pytest.param("vector", [[HUGE, 0.5]],
+                 "states.s.vector[0]: [re, im] entries must fit in a float", id="vector"),
+    pytest.param("density", [[[0, HUGE]]],
+                 "states.s.density[0][0]: [re, im] entries must fit in a float", id="density"),
 ])
 def test_oversized_integer_entry_is_a_validation_error(form, value, message):
     with pytest.raises(ValidationError) as info:
