@@ -37,22 +37,35 @@ its buffer position between calls, so drawing a level in chunks gives
 every trial the uniform one draw of the whole level would.  The final
 event's draw is skipped when no trial took the all-yes path, since nothing
 reads the stream after it.  Single-threaded.
+
+Trials decide on the stream's raw 64-bit words, never on doubles.  numpy's
+``Generator.random`` turns a word ``u`` into the double ``k * 2**-53`` with
+``k = u >> 11``, and ``random_raw`` reads the same words from the same
+buffer, so every trial, final draw included, sees the ``k`` it would see
+through ``random``.  For an integer ``k < 2**53``, ``k * 2**-53 < p``
+exactly when ``k < ceil(p * 2**53)``: scaling by a power of two changes
+only the exponent, so ``p * 2**53`` is exact.  Each branch probability
+thus becomes one uint64 threshold, and comparing ``k`` with it gives the
+bits of ``random() < p``, for ``p`` of 0 and 1 too.  A level of one node
+(the first, and every level that certain tests alone lead to) counts its
+"yes" trials with ``np.count_nonzero`` instead of a ``bincount`` of the
+node ids.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
 from .errors import (EmptyChain, ImpossibleSequence, NotPredictable,
                      ValidationError, ZeroEvent, ZeroProbabilityCondition)
 from .events import Event, _require_tolerance, _shared_kind, complement
-from .states import (_STATE_KINDS, State, _branch_of, _check_states, _conditioned,
-                     _probabilities, _stack_of, _warn_if_nonunique, condition,
-                     predictability_seq, prob)
+from .states import (_STATE_KINDS, State, _branch_of, _check_probabilities, _check_states,
+                     _conditioned, _probabilities, _stack_of, _warn_if_nonunique,
+                     condition, predictability_seq, prob)
 
 # Branch probabilities inside (0, 1e-14) are counted to the complementary
 # branch so no trial ever conditions on a numerically vanishing event.
@@ -111,9 +124,34 @@ class ChainResult:
                 raise ValidationError("empirical_p inconsistent with counts")
 
 
-def _effective_yes(p: np.ndarray) -> np.ndarray:
-    return np.where(p < DEGENERATE_BRANCH, 0.0,
-                    np.where(p > 1.0 - DEGENERATE_BRANCH, 1.0, p))
+def _thresholds(p: np.ndarray) -> np.ndarray:
+    """The uint64 thresholds ``ceil(p_eff * 2**53)`` of yes-branches of
+    probability ``p``, where ``p_eff`` counts ``p`` inside
+    (0, DEGENERATE_BRANCH) as 0 and inside (1 - DEGENERATE_BRANCH, 1) as 1:
+    a draw ``k`` of ``_draws`` says yes exactly when ``k * 2**-53 < p_eff``,
+    which is when ``k`` is below the threshold."""
+    p_eff = np.where(p < DEGENERATE_BRANCH, 0.0,
+                     np.where(p > 1.0 - DEGENERATE_BRANCH, 1.0, p))
+    return np.ceil(p_eff * 2.0 ** 53).astype(np.uint64)
+
+
+def _draws(philox: np.random.Philox, m: int) -> np.ndarray:
+    """The next ``m`` words of the stream as 53-bit integers ``k``; the
+    uniforms ``Generator.random`` would make of them are ``k * 2**-53``."""
+    words = philox.random_raw(m)
+    words >>= 11
+    return words
+
+
+def _require_sequence(value, name: str, of: str) -> None:
+    if not isinstance(value, Sequence):
+        raise ValidationError(
+            f"{name} must be a sequence of {of}, got {type(value).__name__}")
+
+
+def _require_config(config) -> None:
+    if not isinstance(config, SamplerConfig):
+        raise ValidationError(f"config must be a SamplerConfig, got {type(config).__name__}")
 
 
 def _block_size(stack: np.ndarray) -> int:
@@ -143,19 +181,24 @@ def _condition_level(stack: np.ndarray, realized: np.ndarray, p_yes: np.ndarray,
     arithmetic of ``states.condition``; ``branches`` is ``_branches`` of
     the event.  Each block of children is checked as ``condition`` checks
     a state before the next block is built, and an error reports the
-    block's first offending child.
+    block's first offending child.  A block is conditioned as two halves,
+    the "no" and the "yes" children, each with one shared branch; the
+    probabilities are checked before either half is built and the states
+    once the block is back in ``realized`` order.
     """
     children = np.empty((len(realized),) + stack.shape[1:], dtype=stack.dtype)
     size = _block_size(stack)
     for lo in range(0, len(realized), size):
         codes = realized[lo:lo + size]
-        parents, bits = codes // 2, codes % 2
+        parents, no = codes // 2, codes % 2 == 0
         p = p_yes[parents]
-        no = bits == 0
         p[no] = _probabilities(stack[parents[no]], comp)
-        block = _conditioned(stack[parents], branches[bits], p, 0.0)
+        _check_probabilities(p, 0.0)
+        block = children[lo:lo + len(codes)]
+        for half, branch in zip((no, ~no), branches):
+            if half.any():
+                block[half] = _conditioned(stack[parents[half]], branch, p[half], 0.0)
         _check_states(block)
-        children[lo:lo + len(codes)] = block
     return children
 
 
@@ -168,6 +211,8 @@ def sample_chain(initial: State, tests: Sequence[Event], final: Event,
     ``predicted_p`` carries the certified sequential conditional
     probability when the chain is statistically predictable, else None.
     """
+    _require_sequence(tests, "tests", "events")
+    _require_config(config)
     if len(tests) == 0:
         raise EmptyChain("sample_chain needs at least one test event")
     _shared_kind(initial, final, _STATE_KINDS)
@@ -176,15 +221,14 @@ def sample_chain(initial: State, tests: Sequence[Event], final: Event,
     _warn_if_nonunique(tests[0])
     n = len(tests)
     trials = config.trials
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(config.seed)))
+    philox = np.random.Philox(key=np.uint64(config.seed))
 
     stack = _stack_of(initial)
     node_ids = np.zeros(trials, dtype=np.int32 if trials < 2 ** 30 else np.int64)
     step = LEVEL_BLOCK_BYTES // 8
     chunks = [node_ids[lo:lo + step] for lo in range(0, trials, step)]
-    draws = np.empty(len(chunks[0]))
-    gathered = np.empty(len(draws))
-    outcome = np.empty(len(draws), dtype=bool)
+    gathered = np.empty(len(chunks[0]), dtype=np.uint64)
+    outcome = np.empty(len(gathered), dtype=bool)
     paths = np.zeros((1, n), dtype=bool)
     branches = {}
 
@@ -192,22 +236,28 @@ def sample_chain(initial: State, tests: Sequence[Event], final: Event,
         if id(event) not in branches:
             branches[id(event)] = _branches(event)
         p_yes = _level_probabilities(stack, event)
-        yes = _effective_yes(p_yes)
+        yes = _thresholds(p_yes)
+        one_node = len(yes) == 1
         counts = np.zeros(2 * len(stack), dtype=np.int64)
         for ids in chunks:
             m = len(ids)
-            rng.random(out=draws[:m])
-            np.less(draws[:m], yes if len(yes) == 1 else yes.take(ids, out=gathered[:m]),
-                    out=outcome[:m])
+            # Node ids are always in range; raise mode would buffer ``out``.
+            hit = np.less(_draws(philox, m),
+                          yes if one_node else yes.take(ids, out=gathered[:m], mode="clip"),
+                          out=outcome[:m])
             ids *= 2
-            ids += outcome[:m]
-            counts += np.bincount(ids, minlength=len(counts))
+            ids += hit
+            if one_node:
+                n_yes = np.count_nonzero(hit)
+                counts += (m - n_yes, n_yes)
+            else:
+                counts += np.bincount(ids, minlength=len(counts))
         realized = np.flatnonzero(counts)
         if len(realized) < len(counts):
             remap = np.zeros(len(counts), dtype=node_ids.dtype)
             remap[realized] = np.arange(len(realized))
             for ids in chunks:
-                remap.take(ids, out=ids)
+                remap.take(ids, out=ids, mode="clip")
         paths = paths[realized // 2]
         paths[:, k] = realized % 2
         stack = _condition_level(stack, realized, p_yes, *branches[id(event)])
@@ -216,11 +266,10 @@ def sample_chain(initial: State, tests: Sequence[Event], final: Event,
     all_yes_count = final_yes_count = 0
     if paths[last].all():
         all_yes_count = int(counts[realized[last]])
-        p_final = _effective_yes(_probabilities(stack[last:], final))[0]
+        final_yes = _thresholds(_probabilities(stack[last:], final))
         for ids in chunks:
             m = len(ids)
-            rng.random(out=draws[:m])
-            hit = np.less(draws[:m], p_final, out=outcome[:m])
+            hit = np.less(_draws(philox, m), final_yes, out=outcome[:m])
             hit &= ids == last
             final_yes_count += int(np.count_nonzero(hit))
 
@@ -274,6 +323,9 @@ def state_independence_check(target: Event, tests: Sequence[Event],
     and ZeroProbabilityCondition when some initial state cannot realize
     the all-yes path (analytic path probability <= config.tol).
     """
+    _require_sequence(tests, "tests", "events")
+    _require_sequence(initial_states, "initial_states", "states")
+    _require_config(config)
     if len(initial_states) == 0:
         raise ValidationError("state_independence_check needs at least one initial state")
     detection = predictability_seq(target, tests)

@@ -197,35 +197,55 @@ def _branch_of(event: Event) -> np.ndarray:
 
 def _probabilities(stack: np.ndarray, event: Event) -> np.ndarray:
     """``prob`` of an event in each state of a stack of weight rows or
-    density matrices."""
+    density matrices.
+
+    The products ``rho @ E`` of a density stack are one gemm of the rows
+    of all its matrices by the shared ``E``: each row of a product is that
+    row times ``E`` either way, and the flat product gives the bits of
+    one matmul per matrix (pinned in the tests, dims 1 to 64).
+    """
     if isinstance(event, BooleanEvent):
         # take() keeps each row contiguous, so it sums in the order of a
         # 1-d sum; stack[:, members] is column-major and would not.
         members = np.array(sorted(event.members), dtype=np.intp)
         p = stack.take(members, axis=1).sum(axis=1)
     else:
-        p = (stack @ event.matrix).trace(axis1=1, axis2=2).real
+        d = stack.shape[-1]
+        products = (stack.reshape(-1, d) @ event.matrix).reshape(stack.shape)
+        p = products.trace(axis1=1, axis2=2).real
     return _clamp_probability(p)
 
 
-def _conditioned(stack: np.ndarray, branch: np.ndarray, p: np.ndarray,
-                 tol: float) -> np.ndarray:
-    """Each state of a stack conditioned on an event of probability ``p``
-    in it, the arithmetic of ``condition``.
-
-    ``branch`` holds the events as ``_branch_of`` gives them, one per
-    state or one for all.  Weight rows are restricted and renormalized;
-    density matrices are compressed, made exactly Hermitian and divided
-    by their trace.  Raises ZeroProbabilityCondition for the first state
-    whose probability is <= tol.
-    """
+def _check_probabilities(p: np.ndarray, tol: float) -> None:
+    """Raises ZeroProbabilityCondition for the first probability <= tol."""
     if p.min() <= tol:
         p0 = float(p[(p <= tol).argmax()])
         raise ZeroProbabilityCondition(
             f"conditioning event has probability {p0!r} <= {tol!r}", probability=p0)
+
+
+def _conditioned(stack: np.ndarray, branch: np.ndarray, p: np.ndarray,
+                 tol: float) -> np.ndarray:
+    """Each state of a stack conditioned on one event of probability ``p``
+    in it, the arithmetic of ``condition``.
+
+    ``branch`` is the event as ``_branch_of`` gives it.  Weight rows are
+    restricted and renormalized; density matrices are compressed to
+    ``(E @ rho) @ E``, made exactly Hermitian and divided by their trace.
+    Raises ZeroProbabilityCondition for the first state whose probability
+    is <= tol.
+
+    The right products by the shared ``E`` are one gemm of the rows of all
+    the left products, which gives the bits of one matmul per matrix.  The
+    left products stay one matmul per matrix: as one gemm, ``E`` times the
+    matrices side by side, they change bits at some dims (2, 3, 5 and 6,
+    among others, with the OpenBLAS that numpy wheels bundle).
+    """
+    _check_probabilities(p, tol)
     if stack.ndim == 2:
         return stack * branch / p[:, None]
-    compressed = _symmetrized(branch @ stack @ branch)
+    d = stack.shape[-1]
+    compressed = _symmetrized(((branch @ stack).reshape(-1, d) @ branch).reshape(stack.shape))
     compressed /= compressed.trace(axis1=1, axis2=2).real[:, None, None]
     return compressed
 

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orthoprob.errors import (AlgebraMismatch, EmptyChain,
                               ImpossibleSequence, NonUniqueConditioningWarning,
@@ -16,8 +18,8 @@ from orthoprob.events import BooleanAlgebra, QuantumAlgebra, complement
 from orthoprob.presets import half_transition_pair, order_dependence_example
 from orthoprob import sampler
 from orthoprob.sampler import (DEGENERATE_BRANCH, ChainResult, SamplerConfig,
-                               _branches, _condition_level, sample_chain,
-                               state_independence_check)
+                               _branches, _condition_level, _draws, _thresholds,
+                               sample_chain, state_independence_check)
 from orthoprob.states import (ClassicalState, DensityState, _probabilities,
                               atom_state, condition, condition_seq,
                               predictability_seq, prob)
@@ -176,6 +178,27 @@ class TestConfig:
                 SamplerConfig(**kwargs)
             assert str(exc.value) == message
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda rho, e: sample_chain(rho, [e], e, 10),
+         "config must be a SamplerConfig, got int"),
+        (lambda rho, e: sample_chain(rho, iter([e]), e),
+         "tests must be a sequence of events, got list_iterator"),
+        (lambda rho, e: state_independence_check(e, [e], rho),
+         "initial_states must be a sequence of states, got DensityState"),
+        (lambda rho, e: state_independence_check(e, [e], iter([rho])),
+         "initial_states must be a sequence of states, got list_iterator"),
+        (lambda rho, e: state_independence_check(e, iter([e]), [rho]),
+         "tests must be a sequence of events, got list_iterator"),
+        (lambda rho, e: state_independence_check(e, [e], [rho], 10),
+         "config must be a SamplerConfig, got int"),
+    ], ids=["chain-config", "chain-tests", "bare-state", "state-iterator",
+            "independence-tests", "independence-config"])
+    def test_arguments_are_checked(self, half_pair_chain, call, message):
+        mixed, e, _ = half_pair_chain
+        with pytest.raises(ValidationError) as exc:
+            call(mixed, e)
+        assert str(exc.value) == message
+
 
 class TestStateIndependence:
     def test_half_pair_passes(self, half_pair_chain):
@@ -216,13 +239,16 @@ class TestStateIndependence:
         assert info.value.index == 0
 
 
+def _effective(p):
+    return 0.0 if p < DEGENERATE_BRANCH else 1.0 if p > 1.0 - DEGENERATE_BRANCH else p
+
+
 def _per_node_chain(initial, tests, final, config):
     """Reference sampler: one state object per realized prefix, built by
-    ``prob`` and ``condition(..., tol=0.0)``, with the draws of
-    ``sample_chain``."""
+    ``prob`` and ``condition(..., tol=0.0)``, with the uniforms of
+    ``Generator.random`` on the stream of ``sample_chain``."""
     def effective(state, event):
-        p = prob(state, event)
-        return 0.0 if p < DEGENERATE_BRANCH else 1.0 if p > 1.0 - DEGENERATE_BRANCH else p
+        return _effective(prob(state, event))
 
     prob(initial, final)
     n, trials = len(tests), config.trials
@@ -267,6 +293,35 @@ def _per_node_chain(initial, tests, final, config):
                        final_event_yes_count=final_yes_count, empirical_p=empirical,
                        std_error=std_error, predicted_p=predicted, trials=trials,
                        seed=config.seed)
+
+
+THRESHOLD_EDGES = [0.0, 2.0 ** -53, 1e-14, 0.5, 1.0 - 1e-14, 1.0 - 2.0 ** -53, 1.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.one_of(st.sampled_from(THRESHOLD_EDGES), st.floats(0.0, 1.0)),
+       seed=st.integers(0, 2 ** 64 - 1), offset=st.integers(0, 9),
+       m=st.integers(1, 40))
+@example(p=0.5, seed=3, offset=1, m=7)
+@example(p=1.0 - 2.0 ** -53, seed=3, offset=6, m=5)
+def test_thresholds_decide_as_generator_random(p, seed, offset, m):
+    # ``offset`` words drawn first: unless it is a multiple of 4, the chunk
+    # starts partway through the four words Philox makes per counter.
+    generator = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    philox = np.random.Philox(key=np.uint64(seed))
+    generator.random(offset)
+    _draws(philox, offset)
+    uniforms = generator.random(m)
+    words = _draws(philox, m)
+    assert np.array_equal(uniforms, words * 2.0 ** -53)
+    threshold = _thresholds(np.array([p]))
+    assert np.array_equal(words < threshold, uniforms < _effective(p))
+    # Draws next to a threshold are too rare to come up, so the rule is
+    # checked there directly: k * 2**-53 < q exactly when k < ceil(q * 2**53),
+    # for the sampler's threshold and for p itself.
+    for q, c in ((_effective(p), int(threshold[0])), (p, math.ceil(p * 2 ** 53))):
+        for k in range(max(0, c - 2), min(2 ** 53, c + 2)):
+            assert (k * 2.0 ** -53 < q) == (k < c)
 
 
 def _assert_same_result(got, want):
@@ -356,7 +411,7 @@ def test_level_arithmetic_matches_per_node(algebra):
                                   else want.weights)
 
 
-def test_level_zero_probability_branch_matches_condition():
+def test_level_zero_probability_branch_matches_condition(monkeypatch):
     alg = QuantumAlgebra(3)
     e = alg.event(np.diag([1.0, 0.0, 0.0]))
     inside = DensityState(np.diag([0.5, 0.5, 0.0]))
@@ -365,11 +420,15 @@ def test_level_zero_probability_branch_matches_condition():
     with pytest.raises(ZeroProbabilityCondition) as want:
         condition(outside, e, tol=0.0)
     # Children 0, 1 and 3: both branches of the first state, "yes" of the second.
+    built = []
+    monkeypatch.setattr(sampler, "_conditioned", lambda *args: built.append(args))
     with pytest.raises(ZeroProbabilityCondition) as got:
         _condition_level(stack, np.array([0, 1, 3]), _probabilities(stack, e),
                          *_branches(e))
     assert str(got.value) == str(want.value)
     assert got.value.probability == want.value.probability == 0.0
+    # The whole block's probabilities are checked before either half is built.
+    assert built == []
 
 
 def test_level_in_blocks_matches_condition(monkeypatch):

@@ -16,12 +16,13 @@ from orthoprob.errors import (AlgebraMismatch, EmptyInput, ImpossibleSequence,
                               ZeroProbabilityCondition)
 from orthoprob.events import (BooleanAlgebra, QuantumAlgebra, below,
                               complement, oplus, orthogonal)
-from orthoprob.linalg import (HermitianOperator, Projection, StateVector, _symmetrized,
-                              jordan_product, quadratic_triple, random_unitary)
+from orthoprob.linalg import (TOL_HERMITIAN, HermitianOperator, Projection, StateVector,
+                              _symmetrized, jordan_product, quadratic_triple, random_unitary)
 from orthoprob.presets import half_transition_pair, order_dependence_example
 from orthoprob.sampler import sample_chain
 from orthoprob.states import (ClassicalState, DensityState, TableState,
                               _check_density_stack, _check_states, _check_weight_rows,
+                              _clamp_probability, _conditioned, _probabilities,
                               atom_state, atom_symmetry_check,
                               compatibility_residuals, compatible, condition,
                               condition_seq, conditioning_contract_violations,
@@ -29,7 +30,8 @@ from orthoprob.states import (ClassicalState, DensityState, TableState,
                               predictability_seq, prob,
                               qubit_nonuniqueness_demo, rank_one_transition)
 
-from helpers import frame_event, random_density_state, random_projection, state_family
+from helpers import (frame_event, random_density_matrix, random_density_state,
+                     random_projection, state_family)
 
 
 @pytest.fixture
@@ -256,22 +258,53 @@ def test_operand_roles(call, message):
         call()
 
 
+STACK_DIMS = [1, 2, 3, 4, 5, 6, 7, 8, 16, 64]
+
+
 @pytest.mark.filterwarnings("ignore::orthoprob.NonUniqueConditioningWarning")
-@pytest.mark.parametrize("dim", [1, 2, 3, 4, 6, 16])
+@pytest.mark.parametrize("dim", STACK_DIMS)
 def test_one_state_stack_keeps_the_matrix_arithmetic(dim):
     # prob and condition run the stacked routines on a one-state stack;
-    # their bits must stay those of the plain matrix formulas.
+    # their bits must stay those of the plain matrix formulas.  A user
+    # matrix that is Hermitian only within TOL_HERMITIAN is kept as given.
     rng = np.random.default_rng(dim)
     alg = QuantumAlgebra(dim)
     for _ in range(30):
         rho = random_density_state(dim, rng)
+        noise = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        noise -= noise.conj().T
+        skewed = DensityState(rho.matrix + 0.4 * TOL_HERMITIAN / np.abs(noise).max() * noise)
+        assert not np.array_equal(skewed.matrix, skewed.matrix.conj().T)
         e = alg.event(random_projection(dim, int(rng.integers(1, dim + 1)), rng))
-        p = float(np.trace(rho.matrix @ e.matrix).real)
-        assert prob(rho, e) == (0.0 if -1e-12 <= p < 0.0 else 1.0 if 1.0 < p <= 1.0 + 1e-12
-                                else p)
-        compressed = _symmetrized(e.matrix @ rho.matrix @ e.matrix)
-        assert np.array_equal(condition(rho, e, tol=0.0).matrix,
-                              compressed / compressed.trace().real)
+        for state in (rho, skewed):
+            p = float(np.trace(state.matrix @ e.matrix).real)
+            assert prob(state, e) == (0.0 if -1e-12 <= p < 0.0
+                                      else 1.0 if 1.0 < p <= 1.0 + 1e-12 else p)
+            compressed = _symmetrized(e.matrix @ state.matrix @ e.matrix)
+            assert np.array_equal(condition(state, e, tol=0.0).matrix,
+                                  compressed / compressed.trace().real)
+
+
+@pytest.mark.parametrize("dim", STACK_DIMS)
+def test_stacks_keep_the_matrix_arithmetic(dim):
+    # _probabilities and _conditioned multiply a stack by the shared E as
+    # one gemm over the rows of all its matrices, which must give the bits
+    # of one matmul per matrix.  The left product E @ rho stays one matmul
+    # per matrix: as one gemm, E times the matrices side by side, it rounds
+    # differently at dims 2, 3, 5 and 6, among others.
+    rng = np.random.default_rng(400 + dim)
+    alg = QuantumAlgebra(dim)
+    pool = np.stack([random_density_matrix(dim, rng) for _ in range(600)])
+    stacks = [pool[:1], pool[:2], pool[:7], pool[::2]]
+    assert not stacks[-1].flags.c_contiguous
+    for stack in stacks:
+        e = random_projection(dim, int(rng.integers(1, dim + 1)), rng).matrix
+        p = _probabilities(stack, alg.event(e))
+        assert np.array_equal(
+            p, _clamp_probability(np.array([(rho @ e).trace().real for rho in stack])))
+        for rho, child in zip(stack, _conditioned(stack, e, p, 0.0)):
+            compressed = _symmetrized(e @ rho @ e)
+            assert np.array_equal(child, compressed / compressed.trace().real)
 
 
 @pytest.mark.parametrize("size", [1, 6, 24, 200])
