@@ -1,8 +1,10 @@
 """Event algebras over finite sample spaces and complex projection lattices.
 
 Both algebras expose the same orthospace operations (orthogonality,
-orthogonal sum, complement, order, atoms) so the state layer can stay
-agnostic about which kind of event it handles.  Orthogonality, order and
+orthogonal sum, complement, order, atoms).  Each algebra kind has one kind
+object, ``_BOOLEAN`` or ``_QUANTUM``, that owns how the kind's events and
+states are held as arrays and computed on; the state layer and the sampler
+call it and never ask which kind they handle.  Orthogonality, order and
 equality are decided on stacks of events, one route per algebra kind: the
 public one-pair functions run it on stacks of one.  A randomized harness
 checks the six orthospace axioms a block of rounds at a time, with blocks
@@ -14,15 +16,18 @@ position) order.
 from __future__ import annotations
 
 import math
+import warnings
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from typing import Union
 
 import numpy as np
 
-from .errors import (AlgebraMismatch, NotOrthogonal, ValidationError)
-from .linalg import (Projection, _adopted, _frobenius_norms, _projection_checks,
-                     _symmetrized, _symmetrized_projection, projector_from_span,
-                     random_unitary)
+from .errors import (AlgebraMismatch, ImpossibleSequence, NonUniqueConditioningWarning,
+                     NotOrthogonal, ValidationError, ZeroEvent)
+from .linalg import (Projection, _adopted, _check_density_stack, _check_weight_rows,
+                     _frobenius_norms, _projection_checks, _require_finite, _symmetrized,
+                     _symmetrized_projection, projector_from_span, random_unitary)
 
 # Relative tolerance (scaled by max(1, operand norms)) for orthogonality
 # and ordering residuals on projections.
@@ -150,103 +155,172 @@ class QuantumAlgebra:
 EventAlgebra = Union[BooleanAlgebra, QuantumAlgebra]
 
 
-_EVENT_KINDS = {"boolean": BooleanEvent, "quantum": QuantumEvent}
-
-
-def _shared_kind(x, e: Event, kinds: dict = _EVENT_KINDS) -> str:
-    """The kind, "boolean" or "quantum", that ``x`` shares with the event
-    ``e``.  ``kinds`` maps each kind to the class of ``x``'s role: an event
-    (the default) or a state (``states._STATE_KINDS``).  Raises
-    AlgebraMismatch unless both are of one kind on one space or dimension."""
-    two_events = kinds is _EVENT_KINDS
-    if isinstance(x, kinds["boolean"]) and isinstance(e, BooleanEvent):
-        if x.space != e.space:
-            raise AlgebraMismatch("events live on different sample spaces" if two_events
-                                  else "state and event live on different sample spaces")
-        return "boolean"
-    if isinstance(x, kinds["quantum"]) and isinstance(e, QuantumEvent):
-        if x.dim != e.dim:
-            raise AlgebraMismatch(
-                f"events have different dimensions: {x.dim} vs {e.dim}" if two_events
-                else f"state dimension {x.dim} != event dimension {e.dim}")
-        return "quantum"
-    raise AlgebraMismatch(
-        f"cannot {'mix' if two_events else 'pair'} {type(x).__name__} with {type(e).__name__}")
-
-
 def _require_tolerance(tol: float) -> None:
     if not (math.isfinite(tol) and tol >= 0):
         raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
 
 
+def _require_sequence(value, name: str, of: str) -> None:
+    if not isinstance(value, Sequence):
+        raise ValidationError(
+            f"{name} must be a sequence of {of}, got {type(value).__name__}")
+
+
+def _clamp_probability(p: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """``p`` with values in [-tol, 0) set to 0 and values in (1, 1 + tol]
+    set to 1."""
+    if p.min(initial=0.0) < 0.0 or p.max(initial=1.0) > 1.0:
+        p = np.where((-tol <= p) & (p < 0.0), 0.0, p)
+        p = np.where((1.0 < p) & (p <= 1.0 + tol), 1.0, p)
+    return p
+
+
 # ---------------------------------------------------------------------------
-# Event stacks: the one route by which every relation is decided.
+# Algebra kinds.
 #
-# A stack holds k events of one kind, with one norm per event.  The
-# relation residuals broadcast, so stacks a[:, None] and b[None] give a
-# (len a, len b) table and equal-length stacks one residual per pair.  The
-# builders (complement_of, sum_of, difference_of) check nothing; checks()
+# Each algebra kind has one kind object, _BOOLEAN or _QUANTUM: the one place
+# that knows how the kind's events and states are held as arrays and how
+# they are computed on.  Its algebras and events point at it as ``_kind``,
+# and a public function looks it up once and calls it.  A stack holds k
+# events with one norm per event.  The relation residuals broadcast, so
+# stacks a[:, None] and b[None] give a (len a, len b) table and
+# equal-length stacks one residual per pair; ``holds`` decides them.  The
+# builders (complement_of, sum_of, difference_of) check nothing; ``checks``
 # returns each entry's norm and, by position, the message its constructor
-# raises for each entry that fails.
+# raises for each entry that fails.  A state stack holds m states, and
+# ``branch`` is what conditioning on an event multiplies a state by.  The
+# predictability parts return the candidate s, its residual and the
+# residual's scale, for ``states`` to certify.  ``commutative`` says that
+# all events commute: every pair is compatible, and there are no
+# compatibility residuals and no interference term.
 
 
-class _BooleanStacks:
-    """Boolean events as (k, size) bool rows.
+class _BooleanKind:
+    """Boolean events as (k, size) bool rows, states as (m, size) weight rows.
 
     A residual counts sample points, so every verdict is exact: a relation
     holds when its residual is zero, whatever the tolerance.  Rows cannot
     fail a check and their norms are unused zeros.
     """
 
-    @staticmethod
-    def stack(events: Sequence[BooleanEvent]):
+    algebra, event, state = BooleanAlgebra, BooleanEvent, None
+    commutative = True
+
+    def shares(self, x, e, state: bool) -> None:
+        if x.space != e.space:
+            raise AlgebraMismatch("state and event live on different sample spaces" if state
+                                  else "events live on different sample spaces")
+
+    def stack(self, events: Sequence[BooleanEvent]):
         rows = np.zeros((len(events), events[0].space.size), dtype=bool)
         for row, ev in zip(rows, events):
             row[list(ev.members)] = True
         return rows, np.zeros(len(events))
 
-    @staticmethod
-    def orthogonality(a, b):
+    def orthogonality(self, a, b):
         return (a & b).sum(axis=-1)
 
-    @staticmethod
-    def order(a, b):
+    def order(self, a, b):
         return (a & ~b).sum(axis=-1)
 
-    @staticmethod
-    def equality(a, b):
+    def equality(self, a, b):
         return (a ^ b).sum(axis=-1)
 
-    @staticmethod
-    def holds(residuals, a_norms, b_norms, tol):
+    def holds(self, residuals, a_norms, b_norms, tol):
         return residuals == 0
 
-    @staticmethod
-    def complement_of(rows):
+    def complement_of(self, rows):
         return ~rows
 
-    @staticmethod
-    def sum_of(a, b):
+    def sum_of(self, a, b):
         return a | b
 
-    @staticmethod
-    def difference_of(y, x):
+    def difference_of(self, y, x):
         return y & ~x
 
-    @staticmethod
-    def checks(rows):
+    def checks(self, rows):
         return np.zeros(len(rows)), {}
 
-    @staticmethod
-    def draw(algebra: BooleanAlgebra, rng: np.random.Generator):
+    def draw(self, algebra: BooleanAlgebra, rng: np.random.Generator):
         """d, e, f, g of one harness round; d, e, f are disjoint."""
         assignment = rng.integers(0, 4, size=algebra.size)
         return np.concatenate((assignment == np.arange(3)[:, None],
                                [rng.random(algebra.size) < 0.5]))
 
+    def complement(self, e):
+        return BooleanEvent(e.space, frozenset(range(e.space.size)) - e.members)
 
-class _QuantumStacks:
-    """Quantum events as (k, d, d) projection matrices.
+    def oplus(self, e, f):
+        return BooleanEvent(e.space, e.members | f.members)
+
+    def is_atom(self, e) -> bool:
+        return len(e.members) == 1
+
+    def state_stack(self, state):
+        return state.weights[None]
+
+    def branch(self, event):
+        mask = np.zeros(event.space.size)
+        mask[sorted(event.members)] = 1.0
+        return mask
+
+    def probabilities(self, stack, event):
+        # take() keeps each row contiguous, so it sums in the order of a
+        # 1-d sum; stack[:, members] is column-major and would not.
+        members = np.array(sorted(event.members), dtype=np.intp)
+        return _clamp_probability(stack.take(members, axis=1).sum(axis=1))
+
+    def conditioned(self, stack, branch, p):
+        return stack * branch / p[:, None]
+
+    def check_states(self, stack) -> None:
+        _check_weight_rows(stack)
+
+    def rebuilt(self, like, weights):
+        return self.state(like.space, weights)
+
+    def atom_state(self, event):
+        weights = np.zeros(event.space.size)
+        weights[next(iter(event.members))] = 1.0
+        return self.state(event.space, weights)
+
+    def warn_if_nonunique(self, event) -> None:
+        pass
+
+    def predictability(self, target, given):
+        if not given.members:
+            raise ZeroEvent("conditioning event is empty")
+        return _counted(len(given.members), len(given.members & target.members))
+
+    def predictability_seq(self, target, given, tol):
+        base = frozenset(range(target.space.size))
+        for ev in given:
+            _shared_kind(target, ev)
+            if not ev.members:
+                raise ZeroEvent("a conditioning event is empty")
+            base &= ev.members
+        if not base:
+            raise ImpossibleSequence("the events have empty intersection")
+        return _counted(len(base), len(base & target.members))
+
+    def compatible(self, e, f, tol) -> bool:
+        return True
+
+    def compatibility_residuals(self, e, f):
+        raise AlgebraMismatch("compatibility residuals need quantum events")
+
+
+def _counted(n_given: int, n_joint: int):
+    # The residual of the projection formula evaluated on indicator
+    # diagonals: ||FEF - sF||_F^2 = k(1-s)^2 + (|F|-k)s^2 with k = |E & F|.
+    s = n_joint / n_given
+    residual = math.sqrt(n_joint * (1.0 - s) ** 2 + (n_given - n_joint) * s ** 2)
+    return s, residual, max(1.0, math.sqrt(n_given))
+
+
+class _QuantumKind:
+    """Quantum events as (k, d, d) projection matrices, states as (m, d, d)
+    density matrices.
 
     A residual is the Frobenius norm of AB (orthogonality), AB - A (order)
     or A - B (equality), and a relation holds when the residual is at most
@@ -256,48 +330,44 @@ class _QuantumStacks:
     every matrix checked is exactly Hermitian.
     """
 
-    @staticmethod
-    def stack(events: Sequence[QuantumEvent]):
+    algebra, event, state = QuantumAlgebra, QuantumEvent, None
+    commutative = False
+
+    def shares(self, x, e, state: bool) -> None:
+        if x.dim != e.dim:
+            raise AlgebraMismatch(f"state dimension {x.dim} != event dimension {e.dim}" if state
+                                  else f"events have different dimensions: {x.dim} vs {e.dim}")
+
+    def stack(self, events: Sequence[QuantumEvent]):
         return (np.array([ev.matrix for ev in events]),
                 np.array([ev._norm for ev in events]))
 
-    @staticmethod
-    def orthogonality(a, b):
+    def orthogonality(self, a, b):
         return _frobenius_norms(a @ b)
 
-    @staticmethod
-    def order(a, b):
+    def order(self, a, b):
         return _frobenius_norms(a @ b - a)
 
-    @staticmethod
-    def equality(a, b):
+    def equality(self, a, b):
         return _frobenius_norms(a - b)
 
-    @staticmethod
-    def holds(residuals, a_norms, b_norms, tol):
+    def holds(self, residuals, a_norms, b_norms, tol):
         return residuals <= tol * np.maximum(1.0, np.maximum(a_norms, b_norms))
 
-    @staticmethod
-    def complement_of(mats):
+    def complement_of(self, mats):
         return np.eye(mats.shape[-1], dtype=np.complex128) - mats
 
-    @staticmethod
-    def sum_of(a, b):
+    def sum_of(self, a, b):
         return _symmetrized(a + b)
 
-    @staticmethod
-    def difference_of(y, x):
+    def difference_of(self, y, x):
         return _symmetrized(y - x)
 
-    @staticmethod
-    def checks(mats):
-        """Norms of the matrices and the message of each failing one by
-        position."""
+    def checks(self, mats):
         errors, norms, _ = _projection_checks(mats)
         return norms, {i: error for i, error in enumerate(errors) if error}
 
-    @staticmethod
-    def draw(algebra: QuantumAlgebra, rng: np.random.Generator):
+    def draw(self, algebra: QuantumAlgebra, rng: np.random.Generator):
         """d, e, f, g of one harness round; d, e, f are exactly orthogonal."""
         n = algebra.dim
         # Disjoint column blocks of one Haar frame give an exactly orthogonal triple.
@@ -315,23 +385,154 @@ class _QuantumStacks:
         frames.append(v[:, :k])
         return _symmetrized(np.stack([c @ c.conj().T for c in frames]))
 
+    def complement(self, e):
+        return _adopted(QuantumEvent, np.eye(e.dim, dtype=np.complex128) - e.matrix)
 
-_STACKS = {"boolean": _BooleanStacks, "quantum": _QuantumStacks}
+    def oplus(self, e, f):
+        return QuantumEvent(_symmetrized_projection(e.matrix + f.matrix))
+
+    def is_atom(self, e) -> bool:
+        return e.rank == 1
+
+    def state_stack(self, state):
+        return state.matrix[None]
+
+    def branch(self, event):
+        return event.matrix
+
+    def probabilities(self, stack, event):
+        """The products ``rho @ E`` are one gemm of the rows of all the
+        matrices by the shared ``E``: each row of a product is that row
+        times ``E`` either way, and the flat product gives the bits of one
+        matmul per matrix (pinned in the tests, dims 1 to 64)."""
+        d = stack.shape[-1]
+        products = (stack.reshape(-1, d) @ event.matrix).reshape(stack.shape)
+        return _clamp_probability(products.trace(axis1=1, axis2=2).real)
+
+    def conditioned(self, stack, branch, p):
+        """Each matrix compressed to ``(E @ rho) @ E``, made exactly
+        Hermitian and divided by its trace.
+
+        The right products by the shared ``E`` are one gemm of the rows of
+        all the left products, which gives the bits of one matmul per
+        matrix.  The left products stay one matmul per matrix: as one gemm,
+        ``E`` times the matrices side by side, they change bits at some
+        dims (2, 3, 5 and 6, among others, with the OpenBLAS that numpy
+        wheels bundle).
+        """
+        d = stack.shape[-1]
+        compressed = _symmetrized(((branch @ stack).reshape(-1, d) @ branch).reshape(stack.shape))
+        compressed /= compressed.trace(axis1=1, axis2=2).real[:, None, None]
+        return compressed
+
+    def check_states(self, stack) -> None:
+        """The DensityState checks on a stack of exactly Hermitian matrices."""
+        _require_finite(stack)
+        _check_density_stack(stack)
+
+    def rebuilt(self, like, matrix):
+        return self.state(matrix)
+
+    def atom_state(self, event):
+        return self.state(event)
+
+    def warn_if_nonunique(self, event) -> None:
+        if event.dim == 2:
+            warnings.warn(
+                "conditioning in a dimension-2 projection lattice (type I2): the "
+                "returned state follows the compression rule, but conditional "
+                "probabilities are not unique there",
+                NonUniqueConditioningWarning, stacklevel=3)
+
+    def predictability(self, target, given):
+        if given.rank == 0:
+            raise ZeroEvent("conditioning event is the zero projection")
+        f = given.matrix
+        return _trace_ratio(_symmetrized(f @ target.matrix @ f), f, float(f.trace().real),
+                            max(1.0, given._norm))
+
+    def predictability_seq(self, target, given, tol):
+        m = np.eye(target.dim, dtype=np.complex128)
+        for ev in given:
+            _shared_kind(target, ev)
+            if ev.rank == 0:
+                raise ZeroEvent("a conditioning event is the zero projection")
+            m = m @ ev.matrix
+        b = _symmetrized(m @ m.conj().T)
+        tr_b = float(b.trace().real)
+        if tr_b <= tol:
+            raise ImpossibleSequence(
+                f"no state can realize the sequence: tr(M M^H) = {tr_b!r}")
+        return _trace_ratio(_symmetrized(m @ target.matrix @ m.conj().T), b, tr_b,
+                            max(1.0, float(np.linalg.norm(b))))
+
+    def compatible(self, e, f, tol) -> bool:
+        em, fm = e.matrix, f.matrix
+        comm = float(np.linalg.norm(em @ fm - fm @ em))
+        return comm <= tol * max(1.0, e._norm, f._norm)
+
+    def compatibility_residuals(self, e, f):
+        em, fm = e.matrix, f.matrix
+        eye = np.eye(e.dim)
+        ec, fc = eye - em, eye - fm
+        comm = float(np.linalg.norm(em @ fm - fm @ em))
+        ident_e = float(np.linalg.norm(em - fm @ em @ fm - fc @ em @ fc))
+        ident_f = float(np.linalg.norm(fm - em @ fm @ em - ec @ fm @ ec))
+        return comm, ident_e, ident_f
+
+
+def _trace_ratio(a: np.ndarray, b: np.ndarray, tr_b: float, scale: float):
+    """s = tr A / tr B for A = sB, the residual ||A - sB||_F, and its scale."""
+    s = float(a.trace().real) / tr_b
+    return s, float(np.linalg.norm(a - s * b)), scale
+
+
+_BOOLEAN, _QUANTUM = _BooleanKind(), _QuantumKind()
+BooleanAlgebra._kind = BooleanEvent._kind = _BOOLEAN
+QuantumAlgebra._kind = QuantumEvent._kind = _QUANTUM
+
+
+def _shared_kind(x, e: Event, state: bool = False):
+    """The kind object that ``x``, an event or, when ``state`` is set, a
+    state, shares with the event ``e``.  Raises AlgebraMismatch unless both
+    are of one kind on one space or dimension."""
+    kind = getattr(e, "_kind", None)
+    if kind is None or not isinstance(e, kind.event) \
+            or not isinstance(x, kind.state if state else kind.event):
+        raise AlgebraMismatch(
+            f"cannot {'pair' if state else 'mix'} {type(x).__name__} with {type(e).__name__}")
+    kind.shares(x, e, state)
+    return kind
+
+
+def _kind_of(x):
+    """The kind object of the event ``x``, None when ``x`` is not an event."""
+    kind = getattr(x, "_kind", None)
+    return kind if kind is not None and isinstance(x, kind.event) else None
+
+
+def _event_kind(e, name: str = "e"):
+    """The kind object of the event ``e``; ValidationError naming the
+    argument when ``e`` is not an event."""
+    kind = _kind_of(e)
+    if kind is None:
+        raise ValidationError(f"{name} must be an event, got {type(e).__name__}")
+    return kind
 
 
 def _one_pair(relation: str, e: Event, f: Event):
-    """The stacks of e's kind, the residual of ``relation``
-    ("orthogonality", "order" or "equality") from e to f on one-pair
-    stacks, and the two norms."""
-    stacks = _STACKS[_shared_kind(e, f)]
-    pair, norms = stacks.stack((e, f))
-    return stacks, getattr(stacks, relation)(pair[:1], pair[1:]), norms[:1], norms[1:]
+    """The kind of e, the residual of ``relation`` ("orthogonality",
+    "order" or "equality") from e to f on one-pair stacks, and the two
+    norms."""
+    kind = _shared_kind(e, f)
+    pair, norms = kind.stack((e, f))
+    return kind, getattr(kind, relation)(pair[:1], pair[1:]), norms[:1], norms[1:]
 
 
 def _pair_verdict(relation: str, e: Event, f: Event, tol: float) -> bool:
     _require_tolerance(tol)
-    stacks, residuals, a_norms, b_norms = _one_pair(relation, e, f)
-    return bool(stacks.holds(residuals, a_norms, b_norms, tol)[0])
+    kind, residuals, a_norms, b_norms = _one_pair(relation, e, f)
+    return bool(kind.holds(residuals, a_norms, b_norms, tol)[0])
 
 
 def orthogonal(e: Event, f: Event, tol: float = DEFAULT_EVENT_TOL) -> bool:
@@ -343,16 +544,12 @@ def oplus(e: Event, f: Event, tol: float = DEFAULT_EVENT_TOL) -> Event:
     """Orthogonal sum, defined exactly for orthogonal pairs."""
     if not orthogonal(e, f, tol):
         raise NotOrthogonal("orthogonal sum requested for non-orthogonal events")
-    if isinstance(e, BooleanEvent):
-        return BooleanEvent(e.space, e.members | f.members)
-    return QuantumEvent(_symmetrized_projection(e.matrix + f.matrix))
+    return e._kind.oplus(e, f)
 
 
 def complement(e: Event) -> Event:
     """The unique event orthogonal to e that sums with it to the unit."""
-    if isinstance(e, BooleanEvent):
-        return BooleanEvent(e.space, frozenset(range(e.space.size)) - e.members)
-    return _adopted(QuantumEvent, np.eye(e.dim, dtype=np.complex128) - e.matrix)
+    return _event_kind(e).complement(e)
 
 
 def below(e: Event, f: Event, tol: float = DEFAULT_EVENT_TOL) -> bool:
@@ -362,9 +559,7 @@ def below(e: Event, f: Event, tol: float = DEFAULT_EVENT_TOL) -> bool:
 
 def is_atom(e: Event) -> bool:
     """Minimal nonzero event: a singleton or a rank-one projection."""
-    if isinstance(e, BooleanEvent):
-        return len(e.members) == 1
-    return e.rank == 1
+    return _event_kind(e).is_atom(e)
 
 
 def events_equal(e: Event, f: Event, tol: float = DEFAULT_EVENT_TOL) -> bool:
@@ -439,7 +634,7 @@ _AXIOM_STARTS = [[ax for ax, _ in _ROUND_CHECKS].index(ax) for ax in _AXIOMS]
 _HARNESS_BLOCK_BYTES = 1 << 18
 
 
-def _block_verdicts(stacks, four, tol: float):
+def _block_verdicts(kind, four, tol: float):
     """The checks of R harness rounds drawn as ``four`` (R, 4, ...), d e f g
     each: ``(checked, failed, describe)``, two (R, len(_ROUND_CHECKS))
     masks in (round, axiom, position) order, and ``describe(round, check)``
@@ -463,8 +658,8 @@ def _block_verdicts(stacks, four, tol: float):
         a, b = (np.concatenate([request[side].take(flat)
                                 for request, flat in zip(requests, flats)]) for side in (1, 2))
         step = max(1, _HARNESS_BLOCK_BYTES // (2 * events[0].nbytes))
-        held = np.concatenate([stacks.holds(
-            getattr(stacks, relation)(events.take(a[i:i + step], axis=0),
+        held = np.concatenate([kind.holds(
+            getattr(kind, relation)(events.take(a[i:i + step], axis=0),
                                       events.take(b[i:i + step], axis=0)),
             norms.take(a[i:i + step]), norms.take(b[i:i + step]), tol)
             for i in range(0, max(len(a), 1), step)])
@@ -487,20 +682,20 @@ def _block_verdicts(stacks, four, tol: float):
             events[filled:filled + len(flat)] = make(
                 *(events.take(op.take(flat), axis=0) for op in operands))
             filled += len(flat)
-        norms[start:filled], new_errors = stacks.checks(events[start:filled])
+        norms[start:filled], new_errors = kind.checks(events[start:filled])
         for k, error in new_errors.items():
             bad[start + k], errors[start + k] = True, error
         return tables
 
     # The pool d e f g g' 0 1 and its complements, checked in that order.
     rounds, zero = len(four), np.zeros_like(four[:, :1])
-    drawn = np.concatenate((four, stacks.complement_of(four[:, _G:]), zero,
-                            stacks.complement_of(zero)), axis=1)
-    table = np.concatenate((drawn, stacks.complement_of(drawn)), axis=1)
-    pool_norms, errors = stacks.checks(table.reshape((-1,) + table.shape[2:]))
+    drawn = np.concatenate((four, kind.complement_of(four[:, _G:]), zero,
+                            kind.complement_of(zero)), axis=1)
+    table = np.concatenate((drawn, kind.complement_of(drawn)), axis=1)
+    pool_norms, errors = kind.checks(table.reshape((-1,) + table.shape[2:]))
     at = np.arange(len(pool_norms)).reshape(table.shape[:2])
     table_norms = pool_norms.reshape(at.shape)
-    orth = stacks.holds(stacks.orthogonality(table[:, :_POOL, None], table[:, None]),
+    orth = kind.holds(kind.orthogonality(table[:, :_POOL, None], table[:, None]),
                         table_norms[:, :_POOL, None], table_norms[:, None], tol)
     paired, split = orth[:, _X8, _PARTNERS], orth[:, :, _POOL:]
     # The stack holds the pool, then room for all that is built below.
@@ -519,8 +714,8 @@ def _block_verdicts(stacks, four, tol: float):
     P = at[:, :_POOL]
 
     # x + y for every member y and for x', where x _|_ y; y - x where x _|_ y'.
-    sums, rests = build((paired & ~_WITH_ZERO, stacks.sum_of, x8, partners),
-                        (split & ~_TRIVIAL, stacks.difference_of, y7, x7))
+    sums, rests = build((paired & ~_WITH_ZERO, kind.sum_of, x8, partners),
+                        (split & ~_TRIVIAL, kind.difference_of, y7, x7))
     sums = np.where(_WITH_ZERO, np.where(_X8 == _ZERO, partners, x8), sums)
     rests = np.where(_X == _Y, base + _ZERO,
                      np.where(_X == _ZERO, y7, np.where(_Y == _ONE, c7, rests)))
@@ -544,9 +739,9 @@ def _block_verdicts(stacks, four, tol: float):
     # 0 + y), the triple sums, and x + (y - x) where x _|_ y - x.
     dominant = summed[:, :, :_POOL]
     tops, left, right, resums = build(
-        (dominant & ~_WITH_ZERO[:, :_POOL], stacks.complement_of, member_sums),
-        (closed, stacks.sum_of, P[:, _D], ef), (closed, stacks.sum_of, de, P[:, _F]),
-        (apart & ~_TRIVIAL, stacks.sum_of, x7, rests))
+        (dominant & ~_WITH_ZERO[:, :_POOL], kind.complement_of, member_sums),
+        (closed, kind.sum_of, P[:, _D], ef), (closed, kind.sum_of, de, P[:, _F]),
+        (apart & ~_TRIVIAL, kind.sum_of, x7, rests))
     tops = np.where(_WITH_ZERO[:, :_POOL], member_sums + _POOL, tops)
     resums = np.where(_X == _Y, x7, np.where(_X == _ZERO, y7,
                                              np.where(_Y == _ONE, sums[:, :, _POOL:], resums)))
@@ -627,16 +822,18 @@ def verify_orthospace_axioms(algebra: EventAlgebra, budget: int = 1000,
     if budget < 1:
         raise ValidationError("budget must be >= 1")
     _require_tolerance(tol)
-    stacks = _STACKS[algebra.kind]
+    kind = getattr(algebra, "_kind", None)
+    if kind is None or not isinstance(algebra, kind.algebra):
+        raise ValidationError(f"algebra must be an event algebra, got {type(algebra).__name__}")
     rng = np.random.default_rng(seed)
     report = AxiomReport(algebra=repr(algebra), rounds=budget, seed=seed,
                          checks={ax: 0 for ax in _AXIOMS},
                          failures={ax: 0 for ax in _AXIOMS})
-    drawn = [stacks.draw(algebra, rng)]
+    drawn = [kind.draw(algebra, rng)]
     block = max(1, _HARNESS_BLOCK_BYTES // (_POOL * 2 * _POOL * drawn[0][0].nbytes))
     for start in range(0, budget, block):
-        drawn += [stacks.draw(algebra, rng) for _ in range(min(block, budget - start) - len(drawn))]
-        checked, failed, describe = _block_verdicts(stacks, np.stack(drawn), tol)
+        drawn += [kind.draw(algebra, rng) for _ in range(min(block, budget - start) - len(drawn))]
+        checked, failed, describe = _block_verdicts(kind, np.stack(drawn), tol)
         drawn = []
         for ax, n, bad in zip(_AXIOMS, np.add.reduceat(checked.sum(axis=0), _AXIOM_STARTS),
                               np.add.reduceat(failed.sum(axis=0), _AXIOM_STARTS)):

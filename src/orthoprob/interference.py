@@ -17,10 +17,10 @@ import numpy as np
 from .errors import (AlgebraMismatch, DegenerateDenominator, DimensionMismatch,
                      NotAtom, NotOrthogonal, ValidationError, ZeroEvent,
                      ZeroProbabilityCondition)
-from .events import (BooleanEvent, QuantumEvent, _require_tolerance, _shared_kind, is_atom,
-                     oplus, orthogonal)
+from .events import (QuantumEvent, _clamp_probability, _event_kind, _kind_of,
+                     _require_tolerance, _shared_kind, oplus, orthogonal)
 from .linalg import StateVector
-from .states import _clamp_probability, atom_state, condition, prob
+from .states import atom_state, condition, prob
 
 # Paths whose probability under the atom falls below tol contribute a
 # zero-weight term; they are listed in the report instead of dividing by 0.
@@ -73,11 +73,12 @@ def interference_decomposition(source_atom: QuantumEvent, path1: QuantumEvent,
     AlgebraMismatch before any other work but the check of ``tol``.
     """
     _require_tolerance(tol)
-    if not is_atom(source_atom):
+    if not _event_kind(source_atom, "source_atom").is_atom(source_atom):
         raise NotAtom("interference decomposition needs an atomic source event")
-    if any(isinstance(x, BooleanEvent) for x in (source_atom, path1, path2, target)):
+    operands = (source_atom, path1, path2, target)
+    if any(kind and kind.commutative for kind in map(_kind_of, operands)):
         raise AlgebraMismatch("interference decomposition needs quantum events")
-    for x in (path1, path2, target):
+    for x in operands[1:]:
         _shared_kind(source_atom, x)
     if path1.rank == 0 or path2.rank == 0:
         raise ZeroEvent("path events must be nonzero")

@@ -35,6 +35,9 @@ TOL_HERMITIAN = 1e-10
 TOL_IDEMPOTENT = 1e-9
 # Absolute tolerance for accepting a vector as normalized.
 TOL_NORM = 1e-10
+# Diagonal shift under which a density stack must factor by Cholesky to pass
+# the eigenvalue bound -1e-10 without an eigvalsh (see _check_density_stack).
+_CHOLESKY_SHIFT = 1e-10 - 1e-12
 
 
 def _square_complex(value, what: str = "matrix") -> np.ndarray:
@@ -122,6 +125,59 @@ def _projection_checks(stack: np.ndarray):
             errors[i] = (f"projection trace {float(traces[i])!r} is not an "
                          f"admissible integer rank")
     return errors, norms, ranks.astype(np.intp)
+
+
+def _check_weight_rows(rows: np.ndarray) -> None:
+    """The ClassicalState weight checks on each row of an (m, size) stack.
+
+    Each check covers the whole stack before the next one runs, and an
+    error reports the first offending row.
+    """
+    if not np.isfinite(rows).all():
+        raise ValidationError("weights must be finite")
+    if rows.min(initial=0.0) < 0.0:
+        first = rows[(rows < 0.0).any(axis=1).argmax()]
+        raise ValidationError(f"weights must be nonnegative, min = {float(first.min())!r}")
+    totals = rows.sum(axis=1)
+    off = np.abs(totals - 1.0)
+    if off.max() > 1e-12:
+        first = totals[(off > 1e-12).argmax()]
+        raise ValidationError(f"weights sum to {float(first)!r}, not 1 within 1e-12")
+
+
+def _check_density_stack(stack: np.ndarray) -> None:
+    """The DensityState checks beyond HermitianOperator's on each matrix of
+    an (m, d, d) stack of finite Hermitian matrices: unit trace, no
+    eigenvalue below -1e-10.
+
+    Each check covers the whole stack before the next one runs, and an
+    error reports the first offending matrix.
+
+    The eigenvalue bound is certified by one Cholesky factorization of the
+    stack shifted by s = _CHOLESKY_SHIFT, with ``eigvalsh`` run only when
+    some matrix fails to factor, to decide and word the failure.  A factor
+    that completes is exact for rho + sI + dA with |dA| <= g |R^H||R|,
+    g = gamma_{d+1} (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 10), and ||R^H||R|||_2 <= tr(R^H R), about
+    tr(rho) + d s; the trace check has just bounded tr(rho) by 1 + 1e-10.
+    So lambda_min(rho) >= -s - g (1 + d s), above -1e-10 + 9.9e-13 for
+    d <= 64, while the smallest eigenvalue ``eigvalsh`` reports is off by
+    about d u ||rho||_2, near 1e-14: every stack that factors passes the
+    ``eigvalsh`` check too.  Both routines read the lower triangle only.
+    """
+    traces = stack.trace(axis1=1, axis2=2).real
+    off = np.abs(traces - 1.0)
+    if off.max() > 1e-10:
+        first = traces[(off > 1e-10).argmax()]
+        raise ValidationError(f"density matrix trace {float(first)!r} is not 1 within 1e-10")
+    try:
+        np.linalg.cholesky(stack + _CHOLESKY_SHIFT * np.eye(stack.shape[-1]))
+    except np.linalg.LinAlgError:
+        low = np.linalg.eigvalsh(stack)[:, 0]
+        if low.min() < -1e-10:
+            first = low[(low < -1e-10).argmax()]
+            raise ValidationError(
+                f"density matrix has eigenvalue {first:.3e} below -1e-10") from None
 
 
 class HermitianOperator:

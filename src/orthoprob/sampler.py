@@ -19,8 +19,9 @@ realized, is the last node.  Chains of any length take this one route.
 
 The realized prefix states of one level are held as one stack, (m, d, d)
 density matrices or (m, size) weight rows.  A level is conditioned a
-block of children at a time, LEVEL_BLOCK_BYTES of states, by the stacked
-routines that ``states.prob`` and ``states.condition`` run on one state,
+block of children at a time, LEVEL_BLOCK_BYTES of states, by the algebra
+kind's stacked routines, which ``states.prob`` and ``states.condition`` run
+on one state,
 so every state and probability carries the bits of the one-node-at-a-time
 route.  The complement of each distinct test event, and the pair of
 branches a level conditions on, are built once per chain, not once per
@@ -62,10 +63,8 @@ import numpy as np
 
 from .errors import (EmptyChain, ImpossibleSequence, NotPredictable,
                      ValidationError, ZeroEvent, ZeroProbabilityCondition)
-from .events import Event, _require_tolerance, _shared_kind, complement
-from .states import (_STATE_KINDS, State, _branch_of, _check_probabilities, _check_states,
-                     _conditioned, _probabilities, _stack_of, _warn_if_nonunique,
-                     condition, predictability_seq, prob)
+from .events import Event, _require_sequence, _require_tolerance, _shared_kind, complement
+from .states import State, _check_probabilities, condition, predictability_seq, prob
 
 # Branch probabilities inside (0, 1e-14) are counted to the complementary
 # branch so no trial ever conditions on a numerically vanishing event.
@@ -143,12 +142,6 @@ def _draws(philox: np.random.Philox, m: int) -> np.ndarray:
     return words
 
 
-def _require_sequence(value, name: str, of: str) -> None:
-    if not isinstance(value, Sequence):
-        raise ValidationError(
-            f"{name} must be a sequence of {of}, got {type(value).__name__}")
-
-
 def _require_config(config) -> None:
     if not isinstance(config, SamplerConfig):
         raise ValidationError(f"config must be a SamplerConfig, got {type(config).__name__}")
@@ -158,21 +151,22 @@ def _block_size(stack: np.ndarray) -> int:
     return max(1, LEVEL_BLOCK_BYTES // stack[0].nbytes)
 
 
-def _level_probabilities(stack: np.ndarray, event: Event) -> np.ndarray:
-    """``prob(state, event)`` for every state of a level stack."""
+def _level_probabilities(kind, stack: np.ndarray, event: Event) -> np.ndarray:
+    """``prob(state, event)`` for every state of a level stack of the
+    algebra kind ``kind``."""
     size = _block_size(stack)
-    return np.concatenate([_probabilities(stack[lo:lo + size], event)
+    return np.concatenate([kind.probabilities(stack[lo:lo + size], event)
                            for lo in range(0, len(stack), size)])
 
 
-def _branches(event: Event) -> tuple[Event, np.ndarray]:
+def _branches(kind, event: Event) -> tuple[Event, np.ndarray]:
     """The complement of a test event and the stack of the two branches a
     level conditions on, the complement's first."""
     comp = complement(event)
-    return comp, np.stack([_branch_of(comp), _branch_of(event)])
+    return comp, np.stack([kind.branch(comp), kind.branch(event)])
 
 
-def _condition_level(stack: np.ndarray, realized: np.ndarray, p_yes: np.ndarray,
+def _condition_level(kind, stack: np.ndarray, realized: np.ndarray, p_yes: np.ndarray,
                      comp: Event, branches: np.ndarray) -> np.ndarray:
     """States of the realized children of a level, in ``realized`` order.
 
@@ -192,13 +186,13 @@ def _condition_level(stack: np.ndarray, realized: np.ndarray, p_yes: np.ndarray,
         codes = realized[lo:lo + size]
         parents, no = codes // 2, codes % 2 == 0
         p = p_yes[parents]
-        p[no] = _probabilities(stack[parents[no]], comp)
+        p[no] = kind.probabilities(stack[parents[no]], comp)
         _check_probabilities(p, 0.0)
         block = children[lo:lo + len(codes)]
         for half, branch in zip((no, ~no), branches):
             if half.any():
-                block[half] = _conditioned(stack[parents[half]], branch, p[half], 0.0)
-        _check_states(block)
+                block[half] = kind.conditioned(stack[parents[half]], branch, p[half])
+        kind.check_states(block)
     return children
 
 
@@ -215,15 +209,15 @@ def sample_chain(initial: State, tests: Sequence[Event], final: Event,
     _require_config(config)
     if len(tests) == 0:
         raise EmptyChain("sample_chain needs at least one test event")
-    _shared_kind(initial, final, _STATE_KINDS)
+    kind = _shared_kind(initial, final, state=True)
     for event in tests:
-        _shared_kind(initial, event, _STATE_KINDS)
-    _warn_if_nonunique(tests[0])
+        _shared_kind(initial, event, state=True)
+    kind.warn_if_nonunique(tests[0])
     n = len(tests)
     trials = config.trials
     philox = np.random.Philox(key=np.uint64(config.seed))
 
-    stack = _stack_of(initial)
+    stack = kind.state_stack(initial)
     node_ids = np.zeros(trials, dtype=np.int32 if trials < 2 ** 30 else np.int64)
     step = LEVEL_BLOCK_BYTES // 8
     chunks = [node_ids[lo:lo + step] for lo in range(0, trials, step)]
@@ -234,8 +228,8 @@ def sample_chain(initial: State, tests: Sequence[Event], final: Event,
 
     for k, event in enumerate(tests):
         if id(event) not in branches:
-            branches[id(event)] = _branches(event)
-        p_yes = _level_probabilities(stack, event)
+            branches[id(event)] = _branches(kind, event)
+        p_yes = _level_probabilities(kind, stack, event)
         yes = _thresholds(p_yes)
         one_node = len(yes) == 1
         counts = np.zeros(2 * len(stack), dtype=np.int64)
@@ -260,13 +254,13 @@ def sample_chain(initial: State, tests: Sequence[Event], final: Event,
                 remap.take(ids, out=ids, mode="clip")
         paths = paths[realized // 2]
         paths[:, k] = realized % 2
-        stack = _condition_level(stack, realized, p_yes, *branches[id(event)])
+        stack = _condition_level(kind, stack, realized, p_yes, *branches[id(event)])
 
     last = len(realized) - 1
     all_yes_count = final_yes_count = 0
     if paths[last].all():
         all_yes_count = int(counts[realized[last]])
-        final_yes = _thresholds(_probabilities(stack[last:], final))
+        final_yes = _thresholds(kind.probabilities(stack[last:], final))
         for ids in chunks:
             m = len(ids)
             hit = np.less(_draws(philox, m), final_yes, out=outcome[:m])

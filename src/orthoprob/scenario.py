@@ -9,6 +9,8 @@ pairs.  Parsing separates syntax errors (ParseError) from semantic ones
 ``QUERY_TABLE`` is the single place where a query kind is declared: its
 fields in wire order, each with its reference type, and its runner.
 Parsing, serialization and reference checks are generic loops over it.
+``_FORMS`` is the single place where an algebra kind's wire forms are
+declared: its algebra record and the forms of its events and states.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .errors import AlgebraMismatch, DimensionMismatch, ParseError, ValidationError
-from .events import (BooleanAlgebra, BooleanEvent, Event, EventAlgebra,
-                     QuantumAlgebra, QuantumEvent, _require_tolerance,
+from .events import (BooleanAlgebra, Event, EventAlgebra, QuantumAlgebra, _require_tolerance,
                      verify_orthospace_axioms)
 from .interference import interference_decomposition, two_slit
 from .linalg import TOL_NORM, StateVector, projector_from_span
@@ -222,6 +223,140 @@ def _query_to_jsonable(query: Query, then: bool = True) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# Wire forms of each algebra kind.
+#
+# ``_FORMS`` maps the "kind" of an algebra record to that kind's wire forms:
+# its algebra record, and its event and state forms, each parsed by
+# ``event`` or ``state`` from the form, its value and the entry's location.
+
+class _BooleanForms:
+    event_forms, state_forms = ("members",), ("weights",)
+
+    def algebra(self, doc: dict, where: str) -> BooleanAlgebra:
+        _require_keys(doc, where, ("kind", "size"), ("labels",))
+        size = _bounded_int(doc["size"], f"{where}.size", MAX_ALGEBRA_SIZE)
+        labels = None
+        if "labels" in doc:
+            labels = _string_list(doc["labels"], f"{where}.labels")
+        try:
+            return BooleanAlgebra(size, labels)
+        except ValidationError as exc:
+            raise ValidationError(f"{where}: {exc}") from None
+
+    def algebra_record(self, algebra: BooleanAlgebra) -> dict:
+        record: dict = {"kind": "boolean", "size": algebra.size}
+        if algebra.space.labels is not None:
+            record["labels"] = list(algebra.space.labels)
+        return record
+
+    def event(self, algebra: BooleanAlgebra, form: str, members, where: str) -> Event:
+        if not isinstance(members, list) or \
+                not all(isinstance(i, int) and not isinstance(i, bool) for i in members):
+            raise ValidationError("'members' must be an array of integers")
+        return algebra.event(members)
+
+    def event_record(self, event) -> dict:
+        return {"members": sorted(int(i) for i in event.members)}
+
+    def state(self, algebra: BooleanAlgebra, form: str, weights, where: str) -> State:
+        if not isinstance(weights, list) or not all(_is_number(x) for x in weights):
+            raise ValidationError("'weights' must be an array of numbers")
+        try:
+            weights = np.array(weights, dtype=np.float64)
+        except OverflowError:
+            raise ValidationError("'weights' entries must fit in a float") from None
+        return ClassicalState(algebra.space, weights)
+
+    def state_record(self, state) -> dict:
+        return {"weights": [float(w) for w in state.weights]}
+
+
+class _QuantumForms:
+    event_forms, state_forms = ("matrix", "span"), ("density", "vector")
+
+    def algebra(self, doc: dict, where: str) -> QuantumAlgebra:
+        _require_keys(doc, where, ("kind", "dim"))
+        return QuantumAlgebra(_bounded_int(doc["dim"], f"{where}.dim", MAX_ALGEBRA_SIZE))
+
+    def algebra_record(self, algebra: QuantumAlgebra) -> dict:
+        return {"kind": "quantum", "dim": algebra.dim}
+
+    def event(self, algebra: QuantumAlgebra, form: str, value, where: str) -> Event:
+        if form == "matrix":
+            return algebra.event(_decode_array(value, f"{where}.matrix", 2))
+        if not isinstance(value, list) or not value:
+            raise ValidationError("'span' must be a nonempty array of vectors")
+        decoded = [_decode_array(v, f"{where}.span[{i}]", 1) for i, v in enumerate(value)]
+        return algebra.event(projector_from_span(decoded))
+
+    def event_record(self, event) -> dict:
+        return {"matrix": _encode_array(event.matrix)}
+
+    def state(self, algebra: QuantumAlgebra, form: str, value, where: str) -> State | StateVector:
+        if form == "density":
+            arr = _decode_array(value, f"{where}.density", 2)
+            if arr.shape[0] != algebra.dim:
+                raise ValidationError(
+                    f"density matrix is {arr.shape[0]}x{arr.shape[1]}, "
+                    f"algebra dimension is {algebra.dim}")
+            return DensityState(arr)
+        arr = _decode_array(value, f"{where}.vector", 1)
+        if arr.shape[0] != algebra.dim:
+            raise ValidationError(
+                f"vector has {arr.shape[0]} entries, algebra dimension is {algebra.dim}")
+        norm = float(np.linalg.norm(arr))
+        if abs(norm - 1.0) > 1e-6:
+            raise ValidationError(
+                f"vector norm {norm!r} is farther than 1e-6 from 1; not normalizing")
+        # Dividing an already unit vector would move its bits on every parse.
+        return StateVector(arr / norm if abs(norm - 1.0) > TOL_NORM else arr)
+
+    def state_record(self, state) -> dict:
+        if isinstance(state, StateVector):
+            return {"vector": _encode_array(state.vector)}
+        return {"density": _encode_array(state.matrix)}
+
+
+_FORMS = {"boolean": _BooleanForms(), "quantum": _QuantumForms()}
+# The algebra kind that each event form and each state form needs.
+_FORM_KINDS = {role: {form: kind for kind, forms in _FORMS.items()
+                      for form in getattr(forms, f"{role}_forms")}
+               for role in ("event", "state")}
+
+
+def _parse_algebra(doc, where: str = "algebra") -> EventAlgebra:
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{where}: expected an object")
+    kind = _string(doc.get("kind", ""), f"{where}.kind")
+    if kind not in _FORMS:
+        raise ValidationError(
+            f"{where}.kind: expected {' or '.join(map(repr, _FORMS))}, got {kind!r}")
+    return _FORMS[kind].algebra(doc, where)
+
+
+def _located(where: str, exc: Exception) -> ValidationError:
+    """``exc`` as a ValidationError that names ``where`` once: the array
+    decoders already start their messages with ``where`` and a key."""
+    message = str(exc)
+    return ValidationError(message if message.startswith(where + ".")
+                           else f"{where}: {message}")
+
+
+def _parse_entry(algebra: EventAlgebra, role: str, name: str, spec):
+    """The ``role`` ("event" or "state") named ``name``, in the one form
+    its ``spec`` names."""
+    where = f"{role}s.{name}"
+    kinds = _FORM_KINDS[role]
+    form = _form(spec, where, tuple(kinds))
+    try:
+        if kinds[form] != algebra.kind:
+            raise ValidationError(f"{form!r} {role}s need a {kinds[form]} algebra")
+        return getattr(_FORMS[algebra.kind], role)(algebra, form, spec[form], where)
+    except (AlgebraMismatch, DimensionMismatch, ValidationError) as exc:
+        raise _located(where, exc) from None
+
+
+# ---------------------------------------------------------------------------
 # Scenario documents.
 
 @dataclass(eq=False)
@@ -243,98 +378,6 @@ class Scenario:
         return scenario_to_jsonable(self) == scenario_to_jsonable(other)
 
     __hash__ = None
-
-
-def _parse_algebra(doc, where: str = "algebra") -> EventAlgebra:
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{where}: expected an object")
-    kind = _string(doc.get("kind", ""), f"{where}.kind")
-    if kind == "boolean":
-        _require_keys(doc, where, ("kind", "size"), ("labels",))
-        size = _bounded_int(doc["size"], f"{where}.size", MAX_ALGEBRA_SIZE)
-        labels = None
-        if "labels" in doc:
-            labels = _string_list(doc["labels"], f"{where}.labels")
-        try:
-            return BooleanAlgebra(size, labels)
-        except ValidationError as exc:
-            raise ValidationError(f"{where}: {exc}") from None
-    if kind == "quantum":
-        _require_keys(doc, where, ("kind", "dim"))
-        return QuantumAlgebra(_bounded_int(doc["dim"], f"{where}.dim", MAX_ALGEBRA_SIZE))
-    raise ValidationError(f"{where}.kind: expected 'boolean' or 'quantum', got {kind!r}")
-
-
-def _located(where: str, exc: Exception) -> ValidationError:
-    """``exc`` as a ValidationError that names ``where`` once: the array
-    decoders already start their messages with ``where`` and a key."""
-    message = str(exc)
-    return ValidationError(message if message.startswith(where + ".")
-                           else f"{where}: {message}")
-
-
-def _parse_event(algebra: EventAlgebra, name: str, spec) -> Event:
-    where = f"events.{name}"
-    form = _form(spec, where, ("members", "matrix", "span"))
-    try:
-        if form == "members":
-            if algebra.kind != "boolean":
-                raise ValidationError("'members' events need a boolean algebra")
-            members = spec["members"]
-            if not isinstance(members, list) or \
-                    not all(isinstance(i, int) and not isinstance(i, bool) for i in members):
-                raise ValidationError("'members' must be an array of integers")
-            return algebra.event(members)
-        if algebra.kind != "quantum":
-            raise ValidationError(f"{form!r} events need a quantum algebra")
-        if form == "matrix":
-            return algebra.event(_decode_array(spec["matrix"], f"{where}.matrix", 2))
-        vectors = spec["span"]
-        if not isinstance(vectors, list) or not vectors:
-            raise ValidationError("'span' must be a nonempty array of vectors")
-        decoded = [_decode_array(v, f"{where}.span[{i}]", 1)
-                   for i, v in enumerate(vectors)]
-        return algebra.event(projector_from_span(decoded))
-    except (AlgebraMismatch, DimensionMismatch, ValidationError) as exc:
-        raise _located(where, exc) from None
-
-
-def _parse_state(algebra: EventAlgebra, name: str, spec) -> State | StateVector:
-    where = f"states.{name}"
-    form = _form(spec, where, ("weights", "density", "vector"))
-    try:
-        if form == "weights":
-            if algebra.kind != "boolean":
-                raise ValidationError("'weights' states need a boolean algebra")
-            weights = spec["weights"]
-            if not isinstance(weights, list) or not all(_is_number(x) for x in weights):
-                raise ValidationError("'weights' must be an array of numbers")
-            try:
-                weights = np.array(weights, dtype=np.float64)
-            except OverflowError:
-                raise ValidationError("'weights' entries must fit in a float") from None
-            return ClassicalState(algebra.space, weights)
-        if algebra.kind != "quantum":
-            raise ValidationError(f"{form!r} states need a quantum algebra")
-        if form == "density":
-            arr = _decode_array(spec["density"], f"{where}.density", 2)
-            if arr.shape[0] != algebra.dim:
-                raise ValidationError(
-                    f"density matrix is {arr.shape[0]}x{arr.shape[1]}, "
-                    f"algebra dimension is {algebra.dim}")
-            return DensityState(arr)
-        arr = _decode_array(spec["vector"], f"{where}.vector", 1)
-        if arr.shape[0] != algebra.dim:
-            raise ValidationError(
-                f"vector has {arr.shape[0]} entries, algebra dimension is {algebra.dim}")
-        norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > 1e-6:
-            raise ValidationError(
-                f"vector norm {norm!r} is farther than 1e-6 from 1; not normalizing")
-        # Dividing an already unit vector would move its bits on every parse.
-        return StateVector(arr / norm if abs(norm - 1.0) > TOL_NORM else arr)
-    except (AlgebraMismatch, DimensionMismatch, ValidationError) as exc:
-        raise _located(where, exc) from None
 
 
 def _check_references(query: Query, events: dict, states: dict) -> None:
@@ -362,13 +405,13 @@ def scenario_from_jsonable(doc: Any) -> Scenario:
     if not isinstance(raw_events, dict):
         raise ValidationError("events: expected an object")
     for name, spec in raw_events.items():
-        events[name] = _parse_event(algebra, _string(name, "events key"), spec)
+        events[name] = _parse_entry(algebra, "event", _string(name, "events key"), spec)
     states: dict[str, State | StateVector] = {}
     raw_states = doc.get("states", {})
     if not isinstance(raw_states, dict):
         raise ValidationError("states: expected an object")
     for name, spec in raw_states.items():
-        states[_string(name, "states key")] = _parse_state(algebra, name, spec)
+        states[_string(name, "states key")] = _parse_entry(algebra, "state", name, spec)
     query = None
     if "query" in doc:
         query = _parse_query(doc["query"])
@@ -388,31 +431,11 @@ def parse_scenario(text: str) -> Scenario:
     return scenario_from_jsonable(doc)
 
 
-def _event_to_jsonable(event: Event) -> dict:
-    if isinstance(event, BooleanEvent):
-        return {"members": sorted(int(i) for i in event.members)}
-    return {"matrix": _encode_array(event.matrix)}
-
-
-def _state_to_jsonable(state: State | StateVector) -> dict:
-    if isinstance(state, ClassicalState):
-        return {"weights": [float(w) for w in state.weights]}
-    if isinstance(state, DensityState):
-        return {"density": _encode_array(state.matrix)}
-    return {"vector": _encode_array(state.vector)}
-
-
 def scenario_to_jsonable(scenario: Scenario) -> dict:
-    algebra = scenario.algebra
-    if isinstance(algebra, BooleanAlgebra):
-        alg: dict = {"kind": "boolean", "size": algebra.size}
-        if algebra.space.labels is not None:
-            alg["labels"] = list(algebra.space.labels)
-    else:
-        alg = {"kind": "quantum", "dim": algebra.dim}
-    doc = {"algebra": alg,
-           "events": {n: _event_to_jsonable(e) for n, e in scenario.events.items()},
-           "states": {n: _state_to_jsonable(s) for n, s in scenario.states.items()}}
+    forms = _FORMS[scenario.algebra.kind]
+    doc = {"algebra": forms.algebra_record(scenario.algebra),
+           "events": {n: forms.event_record(e) for n, e in scenario.events.items()},
+           "states": {n: forms.state_record(s) for n, s in scenario.states.items()}}
     if scenario.query is not None:
         doc["query"] = _query_to_jsonable(scenario.query)
     return doc
@@ -439,7 +462,8 @@ def _as_state(scenario: Scenario, name: str) -> State:
 
 
 def _conditioned(scenario: Scenario, q: dict, echo: dict, state: State, tol: float) -> dict:
-    out = {**echo, "conditioned": _state_to_jsonable(state), "tol": tol}
+    out = {**echo, "conditioned": _FORMS[scenario.algebra.kind].state_record(state),
+           "tol": tol}
     if q["then"]:
         out["then"] = {n: prob(state, scenario.events[n]) for n in q["then"]}
     return out
@@ -479,7 +503,7 @@ def _run_predictability(scenario, q, echo, tol, seed, trials) -> dict:
 def _run_compatible(scenario, q, echo, tol, seed, trials) -> dict:
     first, second = scenario.events[q["first"]], scenario.events[q["second"]]
     out = {**echo, "compatible": compatible(first, second, tol=tol), "tol": tol}
-    if isinstance(first, QuantumEvent):
+    if not first._kind.commutative:
         comm, ident_first, ident_second = compatibility_residuals(first, second)
         out["residuals"] = {"commutator": comm, "identity_first": ident_first,
                             "identity_second": ident_second}

@@ -6,6 +6,11 @@ rho -> E rho E / tr(rho E) (restriction and renormalization in the
 classical case).  Predictability detection certifies the algebraic
 criterion {F,E,F} = s F, resp. its sequential generalization, so that a
 conditional probability exists independently of the underlying state.
+
+The two state classes are handed to their algebra kinds (``events``),
+which hold the arithmetic: a function here looks the kind up once and runs
+its stacked routines on a stack of one state, so ``prob`` and
+``condition`` carry the bits of the sampler's level stacks.
 """
 
 from __future__ import annotations
@@ -17,84 +22,18 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import (AlgebraMismatch, DimensionMismatch, EmptyInput,
-                     ImpossibleSequence, NonUniqueConditioningWarning, NotAtom,
-                     ValidationError, ZeroEvent, ZeroProbabilityCondition)
-from .events import (BooleanEvent, Event, QuantumAlgebra, QuantumEvent, _require_tolerance,
-                     _shared_kind, below, complement, events_equal, is_atom)
-from .linalg import HermitianOperator, StateVector, _require_finite, _symmetrized
+from .errors import (DimensionMismatch, EmptyInput, NonUniqueConditioningWarning, NotAtom,
+                     ValidationError, ZeroProbabilityCondition)
+from .events import (_BOOLEAN, _QUANTUM, Event, QuantumAlgebra, QuantumEvent, _clamp_probability,
+                     _event_kind, _require_sequence, _require_tolerance, _shared_kind, below,
+                     complement, events_equal)
+from .linalg import (HermitianOperator, StateVector, _check_density_stack,
+                     _check_weight_rows)
 
 # Relative tolerance for certifying the predictability residual.
 DEFAULT_DETECTION_TOL = 1e-8
 # Probability threshold below which conditioning is refused.
 DEFAULT_CONDITION_TOL = 1e-9
-# Diagonal shift under which a density stack must factor by Cholesky to pass
-# the eigenvalue bound -1e-10 without an eigvalsh (see _check_density_stack).
-_CHOLESKY_SHIFT = 1e-10 - 1e-12
-
-
-def _check_weight_rows(rows: np.ndarray) -> None:
-    """The ClassicalState weight checks on each row of an (m, size) stack.
-
-    Each check covers the whole stack before the next one runs, and an
-    error reports the first offending row.
-    """
-    if not np.isfinite(rows).all():
-        raise ValidationError("weights must be finite")
-    if rows.min(initial=0.0) < 0.0:
-        first = rows[(rows < 0.0).any(axis=1).argmax()]
-        raise ValidationError(f"weights must be nonnegative, min = {float(first.min())!r}")
-    totals = rows.sum(axis=1)
-    off = np.abs(totals - 1.0)
-    if off.max() > 1e-12:
-        first = totals[(off > 1e-12).argmax()]
-        raise ValidationError(f"weights sum to {float(first)!r}, not 1 within 1e-12")
-
-
-def _check_density_stack(stack: np.ndarray) -> None:
-    """The DensityState checks beyond HermitianOperator's on each matrix of
-    an (m, d, d) stack of finite Hermitian matrices: unit trace, no
-    eigenvalue below -1e-10.
-
-    Each check covers the whole stack before the next one runs, and an
-    error reports the first offending matrix.
-
-    The eigenvalue bound is certified by one Cholesky factorization of the
-    stack shifted by s = _CHOLESKY_SHIFT, with ``eigvalsh`` run only when
-    some matrix fails to factor, to decide and word the failure.  A factor
-    that completes is exact for rho + sI + dA with |dA| <= g |R^H||R|,
-    g = gamma_{d+1} (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., ch. 10), and ||R^H||R|||_2 <= tr(R^H R), about
-    tr(rho) + d s; the trace check has just bounded tr(rho) by 1 + 1e-10.
-    So lambda_min(rho) >= -s - g (1 + d s), above -1e-10 + 9.9e-13 for
-    d <= 64, while the smallest eigenvalue ``eigvalsh`` reports is off by
-    about d u ||rho||_2, near 1e-14: every stack that factors passes the
-    ``eigvalsh`` check too.  Both routines read the lower triangle only.
-    """
-    traces = stack.trace(axis1=1, axis2=2).real
-    off = np.abs(traces - 1.0)
-    if off.max() > 1e-10:
-        first = traces[(off > 1e-10).argmax()]
-        raise ValidationError(f"density matrix trace {float(first)!r} is not 1 within 1e-10")
-    try:
-        np.linalg.cholesky(stack + _CHOLESKY_SHIFT * np.eye(stack.shape[-1]))
-    except np.linalg.LinAlgError:
-        low = np.linalg.eigvalsh(stack)[:, 0]
-        if low.min() < -1e-10:
-            first = low[(low < -1e-10).argmax()]
-            raise ValidationError(
-                f"density matrix has eigenvalue {first:.3e} below -1e-10") from None
-
-
-def _check_states(stack: np.ndarray) -> None:
-    """The ClassicalState checks on each row of an (m, size) stack, or the
-    DensityState checks on each matrix of an (m, d, d) stack of exactly
-    Hermitian matrices; an error reports the first offending state."""
-    if stack.ndim == 2:
-        _check_weight_rows(stack)
-    else:
-        _require_finite(stack)
-        _check_density_stack(stack)
 
 
 class ClassicalState:
@@ -147,8 +86,7 @@ class DensityState(HermitianOperator):
 
 
 State = Union[ClassicalState, DensityState]
-# The state role for events._shared_kind: the state class of each kind.
-_STATE_KINDS = {"boolean": ClassicalState, "quantum": DensityState}
+_BOOLEAN.state, _QUANTUM.state = ClassicalState, DensityState
 
 
 @dataclass(frozen=True)
@@ -171,51 +109,6 @@ class PredictabilityResult:
                 f"certified conditional probability {self.s!r} outside [0, 1]")
 
 
-def _clamp_probability(p: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """``p`` with values in [-tol, 0) set to 0 and values in (1, 1 + tol]
-    set to 1."""
-    if p.min(initial=0.0) < 0.0 or p.max(initial=1.0) > 1.0:
-        p = np.where((-tol <= p) & (p < 0.0), 0.0, p)
-        p = np.where((1.0 < p) & (p <= 1.0 + tol), 1.0, p)
-    return p
-
-
-def _stack_of(state: State) -> np.ndarray:
-    """A state as a one-state stack: (1, size) weights or (1, d, d) matrix."""
-    return state.weights[None] if isinstance(state, ClassicalState) else state.matrix[None]
-
-
-def _branch_of(event: Event) -> np.ndarray:
-    """What conditioning on an event multiplies a state by: the indicator
-    weights of a Boolean event, the projection matrix of a quantum one."""
-    if isinstance(event, QuantumEvent):
-        return event.matrix
-    mask = np.zeros(event.space.size)
-    mask[sorted(event.members)] = 1.0
-    return mask
-
-
-def _probabilities(stack: np.ndarray, event: Event) -> np.ndarray:
-    """``prob`` of an event in each state of a stack of weight rows or
-    density matrices.
-
-    The products ``rho @ E`` of a density stack are one gemm of the rows
-    of all its matrices by the shared ``E``: each row of a product is that
-    row times ``E`` either way, and the flat product gives the bits of
-    one matmul per matrix (pinned in the tests, dims 1 to 64).
-    """
-    if isinstance(event, BooleanEvent):
-        # take() keeps each row contiguous, so it sums in the order of a
-        # 1-d sum; stack[:, members] is column-major and would not.
-        members = np.array(sorted(event.members), dtype=np.intp)
-        p = stack.take(members, axis=1).sum(axis=1)
-    else:
-        d = stack.shape[-1]
-        products = (stack.reshape(-1, d) @ event.matrix).reshape(stack.shape)
-        p = products.trace(axis1=1, axis2=2).real
-    return _clamp_probability(p)
-
-
 def _check_probabilities(p: np.ndarray, tol: float) -> None:
     """Raises ZeroProbabilityCondition for the first probability <= tol."""
     if p.min() <= tol:
@@ -224,45 +117,10 @@ def _check_probabilities(p: np.ndarray, tol: float) -> None:
             f"conditioning event has probability {p0!r} <= {tol!r}", probability=p0)
 
 
-def _conditioned(stack: np.ndarray, branch: np.ndarray, p: np.ndarray,
-                 tol: float) -> np.ndarray:
-    """Each state of a stack conditioned on one event of probability ``p``
-    in it, the arithmetic of ``condition``.
-
-    ``branch`` is the event as ``_branch_of`` gives it.  Weight rows are
-    restricted and renormalized; density matrices are compressed to
-    ``(E @ rho) @ E``, made exactly Hermitian and divided by their trace.
-    Raises ZeroProbabilityCondition for the first state whose probability
-    is <= tol.
-
-    The right products by the shared ``E`` are one gemm of the rows of all
-    the left products, which gives the bits of one matmul per matrix.  The
-    left products stay one matmul per matrix: as one gemm, ``E`` times the
-    matrices side by side, they change bits at some dims (2, 3, 5 and 6,
-    among others, with the OpenBLAS that numpy wheels bundle).
-    """
-    _check_probabilities(p, tol)
-    if stack.ndim == 2:
-        return stack * branch / p[:, None]
-    d = stack.shape[-1]
-    compressed = _symmetrized(((branch @ stack).reshape(-1, d) @ branch).reshape(stack.shape))
-    compressed /= compressed.trace(axis1=1, axis2=2).real[:, None, None]
-    return compressed
-
-
 def prob(state: State, event: Event) -> float:
     """Probability of an event in a state."""
-    _shared_kind(state, event, _STATE_KINDS)
-    return float(_probabilities(_stack_of(state), event)[0])
-
-
-def _warn_if_nonunique(event: Event) -> None:
-    if isinstance(event, QuantumEvent) and event.dim == 2:
-        warnings.warn(
-            "conditioning in a dimension-2 projection lattice (type I2): the "
-            "returned state follows the compression rule, but conditional "
-            "probabilities are not unique there",
-            NonUniqueConditioningWarning, stacklevel=3)
+    kind = _shared_kind(state, event, state=True)
+    return float(kind.probabilities(kind.state_stack(state), event)[0])
 
 
 def condition(state: State, event: Event,
@@ -274,13 +132,13 @@ def condition(state: State, event: Event,
     ZeroProbabilityCondition when the event's probability is <= tol.
     """
     _require_tolerance(tol)
-    kind = _shared_kind(state, event, _STATE_KINDS)
-    stack = _stack_of(state)
-    conditioned = _conditioned(stack, _branch_of(event), _probabilities(stack, event), tol)[0]
-    _warn_if_nonunique(event)
-    if kind == "boolean":
-        return ClassicalState(state.space, conditioned)
-    return DensityState(conditioned)
+    kind = _shared_kind(state, event, state=True)
+    stack = kind.state_stack(state)
+    p = kind.probabilities(stack, event)
+    _check_probabilities(p, tol)
+    conditioned = kind.conditioned(stack, kind.branch(event), p)[0]
+    kind.warn_if_nonunique(event)
+    return kind.rebuilt(state, conditioned)
 
 
 def condition_seq(state: State, events: Sequence[Event],
@@ -290,6 +148,7 @@ def condition_seq(state: State, events: Sequence[Event],
     On failure the raised ZeroProbabilityCondition carries the index of
     the offending event.
     """
+    _require_sequence(events, "events", "events")
     if len(events) == 0:
         raise EmptyInput("condition_seq needs at least one event")
     current = state
@@ -304,22 +163,9 @@ def condition_seq(state: State, events: Sequence[Event],
     return current
 
 
-def _boolean_predictability(n_given: int, n_joint: int, tol: float) -> PredictabilityResult:
-    # Same residual as the projection formula, evaluated on indicator
-    # diagonals: ||FEF - sF||_F^2 = k(1-s)^2 + (|F|-k)s^2 with k = |E & F|.
-    s = n_joint / n_given
-    residual = math.sqrt(n_joint * (1.0 - s) ** 2 + (n_given - n_joint) * s ** 2)
-    scale = max(1.0, math.sqrt(n_given))
-    return PredictabilityResult(residual <= tol * scale, s, residual)
-
-
-def _certified(a: np.ndarray, b: np.ndarray, tr_b: float, scale: float,
-               tol: float) -> PredictabilityResult:
-    """The verdict on A = sB with s = tr A / tr B: certified when
-    ||A - sB||_F <= tol * scale and s lies in [-tol, 1 + tol], and then s
-    is clamped to [0, 1]."""
-    s = float(a.trace().real) / tr_b
-    residual = float(np.linalg.norm(a - s * b))
+def _certified(s: float, residual: float, scale: float, tol: float) -> PredictabilityResult:
+    """The verdict on a candidate s: certified when residual <= tol * scale
+    and s lies in [-tol, 1 + tol], and then s is clamped to [0, 1]."""
     predictable = residual <= tol * scale and -tol <= s <= 1.0 + tol
     if predictable:
         s = min(1.0, max(0.0, s))
@@ -336,16 +182,7 @@ def predictability(target: Event, given: Event,
     its complement.
     """
     _require_tolerance(tol)
-    if _shared_kind(target, given) == "boolean":
-        if not given.members:
-            raise ZeroEvent("conditioning event is empty")
-        return _boolean_predictability(len(given.members),
-                                       len(given.members & target.members), tol)
-    if given.rank == 0:
-        raise ZeroEvent("conditioning event is the zero projection")
-    f = given.matrix
-    return _certified(_symmetrized(f @ target.matrix @ f), f, float(f.trace().real),
-                      max(1.0, given._norm), tol)
+    return _certified(*_shared_kind(target, given).predictability(target, given), tol)
 
 
 def predictability_seq(target: Event, given: Sequence[Event],
@@ -358,32 +195,12 @@ def predictability_seq(target: Event, given: Sequence[Event],
     ImpossibleSequence when tr(B) <= tol (no state realizes the sequence)
     and ZeroEvent when some conditioning event is zero.
     """
+    _require_sequence(given, "given", "events")
     if len(given) == 0:
         raise EmptyInput("predictability_seq needs at least one event")
     _require_tolerance(tol)
-    if _shared_kind(target, given[0]) == "boolean":
-        base = frozenset(range(target.space.size))
-        for ev in given:
-            _shared_kind(target, ev)
-            if not ev.members:
-                raise ZeroEvent("a conditioning event is empty")
-            base &= ev.members
-        if not base:
-            raise ImpossibleSequence("the events have empty intersection")
-        return _boolean_predictability(len(base), len(base & target.members), tol)
-    m = np.eye(target.dim, dtype=np.complex128)
-    for ev in given:
-        _shared_kind(target, ev)
-        if ev.rank == 0:
-            raise ZeroEvent("a conditioning event is the zero projection")
-        m = m @ ev.matrix
-    b = _symmetrized(m @ m.conj().T)
-    tr_b = float(b.trace().real)
-    if tr_b <= tol:
-        raise ImpossibleSequence(
-            f"no state can realize the sequence: tr(M M^H) = {tr_b!r}")
-    return _certified(_symmetrized(m @ target.matrix @ m.conj().T), b, tr_b,
-                      max(1.0, float(np.linalg.norm(b))), tol)
+    kind = _shared_kind(target, given[0])
+    return _certified(*kind.predictability_seq(target, given, tol), tol)
 
 
 def compatibility_residuals(e: QuantumEvent, f: QuantumEvent) -> tuple[float, float, float]:
@@ -393,15 +210,7 @@ def compatibility_residuals(e: QuantumEvent, f: QuantumEvent) -> tuple[float, fl
     three vanish together in exact arithmetic.  Raises AlgebraMismatch
     unless both are quantum events of one dimension.
     """
-    if _shared_kind(e, f) == "boolean":
-        raise AlgebraMismatch("compatibility residuals need quantum events")
-    em, fm = e.matrix, f.matrix
-    eye = np.eye(e.dim)
-    ec, fc = eye - em, eye - fm
-    comm = float(np.linalg.norm(em @ fm - fm @ em))
-    ident_e = float(np.linalg.norm(em - fm @ em @ fm - fc @ em @ fc))
-    ident_f = float(np.linalg.norm(fm - em @ fm @ em - ec @ fm @ ec))
-    return comm, ident_e, ident_f
+    return _shared_kind(e, f).compatibility_residuals(e, f)
 
 
 def compatible(e: Event, f: Event, tol: float = 1e-9) -> bool:
@@ -414,22 +223,15 @@ def compatible(e: Event, f: Event, tol: float = 1e-9) -> bool:
     in exact arithmetic only, so they are reported, never consulted.
     """
     _require_tolerance(tol)
-    if _shared_kind(e, f) == "boolean":
-        return True
-    em, fm = e.matrix, f.matrix
-    comm = float(np.linalg.norm(em @ fm - fm @ em))
-    return comm <= tol * max(1.0, e._norm, f._norm)
+    return _shared_kind(e, f).compatible(e, f, tol)
 
 
 def atom_state(event: Event) -> State:
     """The unique state assigning probability 1 to an atomic event."""
-    if not is_atom(event):
+    kind = _event_kind(event, "event")
+    if not kind.is_atom(event):
         raise NotAtom("atom_state needs a minimal event")
-    if isinstance(event, BooleanEvent):
-        weights = np.zeros(event.space.size)
-        weights[next(iter(event.members))] = 1.0
-        return ClassicalState(event.space, weights)
-    return DensityState(event)
+    return kind.atom_state(event)
 
 
 def rank_one_transition(xi: StateVector, eta: StateVector) -> float:
@@ -442,7 +244,7 @@ def rank_one_transition(xi: StateVector, eta: StateVector) -> float:
 
 def atom_symmetry_check(e: Event, f: Event) -> bool:
     """For two atoms, whether P(e|f) equals P(f|e) within 1e-9."""
-    if not (is_atom(e) and is_atom(f)):
+    if not (_event_kind(e).is_atom(e) and _event_kind(f, "f").is_atom(f)):
         raise NotAtom("atom_symmetry_check needs two atomic events")
     forward = predictability(e, f).s
     backward = predictability(f, e).s
@@ -452,6 +254,7 @@ def atom_symmetry_check(e: Event, f: Event) -> bool:
 def is_dispersion_free(state: State, events: Sequence[Event]) -> bool:
     """Whether the state assigns only 0/1 probabilities, within 1e-9, to the
     given events."""
+    _require_sequence(events, "events", "events")
     for ev in events:
         p = prob(state, ev)
         if min(p, 1.0 - p) > 1e-9:

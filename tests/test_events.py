@@ -10,7 +10,7 @@ import pytest
 import orthoprob.events
 import orthoprob.linalg
 from orthoprob.errors import (AlgebraMismatch, NotOrthogonal, ValidationError)
-from orthoprob.events import (_STACKS, DEFAULT_EVENT_TOL, BooleanAlgebra,
+from orthoprob.events import (DEFAULT_EVENT_TOL, BooleanAlgebra,
                               QuantumAlgebra, QuantumEvent, SampleSpace, _one_pair,
                               below, complement, events_equal, is_atom, oplus,
                               orthogonal, verify_orthospace_axioms)
@@ -348,15 +348,14 @@ class TestStackedHarness:
     def test_checks_only_exactly_hermitian_stacks(self, dim, monkeypatch):
         # The stacked checks leave out the Hermitian scan, which holds only
         # while every matrix the harness checks equals its adjoint bit for bit.
-        checks, seen = orthoprob.events._QuantumStacks.checks, []
+        checks, seen = orthoprob.events._QUANTUM.checks, []
 
         def hermitian_only(mats):
             assert np.array_equal(mats, mats.conj().swapaxes(-1, -2))
             seen.append(len(mats))
             return checks(mats)
 
-        monkeypatch.setattr(orthoprob.events._QuantumStacks, "checks",
-                            staticmethod(hermitian_only))
+        monkeypatch.setattr(orthoprob.events._QUANTUM, "checks", hermitian_only)
         for tol in (0.0, 1e-16, 1e-9, 1.0):
             for seed in range(3):
                 try:
@@ -419,7 +418,7 @@ class TestStackedHarness:
                                             ("quantum", 5), ("quantum", 16)])
     def test_one_pair_residuals_equal_the_table(self, kind, size):
         algebra = (QuantumAlgebra if kind == "quantum" else BooleanAlgebra)(size)
-        stacks = _STACKS[kind]
+        stacks = algebra._kind
         for seed in range(3):
             d, e, f, g = harness_round(algebra, np.random.default_rng(seed))
             pool = [d, e, f, g, complement(g), algebra.zero(), algebra.one()]

@@ -14,14 +14,13 @@ from orthoprob.errors import (AlgebraMismatch, EmptyChain,
                               ImpossibleSequence, NonUniqueConditioningWarning,
                               NotPredictable, ValidationError, ZeroEvent,
                               ZeroProbabilityCondition)
-from orthoprob.events import BooleanAlgebra, QuantumAlgebra, complement
+from orthoprob.events import _BOOLEAN, _QUANTUM, BooleanAlgebra, QuantumAlgebra, complement
 from orthoprob.presets import half_transition_pair, order_dependence_example
 from orthoprob import sampler
 from orthoprob.sampler import (DEGENERATE_BRANCH, ChainResult, SamplerConfig,
                                _branches, _condition_level, _draws, _thresholds,
                                sample_chain, state_independence_check)
-from orthoprob.states import (ClassicalState, DensityState, _probabilities,
-                              atom_state, condition, condition_seq,
+from orthoprob.states import (ClassicalState, DensityState, atom_state, condition, condition_seq,
                               predictability_seq, prob)
 
 from helpers import random_density_state, random_projection
@@ -398,13 +397,14 @@ def test_level_arithmetic_matches_per_node(algebra):
         states, event = _random_level(algebra, rng)
         stack = np.stack([s.matrix if isinstance(s, DensityState) else s.weights
                           for s in states])
-        p_yes = _probabilities(stack, event)
+        p_yes = event._kind.probabilities(stack, event)
         assert np.array_equal(p_yes, [prob(s, event) for s in states])
         comp = complement(event)
         branches = [comp, event]
         realized = np.array([c for c in range(2 * len(states))
                              if prob(states[c // 2], branches[c % 2]) > 0.0])
-        children = _condition_level(stack, realized, p_yes, *_branches(event))
+        children = _condition_level(event._kind, stack, realized, p_yes,
+                                    *_branches(event._kind, event))
         for c, child in zip(realized, children):
             want = condition(states[c // 2], branches[c % 2], tol=0.0)
             assert np.array_equal(child, want.matrix if isinstance(want, DensityState)
@@ -421,10 +421,10 @@ def test_level_zero_probability_branch_matches_condition(monkeypatch):
         condition(outside, e, tol=0.0)
     # Children 0, 1 and 3: both branches of the first state, "yes" of the second.
     built = []
-    monkeypatch.setattr(sampler, "_conditioned", lambda *args: built.append(args))
+    monkeypatch.setattr(_QUANTUM, "conditioned", lambda *args: built.append(args))
     with pytest.raises(ZeroProbabilityCondition) as got:
-        _condition_level(stack, np.array([0, 1, 3]), _probabilities(stack, e),
-                         *_branches(e))
+        _condition_level(_QUANTUM, stack, np.array([0, 1, 3]), _QUANTUM.probabilities(stack, e),
+                         *_branches(_QUANTUM, e))
     assert str(got.value) == str(want.value)
     assert got.value.probability == want.value.probability == 0.0
     # The whole block's probabilities are checked before either half is built.
@@ -440,15 +440,16 @@ def test_level_in_blocks_matches_condition(monkeypatch):
     stack = np.stack([s.matrix for s in states])
     monkeypatch.setattr(sampler, "LEVEL_BLOCK_BYTES", 2 * inside.matrix.nbytes)
     realized = np.array([0, 1, 2, 4, 5, 6])
-    children = _condition_level(stack, realized, _probabilities(stack, e), *_branches(e))
+    children = _condition_level(_QUANTUM, stack, realized, _QUANTUM.probabilities(stack, e),
+                                *_branches(_QUANTUM, e))
     for c, child in zip(realized, children):
         want = condition(states[c // 2], e if c % 2 else complement(e), tol=0.0)
         assert np.array_equal(child, want.matrix)
     # Child 7, "yes" of the last state, is impossible; it sits in the last block.
     with pytest.raises(ZeroProbabilityCondition,
                        match=r"^conditioning event has probability 0\.0 <= 0\.0$"):
-        _condition_level(stack, np.append(realized, 7), _probabilities(stack, e),
-                         *_branches(e))
+        _condition_level(_QUANTUM, stack, np.append(realized, 7),
+                         _QUANTUM.probabilities(stack, e), *_branches(_QUANTUM, e))
 
 
 def _state_and_middle_event(algebra):
@@ -509,16 +510,18 @@ class TestAgainstPerNodeReference:
         chains = [_random_quantum_chain(3, 6, rng), _random_boolean_chain(6, 6, rng)]
         sizes = []
 
-        def conditioned(stack, *args):
-            sizes.append(len(stack))
-            return original(stack, *args)
+        def recording(original):
+            def conditioned(stack, *args):
+                sizes.append(len(stack))
+                return original(stack, *args)
+            return conditioned
 
-        original = sampler._conditioned
-        monkeypatch.setattr(sampler, "_conditioned", conditioned)
         for chain in chains:
             config = SamplerConfig(seed=4, trials=400)
             want = _per_node_chain(*chain, config)
             with monkeypatch.context() as patch:
+                for kind in (_QUANTUM, _BOOLEAN):
+                    patch.setattr(kind, "conditioned", recording(kind.conditioned))
                 patch.setattr(sampler, "LEVEL_BLOCK_BYTES",
                               states_per_block * chain[0].matrix.nbytes
                               if isinstance(chain[0], DensityState)

@@ -14,16 +14,16 @@ from orthoprob.errors import (AlgebraMismatch, EmptyInput, ImpossibleSequence,
                               NonUniqueConditioningWarning, NotAtom,
                               ValidationError, ZeroEvent,
                               ZeroProbabilityCondition)
-from orthoprob.events import (BooleanAlgebra, QuantumAlgebra, below,
-                              complement, oplus, orthogonal)
+from orthoprob.events import (_BOOLEAN, _QUANTUM, BooleanAlgebra, QuantumAlgebra, below,
+                              complement, is_atom, oplus, orthogonal, verify_orthospace_axioms)
 from orthoprob.linalg import (TOL_HERMITIAN, HermitianOperator, Projection, StateVector,
-                              _symmetrized, jordan_product, quadratic_triple, random_unitary)
+                              _check_density_stack, _check_weight_rows, _symmetrized,
+                              jordan_product, quadratic_triple, random_unitary)
+from orthoprob.interference import interference_decomposition
 from orthoprob.presets import half_transition_pair, order_dependence_example
-from orthoprob.sampler import sample_chain
+from orthoprob.sampler import SamplerConfig, sample_chain
 from orthoprob.states import (ClassicalState, DensityState, TableState,
-                              _check_density_stack, _check_states, _check_weight_rows,
-                              _clamp_probability, _conditioned, _probabilities,
-                              atom_state, atom_symmetry_check,
+                              _clamp_probability, atom_state, atom_symmetry_check,
                               compatibility_residuals, compatible, condition,
                               condition_seq, conditioning_contract_violations,
                               is_dispersion_free, predictability,
@@ -137,8 +137,9 @@ class TestStateConstruction:
          "density matrix has eigenvalue -5.000e-01 below -1e-10"),
     ])
     def test_state_stack_check(self, stack, message):
+        kind = _BOOLEAN if stack.ndim == 2 else _QUANTUM
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-            _check_states(stack)
+            kind.check_states(stack)
 
 
 def _eigvalsh_verdict(stack):
@@ -249,12 +250,39 @@ _W = ClassicalState(_BE.space, np.full(3, 1.0 / 3.0))
     (lambda: compatible(_RHO, _E), "cannot mix DensityState with QuantumEvent"),
     (lambda: prob(_RHO, Projection(_E.matrix)), "cannot pair DensityState with Projection"),
     (lambda: prob(_W, BooleanAlgebra(3)), "cannot pair ClassicalState with BooleanAlgebra"),
+    (lambda: orthogonal(_E, None), "cannot mix QuantumEvent with NoneType"),
+    (lambda: oplus(None, _BE), "cannot mix NoneType with BooleanEvent"),
 ])
 def test_operand_roles(call, message):
     """Each operand has the role its position gives it: an event where a
     state belongs is a mismatch, and so is a state where an event belongs,
     whatever their kinds."""
     with pytest.raises(AlgebraMismatch, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: condition_seq(_RHO, iter([_E])),
+     "events must be a sequence of events, got list_iterator"),
+    (lambda: predictability_seq(_E, iter([_E])),
+     "given must be a sequence of events, got list_iterator"),
+    (lambda: is_dispersion_free(_RHO, _E), "events must be a sequence of events, got QuantumEvent"),
+    (lambda: complement(None), "e must be an event, got NoneType"),
+    (lambda: complement(BooleanAlgebra(3)), "e must be an event, got BooleanAlgebra"),
+    (lambda: is_atom(None), "e must be an event, got NoneType"),
+    (lambda: is_atom(_RHO), "e must be an event, got DensityState"),
+    (lambda: atom_state(None), "event must be an event, got NoneType"),
+    (lambda: atom_symmetry_check(_E, None), "f must be an event, got NoneType"),
+    (lambda: interference_decomposition(None, _E, _E, _E),
+     "source_atom must be an event, got NoneType"),
+    (lambda: verify_orthospace_axioms("boolean"), "algebra must be an event algebra, got str"),
+    (lambda: verify_orthospace_axioms(_BE), "algebra must be an event algebra, got BooleanEvent"),
+])
+def test_argument_types(call, message):
+    """A single operand that is not what its parameter takes, and a
+    sequence argument that is not a sequence, get a ValidationError that
+    names the argument."""
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         call()
 
 
@@ -287,7 +315,7 @@ def test_one_state_stack_keeps_the_matrix_arithmetic(dim):
 
 @pytest.mark.parametrize("dim", STACK_DIMS)
 def test_stacks_keep_the_matrix_arithmetic(dim):
-    # _probabilities and _conditioned multiply a stack by the shared E as
+    # The kind's probabilities and conditioned multiply a stack by the shared E as
     # one gemm over the rows of all its matrices, which must give the bits
     # of one matmul per matrix.  The left product E @ rho stays one matmul
     # per matrix: as one gemm, E times the matrices side by side, it rounds
@@ -299,10 +327,10 @@ def test_stacks_keep_the_matrix_arithmetic(dim):
     assert not stacks[-1].flags.c_contiguous
     for stack in stacks:
         e = random_projection(dim, int(rng.integers(1, dim + 1)), rng).matrix
-        p = _probabilities(stack, alg.event(e))
+        p = _QUANTUM.probabilities(stack, alg.event(e))
         assert np.array_equal(
             p, _clamp_probability(np.array([(rho @ e).trace().real for rho in stack])))
-        for rho, child in zip(stack, _conditioned(stack, e, p, 0.0)):
+        for rho, child in zip(stack, _QUANTUM.conditioned(stack, e, p)):
             compressed = _symmetrized(e @ rho @ e)
             assert np.array_equal(child, compressed / compressed.trace().real)
 
@@ -930,6 +958,39 @@ class TestBooleanDiagonalStates:
                         assert image.predictable == verdict.predictable
                         assert image.s == verdict.s
                         assert compatible(qa, qb) == compatible(a, b)
+
+    def test_chains_agree(self):
+        # Weights in eighths make every first-level probability exact, so
+        # both kinds condition, certify and sample from the same numbers.
+        size = 6
+        boolean, quantum = BooleanAlgebra(size), QuantumAlgebra(size)
+
+        def diagonal(ev):
+            return quantum.event(np.diag([float(i in ev.members) for i in range(size)]))
+
+        weights = np.array([1.0, 2.0, 1.0, 1.0, 2.0, 1.0]) / 8.0
+        classical = ClassicalState(boolean.space, weights)
+        density = DensityState(np.diag(weights).astype(np.complex128))
+        e, f, g = boolean.event([0, 1, 2, 3]), boolean.event([1, 2, 4]), boolean.event([1, 5])
+        chains = [([e, f], boolean.event([1, 2])), ([e, f], boolean.event([0, 4])),
+                  ([e, f], g), ([f, e, g], e), ([f, e, complement(g)], g), ([g], f),
+                  ([e, complement(g), f], g)]
+        config = SamplerConfig(seed=7, trials=200_000)
+        verdicts = set()
+        for tests, final in chains:
+            images = [diagonal(t) for t in tests]
+            conditioned = np.diag(condition_seq(density, images).matrix).real
+            assert np.array_equal(conditioned, condition_seq(classical, tests).weights)
+            verdict = predictability_seq(final, tests)
+            image = predictability_seq(diagonal(final), images)
+            assert (image.predictable, image.s) == (verdict.predictable, verdict.s)
+            verdicts.add(verdict.predictable)
+            got = sample_chain(classical, tests, final, config)
+            want = sample_chain(density, images, diagonal(final), config)
+            assert got.outcome_counts == want.outcome_counts
+            assert got.final_event_yes_count == want.final_event_yes_count
+            assert got.predicted_p == want.predicted_p
+        assert verdicts == {True, False}
 
 
 def _compatibility_pairs(dim, rng):
