@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import OrthoprobError, ParseError, ValidationError
+from .linalg import DEFAULT_QUERY_TOL, _require_tolerance
 from .presets import half_transition_pair, order_dependence_example
 from .scenario import (MAX_AXIOM_BUDGET, MAX_TRIALS, Query, Scenario, parse_scenario,
                        run_query)
@@ -48,10 +49,9 @@ class _Parser(argparse.ArgumentParser):
 def _tolerance(text: str) -> float:
     try:
         value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+        _require_tolerance(value)
+    except ValueError:  # float()'s, or the ValidationError of _require_tolerance
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}") from None
     return value
 
 
@@ -155,7 +155,7 @@ def _run_demo_qubit(args) -> dict:
 
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
-    common.add_argument("--tol", type=_tolerance, default=1e-9,
+    common.add_argument("--tol", type=_tolerance, default=DEFAULT_QUERY_TOL,
                         help="numerical tolerance (default 1e-9)")
     common.add_argument("--seed", type=int, default=42,
                         help="random seed for sampling and axiom checks (default 42)")

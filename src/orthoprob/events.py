@@ -25,13 +25,10 @@ import numpy as np
 
 from .errors import (AlgebraMismatch, ImpossibleSequence, NonUniqueConditioningWarning,
                      NotOrthogonal, ValidationError, ZeroEvent)
-from .linalg import (Projection, _adopted, _check_density_stack, _check_weight_rows,
-                     _frobenius_norms, _projection_checks, _require_finite, _symmetrized,
-                     _symmetrized_projection, projector_from_span, random_unitary)
-
-# Relative tolerance (scaled by max(1, operand norms)) for orthogonality
-# and ordering residuals on projections.
-DEFAULT_EVENT_TOL = 1e-9
+from .linalg import (CLAMP, DEFAULT_EVENT_TOL, Projection, _adopted, _check_density_stack,
+                     _check_weight_rows, _frobenius_norms, _projection_checks, _require_finite,
+                     _require_tolerance, _symmetrized, _symmetrized_projection, _within,
+                     projector_from_span, random_unitary)
 
 
 @dataclass(frozen=True)
@@ -155,23 +152,24 @@ class QuantumAlgebra:
 EventAlgebra = Union[BooleanAlgebra, QuantumAlgebra]
 
 
-def _require_tolerance(tol: float) -> None:
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
-
-
 def _require_sequence(value, name: str, of: str) -> None:
     if not isinstance(value, Sequence):
         raise ValidationError(
             f"{name} must be a sequence of {of}, got {type(value).__name__}")
 
 
-def _clamp_probability(p: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """``p`` with values in [-tol, 0) set to 0 and values in (1, 1 + tol]
-    set to 1."""
+def _require_instance(cls: type, **values) -> None:
+    for name, value in values.items():
+        if not isinstance(value, cls):
+            raise ValidationError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+
+
+def _clamp_probability(p: np.ndarray) -> np.ndarray:
+    """``p`` with values in [-CLAMP, 0) set to 0 and values in
+    (1, 1 + CLAMP] set to 1."""
     if p.min(initial=0.0) < 0.0 or p.max(initial=1.0) > 1.0:
-        p = np.where((-tol <= p) & (p < 0.0), 0.0, p)
-        p = np.where((1.0 < p) & (p <= 1.0 + tol), 1.0, p)
+        p = np.where((-CLAMP <= p) & (p < 0.0), 0.0, p)
+        p = np.where((1.0 < p) & (p <= 1.0 + CLAMP), 1.0, p)
     return p
 
 
@@ -189,10 +187,10 @@ def _clamp_probability(p: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 # returns each entry's norm and, by position, the message its constructor
 # raises for each entry that fails.  A state stack holds m states, and
 # ``branch`` is what conditioning on an event multiplies a state by.  The
-# predictability parts return the candidate s, its residual and the
-# residual's scale, for ``states`` to certify.  ``commutative`` says that
-# all events commute: every pair is compatible, and there are no
-# compatibility residuals and no interference term.
+# predictability parts return the candidate s, its residual and its scale,
+# for ``states`` to certify with ``_within``.  ``commutative`` says that all
+# events commute: every pair is compatible, and only the other kind has a
+# ``commutator``, compatibility residuals and an interference term.
 
 
 class _BooleanKind:
@@ -303,19 +301,13 @@ class _BooleanKind:
             raise ImpossibleSequence("the events have empty intersection")
         return _counted(len(base), len(base & target.members))
 
-    def compatible(self, e, f, tol) -> bool:
-        return True
-
-    def compatibility_residuals(self, e, f):
-        raise AlgebraMismatch("compatibility residuals need quantum events")
-
 
 def _counted(n_given: int, n_joint: int):
     # The residual of the projection formula evaluated on indicator
     # diagonals: ||FEF - sF||_F^2 = k(1-s)^2 + (|F|-k)s^2 with k = |E & F|.
     s = n_joint / n_given
     residual = math.sqrt(n_joint * (1.0 - s) ** 2 + (n_given - n_joint) * s ** 2)
-    return s, residual, max(1.0, math.sqrt(n_given))
+    return s, residual, math.sqrt(n_given)
 
 
 class _QuantumKind:
@@ -352,7 +344,7 @@ class _QuantumKind:
         return _frobenius_norms(a - b)
 
     def holds(self, residuals, a_norms, b_norms, tol):
-        return residuals <= tol * np.maximum(1.0, np.maximum(a_norms, b_norms))
+        return _within(residuals, tol, np.maximum(a_norms, b_norms))
 
     def complement_of(self, mats):
         return np.eye(mats.shape[-1], dtype=np.complex128) - mats
@@ -449,7 +441,7 @@ class _QuantumKind:
             raise ZeroEvent("conditioning event is the zero projection")
         f = given.matrix
         return _trace_ratio(_symmetrized(f @ target.matrix @ f), f, float(f.trace().real),
-                            max(1.0, given._norm))
+                            given._norm)
 
     def predictability_seq(self, target, given, tol):
         m = np.eye(target.dim, dtype=np.complex128)
@@ -464,21 +456,19 @@ class _QuantumKind:
             raise ImpossibleSequence(
                 f"no state can realize the sequence: tr(M M^H) = {tr_b!r}")
         return _trace_ratio(_symmetrized(m @ target.matrix @ m.conj().T), b, tr_b,
-                            max(1.0, float(np.linalg.norm(b))))
+                            float(np.linalg.norm(b)))
 
-    def compatible(self, e, f, tol) -> bool:
+    def commutator(self, e, f) -> float:
         em, fm = e.matrix, f.matrix
-        comm = float(np.linalg.norm(em @ fm - fm @ em))
-        return comm <= tol * max(1.0, e._norm, f._norm)
+        return float(np.linalg.norm(em @ fm - fm @ em))
 
     def compatibility_residuals(self, e, f):
         em, fm = e.matrix, f.matrix
         eye = np.eye(e.dim)
         ec, fc = eye - em, eye - fm
-        comm = float(np.linalg.norm(em @ fm - fm @ em))
         ident_e = float(np.linalg.norm(em - fm @ em @ fm - fc @ em @ fc))
         ident_f = float(np.linalg.norm(fm - em @ fm @ em - ec @ fm @ ec))
-        return comm, ident_e, ident_f
+        return self.commutator(e, f), ident_e, ident_f
 
 
 def _trace_ratio(a: np.ndarray, b: np.ndarray, tr_b: float, scale: float):

@@ -18,13 +18,9 @@ from .errors import (AlgebraMismatch, DegenerateDenominator, DimensionMismatch,
                      NotAtom, NotOrthogonal, ValidationError, ZeroEvent,
                      ZeroProbabilityCondition)
 from .events import (QuantumEvent, _clamp_probability, _event_kind, _kind_of,
-                     _require_tolerance, _shared_kind, oplus, orthogonal)
-from .linalg import StateVector
+                     _require_instance, _require_tolerance, _shared_kind, oplus, orthogonal)
+from .linalg import DEFAULT_PATH_TOL, TOL_IDENTITY, TOL_OVERLAP, TOL_P_TOTAL, StateVector
 from .states import atom_state, condition, prob
-
-# Paths whose probability under the atom falls below tol contribute a
-# zero-weight term; they are listed in the report instead of dividing by 0.
-DEFAULT_PATH_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -33,8 +29,8 @@ class InterferenceReport:
 
     ``p_total`` is computed independently by conditioning on the summed
     event; construction fails unless it matches term1 + term2 + cross to
-    1e-10.  ``degenerate_paths`` lists path numbers (1 or 2) whose weight
-    vanished; their term is 0 by convention.
+    TOL_IDENTITY (1e-10).  ``degenerate_paths`` lists path numbers (1 or 2)
+    whose weight is at most tol; their term is 0 by convention.
     """
 
     p_total: float
@@ -48,10 +44,10 @@ class InterferenceReport:
 
     def __post_init__(self):
         residual = self.identity_residual
-        if residual > 1e-10:
+        if residual > TOL_IDENTITY:
             raise ValidationError(
                 f"decomposition identity violated: residual {residual:.3e}")
-        if not -1e-12 <= self.p_total <= 1.0 + 1e-12:
+        if not -TOL_P_TOTAL <= self.p_total <= 1.0 + TOL_P_TOTAL:
             raise ValidationError(f"p_total {self.p_total!r} outside [0, 1]")
 
     @property
@@ -92,8 +88,7 @@ def interference_decomposition(source_atom: QuantumEvent, path1: QuantumEvent,
             f"the summed path event has probability {p_either!r} <= {tol!r}",
             probability=p_either)
     p_paths = [prob(rho, path1), prob(rho, path2)]
-    terms = []
-    degenerate = []
+    terms, degenerate = [], []
     for k, (path, p_path) in enumerate(zip((path1, path2), p_paths), start=1):
         if p_path <= tol:
             degenerate.append(k)
@@ -112,25 +107,25 @@ def interference_decomposition(source_atom: QuantumEvent, path1: QuantumEvent,
 
 
 def two_slit(source: StateVector, path1: StateVector, path2: StateVector,
-             detector: StateVector, tol: float = 1e-9) -> float:
+             detector: StateVector, tol: float = DEFAULT_PATH_TOL) -> float:
     """Detection probability behind two slits, in closed rank-one form.
 
     |<source|path1><path1|detector> + <source|path2><path2|detector>|^2
     divided by |<source|path1>|^2 + |<source|path2>|^2.
 
-    The path vectors must be orthogonal as given, |<path1|path2>| <= 1e-8
-    (no re-orthogonalization is applied); a denominator <= tol raises
-    DegenerateDenominator.
+    The path vectors must be orthogonal as given, |<path1|path2>| <=
+    TOL_OVERLAP (1e-8; no re-orthogonalization is applied); a denominator,
+    the probability of either path, <= tol raises DegenerateDenominator.
     """
     _require_tolerance(tol)
+    _require_instance(StateVector, source=source, path1=path1, path2=path2, detector=detector)
     dims = {source.dim, path1.dim, path2.dim, detector.dim}
     if len(dims) != 1:
         raise DimensionMismatch(f"vectors have different dimensions: {sorted(dims)}")
     overlap = abs(np.vdot(path1.vector, path2.vector))
-    if overlap > 1e-8:
-        raise NotOrthogonal(
-            f"path vectors overlap: |<path1|path2>| = {overlap:.3e} exceeds "
-            "1.0e-08; supply orthogonal paths")
+    if overlap > TOL_OVERLAP:
+        raise NotOrthogonal(f"path vectors overlap: |<path1|path2>| = {overlap:.3e} exceeds "
+                            f"{TOL_OVERLAP:.1e}; supply orthogonal paths")
     amp1_in = np.vdot(source.vector, path1.vector)
     amp2_in = np.vdot(source.vector, path2.vector)
     denom = float(abs(amp1_in) ** 2 + abs(amp2_in) ** 2)

@@ -29,15 +29,31 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput, ValidationError
 
-# Absolute entrywise tolerance for accepting a matrix as Hermitian.
-TOL_HERMITIAN = 1e-10
-# Relative tolerance for a projection's idempotency residual.
-TOL_IDEMPOTENT = 1e-9
-# Absolute tolerance for accepting a vector as normalized.
-TOL_NORM = 1e-10
-# Diagonal shift under which a density stack must factor by Cholesky to pass
-# the eigenvalue bound -1e-10 without an eigvalsh (see _check_density_stack).
-_CHOLESKY_SHIFT = 1e-10 - 1e-12
+# The numerical policy: every fixed bound and every default tolerance, one name per
+# role, as the README's "Tolerances" lists them; _within applies the relative ones.
+TOL_HERMITIAN = 1e-10  # largest abs(A - A^H) entry that a constructor accepts
+TOL_IDEMPOTENT = 1e-9  # ||P@P - P||_F, and a trace's distance from a rank; relative to ||P||_F
+TOL_NORM = 1e-10  # distance of a StateVector's norm from 1
+TOL_WEIGHT_SUM = 1e-12  # distance of a ClassicalState's weight sum from 1
+TOL_TRACE = 1e-10  # distance of a DensityState's trace from 1
+MIN_EIGENVALUE = -1e-10  # lowest eigenvalue a DensityState may have
+_CHOLESKY_SHIFT = 1e-10 - 1e-12  # a density stack that factors shifted by it passes MIN_EIGENVALUE
+SPAN_DROP = 1e-10  # span residual, relative to the largest input norm, taken as dependence
+CLAMP = 1e-12  # distance outside [0, 1] from which a probability is clamped into it
+TOL_IDENTITY = 1e-10  # abs(p_total - (term1 + term2 + cross)) of an InterferenceReport
+TOL_P_TOTAL = 1e-12  # distance outside [0, 1] that an InterferenceReport's p_total may have
+TOL_OVERLAP = 1e-8  # abs(<path1|path2>) that two_slit accepts as orthogonal
+TOL_SAME_P = 1e-9  # atom_symmetry_check's abs(P(e|f) - P(f|e)); is_dispersion_free's min(p, 1 - p)
+TOL_CONTRACT = 1e-10  # conditioning_contract_violations' abs(value - conditional)
+TOL_TABLE = 1e-12  # TableState's complement, sum, range and unit checks; the qubit demo's ties
+TOL_WIRE_NORM = 1e-6  # distance from 1 of a scenario vector's norm (renormalized above TOL_NORM)
+TOL_DEVIATION = 1e-12  # state_independence_check's allowance beyond 4 standard errors
+DEFAULT_EVENT_TOL = 1e-9  # relation and commutator residuals of two events, relative to their norms
+DEFAULT_DETECTION_TOL = 1e-8  # predictability residual, relative to the conditioning events' norm
+DEFAULT_CONDITION_TOL = 1e-9  # probability at or below which conditioning is refused
+DEFAULT_PATH_TOL = 1e-9  # path probability at or below which interference drops or refuses it
+DEFAULT_QUERY_TOL = 1e-9  # tol of run_query and of --tol, passed to every operation of a query
+DEGENERATE_BRANCH = 1e-14  # branch probability that the sampler counts to the other branch
 
 
 def _square_complex(value, what: str = "matrix") -> np.ndarray:
@@ -75,6 +91,16 @@ def _symmetrized(m: np.ndarray) -> np.ndarray:
     return out
 
 
+def _within(residual, tol, scale):
+    """``residual <= tol * max(1, scale)``, elementwise: every relative verdict."""
+    return residual <= tol * np.maximum(1.0, scale)
+
+
+def _require_tolerance(tol: float) -> None:
+    if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol >= 0):
+        raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
+
+
 def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
     """Frobenius norm of each matrix in a stack of shape (..., d, d).
 
@@ -107,14 +133,13 @@ def _projection_checks(stack: np.ndarray):
     square -= stack
     residuals = _frobenius_norms(square)
     del square
-    bounds = TOL_IDEMPOTENT * np.maximum(norms, 1.0)
     # Overflow (entries of 1e154 and up) must fail too: it makes the
     # residual NaN or the norm, and with it the bound, infinite.
-    idempotent = (residuals <= bounds) & (norms < math.inf)
+    idempotent = _within(residuals, TOL_IDEMPOTENT, norms) & (norms < math.inf)
     traces = stack.trace(axis1=-2, axis2=-1).real
     # Ranks are taken of idempotent matrices only, whose traces are finite.
     ranks = np.rint(np.where(idempotent, traces, 0.0))
-    failed = (~idempotent | (np.abs(traces - ranks) > bounds)
+    failed = (~idempotent | ~_within(np.abs(traces - ranks), TOL_IDEMPOTENT, norms)
               | (ranks < 0) | (ranks > stack.shape[-1]))
     errors = [None] * len(norms)
     for i in failed.nonzero()[0]:
@@ -140,15 +165,15 @@ def _check_weight_rows(rows: np.ndarray) -> None:
         raise ValidationError(f"weights must be nonnegative, min = {float(first.min())!r}")
     totals = rows.sum(axis=1)
     off = np.abs(totals - 1.0)
-    if off.max() > 1e-12:
-        first = totals[(off > 1e-12).argmax()]
-        raise ValidationError(f"weights sum to {float(first)!r}, not 1 within 1e-12")
+    if off.max() > TOL_WEIGHT_SUM:
+        first = totals[(off > TOL_WEIGHT_SUM).argmax()]
+        raise ValidationError(f"weights sum to {float(first)!r}, not 1 within {TOL_WEIGHT_SUM!r}")
 
 
 def _check_density_stack(stack: np.ndarray) -> None:
     """The DensityState checks beyond HermitianOperator's on each matrix of
-    an (m, d, d) stack of finite Hermitian matrices: unit trace, no
-    eigenvalue below -1e-10.
+    an (m, d, d) stack of finite Hermitian matrices: unit trace within
+    TOL_TRACE, no eigenvalue below MIN_EIGENVALUE = -1e-10.
 
     Each check covers the whole stack before the next one runs, and an
     error reports the first offending matrix.
@@ -167,17 +192,17 @@ def _check_density_stack(stack: np.ndarray) -> None:
     """
     traces = stack.trace(axis1=1, axis2=2).real
     off = np.abs(traces - 1.0)
-    if off.max() > 1e-10:
-        first = traces[(off > 1e-10).argmax()]
-        raise ValidationError(f"density matrix trace {float(first)!r} is not 1 within 1e-10")
+    if off.max() > TOL_TRACE:
+        first = float(traces[(off > TOL_TRACE).argmax()])
+        raise ValidationError(f"density matrix trace {first!r} is not 1 within {TOL_TRACE!r}")
     try:
         np.linalg.cholesky(stack + _CHOLESKY_SHIFT * np.eye(stack.shape[-1]))
     except np.linalg.LinAlgError:
         low = np.linalg.eigvalsh(stack)[:, 0]
-        if low.min() < -1e-10:
-            first = low[(low < -1e-10).argmax()]
+        if low.min() < MIN_EIGENVALUE:
+            first = low[(low < MIN_EIGENVALUE).argmax()]
             raise ValidationError(
-                f"density matrix has eigenvalue {first:.3e} below -1e-10") from None
+                f"density matrix has eigenvalue {first:.3e} below {MIN_EIGENVALUE!r}") from None
 
 
 class HermitianOperator:
@@ -376,7 +401,7 @@ def projector_from_span(vectors: Sequence) -> Projection:
 
     Uses modified Gram-Schmidt with one re-orthogonalization pass.
     Vectors whose residual norm falls below the drop threshold
-    ``1e-10 * max input norm`` are treated as linearly dependent and
+    ``SPAN_DROP * max input norm`` are treated as linearly dependent and
     skipped, so the rank of the result is the numerical
     rank of the input family.
     """
@@ -401,7 +426,7 @@ def projector_from_span(vectors: Sequence) -> Projection:
         # silently drop every vector.
         if not math.isfinite(nrm):
             raise ValidationError(f"span vector norm {nrm!r} is not finite")
-    drop = 1e-10 * max(norms)
+    drop = SPAN_DROP * max(norms)
     basis: list[np.ndarray] = []
     for v in cols:
         w = v.astype(np.complex128, copy=True)

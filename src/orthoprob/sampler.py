@@ -63,12 +63,10 @@ import numpy as np
 
 from .errors import (EmptyChain, ImpossibleSequence, NotPredictable,
                      ValidationError, ZeroEvent, ZeroProbabilityCondition)
-from .events import Event, _require_sequence, _require_tolerance, _shared_kind, complement
+from .events import Event, _require_instance, _require_sequence, _shared_kind, complement
+from .linalg import DEFAULT_CONDITION_TOL, DEGENERATE_BRANCH, TOL_DEVIATION
 from .states import State, _check_probabilities, condition, predictability_seq, prob
 
-# Branch probabilities inside (0, 1e-14) are counted to the complementary
-# branch so no trial ever conditions on a numerically vanishing event.
-DEGENERATE_BRANCH = 1e-14
 # Bytes of states or draws a level handles at once: the level's
 # temporaries stay near this size, however many states or trials it holds.
 LEVEL_BLOCK_BYTES = 1 << 18
@@ -76,11 +74,10 @@ LEVEL_BLOCK_BYTES = 1 << 18
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Trial count, RNG seed, and probability tolerance for chain runs."""
+    """Trial count and RNG seed for chain runs."""
 
     seed: int = 42
     trials: int = 100_000
-    tol: float = 1e-9
 
     def __post_init__(self):
         if isinstance(self.trials, bool) or not isinstance(self.trials, int) \
@@ -89,7 +86,6 @@ class SamplerConfig:
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) \
                 or not 0 <= self.seed < 2 ** 64:
             raise ValidationError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        _require_tolerance(self.tol)
 
 
 @dataclass(frozen=True)
@@ -140,11 +136,6 @@ def _draws(philox: np.random.Philox, m: int) -> np.ndarray:
     words = philox.random_raw(m)
     words >>= 11
     return words
-
-
-def _require_config(config) -> None:
-    if not isinstance(config, SamplerConfig):
-        raise ValidationError(f"config must be a SamplerConfig, got {type(config).__name__}")
 
 
 def _block_size(stack: np.ndarray) -> int:
@@ -206,7 +197,7 @@ def sample_chain(initial: State, tests: Sequence[Event], final: Event,
     probability when the chain is statistically predictable, else None.
     """
     _require_sequence(tests, "tests", "events")
-    _require_config(config)
+    _require_instance(SamplerConfig, config=config)
     if len(tests) == 0:
         raise EmptyChain("sample_chain needs at least one test event")
     kind = _shared_kind(initial, final, state=True)
@@ -296,8 +287,8 @@ class StateIndependenceReport:
     """Empirical check that a predictable chain ignores the initial state.
 
     ``passed`` means every run landed within four standard errors of the
-    certified value (plus a 1e-12 absolute allowance so zero-variance
-    chains are not failed over float roundoff in the certificate).
+    certified value, plus TOL_DEVIATION so that zero-variance chains are
+    not failed over float roundoff in the certificate.
     """
 
     predicted_p: float
@@ -315,11 +306,13 @@ def state_independence_check(target: Event, tests: Sequence[Event],
 
     Raises NotPredictable when the chain has no state-independent value,
     and ZeroProbabilityCondition when some initial state cannot realize
-    the all-yes path (analytic path probability <= config.tol).
+    the all-yes path (analytic path probability <= DEFAULT_CONDITION_TOL).
     """
     _require_sequence(tests, "tests", "events")
     _require_sequence(initial_states, "initial_states", "states")
-    _require_config(config)
+    _require_instance(SamplerConfig, config=config)
+    if len(tests) == 0:
+        raise EmptyChain("state_independence_check needs at least one test event")
     if len(initial_states) == 0:
         raise ValidationError("state_independence_check needs at least one initial state")
     detection = predictability_seq(target, tests)
@@ -333,10 +326,10 @@ def state_independence_check(target: Event, tests: Sequence[Event],
         walking, path_p = state, 1.0
         for k, ev in enumerate(tests):
             path_p *= prob(walking, ev)
-            if path_p <= config.tol:
+            if path_p <= DEFAULT_CONDITION_TOL:
                 raise ZeroProbabilityCondition(
                     f"initial state {i} gives the all-yes path probability "
-                    f"{path_p!r} <= {config.tol!r} by step {k}",
+                    f"{path_p!r} <= {DEFAULT_CONDITION_TOL!r} by step {k}",
                     index=k, probability=path_p)
             walking = condition(walking, ev, tol=0.0)
         run_config = replace(config, seed=(config.seed + i) % 2 ** 64)
@@ -350,9 +343,9 @@ def state_independence_check(target: Event, tests: Sequence[Event],
             deviations.append(float("inf"))
             continue
         err = abs(r.empirical_p - predicted)
-        if err > 4.0 * r.std_error + 1e-12:
+        if err > 4.0 * r.std_error + TOL_DEVIATION:
             passed = False
         deviations.append(err / r.std_error if r.std_error > 0.0 else
-                          (0.0 if err <= 1e-12 else float("inf")))
+                          (0.0 if err <= TOL_DEVIATION else float("inf")))
     return StateIndependenceReport(predicted_p=predicted, results=tuple(results),
                                    deviations=tuple(deviations), passed=passed)

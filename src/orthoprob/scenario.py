@@ -27,7 +27,7 @@ from .errors import AlgebraMismatch, DimensionMismatch, ParseError, ValidationEr
 from .events import (BooleanAlgebra, Event, EventAlgebra, QuantumAlgebra, _require_tolerance,
                      verify_orthospace_axioms)
 from .interference import interference_decomposition, two_slit
-from .linalg import TOL_NORM, StateVector, projector_from_span
+from .linalg import DEFAULT_QUERY_TOL, TOL_NORM, TOL_WIRE_NORM, StateVector, projector_from_span
 from .sampler import SamplerConfig, sample_chain
 from .states import (ClassicalState, DensityState, State, compatibility_residuals,
                      compatible, condition, condition_seq, predictability,
@@ -305,7 +305,7 @@ class _QuantumForms:
             raise ValidationError(
                 f"vector has {arr.shape[0]} entries, algebra dimension is {algebra.dim}")
         norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > 1e-6:
+        if abs(norm - 1.0) > TOL_WIRE_NORM:
             raise ValidationError(
                 f"vector norm {norm!r} is farther than 1e-6 from 1; not normalizing")
         # Dividing an already unit vector would move its bits on every parse.
@@ -527,7 +527,7 @@ def _run_two_slit(scenario, q, echo, tol, seed, trials) -> dict:
 
 
 def _run_sample(scenario, q, echo, tol, seed, trials) -> dict:
-    config = SamplerConfig(seed=seed, trials=trials, tol=tol)
+    config = SamplerConfig(seed=seed, trials=trials)
     result = sample_chain(_as_state(scenario, q["initial"]),
                           [scenario.events[n] for n in q["tests"]],
                           scenario.events[q["final"]], config)
@@ -570,7 +570,7 @@ QUERY_TABLE = {
 }
 
 
-def run_query(scenario: Scenario, tol: float = 1e-9, seed: int = 42,
+def run_query(scenario: Scenario, tol: float = DEFAULT_QUERY_TOL, seed: int = 42,
               trials: int = 100_000) -> dict:
     """Execute the scenario's query and return a JSON-ready result record.
 

@@ -22,18 +22,14 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import (DimensionMismatch, EmptyInput, NonUniqueConditioningWarning, NotAtom,
-                     ValidationError, ZeroProbabilityCondition)
+from .errors import (AlgebraMismatch, DimensionMismatch, EmptyInput, NonUniqueConditioningWarning,
+                     NotAtom, ValidationError, ZeroProbabilityCondition)
 from .events import (_BOOLEAN, _QUANTUM, Event, QuantumAlgebra, QuantumEvent, _clamp_probability,
-                     _event_kind, _require_sequence, _require_tolerance, _shared_kind, below,
-                     complement, events_equal)
-from .linalg import (HermitianOperator, StateVector, _check_density_stack,
-                     _check_weight_rows)
-
-# Relative tolerance for certifying the predictability residual.
-DEFAULT_DETECTION_TOL = 1e-8
-# Probability threshold below which conditioning is refused.
-DEFAULT_CONDITION_TOL = 1e-9
+                     _event_kind, _require_instance, _require_sequence, _require_tolerance,
+                     _shared_kind, below, complement, events_equal)
+from .linalg import (DEFAULT_CONDITION_TOL, DEFAULT_DETECTION_TOL, DEFAULT_EVENT_TOL,
+                     TOL_CONTRACT, TOL_SAME_P, TOL_TABLE, HermitianOperator, StateVector,
+                     _check_density_stack, _check_weight_rows, _within)
 
 
 class ClassicalState:
@@ -164,9 +160,9 @@ def condition_seq(state: State, events: Sequence[Event],
 
 
 def _certified(s: float, residual: float, scale: float, tol: float) -> PredictabilityResult:
-    """The verdict on a candidate s: certified when residual <= tol * scale
-    and s lies in [-tol, 1 + tol], and then s is clamped to [0, 1]."""
-    predictable = residual <= tol * scale and -tol <= s <= 1.0 + tol
+    """The verdict on a candidate s: certified when ``_within(residual, tol,
+    scale)`` and s lies in [-tol, 1 + tol], and then s is clamped to [0, 1]."""
+    predictable = bool(_within(residual, tol, scale)) and -tol <= s <= 1.0 + tol
     if predictable:
         s = min(1.0, max(0.0, s))
     return PredictabilityResult(predictable, s, residual)
@@ -210,10 +206,13 @@ def compatibility_residuals(e: QuantumEvent, f: QuantumEvent) -> tuple[float, fl
     three vanish together in exact arithmetic.  Raises AlgebraMismatch
     unless both are quantum events of one dimension.
     """
-    return _shared_kind(e, f).compatibility_residuals(e, f)
+    kind = _shared_kind(e, f)
+    if kind.commutative:
+        raise AlgebraMismatch("compatibility residuals need quantum events")
+    return kind.compatibility_residuals(e, f)
 
 
-def compatible(e: Event, f: Event, tol: float = 1e-9) -> bool:
+def compatible(e: Event, f: Event, tol: float = DEFAULT_EVENT_TOL) -> bool:
     """Whether both total-probability decompositions hold across the pair.
 
     Boolean events are always compatible.  Projections are compatible
@@ -223,7 +222,8 @@ def compatible(e: Event, f: Event, tol: float = 1e-9) -> bool:
     in exact arithmetic only, so they are reported, never consulted.
     """
     _require_tolerance(tol)
-    return _shared_kind(e, f).compatible(e, f, tol)
+    kind = _shared_kind(e, f)
+    return kind.commutative or bool(_within(kind.commutator(e, f), tol, max(e._norm, f._norm)))
 
 
 def atom_state(event: Event) -> State:
@@ -236,6 +236,7 @@ def atom_state(event: Event) -> State:
 
 def rank_one_transition(xi: StateVector, eta: StateVector) -> float:
     """Transition probability |<eta|xi>|^2 between two unit vectors."""
+    _require_instance(StateVector, xi=xi, eta=eta)
     if xi.dim != eta.dim:
         raise DimensionMismatch(
             f"vectors have different dimensions: {xi.dim} vs {eta.dim}")
@@ -243,23 +244,17 @@ def rank_one_transition(xi: StateVector, eta: StateVector) -> float:
 
 
 def atom_symmetry_check(e: Event, f: Event) -> bool:
-    """For two atoms, whether P(e|f) equals P(f|e) within 1e-9."""
+    """For two atoms, whether P(e|f) equals P(f|e) within TOL_SAME_P (1e-9)."""
     if not (_event_kind(e).is_atom(e) and _event_kind(f, "f").is_atom(f)):
         raise NotAtom("atom_symmetry_check needs two atomic events")
-    forward = predictability(e, f).s
-    backward = predictability(f, e).s
-    return abs(forward - backward) <= 1e-9
+    return abs(predictability(e, f).s - predictability(f, e).s) <= TOL_SAME_P
 
 
 def is_dispersion_free(state: State, events: Sequence[Event]) -> bool:
-    """Whether the state assigns only 0/1 probabilities, within 1e-9, to the
-    given events."""
+    """Whether the state assigns only 0/1 probabilities, within TOL_SAME_P
+    (1e-9), to the given events."""
     _require_sequence(events, "events", "events")
-    for ev in events:
-        p = prob(state, ev)
-        if min(p, 1.0 - p) > 1e-9:
-            return False
-    return True
+    return not any(min(p, 1.0 - p) > TOL_SAME_P for p in (prob(state, ev) for ev in events))
 
 
 # ---------------------------------------------------------------------------
@@ -299,21 +294,21 @@ class TableState:
                 raise ValidationError(f"complement map is not an involution at {name!r}")
             # Float complements round-trip only to ~1 ulp, so compare with a
             # tight tolerance rather than bitwise.
-            if not events_equal(events[partner], complement(events[name]), tol=1e-12):
+            if not events_equal(events[partner], complement(events[name]), tol=TOL_TABLE):
                 raise ValidationError(
                     f"event {partner!r} is not the complement of {name!r}")
             total = values[name] + values[partner]
-            if abs(total - 1.0) > 1e-12:
+            if abs(total - 1.0) > TOL_TABLE:
                 raise ValidationError(
                     f"values of {name!r} and {partner!r} sum to {total!r}, not 1")
         for name, value in values.items():
-            if not -1e-12 <= value <= 1.0 + 1e-12:
+            if not -TOL_TABLE <= value <= 1.0 + TOL_TABLE:
                 raise ValidationError(f"value of {name!r} is {value!r}, outside [0, 1]")
         dim = dims.pop()
         eye = np.eye(dim, dtype=np.complex128)
         for name, ev in events.items():
-            if ev.rank == dim and float(np.linalg.norm(ev.matrix - eye)) <= 1e-12:
-                if abs(values[name] - 1.0) > 1e-12:
+            if ev.rank == dim and float(np.linalg.norm(ev.matrix - eye)) <= TOL_TABLE:
+                if abs(values[name] - 1.0) > TOL_TABLE:
                     raise ValidationError(
                         f"unit event {name!r} has value {values[name]!r}, expected 1")
         self.events = events
@@ -332,10 +327,11 @@ def conditioning_contract_violations(table: TableState, base: DensityState,
     """Check a table against the conditional-probability contract.
 
     For every listed event X below the conditioning event E, the table
-    must assign value(X) = prob(base, X) / prob(base, E) within 1e-10.
-    Returns a list of human-readable violations (empty when the contract
-    holds).
+    must assign value(X) = prob(base, X) / prob(base, E) within
+    TOL_CONTRACT (1e-10).  Returns a list of human-readable violations
+    (empty when the contract holds).
     """
+    _require_instance(TableState, table=table)
     cond = table.events[condition_name]
     p_cond = prob(base, cond)
     if p_cond <= 0.0:
@@ -346,7 +342,7 @@ def conditioning_contract_violations(table: TableState, base: DensityState,
             continue
         expected = prob(base, ev) / p_cond
         got = table.values[name]
-        if abs(got - expected) > 1e-10:
+        if abs(got - expected) > TOL_CONTRACT:
             out.append(f"{name!r}: table value {got!r} != {expected!r}")
     return out
 
@@ -398,7 +394,7 @@ def qubit_nonuniqueness_demo(angle: float = math.pi / 4) -> QubitNonUniquenessRe
         warnings.simplefilter("ignore", NonUniqueConditioningWarning)
         conditioned = condition(base, e)
     nu1 = {name: prob(conditioned, ev) for name, ev in events.items()}
-    special = abs(nu1["G"] - 0.5) <= 1e-12
+    special = abs(nu1["G"] - 0.5) <= TOL_TABLE
     nu2 = dict(nu1)
     if special:
         nu2["G"], nu2["G'"] = 1.0, 0.0
@@ -407,7 +403,7 @@ def qubit_nonuniqueness_demo(angle: float = math.pi / 4) -> QubitNonUniquenessRe
     table1 = TableState(events, nu1, complements)
     table2 = TableState(events, nu2, complements)
     differ = tuple(sorted(n for n in events
-                          if abs(nu1[n] - nu2[n]) > 1e-12))
+                          if abs(nu1[n] - nu2[n]) > TOL_TABLE))
     return QubitNonUniquenessReport(
         compression=table1, alternative=table2, base=base,
         condition_name="E", differ_on=differ, special_case=special,

@@ -1,4 +1,5 @@
-"""The public API's parameter names, and its contract for caller tolerances.
+"""The public API's parameter names, its contract for caller tolerances,
+and the one table of numerical bounds.
 
 ``SURFACE`` lists the parameters of every function, constructor and public
 method that ``orthoprob.__all__`` exports, as ``inspect.signature`` reads
@@ -8,17 +9,23 @@ own ``__init__``.
 """
 
 import inspect
+import io
 import math
+import re
+import tokenize
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import orthoprob
 from orthoprob import (QuantumAlgebra, StateVector, below, compatible, condition,
-                       condition_seq, events_equal, half_transition_pair,
-                       interference_decomposition, oplus, orthogonal, predictability,
-                       predictability_seq, two_slit)
+                       condition_seq, events, events_equal, half_transition_pair,
+                       interference, interference_decomposition, linalg, oplus, orthogonal,
+                       predictability, predictability_seq, sampler, states, two_slit)
 from orthoprob.errors import ValidationError
+
+ROOT = Path(__file__).resolve().parent.parent
 
 SURFACE = {
     "AxiomReport": ("algebra", "rounds", "seed", "checks", "failures", "messages"),
@@ -46,7 +53,7 @@ SURFACE = {
     "QubitNonUniquenessReport": ("compression", "alternative", "base", "condition_name",
                                  "differ_on", "special_case", "note"),
     "SampleSpace": ("size", "labels"),
-    "SamplerConfig": ("seed", "trials", "tol"),
+    "SamplerConfig": ("seed", "trials"),
     "Scenario": ("algebra", "events", "states", "query"),
     "StateIndependenceReport": ("predicted_p", "results", "deviations", "passed"),
     "StateVector": ("entries",),
@@ -141,13 +148,50 @@ def _calls():
 CALLS = sorted(_calls())
 
 
-@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf, None, "1e-9"])
 @pytest.mark.parametrize("entry", CALLS)
 def test_invalid_tolerance_is_refused(entry, tol):
     # Each call succeeds at tol 1e-9; a negative, NaN or infinite tol used
     # to give a confident verdict, such as "not predictable" for the sec7
-    # pair at tol -1.
+    # pair at tol -1, and a tol of another type ended in a TypeError.
     call = _calls()[entry]
     call(1e-9)
     with pytest.raises(ValidationError, match="tol must be finite and >= 0"):
         call(tol)
+
+
+# One row of the table at the top of linalg.py: ``NAME = value  # role``.
+TABLE_ROW = re.compile(r"^(_?[A-Z][A-Z_]*) = ([^#\n]+?)  # (.+)$", re.MULTILINE)
+
+
+def test_readme_lists_the_tolerance_table():
+    """README "Tolerances" lists the table at the top of linalg.py row for
+    row: name, value as written, and role (a ``|`` escaped as ``\\|``)."""
+    table = TABLE_ROW.findall(inspect.getsource(linalg))
+    assert len(table) > 20
+    for name, _, _ in table:
+        assert isinstance(getattr(linalg, name), float)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Tolerances\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `linalg\.(\w+)` \| (.+?) \| (.+) \|$", section, re.MULTILINE)
+    assert [(name, value, role.replace("\\|", "|")) for name, value, role in rows] == table
+
+
+@pytest.mark.parametrize("module, name", [
+    (events, "DEFAULT_EVENT_TOL"), (states, "DEFAULT_DETECTION_TOL"),
+    (states, "DEFAULT_CONDITION_TOL"), (interference, "DEFAULT_PATH_TOL"),
+    (sampler, "DEGENERATE_BRANCH")])
+def test_old_names_read_the_table(module, name):
+    assert getattr(module, name) is getattr(linalg, name)
+
+
+def test_bounds_are_read_from_the_table():
+    """No module writes a float in exponent form outside the table: every
+    bound and default reads a name from it.  Strings and comments may."""
+    table_lines = {m.group(0) for m in TABLE_ROW.finditer(inspect.getsource(linalg))}
+    for path in sorted((ROOT / "src" / "orthoprob").glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        for token in tokenize.generate_tokens(io.StringIO(source).readline):
+            if token.type == tokenize.NUMBER and re.search(r"[eE][-+]?\d", token.string):
+                assert lines[token.start[0] - 1] in table_lines, (path.name, token.start)

@@ -135,6 +135,18 @@ class TestScenarioCommands:
         assert out["passed"] is True
         assert out["budget"] == 40
 
+    def test_axioms_budget_defaults_to_1000(self, monkeypatch):
+        # die.json's query is a condition query, so no budget comes from it.
+        seen = []
+
+        def run_query(scenario, **kwargs):
+            seen.append(scenario.query.fields["budget"])
+            return {}
+
+        monkeypatch.setattr(cli, "run_query", run_query)
+        assert main(["axioms", "--scenario", str(SCENARIO_DIR / "die.json")]) == 0
+        assert seen == [1000]
+
     def test_compat_and_interfere(self, tmp_path):
         doc = {
             "algebra": {"kind": "quantum", "dim": 3},
@@ -205,6 +217,20 @@ class TestExitCodes:
             main([*command, "--tol", tol])
         assert info.value.code == 1
         assert "argument --tol" in capsys.readouterr().err
+
+    def test_tol_must_be_a_number(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["demo-sec7", "--tol", "tiny"])
+        assert info.value.code == 1
+        assert capsys.readouterr().err.endswith(
+            "error: argument --tol: expected a finite number >= 0, got 'tiny'\n")
+
+    def test_scenario_without_a_query(self, tmp_path, capsys):
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps({"algebra": {"kind": "boolean", "size": 2}}))
+        assert main(["predict", "--scenario", str(path)]) == 1
+        assert capsys.readouterr().err == \
+            "error: scenario has no query; 'predict' needs one of: predictability\n"
 
     def test_oversized_integer_entry(self, tmp_path, capsys):
         path = tmp_path / "huge.json"

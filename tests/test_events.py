@@ -93,6 +93,10 @@ class TestQuantumAlgebra:
         with pytest.raises(ValidationError):
             qdim3.event(np.diag([1.0, 0.3, 0.0]))
 
+    def test_dimension_must_be_positive(self):
+        with pytest.raises(ValidationError, match="^quantum algebra dimension must be >= 1$"):
+            QuantumAlgebra(0)
+
     def test_rejects_wrong_dimension(self, qdim3):
         with pytest.raises(AlgebraMismatch):
             qdim3.event(np.eye(4))

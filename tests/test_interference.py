@@ -7,7 +7,7 @@ import pytest
 
 import orthoprob.interference
 from orthoprob.errors import (AlgebraMismatch, DegenerateDenominator, DimensionMismatch,
-                              NotAtom, NotOrthogonal,
+                              NotAtom, NotOrthogonal, ZeroEvent,
                               ZeroProbabilityCondition)
 from orthoprob.events import BooleanAlgebra, QuantumAlgebra, oplus
 from orthoprob.interference import InterferenceReport, interference_decomposition, two_slit
@@ -109,6 +109,11 @@ class TestDecomposition:
         tilted = alg.event_from_span([np.array([1.0, 1.0, 0.0])])
         with pytest.raises(NotOrthogonal):
             interference_decomposition(d, e1, tilted, alg.one())
+
+    def test_paths_must_be_nonzero(self, slits):
+        alg, d, e1, _ = slits
+        with pytest.raises(ZeroEvent, match="^path events must be nonzero$"):
+            interference_decomposition(d, e1, alg.zero(), alg.one())
 
     def test_unreachable_paths(self, slits):
         alg, _, e1, e2 = slits

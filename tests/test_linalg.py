@@ -12,7 +12,7 @@ from orthoprob.errors import DimensionMismatch, EmptyInput, ValidationError
 from orthoprob.events import QuantumEvent, complement
 from orthoprob.linalg import (HermitianOperator, Projection, StateVector,
                               _frobenius_norms, _jp, _projection_checks, _symmetrized,
-                              jordan_product, projector_from_span, quadratic_triple,
+                              _within, jordan_product, projector_from_span, quadratic_triple,
                               random_unitary, triple_product)
 
 from helpers import (is_positive_semidefinite, matmul, min_eigenvalue,
@@ -87,6 +87,11 @@ class TestConstructors:
             StateVector(np.array([1.0, 1.0]))
         with pytest.raises(ValidationError):
             StateVector(np.array([0.0, 0.0]))
+
+    def test_state_vector_shape(self):
+        with pytest.raises(ValidationError) as exc:
+            StateVector(np.eye(2))
+        assert str(exc.value) == "state vector must be 1-d and nonempty, got shape (2, 2)"
 
     def test_state_vector_projector(self):
         v = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
@@ -238,6 +243,17 @@ class TestSpanProjector:
                 pytest.raises(ValidationError, match="span vector norm inf is not finite"):
             projector_from_span([np.array(v) for v in vectors])
 
+    @pytest.mark.parametrize("vectors, error, message", [
+        ([np.eye(2)], ValidationError, "span vectors must be 1-d"),
+        ([np.array([1.0, np.nan])], ValidationError, "span vector entries must be finite"),
+        ([np.ones(2), np.ones(3)], DimensionMismatch,
+         "span vectors have different lengths: [2, 3]"),
+    ], ids=["not-1-d", "not-finite", "lengths"])
+    def test_malformed_vectors_rejected(self, vectors, error, message):
+        with pytest.raises(error) as exc:
+            projector_from_span(vectors)
+        assert str(exc.value) == message
+
     def test_large_in_range_vector(self):
         p = projector_from_span([np.array([1e150, 1e150])])
         assert p.rank == 1
@@ -347,6 +363,15 @@ class TestAdoptedResults:
             with np.errstate(over="ignore", invalid="ignore"), \
                     pytest.raises(ValidationError, match="^matrix entries must be finite$"):
                 operation(big, big)
+
+
+def test_within_is_the_relative_rule():
+    # residual <= tol * max(1, scale), elementwise: the bound itself passes,
+    # a scale below 1 counts as 1, and a NaN residual fails.
+    residual = np.array([0.0, 2e-9, 2e-9, 3e-9, np.nan])
+    scale = np.array([0.0, 2.0, 0.5, 2.0, 1.0])
+    assert _within(residual, 1e-9, scale).tolist() == [True, True, False, False, False]
+    assert _within(0.0, 0.0, 7.0)
 
 
 class TestKernelNorm:

@@ -168,9 +168,6 @@ class TestConfig:
             ({"seed": 2 ** 64},
              "seed must be an unsigned 64-bit integer, got 18446744073709551616"),
             ({"seed": True}, "seed must be an unsigned 64-bit integer, got True"),
-            ({"tol": -1e-9}, "tol must be finite and >= 0, got -1e-09"),
-            ({"tol": math.inf}, "tol must be finite and >= 0, got inf"),
-            ({"tol": math.nan}, "tol must be finite and >= 0, got nan"),
         ]
         for kwargs, message in cases:
             with pytest.raises(ValidationError) as exc:
@@ -190,8 +187,10 @@ class TestConfig:
          "tests must be a sequence of events, got list_iterator"),
         (lambda rho, e: state_independence_check(e, [e], [rho], 10),
          "config must be a SamplerConfig, got int"),
+        (lambda rho, e: state_independence_check(e, [e], []),
+         "state_independence_check needs at least one initial state"),
     ], ids=["chain-config", "chain-tests", "bare-state", "state-iterator",
-            "independence-tests", "independence-config"])
+            "independence-tests", "independence-config", "no-initial-states"])
     def test_arguments_are_checked(self, half_pair_chain, call, message):
         mixed, e, _ = half_pair_chain
         with pytest.raises(ValidationError) as exc:
@@ -227,6 +226,26 @@ class TestStateIndependence:
         mixed = DensityState(np.eye(3) / 3.0)
         with pytest.raises(NotPredictable):
             state_independence_check(tilted, [plane], [mixed])
+
+    def test_empty_tests_rejected(self, half_pair_chain):
+        # Refused before detection runs, which would name predictability_seq.
+        mixed, _, f = half_pair_chain
+        with pytest.raises(EmptyChain) as info:
+            state_independence_check(f, [], [mixed])
+        assert str(info.value) == "state_independence_check needs at least one test event"
+
+    def test_run_without_all_yes_trials_fails(self):
+        # The all-yes path has probability 3e-9, above the refusal bound of
+        # 1e-9, but 1000 trials realize it with probability about 3e-6.
+        alg = QuantumAlgebra(2)
+        e, plus = alg.event(np.diag([1.0, 0.0])), alg.event_from_span([np.array([1.0, 1.0])])
+        rare = DensityState(np.diag([3e-9, 1.0 - 3e-9]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonUniqueConditioningWarning)
+            report = state_independence_check(plus, [e], [rare], SamplerConfig(trials=1_000))
+        assert report.results[0].all_yes_count == 0
+        assert not report.passed
+        assert report.deviations == (math.inf,)
 
     def test_unreachable_state_rejected(self, half_pair_chain):
         mixed, e, f = half_pair_chain

@@ -279,6 +279,10 @@ def one_entry_doc(form, value, dim=1):
      "states.s: density matrix trace 1.8446744073709552e+19 is not 1 within 1e-10"),
     ("matrix", [[[float("nan"), 0]]], 1, "events.e: matrix entries must be finite"),
     ("vector", [[float("nan"), 0]], 1, "states.s: state vector entries must be finite"),
+    pytest.param("density", [[[1, 0]]], 2,
+                 "states.s: density matrix is 1x1, algebra dimension is 2", id="density-size"),
+    pytest.param("vector", [[1, 0]], 2,
+                 "states.s: vector has 1 entries, algebra dimension is 2", id="vector-size"),
 ])
 def test_malformed_array_message(form, value, dim, message):
     with pytest.raises(ValidationError) as info:
@@ -348,11 +352,21 @@ def test_oversized_integer_weight_is_a_validation_error():
     ({"kind": "quantum", "dim": scenario.MAX_ALGEBRA_SIZE + 1},
      "algebra.dim: expected at most 64"),
     ({"kind": "quantum", "dim": 10 ** 30}, "algebra.dim: expected at most 64"),
+    pytest.param({"kind": "boolean", "size": 2, "labels": ["a", "a"]},
+                 "algebra: sample point labels must be distinct", id="duplicate-labels"),
 ])
 def test_algebra_size_is_bounded(algebra, message):
     with pytest.raises(ValidationError) as info:
         parse_scenario(json.dumps({"algebra": algebra}))
     assert str(info.value) == message
+
+
+def test_weights_must_be_numbers():
+    doc = json.dumps({"algebra": {"kind": "boolean", "size": 2},
+                      "states": {"s": {"weights": [0.5, "0.5"]}}})
+    with pytest.raises(ValidationError) as info:
+        parse_scenario(doc)
+    assert str(info.value) == "states.s: 'weights' must be an array of numbers"
 
 
 def test_algebra_size_ceiling_is_admitted():

@@ -10,16 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthoprob.errors import (AlgebraMismatch, EmptyInput, ImpossibleSequence,
-                              NonUniqueConditioningWarning, NotAtom,
-                              ValidationError, ZeroEvent,
-                              ZeroProbabilityCondition)
+from orthoprob.errors import (AlgebraMismatch, DimensionMismatch, EmptyInput,
+                              ImpossibleSequence, NonUniqueConditioningWarning, NotAtom,
+                              ValidationError, ZeroEvent, ZeroProbabilityCondition)
 from orthoprob.events import (_BOOLEAN, _QUANTUM, BooleanAlgebra, QuantumAlgebra, below,
                               complement, is_atom, oplus, orthogonal, verify_orthospace_axioms)
 from orthoprob.linalg import (TOL_HERMITIAN, HermitianOperator, Projection, StateVector,
                               _check_density_stack, _check_weight_rows, _symmetrized,
                               jordan_product, quadratic_triple, random_unitary)
-from orthoprob.interference import interference_decomposition
+from orthoprob.interference import interference_decomposition, two_slit
 from orthoprob.presets import half_transition_pair, order_dependence_example
 from orthoprob.sampler import SamplerConfig, sample_chain
 from orthoprob.states import (ClassicalState, DensityState, TableState,
@@ -57,6 +56,11 @@ class TestStateConstruction:
         w = np.array([0.5, 0.6, -0.1, 0.0, 0.0, 0.0])
         with pytest.raises(ValidationError):
             ClassicalState(die.space, w)
+
+    def test_classical_needs_one_weight_per_point(self, die):
+        with pytest.raises(ValidationError) as exc:
+            ClassicalState(die.space, np.full(5, 0.2))
+        assert str(exc.value) == "expected 6 weights, got shape (5,)"
 
     def test_density_needs_unit_trace(self):
         with pytest.raises(ValidationError):
@@ -237,6 +241,7 @@ _E = QuantumAlgebra(3).event(np.diag([1.0, 0.0, 0.0]))
 _BE = BooleanAlgebra(3).event([0])
 _RHO = DensityState(np.eye(3) / 3.0)
 _W = ClassicalState(_BE.space, np.full(3, 1.0 / 3.0))
+_V = StateVector([1.0, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("call, message", [
@@ -277,6 +282,14 @@ def test_operand_roles(call, message):
      "source_atom must be an event, got NoneType"),
     (lambda: verify_orthospace_axioms("boolean"), "algebra must be an event algebra, got str"),
     (lambda: verify_orthospace_axioms(_BE), "algebra must be an event algebra, got BooleanEvent"),
+    (lambda: condition(_RHO, _E, tol=None), "tol must be finite and >= 0, got None"),
+    (lambda: orthogonal(_E, _E, tol="1e-9"), "tol must be finite and >= 0, got '1e-9'"),
+    (lambda: rank_one_transition(None, None), "xi must be a StateVector, got NoneType"),
+    (lambda: rank_one_transition(_V, _E), "eta must be a StateVector, got QuantumEvent"),
+    (lambda: two_slit(None, None, None, None), "source must be a StateVector, got NoneType"),
+    (lambda: two_slit(_V, _V, _V, _RHO), "detector must be a StateVector, got DensityState"),
+    (lambda: conditioning_contract_violations(None, _RHO, "a"),
+     "table must be a TableState, got NoneType"),
 ])
 def test_argument_types(call, message):
     """A single operand that is not what its parameter takes, and a
@@ -668,6 +681,9 @@ class TestAtoms:
         assert rank_one_transition(e1, e2) == 0.0
         assert rank_one_transition(e1, e1) == pytest.approx(1.0, abs=1e-15)
         assert rank_one_transition(plus, e1) == pytest.approx(0.5, abs=1e-15)
+        with pytest.raises(DimensionMismatch) as exc:
+            rank_one_transition(e1, StateVector([1.0, 0.0, 0.0]))
+        assert str(exc.value) == "vectors have different dimensions: 2 vs 3"
 
     def test_atom_symmetry(self):
         alg = QuantumAlgebra(3)
@@ -740,6 +756,37 @@ class TestTableStates:
             TableState({"zero": alg.zero(), "one": alg.one()},
                        {"zero": 0.1, "one": 0.9},
                        {"zero": "one", "one": "zero"})
+
+    # Events are named by their key in the pool the test builds: e = diag(1, 0)
+    # on C^2, c its complement, z the zero event of C^3.
+    @pytest.mark.parametrize("events, values, complements, message", [
+        ({"E": "e", "E'": "c"}, {"E": 0.7}, {"E": "E'", "E'": "E"},
+         "events, values and complements must share one name set"),
+        ({}, {}, {}, "table must list at least one event"),
+        ({"E": "e", "E'": "z"}, {"E": 0.7, "E'": 0.3}, {"E": "E'", "E'": "E"},
+         "all listed events must share one dimension"),
+        ({"E": "e", "E'": "c"}, {"E": 0.7, "E'": 0.3}, {"E": "G", "E'": "E"},
+         "complement partner 'G' not listed"),
+        ({"E": "e", "E'": "c", "G": "e"}, {"E": 0.7, "E'": 0.3, "G": 0.7},
+         {"E": "E'", "E'": "G", "G": "E"}, "complement map is not an involution at 'E'"),
+        ({"E": "e", "E'": "c"}, {"E": 1.5, "E'": -0.5}, {"E": "E'", "E'": "E"},
+         "value of 'E' is 1.5, outside [0, 1]"),
+    ], ids=["names", "empty", "dimensions", "partner", "involution", "range"])
+    def test_construction_errors(self, events, values, complements, message):
+        _, e = self._pair()
+        pool = {"e": e, "c": complement(e), "z": QuantumAlgebra(3).zero()}
+        with pytest.raises(ValidationError) as exc:
+            TableState({name: pool[key] for name, key in events.items()}, values, complements)
+        assert str(exc.value) == message
+
+    def test_contract_checker_on_an_impossible_condition(self):
+        alg, e = self._pair()
+        table = TableState({"E": e, "E'": complement(e)},
+                           {"E": 0.7, "E'": 0.3},
+                           {"E": "E'", "E'": "E"})
+        base = DensityState(np.diag([0.0, 1.0]))
+        assert conditioning_contract_violations(table, base, "E") == \
+            ["base state gives 'E' probability 0.0"]
 
     def test_contract_checker_flags_wrong_value(self):
         alg, e = self._pair()
