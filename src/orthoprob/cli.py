@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import OrthoprobError, ParseError, ValidationError
 from .linalg import DEFAULT_QUERY_TOL, _require_tolerance
-from .presets import half_transition_pair, order_dependence_example
 from .scenario import (MAX_AXIOM_BUDGET, MAX_TRIALS, Query, Scenario, parse_scenario,
                        run_query)
 from .states import (DensityState, condition, condition_seq,
@@ -110,7 +109,10 @@ def _run_axioms(args) -> dict:
     return run_query(scenario, tol=args.tol, seed=args.seed, trials=args.trials)
 
 
+# The demo handlers import presets when called; no other subcommand needs it.
+
 def _run_demo_sec7(args) -> dict:
+    from .presets import half_transition_pair
     _, e, f = half_transition_pair()
     result = predictability(f, e, tol=args.tol)
     mixed = DensityState(np.eye(4, dtype=np.complex128) / 4.0)
@@ -124,6 +126,7 @@ def _run_demo_sec7(args) -> dict:
 
 
 def _run_demo_order(args) -> dict:
+    from .presets import order_dependence_example
     _, mixed, f1, f2, e = order_dependence_example()
     forward = prob(condition_seq(mixed, [f1, f2], tol=args.tol), e)
     reverse = prob(condition_seq(mixed, [f2, f1], tol=args.tol), e)

@@ -23,6 +23,7 @@ made of it, while ``Projection(p)`` checks ``p`` again.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -97,7 +98,10 @@ def _within(residual, tol, scale):
 
 
 def _require_tolerance(tol: float) -> None:
-    if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol >= 0):
+    # Compared exactly as given: NaN, infinities and ints beyond the largest
+    # float fail the range, and a bool is not taken as 0 or 1.
+    if isinstance(tol, bool) or not (isinstance(tol, (int, float))
+                                     and 0 <= tol <= sys.float_info.max):
         raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
 
 

@@ -26,9 +26,7 @@ import numpy as np
 from .errors import AlgebraMismatch, DimensionMismatch, ParseError, ValidationError
 from .events import (BooleanAlgebra, Event, EventAlgebra, QuantumAlgebra, _require_tolerance,
                      verify_orthospace_axioms)
-from .interference import interference_decomposition, two_slit
 from .linalg import DEFAULT_QUERY_TOL, TOL_NORM, TOL_WIRE_NORM, StateVector, projector_from_span
-from .sampler import SamplerConfig, sample_chain
 from .states import (ClassicalState, DensityState, State, compatibility_residuals,
                      compatible, condition, condition_seq, predictability,
                      predictability_seq, prob)
@@ -471,7 +469,9 @@ def _conditioned(scenario: Scenario, q: dict, echo: dict, state: State, tol: flo
 
 # One runner per query kind; ``echo`` is the query's record without THEN
 # fields.  Runners look library functions up by name at call time, so a name
-# rebound in this module (for tracing, say) is the one that runs.
+# rebound in this module (for tracing, say) is the one that runs.  The
+# interference and sampler runners import their module when called, so that
+# a command running neither does not load it.
 
 def _run_prob(scenario, q, echo, tol, seed, trials) -> dict:
     value = prob(_as_state(scenario, q["state"]), scenario.events[q["event"]])
@@ -511,6 +511,7 @@ def _run_compatible(scenario, q, echo, tol, seed, trials) -> dict:
 
 
 def _run_interference(scenario, q, echo, tol, seed, trials) -> dict:
+    from .interference import interference_decomposition
     report = interference_decomposition(
         *(scenario.events[q[n]] for n in ("atom", "path1", "path2", "target")), tol=tol)
     return {**echo, "p_total": report.p_total, "term1": report.term1,
@@ -521,12 +522,14 @@ def _run_interference(scenario, q, echo, tol, seed, trials) -> dict:
 
 
 def _run_two_slit(scenario, q, echo, tol, seed, trials) -> dict:
+    from .interference import two_slit
     value = two_slit(*(scenario.states[q[n]] for n in ("source", "path1", "path2", "detector")),
                      tol=tol)
     return {**echo, "value": value, "tol": tol}
 
 
 def _run_sample(scenario, q, echo, tol, seed, trials) -> dict:
+    from .sampler import SamplerConfig, sample_chain
     config = SamplerConfig(seed=seed, trials=trials)
     result = sample_chain(_as_state(scenario, q["initial"]),
                           [scenario.events[n] for n in q["tests"]],

@@ -16,6 +16,7 @@ its stacked routines on a stack of one state, so ``prob`` and
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
@@ -277,7 +278,11 @@ class TableState:
                  values: Mapping[str, float],
                  complements: Mapping[str, str]):
         events = dict(events)
-        values = {k: float(v) for k, v in values.items()}
+        for name, ev in events.items():
+            if not isinstance(ev, QuantumEvent):
+                raise ValidationError(
+                    f"event {name!r} must be a QuantumEvent, got {type(ev).__name__}")
+        values = {name: _table_value(name, v) for name, v in values.items()}
         complements = dict(complements)
         names = set(events)
         if set(values) != names or set(complements) != names:
@@ -322,6 +327,15 @@ class TableState:
         return f"TableState(names={sorted(self.events)})"
 
 
+def _table_value(name: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"value of {name!r} must be a number, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"value of {name!r} must fit in a float") from None
+
+
 def conditioning_contract_violations(table: TableState, base: DensityState,
                                      condition_name: str) -> list[str]:
     """Check a table against the conditional-probability contract.
@@ -332,7 +346,11 @@ def conditioning_contract_violations(table: TableState, base: DensityState,
     (empty when the contract holds).
     """
     _require_instance(TableState, table=table)
-    cond = table.events[condition_name]
+    try:
+        cond = table.events[condition_name]
+    except (KeyError, TypeError):  # not listed, or not even a possible key
+        raise ValidationError(
+            f"condition_name {condition_name!r} is not listed in the table") from None
     p_cond = prob(base, cond)
     if p_cond <= 0.0:
         return [f"base state gives {condition_name!r} probability {p_cond!r}"]

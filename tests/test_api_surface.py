@@ -148,12 +148,14 @@ def _calls():
 CALLS = sorted(_calls())
 
 
-@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf, None, "1e-9"])
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf, None, "1e-9", True, 10 ** 400])
 @pytest.mark.parametrize("entry", CALLS)
 def test_invalid_tolerance_is_refused(entry, tol):
     # Each call succeeds at tol 1e-9; a negative, NaN or infinite tol used
     # to give a confident verdict, such as "not predictable" for the sec7
-    # pair at tol -1, and a tol of another type ended in a TypeError.
+    # pair at tol -1, and a tol of another type ended in a TypeError.  True
+    # was taken as 1 (refusing a p = 0.5 conditioning as "0.5 <= True"), and
+    # an int too large for a float ended in an OverflowError.
     call = _calls()[entry]
     call(1e-9)
     with pytest.raises(ValidationError, match="tol must be finite and >= 0"):

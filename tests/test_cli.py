@@ -6,6 +6,7 @@ import copy
 import importlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orthoprob
 from orthoprob import cli
 from orthoprob.cli import main
 from orthoprob.scenario import (MAX_ALGEBRA_SIZE, MAX_AXIOM_BUDGET, MAX_TRIALS, QUERY_TABLE,
@@ -371,6 +373,72 @@ def test_stdout_matches_golden(name, argv, monkeypatch, capsys):
     assert main(list(argv)) == 0
     golden = (PERFBENCH / "golden" / "cli" / f"{name}.out").read_text(encoding="utf-8")
     assert capsys.readouterr().out == golden
+
+
+def run_fresh(*args):
+    """``python ARGS`` in a new process from the checkout root, compiling
+    the sources it imports as a fresh checkout does."""
+    return subprocess.run([sys.executable, *args], cwd=ROOT, capture_output=True, timeout=120,
+                          env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
+
+
+# One invocation per way a subcommand loads modules: scenario and its
+# imports alone (condition-die), the runners that import interference,
+# sampler or the axiom harness when called, and the demos with and without
+# presets.
+FRESH_INVOCATIONS = ("condition-die", "twoslit", "interfere", "sample", "axioms-qubit",
+                     "demo-order", "demo-qubit")
+
+
+@pytest.mark.parametrize("name, argv",
+                         [(n, a) for n, a in cli_invocations() if n in FRESH_INVOCATIONS])
+def test_fresh_process_matches_golden(name, argv):
+    """The golden test above runs in the test process, where other tests
+    have loaded the modules; a new process loads only what the subcommand
+    imports, so a missing lazy import fails here."""
+    proc = run_fresh("-m", "orthoprob", *argv)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (PERFBENCH / "golden" / "cli" / f"{name}.out").read_bytes()
+
+
+def modules_loaded_by(code: str) -> list[str]:
+    """numpy and the orthoprob modules that a new process running ``code``
+    has loaded."""
+    proc = run_fresh("-c", code + "\nimport sys\nprint(*sorted(m for m in sys.modules"
+                     " if m == 'numpy' or m.split('.')[0] == 'orthoprob'))")
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout.decode().splitlines()[-1].split()
+
+
+def test_package_import_loads_nothing():
+    assert modules_loaded_by("import orthoprob") == ["orthoprob"]
+
+
+@pytest.mark.parametrize("argv", [["condition", "--scenario", "scenarios/die.json"],
+                                  ["predict", "--scenario", "scenarios/sec7.json"],
+                                  ["compat", "--scenario", "perfbench/cli_inputs/compat.json"]],
+                         ids=lambda argv: argv[0])
+def test_scenario_commands_load_only_what_they_run(argv):
+    # Neither sampler, interference, presets nor the axiom harness.
+    code = ("import contextlib, io\nfrom orthoprob.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0")
+    assert modules_loaded_by(code) == [
+        "numpy", "orthoprob", "orthoprob.cli", "orthoprob.errors", "orthoprob.events",
+        "orthoprob.linalg", "orthoprob.scenario", "orthoprob.states"]
+
+
+def test_every_export_is_its_home_modules_object():
+    """Each ``__all__`` name resolves, on each access, to the object its
+    home module holds, and the package namespace never keeps it."""
+    for name in orthoprob.__all__:
+        home = importlib.import_module(orthoprob._HOMES[name])
+        obj = vars(home)[name]
+        assert getattr(orthoprob, name) is obj, name
+        assert name not in vars(orthoprob), name
+        if getattr(obj, "__module__", "").startswith("orthoprob."):
+            assert obj.__module__ == home.__name__, name
+    assert set(orthoprob.__all__) <= set(dir(orthoprob))
 
 
 @pytest.mark.filterwarnings("ignore::orthoprob.NonUniqueConditioningWarning")

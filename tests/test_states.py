@@ -771,10 +771,26 @@ class TestTableStates:
          {"E": "E'", "E'": "G", "G": "E"}, "complement map is not an involution at 'E'"),
         ({"E": "e", "E'": "c"}, {"E": 1.5, "E'": -0.5}, {"E": "E'", "E'": "E"},
          "value of 'E' is 1.5, outside [0, 1]"),
-    ], ids=["names", "empty", "dimensions", "partner", "involution", "range"])
+        ({"E": "none", "E'": "c"}, {"E": 0.7, "E'": 0.3}, {"E": "E'", "E'": "E"},
+         "event 'E' must be a QuantumEvent, got NoneType"),
+        ({"E": "b", "E'": "c"}, {"E": 0.7, "E'": 0.3}, {"E": "E'", "E'": "E"},
+         "event 'E' must be a QuantumEvent, got BooleanEvent"),
+        ({"E": "e", "E'": "c"}, {"E": None, "E'": 0.3}, {"E": "E'", "E'": "E"},
+         "value of 'E' must be a number, got NoneType"),
+        ({"E": "e", "E'": "c"}, {"E": "0.7", "E'": 0.3}, {"E": "E'", "E'": "E"},
+         "value of 'E' must be a number, got str"),
+        ({"E": "e", "E'": "c"}, {"E": True, "E'": 0.3}, {"E": "E'", "E'": "E"},
+         "value of 'E' must be a number, got bool"),
+        ({"E": "e", "E'": "c"}, {"E": 10 ** 400, "E'": 0.3}, {"E": "E'", "E'": "E"},
+         "value of 'E' must fit in a float"),
+    ], ids=["names", "empty", "dimensions", "partner", "involution", "range", "none-event",
+            "boolean-event", "none-value", "string-value", "bool-value", "huge-value"])
     def test_construction_errors(self, events, values, complements, message):
+        # A non-event entry used to end in AttributeError and a non-number
+        # value in TypeError or OverflowError.
         _, e = self._pair()
-        pool = {"e": e, "c": complement(e), "z": QuantumAlgebra(3).zero()}
+        pool = {"e": e, "c": complement(e), "z": QuantumAlgebra(3).zero(), "none": None,
+                "b": BooleanAlgebra(2).one()}
         with pytest.raises(ValidationError) as exc:
             TableState({name: pool[key] for name, key in events.items()}, values, complements)
         assert str(exc.value) == message
@@ -787,6 +803,17 @@ class TestTableStates:
         base = DensityState(np.diag([0.0, 1.0]))
         assert conditioning_contract_violations(table, base, "E") == \
             ["base state gives 'E' probability 0.0"]
+
+    @pytest.mark.parametrize("name", ["X", ["E"]])
+    def test_contract_checker_on_an_unlisted_condition(self, name):
+        # Used to end in KeyError, or TypeError for an unhashable name.
+        alg, e = self._pair()
+        table = TableState({"E": e, "E'": complement(e)},
+                           {"E": 0.7, "E'": 0.3},
+                           {"E": "E'", "E'": "E"})
+        with pytest.raises(ValidationError) as exc:
+            conditioning_contract_violations(table, DensityState(np.eye(2) / 2.0), name)
+        assert str(exc.value) == f"condition_name {name!r} is not listed in the table"
 
     def test_contract_checker_flags_wrong_value(self):
         alg, e = self._pair()
