@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotOrthogonal, ValidationError
+from .errors import ValidationError
 from .events import _AXIOMS
 
 # Positions of a harness round's pool: d, e, f (mutually orthogonal), g,
@@ -158,17 +158,14 @@ def _block_verdicts(kind, four, tol: float, block_bytes: int):
         (apart & ~bad.take(resums), resums, y7))
 
     # The pairwise evaluation raises, in this order within a round, on the
-    # pool checks, oplus(x, 0) (OS4), oplus(x, x') (OS5) and the complement
-    # of a sum of two members (OS6).
-    raises = np.concatenate((bad[:len(pool_norms)].reshape(at.shape),
-                             orth[:, _ZERO, :_G + 1] & ~summed[:, :_G + 1, _ZERO],
-                             sum_bad[:, :, _POOL], (dominant & bad.take(tops)).reshape(rounds, -1)),
-                            axis=1)
+    # pool checks, oplus(x, x') (OS5) and the complement of a sum of two
+    # members (OS6).  Its oplus(x, 0) (OS4) raises only on a member that
+    # fails the pool checks: 0 is orthogonal to every finite x both ways.
+    raises = np.concatenate((bad[:len(pool_norms)].reshape(at.shape), sum_bad[:, :, _POOL],
+                             (dominant & bad.take(tops)).reshape(rounds, -1)), axis=1)
     if raises.any():
-        where = np.concatenate((at, sums[:, :_G + 1, _ZERO], sums[:, :, _POOL],
-                                tops.reshape(rounds, -1)), axis=1).reshape(-1)[raises.argmax()]
-        if not bad[where]:
-            raise NotOrthogonal("orthogonal sum requested for non-orthogonal events")
+        where = np.concatenate((at, sums[:, :, _POOL], tops.reshape(rounds, -1)),
+                               axis=1).reshape(-1)[raises.argmax()]
         raise ValidationError(errors[where])
 
     x, y = _PAIRS

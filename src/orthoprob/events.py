@@ -28,8 +28,15 @@ from .errors import (AlgebraMismatch, ImpossibleSequence, NonUniqueConditioningW
                      NotOrthogonal, ValidationError, ZeroEvent)
 from .linalg import (CLAMP, DEFAULT_EVENT_TOL, Projection, _adopted, _check_density_stack,
                      _check_weight_rows, _frobenius_norms, _projection_checks, _require_finite,
-                     _require_tolerance, _symmetrized, _symmetrized_projection, _within,
+                     _require_sequence, _require_tolerance, _symmetrized, _within,
                      projector_from_span, random_unitary)
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int: an int or a numpy integer, never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{what} {value!r} is not an integer")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -40,6 +47,7 @@ class SampleSpace:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "size", _integer(self.size, "sample space size"))
         if self.size < 1:
             raise ValidationError("sample space needs at least one point")
         if self.labels is not None:
@@ -58,28 +66,23 @@ class BooleanEvent:
     members: frozenset[int]
 
     def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(self.members))
+        object.__setattr__(self, "members", frozenset(_integer(i, "member") for i in self.members))
         for i in self.members:
-            if not isinstance(i, (int, np.integer)) or not 0 <= i < self.space.size:
+            if not 0 <= i < self.space.size:
                 raise ValidationError(
                     f"member {i!r} outside sample space of size {self.space.size}")
 
 
 class QuantumEvent(Projection):
-    """An event in a complex projection lattice: a :class:`Projection`.
-
-    A :class:`Projection` argument is adopted with its rank and norm and is
-    not checked again; anything else is checked as ``Projection`` checks
-    it.  An event never equals a plain ``Projection``.
+    """An event in a complex projection lattice: a :class:`Projection`,
+    built and checked as ``Projection`` builds and checks it.  An event
+    never equals a plain ``Projection``.
     """
 
     __slots__ = ()
 
     def __init__(self, entries):
-        if isinstance(entries, Projection):
-            self._matrix, self._rank, self._norm = entries._matrix, entries._rank, entries._norm
-        else:
-            super().__init__(entries)
+        self._take(entries)
 
 
 Event = Union[BooleanEvent, QuantumEvent]
@@ -95,15 +98,14 @@ class BooleanAlgebra:
         if isinstance(space, SampleSpace):
             self.space = space
         else:
-            self.space = SampleSpace(int(space),
-                                     tuple(labels) if labels is not None else None)
+            self.space = SampleSpace(space, tuple(labels) if labels is not None else None)
 
     @property
     def size(self) -> int:
         return self.space.size
 
     def event(self, members: Iterable[int]) -> BooleanEvent:
-        return BooleanEvent(self.space, frozenset(int(i) for i in members))
+        return BooleanEvent(self.space, frozenset(members))
 
     def zero(self) -> BooleanEvent:
         return BooleanEvent(self.space, frozenset())
@@ -121,7 +123,7 @@ class QuantumAlgebra:
     kind = "quantum"
 
     def __init__(self, dim: int):
-        dim = int(dim)
+        dim = _integer(dim, "quantum algebra dimension")
         if dim < 1:
             raise ValidationError("quantum algebra dimension must be >= 1")
         self.dim = dim
@@ -153,12 +155,6 @@ class QuantumAlgebra:
 EventAlgebra = Union[BooleanAlgebra, QuantumAlgebra]
 
 
-def _require_sequence(value, name: str, of: str) -> None:
-    if not isinstance(value, Sequence):
-        raise ValidationError(
-            f"{name} must be a sequence of {of}, got {type(value).__name__}")
-
-
 def _require_instance(cls: type, **values) -> None:
     for name, value in values.items():
         if not isinstance(value, cls):
@@ -182,12 +178,15 @@ def _clamp_probability(p: np.ndarray) -> np.ndarray:
 # they are computed on.  Its algebras and events point at it as ``_kind``,
 # and a public function looks it up once and calls it.  A stack holds k
 # events with one norm per event.  The relation residuals broadcast, so
-# stacks a[:, None] and b[None] give a (len a, len b) table and
-# equal-length stacks one residual per pair; ``holds`` decides them.  The
-# builders (complement_of, sum_of, difference_of) check nothing; ``checks``
-# returns each entry's norm and, by position, the message its constructor
-# raises for each entry that fails.  A state stack holds m states, and
-# ``branch`` is what conditioning on an event multiplies a state by.  The
+# stacks a[:, None] and b[None] give a (len a, len b) table and equal-length
+# stacks one residual per pair; ``holds`` decides them.  The builders
+# (complement_of, sum_of, difference_of) check nothing; ``checks`` returns
+# each entry's norm and, by position, the message its constructor raises for
+# each entry that fails; the quantum complement and oplus run the builders
+# on one matrix.  A state stack holds m states, and ``branch`` is what
+# conditioning on an event multiplies a state by; an atom's branch is its
+# state.  ``state_of(like, array)`` is the one route from an array the
+# library computed to a checked state on ``like``'s space.  The
 # predictability parts return the candidate s, its residual and its scale,
 # for ``states`` to certify with ``_within``.  ``commutative`` says that all
 # events commute: every pair is compatible, and only the other kind has a
@@ -275,13 +274,8 @@ class _BooleanKind:
     def check_states(self, stack) -> None:
         _check_weight_rows(stack)
 
-    def rebuilt(self, like, weights):
+    def state_of(self, like, weights):
         return self.state(like.space, weights)
-
-    def atom_state(self, event):
-        weights = np.zeros(event.space.size)
-        weights[next(iter(event.members))] = 1.0
-        return self.state(event.space, weights)
 
     def warn_if_nonunique(self, event) -> None:
         pass
@@ -379,10 +373,10 @@ class _QuantumKind:
         return _symmetrized(np.stack([c @ c.conj().T for c in frames]))
 
     def complement(self, e):
-        return _adopted(QuantumEvent, np.eye(e.dim, dtype=np.complex128) - e.matrix)
+        return _adopted(QuantumEvent, self.complement_of(e.matrix))
 
     def oplus(self, e, f):
-        return QuantumEvent(_symmetrized_projection(e.matrix + f.matrix))
+        return _adopted(QuantumEvent, self.sum_of(e.matrix, f.matrix))
 
     def is_atom(self, e) -> bool:
         return e.rank == 1
@@ -423,11 +417,11 @@ class _QuantumKind:
         _require_finite(stack)
         _check_density_stack(stack)
 
-    def rebuilt(self, like, matrix):
-        return self.state(matrix)
-
-    def atom_state(self, event):
-        return self.state(event)
+    def state_of(self, like, matrix):
+        """The density state adopting ``matrix``, an exactly Hermitian array
+        the library computed, after the checks of ``check_states``."""
+        _require_finite(matrix)
+        return _adopted(self.state, matrix)
 
     def warn_if_nonunique(self, event) -> None:
         if event.dim == 2:

@@ -7,24 +7,22 @@ construction and every function is pure.  Matrices are dense complex128;
 the shipped scenarios are dimension <= 4 and the design ceiling is 64, so
 no sparse or structured paths exist.
 
-Construction contract: the public constructors validate everything they
-are given.  The one Hermitian scan is ``HermitianOperator``'s, on the
-array a constructor is given; internal products are ``_symmetrized``,
-hence Hermitian bit for bit, and the private ``_adopted`` skips the scan
-for them and for complements I - P.  Every projection, however built,
-passes the idempotency and trace-rank checks of ``_projection_checks``,
-which checks a whole stack of exactly Hermitian matrices at once and
-which a single projection runs as a stack of one.  A quantum event is a
-``Projection`` subclass; it adopts a ``Projection`` argument with its
-rank and norm, so a projection is checked once however many events are
-made of it, while ``Projection(p)`` checks ``p`` again.
+Construction contract: each array is checked once.  A constructor takes
+an operator's matrix as it is and scans anything else for Hermitian
+symmetry; then the class runs only its own ``_check``, which keeps what
+the given operator holds: ``Projection(p)`` takes a projection's rank and
+norm, ``DensityState(rho)`` a density state as it is.  Internal results
+are ``_symmetrized``, hence Hermitian bit for bit, and the private
+``_adopted`` hands them, and complements I - P, to ``_check`` unscanned.
+Every projection check, of one matrix or of a stack, is
+``_projection_checks``.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -36,7 +34,7 @@ TOL_HERMITIAN = 1e-10  # largest abs(A - A^H) entry that a constructor accepts
 TOL_IDEMPOTENT = 1e-9  # ||P@P - P||_F, and a trace's distance from a rank; relative to ||P||_F
 TOL_NORM = 1e-10  # distance of a StateVector's norm from 1
 TOL_WEIGHT_SUM = 1e-12  # distance of a ClassicalState's weight sum from 1
-TOL_TRACE = 1e-10  # distance of a DensityState's trace from 1
+TOL_TRACE = 1e-10  # distance of a DensityState's trace from 1 (atom and vector states: rescaled)
 MIN_EIGENVALUE = -1e-10  # lowest eigenvalue a DensityState may have
 _CHOLESKY_SHIFT = 1e-10 - 1e-12  # a density stack that factors shifted by it passes MIN_EIGENVALUE
 SPAN_DROP = 1e-10  # span residual, relative to the largest input norm, taken as dependence
@@ -103,6 +101,12 @@ def _require_tolerance(tol: float) -> None:
     if isinstance(tol, bool) or not (isinstance(tol, (int, float))
                                      and 0 <= tol <= sys.float_info.max):
         raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
+
+
+def _require_sequence(value, name: str, of: str) -> None:
+    if not isinstance(value, Sequence):
+        raise ValidationError(
+            f"{name} must be a sequence of {of}, got {type(value).__name__}")
 
 
 def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
@@ -213,21 +217,35 @@ class HermitianOperator:
     """A finite square complex matrix equal to its conjugate transpose.
 
     Self-adjointness is checked entrywise at construction (absolute
-    tolerance ``TOL_HERMITIAN``); the stored array is read-only.
-    Projections and density states are Hermitian operators too: they keep
-    their one array in the same slot, and an operator equals only an
-    operator of its own class.
+    tolerance ``TOL_HERMITIAN``), and an operator argument is taken as it
+    is; the stored array is read-only.  Projections and density states are
+    Hermitian operators too: they keep their one array in the same slot,
+    and an operator equals only an operator of its own class.
     """
 
     __slots__ = ("_matrix",)
 
     def __init__(self, entries):
+        self._take(entries)
+
+    def _take(self, entries) -> None:
+        # Every subclass's own __init__ calls this, so building one object
+        # runs one constructor (perfbench's span tracing counts each class's).
+        if isinstance(entries, HermitianOperator):
+            self._matrix = entries._matrix
+            self._check(entries)
+            return
         arr = _square_complex(entries)
         skew = np.abs(arr - arr.conj().T).max()
         if skew > TOL_HERMITIAN:
             raise ValidationError(f"matrix is not Hermitian: max |A - A^H| = {skew:.3e} "
                                   f"exceeds {TOL_HERMITIAN:.1e}")
         self._matrix = _frozen(arr)
+        self._check(None)
+
+    def _check(self, given) -> None:
+        """The checks this class adds, on ``self._matrix``; ``given`` is the
+        operator it was taken from, or None.  A plain operator adds none."""
 
     @property
     def matrix(self) -> np.ndarray:
@@ -256,20 +274,18 @@ class Projection(HermitianOperator):
     ``TOL_IDEMPOTENT * max(1, ||P||_F)`` and the trace must sit within the
     same bound of an integer; that integer is stored as the rank, and
     ||P||_F is kept for the tolerance scales of the event and state layers.
-    A :class:`HermitianOperator` argument is adopted without a second
-    Hermitian scan.
+    A projection argument is taken with its rank and norm, unchecked.
     """
 
     __slots__ = ("_rank", "_norm")
 
     def __init__(self, entries):
-        if isinstance(entries, HermitianOperator):
-            self._matrix = entries._matrix
-        else:
-            super().__init__(entries)
-        self._check_idempotent()
+        self._take(entries)
 
-    def _check_idempotent(self) -> None:
+    def _check(self, given) -> None:
+        if isinstance(given, Projection):
+            self._rank, self._norm = given._rank, given._norm
+            return
         errors, norms, ranks = _projection_checks(self._matrix[None])
         if errors[0]:
             raise ValidationError(errors[0])
@@ -311,7 +327,7 @@ class StateVector:
     def projector(self) -> Projection:
         """Rank-one projection onto the spanned line."""
         v = self._vector
-        return _symmetrized_projection(np.outer(v, v.conj()))
+        return _adopted(Projection, _symmetrized(np.outer(v, v.conj())))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StateVector):
@@ -325,31 +341,16 @@ class StateVector:
 
 
 def _adopted(cls, m: np.ndarray):
-    """A ``cls`` operator, without the Hermitian scan, holding ``m``: a
-    fresh internal array at most as skewed as matrices already checked.
-
-    ``_symmetrized`` output is Hermitian bit for bit, and I - P has the
-    skew of P exactly, so the scan could never fail on either.  A
-    projection still runs its idempotency and trace-rank checks; any other
-    operator still needs finite entries, which a product of finite
-    matrices may lack.
-    """
+    """A ``cls`` operator holding ``m`` after ``cls._check`` alone: ``m`` is
+    a fresh ``_symmetrized`` array, or I - P of a checked P, which the
+    Hermitian scan could never refuse, and finite unless ``cls._check``
+    refuses non-finite entries itself, as a projection's does."""
     h = np.ascontiguousarray(m)
     h.flags.writeable = False
     op = cls.__new__(cls)
     op._matrix = h
-    if issubclass(cls, Projection):
-        op._check_idempotent()
-    else:
-        _require_finite(h)
+    op._check(None)
     return op
-
-
-def _symmetrized_projection(m: np.ndarray) -> Projection:
-    """Projection onto the exactly Hermitian average (M + M^H)/2 of an
-    internal product M with finite entries, checked as ``_adopted``
-    checks it."""
-    return _adopted(Projection, _symmetrized(m))
 
 
 def _hermitian_matrix_of(value) -> np.ndarray:
@@ -357,6 +358,12 @@ def _hermitian_matrix_of(value) -> np.ndarray:
     if isinstance(value, HermitianOperator):
         return value._matrix
     return HermitianOperator(value)._matrix
+
+
+def _jordan_result(m: np.ndarray) -> HermitianOperator:
+    # A product of finite matrices may overflow.
+    _require_finite(m)
+    return _adopted(HermitianOperator, m)
 
 
 def _check_same_dim(*mats: np.ndarray) -> None:
@@ -374,7 +381,7 @@ def jordan_product(x, y) -> HermitianOperator:
     """
     a, b = _hermitian_matrix_of(x), _hermitian_matrix_of(y)
     _check_same_dim(a, b)
-    return _adopted(HermitianOperator, _jp(a, b))
+    return _jordan_result(_jp(a, b))
 
 
 def _jp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -390,14 +397,14 @@ def triple_product(x, y, z) -> HermitianOperator:
     a, b, c = (_hermitian_matrix_of(v) for v in (x, y, z))
     _check_same_dim(a, b, c)
     m = _jp(a, _jp(b, c)) - _jp(b, _jp(c, a)) + _jp(c, _jp(a, b))
-    return _adopted(HermitianOperator, m)
+    return _jordan_result(m)
 
 
 def quadratic_triple(x, y) -> HermitianOperator:
     """The compression XYX, i.e. {X,Y,X} evaluated directly."""
     a, b = _hermitian_matrix_of(x), _hermitian_matrix_of(y)
     _check_same_dim(a, b)
-    return _adopted(HermitianOperator, _symmetrized(a @ b @ a))
+    return _jordan_result(_symmetrized(a @ b @ a))
 
 
 def projector_from_span(vectors: Sequence) -> Projection:
@@ -407,8 +414,10 @@ def projector_from_span(vectors: Sequence) -> Projection:
     Vectors whose residual norm falls below the drop threshold
     ``SPAN_DROP * max input norm`` are treated as linearly dependent and
     skipped, so the rank of the result is the numerical
-    rank of the input family.
+    rank of the input family.  ``vectors`` is a sequence or a 2-d array.
     """
+    if not isinstance(vectors, np.ndarray):
+        _require_sequence(vectors, "vectors", "vectors")
     if len(vectors) == 0:
         raise EmptyInput("projector_from_span needs at least one vector")
     cols = []
@@ -443,7 +452,7 @@ def projector_from_span(vectors: Sequence) -> Projection:
     p = np.zeros((dim, dim), dtype=np.complex128)
     for q in basis:
         p += np.outer(q, q.conj())
-    return _symmetrized_projection(p)
+    return _adopted(Projection, _symmetrized(p))
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,12 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .errors import AlgebraMismatch, DimensionMismatch, ParseError, ValidationError
-from .events import (BooleanAlgebra, Event, EventAlgebra, QuantumAlgebra, _require_tolerance,
-                     verify_orthospace_axioms)
+from .events import (_QUANTUM, BooleanAlgebra, Event, EventAlgebra, QuantumAlgebra,
+                     _require_tolerance, verify_orthospace_axioms)
 from .linalg import DEFAULT_QUERY_TOL, TOL_NORM, TOL_WIRE_NORM, StateVector, projector_from_span
-from .states import (ClassicalState, DensityState, State, compatibility_residuals,
-                     compatible, condition, condition_seq, predictability,
-                     predictability_seq, prob)
+from .states import (ClassicalState, DensityState, State, _unit_trace,
+                     compatibility_residuals, compatible, condition, condition_seq,
+                     predictability, predictability_seq, prob)
 
 # Largest Boolean ``size`` or quantum ``dim`` a scenario may declare: the
 # dense kernel's design ceiling.  The library constructors take any size.
@@ -455,7 +455,7 @@ def _nan_to_none(x: float | None):
 def _as_state(scenario: Scenario, name: str) -> State:
     state = scenario.states[name]
     if isinstance(state, StateVector):
-        return DensityState(state.projector())
+        return _QUANTUM.state_of(state, _unit_trace(state.projector().matrix))
     return state
 
 

@@ -29,8 +29,8 @@ from .events import (_BOOLEAN, _QUANTUM, Event, QuantumAlgebra, QuantumEvent, _c
                      _event_kind, _require_instance, _require_sequence, _require_tolerance,
                      _shared_kind, below, complement, events_equal)
 from .linalg import (DEFAULT_CONDITION_TOL, DEFAULT_DETECTION_TOL, DEFAULT_EVENT_TOL,
-                     TOL_CONTRACT, TOL_SAME_P, TOL_TABLE, HermitianOperator, StateVector,
-                     _check_density_stack, _check_weight_rows, _within)
+                     TOL_CONTRACT, TOL_SAME_P, TOL_TABLE, TOL_TRACE, HermitianOperator,
+                     StateVector, _check_density_stack, _check_weight_rows, _within)
 
 
 class ClassicalState:
@@ -66,20 +66,16 @@ class ClassicalState:
 
 
 class DensityState(HermitianOperator):
-    """Density matrix: Hermitian, unit trace, positive semidefinite.
-
-    A :class:`HermitianOperator` argument (a projection, say) is adopted
-    without a second Hermitian scan.
-    """
+    """Density matrix: Hermitian, unit trace, positive semidefinite."""
 
     __slots__ = ()
 
     def __init__(self, rho):
-        if isinstance(rho, HermitianOperator):
-            self._matrix = rho._matrix
-        else:
-            super().__init__(rho)
-        _check_density_stack(self._matrix[None])
+        self._take(rho)
+
+    def _check(self, given) -> None:
+        if not isinstance(given, DensityState):
+            _check_density_stack(self._matrix[None])
 
 
 State = Union[ClassicalState, DensityState]
@@ -135,7 +131,7 @@ def condition(state: State, event: Event,
     _check_probabilities(p, tol)
     conditioned = kind.conditioned(stack, kind.branch(event), p)[0]
     kind.warn_if_nonunique(event)
-    return kind.rebuilt(state, conditioned)
+    return kind.state_of(state, conditioned)
 
 
 def condition_seq(state: State, events: Sequence[Event],
@@ -232,7 +228,20 @@ def atom_state(event: Event) -> State:
     kind = _event_kind(event, "event")
     if not kind.is_atom(event):
         raise NotAtom("atom_state needs a minimal event")
-    return kind.atom_state(event)
+    return kind.state_of(event, _unit_trace(kind.branch(event)))
+
+
+def _unit_trace(a: np.ndarray) -> np.ndarray:
+    """``a``, a weight row or a matrix, divided by its sum or trace when
+    that is farther than TOL_TRACE from 1, else ``a`` itself.
+
+    An accepted projection's trace may be 1 +- TOL_IDEMPOTENT and a unit
+    vector's squared norm 1 +- 2 TOL_NORM, while a state's trace must be
+    1 +- TOL_TRACE.  As the scenario parser does with vector norms, only an
+    array beyond the bound is divided, so every other keeps its bits.
+    """
+    total = float(a.sum() if a.ndim == 1 else a.trace().real)
+    return a / total if abs(total - 1.0) > TOL_TRACE else a
 
 
 def rank_one_transition(xi: StateVector, eta: StateVector) -> float:

@@ -13,10 +13,15 @@ import numpy as np
 from orthoprob.errors import NotOrthogonal, ValidationError
 from orthoprob.events import (AxiomReport, BooleanAlgebra, BooleanEvent, QuantumEvent,
                               complement, events_equal, oplus, orthogonal)
-from orthoprob.linalg import (HermitianOperator, Projection, _check_same_dim,
-                              _hermitian_matrix_of, _symmetrized,
-                              _symmetrized_projection, random_unitary)
+from orthoprob.linalg import (HermitianOperator, Projection, _adopted, _check_same_dim,
+                              _hermitian_matrix_of, _symmetrized, random_unitary)
 from orthoprob.states import DensityState
+
+
+def _symmetrized_projection(m: np.ndarray) -> Projection:
+    """The projection on the exactly Hermitian (M + M^H)/2, checked as the
+    library checks its internal sums."""
+    return _adopted(Projection, _symmetrized(m))
 
 
 def matmul(a, b) -> np.ndarray:

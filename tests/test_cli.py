@@ -227,6 +227,24 @@ class TestExitCodes:
         assert capsys.readouterr().err.endswith(
             "error: argument --tol: expected a finite number >= 0, got 'tiny'\n")
 
+    def test_unreadable_scenario_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["condition", "--scenario", "nope.json"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: cannot read scenario file 'nope.json': [Errno 2] ")
+
+    def test_query_kind_the_command_cannot_run(self, capsys):
+        assert main(["compat", "--scenario", str(SCENARIO_DIR / "die.json")]) == 1
+        assert capsys.readouterr().err == \
+            "error: 'compat' cannot run a 'prob' query (expected one of: compatible)\n"
+
+    def test_unknown_algebra_kind(self, tmp_path, capsys):
+        path = tmp_path / "classical.json"
+        path.write_text(json.dumps({"algebra": {"kind": "classical", "size": 2}}))
+        assert main(["axioms", "--scenario", str(path)]) == 1
+        assert capsys.readouterr().err == \
+            "error: algebra.kind: expected 'boolean' or 'quantum', got 'classical'\n"
+
     def test_scenario_without_a_query(self, tmp_path, capsys):
         path = tmp_path / "bare.json"
         path.write_text(json.dumps({"algebra": {"kind": "boolean", "size": 2}}))

@@ -10,7 +10,7 @@ import pytest
 import orthoprob.events
 import orthoprob.linalg
 from orthoprob.errors import (AlgebraMismatch, NotOrthogonal, ValidationError)
-from orthoprob.events import (DEFAULT_EVENT_TOL, BooleanAlgebra,
+from orthoprob.events import (DEFAULT_EVENT_TOL, BooleanAlgebra, BooleanEvent,
                               QuantumAlgebra, QuantumEvent, SampleSpace, _one_pair,
                               below, complement, events_equal, is_atom, oplus,
                               orthogonal, verify_orthospace_axioms)
@@ -183,10 +183,11 @@ class TestEventIsAProjection:
         assert count(lambda: oplus(e1, e2)) == 1
         assert count(lambda: complement(e1)) == 1
         assert count(qdim3.zero) == count(qdim3.one) == 1
-        # A projection is adopted with its rank and norm, not checked again.
+        # A projection is adopted with its rank and norm, not checked again,
+        # by an event and by a plain projection alike.
         assert count(lambda: qdim3.event(proj)) == 0
         assert count(lambda: QuantumEvent(proj)) == 0
-        assert count(lambda: Projection(proj)) == 1
+        assert count(lambda: Projection(proj)) == 0
         adopted = QuantumEvent(proj)
         assert adopted.matrix is proj.matrix
         assert (adopted.rank, adopted._norm) == (proj.rank, proj._norm)
@@ -265,6 +266,43 @@ class TestSampleSpace:
         space = SampleSpace(3)
         with pytest.raises(ValidationError):
             BooleanAlgebra(space).event([3])
+
+
+class TestIntegerArguments:
+    """Sizes, dimensions and members are ints or numpy integers; a float,
+    a string or a bool is refused, never rounded or taken as 0 or 1."""
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: BooleanAlgebra(6).event([2.7]), "member 2.7 is not an integer"),
+        (lambda: BooleanAlgebra(6).event(["3"]), "member '3' is not an integer"),
+        (lambda: BooleanAlgebra(6).event([2.0]), "member 2.0 is not an integer"),
+        (lambda: BooleanEvent(SampleSpace(6), {2.7}), "member 2.7 is not an integer"),
+        (lambda: BooleanEvent(SampleSpace(6), {True}), "member True is not an integer"),
+        (lambda: QuantumAlgebra(2.5), "quantum algebra dimension 2.5 is not an integer"),
+        (lambda: QuantumAlgebra("3"), "quantum algebra dimension '3' is not an integer"),
+        (lambda: QuantumAlgebra(True), "quantum algebra dimension True is not an integer"),
+        (lambda: SampleSpace(6.5), "sample space size 6.5 is not an integer"),
+        (lambda: BooleanAlgebra(6.5), "sample space size 6.5 is not an integer"),
+        (lambda: SampleSpace(True), "sample space size True is not an integer"),
+    ])
+    def test_refused(self, build, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            build()
+
+    def test_existing_messages_stay(self):
+        with pytest.raises(ValidationError, match="^sample space needs at least one point$"):
+            SampleSpace(0)
+        with pytest.raises(ValidationError, match="^member 6 outside sample space of size 6$"):
+            BooleanEvent(SampleSpace(6), {6})
+
+    def test_numpy_integers_are_ints(self):
+        event = BooleanAlgebra(np.int64(6)).event([np.int64(2), np.intp(4)])
+        assert event.members == frozenset({2, 4})
+        assert all(type(i) is int for i in event.members)
+        assert type(event.space.size) is int
+        assert BooleanEvent(SampleSpace(np.int32(3)), {np.uint8(1)}).members == frozenset({1})
+        assert QuantumAlgebra(np.int64(3)).dim == 3
+        assert type(QuantumAlgebra(np.int64(3)).dim) is int
 
 
 class TestAxiomHarness:

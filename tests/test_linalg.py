@@ -8,12 +8,15 @@ so equality checks are exact.
 import numpy as np
 import pytest
 
+import orthoprob.linalg
+import orthoprob.states
 from orthoprob.errors import DimensionMismatch, EmptyInput, ValidationError
-from orthoprob.events import QuantumEvent, complement
+from orthoprob.events import QuantumAlgebra, QuantumEvent, complement
 from orthoprob.linalg import (HermitianOperator, Projection, StateVector,
                               _frobenius_norms, _jp, _projection_checks, _symmetrized,
                               _within, jordan_product, projector_from_span, quadratic_triple,
                               random_unitary, triple_product)
+from orthoprob.states import DensityState
 
 from helpers import (is_positive_semidefinite, matmul, min_eigenvalue,
                      random_density_matrix, random_hermitian,
@@ -254,6 +257,15 @@ class TestSpanProjector:
             projector_from_span(vectors)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("build", [projector_from_span,
+                                       lambda vs: QuantumAlgebra(2).event_from_span(vs)])
+    def test_vectors_must_be_a_sequence(self, build):
+        with pytest.raises(ValidationError,
+                           match="^vectors must be a sequence of vectors, got list_iterator$"):
+            build(iter([np.array([1.0, 0.0])]))
+        # A 2-d array of row vectors is not a Sequence, and is taken as one.
+        assert build(np.array([[1.0, 0.0], [0.0, 1.0]])).rank == 2
+
     def test_large_in_range_vector(self):
         p = projector_from_span([np.array([1e150, 1e150])])
         assert p.rank == 1
@@ -363,6 +375,51 @@ class TestAdoptedResults:
             with np.errstate(over="ignore", invalid="ignore"), \
                     pytest.raises(ValidationError, match="^matrix entries must be finite$"):
                 operation(big, big)
+
+
+def _no_call(*args, **kwargs):
+    raise AssertionError("a second check ran")
+
+
+class TestAdoptionRule:
+    """A constructor given an operator takes its matrix without the
+    Hermitian scan and runs only the check its own class adds."""
+
+    @pytest.fixture
+    def operators(self):
+        proj = Projection(np.diag([1.0, 0.0]))
+        return [proj, QuantumEvent(proj), DensityState(proj)]
+
+    def test_a_plain_operator_takes_any_operator(self, operators, monkeypatch):
+        monkeypatch.setattr(orthoprob.linalg, "_square_complex", _no_call)
+        for op in operators:
+            taken = HermitianOperator(op)
+            assert type(taken) is HermitianOperator
+            assert taken.matrix is op.matrix
+
+    def test_a_projection_takes_rank_and_norm(self, operators, monkeypatch):
+        monkeypatch.setattr(orthoprob.linalg, "_square_complex", _no_call)
+        monkeypatch.setattr(orthoprob.linalg, "_projection_checks", _no_call)
+        for op in operators[:2]:
+            for cls in (Projection, QuantumEvent):
+                taken = cls(op)
+                assert taken.matrix is op.matrix
+                assert (taken.rank, taken._norm) == (op.rank, op._norm)
+
+    def test_a_density_state_takes_a_density_state(self, operators, monkeypatch):
+        monkeypatch.setattr(orthoprob.linalg, "_square_complex", _no_call)
+        monkeypatch.setattr(orthoprob.states, "_check_density_stack", _no_call)
+        assert DensityState(operators[2]).matrix is operators[2].matrix
+        with pytest.raises(AssertionError, match="a second check ran"):
+            DensityState(operators[0])
+
+    def test_each_class_runs_its_own_check(self):
+        half = HermitianOperator(np.diag([0.5, 0.5]))
+        with pytest.raises(ValidationError, match="^matrix is not idempotent"):
+            Projection(half)
+        assert DensityState(half).matrix is half.matrix
+        with pytest.raises(ValidationError, match="^density matrix trace 2.0 is not 1"):
+            DensityState(Projection(np.eye(2)))
 
 
 def test_within_is_the_relative_rule():

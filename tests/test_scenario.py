@@ -129,6 +129,28 @@ class TestParsing:
         assert isinstance(sc.states["v"], StateVector)
         assert np.linalg.norm(sc.states["v"].vector) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.filterwarnings("ignore::orthoprob.NonUniqueConditioningWarning")
+    def test_an_accepted_vector_converts_to_a_state(self):
+        # A norm within 1e-10 of 1 is kept as given, and its projector's trace
+        # (1 + 1.8e-10) is then divided out; a unit vector keeps its bits.
+        off = 1.0 + 0.9e-10
+        for scale in (off, 1.0):
+            doc = {"algebra": {"kind": "quantum", "dim": 2},
+                   "events": {"e": {"matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}},
+                   "states": {"v": {"vector": [[0.6 * scale, 0], [0.8 * scale, 0]]}},
+                   "query": {"kind": "condition", "state": "v", "event": "e"}}
+            sc = scenario_from_jsonable(doc)
+            vector = sc.states["v"]
+            assert vector.vector.tobytes() == (np.array([0.6, 0.8]) * scale).astype(
+                complex).tobytes()
+            state = scenario._as_state(sc, "v")
+            projector = vector.projector().matrix
+            trace = float(projector.trace().real)
+            assert state.matrix.tobytes() == (
+                projector if scale == 1.0 else projector / trace).tobytes()
+            conditioned = np.array(run_query(sc)["conditioned"]["density"])
+            assert np.allclose(conditioned[0], np.diag([1.0, 0.0]), rtol=0, atol=1e-15)
+
     def test_vector_far_from_unit_rejected(self):
         doc = json.dumps({
             "algebra": {"kind": "quantum", "dim": 2},

@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orthoprob.linalg
 from orthoprob.errors import (AlgebraMismatch, DimensionMismatch, EmptyInput,
                               ImpossibleSequence, NonUniqueConditioningWarning, NotAtom,
                               ValidationError, ZeroEvent, ZeroProbabilityCondition)
-from orthoprob.events import (_BOOLEAN, _QUANTUM, BooleanAlgebra, QuantumAlgebra, below,
-                              complement, is_atom, oplus, orthogonal, verify_orthospace_axioms)
+from orthoprob.events import (_BOOLEAN, _QUANTUM, BooleanAlgebra, QuantumAlgebra, QuantumEvent,
+                              below, complement, is_atom, oplus, orthogonal,
+                              verify_orthospace_axioms)
 from orthoprob.linalg import (TOL_HERMITIAN, HermitianOperator, Projection, StateVector,
                               _check_density_stack, _check_weight_rows, _symmetrized,
                               jordan_product, quadratic_triple, random_unitary)
@@ -421,6 +423,33 @@ class TestConditioning:
         with pytest.raises(EmptyInput):
             condition_seq(fair, [])
 
+    def test_checks_the_state_once(self, monkeypatch):
+        # The conditioned matrix is exactly Hermitian: no constructor and no
+        # Hermitian scan run on it, only the density checks.
+        rng = np.random.default_rng(8)
+        rho, e = random_density_state(4, rng), diag_event(QuantumAlgebra(4), [1, 1, 0, 0])
+        want = condition(rho, e)
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("the Hermitian scan ran")
+
+        monkeypatch.setattr(HermitianOperator, "__init__", no_scan)
+        monkeypatch.setattr(orthoprob.linalg, "_square_complex", no_scan)
+        got = condition(rho, e)
+        assert type(got) is DensityState
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+        assert not got.matrix.flags.writeable
+
+    def test_a_trace_off_by_more_than_tol_trace_is_refused(self, monkeypatch):
+        # Conditioning keeps the trace check a refusal; it never renormalizes.
+        conditioned = _QUANTUM.conditioned
+        monkeypatch.setattr(_QUANTUM, "conditioned",
+                            lambda *args: conditioned(*args) * (1 + 1e-9))
+        e = diag_event(QuantumAlgebra(3), [1, 0, 0])
+        with pytest.raises(ValidationError, match=re.escape(
+                "density matrix trace 1.000000001 is not 1 within 1e-10")):
+            condition(DensityState(np.eye(3) / 3.0), e)
+
     def test_qubit_conditioning_warns(self):
         alg = QuantumAlgebra(2)
         e = alg.event(np.diag([1.0, 0.0]))
@@ -673,6 +702,26 @@ class TestAtoms:
     def test_not_atom(self, die):
         with pytest.raises(NotAtom):
             atom_state(die.event([0, 1]))
+
+    def test_an_atoms_branch_is_its_state(self, die):
+        # The bits that the former one-hot and DensityState(event) builders gave.
+        weights = np.zeros(6)
+        weights[3] = 1.0
+        assert atom_state(die.event([3])).weights.tobytes() == weights.tobytes()
+        ev = QuantumAlgebra(3).event_from_span([np.array([1.0, 1.0j, 0.0])])
+        state = atom_state(ev)
+        assert type(state) is DensityState
+        assert state.matrix is ev.matrix
+
+    def test_an_accepted_atom_converts(self):
+        # The projection check allows a trace 1 +- 1e-9 and a state 1 +- 1e-10:
+        # the atom's state is divided by its trace.
+        ev = QuantumEvent(np.diag([1 + 5e-10, 0.0, 0.0]))
+        want = ev.matrix / (1 + 5e-10)
+        assert atom_state(ev).matrix.tobytes() == want.tobytes()
+        paths = QuantumEvent(np.diag([1.0, 0.0, 0.0])), QuantumEvent(np.diag([0.0, 1.0, 0.0]))
+        report = interference_decomposition(ev, *paths, paths[0])
+        assert report.p_total == 1.0
 
     def test_transition_probability_endpoints(self):
         e1 = StateVector([1.0, 0.0])
