@@ -18,24 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import OrthoprobError, ParseError, ValidationError
+from .events import DEFAULT_AXIOM_BUDGET
 from .linalg import DEFAULT_QUERY_TOL, _require_tolerance
-from .scenario import (MAX_AXIOM_BUDGET, MAX_TRIALS, Query, Scenario, parse_scenario,
-                       run_query)
+from .scenario import (DEFAULT_SEED, DEFAULT_TRIALS, MAX_AXIOM_BUDGET, MAX_TRIALS,
+                       QUERY_TABLE, Query, Scenario, parse_scenario, run_query)
 from .states import (DensityState, condition, condition_seq,
                      conditioning_contract_violations, predictability, prob,
                      qubit_nonuniqueness_demo)
-
-# The subcommands that run a scenario's own query: help text and the query
-# kinds each accepts.
-_SCENARIO_COMMANDS = {
-    "predict": ("run a predictability query", ("predictability",)),
-    "condition": ("run a prob / condition / condition_seq query",
-                  ("condition", "condition_seq", "prob")),
-    "compat": ("run a compatibility query", ("compatible",)),
-    "interfere": ("run an interference decomposition query", ("interference",)),
-    "twoslit": ("run a two-slit probability query", ("two_slit",)),
-    "sample": ("sample a measurement chain", ("sample",)),
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,7 +73,7 @@ def _run_scenario_command(args) -> dict:
     if args.trials > MAX_TRIALS:
         raise ValidationError(f"--trials: expected at most {MAX_TRIALS}")
     scenario = _load_scenario(args.scenario)
-    _, allowed = _SCENARIO_COMMANDS[args.command]
+    allowed = sorted(kind for kind, q in QUERY_TABLE.items() if q.command == args.command)
     if scenario.query is None:
         raise ValidationError(
             f"scenario has no query; '{args.command}' needs one of: {', '.join(allowed)}")
@@ -104,7 +93,7 @@ def _run_axioms(args) -> dict:
     elif scenario.query is not None and scenario.query.kind == "axioms":
         budget = scenario.query.fields["budget"]
     else:
-        budget = 1000
+        budget = DEFAULT_AXIOM_BUDGET
     scenario.query = Query("axioms", {"budget": budget})
     return run_query(scenario, tol=args.tol, seed=args.seed, trials=args.trials)
 
@@ -156,56 +145,54 @@ def _run_demo_qubit(args) -> dict:
             "note": report.note}
 
 
+# Each subcommand in --help order: help, handler, whether it reads a scenario, and its own
+# arguments.  A scenario subcommand runs the kinds whose QUERY_TABLE command is its name.
+_COMMANDS = {
+    "predict": ("run a predictability query", _run_scenario_command, True, {}),
+    "condition": ("run a prob / condition / condition_seq query", _run_scenario_command, True, {}),
+    "compat": ("run a compatibility query", _run_scenario_command, True, {}),
+    "interfere": ("run an interference decomposition query", _run_scenario_command, True, {}),
+    "twoslit": ("run a two-slit probability query", _run_scenario_command, True, {}),
+    "sample": ("sample a measurement chain", _run_scenario_command, True, {}),
+    "axioms": ("randomized orthospace axiom check on the scenario's algebra", _run_axioms, True,
+               {"--budget": dict(type=int, default=None, help=(
+                   f"random instances per axiom, at most {MAX_AXIOM_BUDGET} (default from the "
+                   f"scenario query, else {DEFAULT_AXIOM_BUDGET})"))}),
+    "demo-sec7": ("built-in half-transition pair: certified value 1/2 with zero residual",
+                  _run_demo_sec7, False, {}),
+    "demo-order": ("built-in order-dependence example on C^3", _run_demo_order, False, {}),
+    "demo-qubit": ("two distinct conditionals on a qubit event list", _run_demo_qubit, False,
+                   {"--angle": dict(type=float, default=math.pi / 4, help=(
+                       "angle of the tilted projection in radians (default pi/4)"))}),
+}
+
+
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--tol", type=_tolerance, default=DEFAULT_QUERY_TOL,
                         help="numerical tolerance (default 1e-9)")
-    common.add_argument("--seed", type=int, default=42,
-                        help="random seed for sampling and axiom checks (default 42)")
-    common.add_argument("--trials", type=int, default=100_000,
+    common.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                        help=f"random seed for sampling and axiom checks (default {DEFAULT_SEED})")
+    common.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
                         help=f"number of sampled trials, at most {MAX_TRIALS} "
-                             "(default 100000)")
+                             f"(default {DEFAULT_TRIALS})")
     common.add_argument("--pretty", action="store_true",
                         help="indent output and round floats to 6 significant digits")
 
-    scenario_arg = _Parser(add_help=False)
-    scenario_arg.add_argument("--scenario", required=True, metavar="PATH",
-                              help="path to a scenario JSON file")
+    with_scenario = _Parser(add_help=False, parents=[common])
+    with_scenario.add_argument("--scenario", required=True, metavar="PATH",
+                               help="path to a scenario JSON file")
 
     parser = _Parser(prog="orthoprob",
                      description="Conditional probability on orthospaces: "
                                  "scenario queries, demos, and checks.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    for name, (help_text, _) in _SCENARIO_COMMANDS.items():
-        p = sub.add_parser(name, parents=[common, scenario_arg], help=help_text)
-        p.set_defaults(handler=_run_scenario_command)
-
-    axioms = sub.add_parser("axioms", parents=[common, scenario_arg],
-                            help="randomized orthospace axiom check on the "
-                                 "scenario's algebra")
-    axioms.add_argument("--budget", type=int, default=None,
-                        help="random instances per axiom, at most "
-                             f"{MAX_AXIOM_BUDGET} (default from the scenario "
-                             "query, else 1000)")
-    axioms.set_defaults(handler=_run_axioms)
-
-    demo_sec7 = sub.add_parser("demo-sec7", parents=[common],
-                               help="built-in half-transition pair: certified "
-                                    "value 1/2 with zero residual")
-    demo_sec7.set_defaults(handler=_run_demo_sec7)
-
-    demo_order = sub.add_parser("demo-order", parents=[common],
-                                help="built-in order-dependence example on C^3")
-    demo_order.set_defaults(handler=_run_demo_order)
-
-    demo_qubit = sub.add_parser("demo-qubit", parents=[common],
-                                help="two distinct conditionals on a qubit "
-                                     "event list")
-    demo_qubit.add_argument("--angle", type=float, default=math.pi / 4,
-                            help="angle of the tilted projection in radians "
-                                 "(default pi/4)")
-    demo_qubit.set_defaults(handler=_run_demo_qubit)
+    for name, (help_text, handler, reads_scenario, extra) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[with_scenario if reads_scenario else common],
+                           help=help_text)
+        for flag, spec in extra.items():
+            p.add_argument(flag, **spec)
+        p.set_defaults(handler=handler)
     return parser
 
 

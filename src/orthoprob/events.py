@@ -143,10 +143,10 @@ class QuantumAlgebra:
         return self.event(projector_from_span(vectors))
 
     def zero(self) -> QuantumEvent:
-        return QuantumEvent(np.zeros((self.dim, self.dim), dtype=np.complex128))
+        return _adopted(QuantumEvent, np.zeros((self.dim, self.dim), dtype=np.complex128))
 
     def one(self) -> QuantumEvent:
-        return QuantumEvent(np.eye(self.dim, dtype=np.complex128))
+        return _adopted(QuantumEvent, np.eye(self.dim, dtype=np.complex128))
 
     def __repr__(self):
         return f"QuantumAlgebra(dim={self.dim})"
@@ -557,6 +557,7 @@ def events_equal(e: Event, f: Event, tol: float = DEFAULT_EVENT_TOL) -> bool:
 
 _AXIOMS = ("OS1", "OS2", "OS3", "OS4", "OS5", "OS6")
 _MAX_MESSAGES = 20
+DEFAULT_AXIOM_BUDGET = 1000  # rounds when no budget is given, here, in a scenario or on the CLI
 # Bytes bounding a block's pool x (pool + complements) relation table (a
 # block has at least one round) and the operands of one relation call.
 _HARNESS_BLOCK_BYTES = 1 << 18
@@ -594,7 +595,7 @@ class AxiomReport:
         return "\n".join(lines)
 
 
-def verify_orthospace_axioms(algebra: EventAlgebra, budget: int = 1000,
+def verify_orthospace_axioms(algebra: EventAlgebra, budget: int = DEFAULT_AXIOM_BUDGET,
                              seed: int = 0,
                              tol: float = DEFAULT_EVENT_TOL) -> AxiomReport:
     """Check the orthospace axioms on ``budget`` random event families.
@@ -611,10 +612,11 @@ def verify_orthospace_axioms(algebra: EventAlgebra, budget: int = 1000,
     block size, and the report keeps the first 20 failure messages in
     (round, axiom, position) order.
     """
-    if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)):
-        raise ValidationError(f"budget must be an integer, got {budget!r}")
-    if budget < 1:
-        raise ValidationError("budget must be >= 1")
+    for name, value, least in (("budget", budget, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            raise ValidationError(f"{name} must be >= {least}")
     _require_tolerance(tol)
     kind = getattr(algebra, "_kind", None)
     if kind is None or not isinstance(algebra, kind.algebra):

@@ -326,8 +326,12 @@ class StateVector:
 
     def projector(self) -> Projection:
         """Rank-one projection onto the spanned line."""
+        return _adopted(Projection, self._outer())
+
+    def _outer(self) -> np.ndarray:
+        """|v><v|, exactly Hermitian: the matrix of ``projector()``, unchecked."""
         v = self._vector
-        return _adopted(Projection, _symmetrized(np.outer(v, v.conj())))
+        return _symmetrized(np.outer(v, v.conj()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StateVector):
@@ -342,9 +346,10 @@ class StateVector:
 
 def _adopted(cls, m: np.ndarray):
     """A ``cls`` operator holding ``m`` after ``cls._check`` alone: ``m`` is
-    a fresh ``_symmetrized`` array, or I - P of a checked P, which the
-    Hermitian scan could never refuse, and finite unless ``cls._check``
-    refuses non-finite entries itself, as a projection's does."""
+    a fresh ``_symmetrized`` array, zero or identity matrix, or I - P of a
+    checked P, which the Hermitian scan could never refuse, and finite
+    unless ``cls._check`` refuses non-finite entries itself, as a
+    projection's does."""
     h = np.ascontiguousarray(m)
     h.flags.writeable = False
     op = cls.__new__(cls)

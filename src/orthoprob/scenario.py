@@ -7,8 +7,9 @@ pairs.  Parsing separates syntax errors (ParseError) from semantic ones
 (ValidationError, with the offending location in the message).
 
 ``QUERY_TABLE`` is the single place where a query kind is declared: its
-fields in wire order, each with its reference type, and its runner.
-Parsing, serialization and reference checks are generic loops over it.
+fields in wire order, each with its reference type, its runner, and the
+subcommand that runs it.  Parsing, serialization, reference checks and
+the command line's choice of kinds are generic loops over it.
 ``_FORMS`` is the single place where an algebra kind's wire forms are
 declared: its algebra record and the forms of its events and states.
 """
@@ -24,8 +25,8 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .errors import AlgebraMismatch, DimensionMismatch, ParseError, ValidationError
-from .events import (_QUANTUM, BooleanAlgebra, Event, EventAlgebra, QuantumAlgebra,
-                     _require_tolerance, verify_orthospace_axioms)
+from .events import (_QUANTUM, DEFAULT_AXIOM_BUDGET, BooleanAlgebra, Event, EventAlgebra,
+                     QuantumAlgebra, _require_tolerance, verify_orthospace_axioms)
 from .linalg import DEFAULT_QUERY_TOL, TOL_NORM, TOL_WIRE_NORM, StateVector, projector_from_span
 from .states import (ClassicalState, DensityState, State, _unit_trace,
                      compatibility_residuals, compatible, condition, condition_seq,
@@ -199,7 +200,7 @@ def _parse_query(doc, where: str = "query") -> Query:
     for name, ref in spec:
         at = f"{where}.{name}"
         if ref == BUDGET:
-            fields[name] = _bounded_int(doc.get(name, 1000), at, MAX_AXIOM_BUDGET)
+            fields[name] = _bounded_int(doc.get(name, DEFAULT_AXIOM_BUDGET), at, MAX_AXIOM_BUDGET)
         elif ref == THEN:
             fields[name] = _string_list(doc.get(name, []), at, minimum=0)
         elif ref == EVENTS:
@@ -455,7 +456,7 @@ def _nan_to_none(x: float | None):
 def _as_state(scenario: Scenario, name: str) -> State:
     state = scenario.states[name]
     if isinstance(state, StateVector):
-        return _QUANTUM.state_of(state, _unit_trace(state.projector().matrix))
+        return _QUANTUM.state_of(state, _unit_trace(state._outer()))
     return state
 
 
@@ -555,26 +556,33 @@ def _run_axioms(scenario, q, echo, tol, seed, trials) -> dict:
 class QueryKind(NamedTuple):
     fields: dict[str, str]   # field name -> reference type, in wire order
     run: Callable[..., dict]
+    command: str             # the subcommand that runs it
 
 
 QUERY_TABLE = {
-    "prob": QueryKind({"state": STATE, "event": EVENT}, _run_prob),
-    "condition": QueryKind({"state": STATE, "event": EVENT, "then": THEN}, _run_condition),
+    "prob": QueryKind({"state": STATE, "event": EVENT}, _run_prob, "condition"),
+    "condition": QueryKind({"state": STATE, "event": EVENT, "then": THEN}, _run_condition,
+                           "condition"),
     "condition_seq": QueryKind({"state": STATE, "events": EVENTS, "then": THEN},
-                               _run_condition_seq),
-    "predictability": QueryKind({"target": EVENT, "given": EVENTS}, _run_predictability),
-    "compatible": QueryKind({"first": EVENT, "second": EVENT}, _run_compatible),
+                               _run_condition_seq, "condition"),
+    "predictability": QueryKind({"target": EVENT, "given": EVENTS}, _run_predictability,
+                                "predict"),
+    "compatible": QueryKind({"first": EVENT, "second": EVENT}, _run_compatible, "compat"),
     "interference": QueryKind({"atom": EVENT, "path1": EVENT, "path2": EVENT,
-                               "target": EVENT}, _run_interference),
+                               "target": EVENT}, _run_interference, "interfere"),
     "two_slit": QueryKind({"source": VECTOR, "path1": VECTOR, "path2": VECTOR,
-                           "detector": VECTOR}, _run_two_slit),
-    "sample": QueryKind({"initial": STATE, "tests": EVENTS, "final": EVENT}, _run_sample),
-    "axioms": QueryKind({"budget": BUDGET}, _run_axioms),
+                           "detector": VECTOR}, _run_two_slit, "twoslit"),
+    "sample": QueryKind({"initial": STATE, "tests": EVENTS, "final": EVENT}, _run_sample,
+                        "sample"),
+    "axioms": QueryKind({"budget": BUDGET}, _run_axioms, "axioms"),
 }
 
+DEFAULT_SEED = 42  # run_query's seed, and the command line's --seed default
+DEFAULT_TRIALS = 100_000  # run_query's trial count, and the command line's --trials default
 
-def run_query(scenario: Scenario, tol: float = DEFAULT_QUERY_TOL, seed: int = 42,
-              trials: int = 100_000) -> dict:
+
+def run_query(scenario: Scenario, tol: float = DEFAULT_QUERY_TOL, seed: int = DEFAULT_SEED,
+              trials: int = DEFAULT_TRIALS) -> dict:
     """Execute the scenario's query and return a JSON-ready result record.
 
     ``tol`` is forwarded to the underlying operation (conditioning

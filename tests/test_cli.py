@@ -1,11 +1,13 @@
 """End-to-end command line tests via subprocess, plus in-process golden stdout."""
 
+import argparse
 import ast
 import contextlib
 import copy
 import importlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -286,6 +288,12 @@ class TestExitCodes:
         assert capsys.readouterr().err == \
             f"error: --budget: expected at most {MAX_AXIOM_BUDGET}\n"
 
+    def test_negative_axiom_seed(self, capsys):
+        # Before, it ended in numpy's "expected non-negative integer" traceback.
+        argv = ["axioms", "--scenario", str(SCENARIO_DIR / "qubit.json"), "--seed", "-1"]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "error: seed must be >= 0\n")
+
     def test_trials_above_the_ceiling(self, tmp_path, capsys):
         path = tmp_path / "coin.json"
         path.write_text(json.dumps(COIN_SAMPLE))
@@ -332,6 +340,56 @@ class TestExitCodes:
         assert run_cli("predict").returncode == 1
 
 
+# Each subcommand's options in --help order, after -h: option strings,
+# default and whether it is required.  Help text is not compared: argparse
+# words it differently across Python versions.
+COMMON_OPTIONS = [(("--tol",), 1e-9, False), (("--seed",), 42, False),
+                  (("--trials",), 100_000, False), (("--pretty",), False, False)]
+SCENARIO_OPTIONS = COMMON_OPTIONS + [(("--scenario",), None, True)]
+SUBCOMMAND_OPTIONS = {
+    "predict": SCENARIO_OPTIONS,
+    "condition": SCENARIO_OPTIONS,
+    "compat": SCENARIO_OPTIONS,
+    "interfere": SCENARIO_OPTIONS,
+    "twoslit": SCENARIO_OPTIONS,
+    "sample": SCENARIO_OPTIONS,
+    "axioms": SCENARIO_OPTIONS + [(("--budget",), None, False)],
+    "demo-sec7": COMMON_OPTIONS,
+    "demo-order": COMMON_OPTIONS,
+    "demo-qubit": COMMON_OPTIONS + [(("--angle",), math.pi / 4, False)],
+}
+
+
+def subcommands(parser) -> dict:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+class TestCommandLineShape:
+    def test_each_subcommand_has_its_pinned_options(self):
+        commands = subcommands(cli._build_parser())
+        assert list(commands) == list(SUBCOMMAND_OPTIONS)
+        for name, parser in commands.items():
+            options = [(tuple(a.option_strings), a.default, a.required) for a in parser._actions]
+            assert options[0][0] == ("-h", "--help")
+            assert options[1:] == SUBCOMMAND_OPTIONS[name], name
+
+    def test_query_kinds_and_subcommands_match(self):
+        commands = subcommands(cli._build_parser())
+        assert {kind.command for kind in QUERY_TABLE.values()} <= set(commands)
+        for name, parser in commands.items():
+            if parser.get_default("handler") is cli._run_scenario_command:
+                assert any(kind.command == name for kind in QUERY_TABLE.values()), name
+
+    @pytest.mark.parametrize("argv", [[]] + [[name] for name in SUBCOMMAND_OPTIONS])
+    def test_help_exits_cleanly(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--help"])
+        assert info.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: ") and err == ""
+
+
 # One small scenario of each algebra kind, with the same names, and a query
 # of every kind on them.  ``t`` is an atom and ``a``, ``b`` are orthogonal.
 SMALL_ALGEBRAS = {
@@ -371,9 +429,7 @@ def test_every_query_kind_exits_cleanly(algebra, kind, tmp_path, capsys):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({**SMALL_ALGEBRAS[algebra],
                                 "query": {"kind": kind, **EVERY_QUERY[kind]}}))
-    command = next((c for c, (_, kinds) in cli._SCENARIO_COMMANDS.items() if kind in kinds),
-                   kind)
-    code = main([command, "--scenario", str(path), "--trials", "100"])
+    code = main([QUERY_TABLE[kind].command, "--scenario", str(path), "--trials", "100"])
     out, err = capsys.readouterr()
     if code == 0:
         json.loads(out)

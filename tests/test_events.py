@@ -30,6 +30,10 @@ HARNESS_COUNTS = json.loads(
      / "harness_counts.json").read_text(encoding="utf-8"))
 
 
+def _forbidden(*args, **kwargs):
+    raise AssertionError("the public constructor ran")
+
+
 @pytest.fixture
 def die():
     return BooleanAlgebra(6, labels=["1", "2", "3", "4", "5", "6"])
@@ -132,6 +136,19 @@ class TestQuantumAlgebra:
     def test_mixed_kinds_rejected(self, die, qdim3):
         with pytest.raises(AlgebraMismatch):
             orthogonal(die.event([0]), qdim3.zero())
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_zero_and_one_skip_the_constructor(self, dim, monkeypatch):
+        # Both are exact arrays the library built: adopted after the
+        # projection check alone, with the constructor's bits, rank and norm.
+        want = [QuantumEvent(np.zeros((dim, dim))), QuantumEvent(np.eye(dim))]
+        monkeypatch.setattr(orthoprob.linalg.HermitianOperator, "_take", _forbidden)
+        algebra = QuantumAlgebra(dim)
+        for got, w, rank in zip([algebra.zero(), algebra.one()], want, [0, dim]):
+            assert type(got) is QuantumEvent
+            assert got.matrix.tobytes() == w.matrix.tobytes()
+            assert not got.matrix.flags.writeable
+            assert (got.rank, got._norm) == (rank, w._norm)
 
 
 class TestEventIsAProjection:
@@ -330,6 +347,25 @@ class TestAxiomHarness:
     def test_numpy_integer_budget_accepted(self):
         report = verify_orthospace_axioms(BooleanAlgebra(3), budget=np.int64(2))
         assert report.passed and report.checks["OS3"] == 2
+
+    def test_seed_must_be_nonnegative(self):
+        # Before, a negative seed ended in numpy's "expected non-negative
+        # integer" ValueError.
+        with pytest.raises(ValidationError, match="^seed must be >= 0$"):
+            verify_orthospace_axioms(QuantumAlgebra(2), budget=3, seed=-1)
+
+    @pytest.mark.parametrize("seed", [1.5, "3", True, None, [1, 2]])
+    def test_seed_must_be_an_integer(self, seed):
+        # Before, 1.5 and "3" ended in a TypeError, None ran unseeded,
+        # True ran as seed 1 and [1, 2] was taken as a seed sequence.
+        with pytest.raises(ValidationError,
+                           match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
+            verify_orthospace_axioms(QuantumAlgebra(2), budget=3, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        report = verify_orthospace_axioms(QuantumAlgebra(3), budget=4, seed=np.uint32(7))
+        assert report.checks == verify_orthospace_axioms(QuantumAlgebra(3), budget=4,
+                                                         seed=7).checks
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
     def test_tol_must_be_finite_and_nonnegative(self, tol):

@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orthoprob.events
+import orthoprob.linalg
 from orthoprob import scenario
 from orthoprob.errors import ParseError, ValidationError
 from orthoprob.linalg import StateVector, projector_from_span
+from orthoprob.states import DensityState, _unit_trace, condition, prob
 from orthoprob.scenario import (parse_scenario, run_query, scenario_from_jsonable,
                                 scenario_to_jsonable, serialize_scenario)
 
@@ -24,6 +27,10 @@ MINIMAL_BOOLEAN = """
   "query": {"kind": "prob", "state": "u", "event": "a"}
 }
 """
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("a projection check ran")
 
 
 def quantum_doc(query):
@@ -611,3 +618,34 @@ class TestRunQuery:
         assert out["passed"] is True
         assert out["budget"] == 60
         assert min(out["checks"].values()) >= 60
+
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be >= 0"), (1.5, "seed must be an integer, got 1.5"),
+        ("3", "seed must be an integer, got '3'"), (True, "seed must be an integer, got True"),
+        (None, "seed must be an integer, got None")])
+    def test_axiom_seed_is_checked(self, seed, message):
+        doc = ('{"algebra": {"kind": "quantum", "dim": 2},'
+               ' "query": {"kind": "axioms", "budget": 3}}')
+        with pytest.raises(ValidationError) as info:
+            run_query(parse_scenario(doc), seed=seed)
+        assert str(info.value) == message
+
+    def test_vector_state_skips_the_projection_check(self, monkeypatch):
+        """A vector state becomes a density state through the density checks
+        alone, with the bits the checked projector gave it: |v><v| of a unit
+        vector could never fail the projection check."""
+        parsed = parse_scenario(json.dumps({
+            "algebra": {"kind": "quantum", "dim": 3},
+            "events": {"plane": {"span": [[[1, 0], [1, 0], [0, 0]], [[0, 0], [1, 0], [1, 0]]]},
+                       "up": {"span": [[[1, 0], [0, 0], [0, 0]]]}},
+            "states": {"v": {"vector": [[0.6, 0], [0, 0.48], [0.64, 0]]}},
+            "query": {"kind": "condition", "state": "v", "event": "plane", "then": ["up"]}}))
+        vector = parsed.states["v"]
+        want = condition(DensityState(_unit_trace(vector.projector().matrix)),
+                         parsed.events["plane"])
+        monkeypatch.setattr(orthoprob.linalg, "_projection_checks", _forbidden)
+        monkeypatch.setattr(orthoprob.events, "_projection_checks", _forbidden)
+        out = run_query(parsed)
+        got = np.array(out["conditioned"]["density"])
+        assert got.tobytes() == np.stack([want.matrix.real, want.matrix.imag], -1).tobytes()
+        assert out["then"] == {"up": prob(want, parsed.events["up"])}
