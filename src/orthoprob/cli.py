@@ -2,9 +2,10 @@
 
 Every subcommand prints a single JSON document to stdout.  Exit codes:
 0 on success, 1 for unusable input (bad arguments, unreadable files,
-syntax or validation errors), 2 when the input was well formed but the
-requested operation failed (zero-probability conditioning, impossible
-sequences, and similar).  Warnings and diagnostics go to stderr.
+syntax or validation errors) or a reader that closed stdout, 2 when the
+input was well formed but the requested operation failed (zero-probability
+conditioning, impossible sequences, and similar).  Warnings and
+diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -54,11 +56,8 @@ def _round_floats(value):
 
 
 def _emit(result: dict, pretty: bool) -> None:
-    if pretty:
-        print(json.dumps(_round_floats(result), indent=2, allow_nan=False,
-                         check_circular=False))
-    else:
-        print(json.dumps(result, allow_nan=False, check_circular=False))
+    print(json.dumps(_round_floats(result) if pretty else result, indent=2 if pretty else None,
+                     allow_nan=False, check_circular=False), flush=True)
 
 
 def _load_scenario(path: str) -> Scenario:
@@ -207,7 +206,13 @@ def main(argv=None) -> int:
     except OrthoprobError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(result, args.pretty)
+    try:
+        _emit(result, args.pretty)
+    except BrokenPipeError:  # Python's SIGPIPE note: to devnull, so exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return 0
 
 

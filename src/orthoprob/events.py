@@ -28,15 +28,8 @@ from .errors import (AlgebraMismatch, ImpossibleSequence, NonUniqueConditioningW
                      NotOrthogonal, ValidationError, ZeroEvent)
 from .linalg import (CLAMP, DEFAULT_EVENT_TOL, Projection, _adopted, _check_density_stack,
                      _check_weight_rows, _frobenius_norms, _projection_checks, _require_finite,
-                     _require_sequence, _require_tolerance, _symmetrized, _within,
+                     _require_int, _require_sequence, _require_tolerance, _symmetrized, _within,
                      projector_from_span, random_unitary)
-
-
-def _integer(value, what: str) -> int:
-    """``value`` as an int: an int or a numpy integer, never a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{what} {value!r} is not an integer")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -47,9 +40,7 @@ class SampleSpace:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "size", _integer(self.size, "sample space size"))
-        if self.size < 1:
-            raise ValidationError("sample space needs at least one point")
+        object.__setattr__(self, "size", _require_int(self.size, "sample space size", 1))
         if self.labels is not None:
             if len(self.labels) != self.size:
                 raise ValidationError(
@@ -66,7 +57,8 @@ class BooleanEvent:
     members: frozenset[int]
 
     def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(_integer(i, "member") for i in self.members))
+        object.__setattr__(self, "members",
+                           frozenset(_require_int(i, "member") for i in self.members))
         for i in self.members:
             if not 0 <= i < self.space.size:
                 raise ValidationError(
@@ -80,9 +72,6 @@ class QuantumEvent(Projection):
     """
 
     __slots__ = ()
-
-    def __init__(self, entries):
-        self._take(entries)
 
 
 Event = Union[BooleanEvent, QuantumEvent]
@@ -123,13 +112,10 @@ class QuantumAlgebra:
     kind = "quantum"
 
     def __init__(self, dim: int):
-        dim = _integer(dim, "quantum algebra dimension")
-        if dim < 1:
-            raise ValidationError("quantum algebra dimension must be >= 1")
-        self.dim = dim
+        self.dim = _require_int(dim, "quantum algebra dimension", 1)
         # Dimension two is the lone projection lattice where conditional
         # probabilities fail to be unique; flag it so callers can warn.
-        self.flag = None if dim != 2 else \
+        self.flag = None if self.dim != 2 else \
             "type I2: not a UCP space (conditional probabilities are not unique)"
 
     def event(self, entries) -> QuantumEvent:
@@ -558,6 +544,9 @@ def events_equal(e: Event, f: Event, tol: float = DEFAULT_EVENT_TOL) -> bool:
 _AXIOMS = ("OS1", "OS2", "OS3", "OS4", "OS5", "OS6")
 _MAX_MESSAGES = 20
 DEFAULT_AXIOM_BUDGET = 1000  # rounds when no budget is given, here, in a scenario or on the CLI
+DEFAULT_SEED = 42  # SamplerConfig's and run_query's seed, and the CLI's --seed default
+DEFAULT_TRIALS = 100_000  # SamplerConfig's and run_query's trials, and the CLI's --trials default
+_SEED_BOUND = 2 ** 64  # a seed is in [0, _SEED_BOUND): the width of the sampler's Philox key
 # Bytes bounding a block's pool x (pool + complements) relation table (a
 # block has at least one round) and the operands of one relation call.
 _HARNESS_BLOCK_BYTES = 1 << 18
@@ -612,11 +601,7 @@ def verify_orthospace_axioms(algebra: EventAlgebra, budget: int = DEFAULT_AXIOM_
     block size, and the report keeps the first 20 failure messages in
     (round, axiom, position) order.
     """
-    for name, value, least in (("budget", budget, 1), ("seed", seed, 0)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValidationError(f"{name} must be an integer, got {value!r}")
-        if value < least:
-            raise ValidationError(f"{name} must be >= {least}")
+    budget, seed = _require_int(budget, "budget", 1), _require_int(seed, "seed", 0, _SEED_BOUND)
     _require_tolerance(tol)
     kind = getattr(algebra, "_kind", None)
     if kind is None or not isinstance(algebra, kind.algebra):

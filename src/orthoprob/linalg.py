@@ -103,6 +103,18 @@ def _require_tolerance(tol: float) -> None:
         raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
 
 
+def _require_int(value, what: str, least: int | None = None, bound: int | None = None) -> int:
+    """``value``, an int or a numpy integer but no bool, as an int in [least, bound)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{what} {value!r} is not an integer")
+    value = int(value)
+    if least is not None and value < least:
+        raise ValidationError(f"{what} must be >= {least}")
+    if bound is not None and value >= bound:
+        raise ValidationError(f"{what} must be < {bound}")
+    return value
+
+
 def _require_sequence(value, name: str, of: str) -> None:
     if not isinstance(value, Sequence):
         raise ValidationError(
@@ -229,8 +241,9 @@ class HermitianOperator:
         self._take(entries)
 
     def _take(self, entries) -> None:
-        # Every subclass's own __init__ calls this, so building one object
-        # runs one constructor (perfbench's span tracing counts each class's).
+        # Every constructor calls this, so building one object runs one
+        # __init__, which perfbench's span tracing counts: a QuantumEvent
+        # inherits Projection's and is counted under it.
         if isinstance(entries, HermitianOperator):
             self._matrix = entries._matrix
             self._check(entries)

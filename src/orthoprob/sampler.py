@@ -63,8 +63,9 @@ import numpy as np
 
 from .errors import (EmptyChain, ImpossibleSequence, NotPredictable,
                      ValidationError, ZeroEvent, ZeroProbabilityCondition)
-from .events import Event, _require_instance, _require_sequence, _shared_kind, complement
-from .linalg import DEFAULT_CONDITION_TOL, DEGENERATE_BRANCH, TOL_DEVIATION
+from .events import (_SEED_BOUND, DEFAULT_SEED, DEFAULT_TRIALS, Event, _require_instance,
+                     _require_sequence, _shared_kind, complement)
+from .linalg import DEFAULT_CONDITION_TOL, DEGENERATE_BRANCH, TOL_DEVIATION, _require_int
 from .states import State, _check_probabilities, condition, predictability_seq, prob
 
 # Bytes of states or draws a level handles at once: the level's
@@ -74,18 +75,14 @@ LEVEL_BLOCK_BYTES = 1 << 18
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Trial count and RNG seed for chain runs."""
+    """Trial count (>= 1) and RNG seed (in [0, 2**64)) for chain runs."""
 
-    seed: int = 42
-    trials: int = 100_000
+    seed: int = DEFAULT_SEED
+    trials: int = DEFAULT_TRIALS
 
     def __post_init__(self):
-        if isinstance(self.trials, bool) or not isinstance(self.trials, int) \
-                or self.trials < 1:
-            raise ValidationError(f"trials must be a positive integer, got {self.trials!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) \
-                or not 0 <= self.seed < 2 ** 64:
-            raise ValidationError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        object.__setattr__(self, "trials", _require_int(self.trials, "trials", 1))
+        object.__setattr__(self, "seed", _require_int(self.seed, "seed", 0, _SEED_BOUND))
 
 
 @dataclass(frozen=True)
@@ -332,7 +329,7 @@ def state_independence_check(target: Event, tests: Sequence[Event],
                     f"{path_p!r} <= {DEFAULT_CONDITION_TOL!r} by step {k}",
                     index=k, probability=path_p)
             walking = condition(walking, ev, tol=0.0)
-        run_config = replace(config, seed=(config.seed + i) % 2 ** 64)
+        run_config = replace(config, seed=(config.seed + i) % _SEED_BOUND)
         results.append(sample_chain(state, tests, target, run_config))
 
     deviations = []

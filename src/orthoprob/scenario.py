@@ -25,8 +25,9 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .errors import AlgebraMismatch, DimensionMismatch, ParseError, ValidationError
-from .events import (_QUANTUM, DEFAULT_AXIOM_BUDGET, BooleanAlgebra, Event, EventAlgebra,
-                     QuantumAlgebra, _require_tolerance, verify_orthospace_axioms)
+from .events import (_QUANTUM, DEFAULT_AXIOM_BUDGET, DEFAULT_SEED, DEFAULT_TRIALS,
+                     BooleanAlgebra, Event, EventAlgebra, QuantumAlgebra, _require_tolerance,
+                     verify_orthospace_axioms)
 from .linalg import DEFAULT_QUERY_TOL, TOL_NORM, TOL_WIRE_NORM, StateVector, projector_from_span
 from .states import (ClassicalState, DensityState, State, _unit_trace,
                      compatibility_residuals, compatible, condition, condition_seq,
@@ -535,7 +536,7 @@ def _run_sample(scenario, q, echo, tol, seed, trials) -> dict:
     result = sample_chain(_as_state(scenario, q["initial"]),
                           [scenario.events[n] for n in q["tests"]],
                           scenario.events[q["final"]], config)
-    return {**echo, "seed": seed, "trials": trials, "tol": tol,
+    return {**echo, "seed": result.seed, "trials": result.trials, "tol": tol,
             "outcome_counts": result.outcome_counts,
             "all_yes_count": result.all_yes_count,
             "final_event_yes_count": result.final_event_yes_count,
@@ -548,7 +549,7 @@ def _run_axioms(scenario, q, echo, tol, seed, trials) -> dict:
     report = verify_orthospace_axioms(scenario.algebra, budget=q["budget"],
                                       seed=seed, tol=tol)
     return {"kind": "axioms", "algebra": report.algebra, "budget": q["budget"],
-            "seed": seed, "tol": tol, "checks": dict(report.checks),
+            "seed": report.seed, "tol": tol, "checks": dict(report.checks),
             "failures": dict(report.failures), "passed": report.passed,
             "messages": list(report.messages)}
 
@@ -576,9 +577,6 @@ QUERY_TABLE = {
                         "sample"),
     "axioms": QueryKind({"budget": BUDGET}, _run_axioms, "axioms"),
 }
-
-DEFAULT_SEED = 42  # run_query's seed, and the command line's --seed default
-DEFAULT_TRIALS = 100_000  # run_query's trial count, and the command line's --trials default
 
 
 def run_query(scenario: Scenario, tol: float = DEFAULT_QUERY_TOL, seed: int = DEFAULT_SEED,

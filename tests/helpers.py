@@ -6,16 +6,24 @@ made exactly as the library makes its internal sums: the symmetrized
 average of a product, checked for idempotency and rank.
 """
 
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
 from orthoprob.errors import NotOrthogonal, ValidationError
-from orthoprob.events import (AxiomReport, BooleanAlgebra, BooleanEvent, QuantumEvent,
+from orthoprob import _harness
+from orthoprob.events import (_QUANTUM, AxiomReport, BooleanAlgebra, BooleanEvent, QuantumEvent,
                               complement, events_equal, oplus, orthogonal)
 from orthoprob.linalg import (HermitianOperator, Projection, _adopted, _check_same_dim,
                               _hermitian_matrix_of, _symmetrized, random_unitary)
 from orthoprob.states import DensityState
+
+
+# Seeds that sampling and the axiom harness refuse, with the one message
+# each gives: a seed is an int or a numpy integer in [0, 2**64).
+SEED_REFUSALS = [(-1, "seed must be >= 0"), (2 ** 64, "seed must be < 18446744073709551616"),
+                 (1.5, "seed 1.5 is not an integer"), (True, "seed True is not an integer")]
 
 
 def _symmetrized_projection(m: np.ndarray) -> Projection:
@@ -105,6 +113,50 @@ def state_family(mix: np.ndarray) -> list[DensityState]:
         for j in range(i + 1, dim):
             vectors += [(eye[i] + eye[j]) / np.sqrt(2), (eye[i] + 1j * eye[j]) / np.sqrt(2)]
     return [DensityState((np.outer(v, v.conj()) + mix) / 2) for v in vectors]
+
+
+def spin_system(k: int) -> np.ndarray:
+    """The 2k + 1 pairwise anticommuting Hermitian unitaries sigma_1 ...
+    sigma_(2k+1) on C^(2^k) of the Jordan-Wigner construction, stacked:
+    Z x ... x Z x X x 1 x ... x 1 and the same with Y, with the X or Y in
+    each of the k factors in turn, and last Z x ... x Z.  They represent the
+    spin factor R1 + R^(2k+1) (Hanche-Olsen and Stormer, Jordan Operator
+    Algebras, ch. 6)."""
+    x = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+    y = np.array([[0, -1j], [1j, 0]])
+    z, one = np.diag([1.0 + 0j, -1.0]), np.eye(2, dtype=np.complex128)
+    strings = [[z] * j + [pauli] + [one] * (k - j - 1) for j in range(k) for pauli in (x, y)]
+    return np.stack([reduce(np.kron, factors) for factors in strings + [[z] * k]])
+
+
+def spin_projection(sigmas: np.ndarray, v) -> QuantumEvent:
+    """P_v = (1 + sum_i v_i sigma_i) / 2 of a unit vector v in R^(2k+1),
+    given by its leading entries, a projection of rank 2^(k-1) with
+    P_v P_w P_v = ((1 + v.w) / 2) P_v.  For v with entries 0, +-1/2 and +-1
+    every entry and product is exact."""
+    v = np.asarray(v, dtype=float)
+    return QuantumEvent((np.eye(sigmas.shape[-1]) + np.tensordot(v, sigmas[:len(v)], 1)) / 2)
+
+
+def one_sided_orthogonality(monkeypatch) -> None:
+    """Make the pool pair (d, e) of an axiom run's first round orthogonal in
+    the order d, e only.
+
+    The harness draws d and e exactly orthogonal; the patched quantum
+    orthogonality routine sets the residual of e against d to 1 in the first
+    pool table it computes.  So OS1 and OS2 fail once each, whatever BLAS
+    kernel computed the other residuals."""
+    computed = _QUANTUM.orthogonality
+    tables = []
+
+    def orthogonality(a, b):
+        residuals = computed(a, b)
+        if residuals.ndim == 3 and not tables:  # (rounds, pool, pool and complements)
+            residuals[0, _harness._E, _harness._D] = 1.0
+            tables.append(residuals)
+        return residuals
+
+    monkeypatch.setattr(_QUANTUM, "orthogonality", orthogonality)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,8 @@ from orthoprob.scenario import (MAX_ALGEBRA_SIZE, MAX_AXIOM_BUDGET, MAX_TRIALS, 
                                 parse_scenario, run_query, scenario_to_jsonable,
                                 serialize_scenario)
 
+import helpers
+
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = ROOT / "scenarios"
 PERFBENCH = ROOT / "perfbench"
@@ -294,6 +296,34 @@ class TestExitCodes:
         assert main(argv) == 1
         assert capsys.readouterr() == ("", "error: seed must be >= 0\n")
 
+    @pytest.mark.parametrize("command", ["sample", "axioms"])
+    @pytest.mark.parametrize("seed, message", [
+        ("-1", "seed must be >= 0"),
+        ("18446744073709551616", "seed must be < 18446744073709551616")])
+    def test_one_seed_range(self, tmp_path, capsys, command, seed, message):
+        path = tmp_path / "coin.json"
+        path.write_text(json.dumps(COIN_SAMPLE))
+        extra = ["--budget", "1"] if command == "axioms" else []
+        argv = [command, "--scenario", str(path), "--trials", "10", *extra]
+        assert main(argv + ["--seed", seed]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert main(argv + ["--seed", "18446744073709551615"]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 2 ** 64 - 1
+
+    def test_closed_pipe_exits_quietly(self):
+        # Before, the print ended in a BrokenPipeError traceback.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "orthoprob", "axioms", "--scenario",
+                 str(SCENARIO_DIR / "qubit.json"), "--budget", "2"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+
     def test_trials_above_the_ceiling(self, tmp_path, capsys):
         path = tmp_path / "coin.json"
         path.write_text(json.dumps(COIN_SAMPLE))
@@ -324,16 +354,17 @@ class TestExitCodes:
         assert err.startswith("error: invalid JSON: maximum recursion depth exceeded")
         assert err.count("\n") == 1
 
-    def test_asymmetric_orthogonality_is_reported(self, tmp_path, capsys):
-        # At tol 1e-16 one pool pair of these rounds is orthogonal in one
-        # order only; the sum is then an OS2 failure, not an abort.
+    def test_asymmetric_orthogonality_is_reported(self, tmp_path, capsys, monkeypatch):
+        # One pool pair of these rounds is orthogonal in one order only; the
+        # sum is then an OS2 failure, not an abort.
+        helpers.one_sided_orthogonality(monkeypatch)
         path = tmp_path / "q6.json"
         path.write_text(json.dumps({"algebra": {"kind": "quantum", "dim": 6}}))
-        assert main(["axioms", "--scenario", str(path), "--tol", "1e-16",
-                     "--budget", "5", "--seed", "2"]) == 0
+        assert main(["axioms", "--scenario", str(path), "--budget", "5", "--seed", "2"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["passed"] is False
         assert out["failures"]["OS1"] == out["failures"]["OS2"] == 1
+        assert "OS2: round 0: sum not defined in both orders" in out["messages"]
 
     def test_usage_error(self):
         assert run_cli("no-such-command").returncode == 1

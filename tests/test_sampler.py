@@ -14,7 +14,8 @@ from orthoprob.errors import (AlgebraMismatch, EmptyChain,
                               ImpossibleSequence, NonUniqueConditioningWarning,
                               NotPredictable, ValidationError, ZeroEvent,
                               ZeroProbabilityCondition)
-from orthoprob.events import _BOOLEAN, _QUANTUM, BooleanAlgebra, QuantumAlgebra, complement
+from orthoprob.events import (_BOOLEAN, _QUANTUM, BooleanAlgebra, QuantumAlgebra, complement,
+                             verify_orthospace_axioms)
 from orthoprob.presets import half_transition_pair, order_dependence_example
 from orthoprob import sampler
 from orthoprob.sampler import (DEGENERATE_BRANCH, ChainResult, SamplerConfig,
@@ -23,7 +24,7 @@ from orthoprob.sampler import (DEGENERATE_BRANCH, ChainResult, SamplerConfig,
 from orthoprob.states import (ClassicalState, DensityState, atom_state, condition, condition_seq,
                               predictability_seq, prob)
 
-from helpers import random_density_state, random_projection
+from helpers import SEED_REFUSALS, random_density_state, random_projection
 
 
 @pytest.fixture
@@ -161,13 +162,12 @@ def test_six_test_chain_memory_per_trial(half_pair_chain):
 class TestConfig:
     def test_validation(self):
         cases = [
-            ({"trials": 0}, "trials must be a positive integer, got 0"),
-            ({"trials": True}, "trials must be a positive integer, got True"),
-            ({"trials": 10.0}, "trials must be a positive integer, got 10.0"),
-            ({"seed": -1}, "seed must be an unsigned 64-bit integer, got -1"),
-            ({"seed": 2 ** 64},
-             "seed must be an unsigned 64-bit integer, got 18446744073709551616"),
-            ({"seed": True}, "seed must be an unsigned 64-bit integer, got True"),
+            ({"trials": 0}, "trials must be >= 1"),
+            ({"trials": True}, "trials True is not an integer"),
+            ({"trials": 10.0}, "trials 10.0 is not an integer"),
+            ({"seed": -1}, "seed must be >= 0"),
+            ({"seed": 2 ** 64}, "seed must be < 18446744073709551616"),
+            ({"seed": True}, "seed True is not an integer"),
         ]
         for kwargs, message in cases:
             with pytest.raises(ValidationError) as exc:
@@ -196,6 +196,28 @@ class TestConfig:
         with pytest.raises(ValidationError) as exc:
             call(mixed, e)
         assert str(exc.value) == message
+
+
+class TestSeedContract:
+    """Sampling and the axiom harness take one seed range, [0, 2**64), with
+    one message per refusal; numpy integers are taken and stored as ints."""
+
+    @pytest.mark.parametrize("seed, message", SEED_REFUSALS)
+    def test_refused_alike(self, seed, message):
+        for run in (lambda: SamplerConfig(seed=seed),
+                    lambda: verify_orthospace_axioms(QuantumAlgebra(2), budget=1, seed=seed)):
+            with pytest.raises(ValidationError) as exc:
+                run()
+            assert str(exc.value) == message
+
+    def test_numpy_integers_stored_as_ints(self):
+        config = SamplerConfig(seed=np.uint64(2 ** 63), trials=np.int64(10))
+        assert (config.seed, config.trials) == (2 ** 63, 10)
+        assert type(config.seed) is int and type(config.trials) is int
+        report = verify_orthospace_axioms(QuantumAlgebra(2), budget=np.int64(1),
+                                          seed=np.uint64(2 ** 63))
+        assert (report.seed, report.rounds) == (2 ** 63, 1)
+        assert type(report.seed) is int and type(report.rounds) is int
 
 
 class TestStateIndependence:

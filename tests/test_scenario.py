@@ -17,6 +17,8 @@ from orthoprob.states import DensityState, _unit_trace, condition, prob
 from orthoprob.scenario import (parse_scenario, run_query, scenario_from_jsonable,
                                 scenario_to_jsonable, serialize_scenario)
 
+from helpers import SEED_REFUSALS
+
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 MINIMAL_BOOLEAN = """
@@ -620,15 +622,34 @@ class TestRunQuery:
         assert min(out["checks"].values()) >= 60
 
     @pytest.mark.parametrize("seed, message", [
-        (-1, "seed must be >= 0"), (1.5, "seed must be an integer, got 1.5"),
-        ("3", "seed must be an integer, got '3'"), (True, "seed must be an integer, got True"),
-        (None, "seed must be an integer, got None")])
+        (-1, "seed must be >= 0"), (1.5, "seed 1.5 is not an integer"),
+        ("3", "seed '3' is not an integer"), (True, "seed True is not an integer"),
+        (None, "seed None is not an integer")])
     def test_axiom_seed_is_checked(self, seed, message):
         doc = ('{"algebra": {"kind": "quantum", "dim": 2},'
                ' "query": {"kind": "axioms", "budget": 3}}')
         with pytest.raises(ValidationError) as info:
             run_query(parse_scenario(doc), seed=seed)
         assert str(info.value) == message
+
+    @pytest.mark.filterwarnings("ignore::orthoprob.NonUniqueConditioningWarning")
+    @pytest.mark.parametrize("query", [
+        {"kind": "sample", "initial": "mixed", "tests": ["up"], "final": "diag"},
+        {"kind": "axioms", "budget": 2}], ids=["sample", "axioms"])
+    def test_one_seed_contract(self, query):
+        """Sample and axiom queries refuse the same seeds with the same
+        messages, and echo a numpy seed as a JSON-ready int."""
+        parsed = parse_scenario(quantum_doc(query))
+        for seed, message in SEED_REFUSALS:
+            with pytest.raises(ValidationError) as info:
+                run_query(parsed, seed=seed, trials=10)
+            assert str(info.value) == message
+        for seed in (np.int64(3), np.uint64(2 ** 63)):
+            out = run_query(parsed, seed=seed, trials=np.int64(10))
+            assert type(out["seed"]) is int and out["seed"] == seed
+            assert json.loads(json.dumps(out))["seed"] == seed
+        if query["kind"] == "sample":
+            assert type(out["trials"]) is int and out["trials"] == 10
 
     def test_vector_state_skips_the_projection_check(self, monkeypatch):
         """A vector state becomes a density state through the density checks

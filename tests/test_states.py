@@ -32,7 +32,7 @@ from orthoprob.states import (ClassicalState, DensityState, TableState,
                               qubit_nonuniqueness_demo, rank_one_transition)
 
 from helpers import (frame_event, random_density_matrix, random_density_state,
-                     random_projection, state_family)
+                     random_projection, spin_projection, spin_system, state_family)
 
 
 @pytest.fixture
@@ -1037,6 +1037,64 @@ class TestPredictabilityFamilyOracle:
                     assert np.abs(p - result.s).max() <= FAMILY_SPREAD
                 verdicts.add(result.predictable)
         assert verdicts == {True, False}
+
+
+class TestSpinFactorOracle:
+    """Closed forms on the spin factor: P_v = (1 + v.sigma)/2 of unit vectors
+    v, w, u in R^(2k+1) with entries 0 and +-1/2 on C^(2^k).  (P_w, P_v) is
+    predictable with s = (1 + v.w)/2 although neither event is an atom and
+    the pair does not commute; every product is exact, so each value is
+    pinned bit for bit, whatever the BLAS kernel."""
+
+    V = np.array([0.5, 0.5, 0.5, 0.5, 0.0])
+    W = np.array([0.5, 0.5, 0.5, -0.5, 0.0])
+    U = np.array([0.0, 0.5, -0.5, 0.5, 0.5])
+
+    @pytest.fixture(params=[4, 8, 16, 64])
+    def sigmas(self, request):
+        return spin_system(request.param.bit_length() - 1)
+
+    def test_events_are_projections_of_half_rank(self, sigmas):
+        dim = sigmas.shape[-1]
+        products = np.einsum("iab,jbc->ijac", sigmas, sigmas)
+        assert np.array_equal(products + products.transpose(1, 0, 2, 3),
+                              2 * np.einsum("ij,ab->ijab", np.eye(len(sigmas)), np.eye(dim)))
+        for v in (self.V, self.W, self.U):
+            p = spin_projection(sigmas, v)
+            assert p.rank == dim // 2
+            assert not is_atom(p)
+
+    def test_predictability_is_the_closed_form(self, sigmas):
+        result = predictability(spin_projection(sigmas, self.W), spin_projection(sigmas, self.V))
+        assert result.predictable
+        assert result.s == (1 + self.V @ self.W) / 2 == 0.75
+        assert result.residual == 0.0
+
+    def test_sequence_predictability_is_the_closed_form(self, sigmas):
+        result = predictability_seq(spin_projection(sigmas, self.U),
+                                    [spin_projection(sigmas, self.V),
+                                     spin_projection(sigmas, self.W)])
+        assert result.predictable
+        assert result.s == (1 + self.W @ self.U) / 2 == 0.375
+        assert result.residual == 0.0
+
+    def test_orthogonal_exactly_for_opposite_vectors(self, sigmas):
+        pv = spin_projection(sigmas, self.V)
+        assert orthogonal(pv, spin_projection(sigmas, -self.V))
+        assert not orthogonal(pv, spin_projection(sigmas, self.W))
+        assert not orthogonal(pv, pv)
+
+    def test_complement_is_the_opposite_vector(self, sigmas):
+        for v in (self.V, self.W, self.U):
+            assert complement(spin_projection(sigmas, v)).matrix.tobytes() == \
+                spin_projection(sigmas, -v).matrix.tobytes()
+
+    def test_compatible_exactly_for_parallel_vectors(self, sigmas):
+        pv, pw = spin_projection(sigmas, self.V), spin_projection(sigmas, self.W)
+        assert compatible(pv, pv)
+        assert compatible(pv, spin_projection(sigmas, -self.V))
+        assert not compatible(pv, pw)
+        assert not compatible(pw, spin_projection(sigmas, self.U))
 
 
 class TestBooleanDiagonalStates:
