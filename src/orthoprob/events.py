@@ -57,12 +57,17 @@ class BooleanEvent:
     members: frozenset[int]
 
     def __post_init__(self):
-        object.__setattr__(self, "members",
-                           frozenset(_require_int(i, "member") for i in self.members))
-        for i in self.members:
-            if not 0 <= i < self.space.size:
-                raise ValidationError(
-                    f"member {i!r} outside sample space of size {self.space.size}")
+        members = self.members
+        # A frozenset of plain ints is kept as it is: _require_int returns them unchanged.
+        if type(members) is not frozenset or not {int}.issuperset(map(type, members)):
+            members = frozenset(i if type(i) is int else _require_int(i, "member")
+                                for i in members)
+            object.__setattr__(self, "members", members)
+        if members and (min(members) < 0 or max(members) >= self.space.size):
+            for i in members:
+                if not 0 <= i < self.space.size:
+                    raise ValidationError(
+                        f"member {i!r} outside sample space of size {self.space.size}")
 
 
 class QuantumEvent(Projection):

@@ -15,7 +15,8 @@ norm, ``DensityState(rho)`` a density state as it is.  Internal results
 are ``_symmetrized``, hence Hermitian bit for bit, and the private
 ``_adopted`` hands them, and complements I - P, to ``_check`` unscanned.
 Every projection check, of one matrix or of a stack, is
-``_projection_checks``.
+``_projection_checks``; a caller that checked a stack hands each matrix's
+(rank, norm) to ``_adopted``, and nothing is checked again.
 """
 
 from __future__ import annotations
@@ -134,6 +135,13 @@ def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
     return np.sqrt(squares[..., 0, 0])
 
 
+def _vector_norm(v: np.ndarray) -> float:
+    """``float(np.linalg.norm(v))`` of a complex vector, with its bits: the
+    same two dot products, without its dispatch."""
+    re, im = v.real, v.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def _projection_checks(stack: np.ndarray):
     """Check each matrix of a (k, d, d) stack of exactly Hermitian matrices
     as a projection; never raises.
@@ -248,12 +256,7 @@ class HermitianOperator:
             self._matrix = entries._matrix
             self._check(entries)
             return
-        arr = _square_complex(entries)
-        skew = np.abs(arr - arr.conj().T).max()
-        if skew > TOL_HERMITIAN:
-            raise ValidationError(f"matrix is not Hermitian: max |A - A^H| = {skew:.3e} "
-                                  f"exceeds {TOL_HERMITIAN:.1e}")
-        self._matrix = _frozen(arr)
+        self._matrix = _hermitian_array(entries)
         self._check(None)
 
     def _check(self, given) -> None:
@@ -296,14 +299,16 @@ class Projection(HermitianOperator):
         self._take(entries)
 
     def _check(self, given) -> None:
+        # ``given`` may also be the (rank, norm) pair that a stacked
+        # _projection_checks call gave this matrix.
         if isinstance(given, Projection):
-            self._rank, self._norm = given._rank, given._norm
-            return
-        errors, norms, ranks = _projection_checks(self._matrix[None])
-        if errors[0]:
-            raise ValidationError(errors[0])
-        self._rank = int(ranks[0])
-        self._norm = float(norms[0])
+            given = given._rank, given._norm
+        elif not isinstance(given, tuple):
+            errors, norms, ranks = _projection_checks(self._matrix[None])
+            if errors[0]:
+                raise ValidationError(errors[0])
+            given = int(ranks[0]), float(norms[0])
+        self._rank, self._norm = given
 
     @property
     def rank(self) -> int:
@@ -324,7 +329,7 @@ class StateVector:
             raise ValidationError(f"state vector must be 1-d and nonempty, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValidationError("state vector entries must be finite")
-        nrm = float(np.linalg.norm(arr))
+        nrm = _vector_norm(arr)
         if abs(nrm - 1.0) > TOL_NORM:
             raise ValidationError(f"state vector norm {nrm!r} is not 1 within {TOL_NORM:.1e}")
         self._vector = _frozen(arr)
@@ -357,18 +362,30 @@ class StateVector:
         return f"StateVector(dim={self.dim})"
 
 
-def _adopted(cls, m: np.ndarray):
-    """A ``cls`` operator holding ``m`` after ``cls._check`` alone: ``m`` is
-    a fresh ``_symmetrized`` array, zero or identity matrix, or I - P of a
-    checked P, which the Hermitian scan could never refuse, and finite
-    unless ``cls._check`` refuses non-finite entries itself, as a
-    projection's does."""
+def _adopted(cls, m: np.ndarray, given=None):
+    """A ``cls`` operator holding ``m`` after ``cls._check(given)`` alone:
+    ``m`` is a fresh ``_symmetrized`` array, zero or identity matrix, I - P
+    of a checked P, or the result of ``_hermitian_array``, which the
+    Hermitian scan could never refuse, and finite unless ``cls._check``
+    refuses non-finite entries itself, as a projection's does."""
     h = np.ascontiguousarray(m)
     h.flags.writeable = False
     op = cls.__new__(cls)
     op._matrix = h
-    op._check(None)
+    op._check(given)
     return op
+
+
+def _hermitian_array(entries) -> np.ndarray:
+    """``entries`` as a read-only complex matrix, after the checks of every
+    operator constructor: square, nonempty, finite, and Hermitian within
+    ``TOL_HERMITIAN``."""
+    arr = _square_complex(entries)
+    skew = np.abs(arr - arr.conj().T).max()
+    if skew > TOL_HERMITIAN:
+        raise ValidationError(f"matrix is not Hermitian: max |A - A^H| = {skew:.3e} "
+                              f"exceeds {TOL_HERMITIAN:.1e}")
+    return _frozen(arr)
 
 
 def _hermitian_matrix_of(value) -> np.ndarray:
@@ -434,24 +451,34 @@ def projector_from_span(vectors: Sequence) -> Projection:
     skipped, so the rank of the result is the numerical
     rank of the input family.  ``vectors`` is a sequence or a 2-d array.
     """
+    return _adopted(Projection, _span_matrix(vectors))
+
+
+def _span_matrix(vectors: Sequence) -> np.ndarray:
+    """The exactly Hermitian matrix of ``projector_from_span(vectors)``,
+    not yet checked as a projection."""
     if not isinstance(vectors, np.ndarray):
         _require_sequence(vectors, "vectors", "vectors")
     if len(vectors) == 0:
         raise EmptyInput("projector_from_span needs at least one vector")
     cols = []
-    for v in vectors:
-        arr = v.vector if isinstance(v, StateVector) else \
-            np.asarray(v, dtype=np.complex128)
-        if arr.ndim != 1:
-            raise ValidationError("span vectors must be 1-d")
-        if not np.isfinite(arr).all():
-            raise ValidationError("span vector entries must be finite")
-        cols.append(arr)
+    try:
+        for v in vectors:
+            arr = v.vector if isinstance(v, StateVector) else \
+                np.asarray(v, dtype=np.complex128)
+            if arr.ndim != 1:
+                raise ValidationError("span vectors must be 1-d")
+            cols.append(arr)
+    finally:
+        # One finiteness test for the vectors read, whose fault is
+        # reported before any fault of a later vector.
+        if cols:
+            _require_finite(np.concatenate(cols), "span vector")
     dims = {c.shape[0] for c in cols}
     if len(dims) != 1:
         raise DimensionMismatch(f"span vectors have different lengths: {sorted(dims)}")
     dim = dims.pop()
-    norms = [float(np.linalg.norm(c)) for c in cols]
+    norms = [_vector_norm(c) for c in cols]
     for nrm in norms:
         # A norm that overflows would make the drop threshold infinite and
         # silently drop every vector.
@@ -464,13 +491,13 @@ def projector_from_span(vectors: Sequence) -> Projection:
         for _ in range(2):  # second pass restores orthogonality lost to cancellation
             for q in basis:
                 w = w - np.vdot(q, w) * q
-        nrm = float(np.linalg.norm(w))
+        nrm = _vector_norm(w)
         if nrm > drop:
             basis.append(w / nrm)
     p = np.zeros((dim, dim), dtype=np.complex128)
     for q in basis:
-        p += np.outer(q, q.conj())
-    return _adopted(Projection, _symmetrized(p))
+        p += q[:, None] * q.conj()[None]  # np.outer's shapes, hence its bits, also at dim 1
+    return _symmetrized(p)
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,12 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .errors import AlgebraMismatch, DimensionMismatch, ParseError, ValidationError
-from .events import (_QUANTUM, DEFAULT_AXIOM_BUDGET, DEFAULT_SEED, DEFAULT_TRIALS,
-                     BooleanAlgebra, Event, EventAlgebra, QuantumAlgebra, _require_tolerance,
-                     verify_orthospace_axioms)
-from .linalg import DEFAULT_QUERY_TOL, TOL_NORM, TOL_WIRE_NORM, StateVector, projector_from_span
+from .events import (_QUANTUM, _SEED_BOUND, DEFAULT_AXIOM_BUDGET, DEFAULT_SEED, DEFAULT_TRIALS,
+                     BooleanAlgebra, Event, EventAlgebra, QuantumAlgebra, QuantumEvent,
+                     _require_tolerance, verify_orthospace_axioms)
+from .linalg import (DEFAULT_QUERY_TOL, TOL_NORM, TOL_WIRE_NORM, Projection, StateVector,
+                     _adopted, _hermitian_array, _projection_checks, _require_int, _span_matrix,
+                     _vector_norm)
 from .states import (ClassicalState, DensityState, State, _unit_trace,
                      compatibility_residuals, compatible, condition, condition_seq,
                      predictability, predictability_seq, prob)
@@ -84,34 +86,33 @@ def _decode_matrix(value, where: str) -> np.ndarray:
     return np.array(rows, dtype=np.complex128)
 
 
-def _plain(value, depth: int) -> bool:
-    """True when ``value`` is lists nested ``depth`` deep around int and float
-    entries, all of exactly those types (numpy would read True as 1)."""
-    level = [value]
-    for _ in range(depth):
-        if set(map(type, level)) != {list}:
-            return False
-        level = list(chain.from_iterable(level))
-    return set(map(type, level)) <= {int, float}
-
-
 def _decode_array(value, where: str, ndim: int) -> np.ndarray:
     """A vector (``ndim`` 1) or matrix (``ndim`` 2) of [re, im] pairs, as
     complex128.
 
-    A regular array of plain numbers is converted whole; anything else goes
-    through the per-entry reference decoders, which give the same values.
+    A regular array of plain numbers is flattened in one walk, one level at
+    a time, and converted whole; anything else goes through the per-entry
+    reference decoders, which give the same values.
     """
-    if _plain(value, ndim + 1):
-        try:
-            pairs = np.array(value)  # ndim + 1 axes, as _plain held
-        except ValueError:  # ragged
-            pass
-        else:
-            # Kind "O" holds an integer beyond uint64; the per-entry
-            # decoder converts it, or reports one too large for a float.
-            if pairs.shape[-1] == 2 and pairs.dtype.kind in "iuf":
-                return pairs.astype(np.float64, copy=False).view(np.complex128)[..., 0]
+    level, shape = [value], []
+    for _ in range(ndim + 1):
+        # Exactly lists, all of one nonempty length.
+        if not {list}.issuperset(map(type, level)):
+            break
+        lengths = set(map(len, level))
+        if len(lengths) != 1 or 0 in lengths:
+            break
+        shape.append(lengths.pop())
+        level = list(chain.from_iterable(level))
+    else:
+        # Exactly int and float entries: numpy would read True as 1.
+        if shape[-1] == 2 and {int, float}.issuperset(map(type, level)):
+            try:
+                flat = np.array(level, dtype=np.float64)
+            except OverflowError:  # the per-entry decoder reports it
+                pass
+            else:
+                return flat.view(np.complex128).reshape(shape[:-1])
     return (_decode_vector if ndim == 1 else _decode_matrix)(value, where)
 
 
@@ -139,7 +140,8 @@ def _form(spec, where: str, forms: tuple[str, ...]) -> str:
     if len(present) != 1:
         raise ValidationError(
             f"{where}: exactly one of {', '.join(map(repr, forms))} is required")
-    _require_keys(spec, where, tuple(present))
+    if len(spec) > 1:  # keys beyond the form's
+        _require_keys(spec, where, tuple(present))
     return present[0]
 
 
@@ -228,6 +230,8 @@ def _query_to_jsonable(query: Query, then: bool = True) -> dict:
 # ``_FORMS`` maps the "kind" of an algebra record to that kind's wire forms:
 # its algebra record, and its event and state forms, each parsed by
 # ``event`` or ``state`` from the form, its value and the entry's location.
+# ``events`` then makes the events of a whole document from what ``event``
+# gave: a quantum ``event`` leaves its projection check to it.
 
 class _BooleanForms:
     event_forms, state_forms = ("members",), ("weights",)
@@ -250,16 +254,20 @@ class _BooleanForms:
         return record
 
     def event(self, algebra: BooleanAlgebra, form: str, members, where: str) -> Event:
-        if not isinstance(members, list) or \
-                not all(isinstance(i, int) and not isinstance(i, bool) for i in members):
+        if not isinstance(members, list) or not ({int}.issuperset(map(type, members)) or all(
+                isinstance(i, int) and not isinstance(i, bool) for i in members)):
             raise ValidationError("'members' must be an array of integers")
         return algebra.event(members)
 
+    def events(self, parsed: dict) -> dict:
+        return parsed
+
     def event_record(self, event) -> dict:
-        return {"members": sorted(int(i) for i in event.members)}
+        return {"members": sorted(event.members)}
 
     def state(self, algebra: BooleanAlgebra, form: str, weights, where: str) -> State:
-        if not isinstance(weights, list) or not all(_is_number(x) for x in weights):
+        if not isinstance(weights, list) or not (
+                {int, float}.issuperset(map(type, weights)) or all(map(_is_number, weights))):
             raise ValidationError("'weights' must be an array of numbers")
         try:
             weights = np.array(weights, dtype=np.float64)
@@ -268,7 +276,7 @@ class _BooleanForms:
         return ClassicalState(algebra.space, weights)
 
     def state_record(self, state) -> dict:
-        return {"weights": [float(w) for w in state.weights]}
+        return {"weights": state.weights.tolist()}
 
 
 class _QuantumForms:
@@ -281,13 +289,33 @@ class _QuantumForms:
     def algebra_record(self, algebra: QuantumAlgebra) -> dict:
         return {"kind": "quantum", "dim": algebra.dim}
 
-    def event(self, algebra: QuantumAlgebra, form: str, value, where: str) -> Event:
+    def event(self, algebra: QuantumAlgebra, form: str, value, where: str) -> np.ndarray:
+        """The event's Hermitian matrix, of the algebra's dimension, not yet
+        checked as a projection: ``events`` checks them all at once."""
         if form == "matrix":
-            return algebra.event(_decode_array(value, f"{where}.matrix", 2))
-        if not isinstance(value, list) or not value:
-            raise ValidationError("'span' must be a nonempty array of vectors")
-        decoded = [_decode_array(v, f"{where}.span[{i}]", 1) for i, v in enumerate(value)]
-        return algebra.event(projector_from_span(decoded))
+            matrix = _hermitian_array(_decode_array(value, f"{where}.matrix", 2))
+        else:
+            if not isinstance(value, list) or not value:
+                raise ValidationError("'span' must be a nonempty array of vectors")
+            matrix = _span_matrix([_decode_array(v, f"{where}.span[{i}]", 1)
+                                   for i, v in enumerate(value)])
+        if len(matrix) != algebra.dim:
+            # Refused as algebra.event refuses it: projection check first.
+            algebra.event(_adopted(Projection, matrix))
+        return matrix
+
+    def events(self, parsed: dict) -> dict:
+        """The matrices of ``parsed``, a dict from names to the results of
+        ``event``, as events, after one projection check of their stack;
+        the first to fail is reported."""
+        if not parsed:
+            return {}
+        errors, norms, ranks = _projection_checks(np.array(list(parsed.values())))
+        for name, error in zip(parsed, errors):
+            if error:
+                raise ValidationError(f"events.{name}: {error}")
+        return {name: _adopted(QuantumEvent, matrix, (int(rank), float(norm)))
+                for (name, matrix), rank, norm in zip(parsed.items(), ranks, norms)}
 
     def event_record(self, event) -> dict:
         return {"matrix": _encode_array(event.matrix)}
@@ -304,7 +332,7 @@ class _QuantumForms:
         if arr.shape[0] != algebra.dim:
             raise ValidationError(
                 f"vector has {arr.shape[0]} entries, algebra dimension is {algebra.dim}")
-        norm = float(np.linalg.norm(arr))
+        norm = _vector_norm(arr)
         if abs(norm - 1.0) > TOL_WIRE_NORM:
             raise ValidationError(
                 f"vector norm {norm!r} is farther than 1e-6 from 1; not normalizing")
@@ -344,7 +372,7 @@ def _located(where: str, exc: Exception) -> ValidationError:
 
 def _parse_entry(algebra: EventAlgebra, role: str, name: str, spec):
     """The ``role`` ("event" or "state") named ``name``, in the one form
-    its ``spec`` names."""
+    its ``spec`` names, as its kind's ``event`` or ``state`` parses it."""
     where = f"{role}s.{name}"
     kinds = _FORM_KINDS[role]
     form = _form(spec, where, tuple(kinds))
@@ -395,17 +423,34 @@ def _check_references(query: Query, events: dict, states: dict) -> None:
                 raise ValidationError(f"{at}: state {n!r} must be a 'vector' state")
 
 
+def _parse_events(algebra: EventAlgebra, raw_events: dict) -> dict[str, Event]:
+    """The document's events, in document order.
+
+    Quantum events are checked as projections in one stacked call once
+    every entry has been read.  When an entry fails before that, the
+    entries before it are checked first, so the error raised is always the
+    first one in document order.
+    """
+    forms = _FORMS[algebra.kind]
+    parsed = {}
+    try:
+        for name, spec in raw_events.items():
+            parsed[name] = _parse_entry(algebra, "event", _string(name, "events key"), spec)
+    except ValidationError:
+        forms.events(parsed)
+        raise
+    return forms.events(parsed)
+
+
 def scenario_from_jsonable(doc: Any) -> Scenario:
     if not isinstance(doc, dict):
         raise ValidationError("scenario: expected a JSON object at top level")
     _require_keys(doc, "scenario", ("algebra",), ("events", "states", "query"))
     algebra = _parse_algebra(doc["algebra"])
-    events: dict[str, Event] = {}
     raw_events = doc.get("events", {})
     if not isinstance(raw_events, dict):
         raise ValidationError("events: expected an object")
-    for name, spec in raw_events.items():
-        events[name] = _parse_entry(algebra, "event", _string(name, "events key"), spec)
+    events = _parse_events(algebra, raw_events)
     states: dict[str, State | StateVector] = {}
     raw_states = doc.get("states", {})
     if not isinstance(raw_states, dict):
@@ -585,12 +630,15 @@ def run_query(scenario: Scenario, tol: float = DEFAULT_QUERY_TOL, seed: int = DE
 
     ``tol`` is forwarded to the underlying operation (conditioning
     threshold, detection tolerance, compatibility tolerance, path
-    tolerance); ``seed`` and ``trials`` apply to sampling and axiom queries.
+    tolerance); ``seed`` and ``trials`` apply to sampling and axiom queries,
+    and are checked for every query kind.
     """
     query = scenario.query
     if query is None:
         raise ValidationError("scenario has no query to run")
     _require_tolerance(tol)
+    trials = _require_int(trials, "trials", 1)
+    seed = _require_int(seed, "seed", 0, _SEED_BOUND)
     return QUERY_TABLE[query.kind].run(scenario, query.fields,
                                        _query_to_jsonable(query, then=False),
                                        tol, seed, trials)

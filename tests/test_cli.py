@@ -310,6 +310,25 @@ class TestExitCodes:
         assert main(argv + ["--seed", "18446744073709551615"]) == 0
         assert json.loads(capsys.readouterr().out)["seed"] == 2 ** 64 - 1
 
+    @pytest.mark.parametrize("command, extra, message", [
+        ("condition", ["--trials", "0"], "trials must be >= 1"),
+        ("condition", ["--seed", "-1"], "seed must be >= 0"),
+        ("condition", ["--seed", "18446744073709551616"],
+         "seed must be < 18446744073709551616"),
+        ("sample", ["--seed", "-1", "--trials", "0"], "trials must be >= 1"),
+        ("axioms", ["--trials", "0"], "trials must be >= 1"),
+    ])
+    def test_seed_and_trials_checked_for_every_command(self, tmp_path, capsys, command, extra,
+                                                       message):
+        # Before, subcommands that neither sample nor check axioms ignored both.
+        path = tmp_path / "coin.json"
+        doc = dict(COIN_SAMPLE)
+        if command == "condition":
+            doc["query"] = {"kind": "prob", "state": "fair", "event": "heads"}
+        path.write_text(json.dumps(doc))
+        assert main([command, "--scenario", str(path), *extra]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_closed_pipe_exits_quietly(self):
         # Before, the print ended in a BrokenPipeError traceback.
         read_end, write_end = os.pipe()

@@ -312,6 +312,20 @@ class TestIntegerArguments:
         with pytest.raises(ValidationError, match="^member 6 outside sample space of size 6$"):
             BooleanEvent(SampleSpace(6), {6})
 
+    def test_plain_members_are_kept_and_ranged_at_once(self):
+        space = SampleSpace(6)
+        plain = frozenset({0, 5})
+        assert BooleanEvent(space, plain).members is plain
+        assert BooleanEvent(space, (i for i in (1, 2))).members == frozenset({1, 2})
+        for members, first in [({-1, 2}, -1), ({np.int64(7), 2}, 7), ([3, 6], 6)]:
+            with pytest.raises(ValidationError,
+                               match=f"^member {first} outside sample space of size 6$"):
+                BooleanEvent(space, members)
+        # Checked one member at a time, so the float is refused before the
+        # unhashable list after it is reached.
+        with pytest.raises(ValidationError, match="^member 2.5 is not an integer$"):
+            BooleanEvent(space, [2.5, [1]])
+
     def test_numpy_integers_are_ints(self):
         event = BooleanAlgebra(np.int64(6)).event([np.int64(2), np.intp(4)])
         assert event.members == frozenset({2, 4})

@@ -12,9 +12,9 @@ import orthoprob.linalg
 import orthoprob.states
 from orthoprob.errors import DimensionMismatch, EmptyInput, ValidationError
 from orthoprob.events import QuantumAlgebra, QuantumEvent, complement
-from orthoprob.linalg import (HermitianOperator, Projection, StateVector,
+from orthoprob.linalg import (SPAN_DROP, HermitianOperator, Projection, StateVector,
                               _frobenius_norms, _jp, _projection_checks, _symmetrized,
-                              _within, jordan_product, projector_from_span, quadratic_triple,
+                              _vector_norm, _within, jordan_product, projector_from_span, quadratic_triple,
                               random_unitary, triple_product)
 from orthoprob.states import DensityState
 
@@ -265,6 +265,49 @@ class TestSpanProjector:
             build(iter([np.array([1.0, 0.0])]))
         # A 2-d array of row vectors is not a Sequence, and is taken as one.
         assert build(np.array([[1.0, 0.0], [0.0, 1.0]])).rank == 2
+
+    @pytest.mark.parametrize("vectors", [
+        [np.array([1.0, np.nan]), np.eye(2)],
+        [np.array([np.inf, 0.0]), np.ones(3)],
+        [np.ones(2), np.array([0.0, np.nan]), "not a number"],
+    ], ids=["then-2-d", "then-length", "then-unreadable"])
+    def test_an_earlier_fault_is_reported_first(self, vectors):
+        with pytest.raises(ValidationError, match="^span vector entries must be finite$"):
+            projector_from_span(vectors)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 16, 64])
+    def test_bits_of_the_per_vector_reference(self, dim):
+        """The stacked norms and the broadcast outer products give the bits
+        of np.linalg.norm and np.outer taken one vector at a time."""
+        def reference(cols):
+            drop = SPAN_DROP * max(float(np.linalg.norm(c)) for c in cols)
+            basis = []
+            for v in cols:
+                w = v.copy()
+                for _ in range(2):
+                    for q in basis:
+                        w = w - np.vdot(q, w) * q
+                nrm = float(np.linalg.norm(w))
+                if nrm > drop:
+                    basis.append(w / nrm)
+            p = np.zeros((dim, dim), dtype=np.complex128)
+            for q in basis:
+                p += np.outer(q, q.conj())
+            return _symmetrized(p)
+
+        rng = np.random.default_rng(dim)
+        for k in (1, 2, dim, dim + 2):
+            cols = list(rng.normal(size=(k, dim)) + 1j * rng.normal(size=(k, dim)))
+            cols.append(cols[0] * 3.0)  # dependent: dropped
+            assert projector_from_span(cols).matrix.tobytes() == reference(cols).tobytes()
+
+    def test_vector_norms_keep_the_bits(self):
+        rng = np.random.default_rng(64)
+        for n in range(1, 65):
+            vectors = rng.normal(size=(25, n)) * 10.0 ** rng.integers(-150, 150, size=(25, 1)) \
+                + 1j * rng.normal(size=(25, n))
+            assert [_vector_norm(v) for v in vectors] == \
+                [float(np.linalg.norm(v)) for v in vectors]
 
     def test_large_in_range_vector(self):
         p = projector_from_span([np.array([1e150, 1e150])])

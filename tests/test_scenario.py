@@ -12,6 +12,7 @@ import orthoprob.events
 import orthoprob.linalg
 from orthoprob import scenario
 from orthoprob.errors import ParseError, ValidationError
+from orthoprob.events import QuantumEvent
 from orthoprob.linalg import StateVector, projector_from_span
 from orthoprob.states import DensityState, _unit_trace, condition, prob
 from orthoprob.scenario import (parse_scenario, run_query, scenario_from_jsonable,
@@ -531,6 +532,39 @@ class TestWireCodec:
         assert scenario._decode_array(wire, "x", 2).shape == (2, 2)
         assert scenario._decode_array(wire[0], "x", 1).shape == (2,)
 
+    @pytest.mark.parametrize("entries", [
+        [3, -0.0, 0, -7], [2 ** 63, 2 ** 64 - 1, 2 ** 64, -2 ** 70],
+        [10 ** 300, 2 ** 53 + 1, 1, 0.5],
+    ], ids=["ints-and-signed-zero", "beyond-int64", "huge-and-odd"])
+    def test_one_walk_matches_the_per_entry_decoders(self, entries, monkeypatch):
+        """Plain entries, of any int size a float can hold, are converted in
+        one pass with the bits of the per-entry decoders."""
+        pairs = [entries[:2], entries[2:]]
+        expected = (scenario._decode_vector(pairs, "x"),
+                    scenario._decode_matrix([pairs, pairs[::-1]], "x"))
+
+        def fail(value, where):
+            raise AssertionError(f"per-entry decoder reached at {where}")
+
+        monkeypatch.setattr(scenario, "_decode_complex", fail)
+        decoded = (scenario._decode_array(pairs, "x", 1),
+                   scenario._decode_array([pairs, pairs[::-1]], "x", 2))
+        for got, want in zip(decoded, expected):
+            assert got.dtype == np.complex128 and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("wire, message", [
+        ([[[1, 0], [0, 0]], [[0, 0]]], "x: rows have different lengths"),
+        ([[[1, 0], [0, 0]], [[0, 0], [10 ** 400, 0]]],
+         "x[1][1]: [re, im] entries must fit in a float"),
+        ([[[1, 0], [0, 0]], [[0, 0], [True, 0]]], "x[1][1]: expected a two-element [re, im] array"),
+        ([[[1, 0], [0, 0]], []], "x[1]: expected a nonempty array of [re, im] pairs"),
+        ([[[1, 0, 0]]], "x[0][0]: expected a two-element [re, im] array"),
+    ], ids=["ragged", "huge", "bool", "empty-row", "triple"])
+    def test_other_input_is_worded_by_the_per_entry_decoders(self, wire, message):
+        with pytest.raises(ValidationError) as info:
+            scenario._decode_array(wire, "x", 2)
+        assert str(info.value) == message
+
     @given(st.integers(1, 64), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_round_trip_reproduces_every_array(self, dim, seed):
@@ -555,6 +589,84 @@ class TestWireCodec:
         assert second.states["psi"].vector.tobytes() == first.states["psi"].vector.tobytes()
         assert serialize_scenario(second) == text
 
+
+def _quantum_events(dim, events):
+    return {"algebra": {"kind": "quantum", "dim": dim}, "events": events}
+
+
+def _diag(*values):
+    return {"matrix": scenario._encode_array(np.diag(np.array(values, dtype=complex)))}
+
+
+NOT_IDEMPOTENT_A = ("events.A: matrix is not idempotent: ||P@P - P||_F = 2.000e+00 "
+                    "exceeds 1.0e-09 * 2")
+
+
+class TestDocumentStack:
+    """A document's quantum events are checked as projections in one stacked
+    call, and the error raised is the first in document order, with the
+    message each entry's constructor gives."""
+
+    @pytest.mark.parametrize("dim, events, message", [
+        (2, {"A": _diag(2, 0), "B": _diag(0, 3)}, NOT_IDEMPOTENT_A),
+        (2, {"A": _diag(2, 0), "B": {"matrix": [[[1, 0], [0, 0]], [[0, 0]]]}},
+         NOT_IDEMPOTENT_A),
+        (2, {"A": _diag(2, 0), "B": {"span": [[[0, 0], [0, 0]]]}}, NOT_IDEMPOTENT_A),
+        (2, {"A": _diag(1, 1, 2)},
+         "events.A: matrix is not idempotent: ||P@P - P||_F = 2.000e+00 exceeds 1.0e-09 * 2.45"),
+        (2, {"A": _diag(1, 0), "B": _diag(1, 0, 0)},
+         "events.B: projection dimension 3 != algebra dimension 2"),
+        (2, {"A": {"matrix": [[[1, 0], [1, 0]], [[0, 0], [0, 0]]]}, "B": _diag(2, 0)},
+         "events.A: matrix is not Hermitian: max |A - A^H| = 1.000e+00 exceeds 1.0e-10"),
+        (2, {"A": _diag(1, 0), "B": _diag(0, 1), "C": _diag(1, 0.5)},
+         "events.C: matrix is not idempotent: ||P@P - P||_F = 2.500e-01 exceeds 1.0e-09 * 1.12"),
+        (2, {"A": _diag(2, 0), "B": {"members": [0]}}, NOT_IDEMPOTENT_A),
+        (2, {"A": _diag(1, 0), "": _diag(2, 0)}, "events key: expected a nonempty string"),
+        (2, {"A": _diag(2, 0), "": _diag(1, 0)}, NOT_IDEMPOTENT_A),
+    ], ids=["two-faults", "then-ragged", "then-zero-span", "dimension-after-idempotency",
+            "dimension", "hermitian-first", "third-entry", "then-wrong-form", "key",
+            "pending-before-key"])
+    def test_first_error_in_document_order(self, dim, events, message):
+        with pytest.raises(ValidationError) as info:
+            scenario_from_jsonable(_quantum_events(dim, events))
+        assert str(info.value) == message
+
+    def test_one_projection_check_per_document(self, monkeypatch):
+        calls = []
+        checks = orthoprob.linalg._projection_checks
+
+        def counted(stack):
+            calls.append(len(stack))
+            return checks(stack)
+
+        monkeypatch.setattr(orthoprob.linalg, "_projection_checks", counted)
+        monkeypatch.setattr(scenario, "_projection_checks", counted)
+        parsed = scenario_from_jsonable(_quantum_events(2, {
+            "up": _diag(1, 0), "down": {"span": [[[0, 0], [1, 0]]]},
+            "diag": {"span": [[[1, 0], [1, 0]], [[2, 0], [2, 0]]]}}))
+        assert calls == [3]
+        assert [e.rank for e in parsed.events.values()] == [1, 1, 1]
+
+    @pytest.mark.parametrize("dim", [2, 4, 16, 64])
+    def test_stacked_events_match_one_at_a_time(self, dim):
+        """Matrix bytes, norm and rank of each parsed event equal those of
+        QuantumEvent(m) and projector_from_span built alone."""
+        rng = np.random.default_rng(dim)
+        encode = scenario._encode_array
+        spans = [rng.normal(size=(k, dim)) + 1j * rng.normal(size=(k, dim))
+                 for k in (1, max(1, dim // 2), dim)]
+        alone = [projector_from_span(list(vs)) for vs in spans]
+        matrices = [p.matrix for p in alone]
+        events = {f"s{i}": {"span": [encode(v) for v in vs]} for i, vs in enumerate(spans)}
+        events.update({f"m{i}": {"matrix": encode(m)} for i, m in enumerate(matrices)})
+        parsed = scenario_from_jsonable(_quantum_events(dim, events)).events
+        expected = alone + [QuantumEvent(m) for m in matrices]
+        for event, want in zip(parsed.values(), expected):
+            assert type(event) is QuantumEvent
+            assert event.matrix.tobytes() == want.matrix.tobytes()
+            assert (event._norm, event._rank) == (want._norm, want._rank)
+            assert (type(event._norm), type(event._rank)) == (float, int)
+            assert not event.matrix.flags.writeable
 
 class TestRunQuery:
     def test_prob(self):
@@ -650,6 +762,34 @@ class TestRunQuery:
             assert json.loads(json.dumps(out))["seed"] == seed
         if query["kind"] == "sample":
             assert type(out["trials"]) is int and out["trials"] == 10
+
+    def test_seed_and_trials_are_checked_for_every_kind(self):
+        """run_query refuses a bad trial count, then a bad seed, whatever the
+        query kind, before the query runs."""
+        queries = {
+            "prob": {"state": "mixed", "event": "up"},
+            "condition": {"state": "mixed", "event": "up"},
+            "condition_seq": {"state": "mixed", "events": ["up"]},
+            "predictability": {"target": "up", "given": ["diag"]},
+            "compatible": {"first": "up", "second": "diag"},
+            "interference": {"atom": "up", "path1": "up", "path2": "diag", "target": "up"},
+            "two_slit": {"source": "plus", "path1": "plus", "path2": "plus",
+                         "detector": "plus"},
+            "sample": {"initial": "mixed", "tests": ["up"], "final": "diag"},
+            "axioms": {"budget": 2},
+        }
+        assert queries.keys() == scenario.QUERY_TABLE.keys()
+        for kind, fields in queries.items():
+            parsed = parse_scenario(quantum_doc({"kind": kind, **fields}))
+            for seed, message in SEED_REFUSALS + [("x", "seed 'x' is not an integer")]:
+                with pytest.raises(ValidationError) as info:
+                    run_query(parsed, seed=seed, trials=10)
+                assert str(info.value) == message
+            for trials, message in [(0, "trials must be >= 1"),
+                                    (2.0, "trials 2.0 is not an integer")]:
+                with pytest.raises(ValidationError) as info:
+                    run_query(parsed, seed=-1, trials=trials)
+                assert str(info.value) == message
 
     def test_vector_state_skips_the_projection_check(self, monkeypatch):
         """A vector state becomes a density state through the density checks
