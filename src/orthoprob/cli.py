@@ -60,18 +60,19 @@ def _emit(result: dict, pretty: bool) -> None:
                      allow_nan=False, check_circular=False), flush=True)
 
 
-def _load_scenario(path: str) -> Scenario:
+def _load_scenario(args) -> Scenario:
+    """The prelude of every scenario subcommand: the --trials ceiling, then the file."""
+    if args.trials > MAX_TRIALS:
+        raise ValidationError(f"--trials: expected at most {MAX_TRIALS}")
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(args.scenario).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ParseError(f"cannot read scenario file {path!r}: {exc}") from None
+        raise ParseError(f"cannot read scenario file {args.scenario!r}: {exc}") from None
     return parse_scenario(text)
 
 
 def _run_scenario_command(args) -> dict:
-    if args.trials > MAX_TRIALS:
-        raise ValidationError(f"--trials: expected at most {MAX_TRIALS}")
-    scenario = _load_scenario(args.scenario)
+    scenario = _load_scenario(args)
     allowed = sorted(kind for kind, q in QUERY_TABLE.items() if q.command == args.command)
     if scenario.query is None:
         raise ValidationError(
@@ -86,7 +87,7 @@ def _run_scenario_command(args) -> dict:
 def _run_axioms(args) -> dict:
     if args.budget is not None and args.budget > MAX_AXIOM_BUDGET:
         raise ValidationError(f"--budget: expected at most {MAX_AXIOM_BUDGET}")
-    scenario = _load_scenario(args.scenario)
+    scenario = _load_scenario(args)
     if args.budget is not None:
         budget = args.budget
     elif scenario.query is not None and scenario.query.kind == "axioms":
@@ -170,15 +171,14 @@ def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--tol", type=_tolerance, default=DEFAULT_QUERY_TOL,
                         help="numerical tolerance (default 1e-9)")
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help=f"random seed for sampling and axiom checks (default {DEFAULT_SEED})")
-    common.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
-                        help=f"number of sampled trials, at most {MAX_TRIALS} "
-                             f"(default {DEFAULT_TRIALS})")
     common.add_argument("--pretty", action="store_true",
                         help="indent output and round floats to 6 significant digits")
 
     with_scenario = _Parser(add_help=False, parents=[common])
+    with_scenario.add_argument("--seed", type=int, default=DEFAULT_SEED, help=(
+        f"random seed for sampling and axiom checks (default {DEFAULT_SEED})"))
+    with_scenario.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help=(
+        f"number of sampled trials, at most {MAX_TRIALS} (default {DEFAULT_TRIALS})"))
     with_scenario.add_argument("--scenario", required=True, metavar="PATH",
                                help="path to a scenario JSON file")
 

@@ -89,10 +89,11 @@ class BooleanAlgebra:
     flag = None
 
     def __init__(self, space: SampleSpace | int, labels: Sequence[str] | None = None):
-        if isinstance(space, SampleSpace):
-            self.space = space
-        else:
-            self.space = SampleSpace(space, tuple(labels) if labels is not None else None)
+        if not isinstance(space, SampleSpace):
+            space = SampleSpace(space, tuple(labels) if labels is not None else None)
+        elif labels is not None:
+            raise ValidationError("labels must be None when space is a SampleSpace: it holds them")
+        self.space = space
 
     @property
     def size(self) -> int:
@@ -468,23 +469,22 @@ BooleanAlgebra._kind = BooleanEvent._kind = _BOOLEAN
 QuantumAlgebra._kind = QuantumEvent._kind = _QUANTUM
 
 
-def _shared_kind(x, e: Event, state: bool = False):
-    """The kind object that ``x``, an event or, when ``state`` is set, a
-    state, shares with the event ``e``.  Raises AlgebraMismatch unless both
-    are of one kind on one space or dimension."""
-    kind = getattr(e, "_kind", None)
-    if kind is None or not isinstance(e, kind.event) \
-            or not isinstance(x, kind.state if state else kind.event):
-        raise AlgebraMismatch(
-            f"cannot {'pair' if state else 'mix'} {type(x).__name__} with {type(e).__name__}")
-    kind.shares(x, e, state)
-    return kind
-
-
 def _kind_of(x):
     """The kind object of the event ``x``, None when ``x`` is not an event."""
     kind = getattr(x, "_kind", None)
     return kind if kind is not None and isinstance(x, kind.event) else None
+
+
+def _shared_kind(x, e: Event, state: bool = False):
+    """The kind object that ``x``, an event or, when ``state`` is set, a
+    state, shares with the event ``e``.  Raises AlgebraMismatch unless both
+    are of one kind on one space or dimension."""
+    kind = _kind_of(e)
+    if kind is None or not isinstance(x, kind.state if state else kind.event):
+        raise AlgebraMismatch(
+            f"cannot {'pair' if state else 'mix'} {type(x).__name__} with {type(e).__name__}")
+    kind.shares(x, e, state)
+    return kind
 
 
 def _event_kind(e, name: str = "e"):

@@ -18,7 +18,7 @@ from .errors import (AlgebraMismatch, DegenerateDenominator, DimensionMismatch,
                      NotAtom, NotOrthogonal, ValidationError, ZeroEvent,
                      ZeroProbabilityCondition)
 from .events import (QuantumEvent, _clamp_probability, _event_kind, _kind_of,
-                     _require_instance, _require_tolerance, _shared_kind, oplus, orthogonal)
+                     _require_instance, _require_tolerance, _shared_kind, orthogonal)
 from .linalg import DEFAULT_PATH_TOL, TOL_IDENTITY, TOL_OVERLAP, TOL_P_TOTAL, StateVector
 from .states import atom_state, condition, prob
 
@@ -69,10 +69,11 @@ def interference_decomposition(source_atom: QuantumEvent, path1: QuantumEvent,
     AlgebraMismatch before any other work but the check of ``tol``.
     """
     _require_tolerance(tol)
-    if not _event_kind(source_atom, "source_atom").is_atom(source_atom):
+    kind = _event_kind(source_atom, "source_atom")
+    if not kind.is_atom(source_atom):
         raise NotAtom("interference decomposition needs an atomic source event")
     operands = (source_atom, path1, path2, target)
-    if any(kind and kind.commutative for kind in map(_kind_of, operands)):
+    if any(k and k.commutative for k in map(_kind_of, operands)):
         raise AlgebraMismatch("interference decomposition needs quantum events")
     for x in operands[1:]:
         _shared_kind(source_atom, x)
@@ -81,7 +82,7 @@ def interference_decomposition(source_atom: QuantumEvent, path1: QuantumEvent,
     if not orthogonal(path1, path2):
         raise NotOrthogonal("path events must be orthogonal")
     rho = atom_state(source_atom)
-    either = oplus(path1, path2)
+    either = kind.oplus(path1, path2)  # orthogonal, as decided above
     p_either = prob(rho, either)
     if p_either <= tol:
         raise ZeroProbabilityCondition(

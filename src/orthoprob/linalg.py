@@ -251,13 +251,10 @@ class HermitianOperator:
     def _take(self, entries) -> None:
         # Every constructor calls this, so building one object runs one
         # __init__, which perfbench's span tracing counts: a QuantumEvent
-        # inherits Projection's and is counted under it.
-        if isinstance(entries, HermitianOperator):
-            self._matrix = entries._matrix
-            self._check(entries)
-            return
-        self._matrix = _hermitian_array(entries)
-        self._check(None)
+        # inherits Projection's and is counted under it.  An operator's
+        # array is taken as it is, and ``_check`` keeps what it holds.
+        self._matrix = _hermitian_matrix_of(entries)
+        self._check(entries if self._matrix is getattr(entries, "_matrix", None) else None)
 
     def _check(self, given) -> None:
         """The checks this class adds, on ``self._matrix``; ``given`` is the
@@ -389,10 +386,8 @@ def _hermitian_array(entries) -> np.ndarray:
 
 
 def _hermitian_matrix_of(value) -> np.ndarray:
-    """Matrix of a Hermitian argument; raw arrays are validated on the way in."""
-    if isinstance(value, HermitianOperator):
-        return value._matrix
-    return HermitianOperator(value)._matrix
+    """An operator's matrix as it is, or ``value`` after ``_hermitian_array``'s checks."""
+    return value._matrix if isinstance(value, HermitianOperator) else _hermitian_array(value)
 
 
 def _jordan_result(m: np.ndarray) -> HermitianOperator:

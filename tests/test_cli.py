@@ -350,6 +350,31 @@ class TestExitCodes:
         assert main(argv) == 1
         assert capsys.readouterr() == ("", f"error: --trials: expected at most {MAX_TRIALS}\n")
 
+    def test_axioms_trials_above_the_ceiling(self, capsys):
+        # Before, axioms ran with any trial count, and the other scenario
+        # subcommands refused one above the ceiling.
+        argv = ["axioms", "--scenario", str(SCENARIO_DIR / "qubit.json"), "--budget", "1",
+                "--trials", "100000000000"]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: --trials: expected at most {MAX_TRIALS}\n")
+
+    def test_budget_is_checked_before_trials(self, capsys):
+        argv = ["axioms", "--scenario", str(SCENARIO_DIR / "qubit.json"),
+                "--trials", "100000000000", "--budget", str(MAX_AXIOM_BUDGET + 1)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == \
+            f"error: --budget: expected at most {MAX_AXIOM_BUDGET}\n"
+
+    @pytest.mark.parametrize("command", ["demo-sec7", "demo-order", "demo-qubit"])
+    @pytest.mark.parametrize("flag", ["--seed", "--trials"])
+    def test_demos_refuse_flags_they_do_not_read(self, capsys, command, flag):
+        # Before, the demos took --seed -5 --trials 0, ignored both and exited 0.
+        with pytest.raises(SystemExit) as info:
+            main([command, flag, "3"])
+        assert info.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and flag in err
+
     def test_trials_ceiling_is_admitted(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "coin.json"
         path.write_text(json.dumps(COIN_SAMPLE))
@@ -393,9 +418,10 @@ class TestExitCodes:
 # Each subcommand's options in --help order, after -h: option strings,
 # default and whether it is required.  Help text is not compared: argparse
 # words it differently across Python versions.
-COMMON_OPTIONS = [(("--tol",), 1e-9, False), (("--seed",), 42, False),
-                  (("--trials",), 100_000, False), (("--pretty",), False, False)]
-SCENARIO_OPTIONS = COMMON_OPTIONS + [(("--scenario",), None, True)]
+# The demos read neither a seed nor a trial count, so they take neither.
+COMMON_OPTIONS = [(("--tol",), 1e-9, False), (("--pretty",), False, False)]
+SCENARIO_OPTIONS = COMMON_OPTIONS + [(("--seed",), 42, False), (("--trials",), 100_000, False),
+                                     (("--scenario",), None, True)]
 SUBCOMMAND_OPTIONS = {
     "predict": SCENARIO_OPTIONS,
     "condition": SCENARIO_OPTIONS,

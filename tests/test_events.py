@@ -57,6 +57,16 @@ class TestBooleanAlgebra:
         with pytest.raises(ValidationError):
             BooleanAlgebra(3, labels=["a", "b"])
 
+    def test_labels_with_a_sample_space_are_refused(self):
+        # Before, the labels were dropped and the space kept none.
+        with pytest.raises(ValidationError, match="labels"):
+            BooleanAlgebra(SampleSpace(3), labels=["x", "y", "z"])
+
+    def test_a_sample_space_keeps_its_labels(self):
+        space = SampleSpace(3, ("x", "y", "z"))
+        assert BooleanAlgebra(space).space is space
+        assert BooleanAlgebra(space).space.labels == ("x", "y", "z")
+
     def test_event_bounds(self, die):
         die.event([0, 5])
         with pytest.raises(ValidationError):
@@ -582,6 +592,43 @@ class TestStackedHarness:
         report = verify_orthospace_axioms(QuantumAlgebra(6), budget=5, seed=2)
         assert report.failures["OS1"] == report.failures["OS2"] == 1
         assert "OS2: round 0: sum not defined in both orders" in report.messages
+
+    # The shipped sums are bitwise commutative, since IEEE addition is: x + y
+    # and y + x pass or fail their checks together and are equal.  Only an
+    # order-dependent sum reaches the last two OS2 wordings.
+
+    def test_an_order_dependent_sum_is_not_commutative(self, monkeypatch):
+        monkeypatch.setattr(orthoprob.events._BOOLEAN, "sum_of",
+                            lambda a, b: a | b | np.roll(a, 1, axis=-1))
+        report = verify_orthospace_axioms(BooleanAlgebra(6), budget=1, seed=0)
+        os2 = [m for m in report.messages if m.startswith("OS2")]
+        assert report.failures["OS1"] == 0 and report.failures["OS2"] == len(os2) > 0
+        assert all(m.endswith(": sum not commutative") for m in os2)
+
+    def test_a_sum_failing_in_the_second_order_only(self, monkeypatch):
+        # Members of ranks 3, 2, 1 and 1 in pool order, each orthogonal
+        # pair summed wrongly (doubled) when its first operand has the
+        # smaller rank and the two do not fill the space: so x + y passes
+        # for every pair x before y, and the complement sums x + x' pass.
+        kind, n = orthoprob.events._QUANTUM, 6
+        members = np.diag([1, 1, 1, 0, 0, 0]), np.diag([0, 0, 0, 1, 1, 0]), \
+            np.diag([0, 0, 0, 0, 0, 1]), np.diag([1, 0, 0, 0, 0, 0])
+        sum_of = kind.sum_of
+
+        def wrong_in_one_order(a, b):
+            ra, rb = (m.trace(axis1=-2, axis2=-1).real for m in (a, b))
+            out = sum_of(a, b)
+            out[(ra < rb - 0.5) & (ra + rb < n - 0.5)] *= 2.0
+            return out
+
+        monkeypatch.setattr(kind, "draw", lambda algebra, rng: np.array(members, complex))
+        monkeypatch.setattr(kind, "sum_of", wrong_in_one_order)
+        report = verify_orthospace_axioms(QuantumAlgebra(n), budget=1)
+        os2 = [m for m in report.messages if m.startswith("OS2")]
+        # (d, e), (d, f), (e, f) and (e, g); f + g and g + f have rank 1 each.
+        assert report.failures["OS1"] == 0 and report.failures["OS2"] == len(os2) == 4
+        assert all(m.startswith("OS2: round 0: sum failed validation: matrix is not "
+                                "idempotent") for m in os2)
 
 
 class TestStateFamilyOracle:

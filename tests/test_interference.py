@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import orthoprob.events
 import orthoprob.interference
 from orthoprob.errors import (AlgebraMismatch, DegenerateDenominator, DimensionMismatch,
                               NotAtom, NotOrthogonal, ZeroEvent,
@@ -47,6 +48,16 @@ class TestDecomposition:
         assert report.cross == pytest.approx(-0.5, abs=1e-12)
         assert report.p_total == pytest.approx(0.0, abs=1e-12)
 
+    def test_orthogonality_of_the_paths_is_decided_once(self, slits, monkeypatch):
+        alg, d, e1, e2 = slits
+        kind, calls = orthoprob.events._QUANTUM, []
+        orthogonality = kind.orthogonality
+        monkeypatch.setattr(kind, "orthogonality",
+                            lambda a, b: calls.append(1) or orthogonality(a, b))
+        report = interference_decomposition(d, e1, e2, d)
+        assert len(calls) == 1
+        assert report.p_total == prob(condition(DensityState(d), oplus(e1, e2)), d)
+
     def test_terms_always_sum(self, slits):
         alg, d, e1, e2 = slits
         rng = np.random.default_rng(77)
@@ -88,7 +99,7 @@ class TestDecomposition:
         def forbidden(*args, **kwargs):
             raise AssertionError("work started before the kind check")
 
-        for name in ("orthogonal", "oplus", "atom_state", "prob", "condition"):
+        for name in ("orthogonal", "atom_state", "prob", "condition"):
             monkeypatch.setattr(orthoprob.interference, name, forbidden)
         alg, d, e1, e2 = slits
         operands = [d, e1, e2, alg.one()]

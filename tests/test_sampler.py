@@ -269,6 +269,22 @@ class TestStateIndependence:
         assert not report.passed
         assert report.deviations == (math.inf,)
 
+    @pytest.mark.parametrize("std_error", [0.03, 0.0])
+    def test_run_too_far_from_the_prediction_fails(self, half_pair_chain, monkeypatch,
+                                                   std_error):
+        # No seeded run of a predictable chain strays this far, so the
+        # sampler's result is replaced: 90 yes of 100 against 1/2.
+        mixed, e, f = half_pair_chain
+
+        def stray(initial, tests, final, config):
+            return ChainResult({"1": 100}, 100, 90, 0.9, std_error, 0.5, 100, config.seed)
+
+        monkeypatch.setattr(sampler, "sample_chain", stray)
+        report = state_independence_check(f, [e], [mixed], SamplerConfig(trials=100))
+        assert not report.passed
+        err = abs(0.9 - report.predicted_p)
+        assert report.deviations == ((err / std_error if std_error else math.inf),)
+
     def test_unreachable_state_rejected(self, half_pair_chain):
         mixed, e, f = half_pair_chain
         outside = atom_state(

@@ -725,6 +725,21 @@ class TestRunQuery:
         assert a == b
         assert sum(a["outcome_counts"].values()) == 5_000
 
+    def test_sample_without_all_yes_trials_reports_null(self):
+        # The state gives the test probability 0, so no trial survives the
+        # chain and the sampler's NaN statistics go out as JSON null.
+        doc = json.dumps({
+            "algebra": {"kind": "boolean", "size": 2},
+            "events": {"heads": {"members": [0]}, "tails": {"members": [1]}},
+            "states": {"sure": {"weights": [1, 0]}},
+            "query": {"kind": "sample", "initial": "sure", "tests": ["tails"],
+                      "final": "heads"}})
+        out = run_query(parse_scenario(doc), trials=50)
+        assert out["outcome_counts"] == {"0": 50} and out["all_yes_count"] == 0
+        assert out["empirical_p"] is None and out["std_error"] is None
+        assert out["predicted_p"] == 0.0
+        assert json.loads(json.dumps(out, allow_nan=False)) == out
+
     def test_axioms(self):
         doc = ('{"algebra": {"kind": "boolean", "size": 4},'
                ' "query": {"kind": "axioms", "budget": 60}}')

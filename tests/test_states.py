@@ -1096,6 +1096,22 @@ class TestSpinFactorOracle:
         assert not compatible(pv, pw)
         assert not compatible(pw, spin_projection(sigmas, self.U))
 
+    def test_condition_is_the_closed_form(self, sigmas):
+        # The state P_w / tr P_w, compressed by P_v, is s P_v / tr P_w with
+        # s = 3/4: conditioning gives P_v / tr P_v.
+        dim = sigmas.shape[-1]
+        pv, pw = spin_projection(sigmas, self.V), spin_projection(sigmas, self.W)
+        conditioned = condition(DensityState(pw.matrix / (dim // 2)), pv)
+        assert conditioned.matrix.tobytes() == (pv.matrix / (dim // 2)).tobytes()
+        assert prob(conditioned, pw) == 0.75
+
+    def test_sampled_chain_predicts_the_closed_form(self, sigmas):
+        dim = sigmas.shape[-1]
+        result = sample_chain(DensityState(np.eye(dim) / dim),
+                              [spin_projection(sigmas, self.V), spin_projection(sigmas, self.W)],
+                              spin_projection(sigmas, self.U), SamplerConfig(trials=100))
+        assert result.predicted_p == (1 + self.W @ self.U) / 2 == 0.375
+
 
 class TestBooleanDiagonalStates:
     """A classical state and an event agree with their diagonal images: the
