@@ -145,34 +145,40 @@ def _run_demo_qubit(args) -> dict:
             "note": report.note}
 
 
-# Each subcommand in --help order: help, handler, whether it reads a scenario, and its own
-# arguments.  A scenario subcommand runs the kinds whose QUERY_TABLE command is its name.
+# Each subcommand in --help order: help, handler, the shared options it takes ("scenario":
+# --tol, --pretty, --seed, --trials and --scenario; "tol": --tol and --pretty; "pretty":
+# --pretty alone), and its own arguments.  A scenario subcommand runs the kinds whose
+# QUERY_TABLE command is its name.
 _COMMANDS = {
-    "predict": ("run a predictability query", _run_scenario_command, True, {}),
-    "condition": ("run a prob / condition / condition_seq query", _run_scenario_command, True, {}),
-    "compat": ("run a compatibility query", _run_scenario_command, True, {}),
-    "interfere": ("run an interference decomposition query", _run_scenario_command, True, {}),
-    "twoslit": ("run a two-slit probability query", _run_scenario_command, True, {}),
-    "sample": ("sample a measurement chain", _run_scenario_command, True, {}),
-    "axioms": ("randomized orthospace axiom check on the scenario's algebra", _run_axioms, True,
-               {"--budget": dict(type=int, default=None, help=(
+    "predict": ("run a predictability query", _run_scenario_command, "scenario", {}),
+    "condition": ("run a prob / condition / condition_seq query", _run_scenario_command,
+                  "scenario", {}),
+    "compat": ("run a compatibility query", _run_scenario_command, "scenario", {}),
+    "interfere": ("run an interference decomposition query", _run_scenario_command,
+                  "scenario", {}),
+    "twoslit": ("run a two-slit probability query", _run_scenario_command, "scenario", {}),
+    "sample": ("sample a measurement chain", _run_scenario_command, "scenario", {}),
+    "axioms": ("randomized orthospace axiom check on the scenario's algebra", _run_axioms,
+               "scenario", {"--budget": dict(type=int, default=None, help=(
                    f"random instances per axiom, at most {MAX_AXIOM_BUDGET} (default from the "
                    f"scenario query, else {DEFAULT_AXIOM_BUDGET})"))}),
     "demo-sec7": ("built-in half-transition pair: certified value 1/2 with zero residual",
-                  _run_demo_sec7, False, {}),
-    "demo-order": ("built-in order-dependence example on C^3", _run_demo_order, False, {}),
-    "demo-qubit": ("two distinct conditionals on a qubit event list", _run_demo_qubit, False,
+                  _run_demo_sec7, "tol", {}),
+    "demo-order": ("built-in order-dependence example on C^3", _run_demo_order, "tol", {}),
+    "demo-qubit": ("two distinct conditionals on a qubit event list", _run_demo_qubit, "pretty",
                    {"--angle": dict(type=float, default=math.pi / 4, help=(
                        "angle of the tilted projection in radians (default pi/4)"))}),
 }
 
 
 def _build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--tol", type=_tolerance, default=DEFAULT_QUERY_TOL,
-                        help="numerical tolerance (default 1e-9)")
-    common.add_argument("--pretty", action="store_true",
+    pretty = _Parser(add_help=False)
+    pretty.add_argument("--pretty", action="store_true",
                         help="indent output and round floats to 6 significant digits")
+    tol = _Parser(add_help=False)
+    tol.add_argument("--tol", type=_tolerance, default=DEFAULT_QUERY_TOL,
+                     help="numerical tolerance (default 1e-9)")
+    common = _Parser(add_help=False, parents=[tol, pretty])
 
     with_scenario = _Parser(add_help=False, parents=[common])
     with_scenario.add_argument("--seed", type=int, default=DEFAULT_SEED, help=(
@@ -186,9 +192,9 @@ def _build_parser() -> _Parser:
                      description="Conditional probability on orthospaces: "
                                  "scenario queries, demos, and checks.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for name, (help_text, handler, reads_scenario, extra) in _COMMANDS.items():
-        p = sub.add_parser(name, parents=[with_scenario if reads_scenario else common],
-                           help=help_text)
+    shared = {"scenario": with_scenario, "tol": common, "pretty": pretty}
+    for name, (help_text, handler, options, extra) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[shared[options]], help=help_text)
         for flag, spec in extra.items():
             p.add_argument(flag, **spec)
         p.set_defaults(handler=handler)

@@ -28,8 +28,8 @@ from .errors import (AlgebraMismatch, ImpossibleSequence, NonUniqueConditioningW
                      NotOrthogonal, ValidationError, ZeroEvent)
 from .linalg import (CLAMP, DEFAULT_EVENT_TOL, Projection, _adopted, _check_density_stack,
                      _check_weight_rows, _frobenius_norms, _projection_checks, _require_finite,
-                     _require_int, _require_sequence, _require_tolerance, _symmetrized, _within,
-                     projector_from_span, random_unitary)
+                     _require_int, _require_sequence, _require_tolerance, _symmetrized, _traces,
+                     _vector_norm, _within, projector_from_span, random_unitary)
 
 
 @dataclass(frozen=True)
@@ -156,8 +156,9 @@ def _require_instance(cls: type, **values) -> None:
 def _clamp_probability(p: np.ndarray) -> np.ndarray:
     """``p`` with values in [-CLAMP, 0) set to 0 and values in
     (1, 1 + CLAMP] set to 1."""
-    if p.min(initial=0.0) < 0.0 or p.max(initial=1.0) > 1.0:
+    if p.min(initial=0.0) < 0.0:
         p = np.where((-CLAMP <= p) & (p < 0.0), 0.0, p)
+    if p.max(initial=1.0) > 1.0:
         p = np.where((1.0 < p) & (p <= 1.0 + CLAMP), 1.0, p)
     return p
 
@@ -386,7 +387,7 @@ class _QuantumKind:
         matmul per matrix (pinned in the tests, dims 1 to 64)."""
         d = stack.shape[-1]
         products = (stack.reshape(-1, d) @ event.matrix).reshape(stack.shape)
-        return _clamp_probability(products.trace(axis1=1, axis2=2).real)
+        return _clamp_probability(_traces(products))
 
     def conditioned(self, stack, branch, p):
         """Each matrix compressed to ``(E @ rho) @ E``, made exactly
@@ -401,7 +402,7 @@ class _QuantumKind:
         """
         d = stack.shape[-1]
         compressed = _symmetrized(((branch @ stack).reshape(-1, d) @ branch).reshape(stack.shape))
-        compressed /= compressed.trace(axis1=1, axis2=2).real[:, None, None]
+        compressed /= _traces(compressed)[:, None, None]
         return compressed
 
     def check_states(self, stack) -> None:
@@ -443,25 +444,32 @@ class _QuantumKind:
             raise ImpossibleSequence(
                 f"no state can realize the sequence: tr(M M^H) = {tr_b!r}")
         return _trace_ratio(_symmetrized(m @ target.matrix @ m.conj().T), b, tr_b,
-                            float(np.linalg.norm(b)))
+                            _norm(b))
 
     def commutator(self, e, f) -> float:
         em, fm = e.matrix, f.matrix
-        return float(np.linalg.norm(em @ fm - fm @ em))
+        return _norm(em @ fm - fm @ em)
 
     def compatibility_residuals(self, e, f):
         em, fm = e.matrix, f.matrix
         eye = np.eye(e.dim)
         ec, fc = eye - em, eye - fm
-        ident_e = float(np.linalg.norm(em - fm @ em @ fm - fc @ em @ fc))
-        ident_f = float(np.linalg.norm(fm - em @ fm @ em - ec @ fm @ ec))
+        ident_e = _norm(em - fm @ em @ fm - fc @ em @ fc)
+        ident_f = _norm(fm - em @ fm @ em - ec @ fm @ ec)
         return self.commutator(e, f), ident_e, ident_f
 
 
 def _trace_ratio(a: np.ndarray, b: np.ndarray, tr_b: float, scale: float):
     """s = tr A / tr B for A = sB, the residual ||A - sB||_F, and its scale."""
     s = float(a.trace().real) / tr_b
-    return s, float(np.linalg.norm(a - s * b)), scale
+    return s, _norm(a - s * b), scale
+
+
+def _norm(m: np.ndarray) -> float:
+    """``float(np.linalg.norm(m))`` of a complex matrix, with its bits: the
+    vector norm of ``m`` flattened in memory order, as that function
+    flattens it, without its dispatch."""
+    return _vector_norm(m.ravel(order="K"))
 
 
 _BOOLEAN, _QUANTUM = _BooleanKind(), _QuantumKind()

@@ -26,8 +26,14 @@ import sys
 from collections.abc import Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DimensionMismatch, EmptyInput, ValidationError
+
+# The gufunc of np.linalg.cholesky, called without that wrapper's argument
+# checks and conversions, which take about two thirds of a call on one 4x4
+# matrix; the density check hands it a fresh complex128 stack.
+_cholesky = _umath_linalg.cholesky_lo
 
 # The numerical policy: every fixed bound and every default tolerance, one name per
 # role, as the README's "Tolerances" lists them; _within applies the relative ones.
@@ -142,6 +148,13 @@ def _vector_norm(v: np.ndarray) -> float:
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
+def _traces(stack: np.ndarray) -> np.ndarray:
+    """Real part of the trace of each matrix in a stack of shape (..., d, d),
+    with the bits of ``stack.trace(axis1=-2, axis2=-1).real``: the same sum
+    of the same diagonal view, without the method's argument handling."""
+    return np.add.reduce(stack.diagonal(0, -2, -1), -1).real
+
+
 def _projection_checks(stack: np.ndarray):
     """Check each matrix of a (k, d, d) stack of exactly Hermitian matrices
     as a projection; never raises.
@@ -152,7 +165,8 @@ def _projection_checks(stack: np.ndarray):
 
     Returns ``(errors, norms, ranks)``: ``errors[i]`` is None when matrix i
     passes, else the message its constructor raises; ``norms`` holds the
-    Frobenius norms and ``ranks`` the integer traces of the passing ones.
+    Frobenius norms and ``ranks`` the traces rounded to integers, as
+    floats, of which those of the passing matrices are their ranks.
     """
     norms = _frobenius_norms(stack)
     # In place, here and below: stacks reach hundreds of matrices, and peak
@@ -161,23 +175,27 @@ def _projection_checks(stack: np.ndarray):
     square -= stack
     residuals = _frobenius_norms(square)
     del square
+    bound = TOL_IDEMPOTENT * np.maximum(1.0, norms)  # _within's bound, for both tests
+    dim = stack.shape[-1]
+    traces = _traces(stack)
+    # Traces are rounded within [-1, d + 1], so that an overflowed one
+    # stays finite; beyond [-0.5, d + 0.5] the rank is out of range either way.
+    ranks = np.rint(np.minimum(np.maximum(traces, -1.0), dim + 1.0))
+    # One comparison for both residuals: the larger one against the bound.
+    worst = np.abs(traces - ranks)
+    np.maximum(worst, residuals, out=worst)
     # Overflow (entries of 1e154 and up) must fail too: it makes the
     # residual NaN or the norm, and with it the bound, infinite.
-    idempotent = _within(residuals, TOL_IDEMPOTENT, norms) & (norms < math.inf)
-    traces = stack.trace(axis1=-2, axis2=-1).real
-    # Ranks are taken of idempotent matrices only, whose traces are finite.
-    ranks = np.rint(np.where(idempotent, traces, 0.0))
-    failed = (~idempotent | ~_within(np.abs(traces - ranks), TOL_IDEMPOTENT, norms)
-              | (ranks < 0) | (ranks > stack.shape[-1]))
+    passed = (worst <= bound) & (norms < math.inf) & (ranks >= 0.0) & (ranks <= dim)
     errors = [None] * len(norms)
-    for i in failed.nonzero()[0]:
-        if not idempotent[i]:
+    for i in (~passed).nonzero()[0]:
+        if not (residuals[i] <= bound[i] and norms[i] < math.inf):
             errors[i] = (f"matrix is not idempotent: ||P@P - P||_F = {residuals[i]:.3e} "
                          f"exceeds {TOL_IDEMPOTENT:.1e} * {max(1.0, float(norms[i])):.3g}")
         else:
             errors[i] = (f"projection trace {float(traces[i])!r} is not an "
                          f"admissible integer rank")
-    return errors, norms, ranks.astype(np.intp)
+    return errors, norms, ranks
 
 
 def _check_weight_rows(rows: np.ndarray) -> None:
@@ -218,14 +236,22 @@ def _check_density_stack(stack: np.ndarray) -> None:
     about d u ||rho||_2, near 1e-14: every stack that factors passes the
     ``eigvalsh`` check too.  Both routines read the lower triangle only.
     """
-    traces = stack.trace(axis1=1, axis2=2).real
+    traces = _traces(stack)
     off = np.abs(traces - 1.0)
     if off.max() > TOL_TRACE:
         first = float(traces[(off > TOL_TRACE).argmax()])
         raise ValidationError(f"density matrix trace {first!r} is not 1 within {TOL_TRACE!r}")
+    # The shift is added to the diagonal only: off it, adding zeros could
+    # change only the signs of zero entries, on which no pivot depends.
+    shifted = stack.copy()
+    dim = stack.shape[-1]
+    shifted.reshape(len(stack), dim * dim)[:, ::dim + 1] += _CHOLESKY_SHIFT
     try:
-        np.linalg.cholesky(stack + _CHOLESKY_SHIFT * np.eye(stack.shape[-1]))
-    except np.linalg.LinAlgError:
+        # A stack that does not factor sets the invalid flag, which
+        # np.linalg.cholesky turns into its LinAlgError.
+        with np.errstate(all="ignore", invalid="raise"):
+            _cholesky(shifted)
+    except FloatingPointError:
         low = np.linalg.eigvalsh(stack)[:, 0]
         if low.min() < MIN_EIGENVALUE:
             first = low[(low < MIN_EIGENVALUE).argmax()]
@@ -324,8 +350,7 @@ class StateVector:
         arr = np.asarray(entries, dtype=np.complex128)
         if arr.ndim != 1 or arr.shape[0] == 0:
             raise ValidationError(f"state vector must be 1-d and nonempty, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValidationError("state vector entries must be finite")
+        _require_finite(arr, "state vector")
         nrm = _vector_norm(arr)
         if abs(nrm - 1.0) > TOL_NORM:
             raise ValidationError(f"state vector norm {nrm!r} is not 1 within {TOL_NORM:.1e}")
@@ -362,9 +387,10 @@ class StateVector:
 def _adopted(cls, m: np.ndarray, given=None):
     """A ``cls`` operator holding ``m`` after ``cls._check(given)`` alone:
     ``m`` is a fresh ``_symmetrized`` array, zero or identity matrix, I - P
-    of a checked P, or the result of ``_hermitian_array``, which the
-    Hermitian scan could never refuse, and finite unless ``cls._check``
-    refuses non-finite entries itself, as a projection's does."""
+    of a checked P, or a fresh array that passed ``_hermitian_array``, which
+    the Hermitian scan could never refuse, and finite unless ``cls._check``
+    refuses non-finite entries itself, as a projection's does.  ``m`` is
+    made read-only, not copied."""
     h = np.ascontiguousarray(m)
     h.flags.writeable = False
     op = cls.__new__(cls)
@@ -373,21 +399,33 @@ def _adopted(cls, m: np.ndarray, given=None):
     return op
 
 
+def _adopted_vector(v: np.ndarray) -> StateVector:
+    """A StateVector holding ``v``, unchecked: a fresh 1-d complex array of
+    finite entries whose norm is within ``TOL_NORM`` of 1.  ``v`` is made
+    read-only, not copied."""
+    state = StateVector.__new__(StateVector)
+    v.flags.writeable = False
+    state._vector = v
+    return state
+
+
 def _hermitian_array(entries) -> np.ndarray:
-    """``entries`` as a read-only complex matrix, after the checks of every
-    operator constructor: square, nonempty, finite, and Hermitian within
-    ``TOL_HERMITIAN``."""
+    """``entries`` as a complex matrix, after the checks of every operator
+    constructor: square, nonempty, finite, and Hermitian within
+    ``TOL_HERMITIAN``.  The result may be ``entries`` itself."""
     arr = _square_complex(entries)
     skew = np.abs(arr - arr.conj().T).max()
     if skew > TOL_HERMITIAN:
         raise ValidationError(f"matrix is not Hermitian: max |A - A^H| = {skew:.3e} "
                               f"exceeds {TOL_HERMITIAN:.1e}")
-    return _frozen(arr)
+    return arr
 
 
 def _hermitian_matrix_of(value) -> np.ndarray:
-    """An operator's matrix as it is, or ``value`` after ``_hermitian_array``'s checks."""
-    return value._matrix if isinstance(value, HermitianOperator) else _hermitian_array(value)
+    """An operator's matrix as it is, or a read-only copy of ``value`` after
+    ``_hermitian_array``'s checks."""
+    return value._matrix if isinstance(value, HermitianOperator) else \
+        _frozen(_hermitian_array(value))
 
 
 def _jordan_result(m: np.ndarray) -> HermitianOperator:
@@ -481,14 +519,18 @@ def _span_matrix(vectors: Sequence) -> np.ndarray:
             raise ValidationError(f"span vector norm {nrm!r} is not finite")
     drop = SPAN_DROP * max(norms)
     basis: list[np.ndarray] = []
-    for v in cols:
-        w = v.astype(np.complex128, copy=True)
+    for v, nrm in zip(cols, norms):
+        w = v.copy()  # updated in place
         for _ in range(2):  # second pass restores orthogonality lost to cancellation
             for q in basis:
-                w = w - np.vdot(q, w) * q
-        nrm = _vector_norm(w)
+                w -= np.vdot(q, w) * q
+        # With no basis yet, w is v, and its norm known: the dot products of
+        # _vector_norm give the same bits for a strided and a contiguous v.
+        if basis:
+            nrm = _vector_norm(w)
         if nrm > drop:
-            basis.append(w / nrm)
+            w /= nrm
+            basis.append(w)
     p = np.zeros((dim, dim), dtype=np.complex128)
     for q in basis:
         p += q[:, None] * q.conj()[None]  # np.outer's shapes, hence its bits, also at dim 1

@@ -29,8 +29,8 @@ from .events import (_QUANTUM, _SEED_BOUND, DEFAULT_AXIOM_BUDGET, DEFAULT_SEED, 
                      BooleanAlgebra, Event, EventAlgebra, QuantumAlgebra, QuantumEvent,
                      _require_tolerance, verify_orthospace_axioms)
 from .linalg import (DEFAULT_QUERY_TOL, TOL_NORM, TOL_WIRE_NORM, Projection, StateVector,
-                     _adopted, _hermitian_array, _projection_checks, _require_int, _span_matrix,
-                     _vector_norm)
+                     _adopted, _adopted_vector, _hermitian_array, _projection_checks,
+                     _require_finite, _require_int, _span_matrix, _vector_norm)
 from .states import (ClassicalState, DensityState, State, _unit_trace,
                      compatibility_residuals, compatible, condition, condition_seq,
                      predictability, predictability_seq, prob)
@@ -88,12 +88,17 @@ def _decode_matrix(value, where: str) -> np.ndarray:
 
 def _decode_array(value, where: str, ndim: int) -> np.ndarray:
     """A vector (``ndim`` 1) or matrix (``ndim`` 2) of [re, im] pairs, as
-    complex128.
+    complex128: ``_regular_array`` of it, or when that is None, its value
+    by the per-entry reference decoders, which give the same values."""
+    arr = _regular_array(value, ndim)
+    return arr if arr is not None else \
+        (_decode_vector if ndim == 1 else _decode_matrix)(value, where)
 
-    A regular array of plain numbers is flattened in one walk, one level at
-    a time, and converted whole; anything else goes through the per-entry
-    reference decoders, which give the same values.
-    """
+
+def _regular_array(value, ndim: int) -> np.ndarray | None:
+    """``value`` as a complex128 array of ``ndim`` dimensions when it is a
+    regular array of [re, im] pairs of plain numbers, flattened in one walk,
+    one level at a time, and converted whole; else None."""
     level, shape = [value], []
     for _ in range(ndim + 1):
         # Exactly lists, all of one nonempty length.
@@ -113,7 +118,7 @@ def _decode_array(value, where: str, ndim: int) -> np.ndarray:
                 pass
             else:
                 return flat.view(np.complex128).reshape(shape[:-1])
-    return (_decode_vector if ndim == 1 else _decode_matrix)(value, where)
+    return None
 
 
 def _encode_array(arr: np.ndarray) -> list:
@@ -297,7 +302,11 @@ class _QuantumForms:
         else:
             if not isinstance(value, list) or not value:
                 raise ValidationError("'span' must be a nonempty array of vectors")
-            matrix = _span_matrix([_decode_array(v, f"{where}.span[{i}]", 1)
+            # A regular span is decoded whole, its vectors the rows of one
+            # array; any other vector by vector, so that a fault is located.
+            rows = _regular_array(value, 2)
+            matrix = _span_matrix(rows if rows is not None else
+                                  [_decode_array(v, f"{where}.span[{i}]", 1)
                                    for i, v in enumerate(value)])
         if len(matrix) != algebra.dim:
             # Refused as algebra.event refuses it: projection check first.
@@ -314,8 +323,9 @@ class _QuantumForms:
         for name, error in zip(parsed, errors):
             if error:
                 raise ValidationError(f"events.{name}: {error}")
-        return {name: _adopted(QuantumEvent, matrix, (int(rank), float(norm)))
-                for (name, matrix), rank, norm in zip(parsed.items(), ranks, norms)}
+        return {name: _adopted(QuantumEvent, matrix, (int(rank), norm))
+                for (name, matrix), rank, norm in zip(parsed.items(), ranks.tolist(),
+                                                      norms.tolist())}
 
     def event_record(self, event) -> dict:
         return {"matrix": _encode_array(event.matrix)}
@@ -336,8 +346,11 @@ class _QuantumForms:
         if abs(norm - 1.0) > TOL_WIRE_NORM:
             raise ValidationError(
                 f"vector norm {norm!r} is farther than 1e-6 from 1; not normalizing")
+        if math.isnan(norm):  # a NaN entry: an infinite one made the norm infinite
+            _require_finite(arr, "state vector")
         # Dividing an already unit vector would move its bits on every parse.
-        return StateVector(arr / norm if abs(norm - 1.0) > TOL_NORM else arr)
+        # Either way the vector is a fresh one of norm 1 within TOL_NORM.
+        return _adopted_vector(arr / norm if abs(norm - 1.0) > TOL_NORM else arr)
 
     def state_record(self, state) -> dict:
         if isinstance(state, StateVector):

@@ -375,6 +375,14 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and flag in err
 
+    def test_demo_qubit_refuses_a_tolerance(self, capsys):
+        # Before, demo-qubit took --tol 5, ignored it and exited 0.
+        with pytest.raises(SystemExit) as info:
+            main(["demo-qubit", "--tol", "5"])
+        assert info.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "--tol" in err
+
     def test_trials_ceiling_is_admitted(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "coin.json"
         path.write_text(json.dumps(COIN_SAMPLE))
@@ -418,8 +426,10 @@ class TestExitCodes:
 # Each subcommand's options in --help order, after -h: option strings,
 # default and whether it is required.  Help text is not compared: argparse
 # words it differently across Python versions.
-# The demos read neither a seed nor a trial count, so they take neither.
-COMMON_OPTIONS = [(("--tol",), 1e-9, False), (("--pretty",), False, False)]
+# The demos read neither a seed nor a trial count, so they take neither, and
+# demo-qubit reads no tolerance either.
+PRETTY_OPTION = [(("--pretty",), False, False)]
+COMMON_OPTIONS = [(("--tol",), 1e-9, False)] + PRETTY_OPTION
 SCENARIO_OPTIONS = COMMON_OPTIONS + [(("--seed",), 42, False), (("--trials",), 100_000, False),
                                      (("--scenario",), None, True)]
 SUBCOMMAND_OPTIONS = {
@@ -432,7 +442,7 @@ SUBCOMMAND_OPTIONS = {
     "axioms": SCENARIO_OPTIONS + [(("--budget",), None, False)],
     "demo-sec7": COMMON_OPTIONS,
     "demo-order": COMMON_OPTIONS,
-    "demo-qubit": COMMON_OPTIONS + [(("--angle",), math.pi / 4, False)],
+    "demo-qubit": PRETTY_OPTION + [(("--angle",), math.pi / 4, False)],
 }
 
 

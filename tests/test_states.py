@@ -4,6 +4,7 @@ compatibility, atoms, tabular states, and the qubit demonstration."""
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -211,6 +212,40 @@ class TestCholeskyCertifier:
         monkeypatch.setattr(np.linalg, "eigvalsh", _no_eigvalsh)
         for k in (15, 50):
             _check_density_stack(np.stack(states[k]))
+
+    # Smallest eigenvalues at and around MIN_EIGENVALUE = -1e-10, the middle
+    # two a relative 1e-6 either side of it.
+    LOWEST = [0.0, -0.99e-10, -1e-10 * (1 - 1e-6), -1e-10 * (1 + 1e-6), -2e-10]
+
+    @pytest.mark.parametrize("dim", [2, 4, 16, 64])
+    def test_lowest_eigenvalue_oracle(self, dim, monkeypatch):
+        """Each matrix, and each stack of three, is accepted exactly when
+        eigvalsh(rho)[0] >= MIN_EIGENVALUE holds for all of it, and a refused
+        stack reports its first offender, wherever it sits."""
+        rng = np.random.default_rng(200 + dim)
+        states = {low: [_state_with_lowest(dim, low, rng) for _ in range(3)]
+                  for low in self.LOWEST}
+        for low, trio in states.items():
+            for rho in trio:
+                verdict = _density_verdict(rho[None])
+                assert verdict == _eigvalsh_verdict(rho[None])
+                assert (verdict is None) is bool(np.linalg.eigvalsh(rho)[0] >= -1e-10), low
+            stack = np.stack(trio)
+            assert _density_verdict(stack) == _eigvalsh_verdict(stack)
+        # One offender among passing states, in each position, and two offenders.
+        good, bad, worse = states[0.0][0], states[-2e-10][0], _state_with_lowest(dim, -5e-10, rng)
+        for stack in ([bad, good, good], [good, bad, good], [good, good, bad],
+                      [good, worse, bad], [good, bad, worse]):
+            stack = np.stack(stack)
+            first = np.linalg.eigvalsh(stack)[:, 0]
+            first = first[(first < -1e-10).argmax()]
+            assert _density_verdict(stack) == \
+                f"density matrix has eigenvalue {first:.3e} below -1e-10"
+        # A stack whose smallest eigenvalues are 0 factors, so eigvalsh never runs.
+        monkeypatch.setattr(np.linalg, "eigvalsh", _no_eigvalsh)
+        _check_density_stack(np.stack(states[0.0]))
+        for rho in states[0.0]:
+            _check_density_stack(rho[None])
 
     def test_a_pure_state_and_its_conditioning_skip_eigvalsh(self, monkeypatch):
         _, e, f = half_transition_pair()
@@ -1044,7 +1079,8 @@ class TestSpinFactorOracle:
     v, w, u in R^(2k+1) with entries 0 and +-1/2 on C^(2^k).  (P_w, P_v) is
     predictable with s = (1 + v.w)/2 although neither event is an atom and
     the pair does not commute; every product is exact, so each value is
-    pinned bit for bit, whatever the BLAS kernel."""
+    pinned bit for bit, whatever the BLAS kernel.  Last come C^2, where the
+    P_v are atoms, and rational vectors, pinned within a stated bound."""
 
     V = np.array([0.5, 0.5, 0.5, 0.5, 0.0])
     W = np.array([0.5, 0.5, 0.5, -0.5, 0.0])
@@ -1111,6 +1147,68 @@ class TestSpinFactorOracle:
                               [spin_projection(sigmas, self.V), spin_projection(sigmas, self.W)],
                               spin_projection(sigmas, self.U), SamplerConfig(trials=100))
         assert result.predicted_p == (1 + self.W @ self.U) / 2 == 0.375
+
+    def test_qubit_atoms_are_the_closed_form(self):
+        # k = 1: on C^2 each P_v is a rank-one atom.  The axes of R^3 are the
+        # unit vectors with entries 0 and +-1, so every product is exact.
+        sigmas = spin_system(1)
+        pv, pw, pu = (spin_projection(sigmas, axis) for axis in np.eye(3))
+        minus = spin_projection(sigmas, -np.eye(3)[0])
+        assert all(p.rank == 1 and is_atom(p) for p in (pv, pw, pu, minus))
+        result = predictability(pw, pv)
+        assert (result.predictable, result.s, result.residual) == (True, 0.5, 0.0)
+        result = predictability_seq(pu, [pv, pw])
+        assert (result.predictable, result.s, result.residual) == (True, 0.5, 0.0)
+        assert orthogonal(pv, minus) and not orthogonal(pv, pw) and not orthogonal(pv, pv)
+        assert complement(pv).matrix.tobytes() == minus.matrix.tobytes()
+        assert compatible(pv, minus) and not compatible(pv, pw)
+        with pytest.warns(NonUniqueConditioningWarning):
+            conditioned = condition(DensityState(pw.matrix), pv)
+        assert conditioned.matrix.tobytes() == pv.matrix.tobytes()
+        assert prob(conditioned, pw) == 0.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonUniqueConditioningWarning)
+            result = sample_chain(DensityState(np.eye(2) / 2), [pv, pw], pu,
+                                  SamplerConfig(trials=100))
+        assert result.predicted_p == 0.5
+
+    # Rational unit vectors of R^3: no entry of P_v is exact, so each closed
+    # form holds within BOUND, relative to ||P_v||_F for the residuals.  The
+    # largest error measured on SkylakeX, Haswell, Sandybridge and Katmai
+    # cores was 2.3e-16 for s and 1.6e-16 relative for a residual.
+    RATIONAL = (np.array([1.0, 2.0, 2.0]) / 3, np.array([2.0, 3.0, 6.0]) / 7,
+                np.array([2.0, -1.0, 2.0]) / 3)
+    V_W, W_U = Fraction(2 + 6 + 12, 21), Fraction(4 - 3 + 12, 21)
+    BOUND = 4e-16
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
+    def test_rational_family_within_the_bound(self, k):
+        sigmas = spin_system(k)
+        dim = sigmas.shape[-1]
+        pv, pw, pu = (spin_projection(sigmas, v) for v in self.RATIONAL)
+        scale = pv._norm
+        result = predictability(pw, pv)
+        assert result.predictable
+        assert abs(result.s - float((1 + self.V_W) / 2)) <= self.BOUND
+        assert result.residual <= self.BOUND * scale
+        result = predictability_seq(pu, [pv, pw])
+        assert result.predictable
+        assert abs(result.s - float((1 + self.W_U) / 2)) <= self.BOUND
+        assert result.residual <= self.BOUND * scale
+        minus = spin_projection(sigmas, -self.RATIONAL[0])
+        assert orthogonal(pv, minus) and not orthogonal(pv, pw)
+        assert np.abs(complement(pv).matrix - minus.matrix).max() <= self.BOUND
+        assert compatible(pv, minus) and not compatible(pv, pw)
+        assert is_atom(pv) is (dim == 2)
+        half = max(1, dim // 2)  # the rank of every P_v
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonUniqueConditioningWarning)
+            conditioned = condition(DensityState(pw.matrix / half), pv)
+            chain = sample_chain(DensityState(np.eye(dim) / dim), [pv, pw], pu,
+                                 SamplerConfig(trials=100))
+        assert np.abs(conditioned.matrix - pv.matrix / half).max() <= self.BOUND
+        assert abs(prob(conditioned, pw) - float((1 + self.V_W) / 2)) <= self.BOUND
+        assert abs(chain.predicted_p - float((1 + self.W_U) / 2)) <= self.BOUND
 
 
 class TestBooleanDiagonalStates:
