@@ -5,13 +5,13 @@ orthogonal sum, complement, order, atoms).  Each algebra kind has one kind
 object, ``_BOOLEAN`` or ``_QUANTUM``, that owns how the kind's events and
 states are held as arrays and computed on; the state layer and the sampler
 call it and never ask which kind they handle.  Orthogonality, order and
-equality are decided on stacks of events, one route per algebra kind: the
-public one-pair functions run it on stacks of one.  A randomized harness
-checks the six orthospace axioms a block of rounds at a time, with blocks
-bounded by bytes; it draws the rounds in turn, so they keep their random
-stream, and keeps the first 20 failure messages in (round, axiom,
-position) order.  Its block evaluator is in ``_harness``, which the harness
-imports on its first call.
+equality are decided by one residual per algebra kind, which broadcasts:
+the public one-pair functions run it on the two events' own arrays, the
+harness on stacks of them.  A randomized harness checks the six orthospace
+axioms a block of rounds at a time, with blocks bounded by bytes; it draws
+the rounds in turn, so they keep their random stream, and keeps the first
+20 failure messages in (round, axiom, position) order.  Its block
+evaluator is in ``_harness``, which the harness imports on its first call.
 """
 
 from __future__ import annotations
@@ -42,6 +42,10 @@ class SampleSpace:
     def __post_init__(self):
         object.__setattr__(self, "size", _require_int(self.size, "sample space size", 1))
         if self.labels is not None:
+            if not (isinstance(self.labels, Sequence)
+                    and all(isinstance(label, str) for label in self.labels)):
+                raise ValidationError("labels must be a sequence of strings")
+            object.__setattr__(self, "labels", tuple(self.labels))
             if len(self.labels) != self.size:
                 raise ValidationError(
                     f"{len(self.labels)} labels for {self.size} points")
@@ -55,11 +59,16 @@ class BooleanEvent:
 
     space: SampleSpace
     members: frozenset[int]
+    _norm = 0.0  # a class attribute, not a field: the relations' unused scale
 
     def __post_init__(self):
+        _require_instance(SampleSpace, space=self.space)
         members = self.members
         # A frozenset of plain ints is kept as it is: _require_int returns them unchanged.
         if type(members) is not frozenset or not {int}.issuperset(map(type, members)):
+            if not isinstance(members, Iterable):
+                raise ValidationError(
+                    f"members must be an iterable of integers, got {type(members).__name__}")
             members = frozenset(i if type(i) is int else _require_int(i, "member")
                                 for i in members)
             object.__setattr__(self, "members", members)
@@ -90,7 +99,7 @@ class BooleanAlgebra:
 
     def __init__(self, space: SampleSpace | int, labels: Sequence[str] | None = None):
         if not isinstance(space, SampleSpace):
-            space = SampleSpace(space, tuple(labels) if labels is not None else None)
+            space = SampleSpace(space, labels)
         elif labels is not None:
             raise ValidationError("labels must be None when space is a SampleSpace: it holds them")
         self.space = space
@@ -100,7 +109,7 @@ class BooleanAlgebra:
         return self.space.size
 
     def event(self, members: Iterable[int]) -> BooleanEvent:
-        return BooleanEvent(self.space, frozenset(members))
+        return BooleanEvent(self.space, members)
 
     def zero(self) -> BooleanEvent:
         return BooleanEvent(self.space, frozenset())
@@ -169,25 +178,26 @@ def _clamp_probability(p: np.ndarray) -> np.ndarray:
 # Each algebra kind has one kind object, _BOOLEAN or _QUANTUM: the one place
 # that knows how the kind's events and states are held as arrays and how
 # they are computed on.  Its algebras and events point at it as ``_kind``,
-# and a public function looks it up once and calls it.  A stack holds k
-# events with one norm per event.  The relation residuals broadcast, so
-# stacks a[:, None] and b[None] give a (len a, len b) table and equal-length
-# stacks one residual per pair; ``holds`` decides them.  The builders
-# (complement_of, sum_of, difference_of) check nothing; ``checks`` returns
-# each entry's norm and, by position, the message its constructor raises for
-# each entry that fails; the quantum complement and oplus run the builders
-# on one matrix.  A state stack holds m states, and ``branch`` is what
-# conditioning on an event multiplies a state by; an atom's branch is its
-# state.  ``state_of(like, array)`` is the one route from an array the
-# library computed to a checked state on ``like``'s space.  The
-# predictability parts return the candidate s, its residual and its scale,
-# for ``states`` to certify with ``_within``.  ``commutative`` says that all
-# events commute: every pair is compatible, and only the other kind has a
-# ``commutator``, compatibility residuals and an interference term.
+# and a public function looks it up once and calls it.  ``operand`` is an
+# event's own array, a bool row or its projection matrix; every event has a
+# norm, ``_norm``.  The relation residuals broadcast, so two operands give
+# one residual, stacks a[:, None] and b[None] a (len a, len b) table and
+# equal-length stacks one residual per pair; ``holds`` decides them.  The
+# builders (complement_of, sum_of, difference_of) check nothing; ``checks``
+# returns each entry's norm and, by position, the message its constructor
+# raises for each entry that fails; the quantum complement and oplus run
+# the builders on one matrix.  A state stack holds m states, and
+# conditioning on an event multiplies each by the event's operand.
+# ``state_of(like, array)`` is the one route from an array the library
+# computed to a checked state on ``like``'s space.  The predictability parts
+# return the candidate s, its residual and its scale, for ``states`` to
+# certify with ``_within``.  ``commutative`` says that all events commute:
+# every pair is compatible, and only the other kind has a ``commutator``,
+# compatibility residuals and an interference term.
 
 
 class _BooleanKind:
-    """Boolean events as (k, size) bool rows, states as (m, size) weight rows.
+    """Boolean events as size-long bool rows, states as (m, size) weight rows.
 
     A residual counts sample points, so every verdict is exact: a relation
     holds when its residual is zero, whatever the tolerance.  Rows cannot
@@ -202,11 +212,10 @@ class _BooleanKind:
             raise AlgebraMismatch("state and event live on different sample spaces" if state
                                   else "events live on different sample spaces")
 
-    def stack(self, events: Sequence[BooleanEvent]):
-        rows = np.zeros((len(events), events[0].space.size), dtype=bool)
-        for row, ev in zip(rows, events):
-            row[list(ev.members)] = True
-        return rows, np.zeros(len(events))
+    def operand(self, event):
+        row = np.zeros(event.space.size, dtype=bool)
+        row[list(event.members)] = True
+        return row
 
     def orthogonality(self, a, b):
         return (a & b).sum(axis=-1)
@@ -250,19 +259,14 @@ class _BooleanKind:
     def state_stack(self, state):
         return state.weights[None]
 
-    def branch(self, event):
-        mask = np.zeros(event.space.size)
-        mask[sorted(event.members)] = 1.0
-        return mask
-
     def probabilities(self, stack, event):
         # take() keeps each row contiguous, so it sums in the order of a
         # 1-d sum; stack[:, members] is column-major and would not.
         members = np.array(sorted(event.members), dtype=np.intp)
         return _clamp_probability(stack.take(members, axis=1).sum(axis=1))
 
-    def conditioned(self, stack, branch, p):
-        return stack * branch / p[:, None]
+    def conditioned(self, stack, operand, p):
+        return stack * operand / p[:, None]
 
     def check_states(self, stack) -> None:
         _check_weight_rows(stack)
@@ -299,7 +303,7 @@ def _counted(n_given: int, n_joint: int):
 
 
 class _QuantumKind:
-    """Quantum events as (k, d, d) projection matrices, states as (m, d, d)
+    """Quantum events as (d, d) projection matrices, states as (m, d, d)
     density matrices.
 
     A residual is the Frobenius norm of AB (orthogonality), AB - A (order)
@@ -318,9 +322,8 @@ class _QuantumKind:
             raise AlgebraMismatch(f"state dimension {x.dim} != event dimension {e.dim}" if state
                                   else f"events have different dimensions: {x.dim} vs {e.dim}")
 
-    def stack(self, events: Sequence[QuantumEvent]):
-        return (np.array([ev.matrix for ev in events]),
-                np.array([ev._norm for ev in events]))
+    def operand(self, event):
+        return event.matrix
 
     def orthogonality(self, a, b):
         return _frobenius_norms(a @ b)
@@ -377,9 +380,6 @@ class _QuantumKind:
     def state_stack(self, state):
         return state.matrix[None]
 
-    def branch(self, event):
-        return event.matrix
-
     def probabilities(self, stack, event):
         """The products ``rho @ E`` are one gemm of the rows of all the
         matrices by the shared ``E``: each row of a product is that row
@@ -389,7 +389,7 @@ class _QuantumKind:
         products = (stack.reshape(-1, d) @ event.matrix).reshape(stack.shape)
         return _clamp_probability(_traces(products))
 
-    def conditioned(self, stack, branch, p):
+    def conditioned(self, stack, operand, p):
         """Each matrix compressed to ``(E @ rho) @ E``, made exactly
         Hermitian and divided by its trace.
 
@@ -401,7 +401,7 @@ class _QuantumKind:
         wheels bundle).
         """
         d = stack.shape[-1]
-        compressed = _symmetrized(((branch @ stack).reshape(-1, d) @ branch).reshape(stack.shape))
+        compressed = _symmetrized(((operand @ stack).reshape(-1, d) @ operand).reshape(stack.shape))
         compressed /= _traces(compressed)[:, None, None]
         return compressed
 
@@ -506,17 +506,16 @@ def _event_kind(e, name: str = "e"):
 
 def _one_pair(relation: str, e: Event, f: Event):
     """The kind of e, the residual of ``relation`` ("orthogonality",
-    "order" or "equality") from e to f on one-pair stacks, and the two
+    "order" or "equality") from e to f on their operands, and the two
     norms."""
     kind = _shared_kind(e, f)
-    pair, norms = kind.stack((e, f))
-    return kind, getattr(kind, relation)(pair[:1], pair[1:]), norms[:1], norms[1:]
+    return kind, getattr(kind, relation)(kind.operand(e), kind.operand(f)), e._norm, f._norm
 
 
 def _pair_verdict(relation: str, e: Event, f: Event, tol: float) -> bool:
     _require_tolerance(tol)
-    kind, residuals, a_norms, b_norms = _one_pair(relation, e, f)
-    return bool(kind.holds(residuals, a_norms, b_norms, tol)[0])
+    kind, residual, e_norm, f_norm = _one_pair(relation, e, f)
+    return bool(kind.holds(residual, e_norm, f_norm, tol))
 
 
 def orthogonal(e: Event, f: Event, tol: float = DEFAULT_EVENT_TOL) -> bool:

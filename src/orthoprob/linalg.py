@@ -62,8 +62,18 @@ DEFAULT_QUERY_TOL = 1e-9  # tol of run_query and of --tol, passed to every opera
 DEGENERATE_BRANCH = 1e-14  # branch probability that the sampler counts to the other branch
 
 
+def _numeric_array(value, dtype, what: str) -> np.ndarray:
+    """``np.asarray(value, dtype=dtype)``, the one conversion of a caller's
+    array; ValidationError naming ``what`` when numpy cannot convert it
+    (a malformed string, ragged rows, an int too large for a float)."""
+    try:
+        return np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{what} must be a rectangular array of numbers") from None
+
+
 def _square_complex(value, what: str = "matrix") -> np.ndarray:
-    arr = np.asarray(value, dtype=np.complex128)
+    arr = _numeric_array(value, np.complex128, what)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"{what} must be square, got shape {arr.shape}")
     if arr.shape[0] == 0:
@@ -347,7 +357,7 @@ class StateVector:
     __slots__ = ("_vector",)
 
     def __init__(self, entries):
-        arr = np.asarray(entries, dtype=np.complex128)
+        arr = _numeric_array(entries, np.complex128, "state vector")
         if arr.ndim != 1 or arr.shape[0] == 0:
             raise ValidationError(f"state vector must be 1-d and nonempty, got shape {arr.shape}")
         _require_finite(arr, "state vector")
@@ -498,7 +508,7 @@ def _span_matrix(vectors: Sequence) -> np.ndarray:
     try:
         for v in vectors:
             arr = v.vector if isinstance(v, StateVector) else \
-                np.asarray(v, dtype=np.complex128)
+                _numeric_array(v, np.complex128, "span vector")
             if arr.ndim != 1:
                 raise ValidationError("span vectors must be 1-d")
             cols.append(arr)

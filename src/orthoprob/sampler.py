@@ -148,10 +148,10 @@ def _level_probabilities(kind, stack: np.ndarray, event: Event) -> np.ndarray:
 
 
 def _branches(kind, event: Event) -> tuple[Event, np.ndarray]:
-    """The complement of a test event and the stack of the two branches a
-    level conditions on, the complement's first."""
+    """The complement of a test event and the stack of the operands of the
+    two branches a level conditions on, the complement's first."""
     comp = complement(event)
-    return comp, np.stack([kind.branch(comp), kind.branch(event)])
+    return comp, np.stack([kind.operand(comp), kind.operand(event)])
 
 
 def _condition_level(kind, stack: np.ndarray, realized: np.ndarray, p_yes: np.ndarray,

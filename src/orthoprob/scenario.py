@@ -27,11 +27,11 @@ import numpy as np
 from .errors import AlgebraMismatch, DimensionMismatch, ParseError, ValidationError
 from .events import (_QUANTUM, _SEED_BOUND, DEFAULT_AXIOM_BUDGET, DEFAULT_SEED, DEFAULT_TRIALS,
                      BooleanAlgebra, Event, EventAlgebra, QuantumAlgebra, QuantumEvent,
-                     _require_tolerance, verify_orthospace_axioms)
+                     _require_instance, _require_tolerance, verify_orthospace_axioms)
 from .linalg import (DEFAULT_QUERY_TOL, TOL_NORM, TOL_WIRE_NORM, Projection, StateVector,
                      _adopted, _adopted_vector, _hermitian_array, _projection_checks,
                      _require_finite, _require_int, _span_matrix, _vector_norm)
-from .states import (ClassicalState, DensityState, State, _unit_trace,
+from .states import (ClassicalState, DensityState, State, _commutes, _unit_trace,
                      compatibility_residuals, compatible, condition, condition_seq,
                      predictability, predictability_seq, prob)
 
@@ -479,6 +479,8 @@ def scenario_from_jsonable(doc: Any) -> Scenario:
 
 def parse_scenario(text: str) -> Scenario:
     """Parse scenario JSON text; ParseError for syntax, ValidationError for meaning."""
+    if not isinstance(text, (str, bytes, bytearray)):
+        raise ValidationError(f"text must be str, bytes or bytearray, got {type(text).__name__}")
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -490,6 +492,7 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def scenario_to_jsonable(scenario: Scenario) -> dict:
+    _require_instance(Scenario, scenario=scenario)
     forms = _FORMS[scenario.algebra.kind]
     doc = {"algebra": forms.algebra_record(scenario.algebra),
            "events": {n: forms.event_record(e) for n, e in scenario.events.items()},
@@ -562,12 +565,12 @@ def _run_predictability(scenario, q, echo, tol, seed, trials) -> dict:
 
 def _run_compatible(scenario, q, echo, tol, seed, trials) -> dict:
     first, second = scenario.events[q["first"]], scenario.events[q["second"]]
-    out = {**echo, "compatible": compatible(first, second, tol=tol), "tol": tol}
-    if not first._kind.commutative:
-        comm, ident_first, ident_second = compatibility_residuals(first, second)
-        out["residuals"] = {"commutator": comm, "identity_first": ident_first,
-                            "identity_second": ident_second}
-    return out
+    if first._kind.commutative:
+        return {**echo, "compatible": compatible(first, second, tol=tol), "tol": tol}
+    comm, ident_first, ident_second = compatibility_residuals(first, second)
+    return {**echo, "compatible": _commutes(comm, first, second, tol), "tol": tol,
+            "residuals": {"commutator": comm, "identity_first": ident_first,
+                          "identity_second": ident_second}}
 
 
 def _run_interference(scenario, q, echo, tol, seed, trials) -> dict:
@@ -646,6 +649,7 @@ def run_query(scenario: Scenario, tol: float = DEFAULT_QUERY_TOL, seed: int = DE
     tolerance); ``seed`` and ``trials`` apply to sampling and axiom queries,
     and are checked for every query kind.
     """
+    _require_instance(Scenario, scenario=scenario)
     query = scenario.query
     if query is None:
         raise ValidationError("scenario has no query to run")

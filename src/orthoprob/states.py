@@ -25,12 +25,13 @@ import numpy as np
 
 from .errors import (AlgebraMismatch, DimensionMismatch, EmptyInput, NonUniqueConditioningWarning,
                      NotAtom, ValidationError, ZeroProbabilityCondition)
-from .events import (_BOOLEAN, _QUANTUM, Event, QuantumAlgebra, QuantumEvent, _clamp_probability,
-                     _event_kind, _require_instance, _require_sequence, _require_tolerance,
-                     _shared_kind, below, complement, events_equal)
+from .events import (_BOOLEAN, _QUANTUM, Event, QuantumAlgebra, QuantumEvent, SampleSpace,
+                     _clamp_probability, _event_kind, _require_instance, _require_sequence,
+                     _require_tolerance, _shared_kind, below, complement, events_equal)
 from .linalg import (DEFAULT_CONDITION_TOL, DEFAULT_DETECTION_TOL, DEFAULT_EVENT_TOL,
                      TOL_CONTRACT, TOL_SAME_P, TOL_TABLE, TOL_TRACE, HermitianOperator,
-                     StateVector, _check_density_stack, _check_weight_rows, _within)
+                     StateVector, _check_density_stack, _check_weight_rows, _numeric_array,
+                     _within)
 
 
 class ClassicalState:
@@ -39,7 +40,8 @@ class ClassicalState:
     __slots__ = ("space", "_weights")
 
     def __init__(self, space, weights):
-        arr = np.asarray(weights, dtype=np.float64)
+        _require_instance(SampleSpace, space=space)
+        arr = _numeric_array(weights, np.float64, "weights")
         if arr.ndim != 1 or arr.shape[0] != space.size:
             raise ValidationError(
                 f"expected {space.size} weights, got shape {arr.shape}")
@@ -129,7 +131,7 @@ def condition(state: State, event: Event,
     stack = kind.state_stack(state)
     p = kind.probabilities(stack, event)
     _check_probabilities(p, tol)
-    conditioned = kind.conditioned(stack, kind.branch(event), p)[0]
+    conditioned = kind.conditioned(stack, kind.operand(event), p)[0]
     kind.warn_if_nonunique(event)
     return kind.state_of(state, conditioned)
 
@@ -220,7 +222,12 @@ def compatible(e: Event, f: Event, tol: float = DEFAULT_EVENT_TOL) -> bool:
     """
     _require_tolerance(tol)
     kind = _shared_kind(e, f)
-    return kind.commutative or bool(_within(kind.commutator(e, f), tol, max(e._norm, f._norm)))
+    return kind.commutative or _commutes(kind.commutator(e, f), e, f, tol)
+
+
+def _commutes(commutator: float, e: QuantumEvent, f: QuantumEvent, tol: float) -> bool:
+    """The compatibility verdict on the commutator norm of two projections."""
+    return bool(_within(commutator, tol, max(e._norm, f._norm)))
 
 
 def atom_state(event: Event) -> State:
@@ -228,7 +235,7 @@ def atom_state(event: Event) -> State:
     kind = _event_kind(event, "event")
     if not kind.is_atom(event):
         raise NotAtom("atom_state needs a minimal event")
-    return kind.state_of(event, _unit_trace(kind.branch(event)))
+    return kind.state_of(event, _unit_trace(kind.operand(event)))
 
 
 def _unit_trace(a: np.ndarray) -> np.ndarray:
@@ -286,6 +293,7 @@ class TableState:
     def __init__(self, events: Mapping[str, QuantumEvent],
                  values: Mapping[str, float],
                  complements: Mapping[str, str]):
+        _require_instance(Mapping, events=events, values=values, complements=complements)
         events = dict(events)
         for name, ev in events.items():
             if not isinstance(ev, QuantumEvent):

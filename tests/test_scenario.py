@@ -685,6 +685,35 @@ class TestDocumentStack:
             assert not event.matrix.flags.writeable
 
 class TestRunQuery:
+    @pytest.mark.parametrize("call, message", [
+        (run_query, "scenario must be a Scenario, got NoneType"),
+        (scenario_to_jsonable, "scenario must be a Scenario, got NoneType"),
+        (serialize_scenario, "scenario must be a Scenario, got NoneType"),
+        (parse_scenario, "text must be str, bytes or bytearray, got NoneType")])
+    def test_entry_points_refuse_a_non_scenario(self, call, message):
+        with pytest.raises(ValidationError) as info:
+            call(None)
+        assert str(info.value) == message
+
+    def test_bytes_parse(self):
+        assert parse_scenario(MINIMAL_BOOLEAN.encode()) == parse_scenario(MINIMAL_BOOLEAN)
+
+    def test_one_commutator_per_compatible_query(self, monkeypatch):
+        calls = []
+        commutator = orthoprob.events._QuantumKind.commutator
+
+        def counted(self, e, f):
+            calls.append(1)
+            return commutator(self, e, f)
+
+        monkeypatch.setattr(orthoprob.events._QuantumKind, "commutator", counted)
+        for second in ("up", "diag"):
+            calls.clear()
+            out = run_query(parse_scenario(quantum_doc(
+                {"kind": "compatible", "first": "up", "second": second})))
+            assert out["compatible"] is (second == "up")
+            assert len(calls) == 1
+
     def test_prob(self):
         out = run_query(parse_scenario(MINIMAL_BOOLEAN))
         assert out["kind"] == "prob"

@@ -15,12 +15,13 @@ import orthoprob.linalg
 from orthoprob.errors import (AlgebraMismatch, DimensionMismatch, EmptyInput,
                               ImpossibleSequence, NonUniqueConditioningWarning, NotAtom,
                               ValidationError, ZeroEvent, ZeroProbabilityCondition)
-from orthoprob.events import (_BOOLEAN, _QUANTUM, BooleanAlgebra, QuantumAlgebra, QuantumEvent,
-                              below, complement, is_atom, oplus, orthogonal,
-                              verify_orthospace_axioms)
+from orthoprob.events import (_BOOLEAN, _QUANTUM, BooleanAlgebra, BooleanEvent, QuantumAlgebra,
+                              QuantumEvent, SampleSpace, below, complement, is_atom, oplus,
+                              orthogonal, verify_orthospace_axioms)
 from orthoprob.linalg import (TOL_HERMITIAN, HermitianOperator, Projection, StateVector,
                               _check_density_stack, _check_weight_rows, _symmetrized,
-                              jordan_product, quadratic_triple, random_unitary)
+                              jordan_product, projector_from_span, quadratic_triple,
+                              random_unitary)
 from orthoprob.interference import interference_decomposition, two_slit
 from orthoprob.presets import half_transition_pair, order_dependence_example
 from orthoprob.sampler import SamplerConfig, sample_chain
@@ -327,11 +328,28 @@ def test_operand_roles(call, message):
     (lambda: two_slit(_V, _V, _V, _RHO), "detector must be a StateVector, got DensityState"),
     (lambda: conditioning_contract_violations(None, _RHO, "a"),
      "table must be a TableState, got NoneType"),
+    (lambda: TableState(None, {}, {}), "events must be a Mapping, got NoneType"),
+    (lambda: BooleanAlgebra(4).event(3), "members must be an iterable of integers, got int"),
+    (lambda: BooleanAlgebra(4).event(None),
+     "members must be an iterable of integers, got NoneType"),
+    (lambda: BooleanAlgebra(4).event([[0]]), "member [0] is not an integer"),
+    (lambda: BooleanEvent(4, frozenset()), "space must be a SampleSpace, got int"),
+    (lambda: ClassicalState(None, [1.0]), "space must be a SampleSpace, got NoneType"),
+    (lambda: SampleSpace(2, labels=5), "labels must be a sequence of strings"),
+    (lambda: BooleanAlgebra(2, labels=[0, 1]), "labels must be a sequence of strings"),
+    (lambda: DensityState([["a"]]), "matrix must be a rectangular array of numbers"),
+    (lambda: QuantumAlgebra(2).event([["a", "b"], ["c", "d"]]),
+     "matrix must be a rectangular array of numbers"),
+    (lambda: HermitianOperator([[1], [1, 2]]), "matrix must be a rectangular array of numbers"),
+    (lambda: projector_from_span([["a"]]), "span vector must be a rectangular array of numbers"),
+    (lambda: StateVector("x"), "state vector must be a rectangular array of numbers"),
+    (lambda: StateVector([10 ** 400]), "state vector must be a rectangular array of numbers"),
+    (lambda: ClassicalState(_BE.space, "ab"), "weights must be a rectangular array of numbers"),
 ])
 def test_argument_types(call, message):
-    """A single operand that is not what its parameter takes, and a
-    sequence argument that is not a sequence, get a ValidationError that
-    names the argument."""
+    """A single operand that is not what its parameter takes, a sequence
+    argument that is not a sequence, and an array that numpy cannot read
+    as numbers get a ValidationError that names the argument."""
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         call()
 
