@@ -28,8 +28,8 @@ from .errors import (AlgebraMismatch, ImpossibleSequence, NonUniqueConditioningW
                      NotOrthogonal, ValidationError, ZeroEvent)
 from .linalg import (CLAMP, DEFAULT_EVENT_TOL, Projection, _adopted, _check_density_stack,
                      _check_weight_rows, _frobenius_norms, _projection_checks, _require_finite,
-                     _require_int, _require_sequence, _require_tolerance, _symmetrized, _traces,
-                     _vector_norm, _within, projector_from_span, random_unitary)
+                     _quadratic, _require_int, _require_sequence, _require_tolerance,
+                     _symmetrized, _within, projector_from_span, random_unitary)
 
 
 @dataclass(frozen=True)
@@ -387,7 +387,7 @@ class _QuantumKind:
         matmul per matrix (pinned in the tests, dims 1 to 64)."""
         d = stack.shape[-1]
         products = (stack.reshape(-1, d) @ event.matrix).reshape(stack.shape)
-        return _clamp_probability(_traces(products))
+        return _clamp_probability(products.trace(axis1=-2, axis2=-1).real)
 
     def conditioned(self, stack, operand, p):
         """Each matrix compressed to ``(E @ rho) @ E``, made exactly
@@ -402,7 +402,7 @@ class _QuantumKind:
         """
         d = stack.shape[-1]
         compressed = _symmetrized(((operand @ stack).reshape(-1, d) @ operand).reshape(stack.shape))
-        compressed /= _traces(compressed)[:, None, None]
+        compressed /= compressed.trace(axis1=-2, axis2=-1).real[:, None, None]
         return compressed
 
     def check_states(self, stack) -> None:
@@ -428,7 +428,7 @@ class _QuantumKind:
         if given.rank == 0:
             raise ZeroEvent("conditioning event is the zero projection")
         f = given.matrix
-        return _trace_ratio(_symmetrized(f @ target.matrix @ f), f, float(f.trace().real),
+        return _trace_ratio(_quadratic(f, target.matrix), f, float(f.trace().real),
                             given._norm)
 
     def predictability_seq(self, target, given, tol):
@@ -444,32 +444,25 @@ class _QuantumKind:
             raise ImpossibleSequence(
                 f"no state can realize the sequence: tr(M M^H) = {tr_b!r}")
         return _trace_ratio(_symmetrized(m @ target.matrix @ m.conj().T), b, tr_b,
-                            _norm(b))
+                            float(np.linalg.norm(b)))
 
     def commutator(self, e, f) -> float:
         em, fm = e.matrix, f.matrix
-        return _norm(em @ fm - fm @ em)
+        return float(np.linalg.norm(em @ fm - fm @ em))
 
     def compatibility_residuals(self, e, f):
         em, fm = e.matrix, f.matrix
         eye = np.eye(e.dim)
         ec, fc = eye - em, eye - fm
-        ident_e = _norm(em - fm @ em @ fm - fc @ em @ fc)
-        ident_f = _norm(fm - em @ fm @ em - ec @ fm @ ec)
+        ident_e = float(np.linalg.norm(em - fm @ em @ fm - fc @ em @ fc))
+        ident_f = float(np.linalg.norm(fm - em @ fm @ em - ec @ fm @ ec))
         return self.commutator(e, f), ident_e, ident_f
 
 
 def _trace_ratio(a: np.ndarray, b: np.ndarray, tr_b: float, scale: float):
     """s = tr A / tr B for A = sB, the residual ||A - sB||_F, and its scale."""
     s = float(a.trace().real) / tr_b
-    return s, _norm(a - s * b), scale
-
-
-def _norm(m: np.ndarray) -> float:
-    """``float(np.linalg.norm(m))`` of a complex matrix, with its bits: the
-    vector norm of ``m`` flattened in memory order, as that function
-    flattens it, without its dispatch."""
-    return _vector_norm(m.ravel(order="K"))
+    return s, float(np.linalg.norm(a - s * b)), scale
 
 
 _BOOLEAN, _QUANTUM = _BooleanKind(), _QuantumKind()

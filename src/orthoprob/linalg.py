@@ -26,14 +26,8 @@ import sys
 from collections.abc import Sequence
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .errors import DimensionMismatch, EmptyInput, ValidationError
-
-# The gufunc of np.linalg.cholesky, called without that wrapper's argument
-# checks and conversions, which take about two thirds of a call on one 4x4
-# matrix; the density check hands it a fresh complex128 stack.
-_cholesky = _umath_linalg.cholesky_lo
 
 # The numerical policy: every fixed bound and every default tolerance, one name per
 # role, as the README's "Tolerances" lists them; _within applies the relative ones.
@@ -151,20 +145,6 @@ def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
     return np.sqrt(squares[..., 0, 0])
 
 
-def _vector_norm(v: np.ndarray) -> float:
-    """``float(np.linalg.norm(v))`` of a complex vector, with its bits: the
-    same two dot products, without its dispatch."""
-    re, im = v.real, v.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
-
-
-def _traces(stack: np.ndarray) -> np.ndarray:
-    """Real part of the trace of each matrix in a stack of shape (..., d, d),
-    with the bits of ``stack.trace(axis1=-2, axis2=-1).real``: the same sum
-    of the same diagonal view, without the method's argument handling."""
-    return np.add.reduce(stack.diagonal(0, -2, -1), -1).real
-
-
 def _projection_checks(stack: np.ndarray):
     """Check each matrix of a (k, d, d) stack of exactly Hermitian matrices
     as a projection; never raises.
@@ -187,7 +167,7 @@ def _projection_checks(stack: np.ndarray):
     del square
     bound = TOL_IDEMPOTENT * np.maximum(1.0, norms)  # _within's bound, for both tests
     dim = stack.shape[-1]
-    traces = _traces(stack)
+    traces = stack.trace(axis1=-2, axis2=-1).real
     # Traces are rounded within [-1, d + 1], so that an overflowed one
     # stays finite; beyond [-0.5, d + 0.5] the rank is out of range either way.
     ranks = np.rint(np.minimum(np.maximum(traces, -1.0), dim + 1.0))
@@ -246,7 +226,7 @@ def _check_density_stack(stack: np.ndarray) -> None:
     about d u ||rho||_2, near 1e-14: every stack that factors passes the
     ``eigvalsh`` check too.  Both routines read the lower triangle only.
     """
-    traces = _traces(stack)
+    traces = stack.trace(axis1=-2, axis2=-1).real
     off = np.abs(traces - 1.0)
     if off.max() > TOL_TRACE:
         first = float(traces[(off > TOL_TRACE).argmax()])
@@ -257,11 +237,8 @@ def _check_density_stack(stack: np.ndarray) -> None:
     dim = stack.shape[-1]
     shifted.reshape(len(stack), dim * dim)[:, ::dim + 1] += _CHOLESKY_SHIFT
     try:
-        # A stack that does not factor sets the invalid flag, which
-        # np.linalg.cholesky turns into its LinAlgError.
-        with np.errstate(all="ignore", invalid="raise"):
-            _cholesky(shifted)
-    except FloatingPointError:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
         low = np.linalg.eigvalsh(stack)[:, 0]
         if low.min() < MIN_EIGENVALUE:
             first = low[(low < MIN_EIGENVALUE).argmax()]
@@ -361,7 +338,7 @@ class StateVector:
         if arr.ndim != 1 or arr.shape[0] == 0:
             raise ValidationError(f"state vector must be 1-d and nonempty, got shape {arr.shape}")
         _require_finite(arr, "state vector")
-        nrm = _vector_norm(arr)
+        nrm = float(np.linalg.norm(arr))
         if abs(nrm - 1.0) > TOL_NORM:
             raise ValidationError(f"state vector norm {nrm!r} is not 1 within {TOL_NORM:.1e}")
         self._vector = _frozen(arr)
@@ -438,16 +415,35 @@ def _hermitian_matrix_of(value) -> np.ndarray:
         _frozen(_hermitian_array(value))
 
 
-def _jordan_result(m: np.ndarray) -> HermitianOperator:
+def _check_same_dim(*mats: np.ndarray) -> None:
+    dims = {m.shape[0] for m in mats}
+    if len(dims) != 1:
+        raise DimensionMismatch(f"operands have different dimensions: {sorted(dims)}")
+
+
+def _jordan(form, *operands) -> HermitianOperator:
+    """``form`` of the operands' matrices, as an operator: the one route of
+    the public Jordan products."""
+    mats = [_hermitian_matrix_of(v) for v in operands]
+    _check_same_dim(*mats)
+    m = form(*mats)
     # A product of finite matrices may overflow.
     _require_finite(m)
     return _adopted(HermitianOperator, m)
 
 
-def _check_same_dim(*mats: np.ndarray) -> None:
-    dims = {m.shape[0] for m in mats}
-    if len(dims) != 1:
-        raise DimensionMismatch(f"operands have different dimensions: {sorted(dims)}")
+def _jp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _symmetrized((a @ b + b @ a) / 2.0)
+
+
+def _triple(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    return _jp(a, _jp(b, c)) - _jp(b, _jp(c, a)) + _jp(c, _jp(a, b))
+
+
+def _quadratic(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """{A,B,A} = ABA, made exactly Hermitian: also the compression by
+    which predictability certifies {F,E,F} = sF."""
+    return _symmetrized(a @ b @ a)
 
 
 def jordan_product(x, y) -> HermitianOperator:
@@ -457,13 +453,7 @@ def jordan_product(x, y) -> HermitianOperator:
     the two matrix products are formed explicitly and float addition
     commutes.
     """
-    a, b = _hermitian_matrix_of(x), _hermitian_matrix_of(y)
-    _check_same_dim(a, b)
-    return _jordan_result(_jp(a, b))
-
-
-def _jp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _symmetrized((a @ b + b @ a) / 2.0)
+    return _jordan(_jp, x, y)
 
 
 def triple_product(x, y, z) -> HermitianOperator:
@@ -472,17 +462,12 @@ def triple_product(x, y, z) -> HermitianOperator:
     With X = Z this coincides (up to roundoff) with the quadratic form
     XYX; see :func:`quadratic_triple`.
     """
-    a, b, c = (_hermitian_matrix_of(v) for v in (x, y, z))
-    _check_same_dim(a, b, c)
-    m = _jp(a, _jp(b, c)) - _jp(b, _jp(c, a)) + _jp(c, _jp(a, b))
-    return _jordan_result(m)
+    return _jordan(_triple, x, y, z)
 
 
 def quadratic_triple(x, y) -> HermitianOperator:
     """The compression XYX, i.e. {X,Y,X} evaluated directly."""
-    a, b = _hermitian_matrix_of(x), _hermitian_matrix_of(y)
-    _check_same_dim(a, b)
-    return _jordan_result(_symmetrized(a @ b @ a))
+    return _jordan(_quadratic, x, y)
 
 
 def projector_from_span(vectors: Sequence) -> Projection:
@@ -521,7 +506,7 @@ def _span_matrix(vectors: Sequence) -> np.ndarray:
     if len(dims) != 1:
         raise DimensionMismatch(f"span vectors have different lengths: {sorted(dims)}")
     dim = dims.pop()
-    norms = [_vector_norm(c) for c in cols]
+    norms = [float(np.linalg.norm(c)) for c in cols]
     for nrm in norms:
         # A norm that overflows would make the drop threshold infinite and
         # silently drop every vector.
@@ -534,10 +519,9 @@ def _span_matrix(vectors: Sequence) -> np.ndarray:
         for _ in range(2):  # second pass restores orthogonality lost to cancellation
             for q in basis:
                 w -= np.vdot(q, w) * q
-        # With no basis yet, w is v, and its norm known: the dot products of
-        # _vector_norm give the same bits for a strided and a contiguous v.
+        # With no basis yet, w is v, and its norm known.
         if basis:
-            nrm = _vector_norm(w)
+            nrm = float(np.linalg.norm(w))
         if nrm > drop:
             w /= nrm
             basis.append(w)

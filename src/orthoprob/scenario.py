@@ -30,7 +30,7 @@ from .events import (_QUANTUM, _SEED_BOUND, DEFAULT_AXIOM_BUDGET, DEFAULT_SEED, 
                      _require_instance, _require_tolerance, verify_orthospace_axioms)
 from .linalg import (DEFAULT_QUERY_TOL, TOL_NORM, TOL_WIRE_NORM, Projection, StateVector,
                      _adopted, _adopted_vector, _hermitian_array, _projection_checks,
-                     _require_finite, _require_int, _span_matrix, _vector_norm)
+                     _require_finite, _require_int, _span_matrix)
 from .states import (ClassicalState, DensityState, State, _commutes, _unit_trace,
                      compatibility_residuals, compatible, condition, condition_seq,
                      predictability, predictability_seq, prob)
@@ -342,7 +342,7 @@ class _QuantumForms:
         if arr.shape[0] != algebra.dim:
             raise ValidationError(
                 f"vector has {arr.shape[0]} entries, algebra dimension is {algebra.dim}")
-        norm = _vector_norm(arr)
+        norm = float(np.linalg.norm(arr))
         if abs(norm - 1.0) > TOL_WIRE_NORM:
             raise ValidationError(
                 f"vector norm {norm!r} is farther than 1e-6 from 1; not normalizing")

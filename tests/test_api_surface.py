@@ -8,6 +8,7 @@ as a one-line diff.  Exceptions are listed only where they define their
 own ``__init__``.
 """
 
+import ast
 import inspect
 import io
 import math
@@ -197,3 +198,41 @@ def test_bounds_are_read_from_the_table():
         for token in tokenize.generate_tokens(io.StringIO(source).readline):
             if token.type == tokenize.NUMBER and re.search(r"[eE][-+]?\d", token.string):
                 assert lines[token.start[0] - 1] in table_lines, (path.name, token.start)
+
+
+def _private_numpy_paths(source: str) -> list[str]:
+    """The dotted numpy paths in ``source`` that hold a name beginning with
+    ``_``: the modules and names it imports from numpy, and each attribute
+    chain read from a name that such an import binds."""
+    tree = ast.parse(source)
+    roots, paths = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.partition(".")[0] == "numpy":
+                    roots[alias.asname or "numpy"] = alias.name if alias.asname else "numpy"
+                    paths.append(alias.name)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "numpy":
+            for alias in node.names:
+                roots[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+                paths.append(f"{node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.append(node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in roots:
+            paths.append(".".join([roots[node.id], *reversed(chain)]))
+    return sorted({path for path in paths if any(part.startswith("_") for part in path.split("."))})
+
+
+def test_only_public_numpy_is_used():
+    """pyproject.toml's numpy range rests on public API alone."""
+    assert _private_numpy_paths(
+        "import numpy as np\nfrom numpy.linalg import _umath_linalg as u\n"
+        "import numpy._core\nnp.linalg._umath_linalg.cholesky_lo\nu.cholesky_up\n"
+        "np.linalg.norm\nx._private\n") == [
+        "numpy._core", "numpy.linalg._umath_linalg", "numpy.linalg._umath_linalg.cholesky_lo",
+        "numpy.linalg._umath_linalg.cholesky_up"]
+    for path in sorted((ROOT / "src" / "orthoprob").glob("*.py")):
+        assert _private_numpy_paths(path.read_text(encoding="utf-8")) == [], path.name

@@ -8,7 +8,7 @@ import pytest
 import orthoprob.events
 import orthoprob.interference
 from orthoprob.errors import (AlgebraMismatch, DegenerateDenominator, DimensionMismatch,
-                              NotAtom, NotOrthogonal, ZeroEvent,
+                              NotAtom, NotOrthogonal, ValidationError, ZeroEvent,
                               ZeroProbabilityCondition)
 from orthoprob.events import BooleanAlgebra, QuantumAlgebra, oplus
 from orthoprob.interference import InterferenceReport, interference_decomposition, two_slit
@@ -30,6 +30,17 @@ def slits():
 
 
 class TestDecomposition:
+    @pytest.mark.parametrize("fields, message", [
+        (dict(cross=0.1 + 2e-10), r"^decomposition identity violated: residual 2\.000e-10$"),
+        (dict(p_total=1.5, term1=1.15), r"^p_total 1\.5 outside \[0, 1\]$"),
+    ], ids=["identity", "p-total"])
+    def test_inconsistent_report_is_refused(self, fields, message):
+        valid = dict(p_total=0.6, term1=0.25, term2=0.25, cross=0.1, p_path1=0.5,
+                     p_path2=0.5, p_either_path=1.0)
+        InterferenceReport(**valid)
+        with pytest.raises(ValidationError, match=message):
+            InterferenceReport(**{**valid, **fields})
+
     def test_constructive(self, slits):
         alg, d, e1, e2 = slits
         target = alg.event_from_span([np.array([1.0, 1.0, 0.0])])

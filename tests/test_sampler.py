@@ -670,6 +670,18 @@ def test_deep_chain_builds_two_complements_and_never_reaches_eigvalsh(monkeypatc
 
 
 class TestChainContract:
+    @pytest.mark.parametrize("fields, message", [
+        (dict(outcome_counts={"1": 3, "0": 2}), "outcome counts sum to 5, expected 6"),
+        (dict(empirical_p=0.5), "empirical_p inconsistent with counts"),
+    ], ids=["counts-not-trials", "empirical-p"])
+    def test_inconsistent_result_is_refused(self, fields, message):
+        valid = dict(outcome_counts={"1": 4, "0": 2}, all_yes_count=4,
+                     final_event_yes_count=1, empirical_p=0.25, std_error=0.2,
+                     predicted_p=None, trials=6, seed=0)
+        ChainResult(**valid)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            ChainResult(**{**valid, **fields})
+
     @pytest.mark.parametrize("initial, bad, message", [
         (DensityState(np.eye(4) / 4.0), QuantumAlgebra(3).one(),
          "state dimension 4 != event dimension 3"),

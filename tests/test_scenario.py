@@ -80,6 +80,16 @@ class TestParsing:
         with pytest.raises(ValidationError, match="unknown keys"):
             parse_scenario('{"algebra": {"kind": "boolean", "size": 2}, "zap": 1}')
 
+    @pytest.mark.parametrize("entries, message", [
+        ({"events": {"a": {"members": [0], "note": 1}}}, "events.a: unknown keys ['note']"),
+        ({"states": {"s": {"weights": [0.5, 0.5], "x": 0}}}, "states.s: unknown keys ['x']"),
+    ], ids=["event", "state"])
+    def test_unknown_key_beside_a_form(self, entries, message):
+        doc = json.dumps({"algebra": {"kind": "boolean", "size": 2}, **entries})
+        with pytest.raises(ValidationError) as exc:
+            parse_scenario(doc)
+        assert str(exc.value) == message
+
     def test_weights_sum_error_names_state(self):
         doc = ('{"algebra": {"kind": "boolean", "size": 2},'
                ' "states": {"bad": {"weights": [0.4, 0.5]}}}')
@@ -415,6 +425,13 @@ def test_axiom_budget_ceiling_is_admitted():
 
 
 class TestRoundTrip:
+    def test_equality_and_repr(self):
+        sc = parse_scenario(MINIMAL_BOOLEAN)
+        assert sc == parse_scenario(MINIMAL_BOOLEAN)
+        assert sc != parse_scenario(MINIMAL_BOOLEAN.replace("[0, 1]", "[0, 2]"))
+        assert sc.__eq__(scenario_to_jsonable(sc)) is NotImplemented
+        assert repr(sc).startswith("Scenario(algebra=BooleanAlgebra(")
+
     @pytest.mark.parametrize("name", ["sec7", "die", "twoslit", "order", "qubit"])
     def test_shipped_files(self, name):
         text = (SCENARIO_DIR / f"{name}.json").read_text()

@@ -25,7 +25,7 @@ from orthoprob.linalg import (TOL_HERMITIAN, HermitianOperator, Projection, Stat
 from orthoprob.interference import interference_decomposition, two_slit
 from orthoprob.presets import half_transition_pair, order_dependence_example
 from orthoprob.sampler import SamplerConfig, sample_chain
-from orthoprob.states import (ClassicalState, DensityState, TableState,
+from orthoprob.states import (ClassicalState, DensityState, PredictabilityResult, TableState,
                               _clamp_probability, atom_state, atom_symmetry_check,
                               compatibility_residuals, compatible, condition,
                               condition_seq, conditioning_contract_violations,
@@ -52,6 +52,13 @@ def diag_event(alg, pattern):
 
 
 class TestStateConstruction:
+    def test_classical_equality_and_repr(self, die, fair):
+        assert fair == ClassicalState(die.space, np.full(6, 1 / 6))
+        assert fair != ClassicalState(die.space, [1.0, 0, 0, 0, 0, 0])
+        assert fair != ClassicalState(SampleSpace(6, labels=tuple("abcdef")), np.full(6, 1 / 6))
+        assert fair.__eq__(fair.weights) is NotImplemented
+        assert repr(fair) == "ClassicalState(size=6)"
+
     def test_classical_needs_unit_mass(self, die):
         with pytest.raises(ValidationError):
             ClassicalState(die.space, np.full(6, 0.15))
@@ -520,6 +527,25 @@ class TestConditioning:
 
 
 class TestPredictability:
+    @pytest.mark.parametrize("dim", [2, 4, 16])
+    def test_certificate_is_the_jordan_quadratic_product(self, dim):
+        # s and the residual are read off {F,E,F} as quadratic_triple forms it.
+        rng = np.random.default_rng(dim)
+        alg = QuantumAlgebra(dim)
+        for _ in range(5):
+            e, f = (frame_event(alg, random_unitary(dim, rng)[:, :k])
+                    for k in rng.integers(1, dim + 1, size=2))
+            fef = quadratic_triple(f, e).matrix
+            s = float(fef.trace().real) / float(f.matrix.trace().real)
+            result = predictability(e, f)
+            assert (result.s, result.residual) == (s, float(np.linalg.norm(fef - s * f.matrix)))
+
+    def test_certified_value_outside_unit_interval_is_refused(self):
+        assert not PredictabilityResult(False, 1.5, 0.25).predictable
+        with pytest.raises(ValidationError,
+                           match=r"^certified conditional probability 1\.5 outside \[0, 1\]$"):
+            PredictabilityResult(True, 1.5, 0.0)
+
     def test_half_pair_is_exact(self):
         _, e, f = half_transition_pair()
         result = predictability(f, e)
@@ -836,6 +862,7 @@ class TestTableStates:
                            {"E": 0.7, "E'": 0.3},
                            {"E": "E'", "E'": "E"})
         assert table.value("E") == 0.7
+        assert repr(table) == """TableState(names=['E', "E'"])"""
 
     def test_rejects_bad_sum(self):
         alg, e = self._pair()
