@@ -28,7 +28,7 @@ from .errors import (AlgebraMismatch, ImpossibleSequence, NonUniqueConditioningW
                      NotOrthogonal, ValidationError, ZeroEvent)
 from .linalg import (CLAMP, DEFAULT_EVENT_TOL, Projection, _adopted, _check_density_stack,
                      _check_weight_rows, _frobenius_norms, _projection_checks, _require_finite,
-                     _quadratic, _require_int, _require_sequence, _require_tolerance,
+                     _quadratic, _require_int, _require_tolerance,
                      _symmetrized, _within, projector_from_span, random_unitary)
 
 
@@ -63,15 +63,12 @@ class BooleanEvent:
 
     def __post_init__(self):
         _require_instance(SampleSpace, space=self.space)
-        members = self.members
-        # A frozenset of plain ints is kept as it is: _require_int returns them unchanged.
-        if type(members) is not frozenset or not {int}.issuperset(map(type, members)):
-            if not isinstance(members, Iterable):
-                raise ValidationError(
-                    f"members must be an iterable of integers, got {type(members).__name__}")
-            members = frozenset(i if type(i) is int else _require_int(i, "member")
-                                for i in members)
-            object.__setattr__(self, "members", members)
+        if not isinstance(self.members, Iterable):
+            raise ValidationError(
+                f"members must be an iterable of integers, got {type(self.members).__name__}")
+        members = frozenset(i if type(i) is int else _require_int(i, "member")
+                            for i in self.members)
+        object.__setattr__(self, "members", members)
         if members and (min(members) < 0 or max(members) >= self.space.size):
             for i in members:
                 if not 0 <= i < self.space.size:
@@ -165,11 +162,8 @@ def _require_instance(cls: type, **values) -> None:
 def _clamp_probability(p: np.ndarray) -> np.ndarray:
     """``p`` with values in [-CLAMP, 0) set to 0 and values in
     (1, 1 + CLAMP] set to 1."""
-    if p.min(initial=0.0) < 0.0:
-        p = np.where((-CLAMP <= p) & (p < 0.0), 0.0, p)
-    if p.max(initial=1.0) > 1.0:
-        p = np.where((1.0 < p) & (p <= 1.0 + CLAMP), 1.0, p)
-    return p
+    p = np.where((-CLAMP <= p) & (p < 0.0), 0.0, p)
+    return np.where((1.0 < p) & (p <= 1.0 + CLAMP), 1.0, p)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +187,8 @@ def _clamp_probability(p: np.ndarray) -> np.ndarray:
 # return the candidate s, its residual and its scale, for ``states`` to
 # certify with ``_within``.  ``commutative`` says that all events commute:
 # every pair is compatible, and only the other kind has a ``commutator``,
-# compatibility residuals and an interference term.
+# whose norm ``holds`` decides, compatibility residuals and an interference
+# term.
 
 
 class _BooleanKind:

@@ -47,7 +47,7 @@ TOL_SAME_P = 1e-9  # atom_symmetry_check's abs(P(e|f) - P(f|e)); is_dispersion_f
 TOL_CONTRACT = 1e-10  # conditioning_contract_violations' abs(value - conditional)
 TOL_TABLE = 1e-12  # TableState's complement, sum, range and unit checks; the qubit demo's ties
 TOL_WIRE_NORM = 1e-6  # distance from 1 of a scenario vector's norm (renormalized above TOL_NORM)
-TOL_DEVIATION = 1e-12  # state_independence_check's allowance beyond 4 standard errors
+TAIL_LEVEL = math.erfc(4 / math.sqrt(2))  # 2 Phi(-4): least two-sided tail of a state_independence_check run
 DEFAULT_EVENT_TOL = 1e-9  # relation and commutator residuals of two events, relative to their norms
 DEFAULT_DETECTION_TOL = 1e-8  # predictability residual, relative to the conditioning events' norm
 DEFAULT_CONDITION_TOL = 1e-9  # probability at or below which conditioning is refused
@@ -384,16 +384,6 @@ def _adopted(cls, m: np.ndarray, given=None):
     op._matrix = h
     op._check(given)
     return op
-
-
-def _adopted_vector(v: np.ndarray) -> StateVector:
-    """A StateVector holding ``v``, unchecked: a fresh 1-d complex array of
-    finite entries whose norm is within ``TOL_NORM`` of 1.  ``v`` is made
-    read-only, not copied."""
-    state = StateVector.__new__(StateVector)
-    v.flags.writeable = False
-    state._vector = v
-    return state
 
 
 def _hermitian_array(entries) -> np.ndarray:

@@ -64,8 +64,9 @@ import numpy as np
 from .errors import (EmptyChain, ImpossibleSequence, NotPredictable,
                      ValidationError, ZeroEvent, ZeroProbabilityCondition)
 from .events import (_SEED_BOUND, DEFAULT_SEED, DEFAULT_TRIALS, Event, _require_instance,
-                     _require_sequence, _shared_kind, complement)
-from .linalg import DEFAULT_CONDITION_TOL, DEGENERATE_BRANCH, TOL_DEVIATION, _require_int
+                     _shared_kind, complement)
+from .linalg import (DEFAULT_CONDITION_TOL, DEGENERATE_BRANCH, TAIL_LEVEL, _require_int,
+                     _require_sequence)
 from .states import State, _check_probabilities, condition, predictability_seq, prob
 
 # Bytes of states or draws a level handles at once: the level's
@@ -283,9 +284,11 @@ def sample_chain(initial: State, tests: Sequence[Event], final: Event,
 class StateIndependenceReport:
     """Empirical check that a predictable chain ignores the initial state.
 
-    ``passed`` means every run landed within four standard errors of the
-    certified value, plus TOL_DEVIATION so that zero-variance chains are
-    not failed over float roundoff in the certificate.
+    A run of n all-yes trials with k final "yes" passes when twice the tail
+    of k under Binomial(n, s), s the certified value taken into [0, 1], is
+    at least TAIL_LEVEL, or, when s is 0 or 1, when k = n s.
+    ``deviations`` are the z-scores |k/n - s| / sqrt(s(1 - s)/n), else 0 or
+    inf; a run with n = 0 fails, with inf.
     """
 
     predicted_p: float
@@ -332,17 +335,30 @@ def state_independence_check(target: Event, tests: Sequence[Event],
         run_config = replace(config, seed=(config.seed + i) % _SEED_BOUND)
         results.append(sample_chain(state, tests, target, run_config))
 
-    deviations = []
-    passed = True
+    s = min(max(predicted, 0.0), 1.0)
+    verdicts, deviations = [], []
     for r in results:
-        if r.all_yes_count == 0:
-            passed = False
-            deviations.append(float("inf"))
-            continue
-        err = abs(r.empirical_p - predicted)
-        if err > 4.0 * r.std_error + TOL_DEVIATION:
-            passed = False
-        deviations.append(err / r.std_error if r.std_error > 0.0 else
-                          (0.0 if err <= TOL_DEVIATION else float("inf")))
+        n, k = r.all_yes_count, r.final_event_yes_count
+        if n == 0 or s in (0.0, 1.0):
+            verdicts.append(n > 0 and k == n * s)
+            deviations.append(0.0 if verdicts[-1] else math.inf)
+        else:
+            verdicts.append(_tail_reaches(k, n, s, TAIL_LEVEL / 2))
+            deviations.append(math.sqrt(n) * abs(r.empirical_p - s) / math.sqrt(s * (1.0 - s)))
     return StateIndependenceReport(predicted_p=predicted, results=tuple(results),
-                                   deviations=tuple(deviations), passed=passed)
+                                   deviations=tuple(deviations), passed=all(verdicts))
+
+
+def _tail_reaches(k: int, n: int, s: float, level: float) -> bool:
+    """Whether Binomial(n, s), 0 < s < 1, gives k and the counts beyond it,
+    away from n * s, a probability of at least ``level``.  The terms shrink
+    from k outward, so the sum stops once it reaches ``level`` or once the
+    terms left cannot take it there, at the last term at the latest."""
+    step, end = (1, n + 1) if k >= n * s else (-1, -1)
+    total = 0.0
+    for j in range(k, end, step):
+        term = math.exp(math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+                        + j * math.log(s) + (n - j) * math.log1p(-s))
+        total += term
+        if total >= level or total + term * (abs(end - j) - 1) < level:
+            return total >= level

@@ -29,9 +29,9 @@ from .events import (_QUANTUM, _SEED_BOUND, DEFAULT_AXIOM_BUDGET, DEFAULT_SEED, 
                      BooleanAlgebra, Event, EventAlgebra, QuantumAlgebra, QuantumEvent,
                      _require_instance, _require_tolerance, verify_orthospace_axioms)
 from .linalg import (DEFAULT_QUERY_TOL, TOL_NORM, TOL_WIRE_NORM, Projection, StateVector,
-                     _adopted, _adopted_vector, _hermitian_array, _projection_checks,
-                     _require_finite, _require_int, _span_matrix)
-from .states import (ClassicalState, DensityState, State, _commutes, _unit_trace,
+                     _adopted, _hermitian_array, _projection_checks, _require_int,
+                     _span_matrix)
+from .states import (ClassicalState, DensityState, State, _unit_trace,
                      compatibility_residuals, compatible, condition, condition_seq,
                      predictability, predictability_seq, prob)
 
@@ -259,8 +259,8 @@ class _BooleanForms:
         return record
 
     def event(self, algebra: BooleanAlgebra, form: str, members, where: str) -> Event:
-        if not isinstance(members, list) or not ({int}.issuperset(map(type, members)) or all(
-                isinstance(i, int) and not isinstance(i, bool) for i in members)):
+        if not isinstance(members, list) or not all(
+                isinstance(i, int) and not isinstance(i, bool) for i in members):
             raise ValidationError("'members' must be an array of integers")
         return algebra.event(members)
 
@@ -271,8 +271,7 @@ class _BooleanForms:
         return {"members": sorted(event.members)}
 
     def state(self, algebra: BooleanAlgebra, form: str, weights, where: str) -> State:
-        if not isinstance(weights, list) or not (
-                {int, float}.issuperset(map(type, weights)) or all(map(_is_number, weights))):
+        if not isinstance(weights, list) or not all(map(_is_number, weights)):
             raise ValidationError("'weights' must be an array of numbers")
         try:
             weights = np.array(weights, dtype=np.float64)
@@ -302,11 +301,7 @@ class _QuantumForms:
         else:
             if not isinstance(value, list) or not value:
                 raise ValidationError("'span' must be a nonempty array of vectors")
-            # A regular span is decoded whole, its vectors the rows of one
-            # array; any other vector by vector, so that a fault is located.
-            rows = _regular_array(value, 2)
-            matrix = _span_matrix(rows if rows is not None else
-                                  [_decode_array(v, f"{where}.span[{i}]", 1)
+            matrix = _span_matrix([_decode_array(v, f"{where}.span[{i}]", 1)
                                    for i, v in enumerate(value)])
         if len(matrix) != algebra.dim:
             # Refused as algebra.event refuses it: projection check first.
@@ -346,11 +341,9 @@ class _QuantumForms:
         if abs(norm - 1.0) > TOL_WIRE_NORM:
             raise ValidationError(
                 f"vector norm {norm!r} is farther than 1e-6 from 1; not normalizing")
-        if math.isnan(norm):  # a NaN entry: an infinite one made the norm infinite
-            _require_finite(arr, "state vector")
         # Dividing an already unit vector would move its bits on every parse.
-        # Either way the vector is a fresh one of norm 1 within TOL_NORM.
-        return _adopted_vector(arr / norm if abs(norm - 1.0) > TOL_NORM else arr)
+        # StateVector refuses a NaN entry, which passes the test above.
+        return StateVector(arr / norm if abs(norm - 1.0) > TOL_NORM else arr)
 
     def state_record(self, state) -> dict:
         if isinstance(state, StateVector):
@@ -568,7 +561,8 @@ def _run_compatible(scenario, q, echo, tol, seed, trials) -> dict:
     if first._kind.commutative:
         return {**echo, "compatible": compatible(first, second, tol=tol), "tol": tol}
     comm, ident_first, ident_second = compatibility_residuals(first, second)
-    return {**echo, "compatible": _commutes(comm, first, second, tol), "tol": tol,
+    verdict = first._kind.holds(comm, first._norm, second._norm, tol)
+    return {**echo, "compatible": bool(verdict), "tol": tol,
             "residuals": {"commutator": comm, "identity_first": ident_first,
                           "identity_second": ident_second}}
 

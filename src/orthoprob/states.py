@@ -26,12 +26,12 @@ import numpy as np
 from .errors import (AlgebraMismatch, DimensionMismatch, EmptyInput, NonUniqueConditioningWarning,
                      NotAtom, ValidationError, ZeroProbabilityCondition)
 from .events import (_BOOLEAN, _QUANTUM, Event, QuantumAlgebra, QuantumEvent, SampleSpace,
-                     _clamp_probability, _event_kind, _require_instance, _require_sequence,
-                     _require_tolerance, _shared_kind, below, complement, events_equal)
+                     _clamp_probability, _event_kind, _require_instance, _require_tolerance,
+                     _shared_kind, below, complement, events_equal)
 from .linalg import (DEFAULT_CONDITION_TOL, DEFAULT_DETECTION_TOL, DEFAULT_EVENT_TOL,
                      TOL_CONTRACT, TOL_SAME_P, TOL_TABLE, TOL_TRACE, HermitianOperator,
                      StateVector, _check_density_stack, _check_weight_rows, _numeric_array,
-                     _within)
+                     _require_sequence, _within)
 
 
 class ClassicalState:
@@ -222,12 +222,7 @@ def compatible(e: Event, f: Event, tol: float = DEFAULT_EVENT_TOL) -> bool:
     """
     _require_tolerance(tol)
     kind = _shared_kind(e, f)
-    return kind.commutative or _commutes(kind.commutator(e, f), e, f, tol)
-
-
-def _commutes(commutator: float, e: QuantumEvent, f: QuantumEvent, tol: float) -> bool:
-    """The compatibility verdict on the commutator norm of two projections."""
-    return bool(_within(commutator, tol, max(e._norm, f._norm)))
+    return kind.commutative or bool(kind.holds(kind.commutator(e, f), e._norm, f._norm, tol))
 
 
 def atom_state(event: Event) -> State:

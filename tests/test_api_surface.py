@@ -236,3 +236,44 @@ def test_only_public_numpy_is_used():
         "numpy.linalg._umath_linalg.cholesky_up"]
     for path in sorted((ROOT / "src" / "orthoprob").glob("*.py")):
         assert _private_numpy_paths(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def _unused_private_names(sources: dict) -> list[str]:
+    """What ``sources``, module names to source texts, leave unused:
+    "module: def NAME" for a private top-level function or class that no
+    module reads, and "module: import NAME" for a private name that a
+    module imports and does not read itself.  A name is read where it is
+    loaded, as a name or as an attribute."""
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = {module: {node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))
+                     and isinstance(node.ctx, ast.Load)}
+            for module, tree in trees.items()}
+    anywhere = set().union(*read.values())
+    found = []
+    for module, tree in trees.items():
+        found += [f"{module}: def {node.name}" for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and private(node.name) and node.name not in anywhere]
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+                found += [f"{module}: import {name}" for name in bound
+                          if private(name) and name not in read[module]]
+    return sorted(found)
+
+
+def test_no_private_name_is_left_unused():
+    """Every private function and class in src/orthoprob is used by some
+    module, and every private name a module imports is used there."""
+    assert _unused_private_names({
+        "a": "from b import _f, _g\nimport _m\ndef _h(): pass\nclass _K: pass\n"
+             "def __dunder__(): pass\n_f()\nx._K\n",
+        "b": "def _f(): pass\ndef _g(): pass\ndef _unread(): pass\n_unread = 1\n"}) == [
+        "a: def _h", "a: import _g", "a: import _m", "b: def _g", "b: def _unread"]
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src" / "orthoprob").glob("*.py"))}
+    assert _unused_private_names(sources) == []

@@ -325,7 +325,7 @@ class TestIntegerArguments:
     def test_plain_members_are_kept_and_ranged_at_once(self):
         space = SampleSpace(6)
         plain = frozenset({0, 5})
-        assert BooleanEvent(space, plain).members is plain
+        assert BooleanEvent(space, plain).members == plain
         assert BooleanEvent(space, (i for i in (1, 2))).members == frozenset({1, 2})
         for members, first in [({-1, 2}, -1), ({np.int64(7), 2}, 7), ([3, 6], 6)]:
             with pytest.raises(ValidationError,

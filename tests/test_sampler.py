@@ -4,6 +4,7 @@ import dataclasses
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,8 +19,8 @@ from orthoprob.events import (_BOOLEAN, _QUANTUM, BooleanAlgebra, QuantumAlgebra
                              verify_orthospace_axioms)
 from orthoprob.presets import half_transition_pair, order_dependence_example
 from orthoprob import sampler
-from orthoprob.sampler import (DEGENERATE_BRANCH, ChainResult, SamplerConfig,
-                               _branches, _condition_level, _draws, _thresholds,
+from orthoprob.sampler import (DEGENERATE_BRANCH, TAIL_LEVEL, ChainResult, SamplerConfig,
+                               _branches, _condition_level, _draws, _tail_reaches, _thresholds,
                                sample_chain, state_independence_check)
 from orthoprob.states import (ClassicalState, DensityState, atom_state, condition, condition_seq,
                               predictability_seq, prob)
@@ -273,7 +274,9 @@ class TestStateIndependence:
     def test_run_too_far_from_the_prediction_fails(self, half_pair_chain, monkeypatch,
                                                    std_error):
         # No seeded run of a predictable chain strays this far, so the
-        # sampler's result is replaced: 90 yes of 100 against 1/2.
+        # sampler's result is replaced: 90 yes of 100 against 1/2.  The
+        # verdict and the z-score are taken under the certified s, so the
+        # run's own standard error is not read.
         mixed, e, f = half_pair_chain
 
         def stray(initial, tests, final, config):
@@ -282,8 +285,39 @@ class TestStateIndependence:
         monkeypatch.setattr(sampler, "sample_chain", stray)
         report = state_independence_check(f, [e], [mixed], SamplerConfig(trials=100))
         assert not report.passed
-        err = abs(0.9 - report.predicted_p)
-        assert report.deviations == ((err / std_error if std_error else math.inf),)
+        s = report.predicted_p
+        assert report.deviations == (abs(0.9 - s) / math.sqrt(s * (1.0 - s) / 100),)
+
+    def test_a_certain_value_needs_every_trial_to_agree(self, monkeypatch):
+        # s is 1: one "no" among 100 all-yes trials fails the run.
+        alg = QuantumAlgebra(3)
+        f = alg.event(np.diag([1.0, 1.0, 0.0]))
+        inside = atom_state(alg.event_from_span([np.array([1.0, 2.0, 0.0])]))
+
+        def stray(initial, tests, final, config):
+            return ChainResult({"1": 100}, 100, 99, 0.99, 0.00995, 1.0, 100, config.seed)
+
+        monkeypatch.setattr(sampler, "sample_chain", stray)
+        report = state_independence_check(f, [f], [inside], SamplerConfig(trials=100))
+        assert report.predicted_p == 1.0
+        assert not report.passed
+        assert report.deviations == (math.inf,)
+
+    @pytest.mark.parametrize("s, trials", [(1e-6, 10_000), (0.01, 100)])
+    def test_a_value_near_zero_passes_on_every_seed(self, s, trials):
+        # Under s, a run of n all-yes trials sees no final "yes" with
+        # probability (1 - s)^n, and the sample's own standard error is
+        # then 0: a rule on it failed most of these runs.  Every trial from
+        # the test's atom state is all-yes; about a third from I/3.
+        alg = QuantumAlgebra(3)
+        target = alg.event_from_span([np.array([1.0, 0.0, 0.0])])
+        test = alg.event_from_span([np.array([math.sqrt(s), math.sqrt(1.0 - s), 0.0])])
+        initial = [DensityState(np.eye(3) / 3.0), atom_state(test)]
+        for seed in range(200):
+            report = state_independence_check(target, [test], initial,
+                                              SamplerConfig(seed=seed, trials=trials))
+            assert report.predicted_p == pytest.approx(s, rel=1e-9)
+            assert report.passed, (seed, report.deviations)
 
     def test_unreachable_state_rejected(self, half_pair_chain):
         mixed, e, f = half_pair_chain
@@ -293,6 +327,30 @@ class TestStateIndependence:
             state_independence_check(f, [e], [mixed, outside],
                                      SamplerConfig(trials=1_000))
         assert info.value.index == 0
+
+
+@pytest.mark.parametrize("s", [1e-6, 0.01, 0.3, 0.5, 0.97])
+def test_tail_verdict_matches_exact_sums(s):
+    """The float tail's verdict equals that of the tail summed exactly, with
+    math.comb and fractions, for every count of a few small n."""
+    q = Fraction(s)
+    for n in (1, 2, 7, 30, 81):
+        pmf = [math.comb(n, j) * q ** j * (1 - q) ** (n - j) for j in range(n + 1)]
+        for k in range(n + 1):
+            tail = sum(pmf[k:]) if k >= n * s else sum(pmf[:k + 1])
+            for level in (TAIL_LEVEL / 2, 0.01, 0.3):
+                assert _tail_reaches(k, n, s, level) == (tail >= Fraction(level)), (n, k, level)
+
+
+def test_at_one_half_every_run_the_wald_rule_accepts_passes():
+    # The old rule, |k/n - 1/2| <= 4 sqrt(p(1 - p)/n) + 1e-12 with p = k/n,
+    # accepts an interval of counts; its two ends reach the tail level.
+    for n in range(20, 2001):
+        k = np.arange(n + 1)
+        p = k / n
+        accepted = k[np.abs(p - 0.5) <= 4.0 * np.sqrt(p * (1.0 - p) / n) + 1e-12]
+        for end in (int(accepted[0]), int(accepted[-1])):
+            assert _tail_reaches(end, n, 0.5, TAIL_LEVEL / 2), (n, end)
 
 
 def _effective(p):

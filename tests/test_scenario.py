@@ -549,22 +549,6 @@ class TestWireCodec:
         assert scenario._decode_array(wire, "x", 2).shape == (2, 2)
         assert scenario._decode_array(wire[0], "x", 1).shape == (2,)
 
-    def test_a_regular_span_is_decoded_whole(self, monkeypatch):
-        """A span whose vectors form one regular array is decoded in one
-        walk, and its event has the bits of the vectors decoded one by one."""
-        rng = np.random.default_rng(3)
-        span = [scenario._encode_array(v)
-                for v in rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))]
-        want = projector_from_span([scenario._decode_array(v, "x", 1) for v in span]).matrix
-
-        def fail(value, where, ndim):
-            raise AssertionError(f"vector decoded alone at {where}")
-
-        monkeypatch.setattr(scenario, "_decode_array", fail)
-        doc = {"algebra": {"kind": "quantum", "dim": 4}, "events": {"e": {"span": span}}}
-        assert scenario.scenario_from_jsonable(doc).events["e"].matrix.tobytes() == \
-            want.tobytes()
-
     @pytest.mark.parametrize("entries", [
         [3, -0.0, 0, -7], [2 ** 63, 2 ** 64 - 1, 2 ** 64, -2 ** 70],
         [10 ** 300, 2 ** 53 + 1, 1, 0.5],
