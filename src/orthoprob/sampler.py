@@ -304,6 +304,11 @@ def state_independence_check(target: Event, tests: Sequence[Event],
     """Run the chain from several initial states and compare against the
     certified conditional probability.
 
+    Run i, from ``initial_states[i]``, draws with seed ``config.seed + i``
+    (modulo 2**64), so checks at adjacent seeds share streams: run 1 at
+    seed 0 draws the stream of run 0 at seed 1.  A sweep over seeds whose
+    runs must be independent steps the seed by ``len(initial_states)``.
+
     Raises NotPredictable when the chain has no state-independent value,
     and ZeroProbabilityCondition when some initial state cannot realize
     the all-yes path (analytic path probability <= DEFAULT_CONDITION_TOL).

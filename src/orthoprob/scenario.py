@@ -127,6 +127,35 @@ def _encode_array(arr: np.ndarray) -> list:
         .reshape(*arr.shape, 2).tolist()
 
 
+def _hermitian_json(matrix: np.ndarray) -> str:
+    """``json.dumps(_encode_array(matrix))`` for a Hermitian matrix, with
+    the digits of each mirrored entry computed once.
+
+    Below the diagonal, a real part equal to its mirror's and nonzero takes
+    the mirror's text, and an imaginary part that is the exact negative of
+    its mirror's and nonzero takes that text with its sign flipped: nonzero
+    doubles that compare equal have the same bits, so this is the text that
+    ``repr`` gives.  Every other part, zeros included (``==`` does not see
+    their sign), is written by ``repr``, as json writes a finite float.
+    """
+    n = len(matrix)
+    rows = np.ascontiguousarray(matrix, np.complex128).view(np.float64).tolist()
+    texts = []  # of each float in row-major order: entry (j, i) at 2 * (j * n + i)
+    for i, row in enumerate(rows):
+        k = 2 * i
+        for j in range(i):
+            re, im, mirror, at = row[2 * j], row[2 * j + 1], rows[j], 2 * (j * n + i)
+            texts.append(texts[at] if re and re == mirror[k] else repr(re))
+            if im and im == -mirror[k + 1]:
+                t = texts[at + 1]
+                texts.append(t[1:] if t[0] == "-" else "-" + t)
+            else:
+                texts.append(repr(im))
+        texts += map(repr, row[k:])
+    row_format = "[" + ", ".join(["[%s, %s]"] * n) + "]"
+    return ("[" + ", ".join([row_format] * n) + "]") % tuple(texts)
+
+
 def _require_keys(doc: dict, where: str, required: tuple[str, ...],
                   optional: tuple[str, ...] = ()) -> None:
     for key in required:
@@ -267,7 +296,7 @@ class _BooleanForms:
     def events(self, parsed: dict) -> dict:
         return parsed
 
-    def event_record(self, event) -> dict:
+    def event_record(self, event, hermitian) -> dict:
         return {"members": sorted(event.members)}
 
     def state(self, algebra: BooleanAlgebra, form: str, weights, where: str) -> State:
@@ -279,7 +308,7 @@ class _BooleanForms:
             raise ValidationError("'weights' entries must fit in a float") from None
         return ClassicalState(algebra.space, weights)
 
-    def state_record(self, state) -> dict:
+    def state_record(self, state, hermitian) -> dict:
         return {"weights": state.weights.tolist()}
 
 
@@ -322,8 +351,8 @@ class _QuantumForms:
                 for (name, matrix), rank, norm in zip(parsed.items(), ranks.tolist(),
                                                       norms.tolist())}
 
-    def event_record(self, event) -> dict:
-        return {"matrix": _encode_array(event.matrix)}
+    def event_record(self, event, hermitian) -> dict:
+        return {"matrix": hermitian(event.matrix)}
 
     def state(self, algebra: QuantumAlgebra, form: str, value, where: str) -> State | StateVector:
         if form == "density":
@@ -345,10 +374,10 @@ class _QuantumForms:
         # StateVector refuses a NaN entry, which passes the test above.
         return StateVector(arr / norm if abs(norm - 1.0) > TOL_NORM else arr)
 
-    def state_record(self, state) -> dict:
+    def state_record(self, state, hermitian) -> dict:
         if isinstance(state, StateVector):
             return {"vector": _encode_array(state.vector)}
-        return {"density": _encode_array(state.matrix)}
+        return {"density": hermitian(state.matrix)}
 
 
 _FORMS = {"boolean": _BooleanForms(), "quantum": _QuantumForms()}
@@ -484,19 +513,54 @@ def parse_scenario(text: str) -> Scenario:
     return scenario_from_jsonable(doc)
 
 
-def scenario_to_jsonable(scenario: Scenario) -> dict:
+def _document(scenario: Scenario, hermitian: Callable[[np.ndarray], Any]) -> dict:
+    """The scenario's wire records, each Hermitian matrix (an event's
+    ``matrix``, a state's ``density``) as ``hermitian`` gives it."""
     _require_instance(Scenario, scenario=scenario)
     forms = _FORMS[scenario.algebra.kind]
     doc = {"algebra": forms.algebra_record(scenario.algebra),
-           "events": {n: forms.event_record(e) for n, e in scenario.events.items()},
-           "states": {n: forms.state_record(s) for n, s in scenario.states.items()}}
+           "events": {n: forms.event_record(e, hermitian) for n, e in scenario.events.items()},
+           "states": {n: forms.state_record(s, hermitian) for n, s in scenario.states.items()}}
     if scenario.query is not None:
         doc["query"] = _query_to_jsonable(scenario.query)
     return doc
 
 
+def scenario_to_jsonable(scenario: Scenario) -> dict:
+    return _document(scenario, _encode_array)
+
+
+# json.dumps, without building an encoder on every call.
+_dumps = json.JSONEncoder(check_circular=False).encode
+
+
 def serialize_scenario(scenario: Scenario) -> str:
-    return json.dumps(scenario_to_jsonable(scenario), check_circular=False)
+    """The scenario as JSON text: exactly the bytes of
+    ``json.dumps(scenario_to_jsonable(scenario))``.
+
+    Events and states are Hermitian, so ``_hermitian_json`` writes each
+    Hermitian matrix, computing the digits of a mirrored entry once.  json's
+    own encoder writes the rest of the document in one call, with a mark, a
+    string of NULs, in place of each matrix; the matrix texts then replace
+    the marks' JSON text.  A mark is a record's value, after ": ", so no
+    other occurrence of its text can overlap it: when the text occurs once
+    per matrix, each occurrence is a mark.  A name or label that holds the
+    NULs adds occurrences, and then a mark one NUL longer is tried.
+    """
+    mark = "\0"
+    while True:
+        texts = []
+
+        def hermitian(matrix: np.ndarray) -> str:
+            texts.append(_hermitian_json(matrix))
+            return mark
+
+        pieces = _dumps(_document(scenario, hermitian)).split(_dumps(mark))
+        if len(pieces) == len(texts) + 1:
+            out = pieces + texts
+            out[::2], out[1::2] = pieces, texts
+            return "".join(out)
+        mark += "\0"
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +580,7 @@ def _as_state(scenario: Scenario, name: str) -> State:
 
 
 def _conditioned(scenario: Scenario, q: dict, echo: dict, state: State, tol: float) -> dict:
-    out = {**echo, "conditioned": _FORMS[scenario.algebra.kind].state_record(state),
+    out = {**echo, "conditioned": _FORMS[scenario.algebra.kind].state_record(state, _encode_array),
            "tol": tol}
     if q["then"]:
         out["then"] = {n: prob(state, scenario.events[n]) for n in q["then"]}

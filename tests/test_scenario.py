@@ -607,6 +607,109 @@ class TestWireCodec:
         assert serialize_scenario(second) == text
 
 
+def _drawn_quantum_doc(dim):
+    """A dim-``dim`` document of every quantum form, drawn from a seed: a
+    ``matrix`` and a ``span`` event, a density made exactly Hermitian and
+    one left as BLAS gives it, and a ``vector`` state."""
+    rng = np.random.default_rng([dim, 28])
+    vectors = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
+    unit = vectors[0] / np.linalg.norm(vectors[0])
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    gram = a @ a.conj().T
+    encode = scenario._encode_array
+    return json.dumps({
+        "algebra": {"kind": "quantum", "dim": dim},
+        "events": {"p": {"matrix": encode(projector_from_span([vectors[1]]).matrix)},
+                   "q": {"span": [encode(v) for v in vectors[1:1 + min(dim, 2)]]}},
+        "states": {"rho": {"density": encode(orthoprob.linalg._symmetrized(gram)
+                                             / np.trace(gram).real)},
+                   "sigma": {"density": encode(gram / np.trace(gram).real)},
+                   "psi": {"vector": encode(unit)}},
+        "query": {"kind": "prob", "state": "rho", "event": "p"},
+    })
+
+
+def _one_matrix_doc(event, density, names=("E", "rho")):
+    """A dim-2 document with one event and one density state, given as
+    [re, im] entries, queried by name."""
+    return json.dumps({
+        "algebra": {"kind": "quantum", "dim": 2},
+        "events": {names[0]: {"matrix": event}},
+        "states": {names[1]: {"density": density}},
+        "query": {"kind": "prob", "state": names[1], "event": names[0]},
+    })
+
+
+def _ulp_skewed():
+    """A density accepted within TOL_HERMITIAN whose lower entry is one ulp
+    off its mirror, in the real and in the imaginary part."""
+    re, im = 0.1234567890123, -0.2345678901234
+    return [[[0.6, 0.0], [re, im]],
+            [[float(np.nextafter(re, 1)), float(np.nextafter(-im, 0))], [0.4, 0.0]]]
+
+
+IDENTITY_DOCS = {
+    **{f"dim{dim}": _drawn_quantum_doc(dim) for dim in (1, 2, 3, 4, 16, 64)},
+    "ulp-off-mirror": _one_matrix_doc([[[1, 0], [0, 0]], [[0, 0], [0, 0]]], _ulp_skewed()),
+    # Zeros compare equal whatever their sign, so their text is never reused.
+    "signed-zeros": _one_matrix_doc(
+        [[[1.0, 0.0], [0.0, -0.0]], [[-0.0, 0.0], [-0.0, -0.0]]],
+        [[[0.5, -0.0], [-0.0, 0.0]], [[0.0, -0.0], [0.5, 0.0]]]),
+    "zero-mirrors-nonzero": _one_matrix_doc(
+        [[[1.0, 0.0], [0.0, 5e-324]], [[5e-324, 0.0], [0.0, 0.0]]],
+        [[[0.5, 0.0], [1e-300, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]),
+    "exponent-form": _one_matrix_doc(
+        [[[1.0, 0.0], [1e-300, -5e-324]], [[1e-300, 5e-324], [1e-5 * 1e-300, 0.0]]],
+        [[[0.5, 0.0], [1e-5, 1e-300]], [[1e-5, -1e-300], [0.5, 0.0]]]),
+    "escaped-names": _one_matrix_doc(
+        [[[1, 0], [0, 0]], [[0, 0], [0, 0]]], [[[0.5, 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]],
+        names=('"\\é', "\n\u2028")),
+    # Names that hold NULs, the characters of the marks that stand in for
+    # the matrices while json's encoder writes the rest.
+    "nul-names": _one_matrix_doc(
+        [[[1, 0], [0, 0]], [[0, 0], [0, 0]]], [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]],
+        names=("\0", '"\0\0')),
+    "nul-labels": json.dumps({"algebra": {"kind": "boolean", "size": 2, "labels": ["\0", "a"]},
+                              "events": {"\0\0": {"members": [0]}}}),
+    "no-events-or-states": json.dumps({"algebra": {"kind": "quantum", "dim": 3}}),
+    "no-query": json.dumps({"algebra": {"kind": "quantum", "dim": 2},
+                            "events": {"E": {"span": [[[0.6, 0.8], [0.0, 0.0]]]}},
+                            "states": {"psi": {"vector": [[0, 0], [0, 1]]}}}),
+    "vectors-only": json.dumps({"algebra": {"kind": "quantum", "dim": 2},
+                                "states": {"a": {"vector": [[1, 0], [0, 0]]},
+                                           "b": {"vector": [[0, 0], [0, -1]]}},
+                                "query": {"kind": "two_slit", "source": "a", "path1": "b",
+                                          "path2": "a", "detector": "b"}}),
+    "boolean": MINIMAL_BOOLEAN,
+    "boolean-labels": json.dumps({"algebra": {"kind": "boolean", "size": 2,
+                                              "labels": ["é\"", "\\\n"]},
+                                  "events": {" ": {"members": [1]}},
+                                  "states": {"w": {"weights": [0.25, 0.75]}},
+                                  "query": {"kind": "condition", "state": "w",
+                                            "event": " ", "then": [" "]}}),
+    "boolean-empty": json.dumps({"algebra": {"kind": "boolean", "size": 1}}),
+}
+
+
+class TestSerializedText:
+    @pytest.mark.parametrize("text", IDENTITY_DOCS.values(), ids=IDENTITY_DOCS)
+    def test_serialized_text_is_json_dumps_of_the_jsonable(self, text):
+        sc = parse_scenario(text)
+        assert serialize_scenario(sc) == json.dumps(scenario_to_jsonable(sc),
+                                                    check_circular=False)
+
+    def test_the_inputs_hold_mirrored_and_unmirrored_entries(self):
+        """The identity documents reach both halves of the rule for an entry
+        below the diagonal: text taken from its mirror, and written anew."""
+        def mirrored(matrix):
+            return np.array_equal(matrix, matrix.conj().T)
+
+        drawn = parse_scenario(IDENTITY_DOCS["dim16"])
+        assert mirrored(drawn.events["p"].matrix) and mirrored(drawn.states["rho"].matrix)
+        skewed = parse_scenario(IDENTITY_DOCS["ulp-off-mirror"]).states["rho"].matrix
+        assert not mirrored(skewed)
+
+
 def _quantum_events(dim, events):
     return {"algebra": {"kind": "quantum", "dim": dim}, "events": events}
 
