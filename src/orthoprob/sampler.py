@@ -8,14 +8,18 @@ depend only on the outcome prefix, so they are computed once per realized
 prefix and trials are driven purely by uniform draws.
 
 A trial's only state is the id of its prefix node among the level's
-realized nodes, an int32 (int64 from 2**30 trials); child ``c`` of a level
-is ``2 * parent + bit``.  Everything else is kept per realized node: its
-outcome prefix, its trial count and its state.  Each level draws, counts
-and renumbers the trials a chunk of LEVEL_BLOCK_BYTES // 8 at a time, in
-trial order, so past the node ids the working set is fixed.  Realized
-nodes stay in increasing prefix order, so the last level's nodes are the
-keys of ``outcome_counts`` in increasing order, and the all-yes path, when
-realized, is the last node.  Chains of any length take this one route.
+realized nodes; child ``c`` of a level is ``2 * parent + bit``.  Ids stay
+below ``2 * min(trials, 2**(n - 1))`` for n tests, so they are held in the
+narrowest unsigned type that fits: 1 byte per trial for up to 8 tests or
+128 trials, 2 bytes for up to 16 tests or 32768 trials, 4 bytes for up
+to 32 tests or 2**31 trials, and int64, 8 bytes, past that.  Everything
+else is kept per realized node: its outcome prefix, its trial count and
+its state.  Each level draws, counts and renumbers the trials a chunk
+of LEVEL_BLOCK_BYTES // 8 at a time, in trial order, so past the node
+ids the working set is fixed.  Realized nodes stay in increasing prefix
+order, so the last level's nodes are the keys of ``outcome_counts`` in
+increasing order, and the all-yes path, when realized, is the last node.
+Chains of any length take this one route.
 
 The realized prefix states of one level are held as one stack, (m, d, d)
 density matrices or (m, size) weight rows.  A level is conditioned a
@@ -136,6 +140,17 @@ def _draws(philox: np.random.Philox, m: int) -> np.ndarray:
     return words
 
 
+def _node_id_type(trials: int, n: int) -> type:
+    """The narrowest type of ``sample_chain``'s node ids for ``trials``
+    trials of ``n`` tests.  Past uint32 it is int64, as numpy 1.x's
+    ``bincount`` refuses uint64."""
+    top = 2 * min(trials, 2 ** (n - 1)) - 1
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if top <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
+
+
 def _block_size(stack: np.ndarray) -> int:
     return max(1, LEVEL_BLOCK_BYTES // stack[0].nbytes)
 
@@ -207,7 +222,7 @@ def sample_chain(initial: State, tests: Sequence[Event], final: Event,
     philox = np.random.Philox(key=np.uint64(config.seed))
 
     stack = kind.state_stack(initial)
-    node_ids = np.zeros(trials, dtype=np.int32 if trials < 2 ** 30 else np.int64)
+    node_ids = np.zeros(trials, dtype=_node_id_type(trials, n))
     step = LEVEL_BLOCK_BYTES // 8
     chunks = [node_ids[lo:lo + step] for lo in range(0, trials, step)]
     gathered = np.empty(len(chunks[0]), dtype=np.uint64)

@@ -149,15 +149,22 @@ def _peak_bytes_per_trial(initial, tests, final, trials):
 
 
 def test_one_test_chain_memory_per_trial(half_pair_chain):
-    # Per trial the sampler keeps one int32 node id; draws and outcomes
-    # live in chunk-sized buffers, so the rest is a fixed working set.
+    # Per trial the sampler keeps one node id, a uint8 for up to 8 tests;
+    # draws and outcomes live in chunk-sized buffers, so the rest is a
+    # fixed working set.
     mixed, e, f = half_pair_chain
-    assert _peak_bytes_per_trial(mixed, [e], f, 2_000_000) < 6
+    assert _peak_bytes_per_trial(mixed, [e], f, 2_000_000) < 2
 
 
 def test_six_test_chain_memory_per_trial(half_pair_chain):
     mixed, e, f = half_pair_chain
-    assert _peak_bytes_per_trial(mixed, [e, f] * 3, e, 2_000_000) < 6
+    assert _peak_bytes_per_trial(mixed, [e, f] * 3, e, 2_000_000) < 2
+
+
+def test_twelve_test_chain_memory_per_trial(half_pair_chain):
+    # A uint16 node id; the 8190 realized prefix states add about 1 byte.
+    mixed, e, f = half_pair_chain
+    assert _peak_bytes_per_trial(mixed, [e, f] * 6, e, 2_000_000) < 4
 
 
 class TestConfig:
@@ -698,6 +705,64 @@ def test_trial_chunk_boundaries_match_per_node(chunk, multiple, offset, monkeypa
         without_all_yes += got.all_yes_count == 0
     # The impossible tests of both algebras leave no all-yes trial.
     assert without_all_yes >= 4
+
+
+def _bit_chain(n_tests):
+    """A uniform state on 2**n_tests outcomes and the tests "bit j is set",
+    j < n_tests: every outcome prefix has probability 2**-length, so with
+    enough trials every level realizes all of its children."""
+    size = 2 ** n_tests
+    alg = BooleanAlgebra(size)
+    tests = [alg.event(np.flatnonzero(np.arange(size) >> j & 1)) for j in range(n_tests)]
+    return ClassicalState(alg.space, np.full(size, 1.0 / size)), tests, tests[0]
+
+
+class TestNodeIdTypeEdges:
+    """Node ids take the narrowest type that holds ``2 * min(trials,
+    2**(n - 1)) - 1``.  Chains on either side of a type's edge agree with
+    the per-node route, on Boolean algebras, which no BLAS kernel affects."""
+
+    @pytest.mark.parametrize("trials, n_tests, dtype", [
+        (1, 1, np.uint8), (10 ** 12, 8, np.uint8), (10 ** 12, 9, np.uint16),
+        (128, 64, np.uint8), (129, 64, np.uint16),
+        (10 ** 12, 16, np.uint16), (10 ** 12, 17, np.uint32),
+        (2 ** 15, 64, np.uint16), (2 ** 15 + 1, 64, np.uint32),
+        (10 ** 12, 32, np.uint32), (10 ** 12, 33, np.int64),
+        (2 ** 31, 64, np.uint32), (2 ** 31 + 1, 64, np.int64),
+    ])
+    def test_type_rule(self, trials, n_tests, dtype):
+        assert sampler._node_id_type(trials, n_tests) is dtype
+
+    def _run(self, chain, config, monkeypatch):
+        types = []
+
+        def recording(trials, n):
+            types.append(original(trials, n))
+            return types[-1]
+
+        original = sampler._node_id_type
+        monkeypatch.setattr(sampler, "_node_id_type", recording)
+        got = sample_chain(*chain, config)
+        _assert_same_result(got, _per_node_chain(*chain, config))
+        return got, types
+
+    @pytest.mark.parametrize("n_tests, dtype", [(8, np.uint8), (9, np.uint16)])
+    def test_depth_edge(self, n_tests, dtype, monkeypatch):
+        # Every prefix is realized, so the last level's ids run up to
+        # 2**n_tests - 1: 255 fills a uint8 and 511 needs a uint16.
+        got, types = self._run(_bit_chain(n_tests), SamplerConfig(seed=n_tests, trials=20_000),
+                               monkeypatch)
+        assert types == [dtype]
+        assert len(got.outcome_counts) == 2 ** n_tests
+
+    @pytest.mark.parametrize("trials, dtype", [(128, np.uint8), (129, np.uint16)])
+    def test_trial_count_edge(self, trials, dtype, monkeypatch):
+        # Nearly every trial has a prefix of its own, so the last level's
+        # ids come near 2 * trials.
+        got, types = self._run(_bit_chain(12), SamplerConfig(seed=trials, trials=trials),
+                               monkeypatch)
+        assert types == [dtype]
+        assert len(got.outcome_counts) > 0.9 * trials
 
 
 def test_deep_chain_builds_two_complements_and_never_reaches_eigvalsh(monkeypatch):
