@@ -65,10 +65,10 @@ def _load_scenario(args) -> Scenario:
     if args.trials > MAX_TRIALS:
         raise ValidationError(f"--trials: expected at most {MAX_TRIALS}")
     try:
-        text = Path(args.scenario).read_text(encoding="utf-8")
+        data = Path(args.scenario).read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read scenario file {args.scenario!r}: {exc}") from None
-    return parse_scenario(text)
+    return parse_scenario(data)
 
 
 def _run_scenario_command(args) -> dict:
@@ -145,58 +145,55 @@ def _run_demo_qubit(args) -> dict:
             "note": report.note}
 
 
-# Each subcommand in --help order: help, handler, the shared options it takes ("scenario":
-# --tol, --pretty, --seed, --trials and --scenario; "tol": --tol and --pretty; "pretty":
-# --pretty alone), and its own arguments.  A scenario subcommand runs the kinds whose
-# QUERY_TABLE command is its name.
+_OPTIONS = {
+    "--tol": dict(type=_tolerance, default=DEFAULT_QUERY_TOL,
+                  help="numerical tolerance (default 1e-9)"),
+    "--pretty": dict(action="store_true",
+                     help="indent output and round floats to 6 significant digits"),
+    "--seed": dict(type=int, default=DEFAULT_SEED, help=(
+        f"random seed for sampling and axiom checks (default {DEFAULT_SEED})")),
+    "--trials": dict(type=int, default=DEFAULT_TRIALS, help=(
+        f"number of sampled trials, at most {MAX_TRIALS} (default {DEFAULT_TRIALS})")),
+    "--scenario": dict(required=True, metavar="PATH", help="path to a scenario JSON file"),
+    "--budget": dict(type=int, default=None, help=(
+        f"random instances per axiom, at most {MAX_AXIOM_BUDGET} (default from the "
+        f"scenario query, else {DEFAULT_AXIOM_BUDGET})")),
+    "--angle": dict(type=float, default=math.pi / 4,
+                    help="angle of the tilted projection in radians (default pi/4)"),
+}
+_SCENARIO_OPTIONS = ("--tol", "--pretty", "--seed", "--trials", "--scenario")
+
+# Each subcommand and its options in --help order, with its help and handler.  A scenario
+# subcommand runs the kinds whose QUERY_TABLE command is its name.
 _COMMANDS = {
-    "predict": ("run a predictability query", _run_scenario_command, "scenario", {}),
+    "predict": ("run a predictability query", _run_scenario_command, _SCENARIO_OPTIONS),
     "condition": ("run a prob / condition / condition_seq query", _run_scenario_command,
-                  "scenario", {}),
-    "compat": ("run a compatibility query", _run_scenario_command, "scenario", {}),
+                  _SCENARIO_OPTIONS),
+    "compat": ("run a compatibility query", _run_scenario_command, _SCENARIO_OPTIONS),
     "interfere": ("run an interference decomposition query", _run_scenario_command,
-                  "scenario", {}),
-    "twoslit": ("run a two-slit probability query", _run_scenario_command, "scenario", {}),
-    "sample": ("sample a measurement chain", _run_scenario_command, "scenario", {}),
+                  _SCENARIO_OPTIONS),
+    "twoslit": ("run a two-slit probability query", _run_scenario_command, _SCENARIO_OPTIONS),
+    "sample": ("sample a measurement chain", _run_scenario_command, _SCENARIO_OPTIONS),
     "axioms": ("randomized orthospace axiom check on the scenario's algebra", _run_axioms,
-               "scenario", {"--budget": dict(type=int, default=None, help=(
-                   f"random instances per axiom, at most {MAX_AXIOM_BUDGET} (default from the "
-                   f"scenario query, else {DEFAULT_AXIOM_BUDGET})"))}),
+               _SCENARIO_OPTIONS + ("--budget",)),
     "demo-sec7": ("built-in half-transition pair: certified value 1/2 with zero residual",
-                  _run_demo_sec7, "tol", {}),
-    "demo-order": ("built-in order-dependence example on C^3", _run_demo_order, "tol", {}),
-    "demo-qubit": ("two distinct conditionals on a qubit event list", _run_demo_qubit, "pretty",
-                   {"--angle": dict(type=float, default=math.pi / 4, help=(
-                       "angle of the tilted projection in radians (default pi/4)"))}),
+                  _run_demo_sec7, ("--tol", "--pretty")),
+    "demo-order": ("built-in order-dependence example on C^3", _run_demo_order,
+                   ("--tol", "--pretty")),
+    "demo-qubit": ("two distinct conditionals on a qubit event list", _run_demo_qubit,
+                   ("--pretty", "--angle")),
 }
 
 
 def _build_parser() -> _Parser:
-    pretty = _Parser(add_help=False)
-    pretty.add_argument("--pretty", action="store_true",
-                        help="indent output and round floats to 6 significant digits")
-    tol = _Parser(add_help=False)
-    tol.add_argument("--tol", type=_tolerance, default=DEFAULT_QUERY_TOL,
-                     help="numerical tolerance (default 1e-9)")
-    common = _Parser(add_help=False, parents=[tol, pretty])
-
-    with_scenario = _Parser(add_help=False, parents=[common])
-    with_scenario.add_argument("--seed", type=int, default=DEFAULT_SEED, help=(
-        f"random seed for sampling and axiom checks (default {DEFAULT_SEED})"))
-    with_scenario.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help=(
-        f"number of sampled trials, at most {MAX_TRIALS} (default {DEFAULT_TRIALS})"))
-    with_scenario.add_argument("--scenario", required=True, metavar="PATH",
-                               help="path to a scenario JSON file")
-
     parser = _Parser(prog="orthoprob",
                      description="Conditional probability on orthospaces: "
                                  "scenario queries, demos, and checks.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    shared = {"scenario": with_scenario, "tol": common, "pretty": pretty}
-    for name, (help_text, handler, options, extra) in _COMMANDS.items():
-        p = sub.add_parser(name, parents=[shared[options]], help=help_text)
-        for flag, spec in extra.items():
-            p.add_argument(flag, **spec)
+    for name, (help_text, handler, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(flag, **_OPTIONS[flag])
         p.set_defaults(handler=handler)
     return parser
 

@@ -379,7 +379,8 @@ class _QuantumKind:
         """The products ``rho @ E`` are one gemm of the rows of all the
         matrices by the shared ``E``: each row of a product is that row
         times ``E`` either way, and the flat product gives the bits of one
-        matmul per matrix (pinned in the tests, dims 1 to 64)."""
+        matmul per matrix on kernels where the ``kernel_dependent`` tests
+        pass (pinned there, dims 1 to 64)."""
         d = stack.shape[-1]
         products = (stack.reshape(-1, d) @ event.matrix).reshape(stack.shape)
         return _clamp_probability(products.trace(axis1=-2, axis2=-1).real)
@@ -390,10 +391,10 @@ class _QuantumKind:
 
         The right products by the shared ``E`` are one gemm of the rows of
         all the left products, which gives the bits of one matmul per
-        matrix.  The left products stay one matmul per matrix: as one gemm,
-        ``E`` times the matrices side by side, they change bits at some
-        dims (2, 3, 5 and 6, among others, with the OpenBLAS that numpy
-        wheels bundle).
+        matrix on kernels where the ``kernel_dependent`` tests pass.  The
+        left products stay one matmul per matrix: as one gemm, ``E`` times
+        the matrices side by side, they change bits at some dims (2, 3, 5
+        and 6, among others, with the OpenBLAS that numpy wheels bundle).
         """
         d = stack.shape[-1]
         compressed = _symmetrized(((operand @ stack).reshape(-1, d) @ operand).reshape(stack.shape))

@@ -25,9 +25,9 @@ The realized prefix states of one level are held as one stack, (m, d, d)
 density matrices or (m, size) weight rows.  A level is conditioned a
 block of children at a time, LEVEL_BLOCK_BYTES of states, by the algebra
 kind's stacked routines, which ``states.prob`` and ``states.condition`` run
-on one state,
-so every state and probability carries the bits of the one-node-at-a-time
-route.  The complement of each distinct test event, and the pair of
+on one state, so every state and probability carries the bits of the
+one-node-at-a-time route on kernels where the ``kernel_dependent`` tests
+pass.  The complement of each distinct test event, and the pair of
 branches a level conditions on, are built once per chain, not once per
 level.  The state contract runs once per block and reports the block's
 first offending child: every realized branch has positive probability,

@@ -10,7 +10,8 @@ conditional probability exists independently of the underlying state.
 The two state classes are handed to their algebra kinds (``events``),
 which hold the arithmetic: a function here looks the kind up once and runs
 its stacked routines on a stack of one state, so ``prob`` and
-``condition`` carry the bits of the sampler's level stacks.
+``condition`` carry the bits of the sampler's level stacks on kernels where
+the ``kernel_dependent`` tests pass.
 """
 
 from __future__ import annotations
@@ -410,6 +411,13 @@ def qubit_nonuniqueness_demo(angle: float = math.pi / 4) -> QubitNonUniquenessRe
     with G' (or pinning G to 1 when the compression value is exactly 1/2)
     gives a second valid conditional.
     """
+    try:
+        finite = (isinstance(angle, numbers.Real) and not isinstance(angle, bool)
+                  and math.isfinite(angle))
+    except OverflowError:  # an int beyond the largest float
+        finite = False
+    if not finite:
+        raise ValidationError(f"angle must be a finite real number, got {angle!r}")
     alg = QuantumAlgebra(2)
     e = alg.event_from_span([np.array([1.0, 0.0])])
     g = alg.event_from_span([np.array([math.cos(angle), math.sin(angle)])])

@@ -383,6 +383,35 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and "--tol" in err
 
+    @pytest.mark.parametrize("argv, value", [(["--angle=inf"], "inf"),
+                                             (["--angle", "nan"], "nan")])
+    def test_demo_qubit_refuses_an_angle_that_is_not_finite(self, capsys, argv, value):
+        # Before, --angle=inf ended in a ValueError traceback.
+        assert main(["demo-qubit", *argv]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: angle must be a finite real number, got {value}\n")
+
+    def test_scenario_file_that_is_not_utf8(self, tmp_path, capsys):
+        # Before, it ended in a UnicodeDecodeError traceback.
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b"\xff" + json.dumps(COIN_SAMPLE).encode())
+        assert main(["sample", "--scenario", str(path)]) == 1
+        assert capsys.readouterr() == ("", "error: invalid JSON: 'utf-8' codec can't decode "
+                                           "byte 0xff in position 0: invalid start byte\n")
+
+    @pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-32"])
+    def test_scenario_file_decoded_as_json_bytes(self, tmp_path, capsys, encoding):
+        # The file is decoded as parse_scenario decodes bytes; before, a BOM
+        # exited 1 and UTF-16 or UTF-32 ended in a traceback.
+        argv = ["sample", "--trials", "100", "--scenario"]
+        path = tmp_path / "coin.json"
+        path.write_text(json.dumps(COIN_SAMPLE), encoding="utf-8")
+        assert main([*argv, str(path)]) == 0
+        want = capsys.readouterr()
+        path.write_text(json.dumps(COIN_SAMPLE), encoding=encoding)
+        assert main([*argv, str(path)]) == 0
+        assert capsys.readouterr() == want
+
     def test_trials_ceiling_is_admitted(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "coin.json"
         path.write_text(json.dumps(COIN_SAMPLE))
@@ -527,6 +556,7 @@ def test_every_query_kind_exits_cleanly(algebra, kind, tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore::orthoprob.NonUniqueConditioningWarning")
+@pytest.mark.kernel_dependent
 @pytest.mark.parametrize("name, argv", cli_invocations())
 def test_stdout_matches_golden(name, argv, monkeypatch, capsys):
     monkeypatch.chdir(ROOT)
@@ -550,6 +580,7 @@ FRESH_INVOCATIONS = ("condition-die", "twoslit", "interfere", "sample", "axioms-
                      "demo-order", "demo-qubit")
 
 
+@pytest.mark.kernel_dependent
 @pytest.mark.parametrize("name, argv",
                          [(n, a) for n, a in cli_invocations() if n in FRESH_INVOCATIONS])
 def test_fresh_process_matches_golden(name, argv):

@@ -508,7 +508,10 @@ def _random_level(algebra, rng, m=12):
 
 
 @pytest.mark.filterwarnings("ignore::orthoprob.NonUniqueConditioningWarning")
-@pytest.mark.parametrize("algebra", [QuantumAlgebra(d) for d in (1, 2, 3, 4, 6, 16)]
+# Boolean levels call no BLAS, so only the quantum cases depend on the kernel.
+@pytest.mark.parametrize("algebra", [pytest.param(QuantumAlgebra(d),
+                                                  marks=pytest.mark.kernel_dependent)
+                                     for d in (1, 2, 3, 4, 6, 16)]
                          + [BooleanAlgebra(n) for n in (1, 6, 24)], ids=repr)
 def test_level_arithmetic_matches_per_node(algebra):
     # The sampler's results hinge on these bits only where a draw falls

@@ -388,6 +388,7 @@ def test_one_state_stack_keeps_the_matrix_arithmetic(dim):
                                   compressed / compressed.trace().real)
 
 
+@pytest.mark.kernel_dependent
 @pytest.mark.parametrize("dim", STACK_DIMS)
 def test_stacks_keep_the_matrix_arithmetic(dim):
     # The kind's probabilities and conditioned multiply a stack by the shared E as
@@ -978,6 +979,15 @@ class TestQubitNonUniqueness:
         for table in (report.compression, report.alternative):
             assert conditioning_contract_violations(
                 table, report.base, report.condition_name) == []
+
+    @pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan, "1", True, 10 ** 400],
+                             ids=["inf", "-inf", "nan", "str", "bool", "past-float"])
+    def test_angle_must_be_a_finite_real_number(self, angle):
+        # Before, inf ended in math.cos's "math domain error" and nan in
+        # "span vector entries must be finite".
+        with pytest.raises(ValidationError, match=re.escape(
+                f"angle must be a finite real number, got {angle!r}")):
+            qubit_nonuniqueness_demo(angle=angle)
 
     def test_pinned_values_follow_conditioning(self):
         report = qubit_nonuniqueness_demo(angle=1.0)
