@@ -13,13 +13,15 @@ below ``2 * min(trials, 2**(n - 1))`` for n tests, so they are held in the
 narrowest unsigned type that fits: 1 byte per trial for up to 8 tests or
 128 trials, 2 bytes for up to 16 tests or 32768 trials, 4 bytes for up
 to 32 tests or 2**31 trials, and int64, 8 bytes, past that.  Everything
-else is kept per realized node: its outcome prefix, its trial count and
-its state.  Each level draws, counts and renumbers the trials a chunk
-of LEVEL_BLOCK_BYTES // 8 at a time, in trial order, so past the node
-ids the working set is fixed.  Realized nodes stay in increasing prefix
-order, so the last level's nodes are the keys of ``outcome_counts`` in
-increasing order, and the all-yes path, when realized, is the last node.
-Chains of any length take this one route.
+else is kept per realized node: its outcome prefix, its trial count and,
+above the last level, its state.  The last level builds the all-yes
+node's state alone, the one state the final draw reads.  Each level
+draws, counts and renumbers the trials a chunk of LEVEL_BLOCK_BYTES // 8
+at a time, in trial order, so past the node ids the working set is
+fixed.  Realized nodes stay in increasing prefix order, so the last
+level's nodes are the keys of ``outcome_counts`` in increasing order,
+and the all-yes path, when realized, is the last node.  Chains of any
+length take this one route.
 
 The realized prefix states of one level are held as one stack, (m, d, d)
 density matrices or (m, size) weight rows.  A level is conditioned a
@@ -29,11 +31,11 @@ on one state, so every state and probability carries the bits of the
 one-node-at-a-time route on kernels where the ``kernel_dependent`` tests
 pass.  The complement of each distinct test event, and the pair of
 branches a level conditions on, are built once per chain, not once per
-level.  The state contract runs once per block and reports the block's
-first offending child: every realized branch has positive probability,
-then each state passes the ClassicalState or DensityState checks (all but
-the Hermitian scan, which the symmetrized compression passes by
-construction).
+level.  The state contract runs once per block of built children and
+reports the block's first offending child: every branch built has
+positive probability, then each state passes the ClassicalState or
+DensityState checks (all but the Hermitian scan, which the symmetrized
+compression passes by construction).
 
 Randomness comes from one counter-based Philox stream keyed by the seed,
 consumed in a fixed level-major order; a given (seed, trial, step) always
@@ -258,13 +260,17 @@ def sample_chain(initial: State, tests: Sequence[Event], final: Event,
                 remap.take(ids, out=ids, mode="clip")
         paths = paths[realized // 2]
         paths[:, k] = realized % 2
-        stack = _condition_level(kind, stack, realized, p_yes, *branches[id(event)])
+        built = realized
+        if k == n - 1:
+            # Only the final draw reads a last-level state: the all-yes one.
+            built = realized[-1:] if paths[-1].all() else realized[:0]
+        stack = _condition_level(kind, stack, built, p_yes, *branches[id(event)])
 
     last = len(realized) - 1
     all_yes_count = final_yes_count = 0
     if paths[last].all():
         all_yes_count = int(counts[realized[last]])
-        final_yes = _thresholds(kind.probabilities(stack[last:], final))
+        final_yes = _thresholds(kind.probabilities(stack, final))
         for ids in chunks:
             m = len(ids)
             hit = np.less(_draws(philox, m), final_yes, out=outcome[:m])
@@ -351,7 +357,8 @@ def state_independence_check(target: Event, tests: Sequence[Event],
                     f"initial state {i} gives the all-yes path probability "
                     f"{path_p!r} <= {DEFAULT_CONDITION_TOL!r} by step {k}",
                     index=k, probability=path_p)
-            walking = condition(walking, ev, tol=0.0)
+            if k < len(tests) - 1:
+                walking = condition(walking, ev, tol=0.0)
         run_config = replace(config, seed=(config.seed + i) % _SEED_BOUND)
         results.append(sample_chain(state, tests, target, run_config))
 

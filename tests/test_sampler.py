@@ -326,6 +326,42 @@ class TestStateIndependence:
             assert report.predicted_p == pytest.approx(s, rel=1e-9)
             assert report.passed, (seed, report.deviations)
 
+    def test_the_walk_conditions_between_tests_only(self, monkeypatch):
+        # The path walk reads a conditioned state only at the next test, so
+        # it conditions len(tests) - 1 times per initial state.  The walk
+        # only decides whether the check raises, so the report is pinned
+        # digit for digit.  Boolean events, so no BLAS kernel moves one.
+        alg = BooleanAlgebra(6)
+        tests = [alg.event([0, 1, 2, 3]), alg.event([0, 1, 2, 4]), alg.event([0, 1, 5])]
+        target = alg.event([0, 1, 3])
+        uniform = ClassicalState(alg.space, np.full(6, 1.0 / 6.0))
+        skewed = ClassicalState(alg.space, np.array([0.1, 0.2, 0.3, 0.1, 0.2, 0.1]))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return condition(*args, **kwargs)
+
+        monkeypatch.setattr(sampler, "condition", counted)
+        report = state_independence_check(target, tests, [uniform, skewed],
+                                          SamplerConfig(seed=9, trials=200))
+        assert len(calls) == 2 * (len(tests) - 1)
+        assert repr(report) == (
+            "StateIndependenceReport(predicted_p=1.0, results=(ChainResult(outcome_counts="
+            "{'001': 43, '010': 33, '100': 32, '110': 26, '111': 66}, all_yes_count=66, "
+            "final_event_yes_count=66, empirical_p=1.0, std_error=0.0, predicted_p=1.0, "
+            "trials=200, seed=9), ChainResult(outcome_counts={'001': 11, '010': 49, "
+            "'100': 28, '110': 56, '111': 56}, all_yes_count=56, final_event_yes_count=56, "
+            "empirical_p=1.0, std_error=0.0, predicted_p=1.0, trials=200, seed=10)), "
+            "deviations=(0.0, 0.0), passed=True)")
+        # The last test's probability still enters the path product.
+        outside = ClassicalState(alg.space, np.array([0.0, 0.0, 0.5, 0.5, 0.0, 0.0]))
+        with pytest.raises(ZeroProbabilityCondition) as info:
+            state_independence_check(target, tests, [uniform, outside])
+        assert str(info.value) == ("initial state 1 gives the all-yes path probability "
+                                   "0.0 <= 1e-09 by step 2")
+        assert (info.value.index, info.value.probability) == (2, 0.0)
+
     def test_unreachable_state_rejected(self, half_pair_chain):
         mixed, e, f = half_pair_chain
         outside = atom_state(
@@ -588,9 +624,12 @@ def _state_and_middle_event(algebra):
 
 def _certain_and_impossible_chains(one, zero, middle):
     # Certain tests make levels of one and of two nodes realize one child
-    # each; an impossible test leaves no all-yes trial.
+    # each; an impossible test leaves no all-yes trial.  A certain or
+    # impossible last test leaves a last level with or without its all-yes
+    # node, the one node of that level whose state is built.
     return ([one, middle, one], [middle, one, middle],
-            [middle, zero, middle], [zero, middle, middle])
+            [middle, zero, middle], [zero, middle, middle],
+            [middle, middle, one], [middle, middle, zero])
 
 
 @pytest.mark.filterwarnings("ignore::orthoprob.NonUniqueConditioningWarning")
@@ -628,6 +667,8 @@ class TestAgainstPerNodeReference:
             if any(event is zero for event in tests):
                 assert got.all_yes_count == got.final_event_yes_count == 0
                 assert math.isnan(got.empirical_p) and math.isnan(got.std_error)
+            else:
+                assert got.all_yes_count > 0
 
     @pytest.mark.parametrize("states_per_block", [1, 3])
     def test_levels_split_into_blocks(self, states_per_block, monkeypatch):
@@ -772,27 +813,36 @@ def test_deep_chain_builds_two_complements_and_never_reaches_eigvalsh(monkeypatc
     # The shape of the chain_deep benchmark: 12 alternating tests on C^4
     # realizing all 8190 prefix nodes.  Every built state is certified by
     # the Cholesky pre-check, and each distinct test event is complemented
-    # once per chain, not once per level.
+    # once per chain, not once per level.  States are built for the nodes
+    # of levels 1 to 11, 2 + 4 + ... + 2048, and for the last level's
+    # all-yes node alone, the one state the final draw reads.
     _, e, f = half_transition_pair()
     initial = random_density_state(4, np.random.default_rng(5))
     tests = [e if k % 2 == 0 else f for k in range(12)]
     config = SamplerConfig(seed=3, trials=120_000)
     want = sample_chain(initial, tests, e, config)
-    complements = []
+    complements, built = [], []
 
     def counted(event):
         complements.append(event)
         return complement(event)
 
+    def conditioned(stack, *args):
+        built.append(len(stack))
+        return original(stack, *args)
+
     def no_eigvalsh(*args, **kwargs):
         raise AssertionError("eigvalsh was reached")
 
+    original = _QUANTUM.conditioned
     monkeypatch.setattr(sampler, "complement", counted)
+    monkeypatch.setattr(_QUANTUM, "conditioned", conditioned)
     monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
     got = sample_chain(initial, tests, e, config)
     assert len(got.outcome_counts) == 2 ** 12
     assert repr(got) == repr(want)
     assert complements == [e, f]
+    assert sum(built) == 4095
 
 
 class TestChainContract:
