@@ -7,15 +7,19 @@ final outcome for the target event is drawn.  States along the walk
 depend only on the outcome prefix, so they are computed once per realized
 prefix and trials are driven purely by uniform draws.
 
-A trial's only state is the id of its prefix node among the level's
-realized nodes; child ``c`` of a level is ``2 * parent + bit``.  Ids stay
+A trial's only state is the id of its prefix node; child ``c`` of a
+level is ``2 * parent + bit``.  Between tests the ids are renumbered to
+each node's place among the level's realized nodes; after the last test
+they are left as child codes, and the final draw compares them with the
+all-yes node's code.  Ids stay
 below ``2 * min(trials, 2**(n - 1))`` for n tests, so they are held in the
 narrowest unsigned type that fits: 1 byte per trial for up to 8 tests or
 128 trials, 2 bytes for up to 16 tests or 32768 trials, 4 bytes for up
 to 32 tests or 2**31 trials, and int64, 8 bytes, past that.  Everything
 else is kept per realized node: its outcome prefix, its trial count and,
-above the last level, its state.  The last level builds the all-yes
-node's state alone, the one state the final draw reads.  Each level
+above the last level, its state and its probability of the next test.
+The last level builds the all-yes node's state alone, the one state the
+final draw reads, with its probability of the final event.  Each level
 draws, counts and renumbers the trials a chunk of LEVEL_BLOCK_BYTES // 8
 at a time, in trial order, so past the node ids the working set is
 fixed.  Realized nodes stay in increasing prefix order, so the last
@@ -29,17 +33,21 @@ block of children at a time, LEVEL_BLOCK_BYTES of states, by the algebra
 kind's stacked routines, which ``states.prob`` and ``states.condition`` run
 on one state, so every state and probability carries the bits of the
 one-node-at-a-time route on kernels where the ``kernel_dependent`` tests
-pass.  The complement of each distinct test event, and the pair of
-branches a level conditions on, are built once per chain, not once per
-level.  The state contract runs once per block of built children and
-reports the block's first offending child: every branch built has
-positive probability, then each state passes the ClassicalState or
-DensityState checks (all but the Hermitian scan, which the symmetrized
-compression passes by construction).
+pass.  Each block's probabilities of the event the next draw reads (the
+next test, or the final event after the last test) are taken in the pass
+that builds and checks it; only the initial state's probability of the
+first test is taken apart.  The complement of each distinct test event,
+and the pair of branches a level conditions on, are built once per
+chain, not once per level.  The state contract runs once per block of
+built children and reports the block's first offending child: every
+branch built has positive probability, then each state passes the
+ClassicalState or DensityState checks (all but the Hermitian scan, which
+the symmetrized compression passes by construction).
 
-Randomness comes from one counter-based Philox stream keyed by the seed,
-consumed in a fixed level-major order; a given (seed, trial, step) always
-sees the same uniform, so reruns are bit-identical.  The generator keeps
+Randomness comes from one counter-based Philox stream, keyed by the seed
+and a stream number (0 but in ``state_independence_check``), consumed in a
+fixed level-major order; a given (seed, stream, trial, step) always sees
+the same uniform, so reruns are bit-identical.  The generator keeps
 its buffer position between calls, so drawing a level in chunks gives
 every trial the uniform one draw of the whole level would.  The final
 event's draw is skipped when no trial took the all-yes path, since nothing
@@ -63,7 +71,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -157,14 +165,6 @@ def _block_size(stack: np.ndarray) -> int:
     return max(1, LEVEL_BLOCK_BYTES // stack[0].nbytes)
 
 
-def _level_probabilities(kind, stack: np.ndarray, event: Event) -> np.ndarray:
-    """``prob(state, event)`` for every state of a level stack of the
-    algebra kind ``kind``."""
-    size = _block_size(stack)
-    return np.concatenate([kind.probabilities(stack[lo:lo + size], event)
-                           for lo in range(0, len(stack), size)])
-
-
 def _branches(kind, event: Event) -> tuple[Event, np.ndarray]:
     """The complement of a test event and the stack of the operands of the
     two branches a level conditions on, the complement's first."""
@@ -173,8 +173,10 @@ def _branches(kind, event: Event) -> tuple[Event, np.ndarray]:
 
 
 def _condition_level(kind, stack: np.ndarray, realized: np.ndarray, p_yes: np.ndarray,
-                     comp: Event, branches: np.ndarray) -> np.ndarray:
-    """States of the realized children of a level, in ``realized`` order.
+                     comp: Event, branches: np.ndarray,
+                     after: Event) -> tuple[np.ndarray, np.ndarray]:
+    """States of the realized children of a level, in ``realized`` order,
+    and their probabilities of ``after``, the event the next draw reads.
 
     Child ``c`` is parent ``c // 2`` conditioned on the level's event when
     ``c`` is odd and on its complement ``comp`` when even, with the
@@ -184,9 +186,11 @@ def _condition_level(kind, stack: np.ndarray, realized: np.ndarray, p_yes: np.nd
     block's first offending child.  A block is conditioned as two halves,
     the "no" and the "yes" children, each with one shared branch; the
     probabilities are checked before either half is built and the states
-    once the block is back in ``realized`` order.
+    once the block is back in ``realized`` order, before its probabilities
+    of ``after`` are taken.
     """
     children = np.empty((len(realized),) + stack.shape[1:], dtype=stack.dtype)
+    p_after = np.empty(len(realized))
     size = _block_size(stack)
     for lo in range(0, len(realized), size):
         codes = realized[lo:lo + size]
@@ -199,17 +203,20 @@ def _condition_level(kind, stack: np.ndarray, realized: np.ndarray, p_yes: np.nd
             if half.any():
                 block[half] = kind.conditioned(stack[parents[half]], branch, p[half])
         kind.check_states(block)
-    return children
+        p_after[lo:lo + len(codes)] = kind.probabilities(block, after)
+    return children, p_after
 
 
 def sample_chain(initial: State, tests: Sequence[Event], final: Event,
-                 config: SamplerConfig = SamplerConfig()) -> ChainResult:
+                 config: SamplerConfig = SamplerConfig(), *, _stream: int = 0) -> ChainResult:
     """Sample ``config.trials`` runs of the measurement chain.
 
     Every trial performs all tests in order under conditioning on the
     drawn outcomes; the final event is drawn only on the all-yes path.
     ``predicted_p`` carries the certified sequential conditional
     probability when the chain is statistically predictable, else None.
+    The draws come from the Philox stream keyed by ``(config.seed,
+    _stream)``.
     """
     _require_sequence(tests, "tests", "events")
     _require_instance(SamplerConfig, config=config)
@@ -221,7 +228,7 @@ def sample_chain(initial: State, tests: Sequence[Event], final: Event,
     kind.warn_if_nonunique(tests[0])
     n = len(tests)
     trials = config.trials
-    philox = np.random.Philox(key=np.uint64(config.seed))
+    philox = np.random.Philox(key=np.array([config.seed, _stream], dtype=np.uint64))
 
     stack = kind.state_stack(initial)
     node_ids = np.zeros(trials, dtype=_node_id_type(trials, n))
@@ -232,10 +239,10 @@ def sample_chain(initial: State, tests: Sequence[Event], final: Event,
     paths = np.zeros((1, n), dtype=bool)
     branches = {}
 
-    for k, event in enumerate(tests):
+    p_yes = kind.probabilities(stack, tests[0])
+    for k, (event, after) in enumerate(zip(tests, [*tests[1:], final])):
         if id(event) not in branches:
             branches[id(event)] = _branches(kind, event)
-        p_yes = _level_probabilities(kind, stack, event)
         yes = _thresholds(p_yes)
         one_node = len(yes) == 1
         counts = np.zeros(2 * len(stack), dtype=np.int64)
@@ -253,7 +260,7 @@ def sample_chain(initial: State, tests: Sequence[Event], final: Event,
             else:
                 counts += np.bincount(ids, minlength=len(counts))
         realized = np.flatnonzero(counts)
-        if len(realized) < len(counts):
+        if k < n - 1 and len(realized) < len(counts):
             remap = np.zeros(len(counts), dtype=node_ids.dtype)
             remap[realized] = np.arange(len(realized))
             for ids in chunks:
@@ -264,13 +271,14 @@ def sample_chain(initial: State, tests: Sequence[Event], final: Event,
         if k == n - 1:
             # Only the final draw reads a last-level state: the all-yes one.
             built = realized[-1:] if paths[-1].all() else realized[:0]
-        stack = _condition_level(kind, stack, built, p_yes, *branches[id(event)])
+        stack, p_yes = _condition_level(kind, stack, built, p_yes, *branches[id(event)], after)
 
-    last = len(realized) - 1
     all_yes_count = final_yes_count = 0
-    if paths[last].all():
-        all_yes_count = int(counts[realized[last]])
-        final_yes = _thresholds(kind.probabilities(stack, final))
+    if paths[-1].all():
+        # Ids are codes after the last test; an int keeps the compare in their type.
+        last = int(realized[-1])
+        all_yes_count = int(counts[last])
+        final_yes = _thresholds(p_yes)
         for ids in chunks:
             m = len(ids)
             hit = np.less(_draws(philox, m), final_yes, out=outcome[:m])
@@ -325,10 +333,10 @@ def state_independence_check(target: Event, tests: Sequence[Event],
     """Run the chain from several initial states and compare against the
     certified conditional probability.
 
-    Run i, from ``initial_states[i]``, draws with seed ``config.seed + i``
-    (modulo 2**64), so checks at adjacent seeds share streams: run 1 at
-    seed 0 draws the stream of run 0 at seed 1.  A sweep over seeds whose
-    runs must be independent steps the seed by ``len(initial_states)``.
+    Run i, from ``initial_states[i]``, draws from the Philox stream keyed
+    by ``(config.seed, i)`` and reports ``config.seed``, so no two runs of
+    any checks share a stream.  Run 0 draws the stream of ``sample_chain``
+    at ``config``.
 
     Raises NotPredictable when the chain has no state-independent value,
     and ZeroProbabilityCondition when some initial state cannot realize
@@ -359,8 +367,7 @@ def state_independence_check(target: Event, tests: Sequence[Event],
                     index=k, probability=path_p)
             if k < len(tests) - 1:
                 walking = condition(walking, ev, tol=0.0)
-        run_config = replace(config, seed=(config.seed + i) % _SEED_BOUND)
-        results.append(sample_chain(state, tests, target, run_config))
+        results.append(sample_chain(state, tests, target, config, _stream=i))
 
     s = min(max(predicted, 0.0), 1.0)
     verdicts, deviations = [], []

@@ -89,7 +89,8 @@ SURFACE = {
     "qubit_nonuniqueness_demo": ("angle",),
     "rank_one_transition": ("xi", "eta"),
     "run_query": ("scenario", "tol", "seed", "trials"),
-    "sample_chain": ("initial", "tests", "final", "config"),
+    # ``_stream`` is keyword-only and set by state_independence_check alone.
+    "sample_chain": ("initial", "tests", "final", "config", "_stream"),
     "scenario_from_jsonable": ("doc",),
     "scenario_to_jsonable": ("scenario",),
     "serialize_scenario": ("scenario",),

@@ -286,7 +286,7 @@ class TestStateIndependence:
         # run's own standard error is not read.
         mixed, e, f = half_pair_chain
 
-        def stray(initial, tests, final, config):
+        def stray(initial, tests, final, config, *, _stream):
             return ChainResult({"1": 100}, 100, 90, 0.9, std_error, 0.5, 100, config.seed)
 
         monkeypatch.setattr(sampler, "sample_chain", stray)
@@ -301,7 +301,7 @@ class TestStateIndependence:
         f = alg.event(np.diag([1.0, 1.0, 0.0]))
         inside = atom_state(alg.event_from_span([np.array([1.0, 2.0, 0.0])]))
 
-        def stray(initial, tests, final, config):
+        def stray(initial, tests, final, config, *, _stream):
             return ChainResult({"1": 100}, 100, 99, 0.99, 0.00995, 1.0, 100, config.seed)
 
         monkeypatch.setattr(sampler, "sample_chain", stray)
@@ -350,9 +350,9 @@ class TestStateIndependence:
             "StateIndependenceReport(predicted_p=1.0, results=(ChainResult(outcome_counts="
             "{'001': 43, '010': 33, '100': 32, '110': 26, '111': 66}, all_yes_count=66, "
             "final_event_yes_count=66, empirical_p=1.0, std_error=0.0, predicted_p=1.0, "
-            "trials=200, seed=9), ChainResult(outcome_counts={'001': 11, '010': 49, "
-            "'100': 28, '110': 56, '111': 56}, all_yes_count=56, final_event_yes_count=56, "
-            "empirical_p=1.0, std_error=0.0, predicted_p=1.0, trials=200, seed=10)), "
+            "trials=200, seed=9), ChainResult(outcome_counts={'001': 19, '010': 35, "
+            "'100': 20, '110': 62, '111': 64}, all_yes_count=64, final_event_yes_count=64, "
+            "empirical_p=1.0, std_error=0.0, predicted_p=1.0, trials=200, seed=9)), "
             "deviations=(0.0, 0.0), passed=True)")
         # The last test's probability still enters the path product.
         outside = ClassicalState(alg.space, np.array([0.0, 0.0, 0.5, 0.5, 0.0, 0.0]))
@@ -361,6 +361,19 @@ class TestStateIndependence:
         assert str(info.value) == ("initial state 1 gives the all-yes path probability "
                                    "0.0 <= 1e-09 by step 2")
         assert (info.value.index, info.value.probability) == (2, 0.0)
+
+    def test_adjacent_seeds_draw_distinct_streams(self, half_pair_chain):
+        # Run i draws from the stream keyed (seed, i), so run 1 at seed 0
+        # and run 0 at seed 1 draw distinct streams from the same state.
+        # Run 0 draws the stream of sample_chain at the same seed.
+        mixed, e, f = half_pair_chain
+        at = {seed: state_independence_check(f, [e], [mixed, mixed],
+                                             SamplerConfig(seed=seed, trials=1_000))
+              for seed in (0, 1)}
+        assert at[0].results[1] != at[1].results[0]
+        assert [r.seed for r in at[0].results] == [0, 0]
+        assert at[1].results[0] == sample_chain(mixed, [e], f,
+                                                SamplerConfig(seed=1, trials=1_000))
 
     def test_unreachable_state_rejected(self, half_pair_chain):
         mixed, e, f = half_pair_chain
@@ -552,10 +565,11 @@ def _random_level(algebra, rng, m=12):
 def test_level_arithmetic_matches_per_node(algebra):
     # The sampler's results hinge on these bits only where a draw falls
     # between two roundings, so the level arithmetic is pinned directly.
-    rng = np.random.default_rng(algebra.dim if isinstance(algebra, QuantumAlgebra)
-                                else 100 + algebra.space.size)
+    seed = algebra.dim if isinstance(algebra, QuantumAlgebra) else 100 + algebra.space.size
+    rng, after_rng = np.random.default_rng(seed), np.random.default_rng([seed, 1])
     for _ in range(20):
         states, event = _random_level(algebra, rng)
+        _, after = _random_level(algebra, after_rng, m=0)
         stack = np.stack([s.matrix if isinstance(s, DensityState) else s.weights
                           for s in states])
         p_yes = event._kind.probabilities(stack, event)
@@ -564,12 +578,13 @@ def test_level_arithmetic_matches_per_node(algebra):
         branches = [comp, event]
         realized = np.array([c for c in range(2 * len(states))
                              if prob(states[c // 2], branches[c % 2]) > 0.0])
-        children = _condition_level(event._kind, stack, realized, p_yes,
-                                    *_branches(event._kind, event))
-        for c, child in zip(realized, children):
+        children, p_after = _condition_level(event._kind, stack, realized, p_yes,
+                                             *_branches(event._kind, event), after)
+        for c, child, p in zip(realized, children, p_after):
             want = condition(states[c // 2], branches[c % 2], tol=0.0)
             assert np.array_equal(child, want.matrix if isinstance(want, DensityState)
                                   else want.weights)
+            assert p == prob(want, after)
 
 
 def test_level_zero_probability_branch_matches_condition(monkeypatch):
@@ -585,7 +600,7 @@ def test_level_zero_probability_branch_matches_condition(monkeypatch):
     monkeypatch.setattr(_QUANTUM, "conditioned", lambda *args: built.append(args))
     with pytest.raises(ZeroProbabilityCondition) as got:
         _condition_level(_QUANTUM, stack, np.array([0, 1, 3]), _QUANTUM.probabilities(stack, e),
-                         *_branches(_QUANTUM, e))
+                         *_branches(_QUANTUM, e), e)
     assert str(got.value) == str(want.value)
     assert got.value.probability == want.value.probability == 0.0
     # The whole block's probabilities are checked before either half is built.
@@ -601,8 +616,8 @@ def test_level_in_blocks_matches_condition(monkeypatch):
     stack = np.stack([s.matrix for s in states])
     monkeypatch.setattr(sampler, "LEVEL_BLOCK_BYTES", 2 * inside.matrix.nbytes)
     realized = np.array([0, 1, 2, 4, 5, 6])
-    children = _condition_level(_QUANTUM, stack, realized, _QUANTUM.probabilities(stack, e),
-                                *_branches(_QUANTUM, e))
+    children, _ = _condition_level(_QUANTUM, stack, realized, _QUANTUM.probabilities(stack, e),
+                                   *_branches(_QUANTUM, e), e)
     for c, child in zip(realized, children):
         want = condition(states[c // 2], e if c % 2 else complement(e), tol=0.0)
         assert np.array_equal(child, want.matrix)
@@ -610,7 +625,7 @@ def test_level_in_blocks_matches_condition(monkeypatch):
     with pytest.raises(ZeroProbabilityCondition,
                        match=r"^conditioning event has probability 0\.0 <= 0\.0$"):
         _condition_level(_QUANTUM, stack, np.append(realized, 7),
-                         _QUANTUM.probabilities(stack, e), *_branches(_QUANTUM, e))
+                         _QUANTUM.probabilities(stack, e), *_branches(_QUANTUM, e), e)
 
 
 def _state_and_middle_event(algebra):
