@@ -27,9 +27,9 @@ import numpy as np
 from .errors import (AlgebraMismatch, ImpossibleSequence, NonUniqueConditioningWarning,
                      NotOrthogonal, ValidationError, ZeroEvent)
 from .linalg import (CLAMP, DEFAULT_EVENT_TOL, Projection, _adopted, _check_density_stack,
-                     _check_weight_rows, _frobenius_norms, _projection_checks, _require_finite,
-                     _quadratic, _require_int, _require_tolerance,
-                     _symmetrized, _within, projector_from_span, random_unitary)
+                     _check_weight_rows, _frobenius_norms, _haar, _projection_checks,
+                     _require_finite, _quadratic, _require_int, _require_tolerance, _settled,
+                     _symmetrized, _within, projector_from_span)
 
 
 @dataclass(frozen=True)
@@ -236,11 +236,14 @@ class _BooleanKind:
     def checks(self, rows):
         return np.zeros(len(rows)), {}
 
-    def draw(self, algebra: BooleanAlgebra, rng: np.random.Generator):
-        """d, e, f, g of one harness round; d, e, f are disjoint."""
-        assignment = rng.integers(0, 4, size=algebra.size)
-        return np.concatenate((assignment == np.arange(3)[:, None],
-                               [rng.random(algebra.size) < 0.5]))
+    def draw(self, algebra: BooleanAlgebra, rng: np.random.Generator, rounds: int):
+        """d, e, f, g of each of ``rounds`` harness rounds, a (rounds, 4,
+        size) stack; d, e, f are disjoint."""
+        four = np.empty((rounds, 4, algebra.size), dtype=bool)
+        for members in four:
+            members[:3] = rng.integers(0, 4, size=algebra.size) == np.arange(3)[:, None]
+            members[3] = rng.random(algebra.size) < 0.5
+        return four
 
     def complement(self, e):
         return BooleanEvent(e.space, frozenset(range(e.space.size)) - e.members)
@@ -321,7 +324,7 @@ class _QuantumKind:
         return event.matrix
 
     def orthogonality(self, a, b):
-        return _frobenius_norms(a @ b)
+        return _frobenius_norms(_settled(a @ b))
 
     def order(self, a, b):
         return _frobenius_norms(a @ b - a)
@@ -345,23 +348,33 @@ class _QuantumKind:
         errors, norms, _ = _projection_checks(mats)
         return norms, {i: error for i, error in enumerate(errors) if error}
 
-    def draw(self, algebra: QuantumAlgebra, rng: np.random.Generator):
-        """d, e, f, g of one harness round; d, e, f are exactly orthogonal."""
+    def draw(self, algebra: QuantumAlgebra, rng: np.random.Generator, rounds: int):
+        """d, e, f, g of each of ``rounds`` harness rounds, a (rounds, 4, d,
+        d) stack; d, e, f are exactly orthogonal.
+
+        Each round takes its draws from the generator in the order of a
+        round drawn alone: the ranks, the Gaussian pairs of u and of v, then
+        g's rank k.  The block's 2 * rounds unitaries then come from one
+        stacked QR, which gives each the bits of ``random_unitary``.
+        """
         n = algebra.dim
-        # Disjoint column blocks of one Haar frame give an exactly orthogonal triple.
-        while True:
-            ranks = rng.integers(0, n + 1, size=3)
-            if ranks.sum() <= n:
-                break
-        u = random_unitary(n, rng)
-        frames, start = [], 0
-        for r in ranks:
-            frames.append(u[:, start:start + r])
-            start += r
-        v = random_unitary(n, rng)
-        k = int(rng.integers(1, n)) if n > 1 else 1
-        frames.append(v[:, :k])
-        return _symmetrized(np.stack([c @ c.conj().T for c in frames]))
+        gaussians = np.empty((rounds, 2, n, n), dtype=np.complex128)
+        ends = []
+        for pair in gaussians:
+            while True:
+                ranks = rng.integers(0, n + 1, size=3)
+                if ranks.sum() <= n:
+                    break
+            for z in pair:
+                z[...] = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            ends.append((*np.cumsum(ranks), int(rng.integers(1, n)) if n > 1 else 1))
+        four = np.empty((rounds, 4, n, n), dtype=np.complex128)
+        for (u, v), (a, b, c, k), frames in zip(_haar(gaussians), ends, four):
+            # Disjoint column blocks of one Haar frame u give an exactly
+            # orthogonal triple; g spans the first k columns of v.
+            for frame, cols in zip(frames, (u[:, :a], u[:, a:b], u[:, b:c], v[:, :k])):
+                frame[...] = cols @ cols.conj().T
+        return _symmetrized(four)
 
     def complement(self, e):
         return _adopted(QuantumEvent, self.complement_of(e.matrix))
@@ -382,7 +395,7 @@ class _QuantumKind:
         matmul per matrix on kernels where the ``kernel_dependent`` tests
         pass (pinned there, dims 1 to 64)."""
         d = stack.shape[-1]
-        products = (stack.reshape(-1, d) @ event.matrix).reshape(stack.shape)
+        products = _settled((stack.reshape(-1, d) @ event.matrix).reshape(stack.shape))
         return _clamp_probability(products.trace(axis1=-2, axis2=-1).real)
 
     def conditioned(self, stack, operand, p):
@@ -549,7 +562,9 @@ DEFAULT_SEED = 42  # SamplerConfig's and run_query's seed, and the CLI's --seed 
 DEFAULT_TRIALS = 100_000  # SamplerConfig's and run_query's trials, and the CLI's --trials default
 _SEED_BOUND = 2 ** 64  # a seed is in [0, _SEED_BOUND): the width of the sampler's Philox key
 # Bytes bounding a block's pool x (pool + complements) relation table (a
-# block has at least one round) and the operands of one relation call.
+# block has at least one round) and the operands of one relation call.  A
+# block's rounds are drawn together, so at dims 2, 4, 6 and 16 a block
+# holds 41, 10, 4 and 1 rounds.
 _HARNESS_BLOCK_BYTES = 1 << 18
 
 
@@ -596,11 +611,12 @@ def verify_orthospace_axioms(algebra: EventAlgebra, budget: int = DEFAULT_AXIOM_
     orthogonality holds in one order only fails OS2 ("sum not defined in
     both orders").
 
-    Rounds are evaluated a block at a time, as many as keep one block's
-    relation table within ``_HARNESS_BLOCK_BYTES``.  Each round is drawn in
-    turn from the one seeded generator, so the draws do not depend on the
-    block size, and the report keeps the first 20 failure messages in
-    (round, axiom, position) order.
+    Rounds are drawn and evaluated a block at a time, as many as keep one
+    block's relation table within ``_HARNESS_BLOCK_BYTES``.  A block takes
+    its rounds from the one seeded generator in the order in which rounds
+    drawn one at a time would take them, so the draws, and the report, do
+    not depend on the block size; the report keeps the first 20 failure
+    messages in (round, axiom, position) order.
     """
     budget, seed = _require_int(budget, "budget", 1), _require_int(seed, "seed", 0, _SEED_BOUND)
     _require_tolerance(tol)
@@ -612,13 +628,11 @@ def verify_orthospace_axioms(algebra: EventAlgebra, budget: int = DEFAULT_AXIOM_
     report = AxiomReport(algebra=repr(algebra), rounds=budget, seed=seed,
                          checks={ax: 0 for ax in _AXIOMS},
                          failures={ax: 0 for ax in _AXIOMS})
-    drawn = [kind.draw(algebra, rng)]
-    block = max(1, _HARNESS_BLOCK_BYTES // (_POOL * 2 * _POOL * drawn[0][0].nbytes))
+    block = max(1, _HARNESS_BLOCK_BYTES // (_POOL * 2 * _POOL
+                                            * kind.operand(algebra.one()).nbytes))
     for start in range(0, budget, block):
-        drawn += [kind.draw(algebra, rng) for _ in range(min(block, budget - start) - len(drawn))]
-        checked, failed, describe = _block_verdicts(kind, np.stack(drawn), tol,
-                                                    _HARNESS_BLOCK_BYTES)
-        drawn = []
+        checked, failed, describe = _block_verdicts(
+            kind, kind.draw(algebra, rng, min(block, budget - start)), tol, _HARNESS_BLOCK_BYTES)
         for ax, n, bad in zip(_AXIOMS, np.add.reduceat(checked.sum(axis=0), _AXIOM_STARTS),
                               np.add.reduceat(failed.sum(axis=0), _AXIOM_STARTS)):
             report.checks[ax] += int(n)

@@ -11,15 +11,16 @@ import orthoprob.events
 import orthoprob.linalg
 from orthoprob.errors import (AlgebraMismatch, NotOrthogonal, ValidationError)
 from orthoprob.events import (DEFAULT_EVENT_TOL, BooleanAlgebra, BooleanEvent,
-                              QuantumAlgebra, QuantumEvent, SampleSpace, _one_pair,
-                              below, complement, events_equal, is_atom, oplus,
+                              QuantumAlgebra, QuantumEvent, SampleSpace, _clamp_probability,
+                              _one_pair, below, complement, events_equal, is_atom, oplus,
                               orthogonal, verify_orthospace_axioms)
-from orthoprob.linalg import Projection, jordan_product, random_unitary
+from orthoprob.linalg import (Projection, _frobenius_norms, _settled, jordan_product,
+                              random_unitary)
 from orthoprob.states import DensityState, condition, prob
 
 import helpers
 from helpers import (axiom_report, frame_event, harness_round, per_pair_axioms,
-                     per_pair_rounds, random_projection, state_family)
+                     per_pair_rounds, random_density_matrix, random_projection, state_family)
 
 # The harness's own bound on the bytes of one block of rounds.
 BLOCK_BYTES = orthoprob.events._HARNESS_BLOCK_BYTES
@@ -533,6 +534,22 @@ class TestStackedHarness:
                     for j, y in enumerate(events):
                         assert _one_pair(relation, x, y)[1] == table[i, j]
 
+    @pytest.mark.parametrize("rounds", [1, 3, 41])
+    @pytest.mark.parametrize("kind, size", [("quantum", n) for n in (1, 2, 3, 4, 5, 6, 16)]
+                             + [("boolean", n) for n in (1, 6, 64)])
+    def test_a_block_draw_equals_its_rounds_drawn_in_turn(self, kind, size, rounds):
+        # A block's unitaries come from one stacked QR; its members must
+        # have the bits of rounds drawn one at a time, and the generator
+        # must end in the same state.
+        algebra = (QuantumAlgebra if kind == "quantum" else BooleanAlgebra)(size)
+        block_rng, round_rng = np.random.default_rng(size), np.random.default_rng(size)
+        block = algebra._kind.draw(algebra, block_rng, rounds)
+        drawn = np.stack([[algebra._kind.operand(x) for x in harness_round(algebra, round_rng)]
+                          for _ in range(rounds)])
+        assert (block.shape, block.dtype) == (drawn.shape, drawn.dtype)
+        assert block.tobytes() == drawn.tobytes()
+        assert block_rng.bit_generator.state == round_rng.bit_generator.state
+
     def test_makes_no_per_pair_public_call(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("per-pair call from the harness")
@@ -621,7 +638,8 @@ class TestStackedHarness:
             out[(ra < rb - 0.5) & (ra + rb < n - 0.5)] *= 2.0
             return out
 
-        monkeypatch.setattr(kind, "draw", lambda algebra, rng: np.array(members, complex))
+        monkeypatch.setattr(kind, "draw",
+                            lambda algebra, rng, rounds: np.array([members] * rounds, complex))
         monkeypatch.setattr(kind, "sum_of", wrong_in_one_order)
         report = verify_orthospace_axioms(QuantumAlgebra(n), budget=1)
         os2 = [m for m in report.messages if m.startswith("OS2")]
@@ -629,6 +647,26 @@ class TestStackedHarness:
         assert report.failures["OS1"] == 0 and report.failures["OS2"] == len(os2) == 4
         assert all(m.startswith("OS2: round 0: sum failed validation: matrix is not "
                                 "idempotent") for m in os2)
+
+
+@pytest.mark.parametrize("dim", range(1, 65))
+def test_settled_products_keep_their_arithmetic(dim):
+    # orthogonality and probabilities hand their products to _settled,
+    # which returns its argument: both must keep the bits of the same
+    # arithmetic written out here.
+    x = np.ones(3)
+    assert _settled(x) is x
+    rng = np.random.default_rng(dim)
+    algebra, kind = QuantumAlgebra(dim), orthoprob.events._QUANTUM
+    a, b = (np.stack([random_projection(dim, r % (dim + 1), rng).matrix for r in range(k)])
+            for k in (3, 5))
+    assert (kind.orthogonality(a[:, None], b[None]).tobytes()
+            == _frobenius_norms(a[:, None] @ b[None]).tobytes())
+    stack = np.stack([random_density_matrix(dim, rng) for _ in range(4)])
+    e = algebra.event(random_projection(dim, int(rng.integers(1, dim + 1)), rng).matrix)
+    products = (stack.reshape(-1, dim) @ e.matrix).reshape(stack.shape)
+    assert (kind.probabilities(stack, e).tobytes()
+            == _clamp_probability(products.trace(axis1=-2, axis2=-1).real).tobytes())
 
 
 class TestStateFamilyOracle:
