@@ -27,6 +27,12 @@ _PAIRS = np.triu_indices(_POOL, 1)
 # y, 0, y and y' bit for bit, and are taken from the pool, not built.
 _WITH_ZERO = (_X8 == _ZERO) | (_PARTNERS == _ZERO)
 _TRIVIAL = (_X == _Y) | (_X == _ZERO) | (_Y == _ONE)
+# A round's room in a block's stack, in events: its pool and their
+# complements, and the most that the sums and remainders built from them
+# take.  Besides its events a round keeps tables of positions and verdicts,
+# about 9 KB whatever the algebra (tracemalloc, 200 against 800 rounds).
+_HELD = 2 * _POOL + 2 * int((~_WITH_ZERO).sum() + (~_TRIVIAL).sum() + 1)
+_TABLE_BYTES = 9 << 10
 # The checks of one round in the order the axioms visit them, as (axiom,
 # wording of a failure); an OS2 failure is worded by its cause.
 _ROUND_CHECKS = (
@@ -39,7 +45,7 @@ _ROUND_CHECKS = (
 _AXIOM_STARTS = [[ax for ax, _ in _ROUND_CHECKS].index(ax) for ax in _AXIOMS]
 
 
-def _block_verdicts(kind, four, tol: float, block_bytes: int):
+def _block_verdicts(kind, four, tol: float, call_bytes: int):
     """The checks of R harness rounds drawn as ``four`` (R, 4, ...), d e f g
     each: ``(checked, failed, describe)``, two (R, len(_ROUND_CHECKS))
     masks in (round, axiom, position) order, and ``describe(round, check)``
@@ -53,21 +59,35 @@ def _block_verdicts(kind, four, tol: float, block_bytes: int):
     complements, remainders, re-sums, triple sums) and of verdicts.  An
     event is built and checked, and a relation decided, only where the
     pairwise evaluation does so: each step compresses the entries under its
-    masks into stacked calls and scatters the outcomes back.
+    masks into stacked calls and scatters the outcomes back.  A stacked
+    call takes as many of its entries (events, pairs, or rounds of the
+    pool's relation table) as keep its operands within ``call_bytes``, so
+    its temporaries do not grow with the block.
     """
+    def parts(count, width):
+        """Slices of ``count`` entries of ``width`` operand matrices each,
+        one per stacked call: as many entries as fit in ``call_bytes``, and
+        one at the least."""
+        step = max(1, call_bytes // (width * four[0, 0].nbytes))
+        return [slice(i, i + step) for i in range(0, max(count, 1), step)]
+
+    def check(start, stop):
+        """Check the events at positions ``start`` to ``stop``: their norms
+        go into ``norms``, and each failure into ``bad`` and ``errors``."""
+        for part in parts(stop - start, 1):
+            norms[start:stop][part], failures = kind.checks(events[start:stop][part])
+            for k, error in failures.items():
+                bad[start + part.start + k], errors[start + part.start + k] = True, error
+
     def decide(relation, *requests):
         """Per (mask, a, b), ``relation`` from the events at positions a to
-        those at b where the mask is set, False elsewhere; the operands of
-        one stacked call stay within ``block_bytes``."""
+        those at b where the mask is set, False elsewhere."""
         flats = [mask.reshape(-1).nonzero()[0] for mask, _, _ in requests]
         a, b = (np.concatenate([request[side].take(flat)
                                 for request, flat in zip(requests, flats)]) for side in (1, 2))
-        step = max(1, block_bytes // (2 * events[0].nbytes))
         held = np.concatenate([kind.holds(
-            getattr(kind, relation)(events.take(a[i:i + step], axis=0),
-                                      events.take(b[i:i + step], axis=0)),
-            norms.take(a[i:i + step]), norms.take(b[i:i + step]), tol)
-            for i in range(0, max(len(a), 1), step)])
+            getattr(kind, relation)(events.take(a[part], axis=0), events.take(b[part], axis=0)),
+            norms.take(a[part]), norms.take(b[part]), tol) for part in parts(len(a), 2)])
         tables, ends = [], np.cumsum([len(flat) for flat in flats])
         for (mask, _, _), flat, end in zip(requests, flats, ends):
             tables.append(np.zeros(mask.shape, dtype=bool))
@@ -84,33 +104,33 @@ def _block_verdicts(kind, four, tol: float, block_bytes: int):
             flat = mask.reshape(-1).nonzero()[0]
             tables.append(np.zeros(mask.shape, dtype=np.intp))
             tables[-1].put(flat, np.arange(filled, filled + len(flat)))
-            events[filled:filled + len(flat)] = make(
-                *(events.take(op.take(flat), axis=0) for op in operands))
-            filled += len(flat)
-        norms[start:filled], new_errors = kind.checks(events[start:filled])
-        for k, error in new_errors.items():
-            bad[start + k], errors[start + k] = True, error
+            for part in parts(len(flat), len(operands)):
+                made = flat[part]
+                events[filled:filled + len(made)] = make(
+                    *(events.take(op.take(made), axis=0) for op in operands))
+                filled += len(made)
+        check(start, filled)
         return tables
 
-    # The pool d e f g g' 0 1 and its complements, checked in that order.
+    # The stack holds the pool d e f g g' 0 1 and its complements, checked
+    # in that order, then room for all that is built below.
     rounds, zero = len(four), np.zeros_like(four[:, :1])
-    drawn = np.concatenate((four, kind.complement_of(four[:, _G:]), zero,
-                            kind.complement_of(zero)), axis=1)
-    table = np.concatenate((drawn, kind.complement_of(drawn)), axis=1)
-    pool_norms, errors = kind.checks(table.reshape((-1,) + table.shape[2:]))
-    at = np.arange(len(pool_norms)).reshape(table.shape[:2])
-    table_norms = pool_norms.reshape(at.shape)
-    orth = kind.holds(kind.orthogonality(table[:, :_POOL, None], table[:, None]),
-                        table_norms[:, :_POOL, None], table_norms[:, None], tol)
+    events = np.empty((rounds * _HELD,) + four.shape[2:], dtype=four.dtype)
+    norms, bad, errors = np.empty(len(events)), np.zeros(len(events), dtype=bool), {}
+    filled = rounds * 2 * _POOL
+    table = events[:filled].reshape((rounds, 2 * _POOL) + four.shape[2:])
+    table[:, :_POOL] = np.concatenate((four, kind.complement_of(four[:, _G:]), zero,
+                                       kind.complement_of(zero)), axis=1)
+    table[:, _POOL:] = kind.complement_of(table[:, :_POOL])
+    check(0, filled)
+    at = np.arange(filled).reshape(table.shape[:2])
+    table_norms = norms[:filled].reshape(at.shape)
+    # An entry of the pool's relation table is a round: 7 x 14 pairs.
+    orth = np.concatenate([kind.holds(
+        kind.orthogonality(table[part, :_POOL, None], table[part, None]),
+        table_norms[part, :_POOL, None], table_norms[part, None], tol)
+        for part in parts(rounds, 2 * _POOL * 2 * _POOL)])
     paired, split = orth[:, _X8, _PARTNERS], orth[:, :, _POOL:]
-    # The stack holds the pool, then room for all that is built below.
-    filled = len(pool_norms)
-    size = filled + 2 * ((paired & ~_WITH_ZERO).sum() + (split & ~_TRIVIAL).sum() + rounds)
-    events = np.empty((size,) + table.shape[2:], dtype=table.dtype)
-    norms, bad = np.empty(size), np.zeros(size, dtype=bool)
-    events[:filled], norms[:filled] = table.reshape(events[:filled].shape), pool_norms
-    bad.put(list(errors), True)
-    del drawn, table
     # Positions of x, y and x' in (x, y) tables, of x and its partner in
     # pool-sum tables, and of the members.
     base = 2 * _POOL * np.arange(rounds)[:, None, None]
@@ -161,7 +181,7 @@ def _block_verdicts(kind, four, tol: float, block_bytes: int):
     # pool checks, oplus(x, x') (OS5) and the complement of a sum of two
     # members (OS6).  Its oplus(x, 0) (OS4) raises only on a member that
     # fails the pool checks: 0 is orthogonal to every finite x both ways.
-    raises = np.concatenate((bad[:len(pool_norms)].reshape(at.shape), sum_bad[:, :, _POOL],
+    raises = np.concatenate((bad[:at.size].reshape(at.shape), sum_bad[:, :, _POOL],
                              (dominant & bad.take(tops)).reshape(rounds, -1)), axis=1)
     if raises.any():
         where = np.concatenate((at, sums[:, :, _POOL], tops.reshape(rounds, -1)),

@@ -173,8 +173,9 @@ def _clamp_probability(p: np.ndarray) -> np.ndarray:
 # that knows how the kind's events and states are held as arrays and how
 # they are computed on.  Its algebras and events point at it as ``_kind``,
 # and a public function looks it up once and calls it.  ``operand`` is an
-# event's own array, a bool row or its projection matrix; every event has a
-# norm, ``_norm``.  The relation residuals broadcast, so two operands give
+# event's own array, a bool row or its projection matrix, of
+# ``operand_bytes(algebra)`` bytes; every event has a norm, ``_norm``.
+# The relation residuals broadcast, so two operands give
 # one residual, stacks a[:, None] and b[None] a (len a, len b) table and
 # equal-length stacks one residual per pair; ``holds`` decides them.  The
 # builders (complement_of, sum_of, difference_of) check nothing; ``checks``
@@ -206,6 +207,9 @@ class _BooleanKind:
         if x.space != e.space:
             raise AlgebraMismatch("state and event live on different sample spaces" if state
                                   else "events live on different sample spaces")
+
+    def operand_bytes(self, algebra) -> int:
+        return algebra.size
 
     def operand(self, event):
         row = np.zeros(event.space.size, dtype=bool)
@@ -319,6 +323,9 @@ class _QuantumKind:
         if x.dim != e.dim:
             raise AlgebraMismatch(f"state dimension {x.dim} != event dimension {e.dim}" if state
                                   else f"events have different dimensions: {x.dim} vs {e.dim}")
+
+    def operand_bytes(self, algebra) -> int:
+        return 16 * algebra.dim ** 2
 
     def operand(self, event):
         return event.matrix
@@ -561,11 +568,14 @@ DEFAULT_AXIOM_BUDGET = 1000  # rounds when no budget is given, here, in a scenar
 DEFAULT_SEED = 42  # SamplerConfig's and run_query's seed, and the CLI's --seed default
 DEFAULT_TRIALS = 100_000  # SamplerConfig's and run_query's trials, and the CLI's --trials default
 _SEED_BOUND = 2 ** 64  # a seed is in [0, _SEED_BOUND): the width of the sampler's Philox key
-# Bytes bounding a block's pool x (pool + complements) relation table (a
-# block has at least one round) and the operands of one relation call.  A
-# block's rounds are drawn together, so at dims 2, 4, 6 and 16 a block
-# holds 41, 10, 4 and 1 rounds.
-_HARNESS_BLOCK_BYTES = 1 << 18
+# A block of harness rounds is drawn and evaluated together: as many rounds
+# as keep what they hold (_harness._HELD events and _TABLE_BYTES of tables
+# a round) within _HARNESS_BLOCK_BYTES, and at least one.  At dims 2, 4, 6
+# and 16 a block holds 160, 62, 30 and 4 rounds, and from dim 25 on one.  A
+# stacked call of a block takes as many of its entries as keep the call's
+# operands within _HARNESS_CALL_BYTES, and at least one.
+_HARNESS_BLOCK_BYTES = 3 << 20
+_HARNESS_CALL_BYTES = 1 << 18
 
 
 @dataclass
@@ -611,28 +621,29 @@ def verify_orthospace_axioms(algebra: EventAlgebra, budget: int = DEFAULT_AXIOM_
     orthogonality holds in one order only fails OS2 ("sum not defined in
     both orders").
 
-    Rounds are drawn and evaluated a block at a time, as many as keep one
-    block's relation table within ``_HARNESS_BLOCK_BYTES``.  A block takes
-    its rounds from the one seeded generator in the order in which rounds
-    drawn one at a time would take them, so the draws, and the report, do
-    not depend on the block size; the report keeps the first 20 failure
-    messages in (round, axiom, position) order.
+    Rounds are drawn and evaluated a block at a time, as many as keep the
+    events and tables a block holds within ``_HARNESS_BLOCK_BYTES``, and each
+    stacked call of a block takes as many entries as keep its operands
+    within ``_HARNESS_CALL_BYTES``.  A block takes its rounds from the one
+    seeded generator in the order in which rounds drawn one at a time would
+    take them, so the draws, and the report, depend on neither bound; the
+    report keeps the first 20 failure messages in (round, axiom, position)
+    order.
     """
     budget, seed = _require_int(budget, "budget", 1), _require_int(seed, "seed", 0, _SEED_BOUND)
     _require_tolerance(tol)
     kind = getattr(algebra, "_kind", None)
     if kind is None or not isinstance(algebra, kind.algebra):
         raise ValidationError(f"algebra must be an event algebra, got {type(algebra).__name__}")
-    from ._harness import _AXIOM_STARTS, _POOL, _block_verdicts
+    from ._harness import _AXIOM_STARTS, _HELD, _TABLE_BYTES, _block_verdicts
     rng = np.random.default_rng(seed)
     report = AxiomReport(algebra=repr(algebra), rounds=budget, seed=seed,
                          checks={ax: 0 for ax in _AXIOMS},
                          failures={ax: 0 for ax in _AXIOMS})
-    block = max(1, _HARNESS_BLOCK_BYTES // (_POOL * 2 * _POOL
-                                            * kind.operand(algebra.one()).nbytes))
+    block = max(1, _HARNESS_BLOCK_BYTES // (_HELD * kind.operand_bytes(algebra) + _TABLE_BYTES))
     for start in range(0, budget, block):
         checked, failed, describe = _block_verdicts(
-            kind, kind.draw(algebra, rng, min(block, budget - start)), tol, _HARNESS_BLOCK_BYTES)
+            kind, kind.draw(algebra, rng, min(block, budget - start)), tol, _HARNESS_CALL_BYTES)
         for ax, n, bad in zip(_AXIOMS, np.add.reduceat(checked.sum(axis=0), _AXIOM_STARTS),
                               np.add.reduceat(failed.sum(axis=0), _AXIOM_STARTS)):
             report.checks[ax] += int(n)

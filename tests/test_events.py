@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import orthoprob._harness
 import orthoprob.events
 import orthoprob.linalg
 from orthoprob.errors import (AlgebraMismatch, NotOrthogonal, ValidationError)
@@ -22,8 +23,10 @@ import helpers
 from helpers import (axiom_report, frame_event, harness_round, per_pair_axioms,
                      per_pair_rounds, random_density_matrix, random_projection, state_family)
 
-# The harness's own bound on the bytes of one block of rounds.
+# The harness's own bounds on the bytes of one block of rounds and on the
+# operands of one stacked call.
 BLOCK_BYTES = orthoprob.events._HARNESS_BLOCK_BYTES
+CALL_BYTES = orthoprob.events._HARNESS_CALL_BYTES
 # Check counts of the benchmark's harness workload, keyed
 # "<kind><size>/seed<seed>/budget<budget>"; read here, never written.
 HARNESS_COUNTS = json.loads(
@@ -479,10 +482,13 @@ class TestStackedHarness:
 
     @staticmethod
     def assert_same_outcome(algebra, reference, budget, seed, tol, monkeypatch):
-        """The harness, at its own block bound and at one round per block,
-        gives the reference's report or raises its error."""
-        for block_bytes in (BLOCK_BYTES, 1):
+        """The harness, at its own bounds, at one round per block and at one
+        entry per stacked call, gives the reference's report or raises its
+        error."""
+        for block_bytes, call_bytes in ((BLOCK_BYTES, CALL_BYTES), (1, CALL_BYTES),
+                                        (BLOCK_BYTES, 1)):
             monkeypatch.setattr(orthoprob.events, "_HARNESS_BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(orthoprob.events, "_HARNESS_CALL_BYTES", call_bytes)
             try:
                 expected = axiom_report(algebra, reference[:budget], seed)
             except (NotOrthogonal, ValidationError) as exc:
@@ -549,6 +555,54 @@ class TestStackedHarness:
         assert (block.shape, block.dtype) == (drawn.shape, drawn.dtype)
         assert block.tobytes() == drawn.tobytes()
         assert block_rng.bit_generator.state == round_rng.bit_generator.state
+
+    @pytest.mark.parametrize("kind, size, budget",
+                             [("quantum", n, 100) for n in range(1, 7)]
+                             + [("quantum", 16, 4), ("quantum", 64, 2),
+                                ("boolean", 6, 300), ("boolean", 64, 60)])
+    def test_every_stacked_call_keeps_its_operands_within_the_bound(self, kind, size,
+                                                                     budget, monkeypatch):
+        # The operands of one stacked call, broadcast, fit the call bound, or
+        # the call holds one entry: one event, pair or round.  Each case has
+        # a block whose steps must be split to fit.
+        algebra = (QuantumAlgebra if kind == "quantum" else BooleanAlgebra)(size)
+        names, called = ("orthogonality", "equality", "complement_of", "sum_of",
+                         "difference_of", "checks"), set()
+
+        def bounded(name, method):
+            def call(*stacks):
+                shape = np.broadcast_shapes(*(stack.shape for stack in stacks))
+                nbytes = len(stacks) * int(np.prod(shape)) * stacks[0].itemsize
+                assert nbytes <= CALL_BYTES or shape[0] == 1, (name, shape)
+                called.add(name)
+                return method(*stacks)
+            return call
+
+        for name in names:
+            monkeypatch.setattr(algebra._kind, name, bounded(name, getattr(algebra._kind, name)))
+        assert verify_orthospace_axioms(algebra, budget, seed=size).passed
+        assert called == set(names)
+
+    @pytest.mark.parametrize("kind, size, budget, rounds",
+                             [("quantum", 2, 3, [3]), ("quantum", 4, 4, [4]),
+                              ("quantum", 6, 4, [4]), ("quantum", 16, 4, [4]),
+                              ("boolean", 6, 80, [80]), ("quantum", 64, 3, [1, 1, 1]),
+                              ("quantum", 2, 400, [160, 160, 80]),
+                              ("quantum", 16, 9, [4, 4, 1])])
+    def test_block_sizes(self, kind, size, budget, rounds, monkeypatch):
+        # The benchmark's algebras at its budgets are one block each, dim 16
+        # among them; a dim-64 round is a block of its own, and a block holds
+        # 160 rounds at dim 2 and 4 at dim 16.
+        algebra = (QuantumAlgebra if kind == "quantum" else BooleanAlgebra)(size)
+        blocks, evaluate = [], orthoprob._harness._block_verdicts
+
+        def counted(kind, four, *args):
+            blocks.append(len(four))
+            return evaluate(kind, four, *args)
+
+        monkeypatch.setattr(orthoprob._harness, "_block_verdicts", counted)
+        verify_orthospace_axioms(algebra, budget)
+        assert blocks == rounds
 
     def test_makes_no_per_pair_public_call(self, monkeypatch):
         def forbidden(*args, **kwargs):
