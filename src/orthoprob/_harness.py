@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .events import _AXIOMS
+from .linalg import _slices
 
 # Positions of a harness round's pool: d, e, f (mutually orthogonal), g,
 # g', 0, 1; the complement of member x sits at POOL + x.  An (x, y) table
@@ -45,7 +46,7 @@ _ROUND_CHECKS = (
 _AXIOM_STARTS = [[ax for ax, _ in _ROUND_CHECKS].index(ax) for ax in _AXIOMS]
 
 
-def _block_verdicts(kind, four, tol: float, call_bytes: int):
+def _block_verdicts(kind, four, tol: float):
     """The checks of R harness rounds drawn as ``four`` (R, 4, ...), d e f g
     each: ``(checked, failed, describe)``, two (R, len(_ROUND_CHECKS))
     masks in (round, axiom, position) order, and ``describe(round, check)``
@@ -59,22 +60,15 @@ def _block_verdicts(kind, four, tol: float, call_bytes: int):
     complements, remainders, re-sums, triple sums) and of verdicts.  An
     event is built and checked, and a relation decided, only where the
     pairwise evaluation does so: each step compresses the entries under its
-    masks into stacked calls and scatters the outcomes back.  A stacked
-    call takes as many of its entries (events, pairs, or rounds of the
-    pool's relation table) as keep its operands within ``call_bytes``, so
-    its temporaries do not grow with the block.
+    masks into stacked calls and scatters the outcomes back.  Every stacked
+    call takes the entries (events, pairs, or rounds of the pool's
+    relation table) of one ``linalg._slices`` part, so its temporaries do
+    not grow with the block, and a step with no entries makes no call.
     """
-    def parts(count, width):
-        """Slices of ``count`` entries of ``width`` operand matrices each,
-        one per stacked call: as many entries as fit in ``call_bytes``, and
-        one at the least."""
-        step = max(1, call_bytes // (width * four[0, 0].nbytes))
-        return [slice(i, i + step) for i in range(0, max(count, 1), step)]
-
     def check(start, stop):
         """Check the events at positions ``start`` to ``stop``: their norms
         go into ``norms``, and each failure into ``bad`` and ``errors``."""
-        for part in parts(stop - start, 1):
+        for part in _slices(stop - start, nbytes):
             norms[start:stop][part], failures = kind.checks(events[start:stop][part])
             for k, error in failures.items():
                 bad[start + part.start + k], errors[start + part.start + k] = True, error
@@ -85,9 +79,11 @@ def _block_verdicts(kind, four, tol: float, call_bytes: int):
         flats = [mask.reshape(-1).nonzero()[0] for mask, _, _ in requests]
         a, b = (np.concatenate([request[side].take(flat)
                                 for request, flat in zip(requests, flats)]) for side in (1, 2))
-        held = np.concatenate([kind.holds(
-            getattr(kind, relation)(events.take(a[part], axis=0), events.take(b[part], axis=0)),
-            norms.take(a[part]), norms.take(b[part]), tol) for part in parts(len(a), 2)])
+        held = np.empty(len(a), dtype=bool)
+        for part in _slices(len(a), 2 * nbytes):
+            held[part] = kind.holds(
+                getattr(kind, relation)(events.take(a[part], axis=0), events.take(b[part], axis=0)),
+                norms.take(a[part]), norms.take(b[part]), tol)
         tables, ends = [], np.cumsum([len(flat) for flat in flats])
         for (mask, _, _), flat, end in zip(requests, flats, ends):
             tables.append(np.zeros(mask.shape, dtype=bool))
@@ -104,7 +100,7 @@ def _block_verdicts(kind, four, tol: float, call_bytes: int):
             flat = mask.reshape(-1).nonzero()[0]
             tables.append(np.zeros(mask.shape, dtype=np.intp))
             tables[-1].put(flat, np.arange(filled, filled + len(flat)))
-            for part in parts(len(flat), len(operands)):
+            for part in _slices(len(flat), len(operands) * nbytes):
                 made = flat[part]
                 events[filled:filled + len(made)] = make(
                     *(events.take(op.take(made), axis=0) for op in operands))
@@ -114,7 +110,7 @@ def _block_verdicts(kind, four, tol: float, call_bytes: int):
 
     # The stack holds the pool d e f g g' 0 1 and its complements, checked
     # in that order, then room for all that is built below.
-    rounds, zero = len(four), np.zeros_like(four[:, :1])
+    rounds, nbytes, zero = len(four), four[0, 0].nbytes, np.zeros_like(four[:, :1])
     events = np.empty((rounds * _HELD,) + four.shape[2:], dtype=four.dtype)
     norms, bad, errors = np.empty(len(events)), np.zeros(len(events), dtype=bool), {}
     filled = rounds * 2 * _POOL
@@ -129,7 +125,7 @@ def _block_verdicts(kind, four, tol: float, call_bytes: int):
     orth = np.concatenate([kind.holds(
         kind.orthogonality(table[part, :_POOL, None], table[part, None]),
         table_norms[part, :_POOL, None], table_norms[part, None], tol)
-        for part in parts(rounds, 2 * _POOL * 2 * _POOL)])
+        for part in _slices(rounds, 2 * _POOL * 2 * _POOL * nbytes)])
     paired, split = orth[:, _X8, _PARTNERS], orth[:, :, _POOL:]
     # Positions of x, y and x' in (x, y) tables, of x and its partner in
     # pool-sum tables, and of the members.

@@ -29,7 +29,7 @@ from .errors import (AlgebraMismatch, ImpossibleSequence, NonUniqueConditioningW
 from .linalg import (CLAMP, DEFAULT_EVENT_TOL, Projection, _adopted, _check_density_stack,
                      _check_weight_rows, _frobenius_norms, _haar, _projection_checks,
                      _require_finite, _quadratic, _require_int, _require_tolerance, _settled,
-                     _symmetrized, _within, projector_from_span)
+                     _slices, _symmetrized, _within, projector_from_span)
 
 
 @dataclass(frozen=True)
@@ -181,8 +181,9 @@ def _clamp_probability(p: np.ndarray) -> np.ndarray:
 # builders (complement_of, sum_of, difference_of) check nothing; ``checks``
 # returns each entry's norm and, by position, the message its constructor
 # raises for each entry that fails; the quantum complement and oplus run
-# the builders on one matrix.  A state stack holds m states, and
-# conditioning on an event multiplies each by the event's operand.
+# the builders on one matrix.  A state stack holds m states; its
+# probabilities of an event and its conditioning on it take the event's
+# operand, and conditioning multiplies each state by it.
 # ``state_of(like, array)`` is the one route from an array the library
 # computed to a checked state on ``like``'s space.  The predictability parts
 # return the candidate s, its residual and its scale, for ``states`` to
@@ -261,11 +262,10 @@ class _BooleanKind:
     def state_stack(self, state):
         return state.weights[None]
 
-    def probabilities(self, stack, event):
+    def probabilities(self, stack, operand):
         # take() keeps each row contiguous, so it sums in the order of a
-        # 1-d sum; stack[:, members] is column-major and would not.
-        members = np.array(sorted(event.members), dtype=np.intp)
-        return _clamp_probability(stack.take(members, axis=1).sum(axis=1))
+        # 1-d sum; stack[:, operand] is column-major and would not.
+        return _clamp_probability(stack.take(np.flatnonzero(operand), axis=1).sum(axis=1))
 
     def conditioned(self, stack, operand, p):
         return stack * operand / p[:, None]
@@ -395,14 +395,14 @@ class _QuantumKind:
     def state_stack(self, state):
         return state.matrix[None]
 
-    def probabilities(self, stack, event):
+    def probabilities(self, stack, operand):
         """The products ``rho @ E`` are one gemm of the rows of all the
         matrices by the shared ``E``: each row of a product is that row
         times ``E`` either way, and the flat product gives the bits of one
         matmul per matrix on kernels where the ``kernel_dependent`` tests
         pass (pinned there, dims 1 to 64)."""
         d = stack.shape[-1]
-        products = _settled((stack.reshape(-1, d) @ event.matrix).reshape(stack.shape))
+        products = _settled((stack.reshape(-1, d) @ operand).reshape(stack.shape))
         return _clamp_probability(products.trace(axis1=-2, axis2=-1).real)
 
     def conditioned(self, stack, operand, p):
@@ -573,9 +573,8 @@ _SEED_BOUND = 2 ** 64  # a seed is in [0, _SEED_BOUND): the width of the sampler
 # a round) within _HARNESS_BLOCK_BYTES, and at least one.  At dims 2, 4, 6
 # and 16 a block holds 160, 62, 30 and 4 rounds, and from dim 25 on one.  A
 # stacked call of a block takes as many of its entries as keep the call's
-# operands within _HARNESS_CALL_BYTES, and at least one.
+# operands within linalg._CALL_BYTES, the sampler's bound too.
 _HARNESS_BLOCK_BYTES = 3 << 20
-_HARNESS_CALL_BYTES = 1 << 18
 
 
 @dataclass
@@ -624,7 +623,7 @@ def verify_orthospace_axioms(algebra: EventAlgebra, budget: int = DEFAULT_AXIOM_
     Rounds are drawn and evaluated a block at a time, as many as keep the
     events and tables a block holds within ``_HARNESS_BLOCK_BYTES``, and each
     stacked call of a block takes as many entries as keep its operands
-    within ``_HARNESS_CALL_BYTES``.  A block takes its rounds from the one
+    within ``linalg._CALL_BYTES``.  A block takes its rounds from the one
     seeded generator in the order in which rounds drawn one at a time would
     take them, so the draws, and the report, depend on neither bound; the
     report keeps the first 20 failure messages in (round, axiom, position)
@@ -640,10 +639,10 @@ def verify_orthospace_axioms(algebra: EventAlgebra, budget: int = DEFAULT_AXIOM_
     report = AxiomReport(algebra=repr(algebra), rounds=budget, seed=seed,
                          checks={ax: 0 for ax in _AXIOMS},
                          failures={ax: 0 for ax in _AXIOMS})
-    block = max(1, _HARNESS_BLOCK_BYTES // (_HELD * kind.operand_bytes(algebra) + _TABLE_BYTES))
-    for start in range(0, budget, block):
+    for block in _slices(budget, _HELD * kind.operand_bytes(algebra) + _TABLE_BYTES,
+                         _HARNESS_BLOCK_BYTES):
         checked, failed, describe = _block_verdicts(
-            kind, kind.draw(algebra, rng, min(block, budget - start)), tol, _HARNESS_CALL_BYTES)
+            kind, kind.draw(algebra, rng, block.stop - block.start), tol)
         for ax, n, bad in zip(_AXIOMS, np.add.reduceat(checked.sum(axis=0), _AXIOM_STARTS),
                               np.add.reduceat(failed.sum(axis=0), _AXIOM_STARTS)):
             report.checks[ax] += int(n)
@@ -651,5 +650,5 @@ def verify_orthospace_axioms(algebra: EventAlgebra, budget: int = DEFAULT_AXIOM_
         for flat in np.flatnonzero(failed)[:_MAX_MESSAGES - len(report.messages)]:
             r, k = divmod(int(flat), failed.shape[1])
             ax, what = describe(r, k)
-            report.messages.append(f"{ax}: round {start + r}: {what}")
+            report.messages.append(f"{ax}: round {block.start + r}: {what}")
     return report

@@ -66,7 +66,8 @@ def interference_decomposition(source_atom: QuantumEvent, path1: QuantumEvent,
 
     The source must be an atom and the paths orthogonal nonzero quantum
     events; a Boolean operand, or one of another dimension, raises
-    AlgebraMismatch before any other work but the check of ``tol``.
+    AlgebraMismatch after the checks of ``tol`` and of the atom, before
+    any other work.
     """
     _require_tolerance(tol)
     kind = _event_kind(source_atom, "source_atom")

@@ -55,6 +55,11 @@ DEFAULT_PATH_TOL = 1e-9  # path probability at or below which interference drops
 DEFAULT_QUERY_TOL = 1e-9  # tol of run_query and of --tol, passed to every operation of a query
 DEGENERATE_BRANCH = 1e-14  # branch probability that the sampler counts to the other branch
 
+# Bytes of operands that one stacked call takes, in the sampler's levels and
+# the axiom harness's blocks: their temporaries stay near this size, however
+# many states, trials or events the level or block holds.
+_CALL_BYTES = 1 << 18
+
 
 def _numeric_array(value, dtype, what: str) -> np.ndarray:
     """``np.asarray(value, dtype=dtype)``, the one conversion of a caller's
@@ -130,6 +135,14 @@ def _require_sequence(value, name: str, of: str) -> None:
     if not isinstance(value, Sequence):
         raise ValidationError(
             f"{name} must be a sequence of {of}, got {type(value).__name__}")
+
+
+def _slices(count: int, entry_bytes: int, bound: int | None = None) -> list[slice]:
+    """Slices that cut ``count`` entries of ``entry_bytes`` bytes each, in
+    order, into parts of as many whole entries as fit in ``bound``
+    (``_CALL_BYTES``, read at the call, when None), one at the least."""
+    step = max(1, (_CALL_BYTES if bound is None else bound) // entry_bytes)
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 def _frobenius_norms(stack: np.ndarray) -> np.ndarray:

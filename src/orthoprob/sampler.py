@@ -20,29 +20,32 @@ else is kept per realized node: its outcome prefix, its trial count and,
 above the last level, its state and its probability of the next test.
 The last level builds the all-yes node's state alone, the one state the
 final draw reads, with its probability of the final event.  Each level
-draws, counts and renumbers the trials a chunk of LEVEL_BLOCK_BYTES // 8
-at a time, in trial order, so past the node ids the working set is
-fixed.  Realized nodes stay in increasing prefix order, so the last
-level's nodes are the keys of ``outcome_counts`` in increasing order,
-and the all-yes path, when realized, is the last node.  Chains of any
-length take this one route.
+draws, counts and renumbers the trials a chunk of ``linalg._CALL_BYTES``
+of 8-byte draws at a time, in trial order, so past the node ids the
+working set is fixed.  Realized nodes stay in increasing prefix order, so
+the last level's nodes are the keys of ``outcome_counts`` in increasing
+order, and the all-yes path, when realized, is the last node.  Chains of
+any length take this one route.
 
 The realized prefix states of one level are held as one stack, (m, d, d)
 density matrices or (m, size) weight rows.  A level is conditioned a
-block of children at a time, LEVEL_BLOCK_BYTES of states, by the algebra
-kind's stacked routines, which ``states.prob`` and ``states.condition`` run
-on one state, so every state and probability carries the bits of the
-one-node-at-a-time route on kernels where the ``kernel_dependent`` tests
-pass.  Each block's probabilities of the event the next draw reads (the
-next test, or the final event after the last test) are taken in the pass
-that builds and checks it; only the initial state's probability of the
-first test is taken apart.  The complement of each distinct test event,
-and the pair of branches a level conditions on, are built once per
-chain, not once per level.  The state contract runs once per block of
-built children and reports the block's first offending child: every
-branch built has positive probability, then each state passes the
-ClassicalState or DensityState checks (all but the Hermitian scan, which
-the symmetrized compression passes by construction).
+block of children at a time, ``linalg._CALL_BYTES`` of states, the bound
+of the axiom harness's stacked calls too, by the algebra kind's stacked
+routines, which ``states.prob`` and ``states.condition`` run on one state,
+so every state and probability carries the bits of the one-node-at-a-time
+route on kernels where the ``kernel_dependent`` tests pass.  Those
+routines take events' operands, never events.  Each block's
+probabilities of the event the next draw reads (the next test, or the
+final event after the last test) are taken in the pass that builds and
+checks it; only the initial state's probability of the first test is
+taken apart.  The pair of branches a level conditions on, the operands of
+a test event's complement and of the event, is built once per distinct
+test, not once per level, and no complement event is built.  The state
+contract runs once per block of built children and reports the block's
+first offending child: every branch built has positive probability, then
+each state passes the ClassicalState or DensityState checks (all but the
+Hermitian scan, which the symmetrized compression passes by
+construction).
 
 Randomness comes from one counter-based Philox stream, keyed by the seed
 and a stream number (0 but in ``state_independence_check``), consumed in a
@@ -78,14 +81,10 @@ import numpy as np
 from .errors import (EmptyChain, ImpossibleSequence, NotPredictable,
                      ValidationError, ZeroEvent, ZeroProbabilityCondition)
 from .events import (_SEED_BOUND, DEFAULT_SEED, DEFAULT_TRIALS, Event, _require_instance,
-                     _shared_kind, complement)
+                     _shared_kind)
 from .linalg import (DEFAULT_CONDITION_TOL, DEGENERATE_BRANCH, TAIL_LEVEL, _require_int,
-                     _require_sequence)
+                     _require_sequence, _slices)
 from .states import State, _check_probabilities, condition, predictability_seq, prob
-
-# Bytes of states or draws a level handles at once: the level's
-# temporaries stay near this size, however many states or trials it holds.
-LEVEL_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -161,49 +160,36 @@ def _node_id_type(trials: int, n: int) -> type:
     return np.int64
 
 
-def _block_size(stack: np.ndarray) -> int:
-    return max(1, LEVEL_BLOCK_BYTES // stack[0].nbytes)
-
-
-def _branches(kind, event: Event) -> tuple[Event, np.ndarray]:
-    """The complement of a test event and the stack of the operands of the
-    two branches a level conditions on, the complement's first."""
-    comp = complement(event)
-    return comp, np.stack([kind.operand(comp), kind.operand(event)])
-
-
 def _condition_level(kind, stack: np.ndarray, realized: np.ndarray, p_yes: np.ndarray,
-                     comp: Event, branches: np.ndarray,
-                     after: Event) -> tuple[np.ndarray, np.ndarray]:
+                     branches: np.ndarray, after: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """States of the realized children of a level, in ``realized`` order,
-    and their probabilities of ``after``, the event the next draw reads.
+    and their probabilities of ``after``, the operand of the event the next
+    draw reads.
 
-    Child ``c`` is parent ``c // 2`` conditioned on the level's event when
-    ``c`` is odd and on its complement ``comp`` when even, with the
-    arithmetic of ``states.condition``; ``branches`` is ``_branches`` of
-    the event.  Each block of children is checked as ``condition`` checks
-    a state before the next block is built, and an error reports the
-    block's first offending child.  A block is conditioned as two halves,
-    the "no" and the "yes" children, each with one shared branch; the
-    probabilities are checked before either half is built and the states
-    once the block is back in ``realized`` order, before its probabilities
-    of ``after`` are taken.
+    Child ``c`` is parent ``c // 2`` conditioned on ``branches[c % 2]``,
+    the operands of the level's event's complement and of the event, with
+    the arithmetic of ``states.condition``.  Children are built a block of
+    ``linalg._CALL_BYTES`` of states at a time; each block is checked as
+    ``condition`` checks a state before the next block is built, and an
+    error reports the block's first offending child.  A block is
+    conditioned as two halves, the "no" and the "yes" children, each with
+    one shared branch; the probabilities are checked before either half is
+    built and the states once the block is back in ``realized`` order,
+    before its probabilities of ``after`` are taken.
     """
     children = np.empty((len(realized),) + stack.shape[1:], dtype=stack.dtype)
     p_after = np.empty(len(realized))
-    size = _block_size(stack)
-    for lo in range(0, len(realized), size):
-        codes = realized[lo:lo + size]
-        parents, no = codes // 2, codes % 2 == 0
+    for part in _slices(len(realized), stack[0].nbytes):
+        parents, no = realized[part] // 2, realized[part] % 2 == 0
         p = p_yes[parents]
-        p[no] = kind.probabilities(stack[parents[no]], comp)
+        p[no] = kind.probabilities(stack[parents[no]], branches[0])
         _check_probabilities(p, 0.0)
-        block = children[lo:lo + len(codes)]
+        block = children[part]
         for half, branch in zip((no, ~no), branches):
             if half.any():
                 block[half] = kind.conditioned(stack[parents[half]], branch, p[half])
         kind.check_states(block)
-        p_after[lo:lo + len(codes)] = kind.probabilities(block, after)
+        p_after[part] = kind.probabilities(block, after)
     return children, p_after
 
 
@@ -232,17 +218,17 @@ def sample_chain(initial: State, tests: Sequence[Event], final: Event,
 
     stack = kind.state_stack(initial)
     node_ids = np.zeros(trials, dtype=_node_id_type(trials, n))
-    step = LEVEL_BLOCK_BYTES // 8
-    chunks = [node_ids[lo:lo + step] for lo in range(0, trials, step)]
+    chunks = [node_ids[part] for part in _slices(trials, 8)]
     gathered = np.empty(len(chunks[0]), dtype=np.uint64)
     outcome = np.empty(len(gathered), dtype=bool)
     paths = np.zeros((1, n), dtype=bool)
     branches = {}
 
-    p_yes = kind.probabilities(stack, tests[0])
-    for k, (event, after) in enumerate(zip(tests, [*tests[1:], final])):
+    operands = [kind.operand(event) for event in [*tests, final]]
+    p_yes = kind.probabilities(stack, operands[0])
+    for k, (event, op, after) in enumerate(zip(tests, operands, operands[1:])):
         if id(event) not in branches:
-            branches[id(event)] = _branches(kind, event)
+            branches[id(event)] = np.stack([kind.complement_of(op), op])
         yes = _thresholds(p_yes)
         one_node = len(yes) == 1
         counts = np.zeros(2 * len(stack), dtype=np.int64)
@@ -271,7 +257,7 @@ def sample_chain(initial: State, tests: Sequence[Event], final: Event,
         if k == n - 1:
             # Only the final draw reads a last-level state: the all-yes one.
             built = realized[-1:] if paths[-1].all() else realized[:0]
-        stack, p_yes = _condition_level(kind, stack, built, p_yes, *branches[id(event)], after)
+        stack, p_yes = _condition_level(kind, stack, built, p_yes, branches[id(event)], after)
 
     all_yes_count = final_yes_count = 0
     if paths[-1].all():

@@ -116,7 +116,7 @@ def _check_probabilities(p: np.ndarray, tol: float) -> None:
 def prob(state: State, event: Event) -> float:
     """Probability of an event in a state."""
     kind = _shared_kind(state, event, state=True)
-    return float(kind.probabilities(kind.state_stack(state), event)[0])
+    return float(kind.probabilities(kind.state_stack(state), kind.operand(event))[0])
 
 
 def condition(state: State, event: Event,
@@ -129,10 +129,10 @@ def condition(state: State, event: Event,
     """
     _require_tolerance(tol)
     kind = _shared_kind(state, event, state=True)
-    stack = kind.state_stack(state)
-    p = kind.probabilities(stack, event)
+    stack, operand = kind.state_stack(state), kind.operand(event)
+    p = kind.probabilities(stack, operand)
     _check_probabilities(p, tol)
-    conditioned = kind.conditioned(stack, kind.operand(event), p)[0]
+    conditioned = kind.conditioned(stack, operand, p)[0]
     kind.warn_if_nonunique(event)
     return kind.state_of(state, conditioned)
 

@@ -18,13 +18,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import orthoprob
-from orthoprob import (QuantumAlgebra, StateVector, below, compatible, condition,
+from orthoprob import (BooleanAlgebra, ClassicalState, DensityState, QuantumAlgebra,
+                       SampleSpace, SamplerConfig, StateVector, below, compatible, condition,
                        condition_seq, events, events_equal, half_transition_pair,
                        interference, interference_decomposition, linalg, oplus, orthogonal,
-                       predictability, predictability_seq, sampler, states, two_slit)
-from orthoprob.errors import ValidationError
+                       predictability, predictability_seq, prob, sample_chain, sampler,
+                       state_independence_check, states, two_slit)
+from orthoprob.errors import OrthoprobError, ValidationError
+
+from helpers import random_density_matrix, random_projection
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -164,6 +170,85 @@ def test_invalid_tolerance_is_refused(entry, tol):
         call(tol)
 
 
+def _fuzz_worlds():
+    """Per algebra, its events and its states: zero and unit events,
+    atoms and wider events, and rank-deficient states beside full ones.
+    The Boolean spaces differ in size or labels only."""
+    rng = np.random.default_rng(11)
+    worlds = []
+    for dim in (1, 2, 3):
+        algebra = QuantumAlgebra(dim)
+        pure = np.zeros((dim, dim), dtype=np.complex128)
+        pure[0, 0] = 1.0
+        worlds.append(([algebra.zero(), algebra.one()]
+                       + [algebra.event(random_projection(dim, rank, rng).matrix)
+                          for rank in (1, 1, dim - 1, dim)],
+                       [DensityState(pure), DensityState(random_density_matrix(dim, rng))]))
+    for space in (SampleSpace(1), SampleSpace(3), SampleSpace(3, ("a", "b", "c")),
+                  SampleSpace(4)):
+        algebra = BooleanAlgebra(space)
+        worlds.append(([algebra.zero(), algebra.one(), algebra.event([0]),
+                        algebra.event(range(space.size - 1))],
+                       [ClassicalState(space, np.eye(space.size)[-1]),
+                        ClassicalState(space, np.full(space.size, 1.0 / space.size))]))
+    return worlds
+
+
+FUZZ_WORLDS = _fuzz_worlds()
+# Anything that may stand where an event or a state belongs, bare objects too.
+FUZZ_ANY = [x for events, states in FUZZ_WORLDS for x in events + states] + [
+    None, 0, "event", np.eye(2)]
+FUZZED = {"prob": prob, "condition": condition, "condition_seq": condition_seq,
+          "predictability_seq": predictability_seq, "sample_chain": sample_chain,
+          "state_independence_check": state_independence_check}
+
+
+@st.composite
+def _fuzz_call(draw, entry):
+    """A call of ``entry`` on one drawn algebra's events and states, each
+    argument foreign (another algebra's, or no event or state) one time in
+    ten, and each sequence an iterator, a tuple or a bare item at times."""
+    events, states = draw(st.sampled_from(FUZZ_WORLDS))
+
+    def pick(own):
+        return draw(st.sampled_from(own if draw(st.integers(0, 9)) else FUZZ_ANY))
+
+    def sequence(own):
+        items = [pick(own) for _ in range(draw(st.integers(0, 4)))]
+        shape = draw(st.integers(0, 9))
+        return (items if shape < 7 else tuple(items) if shape == 7
+                else iter(items) if shape == 8 else pick(own))
+
+    tol = draw(st.sampled_from([0.0, 1e-300, 1e300, linalg.DEFAULT_CONDITION_TOL]))
+    config = SamplerConfig(seed=draw(st.integers(0, 3)), trials=draw(st.integers(1, 50)))
+    args = {"prob": lambda: (pick(states), pick(events)),
+            "condition": lambda: (pick(states), pick(events), tol),
+            "condition_seq": lambda: (pick(states), sequence(events), tol),
+            "predictability_seq": lambda: (pick(events), sequence(events), tol),
+            "sample_chain": lambda: (pick(states), sequence(events), pick(events), config),
+            "state_independence_check":
+                lambda: (pick(events), sequence(events), sequence(states), config)}[entry]()
+    return lambda: FUZZED[entry](*args)
+
+
+@pytest.mark.filterwarnings("ignore::orthoprob.NonUniqueConditioningWarning")
+@pytest.mark.parametrize("entry", sorted(FUZZED))
+def test_entry_points_return_or_raise_their_own_errors(entry):
+    """Each call of an entry point whose events reach the kinds' operands,
+    on mixed kinds, mismatched spaces, zero events, rank-deficient states,
+    iterators or bare objects where sequences belong, and the tolerances
+    0, 1e-300 and 1e300, returns or raises an OrthoprobError."""
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(call=_fuzz_call(entry))
+    def fuzz(call):
+        try:
+            call()
+        except OrthoprobError:
+            pass
+
+    fuzz()
+
+
 # One row of the table at the top of linalg.py: ``NAME = value  # role``.
 TABLE_ROW = re.compile(r"^(_?[A-Z][A-Z_]*) = ([^#\n]+?)  # (.+)$", re.MULTILINE)
 
@@ -242,9 +327,11 @@ def test_only_public_numpy_is_used():
 def _unused_private_names(sources: dict) -> list[str]:
     """What ``sources``, module names to source texts, leave unused:
     "module: def NAME" for a private top-level function or class that no
-    module reads, and "module: import NAME" for a private name that a
-    module imports and does not read itself.  A name is read where it is
-    loaded, as a name or as an attribute."""
+    module reads, "module: const NAME" for a private name that a
+    top-level assignment binds and no module reads, and "module: import
+    NAME" for a private name that a module imports and does not read
+    itself.  A name is read where it is loaded, as a name or as an
+    attribute."""
     def private(name):
         return name.startswith("_") and not name.startswith("__")
 
@@ -259,6 +346,12 @@ def _unused_private_names(sources: dict) -> list[str]:
         found += [f"{module}: def {node.name}" for node in tree.body
                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                   and private(node.name) and node.name not in anywhere]
+        targets = [target for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+                   for target in getattr(node, "targets", None) or [node.target]]
+        bound = {name.id for target in targets for name in ast.walk(target)
+                 if isinstance(name, ast.Name)}
+        found += [f"{module}: const {name}" for name in sorted(bound)
+                  if private(name) and name not in anywhere]
         for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 bound = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
@@ -268,13 +361,16 @@ def _unused_private_names(sources: dict) -> list[str]:
 
 
 def test_no_private_name_is_left_unused():
-    """Every private function and class in src/orthoprob is used by some
-    module, and every private name a module imports is used there."""
+    """Every private function, class and module-level constant in
+    src/orthoprob is used by some module, and every private name a module
+    imports is used there."""
     assert _unused_private_names({
         "a": "from b import _f, _g\nimport _m\ndef _h(): pass\nclass _K: pass\n"
-             "def __dunder__(): pass\n_f()\nx._K\n",
-        "b": "def _f(): pass\ndef _g(): pass\ndef _unread(): pass\n_unread = 1\n"}) == [
-        "a: def _h", "a: import _g", "a: import _m", "b: def _g", "b: def _unread"]
+             "def __dunder__(): pass\n_f()\nx._K\nb._C + _D\n",
+        "b": "def _f(): pass\ndef _g(): pass\ndef _unread(): pass\n_unread = 1\n"
+             "_C = 1\n_D, (_E, PUBLIC) = 2, (3, 4)\n_F: int = 5\n__all__ = []\n"}) == [
+        "a: def _h", "a: import _g", "a: import _m", "b: const _E", "b: const _F",
+        "b: const _unread", "b: def _g", "b: def _unread"]
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in sorted((ROOT / "src" / "orthoprob").glob("*.py"))}
     assert _unused_private_names(sources) == []

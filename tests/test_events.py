@@ -26,7 +26,7 @@ from helpers import (axiom_report, frame_event, harness_round, per_pair_axioms,
 # The harness's own bounds on the bytes of one block of rounds and on the
 # operands of one stacked call.
 BLOCK_BYTES = orthoprob.events._HARNESS_BLOCK_BYTES
-CALL_BYTES = orthoprob.events._HARNESS_CALL_BYTES
+CALL_BYTES = orthoprob.linalg._CALL_BYTES
 # Check counts of the benchmark's harness workload, keyed
 # "<kind><size>/seed<seed>/budget<budget>"; read here, never written.
 HARNESS_COUNTS = json.loads(
@@ -485,10 +485,10 @@ class TestStackedHarness:
         """The harness, at its own bounds, at one round per block and at one
         entry per stacked call, gives the reference's report or raises its
         error."""
-        for block_bytes, call_bytes in ((BLOCK_BYTES, CALL_BYTES), (1, CALL_BYTES),
+        for block_bound, call_bound in ((BLOCK_BYTES, CALL_BYTES), (1, CALL_BYTES),
                                         (BLOCK_BYTES, 1)):
-            monkeypatch.setattr(orthoprob.events, "_HARNESS_BLOCK_BYTES", block_bytes)
-            monkeypatch.setattr(orthoprob.events, "_HARNESS_CALL_BYTES", call_bytes)
+            monkeypatch.setattr(orthoprob.events, "_HARNESS_BLOCK_BYTES", block_bound)
+            monkeypatch.setattr(orthoprob.linalg, "_CALL_BYTES", call_bound)
             try:
                 expected = axiom_report(algebra, reference[:budget], seed)
             except (NotOrthogonal, ValidationError) as exc:
@@ -563,8 +563,10 @@ class TestStackedHarness:
     def test_every_stacked_call_keeps_its_operands_within_the_bound(self, kind, size,
                                                                      budget, monkeypatch):
         # The operands of one stacked call, broadcast, fit the call bound, or
-        # the call holds one entry: one event, pair or round.  Each case has
-        # a block whose steps must be split to fit.
+        # the call holds one entry: one event, pair or round; no call holds
+        # none.  Each case has a block whose steps must be split to fit.  At
+        # dim 64 and budget 2, seed 3 builds remainders (seed 64 builds
+        # none), so every method runs.
         algebra = (QuantumAlgebra if kind == "quantum" else BooleanAlgebra)(size)
         names, called = ("orthogonality", "equality", "complement_of", "sum_of",
                          "difference_of", "checks"), set()
@@ -573,6 +575,7 @@ class TestStackedHarness:
             def call(*stacks):
                 shape = np.broadcast_shapes(*(stack.shape for stack in stacks))
                 nbytes = len(stacks) * int(np.prod(shape)) * stacks[0].itemsize
+                assert shape[0] > 0, (name, shape)
                 assert nbytes <= CALL_BYTES or shape[0] == 1, (name, shape)
                 called.add(name)
                 return method(*stacks)
@@ -580,7 +583,8 @@ class TestStackedHarness:
 
         for name in names:
             monkeypatch.setattr(algebra._kind, name, bounded(name, getattr(algebra._kind, name)))
-        assert verify_orthospace_axioms(algebra, budget, seed=size).passed
+        seed = 3 if size == 64 and kind == "quantum" else size
+        assert verify_orthospace_axioms(algebra, budget, seed=seed).passed
         assert called == set(names)
 
     @pytest.mark.parametrize("kind, size, budget, rounds",
@@ -719,7 +723,7 @@ def test_settled_products_keep_their_arithmetic(dim):
     stack = np.stack([random_density_matrix(dim, rng) for _ in range(4)])
     e = algebra.event(random_projection(dim, int(rng.integers(1, dim + 1)), rng).matrix)
     products = (stack.reshape(-1, dim) @ e.matrix).reshape(stack.shape)
-    assert (kind.probabilities(stack, e).tobytes()
+    assert (kind.probabilities(stack, e.matrix).tobytes()
             == _clamp_probability(products.trace(axis1=-2, axis2=-1).real).tobytes())
 
 

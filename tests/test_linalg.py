@@ -7,15 +7,17 @@ so equality checks are exact.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import orthoprob.linalg
 import orthoprob.states
 from orthoprob.errors import DimensionMismatch, EmptyInput, ValidationError
 from orthoprob.events import QuantumAlgebra, QuantumEvent, complement
 from orthoprob.linalg import (SPAN_DROP, HermitianOperator, Projection, StateVector,
-                              _frobenius_norms, _jp, _projection_checks, _symmetrized,
-                              _within, jordan_product, projector_from_span, quadratic_triple,
-                              random_unitary, triple_product)
+                              _frobenius_norms, _jp, _projection_checks, _slices,
+                              _symmetrized, _within, jordan_product, projector_from_span,
+                              quadratic_triple, random_unitary, triple_product)
 from orthoprob.states import DensityState
 
 from helpers import (is_positive_semidefinite, matmul, min_eigenvalue,
@@ -555,3 +557,22 @@ class TestRandomGenerators:
         rho = random_density_matrix(4, rng)
         assert abs(np.trace(rho).real - 1.0) < 1e-12
         assert min_eigenvalue(rho) > -1e-12
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(count=st.integers(0, 5000), entry_bytes=st.integers(1, 1 << 20),
+       bound=st.one_of(st.none(), st.integers(1, 1 << 20)))
+def test_slices_cut_every_entry_once_in_whole_parts(count, entry_bytes, bound):
+    # The slices cover range(count) once, in order; each but the last holds
+    # as many entries as fit in the bound, one at the least.
+    parts = _slices(count, entry_bytes, bound)
+    step = max(1, (orthoprob.linalg._CALL_BYTES if bound is None else bound) // entry_bytes)
+    assert [i for part in parts for i in range(count)[part]] == list(range(count))
+    assert all(part.stop - part.start == step for part in parts[:-1])
+    assert 0 < parts[-1].stop - parts[-1].start <= step if count else parts == []
+
+
+def test_slices_read_the_bound_at_the_call(monkeypatch):
+    monkeypatch.setattr(orthoprob.linalg, "_CALL_BYTES", 24)
+    assert _slices(5, 8) == [slice(0, 3), slice(3, 5)]
+    assert _slices(2, 100) == [slice(0, 1), slice(1, 2)]

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import orthoprob.linalg
 from orthoprob.errors import (AlgebraMismatch, EmptyChain,
                               ImpossibleSequence, NonUniqueConditioningWarning,
                               NotPredictable, ValidationError, ZeroEvent,
@@ -20,7 +21,7 @@ from orthoprob.events import (_BOOLEAN, _QUANTUM, BooleanAlgebra, QuantumAlgebra
 from orthoprob.presets import half_transition_pair, order_dependence_example
 from orthoprob import sampler
 from orthoprob.sampler import (DEGENERATE_BRANCH, TAIL_LEVEL, ChainResult, SamplerConfig,
-                               _branches, _condition_level, _draws, _tail_reaches, _thresholds,
+                               _condition_level, _draws, _tail_reaches, _thresholds,
                                sample_chain, state_independence_check)
 from orthoprob.states import (ClassicalState, DensityState, atom_state, condition, condition_seq,
                               predictability_seq, prob)
@@ -524,6 +525,13 @@ def _random_boolean_chain(size, n_tests, rng):
     return state, [subset() for _ in range(n_tests)], subset()
 
 
+def _branch_operands(event):
+    """The operands of the two branches a level conditions on, the
+    complement's first, taken from the public complement event."""
+    kind = event._kind
+    return np.stack([kind.operand(complement(event)), kind.operand(event)])
+
+
 def _random_level(algebra, rng, m=12):
     """m states, half of them conditioned (so of lower rank or support),
     and one event with a certain, an impossible or a random rank."""
@@ -572,14 +580,15 @@ def test_level_arithmetic_matches_per_node(algebra):
         _, after = _random_level(algebra, after_rng, m=0)
         stack = np.stack([s.matrix if isinstance(s, DensityState) else s.weights
                           for s in states])
-        p_yes = event._kind.probabilities(stack, event)
+        kind = event._kind
+        p_yes = kind.probabilities(stack, kind.operand(event))
         assert np.array_equal(p_yes, [prob(s, event) for s in states])
         comp = complement(event)
         branches = [comp, event]
         realized = np.array([c for c in range(2 * len(states))
                              if prob(states[c // 2], branches[c % 2]) > 0.0])
-        children, p_after = _condition_level(event._kind, stack, realized, p_yes,
-                                             *_branches(event._kind, event), after)
+        children, p_after = _condition_level(kind, stack, realized, p_yes,
+                                             _branch_operands(event), kind.operand(after))
         for c, child, p in zip(realized, children, p_after):
             want = condition(states[c // 2], branches[c % 2], tol=0.0)
             assert np.array_equal(child, want.matrix if isinstance(want, DensityState)
@@ -599,8 +608,8 @@ def test_level_zero_probability_branch_matches_condition(monkeypatch):
     built = []
     monkeypatch.setattr(_QUANTUM, "conditioned", lambda *args: built.append(args))
     with pytest.raises(ZeroProbabilityCondition) as got:
-        _condition_level(_QUANTUM, stack, np.array([0, 1, 3]), _QUANTUM.probabilities(stack, e),
-                         *_branches(_QUANTUM, e), e)
+        _condition_level(_QUANTUM, stack, np.array([0, 1, 3]),
+                         _QUANTUM.probabilities(stack, e.matrix), _branch_operands(e), e.matrix)
     assert str(got.value) == str(want.value)
     assert got.value.probability == want.value.probability == 0.0
     # The whole block's probabilities are checked before either half is built.
@@ -614,18 +623,19 @@ def test_level_in_blocks_matches_condition(monkeypatch):
     outside = DensityState(np.diag([0.0, 0.5, 0.5]))
     states = [inside, outside, inside, outside]
     stack = np.stack([s.matrix for s in states])
-    monkeypatch.setattr(sampler, "LEVEL_BLOCK_BYTES", 2 * inside.matrix.nbytes)
+    monkeypatch.setattr(orthoprob.linalg, "_CALL_BYTES", 2 * inside.matrix.nbytes)
     realized = np.array([0, 1, 2, 4, 5, 6])
-    children, _ = _condition_level(_QUANTUM, stack, realized, _QUANTUM.probabilities(stack, e),
-                                   *_branches(_QUANTUM, e), e)
+    p_yes = _QUANTUM.probabilities(stack, e.matrix)
+    children, _ = _condition_level(_QUANTUM, stack, realized, p_yes, _branch_operands(e),
+                                   e.matrix)
     for c, child in zip(realized, children):
         want = condition(states[c // 2], e if c % 2 else complement(e), tol=0.0)
         assert np.array_equal(child, want.matrix)
     # Child 7, "yes" of the last state, is impossible; it sits in the last block.
     with pytest.raises(ZeroProbabilityCondition,
                        match=r"^conditioning event has probability 0\.0 <= 0\.0$"):
-        _condition_level(_QUANTUM, stack, np.append(realized, 7),
-                         _QUANTUM.probabilities(stack, e), *_branches(_QUANTUM, e), e)
+        _condition_level(_QUANTUM, stack, np.append(realized, 7), p_yes, _branch_operands(e),
+                         e.matrix)
 
 
 def _state_and_middle_event(algebra):
@@ -703,7 +713,7 @@ class TestAgainstPerNodeReference:
             with monkeypatch.context() as patch:
                 for kind in (_QUANTUM, _BOOLEAN):
                     patch.setattr(kind, "conditioned", recording(kind.conditioned))
-                patch.setattr(sampler, "LEVEL_BLOCK_BYTES",
+                patch.setattr(orthoprob.linalg, "_CALL_BYTES",
                               states_per_block * chain[0].matrix.nbytes
                               if isinstance(chain[0], DensityState)
                               else states_per_block * chain[0].weights.nbytes)
@@ -742,13 +752,13 @@ class TestAgainstPerNodeReference:
 
 
 @pytest.mark.filterwarnings("ignore::orthoprob.NonUniqueConditioningWarning")
-@pytest.mark.parametrize("chunk", [16, sampler.LEVEL_BLOCK_BYTES // 8])
+@pytest.mark.parametrize("chunk", [16, orthoprob.linalg._CALL_BYTES // 8])
 @pytest.mark.parametrize("multiple, offset", [(1, -1), (1, 0), (1, 1), (3, 1)],
                          ids=["w-1", "w", "w+1", "3w+1"])
 def test_trial_chunk_boundaries_match_per_node(chunk, multiple, offset, monkeypatch):
-    # Trials are drawn, counted and remapped LEVEL_BLOCK_BYTES // 8 at a
+    # Trials are drawn, counted and remapped _CALL_BYTES // 8 at a
     # time; trial counts on either side of a chunk edge must not move a bit.
-    monkeypatch.setattr(sampler, "LEVEL_BLOCK_BYTES", 8 * chunk)
+    monkeypatch.setattr(orthoprob.linalg, "_CALL_BYTES", 8 * chunk)
     trials = multiple * chunk + offset
     rng = np.random.default_rng(trials)
     chains = [_random_quantum_chain(3, 5, rng), _random_boolean_chain(6, 5, rng)]
@@ -838,9 +848,9 @@ def test_deep_chain_builds_two_complements_and_never_reaches_eigvalsh(monkeypatc
     want = sample_chain(initial, tests, e, config)
     complements, built = [], []
 
-    def counted(event):
-        complements.append(event)
-        return complement(event)
+    def counted(operand):
+        complements.append(operand)
+        return complement_of(operand)
 
     def conditioned(stack, *args):
         built.append(len(stack))
@@ -849,14 +859,14 @@ def test_deep_chain_builds_two_complements_and_never_reaches_eigvalsh(monkeypatc
     def no_eigvalsh(*args, **kwargs):
         raise AssertionError("eigvalsh was reached")
 
-    original = _QUANTUM.conditioned
-    monkeypatch.setattr(sampler, "complement", counted)
+    original, complement_of = _QUANTUM.conditioned, _QUANTUM.complement_of
+    monkeypatch.setattr(_QUANTUM, "complement_of", counted)
     monkeypatch.setattr(_QUANTUM, "conditioned", conditioned)
     monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
     got = sample_chain(initial, tests, e, config)
     assert len(got.outcome_counts) == 2 ** 12
     assert repr(got) == repr(want)
-    assert complements == [e, f]
+    assert len(complements) == 2 and all(map(np.array_equal, complements, (e.matrix, f.matrix)))
     assert sum(built) == 4095
 
 

@@ -34,7 +34,8 @@ from orthoprob.states import (ClassicalState, DensityState, PredictabilityResult
                               qubit_nonuniqueness_demo, rank_one_transition)
 
 from helpers import (frame_event, random_density_matrix, random_density_state,
-                     random_projection, spin_projection, spin_system, state_family)
+                     random_hermitian, random_projection, spin_projection, spin_system,
+                     state_family)
 
 
 @pytest.fixture
@@ -397,13 +398,12 @@ def test_stacks_keep_the_matrix_arithmetic(dim):
     # per matrix: as one gemm, E times the matrices side by side, it rounds
     # differently at dims 2, 3, 5 and 6, among others.
     rng = np.random.default_rng(400 + dim)
-    alg = QuantumAlgebra(dim)
     pool = np.stack([random_density_matrix(dim, rng) for _ in range(600)])
     stacks = [pool[:1], pool[:2], pool[:7], pool[::2]]
     assert not stacks[-1].flags.c_contiguous
     for stack in stacks:
         e = random_projection(dim, int(rng.integers(1, dim + 1)), rng).matrix
-        p = _QUANTUM.probabilities(stack, alg.event(e))
+        p = _QUANTUM.probabilities(stack, e)
         assert np.array_equal(
             p, _clamp_probability(np.array([(rho @ e).trace().real for rho in stack])))
         for rho, child in zip(stack, _QUANTUM.conditioned(stack, e, p)):
@@ -640,6 +640,61 @@ class TestPredictability:
             predictability_seq(q3.one(), [q3.zero(), die.one()])
         with pytest.raises(AlgebraMismatch):
             predictability_seq(q3.one(), [q3.one(), die.one(), q3.zero()])
+
+
+class TestPredictabilitySpreadOracle:
+    """The pair verdict against ``eigh``.  With Q an orthonormal basis of
+    ran(F), P(target | F) fills the eigenvalue range of Q^H T Q over all
+    states, and the residual ||FTF - sF||_F is the distance of those
+    eigenvalues from their mean s.  So spread <= 2 residual <= 2 sqrt(rank)
+    spread, and at ``bound = tol * max(1, ||F||_F)`` a pair whose spread is
+    at most bound / sqrt(rank) is certified and one whose spread exceeds
+    2 bound is not."""
+
+    TOL = orthoprob.linalg.DEFAULT_DETECTION_TOL
+    ROUNDOFF = 1e-14
+
+    @staticmethod
+    def spread(target, given):
+        values, vectors = np.linalg.eigh(given.matrix)
+        q = vectors[:, values > 0.5]
+        inside = np.linalg.eigvalsh(q.conj().T @ target.matrix @ q)
+        return float(inside[-1] - inside[0]), q.shape[1]
+
+    def assert_oracle_holds(self, target, given):
+        """The verdict, certified or not, after checking both bounds."""
+        spread, rank = self.spread(target, given)
+        result = predictability(target, given, self.TOL)
+        assert spread <= 2 * result.residual + self.ROUNDOFF
+        assert 2 * result.residual <= 2 * math.sqrt(rank) * spread + self.ROUNDOFF
+        bound = self.TOL * max(1.0, float(np.linalg.norm(given.matrix)))
+        if spread <= bound / math.sqrt(rank) - self.ROUNDOFF:
+            assert result.predictable
+        if spread > 2 * bound + self.ROUNDOFF:
+            assert not result.predictable
+        return result.predictable
+
+    def test_random_pairs(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            dim = int(rng.integers(2, 8))
+            alg = QuantumAlgebra(dim)
+            target, given = (frame_event(alg, random_unitary(dim, rng)[:, :k])
+                             for k in rng.integers(1, dim + 1, size=2))
+            self.assert_oracle_holds(target, given)
+
+    def test_pairs_turned_near_the_bound(self):
+        # The half-transition target, exactly predictable after E, turned by
+        # exp(i eps H): the spread grows with eps through the bound.
+        alg, e, f = half_transition_pair()
+        rng = np.random.default_rng(8)
+        verdicts = set()
+        for eps in np.logspace(-13, -5, 40):
+            values, vectors = np.linalg.eigh(random_hermitian(4, rng).matrix)
+            turn = (vectors * np.exp(1j * eps * values)) @ vectors.conj().T
+            target = alg.event(_symmetrized(turn @ f.matrix @ turn.conj().T))
+            verdicts.add(self.assert_oracle_holds(target, e))
+        assert verdicts == {True, False}
 
 
 class TestDiagonalDichotomy:
