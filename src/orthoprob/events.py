@@ -185,9 +185,11 @@ def _clamp_probability(p: np.ndarray) -> np.ndarray:
 # probabilities of an event and its conditioning on it take the event's
 # operand, and conditioning multiplies each state by it.
 # ``state_of(like, array)`` is the one route from an array the library
-# computed to a checked state on ``like``'s space.  The predictability parts
-# return the candidate s, its residual and its scale, for ``states`` to
-# certify with ``_within``.  ``commutative`` says that all events commute:
+# computed to a checked state on ``like``'s space.  A pair's predictability
+# takes the operands of target and given, so the sampler certifies the
+# operands of its branches with it; it and the sequence's return the
+# candidate s, its residual and its scale, for ``states`` to certify with
+# ``_within``.  ``commutative`` says that all events commute:
 # every pair is compatible, and only the other kind has a ``commutator``,
 # whose norm ``holds`` decides, compatibility residuals and an interference
 # term.
@@ -280,9 +282,10 @@ class _BooleanKind:
         pass
 
     def predictability(self, target, given):
-        if not given.members:
+        n_given = int(np.count_nonzero(given))
+        if n_given == 0:
             raise ZeroEvent("conditioning event is empty")
-        return _counted(len(given.members), len(given.members & target.members))
+        return _counted(n_given, int(np.count_nonzero(given & target)))
 
     def predictability_seq(self, target, given, tol):
         base = frozenset(range(target.space.size))
@@ -441,11 +444,11 @@ class _QuantumKind:
                 NonUniqueConditioningWarning, stacklevel=3)
 
     def predictability(self, target, given):
-        if given.rank == 0:
+        # A projection's trace is within TOL_IDEMPOTENT of its rank.
+        tr_f = float(given.trace().real)
+        if tr_f < 0.5:
             raise ZeroEvent("conditioning event is the zero projection")
-        f = given.matrix
-        return _trace_ratio(_quadratic(f, target.matrix), f, float(f.trace().real),
-                            given._norm)
+        return _trace_ratio(_quadratic(given, target), given, tr_f, float(np.linalg.norm(given)))
 
     def predictability_seq(self, target, given, tol):
         m = np.eye(target.dim, dtype=np.complex128)

@@ -54,6 +54,7 @@ DEFAULT_CONDITION_TOL = 1e-9  # probability at or below which conditioning is re
 DEFAULT_PATH_TOL = 1e-9  # path probability at or below which interference drops or refuses it
 DEFAULT_QUERY_TOL = 1e-9  # tol of run_query and of --tol, passed to every operation of a query
 DEGENERATE_BRANCH = 1e-14  # branch probability that the sampler counts to the other branch
+TOL_EXACT_BRANCH = 64 * sys.float_info.epsilon  # ||FAF - sF||_F, relative to ||F||_F, up to which the sampler draws branch F with s
 
 # Bytes of operands that one stacked call takes, in the sampler's levels and
 # the axiom harness's blocks: their temporaries stay near this size, however

@@ -16,36 +16,51 @@ below ``2 * min(trials, 2**(n - 1))`` for n tests, so they are held in the
 narrowest unsigned type that fits: 1 byte per trial for up to 8 tests or
 128 trials, 2 bytes for up to 16 tests or 32768 trials, 4 bytes for up
 to 32 tests or 2**31 trials, and int64, 8 bytes, past that.  Everything
-else is kept per realized node: its outcome prefix, its trial count and,
-above the last level, its state and its probability of the next test.
-The last level builds the all-yes node's state alone, the one state the
-final draw reads, with its probability of the final event.  Each level
-draws, counts and renumbers the trials a chunk of ``linalg._CALL_BYTES``
-of 8-byte draws at a time, in trial order, so past the node ids the
-working set is fixed.  Realized nodes stay in increasing prefix order, so
-the last level's nodes are the keys of ``outcome_counts`` in increasing
-order, and the all-yes path, when realized, is the last node.  Chains of
-any length take this one route.
+else is kept per realized node: its outcome prefix, its trial count, its
+probability of the event the next draw reads (the next test, or the final
+event after the last test) and, in the levels that build states (below),
+its state.  The last level keeps the all-yes node alone, the one the final
+draw reads.  Each level draws, counts and renumbers the trials a chunk of
+``linalg._CALL_BYTES`` of 8-byte draws at a time, in trial order, so past
+the node ids the working set is fixed.  Realized nodes stay in increasing
+prefix order, so the last level's nodes are the keys of ``outcome_counts``
+in increasing order, and the all-yes path, when realized, is the last
+node.  Chains of any length take this one route.
 
-The realized prefix states of one level are held as one stack, (m, d, d)
-density matrices or (m, size) weight rows.  A level is conditioned a
+A level's pair is its test and the event the next draw reads.  When a
+branch F of the test, the complement or the test itself, satisfies
+F A F = s F for the event A read next, every child on that branch has
+probability s of A whatever its state: the paper's state-independent
+conditional probability.  A pair is certified, both branches, by
+``states.predictability``'s arithmetic on the operands at rounding level,
+``TOL_EXACT_BRANCH``; a branch of rank 0 is not certified.  States are
+built up to the last level whose pair is not certified; every later level
+gives each child the certified s of its branch and builds nothing, so a
+chain of certified pairs builds no state.  Pairs are certified from the
+last level back, each distinct pair once, and only up to the first that is
+not certified.  The certified s equals a state's probability within
+rounding, so the counts are the state route's in practice but not by
+construction: they differ only where a draw falls between two roundings of
+one probability.
+
+The states of a level that builds them are held as one stack, (m, d, d)
+density matrices or (m, size) weight rows.  Such a level is conditioned a
 block of children at a time, ``linalg._CALL_BYTES`` of states, the bound
 of the axiom harness's stacked calls too, by the algebra kind's stacked
 routines, which ``states.prob`` and ``states.condition`` run on one state,
 so every state and probability carries the bits of the one-node-at-a-time
 route on kernels where the ``kernel_dependent`` tests pass.  Those
 routines take events' operands, never events.  Each block's
-probabilities of the event the next draw reads (the next test, or the
-final event after the last test) are taken in the pass that builds and
-checks it; only the initial state's probability of the first test is
-taken apart.  The pair of branches a level conditions on, the operands of
-a test event's complement and of the event, is built once per distinct
-test, not once per level, and no complement event is built.  The state
+probabilities of the event the next draw reads are taken in the pass that
+builds and checks it; only the initial state's probability of the first
+test is taken apart.  The pair of branches a level conditions on, the
+operands of a test event's complement and of the event, is built once per
+distinct test, not once per level, and no complement event is built.  The state
 contract runs once per block of built children and reports the block's
 first offending child: every branch built has positive probability, then
 each state passes the ClassicalState or DensityState checks (all but the
 Hermitian scan, which the symmetrized compression passes by
-construction).
+construction).  A level that builds no state checks none.
 
 Randomness comes from one counter-based Philox stream, keyed by the seed
 and a stream number (0 but in ``state_independence_check``), consumed in a
@@ -64,10 +79,18 @@ through ``random``.  For an integer ``k < 2**53``, ``k * 2**-53 < p``
 exactly when ``k < ceil(p * 2**53)``: scaling by a power of two changes
 only the exponent, so ``p * 2**53`` is exact.  Each branch probability
 thus becomes one uint64 threshold, and comparing ``k`` with it gives the
-bits of ``random() < p``, for ``p`` of 0 and 1 too.  A level of one node
-(the first, and every level that certain tests alone lead to) counts its
-"yes" trials with ``np.count_nonzero`` instead of a ``bincount`` of the
-node ids.
+bits of ``random() < p``, for ``p`` of 0 and 1 too.  A draw below a
+level's lowest threshold says yes at every node, and one at or above its
+highest says no at every node.  So a level whose thresholds lie so close
+that fewer than one draw of a chunk is expected between them compares a
+chunk's draws with the lowest, and gathers a threshold per trial only for
+a chunk with a draw between the two; the outcomes are those of the
+per-trial compare by construction.  Such levels are the levels of one node
+(the first, and every level that certain tests alone lead to), certified
+levels whose branches give one probability within a few ulp, as in a
+chain of half-transition pairs, and levels of states whose probabilities
+differ in their last bits only.  A level of one node also counts its "yes"
+trials with ``np.count_nonzero`` instead of a ``bincount`` of the node ids.
 """
 
 from __future__ import annotations
@@ -82,9 +105,10 @@ from .errors import (EmptyChain, ImpossibleSequence, NotPredictable,
                      ValidationError, ZeroEvent, ZeroProbabilityCondition)
 from .events import (_SEED_BOUND, DEFAULT_SEED, DEFAULT_TRIALS, Event, _require_instance,
                      _shared_kind)
-from .linalg import (DEFAULT_CONDITION_TOL, DEGENERATE_BRANCH, TAIL_LEVEL, _require_int,
-                     _require_sequence, _slices)
-from .states import State, _check_probabilities, condition, predictability_seq, prob
+from .linalg import (DEFAULT_CONDITION_TOL, DEGENERATE_BRANCH, TAIL_LEVEL, TOL_EXACT_BRANCH,
+                     _require_int, _require_sequence, _slices)
+from .states import (State, _certified, _check_probabilities, condition, predictability_seq,
+                     prob)
 
 
 @dataclass(frozen=True)
@@ -193,12 +217,30 @@ def _condition_level(kind, stack: np.ndarray, realized: np.ndarray, p_yes: np.nd
     return children, p_after
 
 
+def _exact_branches(kind, branches: np.ndarray, after: np.ndarray) -> np.ndarray | None:
+    """The probabilities of ``after`` on the two ``branches``, the no and
+    the yes operands of a test, when both are certified state-independent
+    at rounding level (``states.predictability``'s arithmetic at
+    TOL_EXACT_BRANCH), else None.  A branch of rank 0 is never certified."""
+    try:
+        verdicts = [_certified(*kind.predictability(after, branch), TOL_EXACT_BRANCH)
+                    for branch in branches]
+    except ZeroEvent:
+        return None
+    return np.array([v.s for v in verdicts]) if all(v.predictable for v in verdicts) else None
+
+
 def sample_chain(initial: State, tests: Sequence[Event], final: Event,
                  config: SamplerConfig = SamplerConfig(), *, _stream: int = 0) -> ChainResult:
     """Sample ``config.trials`` runs of the measurement chain.
 
     Every trial performs all tests in order under conditioning on the
     drawn outcomes; the final event is drawn only on the all-yes path.
+    Past the last level whose pair, a test and the event read next, is not
+    certified state-independent at rounding level, a level draws with the
+    certified s of each branch instead of a conditioned state's
+    probability.  The two agree within rounding, so the counts match the
+    state route's in practice, though not by construction.
     ``predicted_p`` carries the certified sequential conditional
     probability when the chain is statistically predictable, else None.
     The draws come from the Philox stream keyed by ``(config.seed,
@@ -222,22 +264,46 @@ def sample_chain(initial: State, tests: Sequence[Event], final: Event,
     gathered = np.empty(len(chunks[0]), dtype=np.uint64)
     outcome = np.empty(len(gathered), dtype=bool)
     paths = np.zeros((1, n), dtype=bool)
-    branches = {}
 
-    operands = [kind.operand(event) for event in [*tests, final]]
-    p_yes = kind.probabilities(stack, operands[0])
-    for k, (event, op, after) in enumerate(zip(tests, operands, operands[1:])):
+    events = [*tests, final]
+    operands = [kind.operand(event) for event in events]
+    branches = {}
+    for event, op in zip(tests, operands):
         if id(event) not in branches:
             branches[id(event)] = np.stack([kind.complement_of(op), op])
+    # Levels from ``stateful`` on draw with certified values alone.  Pairs
+    # are certified from the last level back, up to the first that is not:
+    # the levels before it build states either way.
+    stateful, exact = n, {}
+    while stateful > 0:
+        pair = id(tests[stateful - 1]), id(events[stateful])
+        if pair not in exact:
+            exact[pair] = _exact_branches(kind, branches[pair[0]], operands[stateful])
+        if exact[pair] is None:
+            break
+        stateful -= 1
+
+    p_yes = kind.probabilities(stack, operands[0])
+    for k, (event, after, read) in enumerate(zip(tests, operands[1:], events[1:])):
         yes = _thresholds(p_yes)
+        lo, hi = yes.min(), yes.max()
+        # Fewer than one draw a chunk is expected in [lo, hi), where a
+        # trial's outcome depends on its node.
+        close = int(hi - lo) * len(gathered) < 2 ** 53
         one_node = len(yes) == 1
-        counts = np.zeros(2 * len(stack), dtype=np.int64)
+        counts = np.zeros(2 * len(yes), dtype=np.int64)
         for ids in chunks:
             m = len(ids)
-            # Node ids are always in range; raise mode would buffer ``out``.
-            hit = np.less(_draws(philox, m),
-                          yes if one_node else yes.take(ids, out=gathered[:m], mode="clip"),
-                          out=outcome[:m])
+            draws = _draws(philox, m)
+            decided = close
+            if close:
+                hit = np.less(draws, lo, out=outcome[:m])
+                decided = lo == hi or np.count_nonzero(draws < hi) == np.count_nonzero(hit)
+            if not decided:
+                # Node ids are always in range; raise mode would buffer ``out``.
+                hit = np.less(draws, yes.take(ids, out=gathered[:m], mode="clip"),
+                              out=outcome[:m])
+            del draws  # before the next chunk's draws: peak memory would hold both
             ids *= 2
             ids += hit
             if one_node:
@@ -257,7 +323,11 @@ def sample_chain(initial: State, tests: Sequence[Event], final: Event,
         if k == n - 1:
             # Only the final draw reads a last-level state: the all-yes one.
             built = realized[-1:] if paths[-1].all() else realized[:0]
-        stack, p_yes = _condition_level(kind, stack, built, p_yes, branches[id(event)], after)
+        if k < stateful:
+            stack, p_yes = _condition_level(kind, stack, built, p_yes, branches[id(event)],
+                                            after)
+        else:
+            p_yes = exact[id(event), id(read)][built % 2]
 
     all_yes_count = final_yes_count = 0
     if paths[-1].all():

@@ -178,7 +178,8 @@ def predictability(target: Event, given: Event,
     its complement.
     """
     _require_tolerance(tol)
-    return _certified(*_shared_kind(target, given).predictability(target, given), tol)
+    kind = _shared_kind(target, given)
+    return _certified(*kind.predictability(kind.operand(target), kind.operand(given)), tol)
 
 
 def predictability_seq(target: Event, given: Sequence[Event],

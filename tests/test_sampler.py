@@ -18,13 +18,14 @@ from orthoprob.errors import (AlgebraMismatch, EmptyChain,
                               ZeroProbabilityCondition)
 from orthoprob.events import (_BOOLEAN, _QUANTUM, BooleanAlgebra, QuantumAlgebra, complement,
                              verify_orthospace_axioms)
+from orthoprob.linalg import random_unitary
 from orthoprob.presets import half_transition_pair, order_dependence_example
 from orthoprob import sampler
 from orthoprob.sampler import (DEGENERATE_BRANCH, TAIL_LEVEL, ChainResult, SamplerConfig,
                                _condition_level, _draws, _tail_reaches, _thresholds,
                                sample_chain, state_independence_check)
 from orthoprob.states import (ClassicalState, DensityState, atom_state, condition, condition_seq,
-                              predictability_seq, prob)
+                              predictability, predictability_seq, prob)
 
 from helpers import SEED_REFUSALS, random_density_state, random_projection
 
@@ -657,6 +658,65 @@ def _certain_and_impossible_chains(one, zero, middle):
             [middle, middle, one], [middle, middle, zero])
 
 
+def _built_states(monkeypatch):
+    """A list to which every stacked conditioning call, of either kind, adds
+    the number of states it builds, from now to the end of the test."""
+    built = []
+    for kind in (_QUANTUM, _BOOLEAN):
+        def conditioned(stack, *args, original=kind.conditioned):
+            built.append(len(stack))
+            return original(stack, *args)
+        monkeypatch.setattr(kind, "conditioned", conditioned)
+    return built
+
+
+def _states_of_route(result, levels):
+    """The states that the state route builds for ``result``'s chain in its
+    first ``levels`` levels: one per realized prefix of length 1 to
+    ``levels``, but at the last level only the all-yes one."""
+    keys = list(result.outcome_counts)
+    n = len(keys[0])
+    count = sum(len({key[:j] for key in keys}) for j in range(1, min(levels, n - 1) + 1))
+    return count + (levels == n and "1" * n in result.outcome_counts)
+
+
+def _routed_chains(algebra):
+    """Chains of ``algebra``, each with the number of levels, from the first,
+    that build states: all up to the last whose pair, the test and the event
+    read next, has a branch that is not certified at rounding level.
+
+    Quantum chains use the half pair e, f of C^4, whose four branch pairs
+    are certified at 1/2, a generic plane g, and e moved by 1e-12 of
+    Hermitian noise, which ``predictability`` certifies at its default
+    tolerance but the sampler must not.  Boolean chains on 6 points use
+    t = {0, 1, 2}: a branch inside or disjoint from the event read next is
+    certified, at 1 or 0, and t and its complement t' are both only when
+    that event is t or t'.  A test ``one`` or ``zero`` has a branch of rank
+    0, never certified; as the event read next, either certifies any test.
+    """
+    one, zero = algebra.one(), algebra.zero()
+    if isinstance(algebra, QuantumAlgebra):
+        _, e, f = half_transition_pair()
+        rng = np.random.default_rng(21)
+        g = algebra.event(random_projection(4, 2, rng))
+        noise = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        near = algebra.event(e.matrix + 1e-12 * (noise + noise.conj().T))
+        assert predictability(near, f).predictable
+        initial = random_density_state(4, rng)
+        return initial, [
+            ([e, f, e, f], e, 0), ([e, f, e, f], g, 4), ([e, f, g, f, e, f], e, 3),
+            ([e, f, e, f], near, 4), ([near, f, e], f, 1),
+            ([one, e, f], e, 1), ([e, one, f], e, 2), ([e, f, zero], e, 3),
+            ([e, zero, f], one, 2)]
+    t, u, v = algebra.event([0, 1, 2]), algebra.event([0, 1]), algebra.event([3, 4])
+    t_ = complement(t)
+    initial = ClassicalState(algebra.space, np.arange(1.0, 7.0) / 21.0)
+    return initial, [
+        ([t, t, t_, t], t, 0), ([t, u, t, t_], t, 2), ([v, t, t, t], t_, 1),
+        ([t, t, u], t, 3), ([u, t_], v, 2),
+        ([one, t, t], t, 1), ([t, one, t_], t, 2), ([t, zero, t], t, 2), ([t, t], zero, 0)]
+
+
 @pytest.mark.filterwarnings("ignore::orthoprob.NonUniqueConditioningWarning")
 class TestAgainstPerNodeReference:
     """Every ChainResult field equals the per-node route's, compared by repr."""
@@ -695,29 +755,49 @@ class TestAgainstPerNodeReference:
             else:
                 assert got.all_yes_count > 0
 
+    @pytest.mark.parametrize("algebra", [QuantumAlgebra(4), BooleanAlgebra(6)], ids=repr)
+    def test_states_stop_at_the_last_uncertified_level(self, algebra, monkeypatch):
+        initial, chains = _routed_chains(algebra)
+        built, certified = _built_states(monkeypatch), []
+        exact_branches = sampler._exact_branches
+        monkeypatch.setattr(sampler, "_exact_branches",
+                            lambda *args: certified.append(1) or exact_branches(*args))
+        for seed, (tests, final, levels) in enumerate(chains):
+            config = SamplerConfig(seed=seed, trials=600)
+            want = _per_node_chain(initial, tests, final, config)
+            del built[:], certified[:]
+            got = sample_chain(initial, tests, final, config)
+            _assert_same_result(got, want)
+            assert sum(built) == _states_of_route(got, levels), (seed, levels)
+            # Pairs are certified from the last level back to the last level
+            # whose pair is not certified, each distinct pair once.
+            events = [*tests, final]
+            assert len(certified) == len({(id(tests[k]), id(events[k + 1]))
+                                          for k in range(max(levels - 1, 0), len(tests))})
+            # The state route, taken when the certifier refuses, builds every
+            # level's states.
+            del built[:]
+            with monkeypatch.context() as patch:
+                patch.setattr(sampler, "_exact_branches", lambda *args: None)
+                _assert_same_result(sample_chain(initial, tests, final, config), want)
+            assert sum(built) == _states_of_route(got, len(tests))
+
     @pytest.mark.parametrize("states_per_block", [1, 3])
     def test_levels_split_into_blocks(self, states_per_block, monkeypatch):
         rng = np.random.default_rng(77)
         chains = [_random_quantum_chain(3, 6, rng), _random_boolean_chain(6, 6, rng)]
-        sizes = []
-
-        def recording(original):
-            def conditioned(stack, *args):
-                sizes.append(len(stack))
-                return original(stack, *args)
-            return conditioned
-
+        built, sizes = _built_states(monkeypatch), []
         for chain in chains:
             config = SamplerConfig(seed=4, trials=400)
             want = _per_node_chain(*chain, config)
+            del built[:]
             with monkeypatch.context() as patch:
-                for kind in (_QUANTUM, _BOOLEAN):
-                    patch.setattr(kind, "conditioned", recording(kind.conditioned))
                 patch.setattr(orthoprob.linalg, "_CALL_BYTES",
                               states_per_block * chain[0].matrix.nbytes
                               if isinstance(chain[0], DensityState)
                               else states_per_block * chain[0].weights.nbytes)
                 _assert_same_result(sample_chain(*chain, config), want)
+            sizes += built
         assert max(sizes) == states_per_block
 
     @pytest.mark.parametrize("n_tests", [62, 63, 64])
@@ -774,6 +854,74 @@ def test_trial_chunk_boundaries_match_per_node(chunk, multiple, offset, monkeypa
         without_all_yes += got.all_yes_count == 0
     # The impossible tests of both algebras leave no all-yes trial.
     assert without_all_yes >= 4
+
+
+def _gathers(monkeypatch):
+    """A list to which every chunk of a level that compares its draws with
+    thresholds gathered per trial adds its length, from now to the end of
+    the test."""
+    gathered = []
+
+    class Counted(np.ndarray):
+        def take(self, indices, *args, **kwargs):
+            gathered.append(len(indices))
+            return np.asarray(self).take(indices, *args, **kwargs)
+
+    thresholds = sampler._thresholds
+    monkeypatch.setattr(sampler, "_thresholds", lambda p: thresholds(p).view(Counted))
+    return gathered
+
+
+@pytest.mark.parametrize("algebra", [QuantumAlgebra(4), BooleanAlgebra(6)], ids=repr)
+def test_uniform_levels_compare_with_one_threshold(algebra, monkeypatch):
+    # No level of these chains has a draw between its lowest and highest
+    # threshold: a one-node level, a certified level of two branches of one
+    # value, a level whose states all give the next event 1, and the half
+    # pair turned by a unitary, certified at values an ulp apart.  The
+    # draws are compared with the lowest threshold, never gathered per
+    # trial, and the counts keep the bits of the per-node route.
+    one, zero = algebra.one(), algebra.zero()
+    if isinstance(algebra, QuantumAlgebra):
+        _, e, f = half_transition_pair()
+        rng = np.random.default_rng(8)
+        u = random_unitary(4, rng)
+        e2, f2 = (algebra.event(u @ x.matrix @ u.conj().T) for x in (e, f))
+        initial = random_density_state(4, rng)
+        chains = [([e, f, e, f], e), ([one, one, e], f), ([e, one, one], f),
+                  ([e2, f2, e2, f2, e2], f2)]
+    else:
+        t = algebra.event([0, 1, 2])
+        initial = ClassicalState(algebra.space, np.full(6, 1.0 / 6.0))
+        chains = [([t, one, one], t), ([t, zero], t), ([one, t], t)]
+    gathered = _gathers(monkeypatch)
+    for seed, (tests, final) in enumerate(chains):
+        config = SamplerConfig(seed=seed, trials=700)
+        want = _per_node_chain(initial, tests, final, config)
+        got = sample_chain(initial, tests, final, config)
+        _assert_same_result(got, want)
+        assert got.all_yes_count > 0 or tests[-1] is zero
+    assert gathered == []
+
+
+@pytest.mark.parametrize("algebra", [QuantumAlgebra(4), BooleanAlgebra(4)], ids=repr)
+def test_close_thresholds_gather_only_chunks_with_a_draw_between(algebra, monkeypatch):
+    # After the first test the two nodes give the second 0.5 and 0.52.  In
+    # chunks of 16 trials fewer than one draw a chunk is expected between
+    # the two thresholds, so a chunk is compared with the lower one and
+    # gathered per trial only when a draw falls between them.
+    monkeypatch.setattr(orthoprob.linalg, "_CALL_BYTES", 8 * 16)
+    weights = np.array([0.25, 0.25, 0.26, 0.24])
+    if isinstance(algebra, QuantumAlgebra):
+        initial = DensityState(np.diag(weights))
+        first, second = (algebra.event(np.diag(row)) for row in ([1.0, 1, 0, 0], [1.0, 0, 1, 0]))
+    else:
+        initial = ClassicalState(algebra.space, weights)
+        first, second = algebra.event([0, 1]), algebra.event([0, 2])
+    config = SamplerConfig(seed=6, trials=800)
+    want = _per_node_chain(initial, [first, second], first, config)
+    gathered = _gathers(monkeypatch)
+    _assert_same_result(sample_chain(initial, [first, second], first, config), want)
+    assert 0 < len(gathered) < 800 // 16 and set(gathered) == {16}
 
 
 def _bit_chain(n_tests):
@@ -836,38 +984,49 @@ class TestNodeIdTypeEdges:
 
 def test_deep_chain_builds_two_complements_and_never_reaches_eigvalsh(monkeypatch):
     # The shape of the chain_deep benchmark: 12 alternating tests on C^4
-    # realizing all 8190 prefix nodes.  Every built state is certified by
-    # the Cholesky pre-check, and each distinct test event is complemented
-    # once per chain, not once per level.  States are built for the nodes
-    # of levels 1 to 11, 2 + 4 + ... + 2048, and for the last level's
-    # all-yes node alone, the one state the final draw reads.
+    # realizing all 8190 prefix nodes.  Its two distinct pairs, (e, f) and
+    # (f, e) (the final event is e), are certified at rounding level, so the
+    # chain builds no state: every level draws with the certified 1/2.  The
+    # state route, which the chain takes when the certifier refuses, builds
+    # the states of levels 1 to 11, 2 + 4 + ... + 2048, and the last level's
+    # all-yes node, 4095 states, each passed by the Cholesky pre-check, and
+    # gives the same result.  Each distinct test is complemented once per
+    # chain, not once per level.
     _, e, f = half_transition_pair()
     initial = random_density_state(4, np.random.default_rng(5))
     tests = [e if k % 2 == 0 else f for k in range(12)]
-    config = SamplerConfig(seed=3, trials=120_000)
-    want = sample_chain(initial, tests, e, config)
-    complements, built = [], []
+    complements, certified = [], []
 
     def counted(operand):
         complements.append(operand)
         return complement_of(operand)
 
-    def conditioned(stack, *args):
-        built.append(len(stack))
-        return original(stack, *args)
+    def certifying(*args):
+        certified.append(exact_branches(*args))
+        return certified[-1]
 
     def no_eigvalsh(*args, **kwargs):
         raise AssertionError("eigvalsh was reached")
 
-    original, complement_of = _QUANTUM.conditioned, _QUANTUM.complement_of
+    complement_of, exact_branches = _QUANTUM.complement_of, sampler._exact_branches
     monkeypatch.setattr(_QUANTUM, "complement_of", counted)
-    monkeypatch.setattr(_QUANTUM, "conditioned", conditioned)
+    monkeypatch.setattr(sampler, "_exact_branches", certifying)
     monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
-    got = sample_chain(initial, tests, e, config)
-    assert len(got.outcome_counts) == 2 ** 12
-    assert repr(got) == repr(want)
-    assert len(complements) == 2 and all(map(np.array_equal, complements, (e.matrix, f.matrix)))
-    assert sum(built) == 4095
+    built = _built_states(monkeypatch)
+    for seed in (1, 5, 7, 11, 302):
+        config = SamplerConfig(seed=seed, trials=120_000)
+        del complements[:], certified[:], built[:]
+        got = sample_chain(initial, tests, e, config)
+        assert len(got.outcome_counts) == 2 ** 12
+        assert len(complements) == 2 and all(map(np.array_equal, complements,
+                                                 (e.matrix, f.matrix)))
+        assert len(certified) == 2 and all(np.array_equal(s, [0.5, 0.5]) for s in certified)
+        assert built == []
+        with monkeypatch.context() as patch:
+            patch.setattr(sampler, "_exact_branches", lambda *args: None)
+            want = sample_chain(initial, tests, e, config)
+        assert sum(built) == 4095
+        assert repr(got) == repr(want)
 
 
 class TestChainContract:
