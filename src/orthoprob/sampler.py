@@ -7,25 +7,34 @@ final outcome for the target event is drawn.  States along the walk
 depend only on the outcome prefix, so they are computed once per realized
 prefix and trials are driven purely by uniform draws.
 
-A trial's only state is the id of its prefix node; child ``c`` of a
-level is ``2 * parent + bit``.  Between tests the ids are renumbered to
-each node's place among the level's realized nodes; after the last test
-they are left as child codes, and the final draw compares them with the
-all-yes node's code.  Ids stay
+A trial's only state is the id of its prefix node; the code of a node's
+child is ``2 * id + bit``.  A level counts its children's trials only
+where something reads the counts: a level that builds states (below), the
+last level, whose counts are the outcome counts, and a level after which
+the next level's codes could pass a chunk's length, so that a chain
+realizing few prefixes counts no chunk into a longer array.
+Such a level renumbers the ids to each child's place among its realized
+children; after the last test they are left as codes, and the final draw
+compares them with the all-yes node's code.  Any other level is certified
+(below) and only appends its bit: its children's probabilities are its
+branches' two certified values, read off a code's last bit, and the next
+count takes the prefix of a code from its high bits and the outcomes since
+the last count from its low bits.  Ids, codes of uncounted levels too, stay
 below ``2 * min(trials, 2**(n - 1))`` for n tests, so they are held in the
 narrowest unsigned type that fits: 1 byte per trial for up to 8 tests or
 128 trials, 2 bytes for up to 16 tests or 32768 trials, 4 bytes for up
 to 32 tests or 2**31 trials, and int64, 8 bytes, past that.  Everything
-else is kept per realized node: its outcome prefix, its trial count, its
-probability of the event the next draw reads (the next test, or the final
-event after the last test) and, in the levels that build states (below),
-its state.  The last level keeps the all-yes node alone, the one the final
-draw reads.  Each level draws, counts and renumbers the trials a chunk of
-``linalg._CALL_BYTES`` of 8-byte draws at a time, in trial order, so past
-the node ids the working set is fixed.  Realized nodes stay in increasing
-prefix order, so the last level's nodes are the keys of ``outcome_counts``
-in increasing order, and the all-yes path, when realized, is the last
-node.  Chains of any length take this one route.
+else is kept per node of the last count: its outcome prefix, its trial
+count, its probability of the event the next draw reads (the next test,
+or the final event after the last test) and, in the levels that build
+states, its state.  The last level keeps the all-yes node alone, the one
+the final draw reads.  Each level draws, and where it counts, counts and
+renumbers the trials a chunk of ``linalg._CALL_BYTES`` of 8-byte draws at
+a time, in trial order, so past the node ids the working set is fixed.
+Codes and realized nodes stay in increasing prefix order, so the last
+level's nodes are the keys of ``outcome_counts`` in increasing order, and
+the all-yes path, when realized, is the last node.  Chains of any length
+take this one route.
 
 A level's pair is its test and the event the next draw reads.  When a
 branch F of the test, the complement or the test itself, satisfies
@@ -89,8 +98,9 @@ per-trial compare by construction.  Such levels are the levels of one node
 (the first, and every level that certain tests alone lead to), certified
 levels whose branches give one probability within a few ulp, as in a
 chain of half-transition pairs, and levels of states whose probabilities
-differ in their last bits only.  A level of one node also counts its "yes"
-trials with ``np.count_nonzero`` instead of a ``bincount`` of the node ids.
+differ in their last bits only.  A level of one node that counts takes
+its "yes" trials with ``np.count_nonzero`` instead of a ``bincount`` of the
+node ids.
 """
 
 from __future__ import annotations
@@ -175,8 +185,11 @@ def _draws(philox: np.random.Philox, m: int) -> np.ndarray:
 
 def _node_id_type(trials: int, n: int) -> type:
     """The narrowest type of ``sample_chain``'s node ids for ``trials``
-    trials of ``n`` tests.  Past uint32 it is int64, as numpy 1.x's
-    ``bincount`` refuses uint64."""
+    trials of ``n`` tests: one that holds every id below ``2 * min(trials,
+    2**(n - 1))``.  A level's children number at most that, and
+    ``sample_chain`` counts and renumbers them before the codes of levels
+    that count nothing could reach it.  Past uint32 it is int64, as numpy
+    1.x's ``bincount`` refuses uint64."""
     top = 2 * min(trials, 2 ** (n - 1)) - 1
     for dtype in (np.uint8, np.uint16, np.uint32):
         if top <= np.iinfo(dtype).max:
@@ -240,7 +253,10 @@ def sample_chain(initial: State, tests: Sequence[Event], final: Event,
     certified state-independent at rounding level, a level draws with the
     certified s of each branch instead of a conditioned state's
     probability.  The two agree within rounding, so the counts match the
-    state route's in practice, though not by construction.
+    state route's in practice, though not by construction.  Such a level
+    counts its trials' nodes only when it is the last or when the next
+    level's codes could pass a chunk's length; otherwise its trials carry
+    their outcome bits to the next level that counts.
     ``predicted_p`` carries the certified sequential conditional
     probability when the chain is statistically predictable, else None.
     The draws come from the Philox stream keyed by ``(config.seed,
@@ -284,14 +300,24 @@ def sample_chain(initial: State, tests: Sequence[Event], final: Event,
         stateful -= 1
 
     p_yes = kind.probabilities(stack, operands[0])
+    # A level that counts nothing doubles the codes' range, not the realized
+    # nodes.  The next level's codes stay below a chunk's length, so that no
+    # count of a chunk is longer than the chunk however few prefixes a chain
+    # realizes.  A chunk holds at most ``trials`` trials, and the codes of
+    # level k + 1 < n are below 2**(k + 2) <= 2**n, so they stay below the
+    # bound ``_node_id_type`` sizes the ids for as well.
+    # The ids of a level range over ``nodes`` values and hold the ``fresh``
+    # newest outcome bits, which ``paths`` does not yet.
+    nodes, fresh = 1, 0
     for k, (event, after, read) in enumerate(zip(tests, operands[1:], events[1:])):
+        counted = k < stateful or k == n - 1 or 4 * nodes > len(gathered)
         yes = _thresholds(p_yes)
         lo, hi = yes.min(), yes.max()
         # Fewer than one draw a chunk is expected in [lo, hi), where a
         # trial's outcome depends on its node.
         close = int(hi - lo) * len(gathered) < 2 ** 53
-        one_node = len(yes) == 1
-        counts = np.zeros(2 * len(yes), dtype=np.int64)
+        if counted:
+            counts = np.zeros(2 * nodes, dtype=np.int64)
         for ids in chunks:
             m = len(ids)
             draws = _draws(philox, m)
@@ -300,25 +326,37 @@ def sample_chain(initial: State, tests: Sequence[Event], final: Event,
                 hit = np.less(draws, lo, out=outcome[:m])
                 decided = lo == hi or np.count_nonzero(draws < hi) == np.count_nonzero(hit)
             if not decided:
+                # A certified child's probability is its branch's: after a
+                # level that counted nothing, it is read off the last bit.
                 # Node ids are always in range; raise mode would buffer ``out``.
-                hit = np.less(draws, yes.take(ids, out=gathered[:m], mode="clip"),
-                              out=outcome[:m])
+                hit = np.less(draws, yes.take(ids & 1 if fresh else ids, out=gathered[:m],
+                                              mode="clip"), out=outcome[:m])
             del draws  # before the next chunk's draws: peak memory would hold both
             ids *= 2
             ids += hit
-            if one_node:
+            if not counted:
+                continue
+            if nodes == 1:
                 n_yes = np.count_nonzero(hit)
                 counts += (m - n_yes, n_yes)
             else:
                 counts += np.bincount(ids, minlength=len(counts))
+        fresh += 1
+        if not counted:
+            nodes *= 2
+            p_yes = exact[id(event), id(read)]
+            continue
         realized = np.flatnonzero(counts)
         if k < n - 1 and len(realized) < len(counts):
             remap = np.zeros(len(counts), dtype=node_ids.dtype)
             remap[realized] = np.arange(len(realized))
             for ids in chunks:
                 remap.take(ids, out=ids, mode="clip")
-        paths = paths[realized // 2]
-        paths[:, k] = realized % 2
+        # Codes keep prefix order: a code's high bits are its prefix's row.
+        paths = paths[realized >> fresh]
+        for j in range(fresh):
+            paths[:, k - j] = realized >> j & 1
+        nodes, fresh = len(realized), 0
         built = realized
         if k == n - 1:
             # Only the final draw reads a last-level state: the all-yes one.

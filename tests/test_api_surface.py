@@ -23,7 +23,8 @@ from hypothesis import strategies as st
 
 import orthoprob
 from orthoprob import (BooleanAlgebra, ClassicalState, DensityState, QuantumAlgebra,
-                       SampleSpace, SamplerConfig, StateVector, below, compatible, condition,
+                       SampleSpace, SamplerConfig, StateVector, atom_state, below,
+                       compatibility_residuals, compatible, complement, condition,
                        condition_seq, events, events_equal, half_transition_pair,
                        interference, interference_decomposition, linalg, oplus, orthogonal,
                        predictability, predictability_seq, prob, sample_chain, sampler,
@@ -200,21 +201,30 @@ FUZZ_ANY = [x for events, states in FUZZ_WORLDS for x in events + states] + [
     None, 0, "event", np.eye(2)]
 FUZZED = {"prob": prob, "condition": condition, "condition_seq": condition_seq,
           "predictability_seq": predictability_seq, "sample_chain": sample_chain,
-          "state_independence_check": state_independence_check}
+          "state_independence_check": state_independence_check, "orthogonal": orthogonal,
+          "below": below, "events_equal": events_equal, "oplus": oplus,
+          "complement": complement, "predictability": predictability,
+          "compatible": compatible, "compatibility_residuals": compatibility_residuals,
+          "atom_state": atom_state}
+# The entry points that take two events and a tolerance.
+FUZZED_PAIRS = ("orthogonal", "below", "events_equal", "oplus", "predictability", "compatible")
 
 
 @st.composite
 def _fuzz_call(draw, entry):
     """A call of ``entry`` on one drawn algebra's events and states, each
     argument foreign (another algebra's, or no event or state) one time in
-    ten, and each sequence an iterator, a tuple or a bare item at times."""
+    ten, and each sequence an iterator, a tuple or a bare item at times.
+    ``sample_chain``'s tests run to 14 events, past the levels after which
+    a chain of up to 50 trials must count its nodes to keep its codes
+    within a chunk."""
     events, states = draw(st.sampled_from(FUZZ_WORLDS))
 
     def pick(own):
         return draw(st.sampled_from(own if draw(st.integers(0, 9)) else FUZZ_ANY))
 
-    def sequence(own):
-        items = [pick(own) for _ in range(draw(st.integers(0, 4)))]
+    def sequence(own, longest=4):
+        items = [pick(own) for _ in range(draw(st.integers(0, longest)))]
         shape = draw(st.integers(0, 9))
         return (items if shape < 7 else tuple(items) if shape == 7
                 else iter(items) if shape == 8 else pick(own))
@@ -225,9 +235,13 @@ def _fuzz_call(draw, entry):
             "condition": lambda: (pick(states), pick(events), tol),
             "condition_seq": lambda: (pick(states), sequence(events), tol),
             "predictability_seq": lambda: (pick(events), sequence(events), tol),
-            "sample_chain": lambda: (pick(states), sequence(events), pick(events), config),
+            "sample_chain": lambda: (pick(states), sequence(events, 14), pick(events), config),
             "state_independence_check":
-                lambda: (pick(events), sequence(events), sequence(states), config)}[entry]()
+                lambda: (pick(events), sequence(events), sequence(states), config),
+            "compatibility_residuals": lambda: (pick(events), pick(events)),
+            "complement": lambda: (pick(events),),
+            "atom_state": lambda: (pick(events),),
+            **dict.fromkeys(FUZZED_PAIRS, lambda: (pick(events), pick(events), tol))}[entry]()
     return lambda: FUZZED[entry](*args)
 
 

@@ -717,6 +717,51 @@ def _routed_chains(algebra):
         ([one, t, t], t, 1), ([t, one, t_], t, 2), ([t, zero, t], t, 2), ([t, t], zero, 0)]
 
 
+def _tilted_pair(dim):
+    """Events e, f of C^dim, dim even: the rank-1 pair of C^2 with P(f | e)
+    = 0.8, times the unit of C^(dim / 2).  Each certifies the other on both
+    branches, at 0.8 on the yes branch and 0.2 on the no branch."""
+    unit, v = np.eye(dim // 2), np.sqrt([0.8, 0.2])
+    algebra = QuantumAlgebra(dim)
+    return (algebra.event(np.kron(np.diag([1.0, 0.0]), unit)),
+            algebra.event(np.kron(np.outer(v, v), unit)))
+
+
+def _certified_chains(n_tests, rng):
+    """Chains of ``n_tests`` tests, of both kinds, whose every pair, a test
+    and the event read next, is certified on both branches, so that no
+    level builds a state.  The first alternates the tilted pair of C^2,
+    whose branches give the next test 0.8 and 0.2.  The others draw each
+    test and the final event from an event x and its complement, whose
+    branches lie inside or outside the next event, at 1 or 0: x the yes
+    half of the tilted pair, three points of six, or a singleton of six.
+    They realize at most two prefixes a level."""
+    e, f = _tilted_pair(2)
+    chains = [(random_density_state(2, rng), [(e, f)[k % 2] for k in range(n_tests)],
+               (e, f)[n_tests % 2])]
+    boolean = BooleanAlgebra(6)
+    weights = ClassicalState(boolean.space, rng.dirichlet(np.ones(6)))
+    for x, initial in ((e, random_density_state(2, rng)), (boolean.event([0, 1, 2]), weights),
+                       (boolean.event([3]), weights)):
+        drawn = [(x, complement(x))[i] for i in rng.integers(0, 2, n_tests + 1)]
+        chains.append((initial, drawn[:-1], drawn[-1]))
+    return chains
+
+
+def _bincounts(monkeypatch):
+    """A list to which every ``np.bincount`` call adds the type of the ids
+    it counts and its ``minlength``, from now to the end of the test."""
+    calls = []
+    bincount = np.bincount
+
+    def counted(ids, *args, **kwargs):
+        calls.append((ids.dtype.type, kwargs.get("minlength")))
+        return bincount(ids, *args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", counted)
+    return calls
+
+
 @pytest.mark.filterwarnings("ignore::orthoprob.NonUniqueConditioningWarning")
 class TestAgainstPerNodeReference:
     """Every ChainResult field equals the per-node route's, compared by repr."""
@@ -829,6 +874,93 @@ class TestAgainstPerNodeReference:
         got = sample_chain(mixed, tests, f, config)
         assert len(got.outcome_counts) == 2 ** len(tests)
         _assert_same_result(got, _per_node_chain(mixed, tests, f, config))
+
+    @pytest.mark.parametrize("trials, n_tests", [
+        (7, 12), (100, 12), (1000, 12), (128, 12), (129, 12), (2 ** 15, 17), (2 ** 15 + 1, 17)])
+    def test_certified_levels_count_where_codes_would_pass_a_chunk(
+            self, trials, n_tests, monkeypatch):
+        # A certified level that counts nothing leaves its children's codes,
+        # which double each level, until the next level's codes would pass
+        # a chunk's length, min(trials, 2**15): that level counts and
+        # renumbers its nodes, with a bincount of each chunk, before the
+        # last.  The ids' type widens past 128 trials of 12 tests and past
+        # 2**15 of 17.  The tilted pair's chain realizes up to 2**15 prefixes
+        # a level at 2**15 trials, too many for the per-node route's states.
+        chains = _certified_chains(n_tests, np.random.default_rng(trials))
+        if trials >= 2 ** 15:
+            chains = chains[1:]
+        calls = _bincounts(monkeypatch)
+        chunks = len(orthoprob.linalg._slices(trials, 8))
+        for seed, chain in enumerate(chains):
+            config = SamplerConfig(seed=seed, trials=trials)
+            want = _per_node_chain(*chain, config)
+            del calls[:]
+            _assert_same_result(sample_chain(*chain, config), want)
+            assert len(calls) > chunks
+            assert {dtype for dtype, _ in calls} == {sampler._node_id_type(trials, n_tests)}
+
+    @pytest.mark.parametrize("kind", ["quantum", "boolean"])
+    def test_repeated_test_counts_no_chunk_into_a_longer_array(self, kind, monkeypatch):
+        # A test repeated 20 times realizes two prefixes a level, all yes
+        # and all no, at codes up to 2**20.  The level whose next codes
+        # would pass a chunk, 2**15 draws, counts them: every bincount is at
+        # most a chunk long, though the ids' bound, 2 * 2**16, is longer.
+        if kind == "quantum":
+            e, f = _tilted_pair(2)
+            initial = random_density_state(2, np.random.default_rng(20))
+        else:
+            algebra = BooleanAlgebra(6)
+            e = algebra.event([0, 1, 2])
+            f = complement(e)
+            initial = ClassicalState(algebra.space, np.full(6, 1 / 6))
+        config = SamplerConfig(seed=20, trials=2 ** 16)
+        want = _per_node_chain(initial, [e] * 20, f, config)
+        calls = _bincounts(monkeypatch)
+        got = sample_chain(initial, [e] * 20, f, config)
+        _assert_same_result(got, want)
+        assert len(got.outcome_counts) == 2
+        chunk = orthoprob.linalg._CALL_BYTES // 8
+        assert calls and max(length for _, length in calls) <= chunk < 2 ** 20
+
+    def test_uncounted_levels_gather_by_the_last_bit(self, monkeypatch):
+        # Every pair of these chains gives its branches two values, 0.8 and
+        # 0.2 or 0 and 1, so draws between them are gathered per trial.  At
+        # 8 tests the codes stay below a chunk's length, 3000, and only the
+        # last level counts: every other level reads a threshold off the last bit
+        # of a code.
+        gathered = _gathers(monkeypatch)
+        calls = _bincounts(monkeypatch)
+        for seed, chain in enumerate(_certified_chains(8, np.random.default_rng(9))):
+            config = SamplerConfig(seed=seed, trials=3_000)
+            want = _per_node_chain(*chain, config)
+            del calls[:], gathered[:]
+            _assert_same_result(sample_chain(*chain, config), want)
+            assert len(calls) == 1 and gathered
+
+    @pytest.mark.parametrize("algebra", [QuantumAlgebra(4), BooleanAlgebra(6)], ids=repr)
+    def test_states_then_uncounted_certified_levels(self, algebra, monkeypatch):
+        # Two tests whose pairs are not certified build the states of four
+        # prefixes; four certified levels follow, of which the first gathers
+        # its thresholds by node and the next two by the last bit, counting
+        # nothing, until the last level counts.
+        rng = np.random.default_rng(31)
+        if isinstance(algebra, QuantumAlgebra):
+            x, y = _tilted_pair(4)
+            u, w = (algebra.event(random_projection(4, 2, rng)) for _ in range(2))
+            initial = random_density_state(4, rng)
+        else:
+            x, y = algebra.event([0, 1, 2]), algebra.event([3, 4, 5])
+            u, w = algebra.event([0, 1, 3]), algebra.event([1, 2, 4])
+            initial = ClassicalState(algebra.space, rng.dirichlet(np.ones(6)))
+        tests = [u, w, x, y, x, y]
+        config = SamplerConfig(seed=2, trials=2_000)
+        want = _per_node_chain(initial, tests, x, config)
+        built, calls = _built_states(monkeypatch), _bincounts(monkeypatch)
+        got = sample_chain(initial, tests, x, config)
+        _assert_same_result(got, want)
+        assert len({key[:2] for key in got.outcome_counts}) == 4
+        assert sum(built) == _states_of_route(got, 2)
+        assert [length for _, length in calls] == [4, 2 ** 6]
 
 
 @pytest.mark.filterwarnings("ignore::orthoprob.NonUniqueConditioningWarning")
@@ -1027,6 +1159,24 @@ def test_deep_chain_builds_two_complements_and_never_reaches_eigvalsh(monkeypatc
             want = sample_chain(initial, tests, e, config)
         assert sum(built) == 4095
         assert repr(got) == repr(want)
+
+
+@pytest.mark.filterwarnings("ignore::orthoprob.NonUniqueConditioningWarning")
+def test_certified_chain_counts_its_nodes_in_the_last_level_only(monkeypatch):
+    # 12 certified tests at 120,000 trials: no level's codes reach 2**12,
+    # far below a chunk, 2**15 draws, and every level but the last appends
+    # its bit to the ids and counts nothing.  The last level counts each chunk
+    # once, on ids of the type ``_node_id_type`` gives.
+    e, f = _tilted_pair(2)
+    initial = random_density_state(2, np.random.default_rng(12))
+    tests = [(e, f)[k % 2] for k in range(12)]
+    config = SamplerConfig(seed=4, trials=120_000)
+    want = _per_node_chain(initial, tests, e, config)
+    calls = _bincounts(monkeypatch)
+    got = sample_chain(initial, tests, e, config)
+    _assert_same_result(got, want)
+    chunks = len(orthoprob.linalg._slices(config.trials, 8))
+    assert calls == [(sampler._node_id_type(config.trials, 12), 2 ** 12)] * chunks
 
 
 class TestChainContract:
