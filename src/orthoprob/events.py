@@ -180,19 +180,22 @@ def _clamp_probability(p: np.ndarray) -> np.ndarray:
 # equal-length stacks one residual per pair; ``holds`` decides them.  The
 # builders (complement_of, sum_of, difference_of) check nothing; ``checks``
 # returns each entry's norm and, by position, the message its constructor
-# raises for each entry that fails; the quantum complement and oplus run
-# the builders on one matrix.  A state stack holds m states; its
-# probabilities of an event and its conditioning on it take the event's
-# operand, and conditioning multiplies each state by it.
+# raises for each entry that fails.  ``event_of(like, operand)`` is the one
+# route from an operand the builders made to an event on ``like``'s space,
+# checked as its constructor checks it, so the public complement and oplus
+# run the builders on one operand, as the harness runs them on stacks.  A
+# state stack holds m states; its probabilities of an event and its
+# conditioning on it take the event's operand, and conditioning multiplies
+# each state by it.
 # ``state_of(like, array)`` is the one route from an array the library
 # computed to a checked state on ``like``'s space.  A pair's predictability
 # takes the operands of target and given, so the sampler certifies the
 # operands of its branches with it; it and the sequence's return the
 # candidate s, its residual and its scale, for ``states`` to certify with
 # ``_within``.  ``commutative`` says that all events commute:
-# every pair is compatible, and only the other kind has a ``commutator``,
-# whose norm ``holds`` decides, compatibility residuals and an interference
-# term.
+# every pair is compatible, and only the other kind has a ``commutator``
+# of two operands, whose norm ``holds`` decides, compatibility residuals of
+# two operands and an interference term.
 
 
 class _BooleanKind:
@@ -252,11 +255,8 @@ class _BooleanKind:
             members[3] = rng.random(algebra.size) < 0.5
         return four
 
-    def complement(self, e):
-        return BooleanEvent(e.space, frozenset(range(e.space.size)) - e.members)
-
-    def oplus(self, e, f):
-        return BooleanEvent(e.space, e.members | f.members)
+    def event_of(self, like, row):
+        return BooleanEvent(like.space, np.flatnonzero(row).tolist())
 
     def is_atom(self, e) -> bool:
         return len(e.members) == 1
@@ -386,11 +386,8 @@ class _QuantumKind:
                 frame[...] = cols @ cols.conj().T
         return _symmetrized(four)
 
-    def complement(self, e):
-        return _adopted(QuantumEvent, self.complement_of(e.matrix))
-
-    def oplus(self, e, f):
-        return _adopted(QuantumEvent, self.sum_of(e.matrix, f.matrix))
+    def event_of(self, like, matrix):
+        return _adopted(QuantumEvent, matrix)
 
     def is_atom(self, e) -> bool:
         return e.rank == 1
@@ -466,15 +463,13 @@ class _QuantumKind:
                             float(np.linalg.norm(b)))
 
     def commutator(self, e, f) -> float:
-        em, fm = e.matrix, f.matrix
-        return float(np.linalg.norm(em @ fm - fm @ em))
+        return float(np.linalg.norm(e @ f - f @ e))
 
     def compatibility_residuals(self, e, f):
-        em, fm = e.matrix, f.matrix
-        eye = np.eye(e.dim)
-        ec, fc = eye - em, eye - fm
-        ident_e = float(np.linalg.norm(em - fm @ em @ fm - fc @ em @ fc))
-        ident_f = float(np.linalg.norm(fm - em @ fm @ em - ec @ fm @ ec))
+        eye = np.eye(len(e))
+        ec, fc = eye - e, eye - f
+        ident_e = float(np.linalg.norm(e - f @ e @ f - fc @ e @ fc))
+        ident_f = float(np.linalg.norm(f - e @ f @ e - ec @ f @ ec))
         return self.commutator(e, f), ident_e, ident_f
 
 
@@ -518,8 +513,8 @@ def _event_kind(e, name: str = "e"):
 
 def _one_pair(relation: str, e: Event, f: Event):
     """The kind of e, the residual of ``relation`` ("orthogonality",
-    "order" or "equality") from e to f on their operands, and the two
-    norms."""
+    "order", "equality" or, where the kind has one, "commutator") from e
+    to f on their operands, and the two norms."""
     kind = _shared_kind(e, f)
     return kind, getattr(kind, relation)(kind.operand(e), kind.operand(f)), e._norm, f._norm
 
@@ -539,12 +534,14 @@ def oplus(e: Event, f: Event, tol: float = DEFAULT_EVENT_TOL) -> Event:
     """Orthogonal sum, defined exactly for orthogonal pairs."""
     if not orthogonal(e, f, tol):
         raise NotOrthogonal("orthogonal sum requested for non-orthogonal events")
-    return e._kind.oplus(e, f)
+    kind = e._kind
+    return kind.event_of(e, kind.sum_of(kind.operand(e), kind.operand(f)))
 
 
 def complement(e: Event) -> Event:
     """The unique event orthogonal to e that sums with it to the unit."""
-    return _event_kind(e).complement(e)
+    kind = _event_kind(e)
+    return kind.event_of(e, kind.complement_of(kind.operand(e)))
 
 
 def below(e: Event, f: Event, tol: float = DEFAULT_EVENT_TOL) -> bool:

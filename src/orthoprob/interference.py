@@ -83,7 +83,8 @@ def interference_decomposition(source_atom: QuantumEvent, path1: QuantumEvent,
     if not orthogonal(path1, path2):
         raise NotOrthogonal("path events must be orthogonal")
     rho = atom_state(source_atom)
-    either = kind.oplus(path1, path2)  # orthogonal, as decided above
+    # Orthogonal, as decided above.
+    either = kind.event_of(path1, kind.sum_of(kind.operand(path1), kind.operand(path2)))
     p_either = prob(rho, either)
     if p_either <= tol:
         raise ZeroProbabilityCondition(

@@ -201,7 +201,6 @@ def _projection_checks(stack: np.ndarray):
     square -= stack
     residuals = _frobenius_norms(square)
     del square
-    bound = TOL_IDEMPOTENT * np.maximum(1.0, norms)  # _within's bound, for both tests
     dim = stack.shape[-1]
     traces = stack.trace(axis1=-2, axis2=-1).real
     # Traces are rounded within [-1, d + 1], so that an overflowed one
@@ -212,10 +211,11 @@ def _projection_checks(stack: np.ndarray):
     np.maximum(worst, residuals, out=worst)
     # Overflow (entries of 1e154 and up) must fail too: it makes the
     # residual NaN or the norm, and with it the bound, infinite.
-    passed = (worst <= bound) & (norms < math.inf) & (ranks >= 0.0) & (ranks <= dim)
+    passed = (_within(worst, TOL_IDEMPOTENT, norms) & (norms < math.inf)
+              & (ranks >= 0.0) & (ranks <= dim))
     errors = [None] * len(norms)
     for i in (~passed).nonzero()[0]:
-        if not (residuals[i] <= bound[i] and norms[i] < math.inf):
+        if not (_within(residuals[i], TOL_IDEMPOTENT, norms[i]) and norms[i] < math.inf):
             errors[i] = (f"matrix is not idempotent: ||P@P - P||_F = {residuals[i]:.3e} "
                          f"exceeds {TOL_IDEMPOTENT:.1e} * {max(1.0, float(norms[i])):.3g}")
         else:

@@ -27,8 +27,8 @@ import numpy as np
 from .errors import (AlgebraMismatch, DimensionMismatch, EmptyInput, NonUniqueConditioningWarning,
                      NotAtom, ValidationError, ZeroProbabilityCondition)
 from .events import (_BOOLEAN, _QUANTUM, Event, QuantumAlgebra, QuantumEvent, SampleSpace,
-                     _clamp_probability, _event_kind, _require_instance, _require_tolerance,
-                     _shared_kind, below, complement, events_equal)
+                     _clamp_probability, _event_kind, _pair_verdict, _require_instance,
+                     _require_tolerance, _shared_kind, below, complement, events_equal)
 from .linalg import (DEFAULT_CONDITION_TOL, DEFAULT_DETECTION_TOL, DEFAULT_EVENT_TOL,
                      TOL_CONTRACT, TOL_SAME_P, TOL_TABLE, TOL_TRACE, HermitianOperator,
                      StateVector, _check_density_stack, _check_weight_rows, _numeric_array,
@@ -210,7 +210,7 @@ def compatibility_residuals(e: QuantumEvent, f: QuantumEvent) -> tuple[float, fl
     kind = _shared_kind(e, f)
     if kind.commutative:
         raise AlgebraMismatch("compatibility residuals need quantum events")
-    return kind.compatibility_residuals(e, f)
+    return kind.compatibility_residuals(kind.operand(e), kind.operand(f))
 
 
 def compatible(e: Event, f: Event, tol: float = DEFAULT_EVENT_TOL) -> bool:
@@ -223,8 +223,7 @@ def compatible(e: Event, f: Event, tol: float = DEFAULT_EVENT_TOL) -> bool:
     in exact arithmetic only, so they are reported, never consulted.
     """
     _require_tolerance(tol)
-    kind = _shared_kind(e, f)
-    return kind.commutative or bool(kind.holds(kind.commutator(e, f), e._norm, f._norm, tol))
+    return _shared_kind(e, f).commutative or _pair_verdict("commutator", e, f, tol)
 
 
 def atom_state(event: Event) -> State:

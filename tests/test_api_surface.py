@@ -23,12 +23,13 @@ from hypothesis import strategies as st
 
 import orthoprob
 from orthoprob import (BooleanAlgebra, ClassicalState, DensityState, QuantumAlgebra,
-                       SampleSpace, SamplerConfig, StateVector, atom_state, below,
-                       compatibility_residuals, compatible, complement, condition,
-                       condition_seq, events, events_equal, half_transition_pair,
-                       interference, interference_decomposition, linalg, oplus, orthogonal,
-                       predictability, predictability_seq, prob, sample_chain, sampler,
-                       state_independence_check, states, two_slit)
+                       SampleSpace, SamplerConfig, StateVector, atom_state,
+                       atom_symmetry_check, below, compatibility_residuals, compatible,
+                       complement, condition, condition_seq, events, events_equal,
+                       half_transition_pair, interference, interference_decomposition,
+                       is_dispersion_free, linalg, oplus, orthogonal, predictability,
+                       predictability_seq, prob, rank_one_transition, sample_chain, sampler,
+                       state_independence_check, states, two_slit, verify_orthospace_axioms)
 from orthoprob.errors import OrthoprobError, ValidationError
 
 from helpers import random_density_matrix, random_projection
@@ -195,7 +196,43 @@ def _fuzz_worlds():
     return worlds
 
 
+def _fuzz_vectors():
+    """Per dimension 1 to 3, unit vectors: the basis, an equal mixture of
+    two basis vectors, a random complex one, and one whose overlap with
+    the first basis vector lies just above and one just below
+    ``TOL_OVERLAP``."""
+    rng = np.random.default_rng(12)
+    sets = []
+    for dim in (1, 2, 3):
+        rows = list(np.eye(dim, dtype=np.complex128))
+        rows.append(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+        if dim > 1:
+            rows.append(rows[0] + rows[1])
+            rows += [rows[1] + overlap * rows[0] for overlap in (0.5e-8, 2e-8)]
+        sets.append([StateVector(row / np.linalg.norm(row)) for row in rows])
+    return sets
+
+
+def _fuzz_frames():
+    """Per dimension 2 and 3, the events of one random frame: its atoms,
+    an atom between the first two, the span of the last two, zero and
+    one, so that orthogonal paths and atoms abound."""
+    rng = np.random.default_rng(13)
+    frames = []
+    for dim in (2, 3):
+        algebra = QuantumAlgebra(dim)
+        u = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0].T
+        frames.append([algebra.event_from_span([row]) for row in u]
+                      + [algebra.event_from_span([u[0] + u[1]]),
+                         algebra.event_from_span(u[-2:]), algebra.zero(), algebra.one()])
+    return frames
+
+
 FUZZ_WORLDS = _fuzz_worlds()
+FUZZ_VECTORS = _fuzz_vectors()
+FUZZ_FRAMES = _fuzz_frames()
+FUZZ_ALGEBRAS = [QuantumAlgebra(dim) for dim in (1, 2, 3, 4)] + [
+    BooleanAlgebra(1), BooleanAlgebra(3, ("a", "b", "c")), BooleanAlgebra(6)]
 # Anything that may stand where an event or a state belongs, bare objects too.
 FUZZ_ANY = [x for events, states in FUZZ_WORLDS for x in events + states] + [
     None, 0, "event", np.eye(2)]
@@ -205,7 +242,10 @@ FUZZED = {"prob": prob, "condition": condition, "condition_seq": condition_seq,
           "below": below, "events_equal": events_equal, "oplus": oplus,
           "complement": complement, "predictability": predictability,
           "compatible": compatible, "compatibility_residuals": compatibility_residuals,
-          "atom_state": atom_state}
+          "atom_state": atom_state, "interference_decomposition": interference_decomposition,
+          "two_slit": two_slit, "verify_orthospace_axioms": verify_orthospace_axioms,
+          "atom_symmetry_check": atom_symmetry_check, "is_dispersion_free": is_dispersion_free,
+          "rank_one_transition": rank_one_transition}
 # The entry points that take two events and a tolerance.
 FUZZED_PAIRS = ("orthogonal", "below", "events_equal", "oplus", "predictability", "compatible")
 
@@ -220,8 +260,25 @@ def _fuzz_call(draw, entry):
     within a chunk."""
     events, states = draw(st.sampled_from(FUZZ_WORLDS))
 
-    def pick(own):
-        return draw(st.sampled_from(own if draw(st.integers(0, 9)) else FUZZ_ANY))
+    def pick(own, foreign=FUZZ_ANY):
+        return draw(st.sampled_from(own if draw(st.integers(0, 9)) else foreign))
+
+    def vectors(count):
+        # Foreign vectors are of another dimension, or no vector at all.
+        own = draw(st.sampled_from(FUZZ_VECTORS))
+        foreign = [v for vs in FUZZ_VECTORS if vs is not own for v in vs] + FUZZ_ANY
+        return [pick(own, foreign) for _ in range(count)]
+
+    def interference_args():
+        # The source is one of the frame's first two atoms, or foreign.
+        own = draw(st.sampled_from(FUZZ_FRAMES))
+        return pick(own[:2]), pick(own), pick(own), pick(own), tol
+
+    def axioms():
+        # A budget of 1 to 3 rounds, or one the harness refuses.
+        return (pick(FUZZ_ALGEBRAS, FUZZ_ANY[:3] + [None, 0]),
+                pick([1, 2, 3], [0, -1, 1.5, True, None]),
+                pick([0, 1, 2, 3], [-1, 2 ** 64, 0.5, False]), tol)
 
     def sequence(own, longest=4):
         items = [pick(own) for _ in range(draw(st.integers(0, longest)))]
@@ -241,6 +298,12 @@ def _fuzz_call(draw, entry):
             "compatibility_residuals": lambda: (pick(events), pick(events)),
             "complement": lambda: (pick(events),),
             "atom_state": lambda: (pick(events),),
+            "interference_decomposition": interference_args,
+            "two_slit": lambda: (*vectors(4), tol),
+            "verify_orthospace_axioms": axioms,
+            "atom_symmetry_check": lambda: (pick(events), pick(events)),
+            "is_dispersion_free": lambda: (pick(states), sequence(events)),
+            "rank_one_transition": lambda: vectors(2),
             **dict.fromkeys(FUZZED_PAIRS, lambda: (pick(events), pick(events), tol))}[entry]()
     return lambda: FUZZED[entry](*args)
 
@@ -251,7 +314,10 @@ def test_entry_points_return_or_raise_their_own_errors(entry):
     """Each call of an entry point whose events reach the kinds' operands,
     on mixed kinds, mismatched spaces, zero events, rank-deficient states,
     iterators or bare objects where sequences belong, and the tolerances
-    0, 1e-300 and 1e300, returns or raises an OrthoprobError."""
+    0, 1e-300 and 1e300, returns or raises an OrthoprobError; so does each
+    call of the vector entry points on vectors of mixed dimensions and
+    paths near ``TOL_OVERLAP``, and of the axiom harness on small budgets,
+    foreign algebras and refused budgets or seeds."""
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(call=_fuzz_call(entry))
     def fuzz(call):

@@ -539,6 +539,14 @@ class TestStackedHarness:
                 for i, x in enumerate(pool):
                     for j, y in enumerate(events):
                         assert _one_pair(relation, x, y)[1] == table[i, j]
+            # The one-pair complement and oplus build on the stacked builders'
+            # arithmetic: their operands have the bits of the stacks'.
+            tops, sums = kind.complement_of(a), kind.sum_of(a[:, None], a[None])
+            for i, x in enumerate(pool):
+                assert kind.operand(complement(x)).tobytes() == tops[i].tobytes()
+                for j, y in enumerate(pool):
+                    if orthogonal(x, y):
+                        assert kind.operand(oplus(x, y)).tobytes() == sums[i, j].tobytes()
 
     @pytest.mark.parametrize("rounds", [1, 3, 41])
     @pytest.mark.parametrize("kind, size", [("quantum", n) for n in (1, 2, 3, 4, 5, 6, 16)]
